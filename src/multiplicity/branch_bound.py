@@ -70,7 +70,10 @@ class MipModel:
 
 @dataclass(frozen=True)
 class SolveBudget:
-    time_limit: Optional[float] = None
+    """Stops a solve at a node count or at an absolute ``time.monotonic()``
+    deadline; solves that share a budget share its deadline."""
+
+    deadline: Optional[float] = None
     node_limit: Optional[int] = None
 
 
@@ -154,9 +157,7 @@ def solve(
     def exhausted() -> bool:
         if budget.node_limit is not None and nodes >= budget.node_limit:
             return True
-        if budget.time_limit is not None:
-            return time.monotonic() - start > budget.time_limit
-        return False
+        return budget.deadline is not None and time.monotonic() > budget.deadline
 
     heuristic = model.metadata.get("incumbent_heuristic")
 

@@ -1,16 +1,11 @@
-"""Batch front-end: configuration, run orchestration, reports.
+"""Batch front-end: configuration, the stage runner and the verbs.
 
-Outputs of a full audit, all under the configured output directory:
+Every verb runs a subset of the audit's stages through one runner
+(``VERB_STAGES``); ``export-mps`` adds an export stage. Each solving stage
+has one time limit that all of its solves share.
 
-* ``profile.json``   full multiplicity profile with exact bounds
-* ``profile.csv``    plot-ready rows: epsilon, disc/amb lower, upper, certified
-* ``baseline.json``  baseline coefficients plus train/test risk
-* ``pool.json``      penalized-regression pool summary (when --adhoc is set)
-* ``burden.csv``     per-group ambiguity (when the data carries group tags)
-* ``run_manifest.json``  config echo, seeds, versions, wall times, node counts
-
-Timing lives only in the manifest, so node-limited runs with the same
-config produce byte-identical profile files.
+Report files and their formats are described in ``reports``; every verb
+writes ``run_manifest.json``.
 
 Node-log format (``--node-log FILE``): one CSV line per incumbent
 improvement, ``solve_tag,wall_seconds,nodes,upper_bound,lower_bound``.
@@ -22,21 +17,21 @@ violation (a certified bound check failed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import json
 import platform
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from . import branch_bound as bnb
-from .core import Dataset, InternalConsistencyError, empirical_risk
+from .core import Dataset, InternalConsistencyError, empirical_risk, oversample_minority
 from .datasets import InputError, generate_synthetic, ingest_csv, write_csv
 from .formulations import (
     FormulationParams,
@@ -48,18 +43,23 @@ from .formulations import (
     margin_clearance,
     mps_filename,
 )
-from .pool import PenaltyGrid, adhoc_measures, fit_pool, pool_baseline_index
+from .pool import PenaltyGrid, adhoc_measures, fit_pool
 from .profiles import (
     EpsilonGrid,
-    MultiplicityProfile,
     ambiguity_path,
     check_discrepancy_bound,
     discrepancy_path,
-    group_burden,
     merge_profiles,
 )
+from .reports import risk_json, solve_json, write_burden, write_json, write_pool, write_profile
 
 FULL_SCALE_LIMIT = 6 * 3600.0
+# The RunConfig field that bounds the wall time of each solving stage.
+_STAGE_LIMITS = {
+    "baseline": "time_limit_baseline",
+    "discrepancy": "time_limit_disc",
+    "ambiguity": "time_limit_flip",
+}
 
 
 class StageFailure(RuntimeError):
@@ -95,13 +95,14 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise InputError("split fraction must lie in (0, 1)")
-        for name in ("time_limit_baseline", "time_limit_disc", "time_limit_flip"):
+        for name in _STAGE_LIMITS.values():
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
         if self.full_scale:
-            self.time_limit_baseline = FULL_SCALE_LIMIT
-            self.time_limit_disc = FULL_SCALE_LIMIT
-            self.time_limit_flip = FULL_SCALE_LIMIT
+            for name in _STAGE_LIMITS.values():
+                setattr(self, name, FULL_SCALE_LIMIT)
+        if self.epsilons:
+            _epsilon_values(self.epsilons)
 
 
 # -- data loading ----------------------------------------------------------
@@ -119,12 +120,7 @@ def load_dataset(config: RunConfig):
         scale = int(scale_txt) if scale_txt else 1
         full = generate_synthetic(name, scale)
         if config.oversample:
-            from .core import oversample_minority
-
-            pos = int(full.weights[full.y == 1].sum())
-            neg = int(full.weights[full.y == -1].sum())
-            if pos != neg:
-                full = oversample_minority(full, seed=config.split_seed)
+            full = oversample_minority(full, seed=config.split_seed)
         return full, None, {"source": name, "scale": scale, "dropped_rows": []}
     path = Path(spec)
     if not path.exists():
@@ -145,131 +141,35 @@ def load_dataset(config: RunConfig):
     return result.train, result.test, info
 
 
+def _epsilon_values(text: str) -> list:
+    try:
+        values = [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"epsilons {text!r} are not a comma list of numbers") from None
+    if not all(0 <= v <= 1 for v in values):
+        raise InputError(f"epsilons {text!r} must lie in [0, 1]")
+    return values
+
+
 def resolve_grid(config: RunConfig, train: Dataset, baseline_rate) -> EpsilonGrid:
     if config.epsilons:
-        values = [Fraction(part.strip()) for part in config.epsilons.split(",")]
-        return EpsilonGrid.snapped(values, train.n)
+        return EpsilonGrid.snapped(_epsilon_values(config.epsilons), train.n)
     return EpsilonGrid.default(train.n, baseline_rate)
 
 
-# -- serialization helpers ---------------------------------------------------
+# -- stage runner -------------------------------------------------------------
 
-
-def exact_decimal(value: Fraction) -> str:
-    """Shortest exact decimal when the denominator is 2^a 5^b, float repr
-    otherwise."""
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    d = frac.denominator
-    while d % 2 == 0:
-        d //= 2
-    while d % 5 == 0:
-        d //= 5
-    if d != 1:
-        return repr(float(frac))
-    shift = 0
-    scaled = frac
-    while scaled.denominator != 1:
-        scaled *= 10
-        shift += 1
-    digits = str(abs(scaled.numerator)).rjust(shift + 1, "0")
-    sign = "-" if frac < 0 else ""
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
-
-
-def _measure_json(m) -> Optional[dict]:
-    if m is None:
-        return None
-    return {
-        "lower": float(m.lower),
-        "upper": float(m.upper),
-        "lower_exact": str(m.lower),
-        "upper_exact": str(m.upper),
-        "certified": m.certified,
-    }
-
-
-def profile_json(profile: MultiplicityProfile) -> dict:
-    return {
-        "baseline": {
-            "mistakes": profile.baseline.mistakes,
-            "n": profile.baseline.n,
-            "rate": float(profile.baseline.rate),
-            "rate_exact": str(profile.baseline.rate),
-        },
-        "entries": [
-            {
-                "epsilon": exact_decimal(e.epsilon),
-                "epsilon_exact": str(e.epsilon),
-                "discrepancy": _measure_json(e.discrepancy),
-                "ambiguity": _measure_json(e.ambiguity),
-            }
-            for e in profile.entries
-        ],
-        "witnesses": {
-            str(eps): list(w.coefficients)
-            for eps, w in sorted(profile.witnesses.items())
-        },
-    }
-
-
-def profile_csv_lines(profile: MultiplicityProfile) -> list:
-    lines = [
-        "epsilon,disc_lower,disc_upper,disc_certified,amb_lower,amb_upper,amb_certified"
-    ]
-    for e in profile.entries:
-        cells = [exact_decimal(e.epsilon)]
-        for m in (e.discrepancy, e.ambiguity):
-            if m is None:
-                cells.extend(["", "", ""])
-            else:
-                cells.extend(
-                    [
-                        repr(float(m.lower)),
-                        repr(float(m.upper)),
-                        "true" if m.certified else "false",
-                    ]
-                )
-        lines.append(",".join(cells))
-    return lines
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _solve_summary(result) -> dict:
-    return {
-        "status": result.status,
-        "upper_bound": result.upper_bound,
-        "lower_bound": None
-        if result.lower_bound in (float("inf"), float("-inf"))
-        else result.lower_bound,
-        "nodes": result.nodes_explored,
-        "wall_time": result.wall_time,
-    }
-
-
-# -- audit orchestration -----------------------------------------------------
-
-
-class _Deadline:
-    """Shares one wall-clock budget across the solves of a stage."""
-
-    def __init__(self, limit: Optional[float]):
-        self.start = time.monotonic()
-        self.limit = limit
-
-    def budget(self, node_limit: Optional[int]) -> bnb.SolveBudget:
-        if node_limit is not None:
-            return bnb.SolveBudget(node_limit=node_limit)
-        remaining = None
-        if self.limit is not None:
-            remaining = max(1e-3, self.limit - (time.monotonic() - self.start))
-        return bnb.SolveBudget(time_limit=remaining)
+# Every verb runs a subset of the audit's stages, in this order.
+AUDIT_STAGES = (
+    "ingest", "baseline", "discrepancy", "ambiguity", "adhoc", "bound_check", "burden",
+)
+VERB_STAGES = {
+    "audit": AUDIT_STAGES,
+    "baseline": ("ingest", "baseline"),
+    "discrepancy": ("ingest", "baseline", "discrepancy"),
+    "ambiguity": ("ingest", "baseline", "ambiguity"),
+    "adhoc": ("ingest", "baseline", "adhoc"),  # run with adhoc set
+}
 
 
 def _node_logger(handle, tag: str):
@@ -282,13 +182,25 @@ def _node_logger(handle, tag: str):
     return log
 
 
-def run_audit(config: RunConfig) -> dict:
-    """Full pipeline: baseline -> discrepancy path -> ambiguity path ->
-    optional ad-hoc pool -> bound check -> group burden.
+def _stage_budget(config: RunConfig, stage: str) -> Optional[bnb.SolveBudget]:
+    """The node limit, or one deadline that every solve of the stage shares."""
+    if stage not in _STAGE_LIMITS:
+        return None
+    if config.node_limit:
+        return bnb.SolveBudget(node_limit=config.node_limit)
+    limit = getattr(config, _STAGE_LIMITS[stage])
+    return bnb.SolveBudget(deadline=time.monotonic() + limit)
 
-    Writes report files into ``config.outdir`` and returns the manifest.
-    Any stage failure still leaves the prior stages' outputs on disk, with
-    the manifest naming the failure point.
+
+def run_stages(config: RunConfig, stages, **inputs) -> dict:
+    """Run the named stages in order and return the run state: the data,
+    the baseline, the profiles and the ``manifest``.
+
+    Report files go into ``config.outdir``. Each stage records its wall
+    time and summary in the manifest; a stage that does not apply to the
+    run (the pool without ``adhoc``, the burden without group tags) returns
+    None and is left out. A failing stage still leaves the earlier stages'
+    outputs on disk, with the manifest naming the failure point.
     """
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -302,281 +214,191 @@ def run_audit(config: RunConfig) -> dict:
         "stages": {},
         "failure": None,
     }
-    params = FormulationParams(gamma=config.gamma)
-    node_log_handle = (
-        open(config.node_log, "a", encoding="utf-8") if config.node_log else None
+    run = dict(inputs, config=config, outdir=outdir, manifest=manifest)
+    run["params"] = FormulationParams(gamma=config.gamma)
+    node_log = (
+        open(config.node_log, "a", encoding="utf-8")
+        if config.node_log
+        else contextlib.nullcontext()
     )
-    state: dict = {}
-
-    def finish_stage(name, started, **extra):
-        manifest["stages"][name] = {
-            "wall_time": time.monotonic() - started,
-            **extra,
-        }
-
-    def fail(stage, exc):
-        manifest["failure"] = {"stage": stage, "error": str(exc)}
-        _write_json(outdir / "run_manifest.json", manifest)
-        if node_log_handle is not None:
-            node_log_handle.close()
-        raise StageFailure(stage, exc) from exc
-
-    # ingest
-    t0 = time.monotonic()
-    try:
-        train, test, info = load_dataset(config)
-    except Exception as exc:  # noqa: BLE001 - boundary reporting
-        fail("ingest", exc)
-    finish_stage("ingest", t0, **info, n_train=train.n, n_examples=len(train.examples))
-    state["train"], state["test"] = train, test
-
-    # baseline
-    t0 = time.monotonic()
-    try:
-        model = build_baseline_mip(train, params)
-        deadline = _Deadline(None if config.node_limit else config.time_limit_baseline)
-        result = bnb.solve(
-            model,
-            budget=deadline.budget(config.node_limit),
-            node_log=_node_logger(node_log_handle, "baseline"),
-        )
-        if result.incumbent is None:
-            raise InternalConsistencyError("baseline training found no classifier")
-        h0 = classifier_from_solution(model, result.incumbent)
-        base_risk = empirical_risk(h0, train)
-        min_margin, margin_ok = margin_clearance(h0, train, config.gamma)
-        baseline_payload = {
-            "coefficients": list(h0.coefficients),
-            "train": {
-                "mistakes": base_risk.mistakes,
-                "n": base_risk.n,
-                "rate": float(base_risk.rate),
-                "rate_exact": str(base_risk.rate),
-            },
-            "certified": result.certified,
-            "margin_clearance": {"min_abs_score": min_margin, "clears_gamma": margin_ok},
-        }
-        if test is not None:
-            test_risk = empirical_risk(h0, test)
-            baseline_payload["test"] = {
-                "mistakes": test_risk.mistakes,
-                "n": test_risk.n,
-                "rate": float(test_risk.rate),
-                "rate_exact": str(test_risk.rate),
-            }
-        _write_json(outdir / "baseline.json", baseline_payload)
-    except StageFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        fail("baseline", exc)
-    finish_stage("baseline", t0, **_solve_summary(result))
-    state["h0"], state["baseline_result"] = h0, result
-
-    grid = resolve_grid(config, train, base_risk.rate)
-
-    # discrepancy path
-    t0 = time.monotonic()
-    try:
-        deadline = _Deadline(None if config.node_limit else config.time_limit_disc)
-        disc_profile, disc_results = discrepancy_path(
-            train,
-            h0,
-            grid,
-            budget=deadline.budget(config.node_limit),
-            params=params,
-            node_log=_node_logger(node_log_handle, "disc"),
-        )
-    except StageFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        fail("discrepancy", exc)
-    finish_stage(
-        "discrepancy",
-        t0,
-        solves=[_solve_summary(r) for r in disc_results],
-    )
-
-    # ambiguity path
-    t0 = time.monotonic()
-    try:
-        deadline = _Deadline(None if config.node_limit else config.time_limit_flip)
-        amb_profile, pool_info, flip_results = ambiguity_path(
-            train,
-            h0,
-            grid,
-            budget=deadline.budget(config.node_limit),
-            workers=config.workers,
-            params=params,
-            baseline_certified=result.certified,
-            seed_pool=list(disc_profile.witnesses.values()),
-            node_log=_node_logger(node_log_handle, "flip"),
-        )
-    except StageFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        fail("ambiguity", exc)
-    finish_stage(
-        "ambiguity",
-        t0,
-        solves=[_solve_summary(r) for r in flip_results],
-    )
-
-    profile = merge_profiles(disc_profile, amb_profile)
-    _write_json(outdir / "profile.json", profile_json(profile))
-    (outdir / "profile.csv").write_text(
-        "\n".join(profile_csv_lines(profile)) + "\n", encoding="utf-8"
-    )
-
-    # optional ad-hoc pool
-    if config.adhoc:
-        t0 = time.monotonic()
-        try:
-            alphas = tuple(
-                round(k / max(config.pool_alphas - 1, 1), 6)
-                for k in range(config.pool_alphas)
-            )
-            penalty_grid = PenaltyGrid(
-                alphas=alphas, lambdas_per_alpha=config.pool_lambdas
-            )
-            models = fit_pool(train, penalty_grid, seed=config.seed)
-            adhoc_profile = adhoc_measures(models, train, grid)
-            base_idx = pool_baseline_index(models)
-            _write_json(
-                outdir / "pool.json",
-                {
-                    "n_models": len(models),
-                    "baseline_index": base_idx,
-                    "baseline_alpha": models[base_idx].alpha,
-                    "baseline_lambda": models[base_idx].lam,
-                    "baseline_cv_risk": models[base_idx].cv_risk,
-                    "profile": profile_json(adhoc_profile),
-                    "models": [
-                        {
-                            "alpha": m.alpha,
-                            "lambda": m.lam,
-                            "train_mistakes": m.train_risk.mistakes,
-                            "cv_risk": m.cv_risk,
-                            "converged": m.converged,
-                        }
-                        for m in models
-                    ],
-                },
-            )
-        except StageFailure:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            fail("adhoc", exc)
-        finish_stage("adhoc", t0, n_models=len(models))
-
-    # invariant check
-    t0 = time.monotonic()
-    try:
-        report = check_discrepancy_bound(profile)
-    except StageFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        fail("bound_check", exc)
-    finish_stage(
-        "bound_check", t0, min_slack=float(report.min_slack) if report.slacks else None
-    )
-
-    # group burden
-    if all(ex.group is not None for ex in train.examples):
-        t0 = time.monotonic()
-        try:
-            lines = ["group,epsilon,amb_lower,amb_upper,certified"]
-            for eps in grid.values:
-                for group, measure in group_burden(pool_info, train, eps).items():
-                    lines.append(
-                        ",".join(
-                            [
-                                group,
-                                exact_decimal(eps),
-                                repr(float(measure.lower)),
-                                repr(float(measure.upper)),
-                                "true" if measure.certified else "false",
-                            ]
-                        )
-                    )
-            (outdir / "burden.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except StageFailure:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            fail("burden", exc)
-        finish_stage("burden", t0)
-
-    if node_log_handle is not None:
-        node_log_handle.close()
-    _write_json(outdir / "run_manifest.json", manifest)
-    return manifest
+    with node_log as handle:
+        run["node_log"] = handle
+        for name in stages:
+            started = time.monotonic()
+            try:
+                summary = _STAGES[name](run, _stage_budget(config, name))
+            except Exception as exc:  # noqa: BLE001 - boundary reporting
+                manifest["failure"] = {"stage": name, "error": str(exc)}
+                write_json(outdir / "run_manifest.json", manifest)
+                raise StageFailure(name, exc) from exc
+            if summary is not None:
+                manifest["stages"][name] = {
+                    "wall_time": time.monotonic() - started,
+                    **summary,
+                }
+    write_json(outdir / "run_manifest.json", manifest)
+    return run
 
 
-# -- secondary verbs --------------------------------------------------------
-
-
-def run_baseline(config: RunConfig) -> dict:
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    train, test, _ = load_dataset(config)
-    params = FormulationParams(gamma=config.gamma)
-    model = build_baseline_mip(train, params)
-    budget = (
-        bnb.SolveBudget(node_limit=config.node_limit)
-        if config.node_limit
-        else bnb.SolveBudget(time_limit=config.time_limit_baseline)
-    )
-    result = bnb.solve(model, budget=budget)
-    if result.incumbent is None:
-        raise InternalConsistencyError("baseline training found no classifier")
-    h0 = classifier_from_solution(model, result.incumbent)
-    risk = empirical_risk(h0, train)
-    payload = {
-        "coefficients": list(h0.coefficients),
-        "train": {"mistakes": risk.mistakes, "n": risk.n, "rate": float(risk.rate)},
-        "certified": result.certified,
-        "nodes": result.nodes_explored,
-    }
-    if test is not None:
-        t = empirical_risk(h0, test)
-        payload["test"] = {"mistakes": t.mistakes, "n": t.n, "rate": float(t.rate)}
-    _write_json(outdir / "baseline.json", payload)
-    return payload
+def run_audit(config: RunConfig) -> dict:
+    """Full pipeline: baseline -> discrepancy path -> ambiguity path ->
+    optional ad-hoc pool -> bound check -> group burden. Returns the
+    manifest."""
+    return run_stages(config, AUDIT_STAGES)["manifest"]
 
 
 def run_export_mps(config: RunConfig, formulation: str, epsilon, flip_index) -> Path:
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    train, _, _ = load_dataset(config)
-    params = FormulationParams(gamma=config.gamma)
+    """Write one formulation in MPS format; disc and flip models are built
+    around the solved baseline. Returns the file path."""
+    stages = ("ingest", "export") if formulation == "baseline" else (
+        "ingest", "baseline", "export"
+    )
+    run = run_stages(
+        config, stages, formulation=formulation, epsilon=epsilon, flip_index=flip_index
+    )
+    return Path(run["manifest"]["stages"]["export"]["path"])
+
+
+# -- stages: each takes the run state and its budget, returns its summary ----
+
+
+def _ingest(run: dict, budget) -> dict:
+    train, test, info = load_dataset(run["config"])
+    run["train"], run["test"] = train, test
+    return {**info, "n_train": train.n, "n_examples": len(train.examples)}
+
+
+def _baseline(run: dict, budget) -> dict:
+    config, train, test = run["config"], run["train"], run["test"]
+    model = build_baseline_mip(train, run["params"])
+    result = bnb.solve(
+        model, budget=budget, node_log=_node_logger(run["node_log"], "baseline")
+    )
+    if result.incumbent is None:
+        raise InternalConsistencyError("baseline training found no classifier")
+    h0 = classifier_from_solution(model, result.incumbent)
+    base_risk = empirical_risk(h0, train)
+    min_margin, margin_ok = margin_clearance(h0, train, config.gamma)
+    payload = {
+        "coefficients": list(h0.coefficients),
+        "train": risk_json(base_risk),
+        "certified": result.certified,
+        "margin_clearance": {"min_abs_score": min_margin, "clears_gamma": margin_ok},
+    }
+    if test is not None:
+        payload["test"] = risk_json(empirical_risk(h0, test))
+    write_json(run["outdir"] / "baseline.json", payload)
+    run["h0"], run["baseline"], run["base_risk"] = h0, result, base_risk
+    run["grid"] = resolve_grid(config, train, base_risk.rate)
+    return solve_json(result)
+
+
+def _discrepancy(run: dict, budget) -> dict:
+    run["disc_profile"], results = discrepancy_path(
+        run["train"],
+        run["h0"],
+        run["grid"],
+        budget=budget,
+        params=run["params"],
+        node_log=_node_logger(run["node_log"], "disc"),
+    )
+    _update_profile(run)
+    return {"solves": [solve_json(r) for r in results]}
+
+
+def _ambiguity(run: dict, budget) -> dict:
+    disc = run.get("disc_profile")
+    run["amb_profile"], run["flip_pool"], results = ambiguity_path(
+        run["train"],
+        run["h0"],
+        run["grid"],
+        budget=budget,
+        workers=run["config"].workers,
+        params=run["params"],
+        baseline_certified=run["baseline"].certified,
+        seed_pool=list(disc.witnesses.values()) if disc is not None else [],
+        node_log=_node_logger(run["node_log"], "flip"),
+    )
+    _update_profile(run)
+    return {"solves": [solve_json(r) for r in results]}
+
+
+def _update_profile(run: dict) -> None:
+    """profile.* hold the measures of the path stages run so far."""
+    disc, amb = run.get("disc_profile"), run.get("amb_profile")
+    if disc is not None and amb is not None:
+        run["profile"] = merge_profiles(disc, amb)
+    else:
+        run["profile"] = disc if disc is not None else amb
+    write_profile(run["outdir"], run["profile"])
+
+
+def _adhoc(run: dict, budget) -> Optional[dict]:
+    config, train = run["config"], run["train"]
+    if not config.adhoc:
+        return None
+    alphas = tuple(
+        round(k / max(config.pool_alphas - 1, 1), 6) for k in range(config.pool_alphas)
+    )
+    penalty_grid = PenaltyGrid(alphas=alphas, lambdas_per_alpha=config.pool_lambdas)
+    models = fit_pool(train, penalty_grid, seed=config.seed)
+    write_pool(run["outdir"], models, adhoc_measures(models, train, run["grid"]))
+    return {"n_models": len(models)}
+
+
+def _bound_check(run: dict, budget) -> dict:
+    report = check_discrepancy_bound(run["profile"])
+    return {"min_slack": float(report.min_slack) if report.slacks else None}
+
+
+def _burden(run: dict, budget) -> Optional[dict]:
+    train = run["train"]
+    if any(ex.group is None for ex in train.examples):
+        return None
+    write_burden(run["outdir"], run["flip_pool"], train, run["grid"])
+    return {}
+
+
+def _export(run: dict, budget) -> dict:
+    train, params, formulation = run["train"], run["params"], run["formulation"]
     if formulation == "baseline":
         model = build_baseline_mip(train, params)
+    elif formulation == "disc":
+        eps = Fraction(run["epsilon"] if run["epsilon"] is not None else 0)
+        model = build_disc_mip(train, run["h0"], eps, params)
+    elif formulation == "flip":
+        model = build_flip_mip(train, run["h0"], int(run["flip_index"] or 0), params)
     else:
-        base_model = build_baseline_mip(train, params)
-        budget = (
-            bnb.SolveBudget(node_limit=config.node_limit)
-            if config.node_limit
-            else bnb.SolveBudget(time_limit=config.time_limit_baseline)
-        )
-        result = bnb.solve(base_model, budget=budget)
-        if result.incumbent is None:
-            raise InternalConsistencyError("baseline training found no classifier")
-        h0 = classifier_from_solution(base_model, result.incumbent)
-        if formulation == "disc":
-            eps = Fraction(epsilon if epsilon is not None else 0)
-            model = build_disc_mip(train, h0, eps, params)
-        elif formulation == "flip":
-            model = build_flip_mip(train, h0, int(flip_index or 0), params)
-        else:
-            raise InputError(f"unknown formulation {formulation!r}")
-    dataset_tag = Path(config.dataset).stem.replace(":", "x")
-    path = outdir / mps_filename(dataset_tag, formulation, params)
+        raise InputError(f"unknown formulation {formulation!r}")
+    dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")
+    path = run["outdir"] / mps_filename(dataset_tag, formulation, params)
     export_mps(model, path)
-    return path
+    return {"path": str(path)}
+
+
+# Stage functions look up the solvers and loaders as module globals when
+# they run, so code that rebinds ``cli.discrepancy_path`` and the like sees
+# every call.
+_STAGES = {
+    "ingest": _ingest,
+    "baseline": _baseline,
+    "discrepancy": _discrepancy,
+    "ambiguity": _ambiguity,
+    "adhoc": _adhoc,
+    "bound_check": _bound_check,
+    "burden": _burden,
+    "export": _export,
+}
 
 
 # -- argparse front-end ------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# Field -> type of every RunConfig field, resolved from its annotations.
+_FIELD_TYPES = get_type_hints(RunConfig)
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -589,23 +411,26 @@ def _parse_config_file(path: str) -> dict:
             raise InputError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_TYPES:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = _coerce_field(key, value.strip())
     return values
 
 
 def _coerce_field(key: str, raw: str):
-    target = _CONFIG_FIELDS[key].type
-    if raw.lower() in ("none", ""):
-        return None
-    if "bool" in str(target):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if "int" in str(target):
-        return int(raw)
-    if "float" in str(target):
-        return float(raw)
-    return raw
+    kind = _FIELD_TYPES[key]
+    if get_origin(kind) is Union:  # Optional[T]
+        if raw.lower() in ("none", ""):
+            return None
+        kind = get_args(kind)[0]
+    if kind is bool:
+        if raw.lower() not in _BOOLS:
+            raise InputError(f"{key}: expected true or false, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -629,13 +454,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-lambdas", dest="pool_lambdas", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--full-scale", dest="full_scale", action="store_true", default=None)
+    p.add_argument("--node-log", dest="node_log", help="incumbent log file")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config))
-    for name in _CONFIG_FIELDS:
+    for name in _FIELD_TYPES:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -654,11 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("baseline", "fit and report the error-minimizing classifier"),
         ("discrepancy", "baseline plus the discrepancy path"),
         ("ambiguity", "baseline plus the ambiguity path"),
-        ("adhoc", "penalized logistic pool measures only"),
+        ("adhoc", "baseline plus the penalized logistic pool measures"),
     ):
-        p = sub.add_parser(verb, help=help_text)
-        _add_common_flags(p)
-        p.add_argument("--node-log", dest="node_log", help="incumbent log file")
+        _add_common_flags(sub.add_parser(verb, help=help_text))
 
     g = sub.add_parser("generate", help="write a synthetic dataset as CSV")
     g.add_argument("name", choices=["xor", "tyranny"])
@@ -686,40 +510,24 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} ({dataset.n} points)")
             return 0
         config = _build_config(args)
-        if args.command == "audit":
-            manifest = run_audit(config)
-            print(f"audit complete; reports in {config.outdir}")
-            return 0
-        if args.command == "baseline":
-            payload = run_baseline(config)
-            rate = payload["train"]["rate"]
-            print(
-                f"baseline risk {rate:.4f} "
-                f"({'certified' if payload['certified'] else 'not certified'})"
-            )
-            return 0
-        if args.command in ("discrepancy", "ambiguity"):
-            sub_config = dataclasses.replace(config)
-            manifest = _run_single_path(sub_config, args.command)
-            print(f"{args.command} path complete; reports in {config.outdir}")
-            return 0
-        if args.command == "adhoc":
-            _run_adhoc_only(config)
-            print(f"ad hoc pool complete; reports in {config.outdir}")
-            return 0
         if args.command == "export-mps":
-            path = run_export_mps(
-                config, args.formulation, args.epsilon, args.flip_index
-            )
+            path = run_export_mps(config, args.formulation, args.epsilon, args.flip_index)
             print(f"wrote {path}")
             return 0
-        parser.error(f"unhandled command {args.command}")
+        if args.command == "adhoc":
+            config = dataclasses.replace(config, adhoc=True)
+        run = run_stages(config, VERB_STAGES[args.command])
+        if args.command == "baseline":
+            certified = run["baseline"].certified
+            print(
+                f"baseline risk {float(run['base_risk'].rate):.4f} "
+                f"({'certified' if certified else 'not certified'})"
+            )
+        print(f"{args.command} complete; reports in {config.outdir}")
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except InternalConsistencyError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
     except StageFailure as exc:
         if isinstance(exc.cause, InputError):
             code = 2
@@ -729,70 +537,6 @@ def main(argv=None) -> int:
             code = 3
         print(f"{exc}", file=sys.stderr)
         return code
-    return 0
-
-
-def _run_single_path(config: RunConfig, which: str) -> dict:
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    train, test, _ = load_dataset(config)
-    params = FormulationParams(gamma=config.gamma)
-    budget = (
-        bnb.SolveBudget(node_limit=config.node_limit)
-        if config.node_limit
-        else bnb.SolveBudget(time_limit=config.time_limit_baseline)
-    )
-    result = bnb.solve(build_baseline_mip(train, params), budget=budget)
-    if result.incumbent is None:
-        raise InternalConsistencyError("baseline training found no classifier")
-    h0 = classifier_from_solution(build_baseline_mip(train, params), result.incumbent)
-    grid = resolve_grid(config, train, empirical_risk(h0, train).rate)
-    if which == "discrepancy":
-        limit = None if config.node_limit else config.time_limit_disc
-        profile, _ = discrepancy_path(
-            train, h0, grid, budget=_Deadline(limit).budget(config.node_limit),
-            params=params,
-        )
-    else:
-        limit = None if config.node_limit else config.time_limit_flip
-        profile, _, _ = ambiguity_path(
-            train, h0, grid, budget=_Deadline(limit).budget(config.node_limit),
-            workers=config.workers, params=params,
-            baseline_certified=result.certified,
-        )
-    _write_json(outdir / "profile.json", profile_json(profile))
-    (outdir / "profile.csv").write_text(
-        "\n".join(profile_csv_lines(profile)) + "\n", encoding="utf-8"
-    )
-    return profile_json(profile)
-
-
-def _run_adhoc_only(config: RunConfig) -> None:
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    train, _, _ = load_dataset(config)
-    alphas = tuple(
-        round(k / max(config.pool_alphas - 1, 1), 6) for k in range(config.pool_alphas)
-    )
-    models = fit_pool(
-        train, PenaltyGrid(alphas=alphas, lambdas_per_alpha=config.pool_lambdas),
-        seed=config.seed,
-    )
-    base_idx = pool_baseline_index(models)
-    base_rate = models[base_idx].train_risk.rate
-    grid = resolve_grid(config, train, base_rate)
-    profile = adhoc_measures(models, train, grid)
-    _write_json(
-        outdir / "pool.json",
-        {
-            "n_models": len(models),
-            "baseline_index": base_idx,
-            "baseline_alpha": models[base_idx].alpha,
-            "baseline_lambda": models[base_idx].lam,
-            "baseline_cv_risk": models[base_idx].cv_risk,
-            "profile": profile_json(profile),
-        },
-    )
 
 
 if __name__ == "__main__":

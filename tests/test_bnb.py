@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ class TestSolve:
             build_baseline_mip(xor_dataset()), budget=SolveBudget(node_limit=1)
         )
         assert res.status in ("no_incumbent", "feasible_with_gap")
+        assert res.lower_bound <= 25.0
+
+    def test_past_deadline_stops_after_root(self):
+        res = solve(
+            build_baseline_mip(xor_dataset()),
+            budget=SolveBudget(deadline=time.monotonic()),
+        )
+        assert res.nodes_explored == 1
         assert res.lower_bound <= 25.0
 
     def test_node_limit_is_deterministic(self):

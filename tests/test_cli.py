@@ -7,11 +7,11 @@ import pytest
 from multiplicity.cli import (
     RunConfig,
     build_parser,
-    exact_decimal,
     main,
     run_audit,
     run_export_mps,
 )
+from multiplicity.reports import exact_decimal
 from multiplicity.core import InternalConsistencyError
 from multiplicity.datasets import (
     InputError,
@@ -256,6 +256,22 @@ class TestAudit:
         payload = json.loads((tmp_path / "out" / "baseline.json").read_text())
         assert payload["test"]["n"] == 4  # untouched 25% split
 
+    def test_stage_time_limit_bounds_the_stage(self, tmp_path):
+        # Every solve of a stage shares the stage's deadline, so five
+        # epsilons under a 0.5 s limit take about 0.5 s, not 0.5 s each.
+        config = RunConfig(
+            dataset=str(DATA / "compas_style.csv"),
+            label_column="two_year_recid",
+            group_column="race",
+            epsilons="0,0.01,0.02,0.05,0.1",
+            time_limit_disc=0.5,
+            time_limit_flip=0.5,
+            outdir=str(tmp_path / "out"),
+        )
+        manifest = run_audit(config)
+        for stage in ("discrepancy", "ambiguity"):
+            assert manifest["stages"][stage]["wall_time"] < 1.0
+
     def test_stage_failure_marks_manifest(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
 
@@ -304,19 +320,43 @@ class TestOtherVerbs:
         assert payload["entries"][0]["ambiguity"]["lower_exact"] == "1"
 
     def test_adhoc_verb(self, tmp_path):
-        code = main(
-            [
-                "adhoc", "--dataset", str(DATA / "compas_style.csv"),
-                "--label-column", "two_year_recid", "--group-column", "race",
-                "--epsilons", "0,0.05", "--pool-alphas", "2",
-                "--pool-lambdas", "4", "--outdir", str(tmp_path),
-            ]
-        )
+        flags = [
+            "--dataset", str(DATA / "compas_style.csv"),
+            "--label-column", "two_year_recid", "--group-column", "race",
+            "--epsilons", "0,0.05", "--pool-alphas", "2", "--pool-lambdas", "4",
+        ]
+        code = main(["adhoc", *flags, "--outdir", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "pool.json").read_text())
         assert payload["n_models"] == 8
         for entry in payload["profile"]["entries"]:
             assert entry["discrepancy"]["certified"] is False
+        # the verb runs the audit's pool stage: same baseline, grid and file
+        code = main(["audit", "--adhoc", *flags, "--outdir", str(tmp_path / "audit")])
+        assert code == 0
+        audit_pool = (tmp_path / "audit" / "pool.json").read_bytes()
+        assert (tmp_path / "pool.json").read_bytes() == audit_pool
+
+    @pytest.mark.parametrize(
+        "verb", ["baseline", "discrepancy", "ambiguity", "adhoc", "export-mps"]
+    )
+    def test_every_verb_writes_manifest_and_node_log(self, tmp_path, verb):
+        log_path = tmp_path / "nodes.log"
+        argv = [
+            verb, "--dataset", "xor", "--epsilons", "0",
+            "--outdir", str(tmp_path / "out"), "--node-log", str(log_path),
+        ]
+        if verb == "adhoc":
+            argv += ["--pool-alphas", "2", "--pool-lambdas", "2"]
+        if verb == "export-mps":
+            argv += ["--formulation", "disc"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["failure"] is None
+        assert {"ingest", "baseline"} <= set(manifest["stages"])
+        lines = log_path.read_text().splitlines()
+        assert lines, "expected at least one incumbent improvement line"
+        assert all(line.split(",")[0] in ("baseline", "disc", "flip") for line in lines)
 
     def test_node_log_stream(self, tmp_path):
         log_path = tmp_path / "nodes.log"
@@ -358,6 +398,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("epsilons", ["1.5", "abc"])
+    def test_bad_epsilons_is_two(self, tmp_path, epsilons):
+        code = main(
+            ["audit", "--dataset", "xor", "--epsilons", epsilons, "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
 
@@ -391,6 +438,20 @@ class TestConfigFile:
         assert config.dataset == "xor"
         assert config.workers == 3  # flag overrides file
         assert config.oversample is False
+
+    def test_malformed_values_rejected(self, tmp_path):
+        from multiplicity.cli import _build_config
+
+        cfg = tmp_path / "run.cfg"
+        parser = build_parser()
+        # "none" is only for optional fields; bad numbers and bools are input
+        # errors, not tracebacks or silent defaults
+        for line in ("time_limit_disc = none", "workers = abc", "oversample = flase"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(InputError):
+                _build_config(parser.parse_args(["audit", "--config", str(cfg)]))
+        cfg.write_text("node_limit = none\n")
+        assert _build_config(parser.parse_args(["audit", "--config", str(cfg)])).node_limit is None
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
