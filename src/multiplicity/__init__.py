@@ -10,7 +10,6 @@ from .core import (
     RiskReport,
     conflict_count,
     empirical_risk,
-    find_conflict_pairs,
     oversample_minority,
     predict,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "empirical_risk",
     "conflict_count",
     "oversample_minority",
-    "find_conflict_pairs",
     "LinearProgram",
     "LpSolution",
     "solve_lp",

@@ -43,12 +43,17 @@ STATUS_NO_INCUMBENT = "no_incumbent"
 
 @dataclass(frozen=True)
 class MipModel:
-    """A built integer program: LP relaxation plus the binary index set."""
+    """A built integer program: LP relaxation plus the binary index set.
+
+    ``objective_offset`` is a constant added to the LP objective; every
+    objective value and bound a solve reports includes it.
+    """
 
     lp: LinearProgram
     binary_vars: tuple
     objective_sense: str = "min"
     metadata: dict = field(default_factory=dict)
+    objective_offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "binary_vars", tuple(self.binary_vars))
@@ -138,7 +143,11 @@ def solve(
     solver contract tuple."""
     budget = budget or SolveBudget()
     binaries = np.array(model.binary_vars, dtype=int)
+    offset = model.objective_offset
     start = time.monotonic()
+
+    def count(values) -> float:
+        return float(round(float(np.dot(model.lp.objective, values)) + offset))
 
     incumbent = None
     upper: Optional[float] = None
@@ -147,12 +156,13 @@ def solve(
         if not ok:
             raise InfeasibleWarmStartError("; ".join(report))
         incumbent = np.asarray(warm_start, dtype=float).copy()
-        upper = float(round(float(np.dot(model.lp.objective, incumbent))))
+        upper = count(incumbent)
 
-    heap: list = []  # (ceiled bound, fifo, fixings, lp values)
-    fifo = 0
+    # (ceiled bound, fifo, fixings, lp values); the root waits unsolved, so
+    # a solve that starts past its deadline solves no LP.
+    heap: list = [(-math.inf, 0, {}, None)]
+    fifo = 1
     nodes = 0
-    root_infeasible = False
 
     def exhausted() -> bool:
         if budget.node_limit is not None and nodes >= budget.node_limit:
@@ -176,8 +186,7 @@ def solve(
             return
         ok, _ = check_feasible(model, candidate)
         if ok:
-            obj = float(round(float(np.dot(model.lp.objective, candidate))))
-            offer_incumbent(candidate, obj)
+            offer_incumbent(candidate, count(candidate))
 
     def evaluate(fixings: dict, floor_bound: float):
         """Solve a node LP; returns (kind, bound, values)."""
@@ -188,11 +197,12 @@ def solve(
             return
         if sol.status != "optimal":
             raise InternalConsistencyError(f"node LP ended with {sol.status}")
-        bound = max(math.ceil(sol.objective_value - INT_TOL), floor_bound)
+        value = sol.objective_value + offset
+        bound = max(math.ceil(value - INT_TOL), floor_bound)
         frac = np.abs(sol.values[binaries] - np.round(sol.values[binaries]))
         if binaries.size == 0 or frac.max() <= INT_TOL:
             if upper is None or bound < upper:
-                offer_incumbent(sol.values, float(round(sol.objective_value)))
+                offer_incumbent(sol.values, float(round(value)))
             return
         try_heuristic(sol.values)
         if upper is not None and bound >= upper:
@@ -216,16 +226,15 @@ def solve(
             lower = min(lower, upper)
         return lower
 
-    evaluate({}, -math.inf)
-    if nodes == 1 and not heap and incumbent is None and warm_start is None:
-        root_infeasible = True
-
     while heap and not exhausted():
         lower = current_lower()
         if upper is not None and upper - lower < CERT_GAP:
             break
         bound, _, fixings, values = heapq.heappop(heap)
         if upper is not None and bound >= upper:
+            continue
+        if values is None:
+            evaluate(fixings, bound)
             continue
         frac_dist = np.abs(values[binaries] - 0.5)
         frac_dist[np.abs(values[binaries] - np.round(values[binaries])) <= INT_TOL] = np.inf
@@ -243,7 +252,7 @@ def solve(
         else:
             status = STATUS_GAP
         result_upper = upper
-    elif root_infeasible or not heap:
+    elif not heap:
         # A completed search with no incumbent means no integral solution.
         status, result_upper, lower = STATUS_INFEASIBLE, None, math.inf
     else:

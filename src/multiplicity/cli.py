@@ -216,11 +216,12 @@ def run_stages(config: RunConfig, stages, **inputs) -> dict:
     }
     run = dict(inputs, config=config, outdir=outdir, manifest=manifest)
     run["params"] = FormulationParams(gamma=config.gamma)
-    node_log = (
-        open(config.node_log, "a", encoding="utf-8")
-        if config.node_log
-        else contextlib.nullcontext()
-    )
+    node_log = contextlib.nullcontext()
+    if config.node_log:
+        try:
+            node_log = open(config.node_log, "a", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot open node log {config.node_log!r}: {exc}") from None
     with node_log as handle:
         run["node_log"] = handle
         for name in stages:
@@ -364,10 +365,18 @@ def _export(run: dict, budget) -> dict:
     if formulation == "baseline":
         model = build_baseline_mip(train, params)
     elif formulation == "disc":
-        eps = Fraction(run["epsilon"] if run["epsilon"] is not None else 0)
-        model = build_disc_mip(train, run["h0"], eps, params)
+        eps = _epsilon_values(str(run["epsilon"] or 0))
+        if len(eps) != 1:
+            raise InputError(f"--epsilon takes one value, got {run['epsilon']!r}")
+        model = build_disc_mip(train, run["h0"], eps[0], params)
     elif formulation == "flip":
-        model = build_flip_mip(train, run["h0"], int(run["flip_index"] or 0), params)
+        index = run["flip_index"] or 0
+        if not 0 <= index < len(train.examples):
+            raise InputError(
+                f"--flip-index {index} is outside the {len(train.examples)} "
+                "training examples"
+            )
+        model = build_flip_mip(train, run["h0"], index, params)
     else:
         raise InputError(f"unknown formulation {formulation!r}")
     dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")

@@ -135,21 +135,34 @@ class RiskReport:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of examples with a precomputed conflict-pair matching.
+class Cells:
+    """The distinct feature vectors of a dataset, in first-appearance order.
 
-    ``conflict_pairs`` is a maximum matching between identical-feature
-    positive and negative examples: any classifier must err on exactly one
-    member of each pair, which the training formulation exploits.
+    ``pos[c]`` and ``neg[c]`` are the total weights of the positive and the
+    negative examples whose features equal ``X[c]``; ``index[i]`` is the
+    cell of example ``i``.  Every measure depends on a classifier only
+    through its prediction on each cell.
+    """
+
+    X: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    index: np.ndarray
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Ordered collection of examples over d features plus the intercept.
+
+    ``cells`` groups the examples by feature vector; the integer programs
+    carry one indicator per cell.
     """
 
     examples: tuple
     d: int
-    conflict_pairs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
-        object.__setattr__(self, "conflict_pairs", tuple(self.conflict_pairs))
         if not self.examples:
             raise EmptyDatasetError("dataset must contain at least one example")
         width = self.d + 1
@@ -158,19 +171,29 @@ class Dataset:
                 raise DimensionMismatchError(
                     f"expected {width} features, got {len(ex.features)}"
                 )
-        for i, j in self.conflict_pairs:
-            a, b = self.examples[i], self.examples[j]
-            if a.features != b.features or a.label != 1 or b.label != -1:
-                raise ValueError(f"invalid conflict pair ({i}, {j})")
 
     @classmethod
     def build(cls, examples: Sequence[Example]) -> "Dataset":
         examples = tuple(examples)
         if not examples:
             raise EmptyDatasetError("dataset must contain at least one example")
-        d = len(examples[0].features) - 1
-        pairs = _match_conflicts(examples)
-        return cls(examples=examples, d=d, conflict_pairs=pairs)
+        return cls(examples=examples, d=len(examples[0].features) - 1)
+
+    @cached_property
+    def cells(self) -> Cells:
+        first: dict = {}
+        index = np.array(
+            [first.setdefault(ex.features, len(first)) for ex in self.examples]
+        )
+        pos = np.zeros(len(first), dtype=int)
+        neg = np.zeros(len(first), dtype=int)
+        positive = self.y == 1
+        np.add.at(pos, index[positive], self.weights[positive])
+        np.add.at(neg, index[~positive], self.weights[~positive])
+        X = np.array(list(first), dtype=float)
+        for v in (X, pos, neg, index):
+            v.flags.writeable = False
+        return Cells(X=X, pos=pos, neg=neg, index=index)
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -206,7 +229,7 @@ class Dataset:
             Example(ex.features, ex.label, ex.group, int(w))
             for ex, w in zip(self.examples, weights)
         )
-        return Dataset(examples=new, d=self.d, conflict_pairs=self.conflict_pairs)
+        return Dataset(examples=new, d=self.d)
 
 
 def predict(h: LinearClassifier, x: Example) -> int:
@@ -263,25 +286,3 @@ def oversample_minority(dataset: Dataset, seed: int) -> Dataset:
     for step in range(deficit):
         weights[minority_idx[(start + step) % len(minority_idx)]] += 1
     return dataset.with_weights(weights.tolist())
-
-
-def find_conflict_pairs(examples: Sequence[Example]) -> tuple:
-    """Maximum matching between identical-feature opposite-label examples.
-
-    Each example is used at most once; within a feature group, positives and
-    negatives are paired in index order, giving min(n+, n-) pairs per group.
-    Pairs are returned sorted by (positive index, negative index).
-    """
-    return _match_conflicts(tuple(examples))
-
-
-def _match_conflicts(examples: tuple) -> tuple:
-    by_features: dict = {}
-    for i, ex in enumerate(examples):
-        by_features.setdefault(ex.features, ([], []))[0 if ex.label == 1 else 1].append(
-            i
-        )
-    pairs = []
-    for pos, neg in by_features.values():
-        pairs.extend(zip(pos, neg))
-    return tuple(sorted(pairs))

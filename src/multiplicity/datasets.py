@@ -104,9 +104,9 @@ class IngestResult:
 def merge_duplicates(examples) -> list:
     """Collapse identical (features, label, group) rows into integer weights.
 
-    Keeps integer-program sizes at the distinct-example count; every measure
-    in the package is weight-expanded, so results are unchanged.  First-
-    occurrence order is preserved.
+    Keeps per-example work at the distinct-row count; every measure in the
+    package is weight-expanded, so results are unchanged.  First-occurrence
+    order is preserved.
     """
     merged: dict = {}
     order = []

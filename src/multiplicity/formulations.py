@@ -1,16 +1,34 @@
 """Builders that translate a dataset into the three integer programs.
 
-Variable layout shared by all three models, for n examples and d+1
-coefficient slots:
+Every measure depends on a classifier only through its prediction on each
+distinct feature vector, so the programs carry one binary per cell of
+``Dataset.cells``.  Variable layout shared by all three models, for m cells
+and d+1 coefficient slots:
 
-    [0, n)                 binary indicators (mistake or agreement)
-    [n, n+d+1)             positive coefficient parts  w+_j in [0, 1]
-    [n+d+1, n+2(d+1))      negative coefficient parts  w-_j in [-1, 0]
+    [0, m)                 cell indicators u_c
+    [m, m+d+1)             positive coefficient parts  w+_j in [0, 1]
+    [m+d+1, m+2(d+1))      negative coefficient parts  w-_j in [-1, 0]
 
 The effective coefficient w_j = w+_j + w-_j is substituted directly into
 every row rather than materialized, and the l1 normalization row fixes
-sum_j (w+_j - w-_j) = 1.  Objectives carry integer example weights, so
-optimal values are exact weighted counts.
+sum_j (w+_j - w-_j) = 1.
+
+Each cell c has a reference label s_c, and u_c = 0 requires the classifier
+to predict s_c with margin gamma:
+
+    M_c u_c + s_c w.x_c >= gamma
+    -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
+
+The error-minimizing models (baseline, flip) take the cell's majority label
+as s_c, so u_c marks the cell's majority as mistaken; they add the second
+row on mixed cells only, where both labels are present.  On a pure cell the
+cost of u_c = 1 already keeps the optimum exact, and a second row there
+only enlarges every node LP.  The objective is
+sum_c |P_c - N_c| u_c plus the integer ``objective_offset``
+sum_c min(P_c, N_c), the mistakes no classifier avoids.  The disc model
+takes s_c = -h0(x_c), so u_c is the agreement indicator; it pins every
+cell from both sides.  Objectives carry integer weights, so optimal values
+are exact weighted counts.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .branch_bound import MipModel
-from .core import Dataset, LinearClassifier, empirical_risk, predictions
+from .core import Dataset, LinearClassifier, predictions
 from .simplex import EQUAL, GREATER_EQUAL, LinearProgram
 
 DEFAULT_GAMMA = 1e-4
@@ -39,8 +57,8 @@ class FormulationParams:
     """Margin and Big-M controls shared by the three builders.
 
     ``big_m_override`` accepts a positive number (broadcast to every
-    example) or the string ``"tight"`` to use the per-example value
-    gamma + ||x_i||_inf instead of the global maximum.
+    cell) or the string ``"tight"`` to use the per-cell value
+    gamma + ||x_c||_inf instead of the global maximum.
     """
 
     gamma: float = DEFAULT_GAMMA
@@ -54,109 +72,109 @@ class FormulationParams:
 
 
 def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:
-    """Per-example Big-M vector: gamma + max over examples of ||x||_inf.
+    """Per-cell Big-M vector: gamma + max over examples of ||x||_inf.
 
-    A single value broadcast to every example.  Valid because the l1
+    A single value broadcast to every cell.  Valid because the l1
     normalization fixes ||w||_1 = 1, so |w.x| <= ||x||_inf by Holder's
     inequality and gamma + ||x||_inf bounds every Big-M row activation.
     """
     max_inf = float(np.abs(dataset.X).max())
-    return np.full(len(dataset.examples), gamma + max_inf)
+    return np.full(len(dataset.cells.X), gamma + max_inf)
 
 
 def _big_m_vector(dataset: Dataset, params: FormulationParams) -> np.ndarray:
     if params.big_m_override is None:
         return compute_big_m(dataset, params.gamma)
     if params.big_m_override == "tight":
-        return params.gamma + np.abs(dataset.X).max(axis=1)
-    return np.full(len(dataset.examples), float(params.big_m_override))
+        return params.gamma + np.abs(dataset.cells.X).max(axis=1)
+    return np.full(len(dataset.cells.X), float(params.big_m_override))
 
 
-def _layout(dataset: Dataset):
-    n = len(dataset.examples)
-    nc = dataset.d + 1
-    return n, nc, n + 2 * nc
+def _cell_model(
+    kind: str,
+    dataset: Dataset,
+    params: Optional[FormulationParams],
+    reference: np.ndarray,
+    two_sided: np.ndarray,
+    objective: np.ndarray,
+    extra_rows=(),
+    offset: int = 0,
+    **metadata,
+) -> MipModel:
+    """Assemble a cell program: the pinning rows of every cell (the second
+    row where ``two_sided``), then ``extra_rows`` as (coefficients over all
+    variables, rhs) pairs of >= rows, then the l1 row."""
+    params = params or FormulationParams()
+    cells = dataset.cells
+    m, nc = len(cells.X), dataset.d + 1
+    total = m + 2 * nc
+    big_m = _big_m_vector(dataset, params)
+
+    signed = cells.X * reference[:, None]
+    pin = np.hstack([np.diag(big_m), signed, signed])
+    pin_rev = -pin[two_sided]
+    l1 = np.concatenate([np.zeros(m), np.ones(nc), -np.ones(nc)])
+    rows = [pin, pin_rev] + [row[None, :] for row, _ in extra_rows] + [l1[None, :]]
+    relations = [GREATER_EQUAL] * (m + len(pin_rev) + len(extra_rows)) + [EQUAL]
+    rhs = np.concatenate(
+        [
+            np.full(m, params.gamma),
+            params.gamma - big_m[two_sided],
+            [b for _, b in extra_rows],
+            [1.0],
+        ]
+    )
+    lp = LinearProgram(
+        objective=np.concatenate([objective, np.zeros(2 * nc)]).astype(float),
+        row_coefs=np.vstack(rows),
+        row_relations=tuple(relations),
+        row_rhs=rhs,
+        var_lo=np.concatenate([np.zeros(m + nc), -np.ones(nc)]),
+        var_hi=np.concatenate([np.ones(m + nc), np.zeros(nc)]),
+    )
+    model = MipModel(
+        lp=lp,
+        binary_vars=tuple(range(m)),
+        objective_offset=offset,
+        metadata={
+            "kind": kind,
+            "gamma": params.gamma,
+            "big_m": big_m,
+            "reference": reference,
+            **metadata,
+            "groups": {
+                "cell_indicators": tuple(range(m)),
+                "coef_pos": tuple(range(m, m + nc)),
+                "coef_neg": tuple(range(m + nc, total)),
+            },
+        },
+    )
+    return _attach_rounding_heuristic(model, dataset)
 
 
-def _coef_bounds(n: int, nc: int):
-    lo = np.concatenate([np.zeros(n), np.zeros(nc), -np.ones(nc)])
-    hi = np.concatenate([np.ones(n), np.ones(nc), np.zeros(nc)])
-    return lo, hi
-
-
-def _l1_row(n: int, nc: int, total: int) -> np.ndarray:
-    row = np.zeros(total)
-    row[n : n + nc] = 1.0
-    row[n + nc :] = -1.0
-    return row
-
-
-def _mistake_rows(dataset: Dataset, big_m: np.ndarray, gamma: float, total: int):
-    """Big-M rows  M_i e_i + y_i sum_j w_j x_ij >= gamma  for all i.
-
-    e_i is forced to 1 exactly when the signed score y_i w.x_i falls below
-    the margin, for either label; a point only counts as correct once its
-    score clears gamma on the right side.
-    """
-    n, nc, _ = _layout(dataset)
-    rows = np.zeros((n, total))
-    signed = dataset.X * dataset.y[:, None]
-    rows[:, :n] = np.diag(big_m)
-    rows[:, n : n + nc] = signed
-    rows[:, n + nc :] = signed
-    rhs = np.full(n, gamma)
-    return rows, rhs
+def _mistake_model(kind, dataset, params, extra_rows=(), **metadata) -> MipModel:
+    """Error-minimizing cell program: majority reference labels (ties go
+    to +1), cost |P_c - N_c| for a mistaken majority, sum_c min(P_c, N_c) as
+    the objective offset."""
+    cells = dataset.cells
+    return _cell_model(
+        kind,
+        dataset,
+        params,
+        reference=np.where(cells.pos >= cells.neg, 1, -1),
+        two_sided=(cells.pos > 0) & (cells.neg > 0),
+        objective=np.abs(cells.pos - cells.neg),
+        extra_rows=extra_rows,
+        offset=int(np.minimum(cells.pos, cells.neg).sum()),
+        **metadata,
+    )
 
 
 def build_baseline_mip(
     dataset: Dataset, params: Optional[FormulationParams] = None
 ) -> MipModel:
-    """Error-minimizing training model with conflict-pair strengthening."""
-    params = params or FormulationParams()
-    n, nc, total = _layout(dataset)
-    big_m = _big_m_vector(dataset, params)
-
-    rows, rhs = _mistake_rows(dataset, big_m, params.gamma, total)
-    all_rows = [rows]
-    all_rhs = [rhs]
-    relations = [GREATER_EQUAL] * n
-    for i, j in dataset.conflict_pairs:
-        row = np.zeros(total)
-        row[i] = 1.0
-        row[j] = 1.0
-        all_rows.append(row[None, :])
-        all_rhs.append(np.array([1.0]))
-        relations.append(EQUAL)
-    all_rows.append(_l1_row(n, nc, total)[None, :])
-    all_rhs.append(np.array([1.0]))
-    relations.append(EQUAL)
-
-    objective = np.zeros(total)
-    objective[:n] = dataset.weights
-    lo, hi = _coef_bounds(n, nc)
-    lp = LinearProgram(
-        objective=objective,
-        row_coefs=np.vstack(all_rows),
-        row_relations=tuple(relations),
-        row_rhs=np.concatenate(all_rhs),
-        var_lo=lo,
-        var_hi=hi,
-    )
-    model = MipModel(
-        lp=lp,
-        binary_vars=tuple(range(n)),
-        metadata={
-            "kind": BASELINE,
-            "gamma": params.gamma,
-            "big_m": big_m,
-            "groups": {
-                "mistake_indicators": tuple(range(n)),
-                "coef_pos": tuple(range(n, n + nc)),
-                "coef_neg": tuple(range(n + nc, total)),
-            },
-        },
-    )
-    return _attach_rounding_heuristic(model, dataset)
+    """Error-minimizing training model."""
+    return _mistake_model(BASELINE, dataset, params)
 
 
 def build_disc_mip(
@@ -167,84 +185,40 @@ def build_disc_mip(
 ) -> MipModel:
     """Agreement-minimizing model over the epsilon-level set around ``h0``.
 
-    The agreement indicators are pinned from both sides so that a_i equals
-    1[h(x_i) = h0(x_i)] exactly for every feasible assignment:
+    The agreement indicators are pinned from both sides so that u_c equals
+    1[h(x_c) = h0(x_c)] exactly for every feasible assignment:
 
-        M_i a_i - h0(x_i) w.x_i >= gamma        (a_i = 0 needs a clear flip)
-        h0(x_i) w.x_i - M_i a_i >= gamma - M_i  (a_i = 1 needs clear agreement)
+        M_c u_c - h0(x_c) w.x_c >= gamma        (u_c = 0 needs a clear flip)
+        h0(x_c) w.x_c - M_c u_c >= gamma - M_c  (u_c = 1 needs clear agreement)
 
     One-sided indicators would let the solver hide risk-increasing flips
-    behind a_i = 1 and overstate discrepancy when flips come with forced
-    collateral flips (duplicated feature vectors).  The level-set row then
-    uses the exact identity
-    risk(h) = risk(h0) + (1/n) sum_i w_i y_i h0(x_i) (1 - a_i), recorded in
-    the metadata so solutions can be cross-checked after decoding.
+    behind u_c = 1 and overstate discrepancy.  The level-set row uses the
+    exact identity risk(h) = risk(h0) + (1/n) sum_c g_c (1 - u_c) with
+    g_c = h0(x_c) (P_c - N_c): flipping a cell trades its h0-correct weight
+    for its h0-wrong weight.
     """
-    params = params or FormulationParams()
     eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    n, nc, total = _layout(dataset)
-    big_m = _big_m_vector(dataset, params)
-    base_preds = predictions(h0, dataset)
+    cells = dataset.cells
+    base_preds = np.empty(len(cells.X), dtype=int)
+    base_preds[cells.index] = predictions(h0, dataset)
+    nc = dataset.d + 1
 
-    # M_i a_i - h0(x_i) sum_j w_j x_ij >= gamma
-    rows = np.zeros((n, total))
-    signed = dataset.X * (-base_preds[:, None])
-    rows[:, :n] = np.diag(big_m)
-    rows[:, n : n + nc] = signed
-    rows[:, n + nc :] = signed
-    rhs = np.full(n, params.gamma)
-
-    # h0(x_i) sum_j w_j x_ij - M_i a_i >= gamma - M_i
-    rows_rev = np.zeros((n, total))
-    rows_rev[:, :n] = np.diag(-big_m)
-    rows_rev[:, n : n + nc] = -signed
-    rows_rev[:, n + nc :] = -signed
-    rhs_rev = params.gamma - big_m
-
-    # Level set:  sum_i w_i y_i h0(x_i) a_i >= S - n*eps,  S = sum_i w_i y_i h0(x_i)
-    signed_weights = dataset.weights * dataset.y * base_preds
-    s_total = int(signed_weights.sum())
-    level_row = np.zeros(total)
-    level_row[:n] = signed_weights
-    level_rhs = float(s_total - eps * dataset.n)
-
-    l1 = _l1_row(n, nc, total)
-    objective = np.zeros(total)
-    objective[:n] = dataset.weights
-    lo, hi = _coef_bounds(n, nc)
-    lp = LinearProgram(
-        objective=objective,
-        row_coefs=np.vstack([rows, rows_rev, level_row[None, :], l1[None, :]]),
-        row_relations=tuple([GREATER_EQUAL] * (2 * n + 1) + [EQUAL]),
-        row_rhs=np.concatenate([rhs, rhs_rev, [level_rhs], [1.0]]),
-        var_lo=lo,
-        var_hi=hi,
+    # Level set:  sum_c g_c u_c >= sum_c g_c - n*eps
+    signed_weights = base_preds * (cells.pos - cells.neg)
+    level_row = np.concatenate([signed_weights, np.zeros(2 * nc)])
+    level_rhs = float(int(signed_weights.sum()) - eps * dataset.n)
+    return _cell_model(
+        DISC,
+        dataset,
+        params,
+        reference=-base_preds,
+        two_sided=np.ones(len(cells.X), dtype=bool),
+        objective=cells.pos + cells.neg,
+        extra_rows=[(level_row, level_rhs)],
+        epsilon=eps,
     )
-    base_report = empirical_risk(h0, dataset)
-    model = MipModel(
-        lp=lp,
-        binary_vars=tuple(range(n)),
-        metadata={
-            "kind": DISC,
-            "gamma": params.gamma,
-            "big_m": big_m,
-            "epsilon": eps,
-            "base_predictions": base_preds,
-            "risk_identity": {
-                "base_mistakes": base_report.mistakes,
-                "signed_weights": signed_weights,
-                "n": dataset.n,
-            },
-            "groups": {
-                "agreement_indicators": tuple(range(n)),
-                "coef_pos": tuple(range(n, n + nc)),
-                "coef_neg": tuple(range(n + nc, total)),
-            },
-        },
-    )
-    return _attach_rounding_heuristic(model, dataset)
 
 
 def build_flip_mip(
@@ -253,50 +227,21 @@ def build_flip_mip(
     index: int,
     params: Optional[FormulationParams] = None,
 ) -> MipModel:
-    """Error-minimizing model forced to disagree with ``h0`` on one example."""
-    params = params or FormulationParams()
-    n, nc, total = _layout(dataset)
+    """Error-minimizing model forced to disagree with ``h0`` on example
+    ``index`` (and so on its whole cell)."""
+    n = len(dataset.examples)
     if not 0 <= index < n:
         raise IndexError(f"example index {index} out of range [0, {n})")
-    big_m = _big_m_vector(dataset, params)
-    base_preds = predictions(h0, dataset)
-
-    rows, rhs = _mistake_rows(dataset, big_m, params.gamma, total)
+    m = len(dataset.cells.X)
     # Flip row:  -h0(x_i) sum_j w_j x_ij >= gamma
-    flip_row = np.zeros(total)
-    flip_coefs = -float(base_preds[index]) * dataset.X[index]
-    flip_row[n : n + nc] = flip_coefs
-    flip_row[n + nc :] = flip_coefs
-    l1 = _l1_row(n, nc, total)
-
-    objective = np.zeros(total)
-    objective[:n] = dataset.weights
-    lo, hi = _coef_bounds(n, nc)
-    lp = LinearProgram(
-        objective=objective,
-        row_coefs=np.vstack([rows, flip_row[None, :], l1[None, :]]),
-        row_relations=tuple([GREATER_EQUAL] * (n + 1) + [EQUAL]),
-        row_rhs=np.concatenate([rhs, [params.gamma], [1.0]]),
-        var_lo=lo,
-        var_hi=hi,
+    flip_coefs = -float(predictions(h0, dataset)[index]) * dataset.X[index]
+    flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
+    gamma = (params or FormulationParams()).gamma
+    return _mistake_model(
+        FLIP, dataset, params,
+        extra_rows=[(flip_row, gamma)],
+        flip_index=index,
     )
-    model = MipModel(
-        lp=lp,
-        binary_vars=tuple(range(n)),
-        metadata={
-            "kind": FLIP,
-            "gamma": params.gamma,
-            "big_m": big_m,
-            "flip_index": index,
-            "base_predictions": base_preds,
-            "groups": {
-                "mistake_indicators": tuple(range(n)),
-                "coef_pos": tuple(range(n, n + nc)),
-                "coef_neg": tuple(range(n + nc, total)),
-            },
-        },
-    )
-    return _attach_rounding_heuristic(model, dataset)
 
 
 # -- solution encoding / decoding ---------------------------------------
@@ -350,19 +295,16 @@ def assignment_from_classifier(
     outside the level set).
     """
     gamma = model.metadata["gamma"]
-    kind = model.metadata["kind"]
-    n, nc, total = _layout(dataset)
+    reference = model.metadata["reference"]
     w = np.asarray(h.coefficients, dtype=float)
-    scores = dataset.X @ w
-    values = np.zeros(total)
-    values[n : n + nc] = np.maximum(w, 0.0)
-    values[n + nc :] = np.minimum(w, 0.0)
-    if kind == DISC:
-        base = model.metadata["base_predictions"]
-        values[:n] = (base * scores >= gamma - 1e-12).astype(float)
+    signed = reference * (dataset.cells.X @ w)
+    if model.metadata["kind"] == DISC:
+        indicators = -signed >= gamma - 1e-12
     else:
-        values[:n] = (dataset.y * scores < gamma - 1e-12).astype(float)
-    return values
+        indicators = signed < gamma - 1e-12
+    return np.concatenate(
+        [indicators.astype(float), np.maximum(w, 0.0), np.minimum(w, 0.0)]
+    )
 
 
 def margin_clearance(h: LinearClassifier, dataset: Dataset, gamma: float) -> tuple:
@@ -384,8 +326,7 @@ def _column_names(model: MipModel) -> list:
     groups = model.metadata.get("groups", {})
     names = [""] * model.lp.n_vars
     prefix_map = {
-        "mistake_indicators": ("ERR", 4, 1),
-        "agreement_indicators": ("AGR", 4, 1),
+        "cell_indicators": ("CELL", 4, 1),
         "coef_pos": ("WP", 2, 0),
         "coef_neg": ("WN", 2, 0),
     }
@@ -404,7 +345,8 @@ def _fmt(value: float) -> str:
 
 
 def export_mps(model: MipModel, path) -> None:
-    """Write the model in fixed-format MPS with deterministic naming."""
+    """Write the model in fixed-format MPS with deterministic naming; the
+    objective offset goes in as the objective row's RHS."""
     lp = model.lp
     cols = _column_names(model)
     row_names = [f"R{k + 1:04d}" for k in range(lp.n_rows)]
@@ -453,6 +395,9 @@ def export_mps(model: MipModel, path) -> None:
     if marker_open:
         lines.append("    MARKER                 'MARKER'                 'INTEND'")
     lines.append("RHS")
+    if model.objective_offset:
+        # MPS reads an objective-row RHS as minus the objective constant.
+        lines.append(field_line("", "RHS", "OBJ", _fmt(-model.objective_offset)))
     for k in range(lp.n_rows):
         if lp.row_rhs[k] != 0.0:
             lines.append(field_line("", "RHS", row_names[k], _fmt(lp.row_rhs[k])))

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import branch_bound as bnb
 from .branch_bound import MipModel, SolveBudget, SolveResult
 from .core import (
@@ -297,7 +299,8 @@ def ambiguity_path(
     how many fall inside each level set.
 
     Flip models only depend on the example's feature vector (through its
-    baseline prediction), so identical-feature examples share one solve.
+    baseline prediction), so each cell of ``dataset.cells`` takes one solve,
+    for its first example.
     Solves run in fixed-size waves over a worker pool; each wave warm-starts
     from the classifiers committed by earlier waves plus the negated
     baseline (which flips every point and is always feasible), so results
@@ -312,12 +315,8 @@ def ambiguity_path(
         raise ValueError("grid denominator does not match dataset weight")
     hint = float(base.mistakes) if baseline_certified else None
 
-    reps = []
-    rep_of_cell = {}
-    for i, ex in enumerate(dataset.examples):
-        if ex.features not in rep_of_cell:
-            rep_of_cell[ex.features] = i
-            reps.append(i)
+    cell_of = dataset.cells.index
+    reps = [int(i) for i in np.unique(cell_of, return_index=True)[1]]
 
     pool: list = [h0.negated()]
     pool.extend(seed_pool)
@@ -378,7 +377,7 @@ def ambiguity_path(
         if g is not None
     }
     for i, ex in enumerate(dataset.examples):
-        rep = rep_of_cell[ex.features]
+        rep = reps[cell_of[i]]
         result, g = rep_results[rep]
         low_cnt, up_cnt = _int_bounds(result, n)
         low_cnt = max(low_cnt, base.mistakes if baseline_certified else 0)

@@ -52,7 +52,7 @@ def read_mps(path) -> MipModel:
         for rname, val in zip(parts[1::2], parts[2::2]):
             col_entries[name][rname] = float(val)
 
-    rhs = {name: 0.0 for name in row_order}
+    rhs = {name: 0.0 for name in row_order + [obj_row]}
     for line in sections["RHS"]:
         parts = line.split()
         for rname, val in zip(parts[1::2], parts[2::2]):
@@ -100,4 +100,5 @@ def read_mps(path) -> MipModel:
         lp=lp,
         binary_vars=tuple(sorted(col_index[name] for name in binaries)),
         metadata={"kind": "reimported"},
+        objective_offset=-rhs[obj_row],
     )

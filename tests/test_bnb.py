@@ -88,12 +88,22 @@ class TestSolve:
         assert res.lower_bound <= 25.0
 
     def test_past_deadline_stops_after_root(self):
-        res = solve(
-            build_baseline_mip(xor_dataset()),
-            budget=SolveBudget(deadline=time.monotonic()),
-        )
-        assert res.nodes_explored == 1
+        # A solve that starts past its deadline solves no LP, and an
+        # unexplored root never reads as infeasible.
+        data = xor_dataset()
+        model = build_baseline_mip(data)
+        past = SolveBudget(deadline=time.monotonic())
+        res = solve(model, budget=past)
+        assert res.nodes_explored == 0
+        assert res.status == "no_incumbent"
         assert res.lower_bound <= 25.0
+        from multiplicity.core import LinearClassifier
+
+        warm = assignment_from_classifier(model, data, LinearClassifier((-0.2, 0.4, 0.4)))
+        res = solve(model, budget=past, warm_start=warm)
+        assert res.nodes_explored == 0
+        assert res.status == "feasible_with_gap"
+        assert res.upper_bound == 25.0
 
     def test_node_limit_is_deterministic(self):
         model = build_baseline_mip(xor_dataset())

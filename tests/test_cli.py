@@ -257,20 +257,24 @@ class TestAudit:
         assert payload["test"]["n"] == 4  # untouched 25% split
 
     def test_stage_time_limit_bounds_the_stage(self, tmp_path):
-        # Every solve of a stage shares the stage's deadline, so five
-        # epsilons under a 0.5 s limit take about 0.5 s, not 0.5 s each.
+        # Every solve of a stage shares the stage's deadline. Under a limit
+        # that has passed before the first solve starts, no solve explores
+        # a node: each returns its warm start or no incumbent.
         config = RunConfig(
             dataset=str(DATA / "compas_style.csv"),
             label_column="two_year_recid",
             group_column="race",
             epsilons="0,0.01,0.02,0.05,0.1",
-            time_limit_disc=0.5,
-            time_limit_flip=0.5,
+            time_limit_disc=1e-6,
+            time_limit_flip=1e-6,
             outdir=str(tmp_path / "out"),
         )
         manifest = run_audit(config)
         for stage in ("discrepancy", "ambiguity"):
-            assert manifest["stages"][stage]["wall_time"] < 1.0
+            solves = manifest["stages"][stage]["solves"]
+            assert solves and all(s["nodes"] == 0 for s in solves)
+            assert all(s["status"] != "infeasible" for s in solves)
+            assert manifest["stages"][stage]["wall_time"] < 0.5
 
     def test_stage_failure_marks_manifest(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
@@ -397,6 +401,22 @@ class TestExitCodes:
             ["audit", "--dataset", "xor", "--epsilons", "0", "--outdir", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["baseline", "--node-log", "nodir/x.log"],
+            ["export-mps", "--formulation", "disc", "--epsilon", "abc"],
+            ["export-mps", "--formulation", "disc", "--epsilon", "1.5"],
+            ["export-mps", "--formulation", "flip", "--flip-index", "99"],
+        ],
+        ids=["node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99"],
+    )
+    def test_bad_cli_input_is_two(self, tmp_path, args):
+        if "--node-log" in args:
+            args = args[:-1] + [str(tmp_path / args[-1])]
+        code = main(args + ["--dataset", "xor", "--outdir", str(tmp_path)])
+        assert code == 2
 
     @pytest.mark.parametrize("epsilons", ["1.5", "abc"])
     def test_bad_epsilons_is_two(self, tmp_path, epsilons):

@@ -12,10 +12,10 @@ from multiplicity.core import (
     SingleClassError,
     conflict_count,
     empirical_risk,
-    find_conflict_pairs,
     oversample_minority,
     predict,
 )
+from multiplicity.formulations import build_baseline_mip
 from conftest import xor_dataset
 
 
@@ -183,34 +183,50 @@ class TestOversample:
             oversample_minority(d, seed=0)
 
 
-class TestConflictPairs:
-    def test_single_pair(self):
-        examples = [Example((1.0, 2.0), 1), Example((1.0, 2.0), -1)]
-        assert find_conflict_pairs(examples) == ((0, 1),)
+class TestCells:
+    def test_single_pair_is_one_mixed_cell(self):
+        d = Dataset.build([Example((1.0, 2.0), 1), Example((1.0, 2.0), -1)])
+        assert d.cells.X.tolist() == [[1.0, 2.0]]
+        assert d.cells.pos.tolist() == [1]
+        assert d.cells.neg.tolist() == [1]
+        assert d.cells.index.tolist() == [0, 0]
+        assert build_baseline_mip(d).objective_offset == 1
 
-    def test_xor_has_none(self, xor):
-        assert xor.conflict_pairs == ()
+    def test_xor_cells_are_pure(self, xor):
+        assert xor.cells.X.tolist() == [list(ex.features) for ex in xor.examples]
+        assert xor.cells.pos.tolist() == [0, 25, 25, 0]
+        assert xor.cells.neg.tolist() == [25, 0, 0, 25]
+        assert build_baseline_mip(xor).objective_offset == 0
 
-    def test_matching_size_is_min_count(self):
+    def test_offset_is_min_count_and_reweighting_recomputes(self):
         examples = [Example((1.0, 1.0), 1) for _ in range(3)]
         examples += [Example((1.0, 1.0), -1) for _ in range(2)]
-        pairs = find_conflict_pairs(examples)
-        assert len(pairs) == 2
-        used = [i for pair in pairs for i in pair]
-        assert len(used) == len(set(used))
+        examples.append(Example((1.0, 0.0), -1))
+        d = Dataset.build(examples)
+        assert d.cells.pos.tolist() == [3, 0]
+        assert d.cells.neg.tolist() == [2, 1]
+        assert d.cells.index.tolist() == [0, 0, 0, 0, 0, 1]
+        assert build_baseline_mip(d).objective_offset == 2
+        heavier = d.with_weights([1, 1, 1, 4, 1, 2])
+        assert heavier.cells.pos.tolist() == [3, 0]
+        assert heavier.cells.neg.tolist() == [5, 2]
+        assert build_baseline_mip(heavier).objective_offset == 3
 
-    def test_pair_error_dichotomy(self):
-        # for any conflict pair, a margin-clear classifier errs on exactly one
+    def test_mixed_cell_error_dichotomy(self):
+        # a margin-clear classifier errs on exactly min(P_c, N_c) of a cell
+        # predicted with its majority, and on max(P_c, N_c) otherwise
         examples = [
-            Example((1.0, 2.0), 1),
+            Example((1.0, 2.0), 1, weight=2),
             Example((1.0, 2.0), -1),
             Example((1.0, -1.0), 1),
         ]
         d = Dataset.build(examples)
+        assert d.cells.X.tolist() == [[1.0, 2.0], [1.0, -1.0]]
         for coefs in [(0.1, 0.9), (-0.3, 0.7), (0.5, -0.5), (-1.0, 0.0)]:
             h = LinearClassifier.from_raw(coefs)
-            for i, j in d.conflict_pairs:
-                if abs(h.score(d.examples[i].features)) > 1e-12:
-                    errs = int(predict(h, d.examples[i]) != d.examples[i].label)
-                    errs += int(predict(h, d.examples[j]) != d.examples[j].label)
-                    assert errs == 1
+            if abs(h.score((1.0, 2.0))) > 1e-12:
+                pred = predict(h, d.examples[0])
+                errs = sum(
+                    ex.weight for ex in d.examples[:2] if ex.label != pred
+                )
+                assert errs == (1 if pred == 1 else 2)

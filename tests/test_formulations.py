@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from multiplicity.core import (
     conflict_count,
     empirical_risk,
 )
+from multiplicity.datasets import ingest_csv
 from multiplicity.formulations import (
     FormulationParams,
     assignment_from_classifier,
@@ -28,6 +30,7 @@ from mps_reader import read_mps
 from oracles import oracle_disc, oracle_flip, prediction_pattern
 
 
+DATA = Path(__file__).parent / "data"
 H_A = LinearClassifier((-0.2, 0.4, 0.4))  # optimal on XOR, errs on cell (1,1)
 
 
@@ -50,7 +53,7 @@ class TestBigM:
                 if np.abs(raw).sum() == 0:
                     continue
                 h = LinearClassifier.from_raw(raw)
-                scores = data.X @ np.asarray(h.coefficients)
+                scores = data.cells.X @ np.asarray(h.coefficients)
                 assert np.all(np.abs(scores) + 1e-4 <= m + 1e-12)
 
     def test_tight_override(self):
@@ -68,6 +71,21 @@ class TestBaselineModel:
         assert model.lp.n_vars == n + 2 * nc
         assert len(model.binary_vars) == n
 
+    def test_one_binary_per_cell(self):
+        # 20 distinct (features, label, group) training rows on 6 cells
+        train = ingest_csv(
+            DATA / "compas_style.csv", "two_year_recid", "race"
+        ).train
+        h0 = LinearClassifier((-0.5, 0.5, 0.0, 0.0))
+        assert len(train.examples) == 20
+        assert len(train.cells.X) == 6
+        for model in (
+            build_baseline_mip(train),
+            build_disc_mip(train, h0, 0),
+            build_flip_mip(train, h0, 0),
+        ):
+            assert len(model.binary_vars) == len(train.cells.X)
+
     def test_separable_optimum_zero(self):
         data = Dataset.build(
             [
@@ -83,10 +101,11 @@ class TestBaselineModel:
         assert solve(build_baseline_mip(xor)).upper_bound == 25.0
 
     def test_conflict_pair_forces_one_even_in_relaxation(self):
+        # the forced mistake of a mixed cell lives in the objective offset
         data = Dataset.build([Example((1.0, 2.0), 1), Example((1.0, 2.0), -1)])
         model = build_baseline_mip(data)
         relaxed = solve_lp(model.lp)
-        assert relaxed.objective_value >= 1.0 - 1e-9
+        assert relaxed.objective_value + model.objective_offset >= 1.0 - 1e-9
         assert solve(model).upper_bound == 1.0
 
     def test_decoded_risk_matches_objective_under_margin(self):
@@ -145,11 +164,13 @@ class TestDiscModel:
                 continue
             agreements = res.upper_bound
             assert conflict_count(h, h0, data).mistakes == data.n - agreements
-            ident = model.metadata["risk_identity"]
-            n_idx = len(data.examples)
-            a = np.round(res.incumbent[:n_idx])
-            risk_from_identity = ident["base_mistakes"] + int(
-                (ident["signed_weights"] * (1 - a)).sum()
+            # risk(h) = risk(h0) + sum_c h0(x_c) (P_c - N_c) (1 - u_c)
+            cells = data.cells
+            u = np.round(res.incumbent[: len(cells.X)])
+            h0_cells = np.where(cells.X @ np.asarray(h0.coefficients) > 0, 1, -1)
+            signed = h0_cells * (cells.pos - cells.neg)
+            risk_from_identity = empirical_risk(h0, data).mistakes + int(
+                (signed * (1 - u)).sum()
             )
             assert empirical_risk(h, data).mistakes == risk_from_identity
 
