@@ -24,13 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import InfeasibleWarmStartError, InternalConsistencyError
-from .simplex import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    LinearProgram,
-    solve_lp_with_fixings,
-)
+from .simplex import LinearProgram, solve_lp_with_fixings, violated_rows
 
 INT_TOL = 1e-6
 CERT_GAP = 1.0 - 1e-6
@@ -114,21 +108,11 @@ def check_feasible(model: MipModel, assignment) -> tuple:
     for j in model.binary_vars:
         if abs(values[j] - round(values[j])) > INT_TOL:
             violations.append(f"binary variable {j} = {values[j]:.6g} not integral")
-    if lp.n_rows:
-        activity = lp.row_coefs @ values
-        scale = 1.0 + np.abs(lp.row_rhs)
-        for k, rel in enumerate(lp.row_relations):
-            resid = activity[k] - lp.row_rhs[k]
-            bad = (
-                (rel == LESS_EQUAL and resid > INT_TOL * scale[k])
-                or (rel == GREATER_EQUAL and resid < -INT_TOL * scale[k])
-                or (rel == EQUAL and abs(resid) > INT_TOL * scale[k])
-            )
-            if bad:
-                violations.append(
-                    f"row {k} ({rel} {lp.row_rhs[k]:.6g}) violated: "
-                    f"activity {activity[k]:.6g}"
-                )
+    for k in violated_rows(lp, values, INT_TOL):
+        violations.append(
+            f"row {k} ({lp.row_relations[k]} {lp.row_rhs[k]:.6g}) violated: "
+            f"activity {lp.row_coefs[k] @ values:.6g}"
+        )
     return not violations, violations
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import platform
 import sys
 import time
@@ -95,9 +96,15 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise InputError("split fraction must lie in (0, 1)")
+        if not 0 < self.gamma < math.inf:
+            raise InputError("gamma must be positive and finite")
         for name in _STAGE_LIMITS.values():
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
+        for name in ("node_limit", "workers", "pool_alphas", "pool_lambdas"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be at least 1")
         if self.full_scale:
             for name in _STAGE_LIMITS.values():
                 setattr(self, name, FULL_SCALE_LIMIT)
@@ -117,7 +124,10 @@ def load_dataset(config: RunConfig):
     spec = config.dataset
     name, _, scale_txt = spec.partition(":")
     if name in ("xor", "tyranny"):
-        scale = int(scale_txt) if scale_txt else 1
+        try:
+            scale = int(scale_txt) if scale_txt else 1
+        except ValueError:
+            raise InputError(f"dataset scale {scale_txt!r} is not an integer") from None
         full = generate_synthetic(name, scale)
         if config.oversample:
             full = oversample_minority(full, seed=config.split_seed)
@@ -186,7 +196,7 @@ def _stage_budget(config: RunConfig, stage: str) -> Optional[bnb.SolveBudget]:
     """The node limit, or one deadline that every solve of the stage shares."""
     if stage not in _STAGE_LIMITS:
         return None
-    if config.node_limit:
+    if config.node_limit is not None:
         return bnb.SolveBudget(node_limit=config.node_limit)
     limit = getattr(config, _STAGE_LIMITS[stage])
     return bnb.SolveBudget(deadline=time.monotonic() + limit)
@@ -411,8 +421,12 @@ _BOOLS = {
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path!r}: {exc}") from None
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

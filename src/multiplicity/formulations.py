@@ -19,6 +19,8 @@ to predict s_c with margin gamma:
     M_c u_c + s_c w.x_c >= gamma
     -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
 
+with the cell's own Big-M, M_c = gamma + ||x_c||_inf (``compute_big_m``).
+
 The error-minimizing models (baseline, flip) take the cell's majority label
 as s_c, so u_c marks the cell's majority as mistaken; they add the second
 row on mixed cells only, where both labels are present.  On a pure cell the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -54,40 +56,24 @@ FLIP = "flip"
 
 @dataclass(frozen=True)
 class FormulationParams:
-    """Margin and Big-M controls shared by the three builders.
-
-    ``big_m_override`` accepts a positive number (broadcast to every
-    cell) or the string ``"tight"`` to use the per-cell value
-    gamma + ||x_c||_inf instead of the global maximum.
-    """
+    """The score margin gamma shared by the three builders; each cell's
+    Big-M follows from it (``compute_big_m``)."""
 
     gamma: float = DEFAULT_GAMMA
-    big_m_override: Union[float, str, None] = None
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if isinstance(self.big_m_override, str) and self.big_m_override != "tight":
-            raise ValueError("big_m_override must be a number, 'tight', or None")
 
 
 def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:
-    """Per-cell Big-M vector: gamma + max over examples of ||x||_inf.
+    """Per-cell Big-M vector: M_c = gamma + ||x_c||_inf.
 
-    A single value broadcast to every cell.  Valid because the l1
-    normalization fixes ||w||_1 = 1, so |w.x| <= ||x||_inf by Holder's
-    inequality and gamma + ||x||_inf bounds every Big-M row activation.
+    Valid because the l1 normalization fixes ||w||_1 = 1, so
+    |w.x_c| <= ||x_c||_inf by Holder's inequality and M_c bounds every
+    Big-M row activation of cell c.
     """
-    max_inf = float(np.abs(dataset.X).max())
-    return np.full(len(dataset.cells.X), gamma + max_inf)
-
-
-def _big_m_vector(dataset: Dataset, params: FormulationParams) -> np.ndarray:
-    if params.big_m_override is None:
-        return compute_big_m(dataset, params.gamma)
-    if params.big_m_override == "tight":
-        return params.gamma + np.abs(dataset.cells.X).max(axis=1)
-    return np.full(len(dataset.cells.X), float(params.big_m_override))
+    return gamma + np.abs(dataset.cells.X).max(axis=1)
 
 
 def _cell_model(
@@ -108,7 +94,7 @@ def _cell_model(
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
     total = m + 2 * nc
-    big_m = _big_m_vector(dataset, params)
+    big_m = compute_big_m(dataset, params.gamma)
 
     signed = cells.X * reference[:, None]
     pin = np.hstack([np.diag(big_m), signed, signed])
@@ -411,7 +397,5 @@ def export_mps(model: MipModel, path) -> None:
 
 
 def mps_filename(dataset_name: str, formulation: str, params: FormulationParams) -> str:
-    digest = hashlib.sha256(
-        f"{params.gamma}:{params.big_m_override}".encode()
-    ).hexdigest()[:8]
+    digest = hashlib.sha256(f"{params.gamma}".encode()).hexdigest()[:8]
     return f"{dataset_name}_{formulation}_{digest}.mps"

@@ -268,14 +268,20 @@ def _safe_warm(model: MipModel, dataset: Dataset, h: Optional[LinearClassifier])
     return candidate if ok else None
 
 
-def _audit_witness(witness, dataset, params, base, eps, certified):
-    min_margin, clear = margin_clearance(witness, dataset, params.gamma)
-    if certified and not clear:
+def _warn_margin(h: LinearClassifier, dataset: Dataset, gamma: float, what: str):
+    """Warn when a certified classifier scores a training point inside the
+    margin band, where the indicator semantics are not exact."""
+    min_margin, clear = margin_clearance(h, dataset, gamma)
+    if not clear:
         warnings.warn(
-            f"certified witness at eps={eps} has margin {min_margin:.2e} "
-            f"below gamma={params.gamma:.2e}",
+            f"{what} has margin {min_margin:.2e} below gamma={gamma:.2e}",
             RuntimeWarning,
         )
+
+
+def _audit_witness(witness, dataset, params, base, eps, certified):
+    if certified:
+        _warn_margin(witness, dataset, params.gamma, f"certified witness at eps={eps}")
     risk = empirical_risk(witness, dataset)
     if certified and risk.mistakes > base.mistakes + eps * dataset.n:
         raise InternalConsistencyError(
@@ -315,13 +321,12 @@ def ambiguity_path(
         raise ValueError("grid denominator does not match dataset weight")
     hint = float(base.mistakes) if baseline_certified else None
 
-    cell_of = dataset.cells.index
-    reps = [int(i) for i in np.unique(cell_of, return_index=True)[1]]
+    cells = dataset.cells
+    reps = [int(i) for i in np.unique(cells.index, return_index=True)[1]]
 
     pool: list = [h0.negated()]
     pool.extend(seed_pool)
     pool_risks = [empirical_risk(g, dataset).mistakes for g in pool]
-    rep_results = {}
 
     def solve_one(index: int, snapshot):
         model = build_flip_mip(dataset, h0, index, params)
@@ -346,86 +351,69 @@ def ambiguity_path(
         )
         return result, g
 
+    outcomes = []  # (result, classifier) per cell
     max_workers = max(1, int(workers))
     for block_start in range(0, len(reps), POOL_BLOCK):
         block = reps[block_start : block_start + POOL_BLOCK]
         snapshot = sorted(zip(pool_risks, pool), key=lambda t: t[0])
         if max_workers == 1 or len(block) == 1:
-            outcomes = [solve_one(i, snapshot) for i in block]
+            done = [solve_one(i, snapshot) for i in block]
         else:
             with ThreadPoolExecutor(max_workers=max_workers) as px:
-                outcomes = list(px.map(lambda i: solve_one(i, snapshot), block))
-        for i, (result, g) in zip(block, outcomes):  # commit in index order
-            rep_results[i] = (result, g)
+                done = list(px.map(lambda i: solve_one(i, snapshot), block))
+        for i, (result, g) in zip(block, done):  # commit in index order
             if g is not None:
                 if result.certified:
-                    min_margin, clear = margin_clearance(g, dataset, params.gamma)
-                    if not clear:
-                        warnings.warn(
-                            f"certified flip classifier for example {i} has margin "
-                            f"{min_margin:.2e} below gamma={params.gamma:.2e}",
-                            RuntimeWarning,
-                        )
+                    _warn_margin(
+                        g, dataset, params.gamma,
+                        f"certified flip classifier for example {i}",
+                    )
                 pool.append(g)
                 pool_risks.append(empirical_risk(g, dataset).mistakes)
+        outcomes.extend(done)
 
-    records = []
-    base_preds = predictions(h0, dataset)
-    flip_preds = {
-        i: predictions(g, dataset)
-        for i, (_, g) in rep_results.items()
-        if g is not None
-    }
-    for i, ex in enumerate(dataset.examples):
-        rep = reps[cell_of[i]]
-        result, g = rep_results[rep]
+    base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
+    per_cell = []
+    for c, (result, g) in enumerate(outcomes):
         low_cnt, up_cnt = _int_bounds(result, n)
         low_cnt = max(low_cnt, base.mistakes if baseline_certified else 0)
-        flip_ok = g is not None and bool(flip_preds[rep][i] != base_preds[i])
-        records.append(
-            FlipRecord(
-                index=i,
-                classifier=g,
-                mistakes_lower=low_cnt,
-                mistakes_upper=up_cnt,
-                risk=MeasureValue(
-                    Fraction(low_cnt, n), Fraction(up_cnt, n), result.certified
-                ),
-                flip_verified=flip_ok,
-                certified=result.certified,
-            )
+        flip_ok = g is not None and bool(
+            (cells.X[c] @ np.asarray(g.coefficients) > 0.0) != base_side[c]
         )
+        risk = MeasureValue(Fraction(low_cnt, n), Fraction(up_cnt, n), result.certified)
+        per_cell.append((g, low_cnt, up_cnt, risk, flip_ok, result.certified))
     pool_out = PathologicalPool(
-        entries=tuple(records), baseline_mistakes=base.mistakes, n=n
+        entries=tuple(FlipRecord(i, *per_cell[c]) for i, c in enumerate(cells.index)),
+        baseline_mistakes=base.mistakes,
+        n=n,
     )
 
-    raw = []
-    for threshold in grid.thresholds(base.mistakes):
-        # incumbent risk (upper bound) proves a point flippable; the node
-        # lower bound proves it is not.
-        low_sum = sum(
-            ex.weight for r, ex in zip(records, dataset.examples)
-            if r.mistakes_upper <= threshold
-        )
-        up_sum = sum(
-            ex.weight for r, ex in zip(records, dataset.examples)
-            if r.mistakes_lower <= threshold
-        )
-        raw.append(
-            MeasureValue(
-                lower=Fraction(low_sum, n),
-                upper=Fraction(up_sum, n),
-                certified=low_sum == up_sum,
-            )
-        )
-    tightened = _tighten(raw)
+    everyone = np.ones(len(dataset.examples), dtype=bool)
+    tightened = _tighten(
+        [_flippable(pool_out, dataset, everyone, t) for t in grid.thresholds(base.mistakes)]
+    )
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=None, ambiguity=m)
         for eps, m in zip(grid.values, tightened)
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
-    results = [rep_results[i][0] for i in reps]
-    return profile, pool_out, results
+    return profile, pool_out, [result for result, _ in outcomes]
+
+
+def _flippable(
+    pool: PathologicalPool, dataset: Dataset, members, threshold: int
+) -> MeasureValue:
+    """Share of the weight of the ``members`` examples (a boolean mask) that
+    some classifier with at most ``threshold`` mistakes flips.
+
+    A flip classifier's risk upper bound (its incumbent) proves a point
+    flippable; its lower bound (the node bound) proves it is not.
+    """
+    weights = dataset.weights * members
+    bounds = np.array([(r.mistakes_upper, r.mistakes_lower) for r in pool.entries])
+    low, up = (weights @ (bounds <= threshold)).tolist()
+    total = int(weights.sum())
+    return MeasureValue(Fraction(low, total), Fraction(up, total), certified=low == up)
 
 
 def merge_profiles(
@@ -485,23 +473,12 @@ def group_burden(pool: PathologicalPool, dataset: Dataset, epsilon) -> dict:
     """Ambiguity restricted to each group's weight-expanded examples."""
     if any(ex.group is None for ex in dataset.examples):
         raise MissingGroupError("every example needs a group tag")
-    eps = Fraction(epsilon)
-    threshold = pool.baseline_mistakes + int(eps * pool.n)
-    totals: dict = {}
-    low: dict = {}
-    up: dict = {}
-    for record, ex in zip(pool.entries, dataset.examples):
-        totals[ex.group] = totals.get(ex.group, 0) + ex.weight
-        if record.mistakes_upper <= threshold:
-            low[ex.group] = low.get(ex.group, 0) + ex.weight
-        if record.mistakes_lower <= threshold:
-            up[ex.group] = up.get(ex.group, 0) + ex.weight
-    out = {}
-    for group in sorted(totals):
-        lo = Fraction(low.get(group, 0), totals[group])
-        hi = Fraction(up.get(group, 0), totals[group])
-        out[group] = MeasureValue(lower=lo, upper=hi, certified=lo == hi)
-    return out
+    threshold = pool.baseline_mistakes + int(Fraction(epsilon) * pool.n)
+    groups = np.array(dataset.groups)
+    return {
+        group: _flippable(pool, dataset, groups == group, threshold)
+        for group in sorted(set(dataset.groups))
+    }
 
 
 def accuracy_disparity(h: LinearClassifier, dataset: Dataset) -> Fraction:

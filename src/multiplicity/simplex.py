@@ -97,7 +97,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | iteration_limit (every variable is boxed)
     values: Optional[np.ndarray]
     objective_value: float
     n_pivots: int = 0
@@ -105,7 +105,24 @@ class LpSolution:
 
 def solve_lp(lp: LinearProgram, iteration_limit: Optional[int] = None) -> LpSolution:
     """Solve a box-bounded LP to a vertex optimum, or prove infeasibility."""
-    state = _Tableau(lp)
+    return solve_lp_with_fixings(lp, {}, iteration_limit)
+
+
+def solve_lp_with_fixings(
+    lp: LinearProgram, fixings: dict, iteration_limit: Optional[int] = None
+) -> LpSolution:
+    """Solve ``lp`` with some variables pinned to fixed values.
+
+    The fixed variables' bounds collapse to their values in the tableau;
+    a fixing outside the variable's bounds makes the program infeasible.
+    """
+    lo = lp.var_lo.copy()
+    hi = lp.var_hi.copy()
+    for j, value in fixings.items():
+        if value < lp.var_lo[j] - 1e-9 or value > lp.var_hi[j] + 1e-9:
+            return LpSolution("infeasible", None, float("nan"))
+        lo[j] = hi[j] = float(value)
+    state = _Tableau(lp, lo, hi)
     if state.infeasible_by_bounds:
         return LpSolution("infeasible", None, float("nan"))
     if iteration_limit is None:
@@ -127,71 +144,46 @@ def solve_lp(lp: LinearProgram, iteration_limit: Optional[int] = None) -> LpSolu
         return LpSolution("iteration_limit", None, float("nan"), pivots)
 
     values = state.structural_values()
-    _verify(lp, values)
+    if np.any(values < lo - 1e-6) or np.any(values > hi + 1e-6):
+        raise InternalConsistencyError("simplex returned out-of-bounds values")
+    bad = violated_rows(lp, values, 1e-6)
+    if bad.size:
+        k = bad[0]
+        raise InternalConsistencyError(
+            f"simplex solution violates row {k}: residual "
+            f"{lp.row_coefs[k] @ values - lp.row_rhs[k]:.3e}"
+        )
     objective = float(np.dot(lp.objective, values))
     values.flags.writeable = False
     return LpSolution("optimal", values, objective, pivots)
 
 
-def solve_lp_with_fixings(
-    lp: LinearProgram, fixings: dict, iteration_limit: Optional[int] = None
-) -> LpSolution:
-    """Solve ``lp`` with some variables pinned to fixed values.
-
-    Equivalent to collapsing the corresponding bounds and calling solve_lp;
-    a fixing outside the variable's bounds makes the program infeasible.
-    """
-    if not fixings:
-        return solve_lp(lp, iteration_limit)
-    lo = lp.var_lo.copy()
-    hi = lp.var_hi.copy()
-    for j, value in fixings.items():
-        if value < lp.var_lo[j] - 1e-9 or value > lp.var_hi[j] + 1e-9:
-            return LpSolution("infeasible", None, float("nan"))
-        lo[j] = hi[j] = float(value)
-    collapsed = LinearProgram(
-        objective=lp.objective,
-        row_coefs=lp.row_coefs,
-        row_relations=lp.row_relations,
-        row_rhs=lp.row_rhs,
-        var_lo=lo,
-        var_hi=hi,
-    )
-    return solve_lp(collapsed, iteration_limit)
-
-
-def _verify(lp: LinearProgram, values: np.ndarray) -> None:
-    if np.any(values < lp.var_lo - 1e-6) or np.any(values > lp.var_hi + 1e-6):
-        raise InternalConsistencyError("simplex returned out-of-bounds values")
+def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows of ``lp`` that ``values`` violates by more than
+    ``tol * (1 + |rhs|)``."""
     if lp.n_rows == 0:
-        return
-    activity = lp.row_coefs @ values
-    scale = 1.0 + np.abs(lp.row_rhs)
-    for k, rel in enumerate(lp.row_relations):
-        resid = activity[k] - lp.row_rhs[k]
-        bad = (
-            (rel == LESS_EQUAL and resid > 1e-6 * scale[k])
-            or (rel == GREATER_EQUAL and resid < -1e-6 * scale[k])
-            or (rel == EQUAL and abs(resid) > 1e-6 * scale[k])
-        )
-        if bad:
-            raise InternalConsistencyError(
-                f"simplex solution violates row {k}: residual {resid:.3e}"
-            )
+        return np.empty(0, dtype=int)
+    resid = lp.row_coefs @ values - lp.row_rhs
+    slack = tol * (1.0 + np.abs(lp.row_rhs))
+    rel = np.asarray(lp.row_relations, dtype="<U2")
+    bad = ((resid > slack) & (rel != GREATER_EQUAL)) | (
+        (resid < -slack) & (rel != LESS_EQUAL)
+    )
+    return np.flatnonzero(bad)
 
 
 class _Tableau:
     """Mutable simplex state over [structurals | slacks | artificials]."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, var_lo: np.ndarray, var_hi: np.ndarray):
         n, m = lp.n_vars, lp.n_rows
         self.m = m
         self.n_struct = n
         self.n_ext = n + 2 * m
         self.infeasible_by_bounds = False
 
-        lo = np.concatenate([lp.var_lo, np.zeros(m), np.zeros(m)])
-        hi = np.concatenate([lp.var_hi, np.zeros(m), np.zeros(m)])
+        lo = np.concatenate([var_lo, np.zeros(m), np.zeros(m)])
+        hi = np.concatenate([var_hi, np.zeros(m), np.zeros(m)])
 
         A = np.zeros((m, self.n_ext))
         if m:
@@ -202,8 +194,8 @@ class _Tableau:
         # Slack bounds from the relation and the reachable activity range.
         pos = np.clip(lp.row_coefs, 0.0, None) if m else np.zeros((0, n))
         neg = np.clip(lp.row_coefs, None, 0.0) if m else np.zeros((0, n))
-        act_min = pos @ lp.var_lo + neg @ lp.var_hi
-        act_max = pos @ lp.var_hi + neg @ lp.var_lo
+        act_min = pos @ var_lo + neg @ var_hi
+        act_max = pos @ var_hi + neg @ var_lo
         for k, rel in enumerate(lp.row_relations):
             b = lp.row_rhs[k]
             s_lo, s_hi = b - act_max[k], b - act_min[k]
@@ -229,7 +221,7 @@ class _Tableau:
         self.at_upper = np.zeros(self.n_ext, dtype=bool)
         self.basis = np.empty(m, dtype=int)
         self.phase1_cost = np.zeros(self.n_ext)
-        residual_target = self.b - (A[:, :n] @ lp.var_lo if m else 0.0)
+        residual_target = self.b - (A[:, :n] @ var_lo if m else 0.0)
         self.needs_phase1 = False
         for k in range(m):
             t = residual_target[k] if m else 0.0

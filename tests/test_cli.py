@@ -409,13 +409,29 @@ class TestExitCodes:
             ["export-mps", "--formulation", "disc", "--epsilon", "abc"],
             ["export-mps", "--formulation", "disc", "--epsilon", "1.5"],
             ["export-mps", "--formulation", "flip", "--flip-index", "99"],
+            ["baseline", "--gamma", "0"],
+            ["baseline", "--gamma", "inf"],
+            ["discrepancy", "--time-limit-disc", "nan"],
+            ["baseline", "--node-limit", "-1"],
+            ["baseline", "--node-limit", "0"],
+            ["baseline", "--workers", "-3"],
+            ["adhoc", "--pool-alphas", "0"],
+            ["adhoc", "--pool-lambdas", "0"],
+            ["baseline", "--dataset", "xor:abc"],
+            ["baseline", "--config", "missing.cfg"],
         ],
-        ids=["node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99"],
+        ids=[
+            "node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99",
+            "gamma-0", "gamma-inf", "time-limit-nan", "node-limit--1", "node-limit-0",
+            "workers--3", "pool-alphas-0", "pool-lambdas-0", "dataset-scale-abc",
+            "config-missing",
+        ],
     )
     def test_bad_cli_input_is_two(self, tmp_path, args):
-        if "--node-log" in args:
+        if args[-2] in ("--node-log", "--config"):
             args = args[:-1] + [str(tmp_path / args[-1])]
-        code = main(args + ["--dataset", "xor", "--outdir", str(tmp_path)])
+        verb, flags = args[0], args[1:]
+        code = main([verb, "--dataset", "xor", "--outdir", str(tmp_path)] + flags)
         assert code == 2
 
     @pytest.mark.parametrize("epsilons", ["1.5", "abc"])

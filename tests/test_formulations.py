@@ -14,7 +14,6 @@ from multiplicity.core import (
 )
 from multiplicity.datasets import ingest_csv
 from multiplicity.formulations import (
-    FormulationParams,
     assignment_from_classifier,
     build_baseline_mip,
     build_disc_mip,
@@ -27,7 +26,7 @@ from multiplicity.formulations import (
 from multiplicity.simplex import LinearProgram, solve_lp
 from conftest import random_binary_dataset
 from mps_reader import read_mps
-from oracles import oracle_disc, oracle_flip, prediction_pattern
+from oracles import oracle_baseline, oracle_disc, oracle_flip, prediction_pattern
 
 
 DATA = Path(__file__).parent / "data"
@@ -41,7 +40,9 @@ class TestBigM:
 
     def test_larger_feature_scale(self):
         data = Dataset.build([Example((1.0, 3.0), 1), Example((1.0, 0.0), -1)])
-        assert np.allclose(compute_big_m(data, 1e-4), 3.0001)
+        assert np.allclose(compute_big_m(data, 1e-4), [3.0001, 1.0001])
+        model = build_baseline_mip(data)
+        assert np.allclose(model.metadata["big_m"], [3.0001, 1.0001])
 
     def test_holder_bound_over_random_classifiers(self):
         rng = np.random.default_rng(5)
@@ -56,12 +57,43 @@ class TestBigM:
                 scores = data.cells.X @ np.asarray(h.coefficients)
                 assert np.all(np.abs(scores) + 1e-4 <= m + 1e-12)
 
-    def test_tight_override(self):
-        data = Dataset.build([Example((1.0, 3.0), 1), Example((1.0, 0.0), -1)])
-        model = build_baseline_mip(
-            data, FormulationParams(big_m_override="tight")
-        )
-        assert np.allclose(model.metadata["big_m"], [3.0001, 1.0001])
+    def test_scaled_feature_optima_match_oracle(self):
+        # Scaling a feature by 3 gives the cells where it is 1 the Big-M
+        # 3 + gamma and the others 1 + gamma; the achievable labelings, and
+        # so every optimum, are those of the unscaled data.
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(12):
+            data = random_binary_dataset(rng)
+            varying = [j for j in range(1, data.d + 1) if len(set(data.X[:, j])) == 2]
+            if not varying:
+                continue
+            scale = np.ones(data.d + 1)
+            scale[varying[int(rng.integers(len(varying)))]] = 3.0
+            scaled = Dataset.build(
+                Example(tuple(data.X[i] * scale), ex.label, weight=ex.weight)
+                for i, ex in enumerate(data.examples)
+            )
+            assert sorted(set(compute_big_m(scaled, 1e-4))) == [1.0001, 3.0001]
+            base_model = build_baseline_mip(scaled)
+            base = solve(base_model)
+            assert base.status == "certified_optimal"
+            assert base.upper_bound == oracle_baseline(data)
+            h0 = classifier_from_solution(base_model, base.incumbent)
+            pattern = prediction_pattern(
+                LinearClassifier.from_raw(np.asarray(h0.coefficients) * scale), data
+            )
+            for k in (0, 1, 2):
+                eps = Fraction(k, data.n)
+                res = solve(build_disc_mip(scaled, h0, eps))
+                assert res.status == "certified_optimal"
+                assert data.n - res.upper_bound == oracle_disc(data, pattern, eps)
+            for i in np.unique(scaled.cells.index, return_index=True)[1]:
+                res = solve(build_flip_mip(scaled, h0, int(i)))
+                assert res.status == "certified_optimal"
+                assert res.upper_bound == oracle_flip(data, pattern, int(i))
+            checked += 1
+        assert checked >= 6
 
 
 class TestBaselineModel:

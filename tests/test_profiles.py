@@ -271,6 +271,30 @@ class TestGroupBurden:
         rates = group_burden(pool, data, 0)
         assert rates["only"].value == profile.entries[0].ambiguity.value
 
+    def test_group_weighted_burden_sums_to_ambiguity(self):
+        # sum_g weight_g * burden_g = n * ambiguity, on both bounds, also
+        # when node-limited solves leave intervals open
+        rng = np.random.default_rng(71)
+        for _ in range(6):
+            plain = random_binary_dataset(rng)
+            data = Dataset.build(
+                Example(ex.features, ex.label, f"g{rng.integers(3)}", ex.weight)
+                for ex in plain.examples
+            )
+            h0, _ = fit_baseline(data)
+            grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(4)), data.n)
+            groups = np.array(data.groups)
+            for budget in (None, SolveBudget(node_limit=1)):
+                profile, pool, _ = ambiguity_path(data, h0, grid, budget=budget)
+                for entry in profile.entries:
+                    burden = group_burden(pool, data, entry.epsilon)
+                    for side in ("lower", "upper"):
+                        weighted = sum(
+                            int(data.weights[groups == g].sum()) * getattr(m, side)
+                            for g, m in burden.items()
+                        )
+                        assert weighted == data.n * getattr(entry.ambiguity, side)
+
     def test_engineered_two_group_split(self):
         # only group A's cell admits a free flip at eps = 0
         examples = [

@@ -7,6 +7,7 @@ from multiplicity.simplex import (
     LinearProgram,
     solve_lp,
     solve_lp_with_fixings,
+    violated_rows,
 )
 from conftest import random_box_lp
 from oracles import reference_simplex
@@ -63,6 +64,20 @@ class TestBasics:
     def test_tolerances_exposed(self):
         assert FEASIBILITY_TOL == 1e-7
         assert OPTIMALITY_TOL == 1e-7
+
+    def test_violated_rows_per_relation(self):
+        lp = box_lp(
+            [0.0, 0.0],
+            [[1, 0], [1, 0], [1, 0], [0, 1], [1, 0]],
+            ["<=", "<=", ">=", "=", ">="],
+            [0.5, 0.499998, 0.5, 0.0, 0.6],
+            [-1, -1],
+            [1, 1],
+        )
+        # row 0 exceeds its rhs by 1e-6, inside tol * (1 + |rhs|) = 1.5e-6;
+        # row 1 exceeds its rhs by 3e-6
+        values = np.array([0.5 + 1e-6, 1e-3])
+        assert violated_rows(lp, values, 1e-6).tolist() == [1, 3, 4]
 
 
 class TestFixings:
