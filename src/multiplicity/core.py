@@ -222,6 +222,14 @@ class Dataset:
     def groups(self) -> tuple:
         return tuple(ex.group for ex in self.examples)
 
+    @cached_property
+    def group_masks(self) -> dict:
+        """Boolean example mask of each group, in sorted group order."""
+        if any(g is None for g in self.groups):
+            raise MissingGroupError("every example needs a group tag")
+        groups = np.array(self.groups)
+        return {g: groups == g for g in sorted(set(self.groups))}
+
     def with_weights(self, weights: Sequence[int]) -> "Dataset":
         if len(weights) != len(self.examples):
             raise DimensionMismatchError("weight vector length mismatch")

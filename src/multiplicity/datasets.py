@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Dataset, Example, oversample_minority
+from .core import Dataset, Example, SingleClassError, oversample_minority
 
 
 class InputError(ValueError):
@@ -205,7 +205,10 @@ def ingest_csv(
 
     train = Dataset.build(train_examples)
     if oversample:
-        train = oversample_minority(train, seed=split_seed)
+        try:
+            train = oversample_minority(train, seed=split_seed)
+        except SingleClassError as exc:
+            raise InputError(f"training split: {exc}") from None
     test = Dataset.build(test_examples)
     return IngestResult(
         train=train,

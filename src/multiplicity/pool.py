@@ -1,10 +1,11 @@
 """Penalized-logistic-regression pool: the cheap multiplicity comparator.
 
 Fits a grid of elastic-net logistic models by cyclic coordinate descent,
-picks a baseline by 5-fold cross-validated error, and reads ambiguity and
-discrepancy off the pool.  Pool estimates are lower bounds by construction
-(the pool is a subset of the level set), so every emitted value is marked
-uncertified.
+every (alpha, fold) path in one batch where a cross-validation fold is the
+full data with that fold's weights set to zero.  Picks a baseline by 5-fold
+cross-validated error and reads ambiguity and discrepancy off the pool.
+Pool estimates are lower bounds by construction (the pool is a subset of
+the level set), so every emitted value is marked uncertified.
 """
 
 from __future__ import annotations
@@ -78,42 +79,48 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
 
-def _cd_fit(X, targets, weights, alpha, lam, w_init, penalized):
-    """Cyclic coordinate descent on the weighted elastic-net logistic loss.
+def _cd_fit(X, targets, weights, ridge, l1, w_init):
+    """Cyclic coordinate descent on k weighted elastic-net logistic losses.
 
-    Each coordinate step minimizes the quadratic majorizer built from the
-    0.25 curvature bound of the logistic loss, with soft-thresholding for
-    the l1 part.  The intercept (penalized[0] = False) is never shrunk.
-    Returns (coefficients, converged).
+    Fit i has example weights ``weights[i]`` (k x n), start ``w_init[i]``
+    (k x p) and penalties ``ridge[i]`` and ``l1[i]``.  Each coordinate step
+    minimizes the quadratic majorizer built from the 0.25 curvature bound of
+    the logistic loss, with soft-thresholding for the l1 part; the intercept
+    (column 0) takes the same step with no penalty.  A fit leaves the batch
+    after the sweep in which it converged, so it makes the same updates it
+    would make alone.  Returns (coefficients, converged), one row per fit.
     """
-    n_total = weights.sum()
-    w = w_init.copy()
-    scores = X @ w
-    curv = 0.25 * (weights @ (X * X)) / n_total
-    ridge = lam * (1.0 - alpha)
-    l1 = lam * alpha
+    w, w_out = w_init.copy(), w_init.copy()
+    converged = np.zeros(len(w), dtype=bool)
+    live = np.arange(len(w))
+    scores = w @ X.T
+    n_total = weights.sum(axis=1)
+    curv = 0.25 * (weights @ (X * X)) / n_total[:, None]
     for _ in range(CD_MAX_SWEEPS):
-        max_delta = 0.0
+        max_delta = np.zeros(len(live))
         for j in range(X.shape[1]):
-            if curv[j] == 0.0 and ridge == 0.0:
-                continue  # all-zero column with no ridge: coefficient inert
+            lam2, lam1 = (ridge, l1) if j else (0.0, 0.0)
+            h = curv[:, j] + lam2
+            moves = h > 0.0  # all-zero column with no ridge: coefficient inert
+            h = np.where(moves, h, 1.0)
             mu = _sigmoid(scores)
-            grad = float(weights @ ((mu - targets) * X[:, j])) / n_total
-            if penalized[j]:
-                h = curv[j] + ridge
-                raw = w[j] - (grad + ridge * w[j]) / h
-                new = math.copysign(max(abs(raw) - l1 / h, 0.0), raw)
-            else:
-                h = curv[j] if curv[j] > 0 else 1.0
-                new = w[j] - grad / h
-            delta = new - w[j]
-            if delta != 0.0:
-                scores = scores + delta * X[:, j]
-                w[j] = new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta < CD_TOL:
-            return w, True
-    return w, False
+            grad = np.einsum("kn,kn->k", weights, (mu - targets) * X[:, j]) / n_total
+            raw = w[:, j] - (grad + lam2 * w[:, j]) / h
+            new = np.copysign(np.maximum(np.abs(raw) - lam1 / h, 0.0), raw)
+            delta = np.where(moves, new - w[:, j], 0.0)
+            scores += delta[:, None] * X[:, j]
+            w[:, j] = np.where(moves, new, w[:, j])
+            max_delta = np.maximum(max_delta, np.abs(delta))
+        done = max_delta < CD_TOL
+        w_out[live[done]] = w[done]
+        converged[live[done]] = True
+        live, w, scores, weights, n_total, curv, ridge, l1 = (
+            a[~done] for a in (live, w, scores, weights, n_total, curv, ridge, l1)
+        )
+        if not len(live):
+            break
+    w_out[live] = w
+    return w_out, converged
 
 
 def _null_intercept(targets, weights) -> float:
@@ -137,19 +144,6 @@ def _lambda_max(X, targets, weights, alpha) -> float:
     return max(top, 1e-12) * (1.0 + 1e-10) / max(alpha, ALPHA_FLOOR)
 
 
-def _fit_path(X, targets, weights, alpha, lambdas):
-    """Pathwise fits from lambda_max down, warm-started along the path."""
-    w = np.zeros(X.shape[1])
-    w[0] = _null_intercept(targets, weights)
-    penalized = np.ones(X.shape[1], dtype=bool)
-    penalized[0] = False
-    out = []
-    for lam in lambdas:
-        w, converged = _cd_fit(X, targets, weights, alpha, lam, w, penalized)
-        out.append((w.copy(), converged))
-    return out
-
-
 def _fold_assignment(n_examples: int, seed: int) -> np.ndarray:
     order = list(range(n_examples))
     random.Random(seed).shuffle(order)
@@ -164,49 +158,45 @@ def fit_pool(
 ) -> list:
     """Fit the (alpha, lambda) grid and cross-validate every model.
 
-    Deterministic for a fixed seed: fold assignment, path order and the
-    coordinate sweeps have no randomness of their own.
+    One coordinate-descent batch walks every path from lambda_max down,
+    warm-started along it.  Per alpha its rows are the full data, then each
+    usable fold (held-out part nonempty, training part with both classes)
+    as the full weights with that fold zeroed.  Deterministic for a fixed
+    seed: fold assignment, path order and the sweeps have no randomness.
     """
     grid = grid or PenaltyGrid()
-    X = dataset.X
-    targets = (dataset.y + 1) / 2.0
+    X, y = dataset.X, dataset.y
+    targets = (y + 1) / 2.0
     weights = dataset.weights.astype(float)
-    folds = _fold_assignment(len(dataset.examples), seed)
+    folds = _fold_assignment(len(y), seed)
+    held = [folds == f for f in range(N_FOLDS)]
+    held = np.array(
+        [np.zeros(len(y), dtype=bool)]
+        + [h for h in held if h.any() and len(set(y[~h])) == 2]
+    )
+    n_rows = len(held)
+    lambdas = np.array(
+        [grid.lambda_path(_lambda_max(X, targets, weights, a)) for a in grid.alphas]
+    )
+    lam_rows = np.repeat(lambdas, n_rows, axis=0)
+    alphas = np.repeat(grid.alphas, n_rows)
+    fit_weights = np.tile(weights * ~held, (len(grid.alphas), 1))
+    w = np.zeros((len(fit_weights), X.shape[1]))
+    w[:, 0] = [_null_intercept(targets, row) for row in fit_weights]
+    coefs, converged, wrong = [], [], []
+    for lam in lam_rows.T:
+        w, done = _cd_fit(X, targets, fit_weights, lam * (1.0 - alphas), lam * alphas, w)
+        coefs.append(w)
+        converged.append(done)
+        wrong.append((w @ X.T > 0.0) != (y > 0))
+    wrong = np.array(wrong).reshape(len(wrong), len(grid.alphas), n_rows, -1)
+    errors = np.einsum("larn,rn->la", wrong, weights * held)
+    total = float((weights * held).sum())
 
     models = []
-    for alpha in grid.alphas:
-        lam_max = _lambda_max(X, targets, weights, alpha)
-        lambdas = grid.lambda_path(lam_max)
-        full_path = _fit_path(X, targets, weights, alpha, lambdas)
-        # one path per held-out fold for CV error; folds whose training part
-        # collapses to a single class are skipped
-        fold_scores = np.zeros((N_FOLDS, len(lambdas), X.shape[0]))
-        fold_usable = np.zeros(N_FOLDS, dtype=bool)
-        for f in range(N_FOLDS):
-            mask = folds != f
-            if mask.all() or not mask.any():
-                continue
-            try:
-                path = _fit_path(
-                    X[mask], targets[mask], weights[mask], alpha, lambdas
-                )
-            except SingleClassError:
-                continue
-            fold_usable[f] = True
-            for li, (w, _) in enumerate(path):
-                fold_scores[f, li] = X @ w
-        for li, lam in enumerate(lambdas):
-            w, converged = full_path[li]
-            errors = 0.0
-            total = 0.0
-            for f in range(N_FOLDS):
-                held = folds == f
-                if not held.any() or not fold_usable[f]:
-                    continue
-                preds = np.where(fold_scores[f, li][held] > 0.0, 1, -1)
-                errors += float(weights[held][preds != dataset.y[held]].sum())
-                total += float(weights[held].sum())
-            cv_risk = errors / total if total else math.inf
+    for a, alpha in enumerate(grid.alphas):
+        for li, lam in enumerate(lambdas[a]):
+            w = coefs[li][a * n_rows]
             clf = LinearClassifier.from_raw(w)
             models.append(
                 PoolModel(
@@ -215,8 +205,8 @@ def fit_pool(
                     alpha=float(alpha),
                     lam=float(lam),
                     train_risk=empirical_risk(clf, dataset),
-                    cv_risk=cv_risk,
-                    converged=converged,
+                    cv_risk=float(errors[li, a]) / total if total else math.inf,
+                    converged=bool(converged[li][a * n_rows]),
                 )
             )
     return models

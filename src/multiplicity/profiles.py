@@ -21,6 +21,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .core import (
     Dataset,
     InternalConsistencyError,
     LinearClassifier,
-    MissingGroupError,
     RiskReport,
     empirical_risk,
     predictions,
@@ -174,6 +174,11 @@ class PathologicalPool:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+
+    @cached_property
+    def mistake_bounds(self) -> np.ndarray:
+        """Per-example (mistakes_upper, mistakes_lower) of the flip solves."""
+        return np.array([(r.mistakes_upper, r.mistakes_lower) for r in self.entries])
 
 
 def _tighten(measures: Sequence[MeasureValue], caps=None):
@@ -410,8 +415,7 @@ def _flippable(
     flippable; its lower bound (the node bound) proves it is not.
     """
     weights = dataset.weights * members
-    bounds = np.array([(r.mistakes_upper, r.mistakes_lower) for r in pool.entries])
-    low, up = (weights @ (bounds <= threshold)).tolist()
+    low, up = (weights @ (pool.mistake_bounds <= threshold)).tolist()
     total = int(weights.sum())
     return MeasureValue(Fraction(low, total), Fraction(up, total), certified=low == up)
 
@@ -471,28 +475,20 @@ def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
 
 def group_burden(pool: PathologicalPool, dataset: Dataset, epsilon) -> dict:
     """Ambiguity restricted to each group's weight-expanded examples."""
-    if any(ex.group is None for ex in dataset.examples):
-        raise MissingGroupError("every example needs a group tag")
     threshold = pool.baseline_mistakes + int(Fraction(epsilon) * pool.n)
-    groups = np.array(dataset.groups)
     return {
-        group: _flippable(pool, dataset, groups == group, threshold)
-        for group in sorted(set(dataset.groups))
+        group: _flippable(pool, dataset, members, threshold)
+        for group, members in dataset.group_masks.items()
     }
 
 
 def accuracy_disparity(h: LinearClassifier, dataset: Dataset) -> Fraction:
     """Largest pairwise gap between group error rates."""
-    if any(ex.group is None for ex in dataset.examples):
-        raise MissingGroupError("every example needs a group tag")
-    preds = predictions(h, dataset)
-    mistakes: dict = {}
-    totals: dict = {}
-    for p, ex in zip(preds, dataset.examples):
-        totals[ex.group] = totals.get(ex.group, 0) + ex.weight
-        if p != ex.label:
-            mistakes[ex.group] = mistakes.get(ex.group, 0) + ex.weight
-    rates = [Fraction(mistakes.get(g, 0), totals[g]) for g in sorted(totals)]
+    wrong = dataset.weights * (predictions(h, dataset) != dataset.y)
+    rates = [
+        Fraction(int(wrong[members].sum()), int(dataset.weights[members].sum()))
+        for members in dataset.group_masks.values()
+    ]
     return max(rates) - min(rates)
 
 

@@ -15,6 +15,7 @@ config produce byte-identical profile files.
 
 from __future__ import annotations
 
+import csv
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -157,8 +158,9 @@ def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile) -> None
 
 
 def write_burden(outdir: Path, flip_pool, dataset, grid) -> None:
-    lines = ["group,epsilon,amb_lower,amb_upper,certified"]
+    rows = [["group", "epsilon", "amb_lower", "amb_upper", "certified"]]
     for eps in grid.values:
         for group, measure in group_burden(flip_pool, dataset, eps).items():
-            lines.append(",".join([group, exact_decimal(eps)] + _measure_cells(measure)))
-    (outdir / "burden.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append([group, exact_decimal(eps)] + _measure_cells(measure))
+    with open(outdir / "burden.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -219,14 +219,16 @@ class TestAudit:
             group_column="race",
             epsilons="0",
             adhoc=True,
-            pool_alphas=2,
-            pool_lambdas=3,
+            pool_alphas=3,
+            pool_lambdas=20,
             outdir=str(tmp_path / "out"),
         )
         manifest = run_audit(config)
         assert "adhoc" in manifest["stages"]
-        payload = json.loads((tmp_path / "out" / "pool.json").read_text())
-        assert payload["n_models"] == 6
+        got = (tmp_path / "out" / "pool.json").read_bytes()
+        assert got == (DATA / "golden_pool.json").read_bytes()
+        payload = json.loads(got)
+        assert payload["n_models"] == 60
         exact = json.loads((tmp_path / "out" / "profile.json").read_text())
         # the pool measures around its own baseline stay below the exact
         # profile values whenever the pool baseline is itself optimal
@@ -419,16 +421,19 @@ class TestExitCodes:
             ["adhoc", "--pool-lambdas", "0"],
             ["baseline", "--dataset", "xor:abc"],
             ["baseline", "--config", "missing.cfg"],
+            ["baseline", "--dataset", "one_class.csv"],
         ],
         ids=[
             "node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99",
             "gamma-0", "gamma-inf", "time-limit-nan", "node-limit--1", "node-limit-0",
             "workers--3", "pool-alphas-0", "pool-lambdas-0", "dataset-scale-abc",
-            "config-missing",
+            "config-missing", "one-class-split",
         ],
     )
     def test_bad_cli_input_is_two(self, tmp_path, args):
-        if args[-2] in ("--node-log", "--config"):
+        # five positive rows: the training split holds a single class
+        (tmp_path / "one_class.csv").write_text("x1,label\n" + "0,1\n" * 5)
+        if args[-2] in ("--node-log", "--config") or args[-1].endswith(".csv"):
             args = args[:-1] + [str(tmp_path / args[-1])]
         verb, flags = args[0], args[1:]
         code = main([verb, "--dataset", "xor", "--outdir", str(tmp_path)] + flags)

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from multiplicity.core import Dataset, Example, empirical_risk
 from multiplicity.pool import (
+    N_FOLDS,
     PenaltyGrid,
     PoolModel,
+    _fold_assignment,
     _lambda_max,
     adhoc_measures,
     fit_pool,
@@ -71,6 +74,25 @@ def ista_oracle(X, targets, weights, alpha, lam, iters=200000):
     return w
 
 
+def oracle_cv_risk(data, alpha, lam, seed):
+    """CV error from oracle fits on each usable fold's training rows."""
+    X, y = data.X, data.y
+    targets = (y + 1) / 2.0
+    weights = data.weights.astype(float)
+    folds = _fold_assignment(len(data.examples), seed)
+    errors = total = 0.0
+    for f in range(N_FOLDS):
+        held = folds == f
+        train = ~held
+        if not held.any() or len(set(y[train])) < 2:
+            continue
+        w = ista_oracle(X[train], targets[train], weights[train], alpha, lam)
+        wrong = np.where(X[held] @ w > 0.0, 1, -1) != y[held]
+        errors += weights[held][wrong].sum()
+        total += weights[held].sum()
+    return errors / total
+
+
 class TestPenaltyGrid:
     def test_default_is_eleven_by_hundred(self):
         grid = PenaltyGrid()
@@ -126,6 +148,26 @@ class TestFitPool:
             assert f_ours <= f_ref + 1e-9
             checks += 1
         assert checks == 5
+
+    def test_cv_risk_matches_fold_oracle(self):
+        # the last dataset's third feature is zero on every training row of
+        # fold 0: under alpha 1.0 that fold's fit has no curvature and no
+        # ridge on it, so its coefficient is inert while the others move
+        blobs = blob_dataset(seed=12, n=30)
+        folds = _fold_assignment(len(blobs.examples), 2)
+        absent = Dataset.build(
+            Example(ex.features + (ex.features[1] * (f == 0),), ex.label)
+            for ex, f in zip(blobs.examples, folds)
+        )
+        grid = PenaltyGrid(alphas=(0.5, 1.0), lambdas_per_alpha=6, lambda_min_ratio=0.01)
+        cases = [(0, blob_dataset(seed=10, n=30)), (1, blob_dataset(seed=11, n=30))]
+        for seed, data in cases + [(2, absent)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                models = fit_pool(data, grid, seed=seed)
+            for m in (models[1], models[3], models[5], models[8], models[11]):
+                assert m.cv_risk == oracle_cv_risk(data, m.alpha, m.lam, seed)
+        assert models[-1].raw_coefficients[3] != 0.0  # the full-data fit moves
 
     def test_coefficient_norm_monotone_on_blobs(self):
         data = blob_dataset(seed=4)

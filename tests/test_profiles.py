@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from multiplicity.profiles import (
     merge_profiles,
     tiebreak_count,
 )
+from multiplicity.reports import write_burden
 from conftest import random_binary_dataset, xor_dataset
 from oracles import (
     oracle_ambiguity,
@@ -295,20 +297,30 @@ class TestGroupBurden:
                         )
                         assert weighted == data.n * getattr(entry.ambiguity, side)
 
-    def test_engineered_two_group_split(self):
-        # only group A's cell admits a free flip at eps = 0
+    def test_engineered_two_group_split(self, tmp_path):
+        # only group A's cell admits a free flip at eps = 0; A's name holds
+        # a comma, which burden.csv must quote
+        a = "Hispanic, other"
         examples = [
-            Example((1.0, 0.0), 1, group="A", weight=2),
-            Example((1.0, 0.0), -1, group="A", weight=2),
+            Example((1.0, 0.0), 1, group=a, weight=2),
+            Example((1.0, 0.0), -1, group=a, weight=2),
             Example((1.0, 1.0), 1, group="B", weight=4),
         ]
         data = Dataset.build(examples)
         h0, res = fit_baseline(data)
         assert res.upper_bound == 2.0  # the conflicted cell costs 2 either way
-        _, pool, _ = ambiguity_path(data, h0, EpsilonGrid((Fraction(0),), data.n))
+        grid = EpsilonGrid((Fraction(0),), data.n)
+        _, pool, _ = ambiguity_path(data, h0, grid)
         rates = group_burden(pool, data, 0)
-        assert rates["A"].value == 1
+        assert rates[a].value == 1
         assert rates["B"].value == 0
+        write_burden(tmp_path, pool, data, grid)
+        with open(tmp_path / "burden.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ["B", "0", "0.0", "0.0", "true"],
+            [a, "0", "1.0", "1.0", "true"],
+        ]
 
     def test_tyranny_burden_oracle_values(self):
         # frozen from the arrangement oracle at oversample seed 0: the two
