@@ -32,7 +32,13 @@ import numpy as np
 
 from . import __version__
 from . import branch_bound as bnb
-from .core import Dataset, InternalConsistencyError, empirical_risk, oversample_minority
+from .core import (
+    Dataset,
+    InternalConsistencyError,
+    SingleClassError,
+    empirical_risk,
+    oversample_minority,
+)
 from .datasets import InputError, generate_synthetic, ingest_csv, write_csv
 from .formulations import (
     FormulationParams,
@@ -352,7 +358,10 @@ def _adhoc(run: dict, budget) -> Optional[dict]:
         round(k / max(config.pool_alphas - 1, 1), 6) for k in range(config.pool_alphas)
     )
     penalty_grid = PenaltyGrid(alphas=alphas, lambdas_per_alpha=config.pool_lambdas)
-    models = fit_pool(train, penalty_grid, seed=config.seed)
+    try:
+        models = fit_pool(train, penalty_grid, seed=config.seed)
+    except SingleClassError as exc:
+        raise InputError(f"training split: {exc}") from None
     write_pool(run["outdir"], models, adhoc_measures(models, train, run["grid"]))
     return {"n_models": len(models)}
 

@@ -422,12 +422,13 @@ class TestExitCodes:
             ["baseline", "--dataset", "xor:abc"],
             ["baseline", "--config", "missing.cfg"],
             ["baseline", "--dataset", "one_class.csv"],
+            ["audit", "--no-oversample", "--adhoc", "--dataset", "one_class.csv"],
         ],
         ids=[
             "node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99",
             "gamma-0", "gamma-inf", "time-limit-nan", "node-limit--1", "node-limit-0",
             "workers--3", "pool-alphas-0", "pool-lambdas-0", "dataset-scale-abc",
-            "config-missing", "one-class-split",
+            "config-missing", "one-class-split", "one-class-adhoc",
         ],
     )
     def test_bad_cli_input_is_two(self, tmp_path, args):

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import multiplicity.pool as pool_module
 from multiplicity.core import Dataset, Example, empirical_risk
+from multiplicity.datasets import ingest_csv
 from multiplicity.pool import (
     N_FOLDS,
     PenaltyGrid,
@@ -131,14 +133,17 @@ class TestFitPool:
         assert risks[-1] <= risks[0]
 
     def test_matches_full_gradient_oracle(self):
+        # the pure ridge block and each path's tail (1e-4 of lambda_max) are
+        # where the reduced quadratic and the step halving matter most
         data = blob_dataset(seed=3, n=30)
         X = data.X
         targets = (data.y + 1) / 2.0
         weights = data.weights.astype(float)
-        grid = PenaltyGrid(alphas=(0.3, 1.0), lambdas_per_alpha=5)
+        grid = PenaltyGrid(alphas=(0.0, 0.3, 1.0), lambdas_per_alpha=5)
         models = fit_pool(data, grid, seed=0)
         checks = 0
-        for m in [models[0], models[1], models[2], models[6], models[7]]:
+        for k in (0, 2, 4, 5, 6, 7, 9, 11, 12, 14):
+            m = models[k]
             w_ref = ista_oracle(X, targets, weights, m.alpha, m.lam)
             w_ours = np.array(m.raw_coefficients)
             assert np.max(np.abs(w_ref - w_ours)) < 1e-4, (m.alpha, m.lam)
@@ -147,7 +152,7 @@ class TestFitPool:
             f_ref = elastic_net_objective(w_ref, X, targets, weights, m.alpha, m.lam)
             assert f_ours <= f_ref + 1e-9
             checks += 1
-        assert checks == 5
+        assert checks == 10
 
     def test_cv_risk_matches_fold_oracle(self):
         # the last dataset's third feature is zero on every training row of
@@ -168,6 +173,37 @@ class TestFitPool:
             for m in (models[1], models[3], models[5], models[8], models[11]):
                 assert m.cv_risk == oracle_cv_risk(data, m.alpha, m.lam, seed)
         assert models[-1].raw_coefficients[3] != 0.0  # the full-data fit moves
+
+    def test_separable_folds_flag_unconverged(self, tmp_path, monkeypatch):
+        # four balanced training rows of weight 2: lambda_max floors at
+        # 1e-12, so the full-data optimum is 0 while fold fits on separable
+        # rows run toward infinity
+        rows = "0,1 1,0 0,1 1,1 0,0 1,1 0,0 1,1 0,1 1,0".split()
+        (tmp_path / "sep.csv").write_text("x1,label\n" + "\n".join(rows) + "\n")
+        data = ingest_csv(tmp_path / "sep.csv", "label", split_seed=3).train
+        calls = []
+
+        def recording_fit(*args):
+            coefs, converged = fit(*args)
+            calls.append(converged)
+            return coefs, converged
+
+        fit = pool_module._cd_fit
+        monkeypatch.setattr(pool_module, "_cd_fit", recording_fit)
+        grid = PenaltyGrid(alphas=(0.0, 1.0), lambdas_per_alpha=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            models = fit_pool(data, grid, seed=0)
+        per_alpha = len(calls[0]) // 2  # the full-data fit, then the folds
+        capped = 0
+        for k, m in enumerate(models):
+            a, li = divmod(k, 10)
+            block = calls[li][a * per_alpha : (a + 1) * per_alpha]
+            assert max(abs(v) for v in m.raw_coefficients) < 1e-9
+            assert block[0]  # the full-data fit
+            assert m.converged == block.all()
+            capped += not block.all()
+        assert capped  # some fold fit hit the iteration cap
 
     def test_coefficient_norm_monotone_on_blobs(self):
         data = blob_dataset(seed=4)
