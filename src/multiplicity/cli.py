@@ -320,11 +320,14 @@ def _discrepancy(run: dict, budget) -> dict:
         node_log=_node_logger(run["node_log"], "disc"),
     )
     _update_profile(run)
-    return {"solves": [solve_json(r) for r in results]}
+    return {"solves": [{"epsilon": str(eps), **solve_json(r)} for eps, r in results]}
 
 
 def _ambiguity(run: dict, budget) -> dict:
     disc = run.get("disc_profile")
+    # Each witness once, in ascending epsilon: filled-in epsilons share the
+    # witness of a solved one.
+    seeds = list(dict.fromkeys(disc.witnesses.values())) if disc is not None else []
     run["amb_profile"], run["flip_pool"], results = ambiguity_path(
         run["train"],
         run["h0"],
@@ -333,7 +336,7 @@ def _ambiguity(run: dict, budget) -> dict:
         workers=run["config"].workers,
         params=run["params"],
         baseline_certified=run["baseline"].certified,
-        seed_pool=list(disc.witnesses.values()) if disc is not None else [],
+        seed_pool=seeds,
         node_log=_node_logger(run["node_log"], "flip"),
     )
     _update_profile(run)

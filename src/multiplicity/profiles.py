@@ -12,10 +12,16 @@ tightened by a forward running max / backward running min before assembly.
 Uncertified discrepancy uppers are additionally capped by the triangle-
 inequality bound 2 * baseline_risk + epsilon, which certified values must
 satisfy on their own (a violation is a solver bug and raises).
+
+The same propagation decides which discrepancy programs are solved at all:
+discrepancy is a monotone step function of epsilon, so once the bounds of
+the solved points meet at an unsolved point, its value is proven without a
+solve (see ``discrepancy_path``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -181,16 +187,21 @@ class PathologicalPool:
         return np.array([(r.mistakes_upper, r.mistakes_lower) for r in self.entries])
 
 
-def _tighten(measures: Sequence[MeasureValue], caps=None):
-    """Propagate bounds across nested level sets and apply per-entry caps."""
-    lowers = [m.lower for m in measures]
-    uppers = [m.upper for m in measures]
+def _nested_bounds(lowers, uppers, caps=None):
+    """Bounds propagated across nested level sets: a lower bound holds at
+    every larger epsilon, an upper bound (after its cap) at every smaller one."""
     if caps is not None:
         uppers = [min(u, c) for u, c in zip(uppers, caps)]
-    for i in range(1, len(lowers)):
-        lowers[i] = max(lowers[i], lowers[i - 1])
-    for i in range(len(uppers) - 2, -1, -1):
-        uppers[i] = min(uppers[i], uppers[i + 1])
+    lows = list(itertools.accumulate(lowers, max))
+    ups = list(itertools.accumulate(reversed(uppers), min))[::-1]
+    return lows, ups
+
+
+def _tighten(measures: Sequence[MeasureValue], caps=None):
+    """Propagate bounds across nested level sets and apply per-entry caps."""
+    lowers, uppers = _nested_bounds(
+        [m.lower for m in measures], [m.upper for m in measures], caps
+    )
     out = []
     for m, lo, up in zip(measures, lowers, uppers):
         if m.certified and (lo != m.lower or up != m.upper):
@@ -214,11 +225,29 @@ def discrepancy_path(
     params: Optional[FormulationParams] = None,
     node_log=None,
 ):
-    """Solve the agreement-minimizing model for every epsilon, ascending,
-    warm-starting each solve with the previous witness (level sets nest, so
-    the previous witness stays feasible).
+    """Discrepancy at every epsilon of ``grid``, solving the
+    agreement-minimizing model only where the profile is still open.
 
-    Returns (profile with the discrepancy side filled, list of SolveResult).
+    Solve order: the first grid point, then the last, then repeatedly the
+    middle point of the first run of unsolved points whose bounds are still
+    open.  Bounds are propagated across nested level sets after each solve:
+    a lower bound holds at every larger epsilon, an upper bound at every
+    smaller one.  The cap min(1, 2 * risk + epsilon) of the reported uppers
+    plays no part: a lower bound carried to an unsolved point from a smaller
+    epsilon is at most the cap there, which is below the cap at the point
+    unless both are 1, so the cap never closes a point.
+    The loop stops once every point is solved or closed, so certified
+    solves skip every point between two equal values, while solves that
+    stop at a budget leave their neighbours open and every point is solved.
+
+    An unsolved point whose bounds meet is reported certified at that value.
+    Each solve warm-starts from, and each unsolved point reports as its
+    witness, the best witness found at or left of it (the nearest one
+    whenever solves certify), or h0 as the warm start when there is none.
+    That witness lies in the point's level set because level sets nest.
+
+    Returns (profile with the discrepancy side filled, list of
+    (epsilon, SolveResult) pairs in ascending epsilon, one per solve).
     """
     params = params or FormulationParams()
     base = empirical_risk(h0, dataset)
@@ -226,43 +255,79 @@ def discrepancy_path(
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
 
-    raw = []
-    witnesses = {}
-    results = []
-    prev = h0
-    for eps in grid.values:
+    eps_values = grid.values
+    # Discrepancy in counts of n; an unsolved point is bounded by [0, n].
+    raw_low, raw_up = [0] * len(eps_values), [n] * len(eps_values)
+    solved = {}  # grid index -> SolveResult
+    found = {}  # grid index -> witness of that solve
+    index = 0
+    while index is not None:
+        eps = eps_values[index]
         model = build_disc_mip(dataset, h0, eps, params)
-        warm = _safe_warm(model, dataset, prev)
+        warm = _safe_warm(model, dataset, _left_witness(found, raw_low, index) or h0)
         result = bnb.solve(model, budget=budget, warm_start=warm, node_log=node_log)
-        results.append(result)
         if result.status == bnb.STATUS_INFEASIBLE:
             raise InternalConsistencyError(
                 "level-set model reported infeasible; the baseline itself should "
                 "be feasible whenever its scores clear the margin"
             )
-        low_cnt, up_cnt = _int_bounds(result, n)
+        solved[index] = result
         # MIP minimizes agreements: incumbent -> discrepancy lower bound,
         # global bound -> discrepancy upper bound.
-        disc = MeasureValue(
-            lower=Fraction(n - up_cnt, n),
-            upper=Fraction(n - low_cnt, n),
-            certified=result.certified,
-        )
-        raw.append(disc)
+        low_cnt, up_cnt = _int_bounds(result, n)
+        raw_low[index], raw_up[index] = n - up_cnt, n - low_cnt
         if result.incumbent is not None:
             witness = classifier_from_solution(model, result.incumbent)
             _audit_witness(witness, dataset, params, base, eps, result.certified)
-            witnesses[eps] = witness
-            prev = witness
+            found[index] = witness
+        lows, ups = _nested_bounds(raw_low, raw_up)
+        index = _next_solve(solved, lows, ups)
 
-    caps = [min(Fraction(1), 2 * base.rate + eps) for eps in grid.values]
+    raw = []
+    witnesses = {}
+    for i, eps in enumerate(eps_values):
+        if i in solved:
+            raw.append(MeasureValue(
+                Fraction(raw_low[i], n), Fraction(raw_up[i], n), solved[i].certified
+            ))
+        else:  # closed by the solved points around it: lows[i] == ups[i]
+            raw.append(MeasureValue(Fraction(lows[i], n), Fraction(ups[i], n), True))
+        witness = _left_witness(found, raw_low, i)
+        if witness is not None:
+            witnesses[eps] = witness
+
+    caps = [min(Fraction(1), 2 * base.rate + eps) for eps in eps_values]
     tightened = _tighten(raw, caps)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=m, ambiguity=None)
-        for eps, m in zip(grid.values, tightened)
+        for eps, m in zip(eps_values, tightened)
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses=witnesses)
-    return profile, results
+    return profile, [(eps_values[i], solved[i]) for i in sorted(solved)]
+
+
+def _next_solve(solved, lows, ups):
+    """Grid index to solve next, or None once every point is solved or
+    closed (lower == upper).  The last point goes first after the first;
+    then the middle of the first run of unsolved open points."""
+    last = len(lows) - 1
+    if last not in solved and lows[last] < ups[last]:
+        return last
+    run = []
+    for i, (lo, up) in enumerate(zip(lows, ups)):
+        if i not in solved and lo < up:
+            run.append(i)
+        elif run:
+            break
+    return run[len(run) // 2] if run else None
+
+
+def _left_witness(found, raw_low, index):
+    """Best witness found at or left of grid point ``index`` (the nearest on
+    ties, which is the nearest one whenever its solves certify), or None.
+    It lies in the level set at ``index`` because level sets nest."""
+    left = [i for i in found if i <= index]
+    return found[max(left, key=lambda i: (raw_low[i], i))] if left else None
 
 
 def _safe_warm(model: MipModel, dataset: Dataset, h: Optional[LinearClassifier]):

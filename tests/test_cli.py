@@ -212,6 +212,21 @@ class TestAudit:
         burden = (tmp_path / "out" / "burden.csv").read_text()
         assert burden == (DATA / "golden_burden.csv").read_text()
 
+    def test_tyranny_matches_benchmark_reference(self, tmp_path):
+        # the default 121-point grid holds three distinct discrepancy values,
+        # so nine solves settle it and the other points are filled in
+        code = main(["audit", "--dataset", "tyranny", "--outdir", str(tmp_path)])
+        assert code == 0
+        reference = DATA.parent.parent / "perfbench" / "reference" / "tyranny-grid"
+        for name in ("profile.csv", "burden.csv"):
+            assert (tmp_path / name).read_bytes() == (reference / name).read_bytes()
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        solves = manifest["stages"]["discrepancy"]["solves"]
+        assert len(solves) == 9
+        assert [Fraction(s["epsilon"]) for s in solves] == sorted(
+            Fraction(s["epsilon"]) for s in solves
+        )
+
     def test_audit_with_adhoc_pool(self, tmp_path):
         config = RunConfig(
             dataset=str(DATA / "compas_style.csv"),

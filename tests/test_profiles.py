@@ -1,4 +1,5 @@
 import csv
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from multiplicity.core import (
     Example,
     LinearClassifier,
     MissingGroupError,
+    conflict_count,
     empirical_risk,
     oversample_minority,
     predictions,
@@ -26,7 +28,7 @@ from multiplicity.profiles import (
     merge_profiles,
     tiebreak_count,
 )
-from multiplicity.reports import write_burden
+from multiplicity.reports import write_burden, write_profile
 from conftest import random_binary_dataset, xor_dataset
 from oracles import (
     oracle_ambiguity,
@@ -86,7 +88,7 @@ class TestDiscrepancyPath:
         entry = profile.entries[0].discrepancy
         assert entry.certified
         assert entry.value == Fraction(1, 2)
-        assert all(r.status == "certified_optimal" for r in results)
+        assert all(r.status == "certified_optimal" for _, r in results)
 
     def test_full_flip_at_eps_one(self, xor):
         profile, _ = discrepancy_path(xor, H_A, EpsilonGrid((Fraction(1),), 100))
@@ -106,7 +108,7 @@ class TestDiscrepancyPath:
         h0, _ = fit_baseline(data)
         grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(4)), data.n)
         _, results = discrepancy_path(data, h0, grid)
-        uppers = [r.upper_bound for r in results]
+        uppers = [r.upper_bound for _, r in sorted(results, key=lambda t: t[0])]
         assert uppers == sorted(uppers, reverse=True)
 
     def test_random_values_match_oracle(self):
@@ -121,6 +123,60 @@ class TestDiscrepancyPath:
                 expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
                 assert entry.discrepancy.certified
                 assert entry.discrepancy.value == expect
+
+    def test_dense_grid_fills_points_between_equal_values(self):
+        rng = np.random.default_rng(71)
+        points = solves = 0
+        for _ in range(8):
+            data = random_binary_dataset(rng)
+            h0, _ = fit_baseline(data)
+            pattern = prediction_pattern(h0, data)
+            grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(8)), data.n)
+            profile, results = discrepancy_path(data, h0, grid)
+            for entry in profile.entries:
+                expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
+                assert entry.discrepancy.certified
+                assert entry.discrepancy.value == expect
+                witness = profile.witnesses[entry.epsilon]
+                disagree = conflict_count(witness, h0, data).mistakes
+                assert Fraction(disagree, data.n) == expect
+            assert [eps for eps, _ in results] == sorted({eps for eps, _ in results})
+            assert len(results) <= len(grid.values)
+            points += len(grid.values)
+            solves += len(results)
+        assert solves < points
+
+    def test_node_limited_lower_bounds_follow_witnesses(self, tmp_path):
+        rng = np.random.default_rng(73)
+        uncertified = 0
+        for k in range(6):
+            data = random_binary_dataset(rng)
+            h0, _ = fit_baseline(data)
+            grid = EpsilonGrid(tuple(Fraction(j, data.n) for j in range(8)), data.n)
+            runs = []
+            for rerun in range(2):
+                profile, _ = discrepancy_path(
+                    data, h0, grid, budget=SolveBudget(node_limit=1)
+                )
+                outdir = tmp_path / f"{k}-{rerun}"
+                outdir.mkdir()
+                write_profile(outdir, profile)
+                runs.append((outdir / "profile.json").read_bytes())
+            assert runs[0] == runs[1]
+            payload = json.loads(runs[0])
+            # the lower bound at eps is the best witness at or below eps
+            best = 0
+            for entry in payload["entries"]:
+                disc = entry["discrepancy"]
+                coefficients = payload["witnesses"].get(entry["epsilon_exact"])
+                if coefficients is not None:
+                    witness = LinearClassifier(tuple(coefficients))
+                    best = max(best, conflict_count(witness, h0, data).mistakes)
+                assert Fraction(disc["lower_exact"]) == Fraction(best, data.n)
+                if disc["certified"]:
+                    assert disc["lower_exact"] == disc["upper_exact"]
+                uncertified += not disc["certified"]
+        assert uncertified > 0
 
     def test_truncated_interval_contains_truth(self, xor):
         h0, _ = fit_baseline(xor)
@@ -235,13 +291,13 @@ class TestMonotonicityAndBound:
             data = random_binary_dataset(rng)
             h0, _ = fit_baseline(data)
             grid = EpsilonGrid((Fraction(0), Fraction(1, data.n)), data.n)
-            disc, dres = discrepancy_path(data, h0, grid)
+            disc, _ = discrepancy_path(data, h0, grid)
             amb, pool, _ = ambiguity_path(
                 data, h0, grid, seed_pool=list(disc.witnesses.values())
             )
             profile = merge_profiles(disc, amb)
             base_preds = predictions(h0, data)
-            for entry, result in zip(profile.entries, dres):
+            for entry in profile.entries:
                 if not entry.discrepancy.certified:
                     continue
                 assert entry.ambiguity.lower >= entry.discrepancy.value
