@@ -58,7 +58,15 @@ from .profiles import (
     discrepancy_path,
     merge_profiles,
 )
-from .reports import risk_json, solve_json, write_burden, write_json, write_pool, write_profile
+from .reports import (
+    epsilon_labels,
+    risk_json,
+    solve_json,
+    write_burden,
+    write_json,
+    write_pool,
+    write_profile,
+)
 
 FULL_SCALE_LIMIT = 6 * 3600.0
 # The RunConfig field that bounds the wall time of each solving stage.
@@ -215,8 +223,10 @@ def run_stages(config: RunConfig, stages, **inputs) -> dict:
     Report files go into ``config.outdir``. Each stage records its wall
     time and summary in the manifest; a stage that does not apply to the
     run (the pool without ``adhoc``, the burden without group tags) returns
-    None and is left out. A failing stage still leaves the earlier stages'
-    outputs on disk, with the manifest naming the failure point.
+    None and is left out. ``profile.*`` and the manifest are written once,
+    when the run ends or a stage fails. A failing stage still leaves the
+    earlier stages' outputs on disk, with the manifest naming the failure
+    point.
     """
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,15 +256,23 @@ def run_stages(config: RunConfig, stages, **inputs) -> dict:
                 summary = _STAGES[name](run, _stage_budget(config, name))
             except Exception as exc:  # noqa: BLE001 - boundary reporting
                 manifest["failure"] = {"stage": name, "error": str(exc)}
-                write_json(outdir / "run_manifest.json", manifest)
+                _write_run_reports(run)
                 raise StageFailure(name, exc) from exc
             if summary is not None:
                 manifest["stages"][name] = {
                     "wall_time": time.monotonic() - started,
                     **summary,
                 }
-    write_json(outdir / "run_manifest.json", manifest)
+    _write_run_reports(run)
     return run
+
+
+def _write_run_reports(run: dict) -> None:
+    """The reports kept up to date across stages: ``profile.*`` when a path
+    stage has run, then the manifest."""
+    if "profile" in run:
+        write_profile(run["outdir"], run["profile"], run["labels"])
+    write_json(run["outdir"] / "run_manifest.json", run["manifest"])
 
 
 def run_audit(config: RunConfig) -> dict:
@@ -307,6 +325,7 @@ def _baseline(run: dict, budget) -> dict:
     write_json(run["outdir"] / "baseline.json", payload)
     run["h0"], run["baseline"], run["base_risk"] = h0, result, base_risk
     run["grid"] = resolve_grid(config, train, base_risk.rate)
+    run["labels"] = epsilon_labels(run["grid"].values)
     return solve_json(result)
 
 
@@ -344,13 +363,13 @@ def _ambiguity(run: dict, budget) -> dict:
 
 
 def _update_profile(run: dict) -> None:
-    """profile.* hold the measures of the path stages run so far."""
+    """Merge the measures of the path stages run so far into
+    ``run["profile"]``; ``run_stages`` writes it once, at the end."""
     disc, amb = run.get("disc_profile"), run.get("amb_profile")
     if disc is not None and amb is not None:
         run["profile"] = merge_profiles(disc, amb)
     else:
         run["profile"] = disc if disc is not None else amb
-    write_profile(run["outdir"], run["profile"])
 
 
 def _adhoc(run: dict, budget) -> Optional[dict]:
@@ -365,7 +384,9 @@ def _adhoc(run: dict, budget) -> Optional[dict]:
         models = fit_pool(train, penalty_grid, seed=config.seed)
     except SingleClassError as exc:
         raise InputError(f"training split: {exc}") from None
-    write_pool(run["outdir"], models, adhoc_measures(models, train, run["grid"]))
+    write_pool(
+        run["outdir"], models, adhoc_measures(models, train, run["grid"]), run["labels"]
+    )
     return {"n_models": len(models)}
 
 
@@ -378,7 +399,7 @@ def _burden(run: dict, budget) -> Optional[dict]:
     train = run["train"]
     if any(ex.group is None for ex in train.examples):
         return None
-    write_burden(run["outdir"], run["flip_pool"], train, run["grid"])
+    write_burden(run["outdir"], run["flip_pool"], train, run["grid"], run["labels"])
     return {}
 
 

@@ -12,6 +12,8 @@ tightened by a forward running max / backward running min before assembly.
 Uncertified discrepancy uppers are additionally capped by the triangle-
 inequality bound 2 * baseline_risk + epsilon, which certified values must
 satisfy on their own (a violation is a solver bug and raises).
+All of this runs on integer count arrays over the whole grid; a
+``MeasureValue`` is built once per distinct reported value.
 
 The same propagation decides which discrepancy programs are solved at all:
 discrepancy is a monotone step function of epsilon, so once the bounds of
@@ -21,7 +23,6 @@ solve (see ``discrepancy_path``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -64,15 +65,15 @@ class EpsilonGrid:
     n: int
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         if not vals:
             raise ValueError("epsilon grid must be nonempty")
-        if any(v < 0 or v > 1 for v in vals):
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in vals):
             raise ValueError("epsilon values must lie in [0, 1]")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("epsilon values must be strictly increasing")
         for v in vals:
-            if (v * self.n).denominator != 1:
+            if self.n % v.denominator:
                 raise ValueError(f"epsilon {v} is not a multiple of 1/{self.n}")
         object.__setattr__(self, "values", vals)
 
@@ -92,9 +93,14 @@ class EpsilonGrid:
         ks.add(math.floor(Fraction(1, 100) * n))
         return cls(values=tuple(Fraction(k, n) for k in sorted(ks)), n=n)
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Integer mistake allowances n*eps for each grid value."""
+        return np.array([v.numerator * (self.n // v.denominator) for v in self.values])
+
     def thresholds(self, base_mistakes: int):
         """Integer mistake budgets base + n*eps for each grid value."""
-        return [base_mistakes + int(v * self.n) for v in self.values]
+        return (base_mistakes + self.counts).tolist()
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,16 @@ class MultiplicityProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        base = self.baseline.rate
         for side in ("discrepancy", "ambiguity"):
             seq = [getattr(e, side) for e in self.entries if getattr(e, side)]
-            pairs = list(zip(seq, seq[1:]))
-            if any(b.lower < a.lower or b.upper < a.upper for a, b in pairs):
+            pairs = zip(seq, seq[1:])  # entries of one step share their value
+            if any(
+                b is not a and (b.lower < a.lower or b.upper < a.upper) for a, b in pairs
+            ):
                 raise InternalConsistencyError(f"{side} is not monotone in epsilon")
+        mistakes, n = self.baseline.mistakes, self.baseline.n
         for e in self.entries:
-            if e.discrepancy and e.discrepancy.upper > min(1, 2 * base + e.epsilon):
+            if e.discrepancy and _above_cap(e.discrepancy.upper, e.epsilon, mistakes, n):
                 raise InternalConsistencyError(
                     f"discrepancy bound violated at eps={e.epsilon}"
                 )
@@ -187,26 +195,47 @@ class PathologicalPool:
         return np.array([(r.mistakes_upper, r.mistakes_lower) for r in self.entries])
 
 
-def _nested_bounds(lowers, uppers, caps=None):
+def _above_cap(upper: Fraction, eps: Fraction, mistakes: int, n: int) -> bool:
+    """upper > min(1, 2 * mistakes / n + eps), decided in integers."""
+    return upper.numerator > upper.denominator or _cap_slack(upper, eps, mistakes, n)[0] < 0
+
+
+def _cap_slack(upper: Fraction, eps: Fraction, mistakes: int, n: int):
+    """2 * mistakes / n + eps - upper as an unreduced (numerator, denominator)."""
+    b, q = eps.denominator, upper.denominator
+    return (2 * mistakes * b + eps.numerator * n) * q - upper.numerator * n * b, n * b * q
+
+
+def _nested_bounds(lowers: np.ndarray, uppers: np.ndarray):
     """Bounds propagated across nested level sets: a lower bound holds at
-    every larger epsilon, an upper bound (after its cap) at every smaller one."""
+    every larger epsilon, an upper bound at every smaller one."""
+    return np.maximum.accumulate(lowers), np.minimum.accumulate(uppers[::-1])[::-1]
+
+
+def _tighten(lowers, uppers, certified, caps=None):
+    """Propagate count bounds across nested level sets after capping the
+    uppers; a certified value that moves is a solver bug and raises."""
     if caps is not None:
-        uppers = [min(u, c) for u, c in zip(uppers, caps)]
-    lows = list(itertools.accumulate(lowers, max))
-    ups = list(itertools.accumulate(reversed(uppers), min))[::-1]
+        uppers = np.minimum(uppers, caps)
+    lows, ups = _nested_bounds(lowers, uppers)
+    if np.any(certified & ((lows != lowers) | (ups != uppers))):
+        raise InternalConsistencyError("tightening moved a certified value")
     return lows, ups
 
 
-def _tighten(measures: Sequence[MeasureValue], caps=None):
-    """Propagate bounds across nested level sets and apply per-entry caps."""
-    lowers, uppers = _nested_bounds(
-        [m.lower for m in measures], [m.upper for m in measures], caps
-    )
+def _measures(lowers, uppers, certified, total: int) -> list:
+    """A MeasureValue with shares lower/total and upper/total per entry;
+    entries with equal counts share one object, so each distinct value is
+    built and checked once."""
+    made = {}
     out = []
-    for m, lo, up in zip(measures, lowers, uppers):
-        if m.certified and (lo != m.lower or up != m.upper):
-            raise InternalConsistencyError("tightening moved a certified value")
-        out.append(MeasureValue(lo, up, m.certified))
+    for key in zip(lowers.tolist(), uppers.tolist(), certified.tolist()):
+        m = made.get(key)
+        if m is None:
+            m = made[key] = MeasureValue(
+                Fraction(key[0], total), Fraction(key[1], total), key[2]
+            )
+        out.append(m)
     return out
 
 
@@ -256,15 +285,17 @@ def discrepancy_path(
         raise ValueError("grid denominator does not match dataset weight")
 
     eps_values = grid.values
+    size = len(eps_values)
     # Discrepancy in counts of n; an unsolved point is bounded by [0, n].
-    raw_low, raw_up = [0] * len(eps_values), [n] * len(eps_values)
+    raw_low, raw_up = np.zeros(size, dtype=np.int64), np.full(size, n, dtype=np.int64)
     solved = {}  # grid index -> SolveResult
     found = {}  # grid index -> witness of that solve
     index = 0
     while index is not None:
         eps = eps_values[index]
         model = build_disc_mip(dataset, h0, eps, params)
-        warm = _safe_warm(model, dataset, _left_witness(found, raw_low, index) or h0)
+        best = int(_best_left(found, raw_low)[index])
+        warm = _safe_warm(model, dataset, found[best] if best >= 0 else h0)
         result = bnb.solve(model, budget=budget, warm_start=warm, node_log=node_log)
         if result.status == bnb.STATUS_INFEASIBLE:
             raise InternalConsistencyError(
@@ -283,25 +314,27 @@ def discrepancy_path(
         lows, ups = _nested_bounds(raw_low, raw_up)
         index = _next_solve(solved, lows, ups)
 
-    raw = []
-    witnesses = {}
-    for i, eps in enumerate(eps_values):
-        if i in solved:
-            raw.append(MeasureValue(
-                Fraction(raw_low[i], n), Fraction(raw_up[i], n), solved[i].certified
-            ))
-        else:  # closed by the solved points around it: lows[i] == ups[i]
-            raw.append(MeasureValue(Fraction(lows[i], n), Fraction(ups[i], n), True))
-        witness = _left_witness(found, raw_low, i)
-        if witness is not None:
-            witnesses[eps] = witness
-
-    caps = [min(Fraction(1), 2 * base.rate + eps) for eps in eps_values]
-    tightened = _tighten(raw, caps)
+    # An unsolved point is closed by the solved points around it, so it
+    # reports its propagated value, certified.
+    is_solved = np.zeros(size, dtype=bool)
+    is_solved[list(solved)] = True
+    certified = np.ones(size, dtype=bool)
+    certified[list(solved)] = [r.certified for r in solved.values()]
+    caps = np.minimum(n, 2 * base.mistakes + grid.counts)
+    tight_low, tight_up = _tighten(
+        np.where(is_solved, raw_low, lows), np.where(is_solved, raw_up, ups),
+        certified, caps,
+    )
+    measures = _measures(tight_low, tight_up, certified, n)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=m, ambiguity=None)
-        for eps, m in zip(eps_values, tightened)
+        for eps, m in zip(eps_values, measures)
     )
+    witnesses = {
+        eps: found[i]
+        for eps, i in zip(eps_values, _best_left(found, raw_low).tolist())
+        if i >= 0
+    }
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses=witnesses)
     return profile, [(eps_values[i], solved[i]) for i in sorted(solved)]
 
@@ -310,24 +343,29 @@ def _next_solve(solved, lows, ups):
     """Grid index to solve next, or None once every point is solved or
     closed (lower == upper).  The last point goes first after the first;
     then the middle of the first run of unsolved open points."""
+    unsettled = lows < ups
+    unsettled[list(solved)] = False
     last = len(lows) - 1
-    if last not in solved and lows[last] < ups[last]:
+    if unsettled[last]:
         return last
-    run = []
-    for i, (lo, up) in enumerate(zip(lows, ups)):
-        if i not in solved and lo < up:
-            run.append(i)
-        elif run:
-            break
-    return run[len(run) // 2] if run else None
+    if not unsettled.any():
+        return None
+    start = int(np.argmax(unsettled))
+    stop = start + int(np.argmin(unsettled[start:]))  # the last point is settled
+    return (start + stop) // 2
 
 
-def _left_witness(found, raw_low, index):
-    """Best witness found at or left of grid point ``index`` (the nearest on
-    ties, which is the nearest one whenever its solves certify), or None.
-    It lies in the level set at ``index`` because level sets nest."""
-    left = [i for i in found if i <= index]
-    return found[max(left, key=lambda i: (raw_low[i], i))] if left else None
+def _best_left(found, raw_low) -> np.ndarray:
+    """For every grid point, the index of the best witness found at or left
+    of it (highest discrepancy lower bound, the nearest on ties, which is
+    the nearest one whenever its solves certify), or -1 where there is none.
+    It lies in the level set of the point because level sets nest."""
+    size = len(raw_low)
+    key = np.full(size, -1, dtype=np.int64)
+    at = np.fromiter(found, dtype=np.int64, count=len(found))
+    key[at] = raw_low[at] * size + at
+    best = np.maximum.accumulate(key)
+    return np.where(best < 0, -1, best % size)
 
 
 def _safe_warm(model: MipModel, dataset: Dataset, h: Optional[LinearClassifier]):
@@ -459,30 +497,38 @@ def ambiguity_path(
     )
 
     everyone = np.ones(len(dataset.examples), dtype=bool)
-    tightened = _tighten(
-        [_flippable(pool_out, dataset, everyone, t) for t in grid.thresholds(base.mistakes)]
-    )
+    low, up, total = _flippable(pool_out, dataset, everyone, grid.thresholds(base.mistakes))
+    certified = low == up
+    measures = _measures(*_tighten(low, up, certified), certified, total)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=None, ambiguity=m)
-        for eps, m in zip(grid.values, tightened)
+        for eps, m in zip(grid.values, measures)
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
     return profile, pool_out, [result for result, _ in outcomes]
 
 
-def _flippable(
-    pool: PathologicalPool, dataset: Dataset, members, threshold: int
-) -> MeasureValue:
-    """Share of the weight of the ``members`` examples (a boolean mask) that
-    some classifier with at most ``threshold`` mistakes flips.
+def _flippable(pool: PathologicalPool, dataset: Dataset, members, thresholds):
+    """Weight of the ``members`` examples (a boolean mask) that some
+    classifier with at most t mistakes provably flips (lower count) and may
+    flip (upper count), for every threshold t of ``thresholds`` at once.
 
     A flip classifier's risk upper bound (its incumbent) proves a point
-    flippable; its lower bound (the node bound) proves it is not.
+    flippable; its lower bound (the node bound) proves it is not.  Each
+    bound is sorted once over the members and read off cumulative weights
+    by binary search, so memory stays O(examples + thresholds).
+
+    Returns (lower counts, upper counts) as arrays over ``thresholds``,
+    and the total weight of the members.
     """
-    weights = dataset.weights * members
-    low, up = (weights @ (pool.mistake_bounds <= threshold)).tolist()
-    total = int(weights.sum())
-    return MeasureValue(Fraction(low, total), Fraction(up, total), certified=low == up)
+    weights = dataset.weights[members]
+    at = np.asarray(thresholds)
+    counts = []
+    for bounds in pool.mistake_bounds[members].T:  # mistakes upper, then lower
+        order = np.argsort(bounds)
+        cumulative = np.concatenate(([0], np.cumsum(weights[order])))
+        counts.append(cumulative[np.searchsorted(bounds[order], at, side="right")])
+    return counts[0], counts[1], int(weights.sum())
 
 
 def merge_profiles(
@@ -490,10 +536,12 @@ def merge_profiles(
 ) -> MultiplicityProfile:
     if disc_profile.baseline != amb_profile.baseline:
         raise ValueError("profiles disagree on the baseline risk")
-    by_eps = {e.epsilon: e for e in amb_profile.entries}
+    # Fractions are kept reduced, so (numerator, denominator) identifies
+    # one and hashes faster.
+    by_eps = {e.epsilon.as_integer_ratio(): e for e in amb_profile.entries}
     entries = []
     for e in disc_profile.entries:
-        amb = by_eps.get(e.epsilon)
+        amb = by_eps.get(e.epsilon.as_integer_ratio())
         entries.append(
             ProfileEntry(
                 epsilon=e.epsilon,
@@ -522,29 +570,35 @@ def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
 
     A certified violation indicates a solver or decoding bug and raises.
     """
-    base = profile.baseline.rate
+    mistakes, n = profile.baseline.mistakes, profile.baseline.n
     slacks = []
     for e in profile.entries:
         if e.discrepancy is None:
             continue
-        bound = 2 * base + e.epsilon
-        slack = bound - e.discrepancy.upper
-        if slack < 0:
+        num, den = _cap_slack(e.discrepancy.upper, e.epsilon, mistakes, n)
+        if num < 0:
             raise InternalConsistencyError(
-                f"discrepancy {e.discrepancy.upper} exceeds bound {bound} "
-                f"at eps={e.epsilon}"
+                f"discrepancy {e.discrepancy.upper} exceeds bound "
+                f"{2 * profile.baseline.rate + e.epsilon} at eps={e.epsilon}"
             )
-        slacks.append((e.epsilon, slack))
+        slacks.append((e.epsilon, Fraction(num, den)))
     return BoundCheckReport(slacks=tuple(slacks))
 
 
 def group_burden(pool: PathologicalPool, dataset: Dataset, epsilon) -> dict:
     """Ambiguity restricted to each group's weight-expanded examples."""
     threshold = pool.baseline_mistakes + int(Fraction(epsilon) * pool.n)
-    return {
-        group: _flippable(pool, dataset, members, threshold)
-        for group, members in dataset.group_masks.items()
-    }
+    return {group: m for group, (m,) in burden_path(pool, dataset, [threshold]).items()}
+
+
+def burden_path(pool: PathologicalPool, dataset: Dataset, thresholds) -> dict:
+    """``group_burden`` at every mistake threshold at once: each group's
+    list of measures, one per threshold, in the order of ``thresholds``."""
+    burden = {}
+    for group, members in dataset.group_masks.items():
+        low, up, total = _flippable(pool, dataset, members, thresholds)
+        burden[group] = _measures(low, up, low == up, total)
+    return burden
 
 
 def accuracy_disparity(h: LinearClassifier, dataset: Dataset) -> Fraction:

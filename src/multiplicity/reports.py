@@ -11,6 +11,12 @@ All files go under the run's output directory:
 
 Timing lives only in the manifest, so node-limited runs with the same
 config produce byte-identical profile files.
+
+Each report is written once per run.  The epsilon column of
+``profile.*``, ``pool.json`` and ``burden.csv`` takes one label per grid
+value (``epsilon_labels``), made once and passed to every writer.  Entries
+of one step of a profile share their ``MeasureValue``, and each measure's
+fields are formatted once per report, however many entries repeat it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .pool import pool_baseline_index
-from .profiles import MultiplicityProfile, group_burden
+from .profiles import MultiplicityProfile, burden_path
 
 
 def exact_decimal(value: Fraction) -> str:
@@ -46,6 +52,28 @@ def exact_decimal(value: Fraction) -> str:
     digits = str(abs(scaled.numerator)).rjust(shift + 1, "0")
     sign = "-" if frac < 0 else ""
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def epsilon_labels(values) -> list:
+    """The ``exact_decimal`` label of each epsilon, in order."""
+    return [exact_decimal(v) for v in values]
+
+
+def _once_per_value(fn):
+    """``fn`` over measures, evaluated once per distinct measure object.
+
+    Keys are object ids, so the cache must not outlive the measures: make
+    one per report.
+    """
+    done = {}
+
+    def get(m):
+        key = id(m)
+        if key not in done:
+            done[key] = fn(m)
+        return done[key]
+
+    return get
 
 
 def write_json(path: Path, payload) -> None:
@@ -95,17 +123,19 @@ def _measure_cells(m) -> list:
     return [repr(float(m.lower)), repr(float(m.upper)), "true" if m.certified else "false"]
 
 
-def profile_json(profile: MultiplicityProfile) -> dict:
+def profile_json(profile: MultiplicityProfile, labels) -> dict:
+    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
+    measure = _once_per_value(_measure_json)
     return {
         "baseline": risk_json(profile.baseline),
         "entries": [
             {
-                "epsilon": exact_decimal(e.epsilon),
+                "epsilon": label,
                 "epsilon_exact": str(e.epsilon),
-                "discrepancy": _measure_json(e.discrepancy),
-                "ambiguity": _measure_json(e.ambiguity),
+                "discrepancy": measure(e.discrepancy),
+                "ambiguity": measure(e.ambiguity),
             }
-            for e in profile.entries
+            for e, label in zip(profile.entries, labels, strict=True)
         ],
         "witnesses": {
             str(eps): list(w.coefficients)
@@ -114,25 +144,29 @@ def profile_json(profile: MultiplicityProfile) -> dict:
     }
 
 
-def profile_csv_lines(profile: MultiplicityProfile) -> list:
+def profile_csv_lines(profile: MultiplicityProfile, labels) -> list:
+    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
+    cells = _once_per_value(lambda m: ",".join(_measure_cells(m)))
     lines = [
         "epsilon,disc_lower,disc_upper,disc_certified,amb_lower,amb_upper,amb_certified"
     ]
-    for e in profile.entries:
-        cells = [exact_decimal(e.epsilon)]
-        cells += _measure_cells(e.discrepancy) + _measure_cells(e.ambiguity)
-        lines.append(",".join(cells))
+    for e, label in zip(profile.entries, labels, strict=True):
+        lines.append(f"{label},{cells(e.discrepancy)},{cells(e.ambiguity)}")
     return lines
 
 
-def write_profile(outdir: Path, profile: MultiplicityProfile) -> None:
-    write_json(outdir / "profile.json", profile_json(profile))
+def write_profile(outdir: Path, profile: MultiplicityProfile, labels=None) -> None:
+    """``labels``: the epsilon label of each entry, made here when omitted."""
+    if labels is None:
+        labels = epsilon_labels(e.epsilon for e in profile.entries)
+    write_json(outdir / "profile.json", profile_json(profile, labels))
     (outdir / "profile.csv").write_text(
-        "\n".join(profile_csv_lines(profile)) + "\n", encoding="utf-8"
+        "\n".join(profile_csv_lines(profile, labels)) + "\n", encoding="utf-8"
     )
 
 
-def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile) -> None:
+def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile, labels) -> None:
+    """``labels``: the epsilon label of each entry of ``adhoc_profile``."""
     base_idx = pool_baseline_index(models)
     write_json(
         outdir / "pool.json",
@@ -142,7 +176,7 @@ def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile) -> None
             "baseline_alpha": models[base_idx].alpha,
             "baseline_lambda": models[base_idx].lam,
             "baseline_cv_risk": models[base_idx].cv_risk,
-            "profile": profile_json(adhoc_profile),
+            "profile": profile_json(adhoc_profile, labels),
             "models": [
                 {
                     "alpha": m.alpha,
@@ -157,10 +191,16 @@ def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile) -> None
     )
 
 
-def write_burden(outdir: Path, flip_pool, dataset, grid) -> None:
+def write_burden(outdir: Path, flip_pool, dataset, grid, labels=None) -> None:
+    """``labels``: the epsilon label of each grid value, made here when omitted."""
+    if labels is None:
+        labels = epsilon_labels(grid.values)
+    thresholds = grid.thresholds(flip_pool.baseline_mistakes)
+    burden = burden_path(flip_pool, dataset, thresholds)
+    cells = _once_per_value(_measure_cells)
+    columns = [[cells(m) for m in measures] for measures in burden.values()]
     rows = [["group", "epsilon", "amb_lower", "amb_upper", "certified"]]
-    for eps in grid.values:
-        for group, measure in group_burden(flip_pool, dataset, eps).items():
-            rows.append([group, exact_decimal(eps)] + _measure_cells(measure))
+    for label, row in zip(labels, zip(*columns), strict=True):
+        rows.extend([group, label] + c for group, c in zip(burden, row))
     with open(outdir / "burden.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

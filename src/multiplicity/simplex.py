@@ -14,6 +14,9 @@ Implementation notes:
   instead, so phase 1 only runs when some residual is out of range;
 * pricing is Dantzig's rule with a permanent switch to Bland's rule after
   5*(rows+cols) degenerate steps, which guarantees termination;
+* the leaving row is the first to block (lowest basic index on ties),
+  unless its pivot is below SMALL_PIVOT: then Harris's rule takes the
+  largest pivot among the rows that block within the feasibility tolerance;
 * the tableau B^-1 A is updated by explicit pivots and refactorized from
   scratch every REFACTOR_INTERVAL pivots to keep drift in check.
 
@@ -33,6 +36,7 @@ from .core import InternalConsistencyError
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
+SMALL_PIVOT = 1e-3  # below this the ratio test switches to Harris's rule
 DEGENERATE_STEP = 1e-12
 REFACTOR_INTERVAL = 256
 
@@ -341,6 +345,9 @@ class _Tableau:
             else:
                 candidates = np.flatnonzero(ratio <= min_ratio + 1e-9)
                 leave_row = int(candidates[np.argmin(self.basis[candidates])])
+                if abs(d[leave_row]) < SMALL_PIVOT:
+                    leave_row = _harris_row(d, x_basic, lb, ub, ratio, self.basis)
+                    min_ratio = float(ratio[leave_row])
                 leaving = int(self.basis[leave_row])
                 self.at_upper[leaving] = d[leave_row] < 0
                 piv = self.T[leave_row, enter]
@@ -361,3 +368,30 @@ class _Tableau:
             else:
                 self._degenerate_steps = 0
         return "iteration_limit", pivots
+
+
+def _harris_row(d, x_basic, lb, ub, ratio, basis) -> int:
+    """Leaving row by Harris's ratio test: the largest pivot among the rows
+    that block no later than the longest step that keeps every basic
+    variable within FEASIBILITY_TOL of its bounds.
+
+    Used where the plain choice would pivot on an element below
+    SMALL_PIVOT.  Dividing by it scales the tableau's rounding errors, and
+    the step a basic variable takes within its tolerance, by its inverse:
+    a degenerate step on a pivot of 1e-5 left tableau entries near 1e5 and
+    a vertex that violated a row by 2.6e-5.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relaxed = np.where(
+            d > PIVOT_TOL,
+            (x_basic - lb + FEASIBILITY_TOL) / np.where(d > PIVOT_TOL, d, 1.0),
+            np.where(
+                d < -PIVOT_TOL,
+                (ub - x_basic + FEASIBILITY_TOL) / np.where(d < -PIVOT_TOL, -d, 1.0),
+                np.inf,
+            ),
+        )
+    candidates = np.flatnonzero(ratio <= max(float(relaxed.min()), 0.0))
+    size = np.abs(d[candidates])
+    best = candidates[size == size.max()]
+    return int(best[np.argmin(basis[best])])

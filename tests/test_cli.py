@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from multiplicity.cli import (
     run_audit,
     run_export_mps,
 )
+from multiplicity.profiles import MeasureValue
 from multiplicity.reports import exact_decimal
 from multiplicity.core import InternalConsistencyError
 from multiplicity.datasets import (
@@ -306,6 +308,98 @@ class TestAudit:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["failure"]["stage"] == "discrepancy"
         assert (tmp_path / "out" / "baseline.json").exists()
+
+    def test_ambiguity_failure_keeps_discrepancy_profile(self, tmp_path, monkeypatch):
+        import multiplicity.cli as cli_mod
+
+        code = main(["discrepancy", "--dataset", "xor", "--outdir", str(tmp_path / "disc")])
+        assert code == 0
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(cli_mod, "ambiguity_path", boom)
+        config = RunConfig(dataset="xor", outdir=str(tmp_path / "out"))
+        with pytest.raises(cli_mod.StageFailure):
+            run_audit(config)
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["failure"]["stage"] == "ambiguity"
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        ]
+        expected = [
+            line.split(",")
+            for line in (tmp_path / "disc" / "profile.csv").read_text().splitlines()
+        ]
+        assert len(rows) == len(expected) > 2  # the default grid, not one point
+        for row, want in zip(rows[1:], expected[1:]):
+            assert row[:4] == want[:4]  # epsilon and the discrepancy columns
+            assert row[4:] == ["", "", ""]
+
+    @pytest.mark.parametrize("verb", ["audit", "discrepancy", "ambiguity"])
+    def test_profile_written_once(self, tmp_path, monkeypatch, verb):
+        import multiplicity.cli as cli_mod
+
+        calls = []
+        original = cli_mod.write_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "write_profile", counting)
+        assert main([verb, "--dataset", "xor", "--outdir", str(tmp_path)]) == 0
+        assert calls == [tmp_path]
+        if verb == "audit":
+            run_audit(RunConfig(dataset="xor", outdir=str(tmp_path / "again")))
+            assert calls == [tmp_path, tmp_path / "again"]
+
+    def test_dense_grid_counts_match_recount(self, tmp_path):
+        from multiplicity.cli import AUDIT_STAGES, run_stages
+
+        run = run_stages(
+            RunConfig(dataset="tyranny:5", outdir=str(tmp_path)), AUDIT_STAGES
+        )
+        train, grid, flip_pool = run["train"], run["grid"], run["flip_pool"]
+        assert len(grid.values) == 604
+        base, n = run["base_risk"], train.n
+        weights = [int(w) for w in train.weights]
+        groups = train.groups
+
+        def recount(members, threshold):
+            low = up = 0
+            for i, record in enumerate(flip_pool.entries):
+                if members(i):
+                    low += weights[i] * (record.mistakes_upper <= threshold)
+                    up += weights[i] * (record.mistakes_lower <= threshold)
+            return low, up
+
+        burden = list(csv.reader((tmp_path / "burden.csv").open()))[1:]
+        group_names = sorted(set(groups))
+        totals = {
+            g: sum(w for w, h in zip(weights, groups) if h == g) for g in group_names
+        }
+        assert len(burden) == len(grid.values) * len(group_names)
+        rows = iter(burden)
+        for entry in run["profile"].entries:
+            threshold = base.mistakes + int(entry.epsilon * n)
+            low, up = recount(lambda i: True, threshold)
+            assert entry.ambiguity == MeasureValue(
+                Fraction(low, n), Fraction(up, n), certified=low == up
+            )
+            cap = min(Fraction(1), 2 * base.rate + entry.epsilon)
+            assert entry.discrepancy.upper <= cap
+            for g in group_names:
+                low, up = recount(lambda i: groups[i] == g, threshold)
+                total = totals[g]
+                assert next(rows) == [
+                    g,
+                    exact_decimal(entry.epsilon),
+                    repr(float(Fraction(low, total))),
+                    repr(float(Fraction(up, total))),
+                    "true" if low == up else "false",
+                ]
 
 
 class TestOtherVerbs:

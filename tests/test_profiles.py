@@ -1,6 +1,7 @@
 import csv
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from multiplicity.branch_bound import SolveBudget, solve
 from multiplicity.core import (
     Dataset,
     Example,
+    InternalConsistencyError,
     LinearClassifier,
     MissingGroupError,
+    RiskReport,
     conflict_count,
     empirical_risk,
     oversample_minority,
@@ -21,6 +24,11 @@ from multiplicity.formulations import build_baseline_mip, classifier_from_soluti
 from multiplicity.profiles import (
     EpsilonGrid,
     MeasureValue,
+    MultiplicityProfile,
+    ProfileEntry,
+    _best_left,
+    _flippable,
+    _next_solve,
     ambiguity_path,
     check_discrepancy_bound,
     discrepancy_path,
@@ -69,6 +77,16 @@ class TestEpsilonGrid:
     def test_default_with_zero_risk(self):
         grid = EpsilonGrid.default(50, Fraction(0))
         assert grid.values == (Fraction(0),)
+
+    @pytest.mark.parametrize("value", [Fraction(-1, 100), Fraction(101, 100)])
+    def test_rejects_out_of_range(self, value):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EpsilonGrid(values=(Fraction(0), value), n=100)
+
+    def test_counts_and_thresholds(self):
+        grid = EpsilonGrid(values=(Fraction(0), Fraction(1, 20), Fraction(1, 4)), n=40)
+        assert grid.counts.tolist() == [0, 2, 10]
+        assert grid.thresholds(3) == [3, 5, 13]
 
 
 class TestMeasureValue:
@@ -265,6 +283,22 @@ class TestMonotonicityAndBound:
             report = check_discrepancy_bound(profile)
             assert all(s >= 0 for _, s in report.slacks)
 
+    def test_integer_cap_checks_match_fraction_arithmetic(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            base = RiskReport(int(rng.integers(0, n + 1)), n)
+            eps = Fraction(int(rng.integers(0, n + 1)), n)
+            upper = Fraction(int(rng.integers(0, 3 * n)), int(rng.integers(1, 2 * n)))
+            entry = ProfileEntry(eps, MeasureValue(0, upper, certified=False), None)
+            if upper > min(1, 2 * base.rate + eps):
+                with pytest.raises(InternalConsistencyError):
+                    MultiplicityProfile(baseline=base, entries=(entry,), witnesses={})
+                continue
+            profile = MultiplicityProfile(baseline=base, entries=(entry,), witnesses={})
+            report = check_discrepancy_bound(profile)
+            assert report.slacks == ((eps, 2 * base.rate + eps - upper),)
+
     def test_xor_bound_tight(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
@@ -308,6 +342,58 @@ class TestMonotonicityAndBound:
                 )
                 for i in np.flatnonzero(witness_preds != base_preds):
                     assert pool.entries[i].mistakes_upper <= threshold
+
+
+class TestCountBookkeeping:
+    """The array bookkeeping of the paths against per-point loops."""
+
+    def test_flippable_matches_per_example_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            size = int(rng.integers(1, 12))
+            lower = rng.integers(0, 20, size)
+            upper = lower + rng.integers(0, 5, size)
+            pool = SimpleNamespace(mistake_bounds=np.column_stack([upper, lower]))
+            data = SimpleNamespace(weights=rng.integers(1, 6, size))
+            members = rng.random(size) < 0.7
+            thresholds = rng.integers(-2, 28, 9)  # unsorted, some out of range
+            low, up, total = _flippable(pool, data, members, thresholds)
+            assert total == sum(int(w) for w, m in zip(data.weights, members) if m)
+            for t, got_low, got_up in zip(thresholds, low, up):
+                want_low = want_up = 0
+                for i in np.flatnonzero(members):
+                    want_low += int(data.weights[i]) * (upper[i] <= t)
+                    want_up += int(data.weights[i]) * (lower[i] <= t)
+                assert (got_low, got_up) == (want_low, want_up)
+
+    def test_best_left_and_next_solve_match_loops(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            size = int(rng.integers(1, 15))
+            raw_low = rng.integers(0, 6, size)
+            solved_at = rng.choice(size, int(rng.integers(0, size + 1)), replace=False)
+            found = {int(i): f"witness {i}" for i in solved_at if rng.random() < 0.8}
+            best = _best_left(found, raw_low)
+            for index in range(size):
+                left = [i for i in found if i <= index]
+                want = max(left, key=lambda i: (raw_low[i], i)) if left else -1
+                assert best[index] == want
+
+            lows = rng.integers(0, 4, size)
+            ups = lows + (rng.random(size) < 0.5)
+            solved = dict.fromkeys(int(i) for i in solved_at)
+            last = size - 1
+            if last not in solved and lows[last] < ups[last]:
+                want = last
+            else:
+                run = []
+                for i, (lo, up) in enumerate(zip(lows, ups)):
+                    if i not in solved and lo < up:
+                        run.append(i)
+                    elif run:
+                        break
+                want = run[len(run) // 2] if run else None
+            assert _next_solve(solved, lows, ups) == want
 
 
 class TestGroupBurden:

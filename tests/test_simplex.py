@@ -163,6 +163,48 @@ class TestAgainstOracle:
                 assert np.array_equal(a.values, b.values)
                 assert a.objective_value == b.objective_value
 
+    def test_tiny_pivot_does_not_break_rows(self):
+        # Cut down from a flip-model node LP on 125 rows of Gaussian
+        # features with four decimals, by deleting rows and columns while
+        # the fault persisted.  A degenerate phase-1 step used to pivot on
+        # -1.08e-5 and the vertex returned violated row 5 by 2.6e-5, which
+        # raised "simplex solution violates row".
+        cells = np.diag([1.0001, 1.7353, 1.0001, 1.0657, 1.0001, 1.0001])
+        weights = [
+            (0, [-1.0, -0.4773, 0.1308, -0.9822]),
+            (1, [-1.0, 0.4997, -1.7352, -0.5747]),
+            (2, [1.0, 0.766, -0.4411, -0.4204]),
+            (None, [1.0, 0.2648, -1.0831, -2.0775]),
+            (3, [-1.0, 0.6051, -1.0656, -0.1264]),
+            (None, [1.0, 2.1118, -0.8092, 0.3886]),
+            (4, [-1.0, 0.9566, -0.3264, -0.3363]),
+            (None, [-1.0, -0.1359, 1.0895, 0.4921]),
+            (None, [1.0, 0.3166, 0.54, 0.7992]),
+            (5, [-1.0, -0.7062, 0.1268, -0.9178]),
+            (None, [1.0, -0.5746, 1.4487, 1.4243]),
+        ]
+        rows = [
+            np.concatenate([np.zeros(6) if c is None else cells[c], w])
+            for c, w in weights
+        ]
+        lp = box_lp(
+            [1.0] * 6 + [0.0] * 4,
+            rows,
+            [">="] * len(rows),
+            [1e-4] * len(rows),
+            [0.0] * 9 + [-1.0],
+            [1.0] * 9 + [0.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert violated_rows(lp, sol.values, FEASIBILITY_TOL).size == 0
+        ref_status, ref_obj = reference_simplex(
+            lp.objective, lp.row_coefs, lp.row_relations, lp.row_rhs,
+            lp.var_lo, lp.var_hi,
+        )
+        assert ref_status == "optimal"
+        assert sol.objective_value == pytest.approx(ref_obj, abs=1e-8)
+
     def test_degenerate_covering_does_not_cycle(self):
         # many redundant rows through one vertex
         n = 6
