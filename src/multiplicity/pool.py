@@ -1,7 +1,8 @@
 """Penalized-logistic-regression pool: the cheap multiplicity comparator.
 
 Fits a grid of elastic-net logistic models by proximal Newton (glmnet's
-IRLS with coordinate descent inside; Friedman, Hastie & Tibshirani 2010),
+IRLS, Friedman, Hastie & Tibshirani 2010; each quadratic subproblem solved
+exactly on its warm support, coordinate descent where the support changes),
 every (alpha, fold) path in one batch where a cross-validation fold is the
 full data with that fold's weights set to zero.  Picks a baseline by 5-fold
 cross-validated error and reads ambiguity and discrepancy off the pool.
@@ -19,14 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    LinearClassifier,
-    RiskReport,
-    SingleClassError,
-    empirical_risk,
-    predictions,
-)
+from .core import Dataset, LinearClassifier, RiskReport, SingleClassError
 from .profiles import EpsilonGrid, MeasureValue, MultiplicityProfile, ProfileEntry
 
 CD_TOL = 1e-7
@@ -87,6 +81,36 @@ def _objective(X, targets, weights, n_total, ridge, l1, w):
     return loss / n_total + 0.5 * ridge * (beta**2).sum(1) + l1 * np.abs(beta).sum(1)
 
 
+def _cd_sweep(beta, red_grad, red_hess, diag, ridge, l1):
+    """One coordinate-descent sweep over each row of ``beta``, in place, that
+    keeps ``red_grad`` (the gradient before ridge) current.  Returns the largest move."""
+    before = beta.copy()
+    for j in range(beta.shape[1]):
+        raw = beta[:, j] - (red_grad[:, j] + ridge * beta[:, j]) / diag[:, j]
+        new = np.copysign(np.maximum(np.abs(raw) - l1 / diag[:, j], 0.0), raw)
+        red_grad += red_hess[:, :, j] * (new - beta[:, j])[:, None]
+        beta[:, j] = new
+    return np.abs(beta - before).max(initial=0.0)
+
+
+def _support_solve(system, rhs, l1, beta, inert):
+    """Minimize each quadratic model, of gradient ``system @ b - rhs`` plus
+    the l1 term, on the support S of ``beta`` (inert coordinates excluded)
+    with its signs s: system_SS b_S = rhs_S - l1*s_S, and b = 0 off S.
+    Returns the solutions and which are minimizers: signs on S kept,
+    |gradient| <= l1 off S, and finite."""
+    sign = np.sign(beta)
+    on = (sign != 0.0) & ~inert
+    matrix = np.where(on[:, :, None] & on[:, None, :], system, np.eye(beta.shape[1]))
+    try:
+        trial = np.linalg.solve(matrix, np.where(on, rhs - l1[:, None] * sign, 0.0)[..., None])
+    except np.linalg.LinAlgError:
+        return beta, np.zeros(len(beta), dtype=bool)
+    grad, trial = (system @ trial)[..., 0] - rhs, trial[..., 0]
+    kept = np.where(on, np.sign(trial) == sign, np.abs(grad) <= l1[:, None])
+    return trial, kept.all(1) & np.isfinite(trial).all(1)
+
+
 def _cd_fit(X, targets, weights, ridge, l1, w_init):
     """Batched proximal Newton on k weighted elastic-net logistic losses.
 
@@ -94,47 +118,53 @@ def _cd_fit(X, targets, weights, ridge, l1, w_init):
     (k x p) and penalties ``ridge[i]`` and ``l1[i]``.  Each Newton step
     eliminates the unpenalized intercept (column 0), which is strongly
     correlated with binary features, from the quadratic model by its Schur
-    complement; coordinate descent with covariance updates minimizes the
-    rest, and the intercept step follows in closed form.  The step is halved
-    until the penalized objective does not rise or it moves no coordinate by
-    ``CD_TOL``; in the latter case the fit has converged and leaves the
-    batch.  Returns (coefficients, converged), one row per fit.
+    complement and solves the rest exactly on the current support (Lee, Sun
+    & Saunders 2014); a fit whose solution leaves that support runs one
+    coordinate-descent sweep and tries again, until a sweep moves no
+    coordinate by ``CD_TOL``.  The intercept step follows in closed form.
+    The step is halved until the penalized objective does not rise or it
+    moves no coordinate by ``CD_TOL``; then the fit has converged and
+    leaves the batch.  Returns (coefficients, converged), one row per fit.
     """
     w = w_init.copy()
     converged = np.zeros(len(w), dtype=bool)
     live = np.arange(len(w))
     n_total = weights.sum(axis=1)
+    p = X.shape[1]
+    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)  # Hessian by one matmul
+    value = _objective(X, targets, weights, n_total, ridge, l1, w)
     for _ in range(MAX_ITER):
         wl, wt, nt, lam2, lam1 = (a[live] for a in (w, weights, n_total, ridge, l1))
         mu = _sigmoid(wl @ X.T)
         grad = (wt * (mu - targets)) @ X / nt[:, None]
-        hess = np.einsum("kn,ni,nj->kij", wt * mu * (1.0 - mu) / nt[:, None], X, X)
+        hess = ((wt * mu * (1.0 - mu) / nt[:, None]) @ outer).reshape(-1, p, p)
         h00, h0r = hess[:, 0, 0], hess[:, 0, 1:]
         red_hess = hess[:, 1:, 1:] - h0r[:, :, None] * h0r[:, None, :] / h00[:, None, None]
         red_grad = grad[:, 1:] - h0r * (grad[:, :1] / h00[:, None])  # tracks beta
-        diag = np.einsum("kjj->kj", red_hess) + lam2[:, None]
-        diag[diag <= 0.0] = np.inf  # no curvature and no ridge: inert
+        system = red_hess + lam2[:, None, None] * np.eye(p - 1)
+        inert = np.einsum("kjj->kj", system) <= 0.0  # no curvature and no ridge
+        diag = np.where(inert, np.inf, np.einsum("kjj->kj", system))
         beta = wl[:, 1:].copy()
+        rhs = (red_hess @ beta[..., None])[..., 0] - red_grad
         for _ in range(MAX_ITER):
-            before = beta.copy()
-            for j in range(beta.shape[1]):
-                raw = beta[:, j] - (red_grad[:, j] + lam2 * beta[:, j]) / diag[:, j]
-                new = np.copysign(np.maximum(np.abs(raw) - lam1 / diag[:, j], 0.0), raw)
-                red_grad += red_hess[:, :, j] * (new - beta[:, j])[:, None]
-                beta[:, j] = new
-            if np.abs(beta - before).max(initial=0.0) < CD_TOL:
+            trial, ok = _support_solve(system, rhs, lam1, beta, inert)
+            beta[ok] = trial[ok]
+            diag[ok] = np.inf  # a solved fit sits the sweeps out
+            if ok.all() or _cd_sweep(beta, red_grad, red_hess, diag, lam2, lam1) < CD_TOL:
                 break
         beta -= wl[:, 1:]
         step = np.column_stack([-(grad[:, 0] + np.einsum("kj,kj->k", h0r, beta)) / h00, beta])
         args = (X, targets, wt, nt, lam2, lam1)
-        start, reach, size = _objective(*args, wl), np.abs(step).max(1), np.ones(len(live))
+        start, reach, size = value[live], np.abs(step).max(1), np.ones(len(live))
         while True:
-            rise = _objective(*args, wl + size[:, None] * step) > start
-            rise &= size * reach >= CD_TOL  # a shorter step ends the fit anyway
+            trial_value = _objective(*args, wl + size[:, None] * step)
+            # a step shorter than CD_TOL ends the fit anyway
+            rise = (trial_value > start) & (size * reach >= CD_TOL)
             if not rise.any():
                 break
             size[rise] *= 0.5
         w[live] = wl + size[:, None] * step
+        value[live] = trial_value
         done = size * reach < CD_TOL
         converged[live[done]] = True
         live = live[~done]
@@ -168,8 +198,7 @@ def _fold_assignment(n_examples: int, seed: int) -> np.ndarray:
     order = list(range(n_examples))
     random.Random(seed).shuffle(order)
     folds = np.empty(n_examples, dtype=int)
-    for pos, idx in enumerate(order):
-        folds[idx] = pos % N_FOLDS
+    folds[order] = np.arange(n_examples) % N_FOLDS
     return folds
 
 
@@ -211,35 +240,34 @@ def fit_pool(
         converged.append(done)
         wrong.append((w @ X.T > 0.0) != (y > 0))
     wrong = np.array(wrong).reshape(len(wrong), len(grid.alphas), n_rows, -1)
-    errors = np.einsum("larn,rn->la", wrong, weights * held)
+    errors = np.einsum("larn,rn->al", wrong, weights * held).ravel()
     total = float((weights * held).sum())
-
-    models = []
-    for a, alpha in enumerate(grid.alphas):
-        for li, lam in enumerate(lambdas[a]):
-            w = coefs[li][a * n_rows]
-            clf = LinearClassifier.from_raw(w)
-            models.append(
-                PoolModel(
-                    classifier=clf,
-                    raw_coefficients=tuple(float(v) for v in w),
-                    alpha=float(alpha),
-                    lam=float(lam),
-                    train_risk=empirical_risk(clf, dataset),
-                    cv_risk=float(errors[li, a]) / total if total else math.inf,
-                    converged=bool(converged[li][a * n_rows : (a + 1) * n_rows].all()),
-                )
-            )
-    return models
+    cv_risks = errors / total if total else np.full_like(errors, math.inf)
+    done = np.array(converged).reshape(wrong.shape[:3]).all(2).T.ravel()
+    # models run alpha-major; each is the full-data row of its alpha block
+    raw = np.array(coefs)[:, ::n_rows].transpose(1, 0, 2).reshape(-1, X.shape[1])
+    classifiers = [LinearClassifier.from_raw(w) for w in raw]
+    units = np.array([clf.coefficients for clf in classifiers])
+    mistakes = ((units @ X.T > 0.0) != (y > 0)) @ dataset.weights
+    alpha_of = np.repeat(grid.alphas, len(wrong))
+    return [
+        PoolModel(
+            classifier=clf, raw_coefficients=tuple(w.tolist()), alpha=float(alpha),
+            lam=float(lam), train_risk=RiskReport(mistakes=int(k), n=dataset.n),
+            cv_risk=float(cv), converged=bool(ok),
+        )
+        for clf, w, alpha, lam, k, cv, ok in zip(
+            classifiers, raw, alpha_of, lambdas.ravel(), mistakes, cv_risks, done
+        )
+    ]
 
 
 def pool_baseline_index(models: Sequence[PoolModel]) -> int:
     """Minimum 5-fold CV error; ties go to larger lambda, then larger alpha."""
-    best = min(
+    return min(
         range(len(models)),
         key=lambda i: (models[i].cv_risk, -models[i].lam, -models[i].alpha, i),
     )
-    return best
 
 
 def adhoc_measures(
@@ -247,38 +275,35 @@ def adhoc_measures(
 ) -> MultiplicityProfile:
     """Pool-based ambiguity and discrepancy around the pool's CV baseline.
 
-    Level-set membership uses exact mistake counts.  Every entry is marked
-    uncertified: with only a pool in hand these are lower-bound estimates of
-    the exact measures, not bracketing intervals.
+    Level sets use exact mistake counts, so each is a prefix of the models
+    sorted by them: ambiguity is the weight of a prefix OR of conflicts with
+    the baseline, discrepancy a prefix max of conflict weights.  Every entry
+    is marked uncertified: with only a pool in hand these are lower-bound
+    estimates of the exact measures, not bracketing intervals.
     """
     if not models:
         raise ValueError("pool must be nonempty")
     base_idx = pool_baseline_index(models)
     base = models[base_idx]
-    base_preds = predictions(base.classifier, dataset)
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
 
-    pred_matrix = np.stack([predictions(m.classifier, dataset) for m in models])
-    entries = []
-    for eps, threshold in zip(grid.values, grid.thresholds(base.train_risk.mistakes)):
-        in_set = [
-            k for k, m in enumerate(models) if m.train_risk.mistakes <= threshold
-        ]
-        conflicts = pred_matrix[in_set] != base_preds[None, :]
-        flipped_any = conflicts.any(axis=0)
-        ambiguity = Fraction(int(dataset.weights[flipped_any].sum()), n)
-        discrepancy = Fraction(
-            max(int(dataset.weights[row].sum()) for row in conflicts), n
-        )
-        entries.append(
-            ProfileEntry(
-                epsilon=eps,
-                discrepancy=MeasureValue(discrepancy, discrepancy, certified=False),
-                ambiguity=MeasureValue(ambiguity, ambiguity, certified=False),
-            )
-        )
-    return MultiplicityProfile(
-        baseline=base.train_risk, entries=tuple(entries), witnesses={}
-    )
+    units = np.array([m.classifier.coefficients for m in models])
+    positive = units @ dataset.X.T > 0.0  # the tie rule of ``predictions``
+    mistakes = np.array([m.train_risk.mistakes for m in models])
+    order = np.argsort(mistakes, kind="stable")
+    conflicts = (positive != positive[base_idx])[order]
+    ambiguity = np.logical_or.accumulate(conflicts) @ dataset.weights
+    discrepancy = np.maximum.accumulate(conflicts @ dataset.weights)
+    # the baseline is in every level set, so no prefix is empty
+    budgets = grid.thresholds(base.train_risk.mistakes)
+    ends = np.searchsorted(mistakes[order], budgets, side="right") - 1
+
+    def uncertified(counts):
+        values = (Fraction(int(c), n) for c in counts[ends])
+        return [MeasureValue(v, v, certified=False) for v in values]
+
+    measures = zip(grid.values, uncertified(discrepancy), uncertified(ambiguity))
+    entries = tuple(ProfileEntry(*m) for m in measures)
+    return MultiplicityProfile(baseline=base.train_risk, entries=entries, witnesses={})

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -77,9 +78,8 @@ def _once_per_value(fn):
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def risk_json(risk) -> dict:
@@ -165,6 +165,10 @@ def write_profile(outdir: Path, profile: MultiplicityProfile, labels=None) -> No
     )
 
 
+def _finite(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None  # JSON has no inf or NaN
+
+
 def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile, labels) -> None:
     """``labels``: the epsilon label of each entry of ``adhoc_profile``."""
     base_idx = pool_baseline_index(models)
@@ -175,14 +179,14 @@ def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile, labels)
             "baseline_index": base_idx,
             "baseline_alpha": models[base_idx].alpha,
             "baseline_lambda": models[base_idx].lam,
-            "baseline_cv_risk": models[base_idx].cv_risk,
+            "baseline_cv_risk": _finite(models[base_idx].cv_risk),
             "profile": profile_json(adhoc_profile, labels),
             "models": [
                 {
                     "alpha": m.alpha,
                     "lambda": m.lam,
                     "train_mistakes": m.train_risk.mistakes,
-                    "cv_risk": m.cv_risk,
+                    "cv_risk": _finite(m.cv_risk),
                     "converged": m.converged,
                 }
                 for m in models

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -251,6 +252,44 @@ class TestAudit:
         # profile values whenever the pool baseline is itself optimal
         pool_entry = payload["profile"]["entries"][0]
         assert pool_entry["discrepancy"]["certified"] is False
+
+    def test_default_grid_pool_is_pinned(self, tmp_path):
+        # the golden file covers a 3 x 20 grid; the benchmark fits the
+        # default 11 x 100 grid, whose pool.json is pinned by its digest
+        config = RunConfig(
+            dataset=str(DATA / "compas_style.csv"),
+            label_column="two_year_recid",
+            group_column="race",
+            adhoc=True,
+            outdir=str(tmp_path / "out"),
+        )
+        run_audit(config)
+        got = (tmp_path / "out" / "pool.json").read_bytes()
+        assert hashlib.sha256(got).hexdigest() == (
+            "60628e09792be70a11ef325629639e08fc7539def8e66c505e9ba5ba90ce06f4"
+        )
+        assert json.loads(got)["n_models"] == 1100
+
+    def test_pool_json_is_strict_when_no_fold_is_usable(self, tmp_path):
+        # two distinct training rows: every fold's training part has one
+        # class, so no model has a CV risk and pool.json must say null
+        rows = ["0,0"] * 10 + ["1,1"] * 10
+        (tmp_path / "two.csv").write_text("x1,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            ["audit", "--dataset", str(tmp_path / "two.csv"), "--adhoc",
+             "--epsilons", "0", "--outdir", str(out)]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads((out / "pool.json").read_text(), parse_constant=reject)
+        assert payload["baseline_cv_risk"] is None
+        assert {m["cv_risk"] for m in payload["models"]} == {None}
+        for name in ("profile.json", "baseline.json", "run_manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
 
     def test_manifest_records_stages_and_versions(self, tmp_path):
         config = RunConfig(dataset="xor", epsilons="0", outdir=str(tmp_path / "out"))

@@ -1,11 +1,12 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import multiplicity.pool as pool_module
-from multiplicity.core import Dataset, Example, empirical_risk
+from multiplicity.core import Dataset, Example, LinearClassifier, empirical_risk, predictions
 from multiplicity.datasets import ingest_csv
 from multiplicity.pool import (
     N_FOLDS,
@@ -312,3 +313,171 @@ class TestAdhocMeasures:
                 assert truth.ambiguity.certified
                 assert got.discrepancy.value <= truth.discrepancy.value
                 assert got.ambiguity.value <= truth.ambiguity.value
+
+
+def reference_cd_fit(X, targets, weights, ridge, l1, w_init):
+    """Proximal Newton with plain coordinate descent on every quadratic
+    model, the fit the support solve replaced (test-only oracle)."""
+    w = w_init.copy()
+    converged = np.zeros(len(w), dtype=bool)
+    live = np.arange(len(w))
+    n_total = weights.sum(axis=1)
+    for _ in range(pool_module.MAX_ITER):
+        wl, wt, nt, lam2, lam1 = (a[live] for a in (w, weights, n_total, ridge, l1))
+        mu = pool_module._sigmoid(wl @ X.T)
+        grad = (wt * (mu - targets)) @ X / nt[:, None]
+        hess = np.einsum("kn,ni,nj->kij", wt * mu * (1.0 - mu) / nt[:, None], X, X)
+        h00, h0r = hess[:, 0, 0], hess[:, 0, 1:]
+        red_hess = hess[:, 1:, 1:] - h0r[:, :, None] * h0r[:, None, :] / h00[:, None, None]
+        red_grad = grad[:, 1:] - h0r * (grad[:, :1] / h00[:, None])
+        diag = np.einsum("kjj->kj", red_hess) + lam2[:, None]
+        diag[diag <= 0.0] = np.inf
+        beta = wl[:, 1:].copy()
+        for _ in range(pool_module.MAX_ITER):
+            before = beta.copy()
+            for j in range(beta.shape[1]):
+                raw = beta[:, j] - (red_grad[:, j] + lam2 * beta[:, j]) / diag[:, j]
+                new = np.copysign(np.maximum(np.abs(raw) - lam1 / diag[:, j], 0.0), raw)
+                red_grad += red_hess[:, :, j] * (new - beta[:, j])[:, None]
+                beta[:, j] = new
+            if np.abs(beta - before).max(initial=0.0) < pool_module.CD_TOL:
+                break
+        beta -= wl[:, 1:]
+        step = np.column_stack([-(grad[:, 0] + np.einsum("kj,kj->k", h0r, beta)) / h00, beta])
+        args = (X, targets, wt, nt, lam2, lam1)
+        objective = pool_module._objective
+        start, reach, size = objective(*args, wl), np.abs(step).max(1), np.ones(len(live))
+        while True:
+            rise = objective(*args, wl + size[:, None] * step) > start
+            rise &= size * reach >= pool_module.CD_TOL
+            if not rise.any():
+                break
+            size[rise] *= 0.5
+        w[live] = wl + size[:, None] * step
+        done = size * reach < pool_module.CD_TOL
+        converged[live[done]] = True
+        live = live[~done]
+        if not len(live):
+            break
+    return w, converged
+
+
+def reference_adhoc_counts(models, dataset, grid):
+    """Per-epsilon (discrepancy, ambiguity) counts by scanning every model
+    for every threshold (test-only oracle)."""
+    base = models[pool_baseline_index(models)]
+    base_preds = predictions(base.classifier, dataset)
+    pred_matrix = np.stack([predictions(m.classifier, dataset) for m in models])
+    counts = []
+    for threshold in grid.thresholds(base.train_risk.mistakes):
+        in_set = [k for k, m in enumerate(models) if m.train_risk.mistakes <= threshold]
+        conflicts = pred_matrix[in_set] != base_preds[None, :]
+        ambiguity = int(dataset.weights[conflicts.any(axis=0)].sum())
+        discrepancy = max(int(dataset.weights[row].sum()) for row in conflicts)
+        counts.append((discrepancy, ambiguity))
+    return counts
+
+
+class TestSupportSolve:
+    def instance(self, seed):
+        # rows: the full data, then two folds zeroed; the third feature is
+        # nonzero only on the first fold's held-out rows, so it is inert in
+        # that fold's fit whenever there is no ridge
+        rng = np.random.default_rng(seed)
+        n = 24
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        held = [np.arange(n) % 4 == f for f in (0, 1)]
+        X[~held[0], 3] = 0.0
+        truth = X @ np.array([0.3, 1.2, -0.9, 0.8])
+        targets = (rng.random(n) < 1.0 / (1.0 + np.exp(-truth))).astype(float)
+        targets[:2] = (0.0, 1.0)
+        targets[4:6] = (0.0, 1.0)
+        weights = rng.integers(1, 4, size=n).astype(float)
+        fit_weights = np.array([weights, weights * ~held[0], weights * ~held[1]])
+        return X, targets, fit_weights
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_plain_coordinate_descent(self, seed, monkeypatch):
+        sweeps = []
+        sweep = pool_module._cd_sweep
+
+        def counting_sweep(*args):
+            sweeps.append(len(args[0]))
+            return sweep(*args)
+
+        monkeypatch.setattr(pool_module, "_cd_sweep", counting_sweep)
+        X, targets, fit_weights = self.instance(seed)
+        for alpha in (0.0, 0.5, 1.0):
+            lam_max = max(
+                _lambda_max(X, targets, row, alpha) for row in fit_weights
+            )
+            start = np.zeros((len(fit_weights), X.shape[1]))
+            start[:, 0] = [pool_module._null_intercept(targets, r) for r in fit_weights]
+            ours, ref = start, start
+            supports = set()
+            for lam in lam_max * np.geomspace(1.0, 1e-3, 12):
+                ridge = np.full(len(fit_weights), lam * (1.0 - alpha))
+                l1 = np.full(len(fit_weights), lam * alpha)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    ours, ok = pool_module._cd_fit(X, targets, fit_weights, ridge, l1, ours)
+                ref, ref_ok = reference_cd_fit(X, targets, fit_weights, ridge, l1, ref)
+                assert np.max(np.abs(ours - ref)) < 1e-6, (alpha, lam)
+                assert (ok == ref_ok).all()
+                supports.add(int((ours[0, 1:] != 0.0).sum()))
+            if alpha == 1.0:
+                # the lasso path lets coordinates enter one by one, and the
+                # inert coordinate never leaves zero in its fold's fit
+                assert len(supports) >= 3
+                assert (ours[1, 3], ref[1, 3]) == (0.0, 0.0)
+        assert sweeps  # the coordinate-descent fallback ran
+
+
+class TestMatrixScoring:
+    def test_train_risk_matches_per_model_scoring(self):
+        for seed in (13, 14):
+            data = blob_dataset(seed=seed, n=60)
+            grid = PenaltyGrid(alphas=(0.0, 0.5, 1.0), lambdas_per_alpha=15)
+            models = fit_pool(data, grid, seed=seed)
+            assert len(models) == 45
+            for m in models:
+                assert m.train_risk == empirical_risk(m.classifier, data)
+
+    def check(self, models, data):
+        k_max = min(data.n, max(m.train_risk.mistakes for m in models))
+        grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(k_max + 1)), data.n)
+        profile = adhoc_measures(models, data, grid)
+        assert profile.baseline == models[pool_baseline_index(models)].train_risk
+        got = []
+        for entry in profile.entries:
+            assert not entry.discrepancy.certified and not entry.ambiguity.certified
+            got.append(
+                (entry.discrepancy.value * data.n, entry.ambiguity.value * data.n)
+            )
+        assert got == reference_adhoc_counts(models, data, grid)
+
+    def test_adhoc_matches_per_epsilon_scan_on_fitted_pools(self):
+        rng = np.random.default_rng(5)
+        pools = [blob_dataset(seed=15, n=40)] + [random_binary_dataset(rng) for _ in range(3)]
+        for data in pools:
+            grid = PenaltyGrid(alphas=(0.0, 0.5, 1.0), lambdas_per_alpha=8)
+            self.check(fit_pool(data, grid, seed=0), data)
+
+    def test_adhoc_matches_per_epsilon_scan_with_tied_mistakes(self):
+        rng = np.random.default_rng(6)
+        data = blob_dataset(seed=16, n=14)
+        models = []
+        for k in range(40):
+            # the zero classifier predicts -1 everywhere by the tie rule
+            clf = LinearClassifier.from_raw(rng.normal(size=3) if k else np.zeros(3))
+            models.append(
+                PoolModel(
+                    classifier=clf, raw_coefficients=clf.coefficients, alpha=1.0,
+                    lam=1.0 / (k + 1), train_risk=empirical_risk(clf, data),
+                    cv_risk=float(rng.integers(0, 3)) if k else 5.0, converged=True,
+                )
+            )
+        mistakes = [m.train_risk.mistakes for m in models]
+        assert len(set(mistakes)) < len(mistakes)  # some level sets tie
+        for pool in (models, models[:3]):  # the small pool does not saturate
+            self.check(pool, data)
