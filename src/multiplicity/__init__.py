@@ -14,7 +14,6 @@ from .core import (
     predict,
 )
 from .formulations import (
-    FormulationParams,
     build_baseline_mip,
     build_disc_mip,
     build_flip_mip,
@@ -54,7 +53,6 @@ __all__ = [
     "SolveResult",
     "solve",
     "check_feasible",
-    "FormulationParams",
     "compute_big_m",
     "build_baseline_mip",
     "build_disc_mip",

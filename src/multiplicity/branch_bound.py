@@ -37,7 +37,7 @@ STATUS_NO_INCUMBENT = "no_incumbent"
 
 @dataclass(frozen=True)
 class MipModel:
-    """A built integer program: LP relaxation plus the binary index set.
+    """A built minimization program: LP relaxation plus the binary index set.
 
     ``objective_offset`` is a constant added to the LP objective; every
     objective value and bound a solve reports includes it.
@@ -45,14 +45,11 @@ class MipModel:
 
     lp: LinearProgram
     binary_vars: tuple
-    objective_sense: str = "min"
     metadata: dict = field(default_factory=dict)
     objective_offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "binary_vars", tuple(self.binary_vars))
-        if self.objective_sense != "min":
-            raise ValueError("only minimization models are supported")
         for j in self.binary_vars:
             if not (0 <= j < self.lp.n_vars):
                 raise ValueError(f"binary index {j} out of range")
@@ -173,7 +170,8 @@ def solve(
             offer_incumbent(candidate, count(candidate))
 
     def evaluate(fixings: dict, floor_bound: float):
-        """Solve a node LP; returns (kind, bound, values)."""
+        """Solve a node LP: offer an integral solution as an incumbent, or
+        queue a fractional one for branching unless its bound is pruned."""
         nonlocal nodes
         nodes += 1
         sol = solve_lp_with_fixings(model.lp, fixings)

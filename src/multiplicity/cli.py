@@ -41,7 +41,7 @@ from .core import (
 )
 from .datasets import InputError, generate_synthetic, ingest_csv, write_csv
 from .formulations import (
-    FormulationParams,
+    DEFAULT_GAMMA,
     build_baseline_mip,
     build_disc_mip,
     build_flip_mip,
@@ -68,7 +68,6 @@ from .reports import (
     write_profile,
 )
 
-FULL_SCALE_LIMIT = 6 * 3600.0
 # The RunConfig field that bounds the wall time of each solving stage.
 _STAGE_LIMITS = {
     "baseline": "time_limit_baseline",
@@ -92,7 +91,7 @@ class RunConfig:
     split_fraction: float = 0.8
     split_seed: int = 0
     oversample: bool = True
-    gamma: float = 1e-4
+    gamma: float = DEFAULT_GAMMA
     epsilons: Optional[str] = None  # comma list; None -> default grid
     time_limit_baseline: float = 60.0
     time_limit_disc: float = 300.0  # whole discrepancy path
@@ -104,7 +103,6 @@ class RunConfig:
     pool_alphas: int = 11
     pool_lambdas: int = 100
     seed: int = 0
-    full_scale: bool = False
     node_log: Optional[str] = None
 
     def __post_init__(self):
@@ -119,9 +117,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InputError(f"{name} must be at least 1")
-        if self.full_scale:
-            for name in _STAGE_LIMITS.values():
-                setattr(self, name, FULL_SCALE_LIMIT)
         if self.epsilons:
             _epsilon_values(self.epsilons)
 
@@ -241,7 +236,6 @@ def run_stages(config: RunConfig, stages, **inputs) -> dict:
         "failure": None,
     }
     run = dict(inputs, config=config, outdir=outdir, manifest=manifest)
-    run["params"] = FormulationParams(gamma=config.gamma)
     node_log = contextlib.nullcontext()
     if config.node_log:
         try:
@@ -305,7 +299,7 @@ def _ingest(run: dict, budget) -> dict:
 
 def _baseline(run: dict, budget) -> dict:
     config, train, test = run["config"], run["train"], run["test"]
-    model = build_baseline_mip(train, run["params"])
+    model = build_baseline_mip(train, config.gamma)
     result = bnb.solve(
         model, budget=budget, node_log=_node_logger(run["node_log"], "baseline")
     )
@@ -335,7 +329,7 @@ def _discrepancy(run: dict, budget) -> dict:
         run["h0"],
         run["grid"],
         budget=budget,
-        params=run["params"],
+        gamma=run["config"].gamma,
         node_log=_node_logger(run["node_log"], "disc"),
     )
     _update_profile(run)
@@ -353,7 +347,7 @@ def _ambiguity(run: dict, budget) -> dict:
         run["grid"],
         budget=budget,
         workers=run["config"].workers,
-        params=run["params"],
+        gamma=run["config"].gamma,
         baseline_certified=run["baseline"].certified,
         seed_pool=seeds,
         node_log=_node_logger(run["node_log"], "flip"),
@@ -404,14 +398,14 @@ def _burden(run: dict, budget) -> Optional[dict]:
 
 
 def _export(run: dict, budget) -> dict:
-    train, params, formulation = run["train"], run["params"], run["formulation"]
+    train, gamma, formulation = run["train"], run["config"].gamma, run["formulation"]
     if formulation == "baseline":
-        model = build_baseline_mip(train, params)
+        model = build_baseline_mip(train, gamma)
     elif formulation == "disc":
         eps = _epsilon_values(str(run["epsilon"] or 0))
         if len(eps) != 1:
             raise InputError(f"--epsilon takes one value, got {run['epsilon']!r}")
-        model = build_disc_mip(train, run["h0"], eps[0], params)
+        model = build_disc_mip(train, run["h0"], eps[0], gamma)
     elif formulation == "flip":
         index = run["flip_index"] or 0
         if not 0 <= index < len(train.examples):
@@ -419,11 +413,11 @@ def _export(run: dict, budget) -> dict:
                 f"--flip-index {index} is outside the {len(train.examples)} "
                 "training examples"
             )
-        model = build_flip_mip(train, run["h0"], index, params)
+        model = build_flip_mip(train, run["h0"], index, gamma)
     else:
         raise InputError(f"unknown formulation {formulation!r}")
     dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")
-    path = run["outdir"] / mps_filename(dataset_tag, formulation, params)
+    path = run["outdir"] / mps_filename(dataset_tag, formulation, gamma)
     export_mps(model, path)
     return {"path": str(path)}
 
@@ -469,12 +463,13 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _coerce_field(key, value.strip())
+        values[key] = _coerce_field(key, value)
     return values
 
 
 def _coerce_field(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    """Parse a config value or flag for the RunConfig field ``key``."""
+    kind, raw = _FIELD_TYPES[key], raw.strip()
     if get_origin(kind) is Union:  # Optional[T]
         if raw.lower() in ("none", ""):
             return None
@@ -489,38 +484,35 @@ def _coerce_field(key: str, raw: str):
         raise InputError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
 
 
+# Help texts of the flags that have one; every RunConfig field is a flag.
+_FLAG_HELP = {
+    "dataset": "CSV path or generator name (xor, tyranny[:scale])",
+    "epsilons": "comma-separated error tolerances",
+    "node_log": "incumbent log file",
+}
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per RunConfig field, kept as the raw text
+    that ``_build_config`` parses like the field's config value. A bool
+    field's flag switches it away from its default: ``--no-name`` when that
+    is true, ``--name`` when it is false."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--dataset", help="CSV path or generator name (xor, tyranny[:scale])")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--group-column", dest="group_column")
-    p.add_argument("--split-fraction", dest="split_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--no-oversample", dest="oversample", action="store_false", default=None)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilons", help="comma-separated error tolerances")
-    p.add_argument("--time-limit-baseline", dest="time_limit_baseline", type=float)
-    p.add_argument("--time-limit-disc", dest="time_limit_disc", type=float)
-    p.add_argument("--time-limit-flip", dest="time_limit_flip", type=float)
-    p.add_argument("--node-limit", dest="node_limit", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--outdir")
-    p.add_argument("--adhoc", action="store_true", default=None)
-    p.add_argument("--pool-alphas", dest="pool_alphas", type=int)
-    p.add_argument("--pool-lambdas", dest="pool_lambdas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--full-scale", dest="full_scale", action="store_true", default=None)
-    p.add_argument("--node-log", dest="node_log", help="incumbent log file")
+    for f in dataclasses.fields(RunConfig):
+        flag = f.name.replace("_", "-")
+        kwargs = {"dest": f.name, "help": _FLAG_HELP.get(f.name)}
+        if _FIELD_TYPES[f.name] is bool:
+            flag = "no-" + flag if f.default else flag
+            kwargs.update(action="store_const", const=str(not f.default))
+        p.add_argument("--" + flag, **kwargs)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
+    values = _parse_config_file(args.config) if args.config else {}
     for name in _FIELD_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+        raw = getattr(args, name)
+        if raw is not None:
+            values[name] = _coerce_field(name, raw)
     return RunConfig(**values)
 
 

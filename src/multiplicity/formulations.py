@@ -36,9 +36,8 @@ are exact weighted counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -54,18 +53,6 @@ DISC = "disc"
 FLIP = "flip"
 
 
-@dataclass(frozen=True)
-class FormulationParams:
-    """The score margin gamma shared by the three builders; each cell's
-    Big-M follows from it (``compute_big_m``)."""
-
-    gamma: float = DEFAULT_GAMMA
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-
 def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:
     """Per-cell Big-M vector: M_c = gamma + ||x_c||_inf.
 
@@ -79,7 +66,7 @@ def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:
 def _cell_model(
     kind: str,
     dataset: Dataset,
-    params: Optional[FormulationParams],
+    gamma: float,
     reference: np.ndarray,
     two_sided: np.ndarray,
     objective: np.ndarray,
@@ -89,12 +76,14 @@ def _cell_model(
 ) -> MipModel:
     """Assemble a cell program: the pinning rows of every cell (the second
     row where ``two_sided``), then ``extra_rows`` as (coefficients over all
-    variables, rhs) pairs of >= rows, then the l1 row."""
-    params = params or FormulationParams()
+    variables, rhs) pairs of >= rows, then the l1 row.  The pinning rows'
+    margin is ``gamma``; each cell's Big-M follows from it (``compute_big_m``)."""
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
     total = m + 2 * nc
-    big_m = compute_big_m(dataset, params.gamma)
+    big_m = compute_big_m(dataset, gamma)
 
     signed = cells.X * reference[:, None]
     pin = np.hstack([np.diag(big_m), signed, signed])
@@ -104,8 +93,8 @@ def _cell_model(
     relations = [GREATER_EQUAL] * (m + len(pin_rev) + len(extra_rows)) + [EQUAL]
     rhs = np.concatenate(
         [
-            np.full(m, params.gamma),
-            params.gamma - big_m[two_sided],
+            np.full(m, gamma),
+            gamma - big_m[two_sided],
             [b for _, b in extra_rows],
             [1.0],
         ]
@@ -124,7 +113,7 @@ def _cell_model(
         objective_offset=offset,
         metadata={
             "kind": kind,
-            "gamma": params.gamma,
+            "gamma": gamma,
             "big_m": big_m,
             "reference": reference,
             **metadata,
@@ -138,7 +127,7 @@ def _cell_model(
     return _attach_rounding_heuristic(model, dataset)
 
 
-def _mistake_model(kind, dataset, params, extra_rows=(), **metadata) -> MipModel:
+def _mistake_model(kind, dataset, gamma, extra_rows=(), **metadata) -> MipModel:
     """Error-minimizing cell program: majority reference labels (ties go
     to +1), cost |P_c - N_c| for a mistaken majority, sum_c min(P_c, N_c) as
     the objective offset."""
@@ -146,7 +135,7 @@ def _mistake_model(kind, dataset, params, extra_rows=(), **metadata) -> MipModel
     return _cell_model(
         kind,
         dataset,
-        params,
+        gamma,
         reference=np.where(cells.pos >= cells.neg, 1, -1),
         two_sided=(cells.pos > 0) & (cells.neg > 0),
         objective=np.abs(cells.pos - cells.neg),
@@ -156,18 +145,16 @@ def _mistake_model(kind, dataset, params, extra_rows=(), **metadata) -> MipModel
     )
 
 
-def build_baseline_mip(
-    dataset: Dataset, params: Optional[FormulationParams] = None
-) -> MipModel:
+def build_baseline_mip(dataset: Dataset, gamma: float = DEFAULT_GAMMA) -> MipModel:
     """Error-minimizing training model."""
-    return _mistake_model(BASELINE, dataset, params)
+    return _mistake_model(BASELINE, dataset, gamma)
 
 
 def build_disc_mip(
     dataset: Dataset,
     h0: LinearClassifier,
     epsilon,
-    params: Optional[FormulationParams] = None,
+    gamma: float = DEFAULT_GAMMA,
 ) -> MipModel:
     """Agreement-minimizing model over the epsilon-level set around ``h0``.
 
@@ -198,7 +185,7 @@ def build_disc_mip(
     return _cell_model(
         DISC,
         dataset,
-        params,
+        gamma,
         reference=-base_preds,
         two_sided=np.ones(len(cells.X), dtype=bool),
         objective=cells.pos + cells.neg,
@@ -211,7 +198,7 @@ def build_flip_mip(
     dataset: Dataset,
     h0: LinearClassifier,
     index: int,
-    params: Optional[FormulationParams] = None,
+    gamma: float = DEFAULT_GAMMA,
 ) -> MipModel:
     """Error-minimizing model forced to disagree with ``h0`` on example
     ``index`` (and so on its whole cell)."""
@@ -222,9 +209,8 @@ def build_flip_mip(
     # Flip row:  -h0(x_i) sum_j w_j x_ij >= gamma
     flip_coefs = -float(predictions(h0, dataset)[index]) * dataset.X[index]
     flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
-    gamma = (params or FormulationParams()).gamma
     return _mistake_model(
-        FLIP, dataset, params,
+        FLIP, dataset, gamma,
         extra_rows=[(flip_row, gamma)],
         flip_index=index,
     )
@@ -396,6 +382,6 @@ def export_mps(model: MipModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def mps_filename(dataset_name: str, formulation: str, params: FormulationParams) -> str:
-    digest = hashlib.sha256(f"{params.gamma}".encode()).hexdigest()[:8]
+def mps_filename(dataset_name: str, formulation: str, gamma: float = DEFAULT_GAMMA) -> str:
+    digest = hashlib.sha256(f"{gamma}".encode()).hexdigest()[:8]
     return f"{dataset_name}_{formulation}_{digest}.mps"

@@ -44,7 +44,7 @@ from .core import (
     predictions,
 )
 from .formulations import (
-    FormulationParams,
+    DEFAULT_GAMMA,
     assignment_from_classifier,
     build_disc_mip,
     build_flip_mip,
@@ -159,13 +159,6 @@ class MultiplicityProfile:
                     f"discrepancy bound violated at eps={e.epsilon}"
                 )
 
-    def entry(self, epsilon) -> ProfileEntry:
-        eps = Fraction(epsilon)
-        for e in self.entries:
-            if e.epsilon == eps:
-                return e
-        raise KeyError(f"no entry for epsilon {eps}")
-
 
 @dataclass(frozen=True)
 class FlipRecord:
@@ -251,7 +244,7 @@ def discrepancy_path(
     h0: LinearClassifier,
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
-    params: Optional[FormulationParams] = None,
+    gamma: float = DEFAULT_GAMMA,
     node_log=None,
 ):
     """Discrepancy at every epsilon of ``grid``, solving the
@@ -278,7 +271,6 @@ def discrepancy_path(
     Returns (profile with the discrepancy side filled, list of
     (epsilon, SolveResult) pairs in ascending epsilon, one per solve).
     """
-    params = params or FormulationParams()
     base = empirical_risk(h0, dataset)
     n = dataset.n
     if grid.n != n:
@@ -293,7 +285,7 @@ def discrepancy_path(
     index = 0
     while index is not None:
         eps = eps_values[index]
-        model = build_disc_mip(dataset, h0, eps, params)
+        model = build_disc_mip(dataset, h0, eps, gamma)
         best = int(_best_left(found, raw_low)[index])
         warm = _safe_warm(model, dataset, found[best] if best >= 0 else h0)
         result = bnb.solve(model, budget=budget, warm_start=warm, node_log=node_log)
@@ -309,7 +301,7 @@ def discrepancy_path(
         raw_low[index], raw_up[index] = n - up_cnt, n - low_cnt
         if result.incumbent is not None:
             witness = classifier_from_solution(model, result.incumbent)
-            _audit_witness(witness, dataset, params, base, eps, result.certified)
+            _audit_witness(witness, dataset, gamma, base, eps, result.certified)
             found[index] = witness
         lows, ups = _nested_bounds(raw_low, raw_up)
         index = _next_solve(solved, lows, ups)
@@ -387,9 +379,9 @@ def _warn_margin(h: LinearClassifier, dataset: Dataset, gamma: float, what: str)
         )
 
 
-def _audit_witness(witness, dataset, params, base, eps, certified):
+def _audit_witness(witness, dataset, gamma, base, eps, certified):
     if certified:
-        _warn_margin(witness, dataset, params.gamma, f"certified witness at eps={eps}")
+        _warn_margin(witness, dataset, gamma, f"certified witness at eps={eps}")
     risk = empirical_risk(witness, dataset)
     if certified and risk.mistakes > base.mistakes + eps * dataset.n:
         raise InternalConsistencyError(
@@ -404,7 +396,7 @@ def ambiguity_path(
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
     workers: int = 1,
-    params: Optional[FormulationParams] = None,
+    gamma: float = DEFAULT_GAMMA,
     baseline_certified: bool = True,
     seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
@@ -422,7 +414,6 @@ def ambiguity_path(
 
     Returns (profile with the ambiguity side filled, PathologicalPool, results).
     """
-    params = params or FormulationParams()
     base = empirical_risk(h0, dataset)
     n = dataset.n
     if grid.n != n:
@@ -437,7 +428,7 @@ def ambiguity_path(
     pool_risks = [empirical_risk(g, dataset).mistakes for g in pool]
 
     def solve_one(index: int, snapshot):
-        model = build_flip_mip(dataset, h0, index, params)
+        model = build_flip_mip(dataset, h0, index, gamma)
         warm = None
         for _, g in snapshot:
             warm = _safe_warm(model, dataset, g)
@@ -473,7 +464,7 @@ def ambiguity_path(
             if g is not None:
                 if result.certified:
                     _warn_margin(
-                        g, dataset, params.gamma,
+                        g, dataset, gamma,
                         f"certified flip classifier for example {i}",
                     )
                 pool.append(g)
@@ -568,7 +559,7 @@ class BoundCheckReport:
 def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
     """Triangle-inequality sanity bound: discrepancy <= 2 * risk + epsilon.
 
-    A certified violation indicates a solver or decoding bug and raises.
+    Any violation indicates a solver or decoding bug and raises.
     """
     mistakes, n = profile.baseline.mistakes, profile.baseline.n
     slacks = []

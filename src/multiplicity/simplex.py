@@ -107,14 +107,12 @@ class LpSolution:
     n_pivots: int = 0
 
 
-def solve_lp(lp: LinearProgram, iteration_limit: Optional[int] = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a box-bounded LP to a vertex optimum, or prove infeasibility."""
-    return solve_lp_with_fixings(lp, {}, iteration_limit)
+    return solve_lp_with_fixings(lp, {})
 
 
-def solve_lp_with_fixings(
-    lp: LinearProgram, fixings: dict, iteration_limit: Optional[int] = None
-) -> LpSolution:
+def solve_lp_with_fixings(lp: LinearProgram, fixings: dict) -> LpSolution:
     """Solve ``lp`` with some variables pinned to fixed values.
 
     The fixed variables' bounds collapse to their values in the tableau;
@@ -129,8 +127,7 @@ def solve_lp_with_fixings(
     state = _Tableau(lp, lo, hi)
     if state.infeasible_by_bounds:
         return LpSolution("infeasible", None, float("nan"))
-    if iteration_limit is None:
-        iteration_limit = 200 * (state.m + state.n_ext) + 2000
+    iteration_limit = 200 * (state.m + state.n_ext) + 2000
     pivots = 0
 
     if state.needs_phase1:

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 from multiplicity.cli import (
     RunConfig,
+    _build_config,
+    _parse_config_file,
     build_parser,
     main,
     run_audit,
@@ -652,6 +657,121 @@ class TestConfigFile:
 
         with pytest.raises(InputError):
             _build_config(args)
+
+
+# Raw values per RunConfig field, each given once as a flag and once as a
+# config line: valid ones, ``none`` and malformed or out-of-range ones. A
+# bool field's flag is a switch, so it takes the one value that switches it.
+FIELD_VALUES = {
+    "dataset": ["tyranny:2"],
+    "label_column": ["y"],
+    "group_column": ["race", "none"],
+    "split_fraction": ["0.75", "1.5", "abc"],
+    "split_seed": ["4", "4.5"],
+    "oversample": ["false"],
+    "gamma": ["0.001", "0", "none"],
+    "epsilons": ["0,0.05", "none", "2"],
+    "time_limit_baseline": ["12.5", "none"],
+    "time_limit_disc": ["30", "-1"],
+    "time_limit_flip": ["40", "nan"],
+    "node_limit": ["5", "none", "abc", "0"],
+    "workers": ["2", "abc"],
+    "outdir": ["elsewhere"],
+    "adhoc": ["true"],
+    "pool_alphas": ["3", "0"],
+    "pool_lambdas": ["7", "x"],
+    "seed": ["5", "1e3"],
+    "node_log": ["nodes.log", "none"],
+}
+
+
+def _config_or_error(argv):
+    try:
+        return _build_config(build_parser().parse_args(argv))
+    except InputError as exc:
+        return f"input error: {exc}"
+
+
+class TestGeneratedFlags:
+    def test_every_field_has_values(self):
+        assert list(FIELD_VALUES) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    @pytest.mark.parametrize(
+        "name,raw",
+        [(name, raw) for name, values in FIELD_VALUES.items() for raw in values],
+        ids=[f"{name}={raw}" for name, values in FIELD_VALUES.items() for raw in values],
+    )
+    def test_flag_matches_config_line(self, tmp_path, name, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {raw}\n")
+        flag = "--" + name.replace("_", "-")
+        default = getattr(RunConfig(), name)
+        if isinstance(default, bool):
+            assert raw == str(not default).lower()
+            argv = ["--no-" + flag[2:]] if default else [flag]
+        else:
+            argv = [flag, raw]
+        from_file = _config_or_error(["audit", "--config", str(cfg)])
+        assert _config_or_error(["audit"] + argv) == from_file
+        if isinstance(from_file, RunConfig) and raw != "none":
+            assert from_file != RunConfig()
+
+    def test_flag_lifts_file_node_limit(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("node_limit = 5\n")
+        assert _config_or_error(["audit", "--config", str(cfg)]).node_limit == 5
+        lifted = _config_or_error(["audit", "--config", str(cfg), "--node-limit", "none"])
+        assert lifted.node_limit is None
+
+    def test_bad_flag_value_gives_config_message(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("node_limit = abc\n")
+        message = _config_or_error(["audit", "--config", str(cfg)])
+        assert message == "input error: node_limit: expected int, got 'abc'"
+        code = main(
+            ["baseline", "--dataset", "xor", "--outdir", str(tmp_path), "--node-limit", "abc"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+
+
+def _readme_blocks(language):
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", text, re.DOTALL)
+
+
+def _readme_commands():
+    """Every ``multiplicity`` command in README.md's shell blocks, with its
+    backslash continuations joined."""
+    commands = []
+    for block in _readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["multiplicity"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        commands = _readme_commands()
+        assert len(commands) >= 9
+        assert ["--time-limit-flip", "21600"] in [argv[-2:] for argv in commands]
+        parser = build_parser()
+        for argv in commands:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:  # argparse's exit on a flag it lacks
+                pytest.fail("README command does not parse: multiplicity " + " ".join(argv))
+            if args.command != "generate":
+                assert isinstance(_build_config(args), RunConfig)
+
+    def test_config_example_parses(self, tmp_path):
+        (block,) = _readme_blocks("ini")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(block)
+        values = _parse_config_file(str(cfg))
+        assert RunConfig(**values).group_column == "race"
 
 
 class TestExportMps:

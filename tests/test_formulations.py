@@ -118,6 +118,23 @@ class TestBaselineModel:
         ):
             assert len(model.binary_vars) == len(train.cells.X)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1e-4, float("inf"), float("nan")])
+    def test_gamma_must_be_positive_and_finite(self, xor, gamma):
+        for build in (
+            lambda: build_baseline_mip(xor, gamma),
+            lambda: build_disc_mip(xor, H_A, 0, gamma),
+            lambda: build_flip_mip(xor, H_A, 0, gamma),
+        ):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build()
+
+    def test_gamma_sets_every_margin(self, xor):
+        model = build_baseline_mip(xor, 0.01)
+        assert model.metadata["gamma"] == 0.01
+        m = len(xor.cells.X)
+        assert np.all(model.lp.row_rhs[:m] == 0.01)
+        assert np.array_equal(model.metadata["big_m"], compute_big_m(xor, 0.01))
+
     def test_separable_optimum_zero(self):
         data = Dataset.build(
             [

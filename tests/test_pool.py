@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import multiplicity.pool as pool_module
-from multiplicity.core import Dataset, Example, LinearClassifier, empirical_risk, predictions
+from multiplicity.core import (
+    Dataset,
+    Example,
+    LinearClassifier,
+    conflict_count,
+    empirical_risk,
+    predictions,
+)
 from multiplicity.datasets import ingest_csv
 from multiplicity.pool import (
     N_FOLDS,
@@ -481,3 +488,55 @@ class TestMatrixScoring:
         assert len(set(mistakes)) < len(mistakes)  # some level sets tie
         for pool in (models, models[:3]):  # the small pool does not saturate
             self.check(pool, data)
+
+    def test_zero_scores_follow_the_tie_rule(self, monkeypatch):
+        # the cell x1 = 0 carries both labels with unequal weight, and the
+        # patched fits score it exactly 0 (or every cell, for the zero
+        # vector), so a tie rule other than -1 changes every count below
+        data = Dataset.build(
+            [
+                Example((1.0, 0.0), 1, weight=3),
+                Example((1.0, 0.0), -1, weight=1),
+                Example((1.0, 1.0), 1, weight=2),
+                Example((1.0, -1.0), -1, weight=2),
+                Example((1.0, 2.0), 1),
+                Example((1.0, -2.0), -1),
+            ]
+        )
+        path = [(0.0, 1.0), (-1.0, 4.0), (1.0, 4.0), (0.0, 0.0)]
+
+        def fake_fit(X, targets, fit_weights, ridge, l1, w):
+            coefs = np.tile(path[len(calls) % len(path)], (len(fit_weights), 1))
+            calls.append(coefs)
+            return coefs, np.ones(len(fit_weights), dtype=bool)
+
+        calls = []
+        monkeypatch.setattr(pool_module, "_cd_fit", fake_fit)
+        models = fit_pool(data, PenaltyGrid(alphas=(0.5, 1.0), lambdas_per_alpha=4), seed=0)
+        assert [m.raw_coefficients for m in models] == path * 2
+        folds = _fold_assignment(len(data.examples), 0)
+        held = [folds == f for f in range(N_FOLDS)]
+        held = np.any(
+            [h for h in held if h.any() and len(set(data.y[~h])) == 2], axis=0
+        )
+        assert held[:2].any()  # a tied row is held out in some usable fold
+        for m in models:
+            assert m.train_risk == empirical_risk(m.classifier, data)
+            wrong = predictions(m.classifier, data) != data.y
+            assert m.cv_risk == data.weights[held & wrong].sum() / data.weights[held].sum()
+
+        grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(data.n + 1)), data.n)
+        profile = adhoc_measures(models, data, grid)
+        base = models[pool_baseline_index(models)]
+        for entry, threshold in zip(
+            profile.entries, grid.thresholds(base.train_risk.mistakes)
+        ):
+            in_set = [m for m in models if m.train_risk.mistakes <= threshold]
+            conflicts = [conflict_count(m.classifier, base.classifier, data) for m in in_set]
+            assert entry.discrepancy.value == max(conflicts, key=lambda r: r.mistakes).rate
+            flipped = np.any(
+                [predictions(m.classifier, data) != predictions(base.classifier, data)
+                 for m in in_set],
+                axis=0,
+            )
+            assert entry.ambiguity.value == Fraction(int(data.weights[flipped].sum()), data.n)
