@@ -31,7 +31,6 @@ from .profiles import (
     check_discrepancy_bound,
     discrepancy_path,
     group_burden,
-    tiebreak_count,
 )
 from .simplex import LinearProgram, LpSolution, solve_lp, solve_lp_with_fixings
 
@@ -67,7 +66,6 @@ __all__ = [
     "ambiguity_path",
     "check_discrepancy_bound",
     "group_burden",
-    "tiebreak_count",
     "PenaltyGrid",
     "PoolModel",
     "fit_pool",

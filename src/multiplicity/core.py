@@ -223,12 +223,17 @@ class Dataset:
         return tuple(ex.group for ex in self.examples)
 
     @cached_property
-    def group_masks(self) -> dict:
-        """Boolean example mask of each group, in sorted group order."""
+    def group_weights(self) -> dict:
+        """Each group's total weight in every cell (int64, in ``cells``
+        order), in sorted group order."""
         if any(g is None for g in self.groups):
             raise MissingGroupError("every example needs a group tag")
-        groups = np.array(self.groups)
-        return {g: groups == g for g in sorted(set(self.groups))}
+        names = sorted(set(self.groups))
+        table = np.zeros((len(names), len(self.cells.X)), dtype=np.int64)
+        rows = np.searchsorted(names, self.groups)
+        np.add.at(table, (rows, self.cells.index), self.weights)
+        table.flags.writeable = False
+        return dict(zip(names, table))
 
     def with_weights(self, weights: Sequence[int]) -> "Dataset":
         if len(weights) != len(self.examples):

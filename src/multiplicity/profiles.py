@@ -1,9 +1,10 @@
 """Path algorithms: discrepancy and ambiguity across an epsilon grid.
 
 Both measures are computed per level set, exactly when every solve
-certifies and as [lower, upper] intervals otherwise.  All level-set
-membership tests compare integer mistake counts; floating rates never
-decide anything.
+certifies and as [lower, upper] intervals otherwise.  Ambiguity and group
+burden count cell weights in one per-cell flip table (``PathologicalPool``,
+one flip solve per distinct feature vector).  All level-set membership
+tests compare integer mistake counts; floating rates never decide anything.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
@@ -41,7 +42,6 @@ from .core import (
     LinearClassifier,
     RiskReport,
     empirical_risk,
-    predictions,
 )
 from .formulations import (
     DEFAULT_GAMMA,
@@ -160,32 +160,30 @@ class MultiplicityProfile:
                 )
 
 
-@dataclass(frozen=True)
-class FlipRecord:
-    """Per-example minimal-error flipped classifier and its risk bounds."""
-
-    index: int
-    classifier: LinearClassifier
-    mistakes_lower: int
-    mistakes_upper: int
-    risk: MeasureValue
-    flip_verified: bool
-    certified: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathologicalPool:
-    entries: tuple
+    """The flip stage's per-cell table, in ``dataset.cells`` order: each
+    cell's minimal-error flipped classifier (None where its solve found
+    none), the bounds on that classifier's mistake count, whether its solve
+    certified, and whether the classifier was checked to flip the cell."""
+
+    classifiers: tuple
+    mistakes_lower: np.ndarray
+    mistakes_upper: np.ndarray
+    certified: np.ndarray
+    flip_verified: np.ndarray
     baseline_mistakes: int
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @cached_property
-    def mistake_bounds(self) -> np.ndarray:
-        """Per-example (mistakes_upper, mistakes_lower) of the flip solves."""
-        return np.array([(r.mistakes_upper, r.mistakes_lower) for r in self.entries])
+        object.__setattr__(self, "classifiers", tuple(self.classifiers))
+        for name in ("mistakes_lower", "mistakes_upper", "certified", "flip_verified"):
+            v = np.array(getattr(self, name))
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        low, up = self.mistakes_lower, self.mistakes_upper
+        if np.any((low > up) | (self.certified & (low != up))):
+            raise InternalConsistencyError("flip mistake bounds are inconsistent")
 
 
 def _above_cap(upper: Fraction, eps: Fraction, mistakes: int, n: int) -> bool:
@@ -401,12 +399,12 @@ def ambiguity_path(
     seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
 ):
-    """Fit the minimal-error flipped classifier for every example, then count
-    how many fall inside each level set.
+    """Fit the minimal-error flipped classifier of each cell, then count the
+    weight of the cells whose flip lies inside each level set.
 
-    Flip models only depend on the example's feature vector (through its
-    baseline prediction), so each cell of ``dataset.cells`` takes one solve,
-    for its first example.
+    A flip model depends on an example only through its feature vector (and
+    so its baseline prediction), so each cell of ``dataset.cells`` takes one
+    solve, built for its first example; the flip table is kept per cell.
     Solves run in fixed-size waves over a worker pool; each wave warm-starts
     from the classifiers committed by earlier waves plus the negated
     baseline (which flips every point and is always feasible), so results
@@ -471,24 +469,25 @@ def ambiguity_path(
                 pool_risks.append(empirical_risk(g, dataset).mistakes)
         outcomes.extend(done)
 
+    results, classifiers = zip(*outcomes)
+    lower, upper = np.array([_int_bounds(r, n) for r in results], dtype=np.int64).T
     base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
-    per_cell = []
-    for c, (result, g) in enumerate(outcomes):
-        low_cnt, up_cnt = _int_bounds(result, n)
-        low_cnt = max(low_cnt, base.mistakes if baseline_certified else 0)
-        flip_ok = g is not None and bool(
-            (cells.X[c] @ np.asarray(g.coefficients) > 0.0) != base_side[c]
-        )
-        risk = MeasureValue(Fraction(low_cnt, n), Fraction(up_cnt, n), result.certified)
-        per_cell.append((g, low_cnt, up_cnt, risk, flip_ok, result.certified))
+    flip_verified = [
+        g is not None and (cells.X[c] @ g.coefficients > 0.0) != base_side[c]
+        for c, g in enumerate(classifiers)
+    ]
     pool_out = PathologicalPool(
-        entries=tuple(FlipRecord(i, *per_cell[c]) for i, c in enumerate(cells.index)),
+        classifiers=classifiers,
+        mistakes_lower=np.maximum(lower, base.mistakes if baseline_certified else 0),
+        mistakes_upper=upper,
+        certified=[r.certified for r in results],
+        flip_verified=flip_verified,
         baseline_mistakes=base.mistakes,
         n=n,
     )
 
-    everyone = np.ones(len(dataset.examples), dtype=bool)
-    low, up, total = _flippable(pool_out, dataset, everyone, grid.thresholds(base.mistakes))
+    thresholds = grid.thresholds(base.mistakes)
+    low, up, total = _flippable(pool_out, cells.pos + cells.neg, thresholds)
     certified = low == up
     measures = _measures(*_tighten(low, up, certified), certified, total)
     entries = tuple(
@@ -496,53 +495,48 @@ def ambiguity_path(
         for eps, m in zip(grid.values, measures)
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
-    return profile, pool_out, [result for result, _ in outcomes]
+    return profile, pool_out, list(results)
 
 
-def _flippable(pool: PathologicalPool, dataset: Dataset, members, thresholds):
-    """Weight of the ``members`` examples (a boolean mask) that some
-    classifier with at most t mistakes provably flips (lower count) and may
-    flip (upper count), for every threshold t of ``thresholds`` at once.
+def _flippable(pool: PathologicalPool, cell_weights, thresholds):
+    """Weight of the cells that some classifier with at most t mistakes
+    provably flips (lower count) and may flip (upper count), for every
+    threshold t of ``thresholds`` at once; cell c of the per-cell flip
+    table ``pool`` counts ``cell_weights[c]``.
 
-    A flip classifier's risk upper bound (its incumbent) proves a point
-    flippable; its lower bound (the node bound) proves it is not.  Each
-    bound is sorted once over the members and read off cumulative weights
-    by binary search, so memory stays O(examples + thresholds).
+    A cell's mistakes upper bound (its incumbent) proves it flippable; its
+    lower bound (the node bound) proves it is not.  Each bound is sorted
+    once over the cells and read off cumulative weights by binary search,
+    so memory stays O(cells + thresholds).
 
     Returns (lower counts, upper counts) as arrays over ``thresholds``,
-    and the total weight of the members.
+    and the total of ``cell_weights``.
     """
-    weights = dataset.weights[members]
     at = np.asarray(thresholds)
     counts = []
-    for bounds in pool.mistake_bounds[members].T:  # mistakes upper, then lower
+    for bounds in (pool.mistakes_upper, pool.mistakes_lower):
         order = np.argsort(bounds)
-        cumulative = np.concatenate(([0], np.cumsum(weights[order])))
+        cumulative = np.concatenate(([0], np.cumsum(cell_weights[order])))
         counts.append(cumulative[np.searchsorted(bounds[order], at, side="right")])
-    return counts[0], counts[1], int(weights.sum())
+    return counts[0], counts[1], int(cell_weights.sum())
 
 
 def merge_profiles(
     disc_profile: MultiplicityProfile, amb_profile: MultiplicityProfile
 ) -> MultiplicityProfile:
+    """Both sides in one profile; entries pair by position on one grid."""
     if disc_profile.baseline != amb_profile.baseline:
         raise ValueError("profiles disagree on the baseline risk")
-    # Fractions are kept reduced, so (numerator, denominator) identifies
-    # one and hashes faster.
-    by_eps = {e.epsilon.as_integer_ratio(): e for e in amb_profile.entries}
-    entries = []
-    for e in disc_profile.entries:
-        amb = by_eps.get(e.epsilon.as_integer_ratio())
-        entries.append(
-            ProfileEntry(
-                epsilon=e.epsilon,
-                discrepancy=e.discrepancy,
-                ambiguity=amb.ambiguity if amb else None,
-            )
-        )
+    disc, amb = disc_profile.entries, amb_profile.entries
+    if [e.epsilon for e in disc] != [e.epsilon for e in amb]:
+        raise ValueError("profiles were built on different epsilon grids")
+    entries = tuple(
+        ProfileEntry(epsilon=d.epsilon, discrepancy=d.discrepancy, ambiguity=a.ambiguity)
+        for d, a in zip(disc, amb)
+    )
     return MultiplicityProfile(
         baseline=disc_profile.baseline,
-        entries=tuple(entries),
+        entries=entries,
         witnesses=dict(disc_profile.witnesses),
     )
 
@@ -577,7 +571,7 @@ def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
 
 
 def group_burden(pool: PathologicalPool, dataset: Dataset, epsilon) -> dict:
-    """Ambiguity restricted to each group's weight-expanded examples."""
+    """Ambiguity restricted to each group's weight in every cell."""
     threshold = pool.baseline_mistakes + int(Fraction(epsilon) * pool.n)
     return {group: m for group, (m,) in burden_path(pool, dataset, [threshold]).items()}
 
@@ -586,54 +580,7 @@ def burden_path(pool: PathologicalPool, dataset: Dataset, thresholds) -> dict:
     """``group_burden`` at every mistake threshold at once: each group's
     list of measures, one per threshold, in the order of ``thresholds``."""
     burden = {}
-    for group, members in dataset.group_masks.items():
-        low, up, total = _flippable(pool, dataset, members, thresholds)
+    for group, cell_weights in dataset.group_weights.items():
+        low, up, total = _flippable(pool, cell_weights, thresholds)
         burden[group] = _measures(low, up, low == up, total)
     return burden
-
-
-def accuracy_disparity(h: LinearClassifier, dataset: Dataset) -> Fraction:
-    """Largest pairwise gap between group error rates."""
-    wrong = dataset.weights * (predictions(h, dataset) != dataset.y)
-    rates = [
-        Fraction(int(wrong[members].sum()), int(dataset.weights[members].sum()))
-        for members in dataset.group_masks.values()
-    ]
-    return max(rates) - min(rates)
-
-
-def tiebreak_count(
-    candidates: Sequence[LinearClassifier],
-    dataset: Dataset,
-    baseline: LinearClassifier,
-    epsilon,
-    secondary=accuracy_disparity,
-    secondary_tolerance: Fraction = Fraction(0),
-):
-    """Count level-set candidates whose secondary criterion is within
-    tolerance of the best.
-
-    Candidates come from witnesses and pathological pools; since the level
-    set is not enumerated exhaustively the count is a lower bound on the
-    number of competing models.  Returns (count, ranked candidate list).
-    """
-    if not candidates:
-        raise ValueError("candidate list must be nonempty")
-    eps = Fraction(epsilon)
-    base = empirical_risk(baseline, dataset)
-    threshold = base.mistakes + int(eps * dataset.n)
-    for h in candidates:
-        risk = empirical_risk(h, dataset)
-        if risk.mistakes > threshold:
-            raise ValueError(
-                f"candidate with {risk.mistakes} mistakes is outside the "
-                f"{eps}-level set (threshold {threshold})"
-            )
-    scored = sorted(
-        ((secondary(h, dataset), i, h) for i, h in enumerate(candidates)),
-        key=lambda t: (t[0], t[1]),
-    )
-    best = scored[0][0]
-    tol = Fraction(secondary_tolerance)
-    within = [(s, h) for s, _, h in scored if s - best <= tol]
-    return len(within), within

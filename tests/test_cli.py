@@ -411,12 +411,16 @@ class TestAudit:
         weights = [int(w) for w in train.weights]
         groups = train.groups
 
+        cell = train.cells.index.tolist()
+        uppers = flip_pool.mistakes_upper.tolist()
+        lowers = flip_pool.mistakes_lower.tolist()
+
         def recount(members, threshold):
             low = up = 0
-            for i, record in enumerate(flip_pool.entries):
+            for i in range(len(weights)):
                 if members(i):
-                    low += weights[i] * (record.mistakes_upper <= threshold)
-                    up += weights[i] * (record.mistakes_lower <= threshold)
+                    low += weights[i] * (uppers[cell[i]] <= threshold)
+                    up += weights[i] * (lowers[cell[i]] <= threshold)
             return low, up
 
         burden = list(csv.reader((tmp_path / "burden.csv").open()))[1:]

@@ -25,6 +25,7 @@ from multiplicity.profiles import (
     EpsilonGrid,
     MeasureValue,
     MultiplicityProfile,
+    PathologicalPool,
     ProfileEntry,
     _best_left,
     _flippable,
@@ -34,7 +35,6 @@ from multiplicity.profiles import (
     discrepancy_path,
     group_burden,
     merge_profiles,
-    tiebreak_count,
 )
 from multiplicity.reports import write_burden, write_profile
 from conftest import random_binary_dataset, xor_dataset
@@ -215,8 +215,10 @@ class TestAmbiguityPath:
         profile, pool, results = ambiguity_path(xor, h0, grid)
         entry = profile.entries[0].ambiguity
         assert entry.certified and entry.value == 1
-        assert all(r.flip_verified for r in pool.entries)
-        assert all(r.mistakes_lower == r.mistakes_upper == 25 for r in pool.entries)
+        assert len(pool.classifiers) == len(xor.cells.X)
+        assert pool.flip_verified.all() and pool.certified.all()
+        assert (pool.mistakes_lower == 25).all() and (pool.mistakes_upper == 25).all()
+        assert not pool.mistakes_upper.flags.writeable
 
     def test_eps_one_is_total(self, xor):
         profile, _, _ = ambiguity_path(
@@ -227,8 +229,7 @@ class TestAmbiguityPath:
     def test_pool_lower_bound_respects_baseline(self, xor):
         h0, _ = fit_baseline(xor)
         _, pool, _ = ambiguity_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
-        for record in pool.entries:
-            assert record.mistakes_lower >= pool.baseline_mistakes
+        assert (pool.mistakes_lower >= pool.baseline_mistakes).all()
 
     def test_random_values_match_oracle(self):
         rng = np.random.default_rng(53)
@@ -238,13 +239,24 @@ class TestAmbiguityPath:
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(3)), data.n)
             profile, pool, _ = ambiguity_path(data, h0, grid)
-            for i, record in enumerate(pool.entries):
-                assert record.mistakes_upper == oracle_flip(data, pattern, i)
+            for i, cell in enumerate(data.cells.index):
+                assert pool.mistakes_upper[cell] == oracle_flip(data, pattern, i)
             for entry in profile.entries:
                 assert entry.ambiguity.certified
                 assert entry.ambiguity.value == oracle_ambiguity(
                     data, pattern, entry.epsilon
                 )
+
+    def test_pool_rejects_inconsistent_bounds(self):
+        # a lower bound above the upper one, or an open certified cell
+        table = dict(
+            classifiers=(None, None), certified=[False, True],
+            flip_verified=[False, False], baseline_mistakes=0, n=4,
+        )
+        PathologicalPool(mistakes_lower=[1, 2], mistakes_upper=[3, 2], **table)
+        for lower in ([4, 2], [1, 1]):
+            with pytest.raises(InternalConsistencyError):
+                PathologicalPool(mistakes_lower=lower, mistakes_upper=[3, 2], **table)
 
     def test_worker_count_does_not_change_results(self):
         rng = np.random.default_rng(59)
@@ -255,11 +267,8 @@ class TestAmbiguityPath:
         prof1, pool1, _ = ambiguity_path(data, h0, grid, budget=budget, workers=1)
         prof4, pool4, _ = ambiguity_path(data, h0, grid, budget=budget, workers=4)
         assert prof1.entries == prof4.entries
-        for a, b in zip(pool1.entries, pool4.entries):
-            assert (a.mistakes_lower, a.mistakes_upper) == (
-                b.mistakes_lower,
-                b.mistakes_upper,
-            )
+        assert np.array_equal(pool1.mistakes_lower, pool4.mistakes_lower)
+        assert np.array_equal(pool1.mistakes_upper, pool4.mistakes_upper)
 
 
 class TestMonotonicityAndBound:
@@ -298,6 +307,14 @@ class TestMonotonicityAndBound:
             profile = MultiplicityProfile(baseline=base, entries=(entry,), witnesses={})
             report = check_discrepancy_bound(profile)
             assert report.slacks == ((eps, 2 * base.rate + eps - upper),)
+
+    def test_merge_rejects_different_grids(self, xor):
+        h0, _ = fit_baseline(xor)
+        two = EpsilonGrid((Fraction(0), Fraction(1, 100)), 100)
+        disc, _ = discrepancy_path(xor, h0, two)
+        amb, _, _ = ambiguity_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
+        with pytest.raises(ValueError):
+            merge_profiles(disc, amb)
 
     def test_xor_bound_tight(self, xor):
         h0, _ = fit_baseline(xor)
@@ -341,30 +358,46 @@ class TestMonotonicityAndBound:
                     entry.epsilon * data.n
                 )
                 for i in np.flatnonzero(witness_preds != base_preds):
-                    assert pool.entries[i].mistakes_upper <= threshold
+                    assert pool.mistakes_upper[data.cells.index[i]] <= threshold
 
 
 class TestCountBookkeeping:
     """The array bookkeeping of the paths against per-point loops."""
 
     def test_flippable_matches_per_example_loop(self):
+        # random examples in random cells with random group tags, so that
+        # one cell can carry weight from several groups
         rng = np.random.default_rng(23)
+        shared = 0
         for _ in range(50):
             size = int(rng.integers(1, 12))
-            lower = rng.integers(0, 20, size)
-            upper = lower + rng.integers(0, 5, size)
-            pool = SimpleNamespace(mistake_bounds=np.column_stack([upper, lower]))
-            data = SimpleNamespace(weights=rng.integers(1, 6, size))
-            members = rng.random(size) < 0.7
+            width = int(rng.integers(1, size + 1))
+            data = Dataset.build(
+                Example(
+                    (1.0, float(rng.integers(width))), int(rng.choice([-1, 1])),
+                    f"g{rng.integers(3)}", int(rng.integers(1, 6)),
+                )
+                for _ in range(size)
+            )
+            cell, cells = data.cells.index, len(data.cells.X)
+            lower = rng.integers(0, 20, cells)
+            upper = lower + rng.integers(0, 5, cells)
+            pool = SimpleNamespace(mistakes_upper=upper, mistakes_lower=lower)
             thresholds = rng.integers(-2, 28, 9)  # unsorted, some out of range
-            low, up, total = _flippable(pool, data, members, thresholds)
-            assert total == sum(int(w) for w, m in zip(data.weights, members) if m)
-            for t, got_low, got_up in zip(thresholds, low, up):
-                want_low = want_up = 0
-                for i in np.flatnonzero(members):
-                    want_low += int(data.weights[i]) * (upper[i] <= t)
-                    want_up += int(data.weights[i]) * (lower[i] <= t)
-                assert (got_low, got_up) == (want_low, want_up)
+            tagged = np.array(list(data.group_weights.values())) > 0
+            shared += int((tagged.sum(axis=0) > 1).sum())
+            weights = {None: data.cells.pos + data.cells.neg, **data.group_weights}
+            for group, cell_weights in weights.items():
+                members = [i for i, g in enumerate(data.groups) if group in (None, g)]
+                low, up, total = _flippable(pool, cell_weights, thresholds)
+                assert total == sum(int(data.weights[i]) for i in members)
+                for t, got_low, got_up in zip(thresholds, low, up):
+                    want_low = want_up = 0
+                    for i in members:
+                        want_low += int(data.weights[i]) * (upper[cell[i]] <= t)
+                        want_up += int(data.weights[i]) * (lower[cell[i]] <= t)
+                    assert (got_low, got_up) == (want_low, want_up)
+        assert shared > 0
 
     def test_best_left_and_next_solve_match_loops(self):
         rng = np.random.default_rng(29)
@@ -479,58 +512,3 @@ class TestGroupBurden:
         assert rates["A"].value == Fraction(1, 2)
         assert rates["B"].value == Fraction(151, 301)
         assert rates["B"].value > rates["A"].value
-
-
-class TestTiebreak:
-    def grouped_dataset(self):
-        examples = [
-            Example((1.0, 0.0), -1, group="A", weight=3),
-            Example((1.0, 0.0), 1, group="A", weight=1),
-            Example((1.0, 1.0), 1, group="B", weight=3),
-            Example((1.0, 1.0), -1, group="B", weight=1),
-        ]
-        return Dataset.build(examples)
-
-    def test_single_candidate(self):
-        data = self.grouped_dataset()
-        h0, _ = fit_baseline(data)
-        count, ranked = tiebreak_count([h0], data, h0, 0)
-        assert count == 1 and len(ranked) == 1
-
-    def test_equal_disparity_pair(self):
-        data = self.grouped_dataset()
-        h0, _ = fit_baseline(data)
-        same = LinearClassifier((-0.25, 0.75))
-        count, _ = tiebreak_count([h0, same], data, h0, Fraction(1, 2))
-        assert count == 2
-
-    def test_engineered_disparity_ranking(self):
-        data = self.grouped_dataset()
-        h0, _ = fit_baseline(data)  # optimum: -1 on cell 0, +1 on cell 1 -> 2 mistakes
-        assert empirical_risk(h0, data).mistakes == 2
-        # all-positive classifier errs 3+1 in group A cell, 1 in B: within eps=1/2
-        all_pos = LinearClassifier((1.0, 0.0))
-        # disparity of h0: both groups err 1/4 -> 0; all_pos: A errs 3/4, B errs 1/4 -> 1/2
-        count, ranked = tiebreak_count(
-            [h0, all_pos], data, h0, Fraction(1, 2), secondary_tolerance=Fraction(0)
-        )
-        assert count == 1
-        assert ranked[0][0] == 0
-        count_loose, _ = tiebreak_count(
-            [h0, all_pos], data, h0, Fraction(1, 2),
-            secondary_tolerance=Fraction(1, 2),
-        )
-        assert count_loose == 2
-
-    def test_outside_level_set_rejected(self):
-        data = self.grouped_dataset()
-        h0, _ = fit_baseline(data)
-        bad = LinearClassifier((0.0, -1.0))  # flips the well-classified cells
-        with pytest.raises(ValueError):
-            tiebreak_count([bad], data, h0, 0)
-
-    def test_empty_candidates_rejected(self):
-        data = self.grouped_dataset()
-        h0, _ = fit_baseline(data)
-        with pytest.raises(ValueError):
-            tiebreak_count([], data, h0, 0)

@@ -10,6 +10,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Group burdens at oversampling seeds 0-3; seed 0 at eps 0 is the frozen
+# oracle value of test_profiles.py (A 1/2, B 151/301).
+TYRANNY_BURDEN_STDOUT = """\
+dataset: 1204 points, groups A/B, 603 positive
+
+seed 0: baseline 602/1206
+  eps=0         burden  A: 0.500  B: 0.502
+  eps=2/603     burden  A: 1.000  B: 1.000
+
+seed 1: baseline 602/1206
+  eps=0         burden  A: 0.502  B: 0.500
+  eps=2/603     burden  A: 1.000  B: 1.000
+
+seed 2: baseline 601/1206
+  eps=0         burden  A: 0.251  B: 0.250
+  eps=2/603     burden  A: 1.000  B: 1.000
+
+seed 3: baseline 601/1206
+  eps=0         burden  A: 0.000  B: 0.000
+  eps=2/603     burden  A: 1.000  B: 1.000
+"""
+
 
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name
@@ -24,3 +46,5 @@ def test_script_runs(script, tmp_path):
     if script.name == "run_xor_profile.py":
         # eps 0: discrepancy 1/2 and ambiguity 1
         assert re.search(r"^ 0\s+1/2\s+1$", done.stdout, re.MULTILINE), done.stdout
+    if script.name == "run_tyranny_burden.py":
+        assert done.stdout == TYRANNY_BURDEN_STDOUT
