@@ -6,6 +6,11 @@ and it stays useful when a budget runs out.  Because every objective in this
 package is an integer mistake/agreement count, node bounds are ceiled to the
 next integer before pruning and a gap below 1 certifies optimality.
 
+Each node LP is solved from scratch at the root and re-optimized by dual
+simplex from its parent's final basis everywhere else, so a queued node
+keeps its LP values (to branch on) and that basis (to start its children),
+never a tableau.
+
 Search order is deterministic: best-first on the ceiled LP bound with FIFO
 tie-breaking, branching on the most fractional binary (lowest index on
 ties), floor branch enqueued first.  Runs budgeted by node limit are
@@ -139,9 +144,9 @@ def solve(
         incumbent = np.asarray(warm_start, dtype=float).copy()
         upper = count(incumbent)
 
-    # (ceiled bound, fifo, fixings, lp values); the root waits unsolved, so
-    # a solve that starts past its deadline solves no LP.
-    heap: list = [(-math.inf, 0, {}, None)]
+    # (ceiled bound, fifo, fixings, lp values, lp basis); the root waits
+    # unsolved, so a solve that starts past its deadline solves no LP.
+    heap: list = [(-math.inf, 0, {}, None, None)]
     fifo = 1
     nodes = 0
 
@@ -169,12 +174,13 @@ def solve(
         if ok:
             offer_incumbent(candidate, count(candidate))
 
-    def evaluate(fixings: dict, floor_bound: float):
-        """Solve a node LP: offer an integral solution as an incumbent, or
-        queue a fractional one for branching unless its bound is pruned."""
+    def evaluate(fixings: dict, floor_bound: float, start):
+        """Solve a node LP, warm from the parent's basis ``start`` if given:
+        offer an integral solution as an incumbent, or queue a fractional
+        one for branching unless its bound is pruned."""
         nonlocal nodes
         nodes += 1
-        sol = solve_lp_with_fixings(model.lp, fixings)
+        sol = solve_lp_with_fixings(model.lp, fixings, start=start)
         if sol.status == "infeasible":
             return
         if sol.status != "optimal":
@@ -190,7 +196,7 @@ def solve(
         if upper is not None and bound >= upper:
             return
         nonlocal fifo
-        heapq.heappush(heap, (bound, fifo, fixings, sol.values))
+        heapq.heappush(heap, (bound, fifo, fixings, sol.values, sol.basis))
         fifo += 1
 
     def current_lower() -> float:
@@ -212,11 +218,11 @@ def solve(
         lower = current_lower()
         if upper is not None and upper - lower < CERT_GAP:
             break
-        bound, _, fixings, values = heapq.heappop(heap)
+        bound, _, fixings, values, basis = heapq.heappop(heap)
         if upper is not None and bound >= upper:
             continue
         if values is None:
-            evaluate(fixings, bound)
+            evaluate(fixings, bound, None)
             continue
         frac_dist = np.abs(values[binaries] - 0.5)
         frac_dist[np.abs(values[binaries] - np.round(values[binaries])) <= INT_TOL] = np.inf
@@ -224,7 +230,7 @@ def solve(
         for value in (0.0, 1.0):  # floor branch first
             child = dict(fixings)
             child[branch_var] = value
-            evaluate(child, bound)
+            evaluate(child, bound, basis)
 
     wall = time.monotonic() - start
     lower = current_lower()

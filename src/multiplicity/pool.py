@@ -246,8 +246,13 @@ def fit_pool(
     done = np.array(converged).reshape(wrong.shape[:3]).all(2).T.ravel()
     # models run alpha-major; each is the full-data row of its alpha block
     raw = np.array(coefs)[:, ::n_rows].transpose(1, 0, 2).reshape(-1, X.shape[1])
-    classifiers = [LinearClassifier.from_raw(w) for w in raw]
-    units = np.array([clf.coefficients for clf in classifiers])
+    # l1 norms summed column by column, in coefficient order, so each one is
+    # bit-identical to LinearClassifier.from_raw's; zero rows stay as they are
+    norms = np.abs(raw[:, 0])
+    for column in raw[:, 1:].T:
+        norms = norms + np.abs(column)
+    units = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
+    classifiers = [LinearClassifier(tuple(u)) for u in units.tolist()]
     mistakes = ((units @ X.T > 0.0) != (y > 0)) @ dataset.weights
     alpha_of = np.repeat(grid.alphas, len(wrong))
     return [

@@ -1,32 +1,44 @@
-"""Dense bounded-variable primal simplex for box-constrained linear programs.
+"""Dense bounded-variable simplex for box-constrained linear programs.
 
 All variables carry finite bounds (every variable in the integer programs
 built by this package lives in [0,1], [-1,0] or [-1,1]), which rules out
 unbounded problems and lets nonbasic variables sit at either bound.
+
+A program is solved either cold, by two-phase primal simplex, or warm, by
+dual simplex from the final basis of a program that fixed fewer variables
+(a branch-and-bound parent).  Fixings only shrink boxes, so that basis stays
+dual feasible and only its primal infeasibilities need repair.
 
 Implementation notes:
 
 * rows are turned into equalities with one slack per row whose bounds encode
   the relation; slack bounds are derived from the variable box, so they stay
   finite;
-* an artificial variable per row provides an identity starting basis; rows
-  whose slack already absorbs the residual start with the slack basic
+* an artificial variable per row provides the cold identity starting basis;
+  rows whose slack already absorbs the residual start with the slack basic
   instead, so phase 1 only runs when some residual is out of range;
-* pricing is Dantzig's rule with a permanent switch to Bland's rule after
-  5*(rows+cols) degenerate steps, which guarantees termination;
-* the leaving row is the first to block (lowest basic index on ties),
-  unless its pivot is below SMALL_PIVOT: then Harris's rule takes the
-  largest pivot among the rows that block within the feasibility tolerance;
+* primal pricing is Dantzig's rule with a permanent switch to Bland's rule
+  after 5*(rows+cols) degenerate steps, which guarantees termination;
+* the primal leaving row is the first to block (lowest basic index on
+  ties), unless its pivot is below SMALL_PIVOT: then Harris's rule takes
+  the largest pivot among the rows that block within the feasibility
+  tolerance;
+* the dual leaves on the row with the largest bound violation (lowest basic
+  index on ties) and enters the column with the smallest |z_j / alpha_rj|
+  (lowest index on ties), with the same larger-pivot guard within the
+  optimality tolerance; it proves infeasibility only from a row whose range
+  over the nonbasic boxes misses its bounds, and a node it cannot finish
+  within DUAL_ITERATION_LIMIT pivots is solved cold instead;
 * the tableau B^-1 A is updated by explicit pivots and refactorized from
   scratch every REFACTOR_INTERVAL pivots to keep drift in check.
 
-Everything is deterministic: identical inputs produce identical pivot
-sequences and bit-identical solutions.
+Everything is deterministic: identical inputs (and starting bases) produce
+identical pivot sequences and bit-identical solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,6 +51,7 @@ PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-3  # below this the ratio test switches to Harris's rule
 DEGENERATE_STEP = 1e-12
 REFACTOR_INTERVAL = 256
+DUAL_ITERATION_LIMIT = 1000
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -100,11 +113,22 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the columns [structurals | slacks | artificials]:
+    the basic column of each row, and which nonbasic columns sit at their
+    upper bound (entries of basic columns are ignored)."""
+
+    columns: np.ndarray
+    at_upper: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: str  # optimal | infeasible | iteration_limit (every variable is boxed)
     values: Optional[np.ndarray]
     objective_value: float
-    n_pivots: int = 0
+    n_pivots: int = 0  # every pivot and bound flip, warm attempt included
+    basis: Optional[Basis] = None  # final basis of an optimal solve
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -112,11 +136,20 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     return solve_lp_with_fixings(lp, {})
 
 
-def solve_lp_with_fixings(lp: LinearProgram, fixings: dict) -> LpSolution:
+def solve_lp_with_fixings(
+    lp: LinearProgram, fixings: dict, start: Optional[Basis] = None
+) -> LpSolution:
     """Solve ``lp`` with some variables pinned to fixed values.
 
     The fixed variables' bounds collapse to their values in the tableau;
     a fixing outside the variable's bounds makes the program infeasible.
+
+    Without ``start`` the program is solved cold by two-phase primal
+    simplex.  ``start`` is the ``basis`` of an optimal solution of ``lp``
+    under a subset of ``fixings``: the solve refactors from it and repairs
+    it by dual simplex, then confirms optimality with the primal pricing.
+    If the dual stops short of an answer (its iteration limit, or no pivot
+    and no proof of infeasibility), the program is solved cold after all.
     """
     lo = lp.var_lo.copy()
     hi = lp.var_hi.copy()
@@ -127,7 +160,22 @@ def solve_lp_with_fixings(lp: LinearProgram, fixings: dict) -> LpSolution:
     state = _Tableau(lp, lo, hi)
     if state.infeasible_by_bounds:
         return LpSolution("infeasible", None, float("nan"))
-    iteration_limit = 200 * (state.m + state.n_ext) + 2000
+    if start is None or not state.m:
+        return _solve_cold(lp, state, lo, hi)
+    if start.columns.shape != (state.m,) or start.at_upper.shape != (state.n_ext,):
+        raise ValueError("starting basis does not match the program's shape")
+    status, warm_pivots = state.warm_optimize(start, DUAL_ITERATION_LIMIT)
+    if status == "infeasible":
+        return LpSolution("infeasible", None, float("nan"), warm_pivots)
+    if status == "optimal":
+        return _optimal_solution(lp, state, lo, hi, warm_pivots)
+    cold = _solve_cold(lp, _Tableau(lp, lo, hi), lo, hi)
+    return replace(cold, n_pivots=cold.n_pivots + warm_pivots)
+
+
+def _solve_cold(lp, state, lo, hi) -> LpSolution:
+    """Two-phase primal simplex from the identity starting basis."""
+    iteration_limit = state.iteration_limit
     pivots = 0
 
     if state.needs_phase1:
@@ -143,7 +191,11 @@ def solve_lp_with_fixings(lp: LinearProgram, fixings: dict) -> LpSolution:
     pivots += used
     if status == "iteration_limit":
         return LpSolution("iteration_limit", None, float("nan"), pivots)
+    return _optimal_solution(lp, state, lo, hi, pivots)
 
+
+def _optimal_solution(lp, state, lo, hi, pivots) -> LpSolution:
+    """Check the final vertex against the bounds and rows, and package it."""
     values = state.structural_values()
     if np.any(values < lo - 1e-6) or np.any(values > hi + 1e-6):
         raise InternalConsistencyError("simplex returned out-of-bounds values")
@@ -156,7 +208,10 @@ def solve_lp_with_fixings(lp: LinearProgram, fixings: dict) -> LpSolution:
         )
     objective = float(np.dot(lp.objective, values))
     values.flags.writeable = False
-    return LpSolution("optimal", values, objective, pivots)
+    basis = Basis(state.basis, state.at_upper)
+    basis.columns.flags.writeable = False
+    basis.at_upper.flags.writeable = False
+    return LpSolution("optimal", values, objective, pivots, basis)
 
 
 def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:
@@ -181,6 +236,7 @@ class _Tableau:
         self.m = m
         self.n_struct = n
         self.n_ext = n + 2 * m
+        self.iteration_limit = 200 * (m + self.n_ext) + 2000
         self.infeasible_by_bounds = False
 
         lo = np.concatenate([var_lo, np.zeros(m), np.zeros(m)])
@@ -278,7 +334,19 @@ class _Tableau:
         self.Tb = np.linalg.solve(B, self.b)
         self._pivots_since_refactor = 0
 
-    # -- main loop ------------------------------------------------------
+    def _pivot(self, row: int, enter: int) -> None:
+        """Exchange the basic variable of ``row`` for column ``enter``."""
+        piv = self.T[row, enter]
+        self.T[row] /= piv
+        self.Tb[row] /= piv
+        col = self.T[:, enter].copy()
+        col[row] = 0.0
+        self.T -= np.outer(col, self.T[row])
+        self.Tb -= col * self.Tb[row]
+        self.basis[row] = enter
+        self._pivots_since_refactor += 1
+
+    # -- main loops -----------------------------------------------------
 
     def optimize(self, cost, iteration_limit, stop_at=None):
         """Run bounded-variable simplex iterations for the given objective.
@@ -347,15 +415,7 @@ class _Tableau:
                     min_ratio = float(ratio[leave_row])
                 leaving = int(self.basis[leave_row])
                 self.at_upper[leaving] = d[leave_row] < 0
-                piv = self.T[leave_row, enter]
-                self.T[leave_row] /= piv
-                self.Tb[leave_row] /= piv
-                col = self.T[:, enter].copy()
-                col[leave_row] = 0.0
-                self.T -= np.outer(col, self.T[leave_row])
-                self.Tb -= col * self.Tb[leave_row]
-                self.basis[leave_row] = enter
-                self._pivots_since_refactor += 1
+                self._pivot(leave_row, enter)
                 step = min_ratio
 
             if step < DEGENERATE_STEP:
@@ -365,6 +425,93 @@ class _Tableau:
             else:
                 self._degenerate_steps = 0
         return "iteration_limit", pivots
+
+    def warm_optimize(self, start: Basis, dual_limit: int):
+        """Dual simplex from ``start``, then the primal pricing to confirm
+        optimality.
+
+        Returns ("optimal" | "infeasible" | "stalled", pivots_used); a
+        stalled solve has not been decided and belongs to the cold path.
+        """
+        self.fix_artificials()
+        self.basis = start.columns.copy()
+        self.at_upper = start.at_upper.copy()
+        self._refactor()
+        status, pivots = self.dual_optimize(dual_limit)
+        if status == "optimal":
+            status, used = self.optimize(self.phase2_cost, self.iteration_limit)
+            pivots += used
+        return (status if status in ("optimal", "infeasible") else "stalled"), pivots
+
+    def dual_optimize(self, iteration_limit):
+        """Run bounded dual simplex iterations from a dual feasible basis
+        until every basic variable lies within its bounds.
+
+        Returns ("optimal" | "infeasible" | "iteration_limit" | "stalled",
+        pivots_used).
+        """
+        cost = self.phase2_cost
+        columns = np.arange(self.n_ext)
+        pivots = 0
+        while True:
+            if self._pivots_since_refactor >= REFACTOR_INTERVAL:
+                self._refactor()
+
+            x_basic = self._full_values()[self.basis]
+            below = self.lo[self.basis] - x_basic
+            violation = np.maximum(below, x_basic - self.hi[self.basis])
+            worst = float(violation.max())
+            if worst <= FEASIBILITY_TOL:
+                return "optimal", pivots
+            if pivots >= iteration_limit:
+                return "iteration_limit", pivots
+            rows = np.flatnonzero(violation == worst)
+            row = int(rows[np.argmin(self.basis[rows])])
+            rise = below[row] > 0
+
+            # x_B[row] = Tb[row] - T[row] . x_N rises as a column at its lower
+            # bound with alpha < 0 increases, or one at its upper bound with
+            # alpha > 0 decreases; signed so that alpha < 0 helps at lower.
+            alpha = self.T[row] if rise else -self.T[row]
+            nonbasic = np.ones(self.n_ext, dtype=bool)
+            nonbasic[self.basis] = False
+            eligible = (
+                nonbasic
+                & (self.hi > self.lo)
+                & np.where(self.at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
+            )
+            if not eligible.any():
+                if self._row_misses_bounds(row, nonbasic):
+                    return "infeasible", pivots
+                return "stalled", pivots
+
+            z = cost - cost[self.basis] @ self.T
+            dual_slack = np.maximum(np.where(self.at_upper, -z, z), 0.0)
+            size = np.where(eligible, np.abs(alpha), 1.0)
+            ratio = np.where(eligible, dual_slack / size, np.inf)
+            enter = int(np.argmin(ratio))
+            if size[enter] < SMALL_PIVOT:
+                relaxed = np.where(eligible, (dual_slack + OPTIMALITY_TOL) / size, np.inf)
+                enter = _largest_pivot(ratio, relaxed, size, columns)
+
+            self.at_upper[self.basis[row]] = not rise
+            self._pivot(row, enter)
+            pivots += 1
+
+    def _row_misses_bounds(self, row: int, nonbasic: np.ndarray) -> bool:
+        """Whether the basic variable of ``row`` misses its bounds by more
+        than FEASIBILITY_TOL for every value of the nonbasic variables in
+        their boxes, which proves the program infeasible."""
+        alpha = self.T[row, nonbasic]
+        at_lo = alpha * self.lo[nonbasic]
+        at_hi = alpha * self.hi[nonbasic]
+        highest = self.Tb[row] - np.minimum(at_lo, at_hi).sum()
+        lowest = self.Tb[row] - np.maximum(at_lo, at_hi).sum()
+        j = self.basis[row]
+        return (
+            highest < self.lo[j] - FEASIBILITY_TOL
+            or lowest > self.hi[j] + FEASIBILITY_TOL
+        )
 
 
 def _harris_row(d, x_basic, lb, ub, ratio, basis) -> int:
@@ -388,7 +535,13 @@ def _harris_row(d, x_basic, lb, ub, ratio, basis) -> int:
                 np.inf,
             ),
         )
+    return _largest_pivot(ratio, relaxed, np.abs(d), basis)
+
+
+def _largest_pivot(ratio, relaxed, size, labels) -> int:
+    """Among the entries whose ratio is at most the smallest relaxed ratio,
+    the one with the largest pivot ``size`` (lowest label on ties)."""
     candidates = np.flatnonzero(ratio <= max(float(relaxed.min()), 0.0))
-    size = np.abs(d[candidates])
+    size = size[candidates]
     best = candidates[size == size.max()]
-    return int(best[np.argmin(basis[best])])
+    return int(best[np.argmin(labels[best])])

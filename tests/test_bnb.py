@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,13 +107,81 @@ class TestSolve:
         assert res.upper_bound == 25.0
 
     def test_node_limit_is_deterministic(self):
-        model = build_baseline_mip(xor_dataset())
-        a = solve(model, budget=SolveBudget(node_limit=5))
-        b = solve(model, budget=SolveBudget(node_limit=5))
-        assert a.status == b.status
-        assert a.nodes_explored == b.nodes_explored
-        assert a.lower_bound == b.lower_bound
-        assert a.upper_bound == b.upper_bound
+        models = [build_baseline_mip(xor_dataset())] + [
+            build_baseline_mip(random_binary_dataset(np.random.default_rng(seed)))
+            for seed in range(3)
+        ]
+        for model in models:
+            for limit in (5, 12):
+                a = solve(model, budget=SolveBudget(node_limit=limit))
+                b = solve(model, budget=SolveBudget(node_limit=limit))
+                assert a.status == b.status
+                assert a.nodes_explored == b.nodes_explored
+                assert a.lower_bound == b.lower_bound
+                assert a.upper_bound == b.upper_bound
+                assert (a.incumbent is None) == (b.incumbent is None)
+                if a.incumbent is not None:
+                    assert np.array_equal(a.incumbent, b.incumbent)
+
+    def test_children_start_from_the_parent_basis(self, monkeypatch):
+        from multiplicity import branch_bound
+
+        calls = []
+        solve_node = branch_bound.solve_lp_with_fixings
+
+        def spy(lp, fixings, start=None):
+            sol = solve_node(lp, fixings, start=start)
+            calls.append((dict(fixings), start, sol))
+            return sol
+
+        monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
+        res = solve(build_baseline_mip(xor_dataset()))
+        assert res.upper_bound == 25.0
+        assert calls[0][1] is None and len(calls) > 1
+        bases = {}
+        for fixings, start, sol in calls:
+            if fixings:
+                parent = {j: v for j, v in fixings.items() if j != list(fixings)[-1]}
+                assert start is bases[tuple(parent.items())]
+            bases[tuple(fixings.items())] = sol.basis
+
+    @pytest.mark.parametrize("source", ["compas_style", "tyranny"])
+    def test_baseline_root_stays_cold(self, source, monkeypatch, tmp_path):
+        from multiplicity import branch_bound, cli
+        from multiplicity.simplex import solve_lp
+
+        if source == "tyranny":
+            config = cli.RunConfig(dataset="tyranny", outdir=str(tmp_path))
+        else:
+            config = cli.RunConfig(
+                dataset=str(Path(__file__).parent / "data" / "compas_style.csv"),
+                label_column="two_year_recid",
+                group_column="race",
+                outdir=str(tmp_path),
+            )
+        model = build_baseline_mip(cli.load_dataset(config)[0], config.gamma)
+        calls = []
+        solve_node = branch_bound.solve_lp_with_fixings
+
+        def spy(lp, fixings, start=None):
+            sol = solve_node(lp, fixings, start=start)
+            calls.append((dict(fixings), start, sol))
+            return sol
+
+        monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
+        res = solve(model)
+        cold = solve_lp(model.lp)
+        fixings, start, root = calls[0]
+        assert fixings == {} and start is None
+        assert root.n_pivots == cold.n_pivots
+        assert np.array_equal(root.values, cold.values)
+        assert res.certified
+        binaries = cold.values[list(model.binary_vars)]
+        if np.all(np.abs(binaries - np.round(binaries)) <= 1e-6):
+            expected = cold.values
+        else:
+            expected = model.metadata["incumbent_heuristic"](cold.values)
+        assert np.array_equal(res.incumbent, expected)
 
 
 class TestBounds:

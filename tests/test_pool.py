@@ -450,6 +450,32 @@ class TestMatrixScoring:
             for m in models:
                 assert m.train_risk == empirical_risk(m.classifier, data)
 
+    def test_classifiers_match_from_raw(self, tmp_path):
+        from pathlib import Path
+
+        from multiplicity import cli
+
+        config = cli.RunConfig(
+            dataset=str(Path(__file__).parent / "data" / "compas_style.csv"),
+            label_column="two_year_recid",
+            group_column="race",
+            outdir=str(tmp_path),
+        )
+        compas = fit_pool(cli.load_dataset(config)[0], seed=config.seed)
+        rng = np.random.default_rng(9)
+        wide = Dataset.build(
+            [
+                Example((1.0, *np.round(rng.normal(size=8), 3).tolist()), int(rng.choice([-1, 1])))
+                for _ in range(40)
+            ]
+        )
+        wide_models = fit_pool(wide, PenaltyGrid(alphas=(0.0, 0.5, 1.0), lambdas_per_alpha=10))
+        assert len(compas) == 1100 and wide_models[0].classifier.dim == 9
+        for models in (compas, wide_models):
+            for m in models:
+                expected = LinearClassifier.from_raw(m.raw_coefficients).coefficients
+                assert m.classifier.coefficients == expected
+
     def check(self, models, data):
         k_max = min(data.n, max(m.train_risk.mistakes for m in models))
         grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(k_max + 1)), data.n)

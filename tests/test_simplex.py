@@ -215,3 +215,114 @@ class TestAgainstOracle:
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+
+
+
+def _walk_chains(rng, count, check):
+    """Run ``check(lp, fixings, parent, basic)`` down random parent -> child
+    -> grandchild chains below the cold roots of ``count`` random LPs.
+
+    Each level fixes one more structural variable, basic (``basic``) or
+    nonbasic in the parent's final basis, to one of its bounds or to a
+    point inside its box; ``check`` returns the child, and a chain stops
+    below a child that is not optimal.
+    """
+    for _ in range(count):
+        lp, _ = random_box_lp(rng)
+        parent, fixings = solve_lp(lp), {}
+        for _ in range(2):
+            free = [j for j in range(lp.n_vars) if j not in fixings]
+            if parent.status != "optimal" or not free:
+                break
+            j = int(rng.choice(free))
+            lo, hi = lp.var_lo[j], lp.var_hi[j]
+            value = (lo, hi, lo + (hi - lo) * rng.random())[int(rng.integers(0, 3))]
+            fixings = {**fixings, j: float(value)}
+            parent = check(lp, fixings, parent, j in parent.basis.columns)
+
+
+class TestWarmStart:
+    def test_chains_match_cold_and_repeat(self):
+        seen = {"basic": 0, "nonbasic": 0, "infeasible": 0, "grandchild": 0}
+
+        def check(lp, fixings, parent, basic):
+            child = solve_lp_with_fixings(lp, fixings, start=parent.basis)
+            cold = solve_lp_with_fixings(lp, fixings)
+            assert child.status == cold.status
+            if cold.status == "optimal":
+                assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+                assert violated_rows(lp, child.values, 1e-6).size == 0
+            again = solve_lp_with_fixings(lp, fixings, start=parent.basis)
+            assert again.n_pivots == child.n_pivots
+            if child.status == "optimal":
+                assert np.array_equal(again.values, child.values)
+                assert np.array_equal(again.basis.columns, child.basis.columns)
+            seen["basic" if basic else "nonbasic"] += 1
+            seen["infeasible"] += child.status == "infeasible"
+            seen["grandchild"] += len(fixings) == 2
+            return child
+
+        _walk_chains(np.random.default_rng(31), 150, check)
+        assert min(seen.values()) >= 10, seen
+
+    def test_dual_iteration_limit_falls_back_to_cold(self, monkeypatch):
+        from multiplicity import simplex
+
+        monkeypatch.setattr(simplex, "DUAL_ITERATION_LIMIT", 1)
+        cold_solves = []
+        solve_cold = simplex._solve_cold
+
+        def counting(*args):
+            cold_solves.append(1)
+            return solve_cold(*args)
+
+        monkeypatch.setattr(simplex, "_solve_cold", counting)
+        fallbacks = []
+
+        def check(lp, fixings, parent, basic):
+            before = len(cold_solves)
+            child = solve_lp_with_fixings(lp, fixings, start=parent.basis)
+            fallbacks.append(len(cold_solves) > before)
+            cold = solve_lp_with_fixings(lp, fixings)
+            assert child.status == cold.status
+            if cold.status == "optimal":
+                assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+            return child
+
+        _walk_chains(np.random.default_rng(5), 150, check)
+        assert sum(fallbacks) >= 5, sum(fallbacks)
+
+    def test_dual_ratio_test_prefers_the_larger_pivot(self):
+        # Fixing x0 = 0 leaves the row short by 1.  Column 1 is free to
+        # enter (ratio 0) but through a pivot of 1e-4; column 2 costs 1e-4,
+        # within the optimality tolerance of that ratio once divided by its
+        # pivot of 1, so it enters instead and one pivot ends the repair.
+        lp = box_lp([-1.0, 0.0, 1e-4], [[1.0, 1e-4, 1.0]], [">="], [1.0], [0, 0, 0], [1, 1, 1])
+        warm = solve_lp_with_fixings(lp, {0: 0.0}, start=solve_lp(lp).basis)
+        cold = solve_lp_with_fixings(lp, {0: 0.0})
+        assert warm.n_pivots == 1 and warm.basis.columns.tolist() == [2]
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+
+    def test_unproven_infeasibility_goes_cold(self, monkeypatch):
+        # Fixing x0 = 0 leaves the row short by 1.  Its only other entry,
+        # 1e-10, is below the pivot tolerance, yet over y's box of width
+        # 2e10 it could close the gap: the dual has neither a pivot nor a
+        # proof of infeasibility, so the node is solved cold.
+        from multiplicity import simplex
+
+        lp = box_lp([-1.0, 0.0], [[1.0, 1e-10]], [">="], [1.0], [0, 0], [1, 2e10])
+        start = solve_lp(lp).basis
+        cold_solves = []
+        solve_cold = simplex._solve_cold
+        monkeypatch.setattr(
+            simplex, "_solve_cold", lambda *a: cold_solves.append(1) or solve_cold(*a)
+        )
+        warm = solve_lp_with_fixings(lp, {0: 0.0}, start=start)
+        assert len(cold_solves) == 1
+        assert warm.status == solve_lp_with_fixings(lp, {0: 0.0}).status
+
+    def test_mismatched_start_rejected(self):
+        lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0, 0], [1, 1])
+        other = box_lp([1.0], [[1.0]], [">="], [0.5], [0], [1])
+        with pytest.raises(ValueError):
+            solve_lp_with_fixings(lp, {0: 1.0}, start=solve_lp(other).basis)
