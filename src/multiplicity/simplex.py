@@ -451,7 +451,6 @@ class _Tableau:
         pivots_used).
         """
         cost = self.phase2_cost
-        columns = np.arange(self.n_ext)
         pivots = 0
         while True:
             if self._pivots_since_refactor >= REFACTOR_INTERVAL:
@@ -492,7 +491,7 @@ class _Tableau:
             enter = int(np.argmin(ratio))
             if size[enter] < SMALL_PIVOT:
                 relaxed = np.where(eligible, (dual_slack + OPTIMALITY_TOL) / size, np.inf)
-                enter = _largest_pivot(ratio, relaxed, size, columns)
+                enter = _largest_pivot(ratio, relaxed, size, np.arange(self.n_ext))
 
             self.at_upper[self.basis[row]] = not rise
             self._pivot(row, enter)

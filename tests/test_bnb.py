@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multiplicity import branch_bound, cli
 from multiplicity.branch_bound import (
     MipModel,
     SolveBudget,
@@ -17,9 +18,24 @@ from multiplicity.formulations import (
     classifier_from_solution,
     assignment_from_classifier,
 )
-from multiplicity.simplex import LinearProgram
+from multiplicity.simplex import LinearProgram, solve_lp
 from conftest import random_binary_dataset, xor_dataset
 from oracles import oracle_baseline
+
+
+@pytest.fixture
+def node_lps(monkeypatch):
+    """(fixings, start, solution) of every node LP that ``solve`` runs."""
+    calls = []
+    solve_node = branch_bound.solve_lp_with_fixings
+
+    def spy(lp, fixings, start=None):
+        sol = solve_node(lp, fixings, start=start)
+        calls.append((dict(fixings), start, sol))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
+    return calls
 
 
 def knapsack_model(values, weights, capacity):
@@ -123,33 +139,19 @@ class TestSolve:
                 if a.incumbent is not None:
                     assert np.array_equal(a.incumbent, b.incumbent)
 
-    def test_children_start_from_the_parent_basis(self, monkeypatch):
-        from multiplicity import branch_bound
-
-        calls = []
-        solve_node = branch_bound.solve_lp_with_fixings
-
-        def spy(lp, fixings, start=None):
-            sol = solve_node(lp, fixings, start=start)
-            calls.append((dict(fixings), start, sol))
-            return sol
-
-        monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
+    def test_children_start_from_the_parent_basis(self, node_lps):
         res = solve(build_baseline_mip(xor_dataset()))
         assert res.upper_bound == 25.0
-        assert calls[0][1] is None and len(calls) > 1
+        assert node_lps[0][1] is None and len(node_lps) > 1
         bases = {}
-        for fixings, start, sol in calls:
+        for fixings, start, sol in node_lps:
             if fixings:
                 parent = {j: v for j, v in fixings.items() if j != list(fixings)[-1]}
                 assert start is bases[tuple(parent.items())]
             bases[tuple(fixings.items())] = sol.basis
 
     @pytest.mark.parametrize("source", ["compas_style", "tyranny"])
-    def test_baseline_root_stays_cold(self, source, monkeypatch, tmp_path):
-        from multiplicity import branch_bound, cli
-        from multiplicity.simplex import solve_lp
-
+    def test_baseline_root_stays_cold(self, source, node_lps, tmp_path):
         if source == "tyranny":
             config = cli.RunConfig(dataset="tyranny", outdir=str(tmp_path))
         else:
@@ -160,18 +162,9 @@ class TestSolve:
                 outdir=str(tmp_path),
             )
         model = build_baseline_mip(cli.load_dataset(config)[0], config.gamma)
-        calls = []
-        solve_node = branch_bound.solve_lp_with_fixings
-
-        def spy(lp, fixings, start=None):
-            sol = solve_node(lp, fixings, start=start)
-            calls.append((dict(fixings), start, sol))
-            return sol
-
-        monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
         res = solve(model)
         cold = solve_lp(model.lp)
-        fixings, start, root = calls[0]
+        fixings, start, root = node_lps[0]
         assert fixings == {} and start is None
         assert root.n_pivots == cold.n_pivots
         assert np.array_equal(root.values, cold.values)
@@ -182,7 +175,6 @@ class TestSolve:
         else:
             expected = model.metadata["incumbent_heuristic"](cold.values)
         assert np.array_equal(res.incumbent, expected)
-
 
 class TestBounds:
     def test_anytime_bound_monotonicity(self):

@@ -1,11 +1,13 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multiplicity.pool as pool_module
+from multiplicity import cli
 from multiplicity.core import (
     Dataset,
     Example,
@@ -451,10 +453,6 @@ class TestMatrixScoring:
                 assert m.train_risk == empirical_risk(m.classifier, data)
 
     def test_classifiers_match_from_raw(self, tmp_path):
-        from pathlib import Path
-
-        from multiplicity import cli
-
         config = cli.RunConfig(
             dataset=str(Path(__file__).parent / "data" / "compas_style.csv"),
             label_column="two_year_recid",

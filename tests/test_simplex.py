@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multiplicity import simplex
 from multiplicity.simplex import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
@@ -241,6 +242,20 @@ def _walk_chains(rng, count, check):
             parent = check(lp, fixings, parent, j in parent.basis.columns)
 
 
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """One entry per cold simplex solve that runs."""
+    calls = []
+    solve_cold = simplex._solve_cold
+
+    def counting(*args):
+        calls.append(1)
+        return solve_cold(*args)
+
+    monkeypatch.setattr(simplex, "_solve_cold", counting)
+    return calls
+
+
 class TestWarmStart:
     def test_chains_match_cold_and_repeat(self):
         seen = {"basic": 0, "nonbasic": 0, "infeasible": 0, "grandchild": 0}
@@ -265,18 +280,8 @@ class TestWarmStart:
         _walk_chains(np.random.default_rng(31), 150, check)
         assert min(seen.values()) >= 10, seen
 
-    def test_dual_iteration_limit_falls_back_to_cold(self, monkeypatch):
-        from multiplicity import simplex
-
+    def test_dual_iteration_limit_falls_back_to_cold(self, monkeypatch, cold_solves):
         monkeypatch.setattr(simplex, "DUAL_ITERATION_LIMIT", 1)
-        cold_solves = []
-        solve_cold = simplex._solve_cold
-
-        def counting(*args):
-            cold_solves.append(1)
-            return solve_cold(*args)
-
-        monkeypatch.setattr(simplex, "_solve_cold", counting)
         fallbacks = []
 
         def check(lp, fixings, parent, basic):
@@ -303,22 +308,16 @@ class TestWarmStart:
         assert warm.n_pivots == 1 and warm.basis.columns.tolist() == [2]
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
 
-    def test_unproven_infeasibility_goes_cold(self, monkeypatch):
+    def test_unproven_infeasibility_goes_cold(self, cold_solves):
         # Fixing x0 = 0 leaves the row short by 1.  Its only other entry,
         # 1e-10, is below the pivot tolerance, yet over y's box of width
         # 2e10 it could close the gap: the dual has neither a pivot nor a
         # proof of infeasibility, so the node is solved cold.
-        from multiplicity import simplex
-
         lp = box_lp([-1.0, 0.0], [[1.0, 1e-10]], [">="], [1.0], [0, 0], [1, 2e10])
         start = solve_lp(lp).basis
-        cold_solves = []
-        solve_cold = simplex._solve_cold
-        monkeypatch.setattr(
-            simplex, "_solve_cold", lambda *a: cold_solves.append(1) or solve_cold(*a)
-        )
+        before = len(cold_solves)
         warm = solve_lp_with_fixings(lp, {0: 0.0}, start=start)
-        assert len(cold_solves) == 1
+        assert len(cold_solves) == before + 1
         assert warm.status == solve_lp_with_fixings(lp, {0: 0.0}).status
 
     def test_mismatched_start_rejected(self):
