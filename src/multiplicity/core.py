@@ -213,7 +213,7 @@ class Dataset:
         v.flags.writeable = False
         return v
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Total example weight; the denominator of every rate."""
         return int(self.weights.sum())

@@ -2,10 +2,12 @@
 
 Fits a grid of elastic-net logistic models by proximal Newton (glmnet's
 IRLS, Friedman, Hastie & Tibshirani 2010; each quadratic subproblem solved
-exactly on its warm support, coordinate descent where the support changes),
-every (alpha, fold) path in one batch where a cross-validation fold is the
-full data with that fold's weights set to zero.  Picks a baseline by 5-fold
-cross-validated error and reads ambiguity and discrepancy off the pool.
+exactly on its warm support, coordinate descent where the support changes)
+over the distinct feature cells.  The lambda path is walked in blocks of
+``LAMBDA_BLOCK`` lambdas: one batch fits every (lambda in block, alpha,
+fold) problem, where a cross-validation fold is the full data with that
+fold's weights set to zero.  Picks a baseline by 5-fold cross-validated
+error, scored on the rows, and reads ambiguity and discrepancy off the pool.
 Pool estimates are lower bounds by construction (the pool is a subset of
 the level set), so every emitted value is marked uncertified.
 """
@@ -29,6 +31,7 @@ MAX_ITER = 100  # Newton steps per fit, and coordinate sweeps per step
 # lambda_max formula substitutes a small floor for alpha.
 ALPHA_FLOOR = 1e-3
 N_FOLDS = 5
+LAMBDA_BLOCK = 10  # consecutive lambdas of every path fitted in one batch
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
 
-def _objective(X, targets, weights, n_total, ridge, l1, w):
-    """Penalized weighted logistic loss of each row of ``w``."""
+def _objective(X, pos, weights, n_total, ridge, l1, w):
+    """Penalized weighted logistic loss of each row of ``w``: per cell, its
+    total weight times logaddexp(0, score) less its positive weight times
+    the score."""
     scores, beta = w @ X.T, w[:, 1:]
-    loss = np.einsum("kn,kn->k", weights, np.logaddexp(0.0, scores) - targets * scores)
+    loss = np.einsum("kc,kc->k", weights, np.logaddexp(0.0, scores))
+    loss -= np.einsum("kc,kc->k", pos, scores)
     return loss / n_total + 0.5 * ridge * (beta**2).sum(1) + l1 * np.abs(beta).sum(1)
 
 
@@ -111,11 +117,14 @@ def _support_solve(system, rhs, l1, beta, inert):
     return trial, kept.all(1) & np.isfinite(trial).all(1)
 
 
-def _cd_fit(X, targets, weights, ridge, l1, w_init):
+def _cd_fit(X, pos, neg, ridge, l1, w_init):
     """Batched proximal Newton on k weighted elastic-net logistic losses.
 
-    Fit i has example weights ``weights[i]`` (k x n), start ``w_init[i]``
-    (k x p) and penalties ``ridge[i]`` and ``l1[i]``.  Each Newton step
+    ``X`` holds the distinct feature cells.  Fit i gives cell c the
+    positive weight ``pos[i, c]`` and the negative weight ``neg[i, c]``
+    (both k x cells), and has start ``w_init[i]`` (k x p) and penalties
+    ``ridge[i]`` and ``l1[i]``; its loss is the sum over cells of
+    (pos + neg) * logaddexp(0, s) - pos * s at score s.  Each Newton step
     eliminates the unpenalized intercept (column 0), which is strongly
     correlated with binary features, from the quadratic model by its Schur
     complement and solves the rest exactly on the current support (Lee, Sun
@@ -129,14 +138,15 @@ def _cd_fit(X, targets, weights, ridge, l1, w_init):
     w = w_init.copy()
     converged = np.zeros(len(w), dtype=bool)
     live = np.arange(len(w))
+    weights = pos + neg
     n_total = weights.sum(axis=1)
     p = X.shape[1]
     outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)  # Hessian by one matmul
-    value = _objective(X, targets, weights, n_total, ridge, l1, w)
+    value = _objective(X, pos, weights, n_total, ridge, l1, w)
     for _ in range(MAX_ITER):
-        wl, wt, nt, lam2, lam1 = (a[live] for a in (w, weights, n_total, ridge, l1))
+        wl, wp, wt, nt, lam2, lam1 = (a[live] for a in (w, pos, weights, n_total, ridge, l1))
         mu = _sigmoid(wl @ X.T)
-        grad = (wt * (mu - targets)) @ X / nt[:, None]
+        grad = (wt * mu - wp) @ X / nt[:, None]
         hess = ((wt * mu * (1.0 - mu) / nt[:, None]) @ outer).reshape(-1, p, p)
         h00, h0r = hess[:, 0, 0], hess[:, 0, 1:]
         red_hess = hess[:, 1:, 1:] - h0r[:, :, None] * h0r[:, None, :] / h00[:, None, None]
@@ -154,7 +164,7 @@ def _cd_fit(X, targets, weights, ridge, l1, w_init):
                 break
         beta -= wl[:, 1:]
         step = np.column_stack([-(grad[:, 0] + np.einsum("kj,kj->k", h0r, beta)) / h00, beta])
-        args = (X, targets, wt, nt, lam2, lam1)
+        args = (X, wp, wt, nt, lam2, lam1)
         start, reach, size = value[live], np.abs(step).max(1), np.ones(len(live))
         while True:
             trial_value = _objective(*args, wl + size[:, None] * step)
@@ -207,15 +217,21 @@ def fit_pool(
 ) -> list:
     """Fit the (alpha, lambda) grid and cross-validate every model.
 
-    One proximal-Newton batch walks every path from lambda_max down,
-    warm-started along it.  Per alpha its rows are the full data, then each
-    usable fold (held-out part nonempty, training part with both classes)
-    as the full weights with that fold zeroed.  A model is converged when
-    all of these fits are.  Deterministic for a fixed seed: fold
-    assignment, path order and the fit have no randomness.
+    Per alpha the fits are the full data, then each usable fold (held-out
+    part nonempty, training part with both classes) as the full weights
+    with that fold zeroed, each as per-cell positive and negative weights.
+    Every path runs from lambda_max down in blocks of ``LAMBDA_BLOCK``
+    consecutive lambdas (the last block may be shorter): one
+    proximal-Newton batch fits the block's (lambda, alpha, fold) problems,
+    lambda-major, each warm-started from its path's solution at the last
+    lambda of the previous block (the null model for the first block).  A
+    model is converged when all of its fits are.  The lambdas, the
+    held-out and the training mistakes are computed on the rows.
+    Deterministic for a fixed seed: fold assignment, path order and the fit
+    have no randomness.
     """
     grid = grid or PenaltyGrid()
-    X, y = dataset.X, dataset.y
+    X, y, cells, n = dataset.X, dataset.y, dataset.cells, dataset.n
     targets = (y + 1) / 2.0
     weights = dataset.weights.astype(float)
     folds = _fold_assignment(len(y), seed)
@@ -224,28 +240,43 @@ def fit_pool(
         [np.zeros(len(y), dtype=bool)]
         + [h for h in held if h.any() and len(set(y[~h])) == 2]
     )
-    n_rows = len(held)
     lambdas = np.array(
         [grid.lambda_path(_lambda_max(X, targets, weights, a)) for a in grid.alphas]
     )
-    lam_rows = np.repeat(lambdas, n_rows, axis=0)
-    alphas = np.repeat(grid.alphas, n_rows)
-    fit_weights = np.tile(weights * ~held, (len(grid.alphas), 1))
-    w = np.zeros((len(fit_weights), X.shape[1]))
+    n_alphas, n_lambdas = lambdas.shape
+    fit_weights = weights * ~held
+    w = np.zeros((len(held), X.shape[1]))
     w[:, 0] = [_null_intercept(targets, row) for row in fit_weights]
-    coefs, converged, wrong = [], [], []
-    for lam in lam_rows.T:
-        w, done = _cd_fit(X, targets, fit_weights, lam * (1.0 - alphas), lam * alphas, w)
-        coefs.append(w)
-        converged.append(done)
-        wrong.append((w @ X.T > 0.0) != (y > 0))
-    wrong = np.array(wrong).reshape(len(wrong), len(grid.alphas), n_rows, -1)
-    errors = np.einsum("larn,rn->al", wrong, weights * held).ravel()
+    w = np.tile(w, (n_alphas, 1))
+    # per-cell positive and negative weights of each fold's fit
+    pos, neg = (
+        np.array([np.bincount(cells.index, row, len(cells.X)) for row in fit_weights * side])
+        for side in (y > 0, y < 0)
+    )
+    alphas = np.repeat(grid.alphas, len(held))
+    coefs = np.empty((n_lambdas, len(w), X.shape[1]))
+    converged = np.empty((n_lambdas, len(w)), dtype=bool)
+    for first in range(0, n_lambdas, LAMBDA_BLOCK):
+        block = slice(first, first + LAMBDA_BLOCK)
+        lam = np.repeat(lambdas[:, block].T, len(held), axis=1)  # lambda x fit
+        size = len(lam)
+        fit, done = _cd_fit(
+            cells.X, np.tile(pos, (size * n_alphas, 1)), np.tile(neg, (size * n_alphas, 1)),
+            (lam * (1.0 - alphas)).ravel(), (lam * alphas).ravel(), np.tile(w, (size, 1)),
+        )
+        coefs[block] = fit.reshape(size, *w.shape)
+        converged[block] = done.reshape(size, len(w))
+        w = coefs[block][-1]
+    coefs = coefs.reshape(n_lambdas, n_alphas, len(held), -1)
+    errors = np.zeros((n_lambdas, n_alphas))
+    for r, rows in enumerate(held[1:], 1):  # the full-data fits hold nothing out
+        wrong = (coefs[:, :, r] @ X[rows].T > 0.0) != (y[rows] > 0)
+        errors += wrong @ weights[rows]
     total = float((weights * held).sum())
-    cv_risks = errors / total if total else np.full_like(errors, math.inf)
-    done = np.array(converged).reshape(wrong.shape[:3]).all(2).T.ravel()
-    # models run alpha-major; each is the full-data row of its alpha block
-    raw = np.array(coefs)[:, ::n_rows].transpose(1, 0, 2).reshape(-1, X.shape[1])
+    cv_risks = (errors / total if total else np.full_like(errors, math.inf)).T.ravel()
+    done = converged.reshape(coefs.shape[:3]).all(2).T.ravel()
+    # models run alpha-major; each is the full-data fit of its alpha
+    raw = coefs[:, :, 0].transpose(1, 0, 2).reshape(-1, X.shape[1])
     # l1 norms summed column by column, in coefficient order, so each one is
     # bit-identical to LinearClassifier.from_raw's; zero rows stay as they are
     norms = np.abs(raw[:, 0])
@@ -254,11 +285,11 @@ def fit_pool(
     units = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
     classifiers = [LinearClassifier(tuple(u)) for u in units.tolist()]
     mistakes = ((units @ X.T > 0.0) != (y > 0)) @ dataset.weights
-    alpha_of = np.repeat(grid.alphas, len(wrong))
+    alpha_of = np.repeat(grid.alphas, n_lambdas)
     return [
         PoolModel(
             classifier=clf, raw_coefficients=tuple(w.tolist()), alpha=float(alpha),
-            lam=float(lam), train_risk=RiskReport(mistakes=int(k), n=dataset.n),
+            lam=float(lam), train_risk=RiskReport(mistakes=int(k), n=n),
             cv_risk=float(cv), converged=bool(ok),
         )
         for clf, w, alpha, lam, k, cv, ok in zip(

@@ -175,6 +175,7 @@ def solve_lp_with_fixings(
 
 def _solve_cold(lp, state, lo, hi) -> LpSolution:
     """Two-phase primal simplex from the identity starting basis."""
+    state.start_cold()
     iteration_limit = state.iteration_limit
     pivots = 0
 
@@ -272,16 +273,23 @@ class _Tableau:
         self.lo = lo
         self.hi = hi
         self.b = lp.row_rhs.astype(float).copy()
+        self.phase2_cost = np.concatenate([lp.objective, np.zeros(2 * m)])
+        self._pivots_since_refactor = 0
+        self._degenerate_steps = 0
+        self._use_bland = False
 
-        # Identity starting basis: slack where its bounds absorb the
-        # residual, artificial otherwise.
+    def start_cold(self) -> None:
+        """Identity starting basis: slack where its bounds absorb the
+        residual, artificial otherwise, with the phase-1 costs that drive
+        the artificials to zero."""
+        n, m, lo, hi = self.n_struct, self.m, self.lo, self.hi
         self.at_upper = np.zeros(self.n_ext, dtype=bool)
         self.basis = np.empty(m, dtype=int)
         self.phase1_cost = np.zeros(self.n_ext)
-        residual_target = self.b - (A[:, :n] @ var_lo if m else 0.0)
+        residual_target = self.b - self.A[:, :n] @ lo[:n]
         self.needs_phase1 = False
         for k in range(m):
-            t = residual_target[k] if m else 0.0
+            t = residual_target[k]
             s_lo, s_hi = lo[n + k], hi[n + k]
             if s_lo - FEASIBILITY_TOL <= t <= s_hi + FEASIBILITY_TOL:
                 self.basis[k] = n + k
@@ -291,17 +299,12 @@ class _Tableau:
                 r = t - s_at
                 a = n + m + k
                 self.basis[k] = a
-                self.lo[a], self.hi[a] = min(0.0, r), max(0.0, r)
+                lo[a], hi[a] = min(0.0, r), max(0.0, r)
                 self.phase1_cost[a] = 1.0 if r > 0 else -1.0
                 if abs(r) > FEASIBILITY_TOL:
                     self.needs_phase1 = True
-
-        self.phase2_cost = np.concatenate([lp.objective, np.zeros(2 * m)])
-        self.T = A.copy()  # B^-1 A with B = I initially
+        self.T = self.A.copy()  # B^-1 A with B = I initially
         self.Tb = self.b.copy()
-        self._pivots_since_refactor = 0
-        self._degenerate_steps = 0
-        self._use_bland = False
 
     # -- state helpers -------------------------------------------------
 
@@ -433,7 +436,7 @@ class _Tableau:
         Returns ("optimal" | "infeasible" | "stalled", pivots_used); a
         stalled solve has not been decided and belongs to the cold path.
         """
-        self.fix_artificials()
+        # the artificials keep their initial bounds [0, 0]
         self.basis = start.columns.copy()
         self.at_upper = start.at_upper.copy()
         self._refactor()

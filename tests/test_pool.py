@@ -204,11 +204,13 @@ class TestFitPool:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             models = fit_pool(data, grid, seed=0)
-        per_alpha = len(calls[0]) // 2  # the full-data fit, then the folds
+        # the blocks run lambda-major: per lambda each alpha's full-data
+        # fit, then its folds
+        fits = np.concatenate(calls).reshape(10, 2, -1)
         capped = 0
         for k, m in enumerate(models):
             a, li = divmod(k, 10)
-            block = calls[li][a * per_alpha : (a + 1) * per_alpha]
+            block = fits[li, a]
             assert max(abs(v) for v in m.raw_coefficients) < 1e-9
             assert block[0]  # the full-data fit
             assert m.converged == block.all()
@@ -324,6 +326,14 @@ class TestAdhocMeasures:
                 assert got.ambiguity.value <= truth.ambiguity.value
 
 
+def row_objective(X, targets, weights, n_total, ridge, l1, w):
+    """Penalized weighted logistic loss of each row of ``w`` over the rows
+    of ``X`` (test-only oracle)."""
+    scores, beta = w @ X.T, w[:, 1:]
+    loss = np.einsum("kn,kn->k", weights, np.logaddexp(0.0, scores) - targets * scores)
+    return loss / n_total + 0.5 * ridge * (beta**2).sum(1) + l1 * np.abs(beta).sum(1)
+
+
 def reference_cd_fit(X, targets, weights, ridge, l1, w_init):
     """Proximal Newton with plain coordinate descent on every quadratic
     model, the fit the support solve replaced (test-only oracle)."""
@@ -354,7 +364,7 @@ def reference_cd_fit(X, targets, weights, ridge, l1, w_init):
         beta -= wl[:, 1:]
         step = np.column_stack([-(grad[:, 0] + np.einsum("kj,kj->k", h0r, beta)) / h00, beta])
         args = (X, targets, wt, nt, lam2, lam1)
-        objective = pool_module._objective
+        objective = row_objective
         start, reach, size = objective(*args, wl), np.abs(step).max(1), np.ones(len(live))
         while True:
             rise = objective(*args, wl + size[:, None] * step) > start
@@ -371,6 +381,45 @@ def reference_cd_fit(X, targets, weights, ridge, l1, w_init):
     return w, converged
 
 
+def reference_fit_pool(dataset, grid, seed):
+    """The pool fitted one lambda at a time over the rows, each fit
+    warm-started from its path's fit at the previous lambda (test-only
+    oracle).  Returns (alpha, lam, train_risk, cv_risk, converged, raw
+    coefficients, tied) per model, alpha-major; ``tied`` is the share of
+    the held-out weight that a fold fit scores within 1e-9 of 0, where
+    rounding decides the prediction."""
+    X, y = dataset.X, dataset.y
+    targets = (y + 1) / 2.0
+    weights = dataset.weights.astype(float)
+    folds = _fold_assignment(len(y), seed)
+    held = [np.zeros(len(y), dtype=bool)] + [
+        folds == f
+        for f in range(N_FOLDS)
+        if (folds == f).any() and len(set(y[folds != f])) == 2
+    ]
+    fit_weights = np.array([weights * ~h for h in held])
+    total = sum(weights[h].sum() for h in held)
+    models = []
+    for alpha in grid.alphas:
+        w = np.zeros((len(held), X.shape[1]))
+        w[:, 0] = [pool_module._null_intercept(targets, row) for row in fit_weights]
+        for lam in grid.lambda_path(_lambda_max(X, targets, weights, alpha)):
+            ridge = np.full(len(held), lam * (1.0 - alpha))
+            l1 = np.full(len(held), lam * alpha)
+            w, ok = reference_cd_fit(X, targets, fit_weights, ridge, l1, w)
+            errors = sum(
+                weights[h & ((X @ fit > 0.0) != (y > 0))].sum() for h, fit in zip(held, w)
+            )
+            tied = sum(weights[h & (np.abs(X @ fit) <= 1e-9)].sum() for h, fit in zip(held, w))
+            clf = LinearClassifier.from_raw(w[0])
+            models.append(
+                (alpha, lam, empirical_risk(clf, dataset),
+                 errors / total if total else math.inf, ok.all(), w[0],
+                 tied / total if total else 0.0)
+            )
+    return models
+
+
 def reference_adhoc_counts(models, dataset, grid):
     """Per-epsilon (discrepancy, ambiguity) counts by scanning every model
     for every threshold (test-only oracle)."""
@@ -385,6 +434,17 @@ def reference_adhoc_counts(models, dataset, grid):
         discrepancy = max(int(dataset.weights[row].sum()) for row in conflicts)
         counts.append((discrepancy, ambiguity))
     return counts
+
+
+def collapse(X, targets, fit_weights):
+    """The distinct rows of ``X`` (in sorted order) and each fit's positive
+    and negative weight on each of them."""
+    cells, index = np.unique(X, axis=0, return_inverse=True)
+    pos, neg = (
+        np.array([np.bincount(index.ravel(), row * side, len(cells)) for row in fit_weights])
+        for side in (targets, 1.0 - targets)
+    )
+    return cells, pos, neg
 
 
 class TestSupportSolve:
@@ -416,6 +476,12 @@ class TestSupportSolve:
 
         monkeypatch.setattr(pool_module, "_cd_sweep", counting_sweep)
         X, targets, fit_weights = self.instance(seed)
+        # the fit runs on the distinct rows; the reference runs on every
+        # row twice, at half weight, so that each cell holds two rows
+        cells, pos, neg = collapse(X, targets, fit_weights)
+        rows = (np.vstack([X, X]), np.concatenate([targets, targets]))
+        row_weights = np.hstack([fit_weights, fit_weights]) / 2.0
+        assert len(cells) * 2 == len(rows[0])
         for alpha in (0.0, 0.5, 1.0):
             lam_max = max(
                 _lambda_max(X, targets, row, alpha) for row in fit_weights
@@ -429,8 +495,8 @@ class TestSupportSolve:
                 l1 = np.full(len(fit_weights), lam * alpha)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    ours, ok = pool_module._cd_fit(X, targets, fit_weights, ridge, l1, ours)
-                ref, ref_ok = reference_cd_fit(X, targets, fit_weights, ridge, l1, ref)
+                    ours, ok = pool_module._cd_fit(cells, pos, neg, ridge, l1, ours)
+                ref, ref_ok = reference_cd_fit(*rows, row_weights, ridge, l1, ref)
                 assert np.max(np.abs(ours - ref)) < 1e-6, (alpha, lam)
                 assert (ok == ref_ok).all()
                 supports.add(int((ours[0, 1:] != 0.0).sum()))
@@ -440,6 +506,52 @@ class TestSupportSolve:
                 assert len(supports) >= 3
                 assert (ours[1, 3], ref[1, 3]) == (0.0, 0.0)
         assert sweeps  # the coordinate-descent fallback ran
+
+
+class TestBlockedPath:
+    """The blocked fit over cells against the one-lambda-at-a-time fit over
+    rows: the same models, to the solver's tolerance."""
+
+    def check(self, data, grid, seed=0):
+        """Checks every model; returns how many have a held-out row on
+        which a fold fit's optimal score is 0."""
+        models = fit_pool(data, grid, seed=seed)
+        expected = reference_fit_pool(data, grid, seed)
+        assert len(models) == len(expected) == grid.size
+        ties = 0
+        for m, (alpha, lam, risk, cv, ok, raw, tied) in zip(models, expected):
+            assert (m.alpha, m.lam, m.train_risk, m.converged) == (alpha, lam, risk, ok)
+            assert np.max(np.abs(np.array(m.raw_coefficients) - raw)) < 1e-6
+            # a tied row's prediction is decided by rounding, in either fit
+            assert m.cv_risk == cv if not tied else abs(m.cv_risk - cv) <= tied + 1e-12
+            ties += tied > 0
+        return ties
+
+    @pytest.mark.parametrize("per_alpha", [23, 4])
+    def test_blobs(self, per_alpha):
+        # 23 lambdas leave a short last block; 4 fit in one block
+        assert per_alpha % pool_module.LAMBDA_BLOCK
+        grid = PenaltyGrid(alphas=(0.0, 0.5, 1.0), lambdas_per_alpha=per_alpha)
+        # the l1 heads of alpha 0.5 and 1 are the null model, which scores 0
+        # on a fold whose training rows are balanced
+        assert self.check(blob_dataset(seed=17, n=40), grid, seed=3) == 2
+
+    @pytest.mark.parametrize("per_alpha", [23, 4])
+    def test_criterion_6_datasets(self, per_alpha):
+        # the first five instances of acceptance criterion 6, with its seeds
+        grid = PenaltyGrid(
+            alphas=(0.0, 0.5, 1.0), lambdas_per_alpha=per_alpha, lambda_min_ratio=0.01
+        )
+        rng = np.random.default_rng(606)
+        ties = []
+        for checked in range(5):
+            data = random_binary_dataset(rng)
+            assert len(data.cells.X) < len(data.examples)  # cells hold several rows
+            ties.append(self.check(data, grid, seed=checked))
+        # instance 3 holds out its cell (1, 0, 0, 0), balanced in one fold's
+        # training rows: that fold's optimal intercept, the score of the
+        # cell, is 0 at every lambda
+        assert [bool(t) for t in ties] == [False, False, False, True, False]
 
 
 class TestMatrixScoring:
@@ -528,15 +640,24 @@ class TestMatrixScoring:
             ]
         )
         path = [(0.0, 1.0), (-1.0, 4.0), (1.0, 4.0), (0.0, 0.0)]
+        grid = PenaltyGrid(alphas=(0.5, 1.0), lambdas_per_alpha=4)
+        targets, weights = (data.y + 1) / 2.0, data.weights.astype(float)
+        step = {
+            (alpha, lam): k
+            for alpha in grid.alphas
+            for k, lam in enumerate(
+                grid.lambda_path(_lambda_max(data.X, targets, weights, alpha))
+            )
+        }
 
-        def fake_fit(X, targets, fit_weights, ridge, l1, w):
-            coefs = np.tile(path[len(calls) % len(path)], (len(fit_weights), 1))
-            calls.append(coefs)
-            return coefs, np.ones(len(fit_weights), dtype=bool)
+        def fake_fit(X, pos, neg, ridge, l1, w):
+            # lam * (1 - alpha) + lam * alpha is exactly lam at alpha 0.5 and 1
+            lam = ridge + l1
+            coefs = np.array([path[step[a, v]] for a, v in zip(l1 / lam, lam)])
+            return coefs, np.ones(len(w), dtype=bool)
 
-        calls = []
         monkeypatch.setattr(pool_module, "_cd_fit", fake_fit)
-        models = fit_pool(data, PenaltyGrid(alphas=(0.5, 1.0), lambdas_per_alpha=4), seed=0)
+        models = fit_pool(data, grid, seed=0)
         assert [m.raw_coefficients for m in models] == path * 2
         folds = _fold_assignment(len(data.examples), 0)
         held = [folds == f for f in range(N_FOLDS)]

@@ -32,6 +32,19 @@ seed 3: baseline 601/1206
   eps=2/603     burden  A: 1.000  B: 1.000
 """
 
+# A 5 x 20 pool on the bundled compas-style sample against the exact
+# measures around the pool's baseline.
+EXACT_VS_ADHOC_STDOUT = """\
+train: 128 points, 20 distinct rows
+pool: 100 models, baseline train risk 0.2031
+
+ eps        exact disc  pool disc   exact amb   pool amb
+ 0              0.1875     0.1875      0.1875    0.1875
+ 1/128          0.1875     0.1875      0.1875    0.1875
+ 1/64           0.1875     0.1875      0.1875    0.1875
+ 3/64           0.1875     0.1875      0.1875    0.1875
+"""
+
 
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name
@@ -48,3 +61,5 @@ def test_script_runs(script, tmp_path):
         assert re.search(r"^ 0\s+1/2\s+1$", done.stdout, re.MULTILINE), done.stdout
     if script.name == "run_tyranny_burden.py":
         assert done.stdout == TYRANNY_BURDEN_STDOUT
+    if script.name == "run_exact_vs_adhoc.py":
+        assert done.stdout == EXACT_VS_ADHOC_STDOUT
