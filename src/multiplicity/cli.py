@@ -97,7 +97,7 @@ class RunConfig:
     time_limit_disc: float = 300.0  # whole discrepancy path
     time_limit_flip: float = 300.0  # whole flip batch
     node_limit: Optional[int] = None
-    workers: int = 1
+    workers: int = 1  # accepted and checked, no effect: flips run in sequence
     outdir: str = "audit_out"
     adhoc: bool = False
     pool_alphas: int = 11
@@ -346,7 +346,6 @@ def _ambiguity(run: dict, budget) -> dict:
         run["h0"],
         run["grid"],
         budget=budget,
-        workers=run["config"].workers,
         gamma=run["config"].gamma,
         baseline_certified=run["baseline"].certified,
         seed_pool=seeds,
@@ -489,6 +488,7 @@ _FLAG_HELP = {
     "dataset": "CSV path or generator name (xor, tyranny[:scale])",
     "epsilons": "comma-separated error tolerances",
     "node_log": "incumbent log file",
+    "workers": "accepted for old configs; no effect (flip solves run in sequence)",
 }
 
 

@@ -3,8 +3,9 @@
 Both measures are computed per level set, exactly when every solve
 certifies and as [lower, upper] intervals otherwise.  Ambiguity and group
 burden count cell weights in one per-cell flip table (``PathologicalPool``,
-one flip solve per distinct feature vector).  All level-set membership
-tests compare integer mistake counts; floating rates never decide anything.
+one flip solve per distinct feature vector, solved one after another in
+cell order).  All level-set membership tests compare integer mistake
+counts; floating rates never decide anything.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
@@ -24,9 +25,9 @@ solve (see ``discrepancy_path``).
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,11 +52,6 @@ from .formulations import (
     classifier_from_solution,
     margin_clearance,
 )
-
-# Examples are batched in fixed-size waves so the warm-start pool snapshot
-# seen by each solve is independent of worker count and timing.
-POOL_BLOCK = 8
-
 
 @dataclass(frozen=True)
 class EpsilonGrid:
@@ -231,9 +227,11 @@ def _measures(lowers, uppers, certified, total: int) -> list:
 
 
 def _int_bounds(result: SolveResult, n: int):
-    """Integer objective bounds from a solve: (lower count, upper count)."""
-    upper = n if result.upper_bound is None else int(round(result.upper_bound))
-    lower = 0 if result.lower_bound == -math.inf else int(math.ceil(result.lower_bound - 1e-6))
+    """Integer objective bounds from a solve: (lower count, upper count).
+    ``bnb.solve`` reports integral bounds (node bounds ceiled, incumbents
+    rounded), so they are read as they are; an absent bound is 0 or n."""
+    upper = n if result.upper_bound is None else int(result.upper_bound)
+    lower = 0 if result.lower_bound == -math.inf else int(result.lower_bound)
     return max(0, min(lower, upper)), upper
 
 
@@ -393,7 +391,6 @@ def ambiguity_path(
     h0: LinearClassifier,
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
-    workers: int = 1,
     gamma: float = DEFAULT_GAMMA,
     baseline_certified: bool = True,
     seed_pool: Sequence[LinearClassifier] = (),
@@ -405,10 +402,18 @@ def ambiguity_path(
     A flip model depends on an example only through its feature vector (and
     so its baseline prediction), so each cell of ``dataset.cells`` takes one
     solve, built for its first example; the flip table is kept per cell.
-    Solves run in fixed-size waves over a worker pool; each wave warm-starts
-    from the classifiers committed by earlier waves plus the negated
-    baseline (which flips every point and is always feasible), so results
-    are deterministic regardless of worker count.
+    The cells are solved one after another in ``dataset.cells`` order.  Each
+    solve warm-starts from the first feasible classifier of one bank, kept
+    in mistake order with ties in insertion order: the negated baseline
+    (which flips every point and is always feasible), then ``seed_pool``,
+    then every flip classifier found by an earlier solve.
+
+    ``baseline_certified`` (default True) declares h0 an optimal baseline:
+    its mistake count becomes every flip solve's ``lower_bound_hint``, so a
+    flip solve reports at least that many mistakes and certifies once its
+    incumbent reaches it.  Pass False unless h0 is proven optimal; a
+    non-optimal h0 can otherwise get a flip certified at h0's count when a
+    flip with fewer mistakes exists.
 
     Returns (profile with the ambiguity side filled, PathologicalPool, results).
     """
@@ -421,14 +426,15 @@ def ambiguity_path(
     cells = dataset.cells
     reps = [int(i) for i in np.unique(cells.index, return_index=True)[1]]
 
-    pool: list = [h0.negated()]
-    pool.extend(seed_pool)
-    pool_risks = [empirical_risk(g, dataset).mistakes for g in pool]
+    bank: list = []  # (mistakes, classifier), stable in mistake order
+    for g in (h0.negated(), *seed_pool):
+        _bank_add(bank, g, dataset)
 
-    def solve_one(index: int, snapshot):
-        model = build_flip_mip(dataset, h0, index, gamma)
+    results, classifiers = [], []
+    for i in reps:
+        model = build_flip_mip(dataset, h0, i, gamma)
         warm = None
-        for _, g in snapshot:
+        for _, g in bank:
             warm = _safe_warm(model, dataset, g)
             if warm is not None:
                 break
@@ -438,38 +444,20 @@ def ambiguity_path(
         )
         if result.status == bnb.STATUS_INFEASIBLE:
             raise InternalConsistencyError(
-                f"flip model infeasible for example {index}; a unit-l1 classifier "
+                f"flip model infeasible for example {i}; a unit-l1 classifier "
                 "aligned against the baseline sign always flips a nonzero point"
             )
-        g = (
-            classifier_from_solution(model, result.incumbent)
-            if result.incumbent is not None
-            else None
-        )
-        return result, g
+        g = None
+        if result.incumbent is not None:
+            g = classifier_from_solution(model, result.incumbent)
+            if result.certified:
+                _warn_margin(
+                    g, dataset, gamma, f"certified flip classifier for example {i}"
+                )
+            _bank_add(bank, g, dataset)
+        results.append(result)
+        classifiers.append(g)
 
-    outcomes = []  # (result, classifier) per cell
-    max_workers = max(1, int(workers))
-    for block_start in range(0, len(reps), POOL_BLOCK):
-        block = reps[block_start : block_start + POOL_BLOCK]
-        snapshot = sorted(zip(pool_risks, pool), key=lambda t: t[0])
-        if max_workers == 1 or len(block) == 1:
-            done = [solve_one(i, snapshot) for i in block]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as px:
-                done = list(px.map(lambda i: solve_one(i, snapshot), block))
-        for i, (result, g) in zip(block, done):  # commit in index order
-            if g is not None:
-                if result.certified:
-                    _warn_margin(
-                        g, dataset, gamma,
-                        f"certified flip classifier for example {i}",
-                    )
-                pool.append(g)
-                pool_risks.append(empirical_risk(g, dataset).mistakes)
-        outcomes.extend(done)
-
-    results, classifiers = zip(*outcomes)
     lower, upper = np.array([_int_bounds(r, n) for r in results], dtype=np.int64).T
     base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
     flip_verified = [
@@ -478,7 +466,7 @@ def ambiguity_path(
     ]
     pool_out = PathologicalPool(
         classifiers=classifiers,
-        mistakes_lower=np.maximum(lower, base.mistakes if baseline_certified else 0),
+        mistakes_lower=lower,
         mistakes_upper=upper,
         certified=[r.certified for r in results],
         flip_verified=flip_verified,
@@ -495,7 +483,14 @@ def ambiguity_path(
         for eps, m in zip(grid.values, measures)
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
-    return profile, pool_out, list(results)
+    return profile, pool_out, results
+
+
+def _bank_add(bank: list, g: LinearClassifier, dataset: Dataset) -> None:
+    """Insert g into the warm-start bank after every entry with at most as
+    many mistakes."""
+    entry = (empirical_risk(g, dataset).mistakes, g)
+    bisect.insort(bank, entry, key=lambda t: t[0])
 
 
 def _flippable(pool: PathologicalPool, cell_weights, thresholds):

@@ -206,6 +206,19 @@ class TestAudit:
         for name in ("profile.csv", "profile.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_worker_count_has_no_effect(self, tmp_path):
+        # --workers is still accepted; the flip solves run in sequence
+        for workers in ("1", "4"):
+            code = main([
+                "audit", "--dataset", str(DATA / "compas_style.csv"),
+                "--label-column", "two_year_recid", "--group-column", "race",
+                "--node-limit", "2", "--workers", workers,
+                "--outdir", str(tmp_path / workers),
+            ])
+            assert code == 0
+        for name in ("profile.csv", "profile.json", "burden.csv", "baseline.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
     def test_golden_compas_style_profile(self, tmp_path):
         config = RunConfig(
             dataset=str(DATA / "compas_style.csv"),

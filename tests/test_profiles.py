@@ -1,12 +1,14 @@
 import csv
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from multiplicity.branch_bound import SolveBudget, solve
+from multiplicity import branch_bound
+from multiplicity.branch_bound import SolveBudget, check_feasible, solve
 from multiplicity.core import (
     Dataset,
     Example,
@@ -20,7 +22,11 @@ from multiplicity.core import (
     predictions,
 )
 from multiplicity.datasets import generate_synthetic
-from multiplicity.formulations import build_baseline_mip, classifier_from_solution
+from multiplicity.formulations import (
+    assignment_from_classifier,
+    build_baseline_mip,
+    classifier_from_solution,
+)
 from multiplicity.profiles import (
     EpsilonGrid,
     MeasureValue,
@@ -258,17 +264,60 @@ class TestAmbiguityPath:
             with pytest.raises(InternalConsistencyError):
                 PathologicalPool(mistakes_lower=lower, mistakes_upper=[3, 2], **table)
 
-    def test_worker_count_does_not_change_results(self):
-        rng = np.random.default_rng(59)
-        data = random_binary_dataset(rng)
+    def test_past_deadline_lower_bounds_follow_baseline_certification(self, xor):
+        # every solve stops before its root LP, so its lower bound is the
+        # baseline hint or nothing at all
+        h0, _ = fit_baseline(xor)
+        grid = EpsilonGrid((Fraction(0),), 100)
+        budget = SolveBudget(deadline=time.monotonic() - 1)
+        for certified, floor in ((True, 25), (False, 0)):
+            _, pool, results = ambiguity_path(
+                xor, h0, grid, budget=budget, baseline_certified=certified
+            )
+            assert [r.nodes_explored for r in results] == [0] * len(results)
+            assert not pool.certified.any()
+            assert pool.baseline_mistakes == 25
+            assert (pool.mistakes_lower == floor).all()
+
+    # xor: the second cell's best warm start is the first cell's flip;
+    # seed 72: two feasible classifiers tie, so the tie order shows
+    @pytest.mark.parametrize(
+        "make_data",
+        [xor_dataset, lambda: random_binary_dataset(np.random.default_rng(72))],
+        ids=["xor", "random-72"],
+    )
+    def test_each_flip_warm_starts_from_the_best_earlier_classifier(
+        self, make_data, monkeypatch
+    ):
+        solves = []
+        solve_flip = branch_bound.solve
+
+        def spy(model, warm_start=None, **kwargs):
+            solves.append((model, warm_start))
+            return solve_flip(model, warm_start=warm_start, **kwargs)
+
+        data = make_data()
         h0, _ = fit_baseline(data)
-        grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(2)), data.n)
-        budget = SolveBudget(node_limit=64)
-        prof1, pool1, _ = ambiguity_path(data, h0, grid, budget=budget, workers=1)
-        prof4, pool4, _ = ambiguity_path(data, h0, grid, budget=budget, workers=4)
-        assert prof1.entries == prof4.entries
-        assert np.array_equal(pool1.mistakes_lower, pool4.mistakes_lower)
-        assert np.array_equal(pool1.mistakes_upper, pool4.mistakes_upper)
+        seeds = [h0]  # ranks first but flips no cell, so it is never feasible
+        monkeypatch.setattr(branch_bound, "solve", spy)
+        _, pool, _ = ambiguity_path(
+            data, h0, EpsilonGrid((Fraction(0),), data.n), seed_pool=seeds
+        )
+        # the bank: h0 negated, the seeds, then each flip in cell order;
+        # a stable sort keeps ties in that order
+        bank = [h0.negated(), *seeds]
+        sources = []
+        for c, (model, warm) in enumerate(solves):
+            ranked = sorted(
+                range(len(bank)), key=lambda k: empirical_risk(bank[k], data).mistakes
+            )
+            encoded = [assignment_from_classifier(model, data, g) for g in bank]
+            first = next(k for k in ranked if check_feasible(model, encoded[k])[0])
+            assert np.array_equal(warm, encoded[first])
+            sources.append(first)
+            bank.append(pool.classifiers[c])
+        assert len(solves) == len(data.cells.X)
+        assert any(k >= 1 + len(seeds) for k in sources)  # an earlier flip
 
 
 class TestMonotonicityAndBound:

@@ -1,4 +1,5 @@
-"""Smoke test: every example script runs against the package in ``src/``."""
+"""Subprocess tests: every example script runs against the package in
+``src/``, and importing the package loads no thread pool."""
 
 import os
 import re
@@ -63,3 +64,16 @@ def test_script_runs(script, tmp_path):
         assert done.stdout == TYRANNY_BURDEN_STDOUT
     if script.name == "run_exact_vs_adhoc.py":
         assert done.stdout == EXACT_VS_ADHOC_STDOUT
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it pulls in) is set-up cost that
+    # a sequential package does not need
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multiplicity; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
