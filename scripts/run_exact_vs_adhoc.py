@@ -43,8 +43,7 @@ def main(argv):
     adhoc = adhoc_measures(models, train, grid)
     disc, _ = discrepancy_path(train, h0, grid)
     amb, _, _ = ambiguity_path(
-        train, h0, grid, baseline_certified=False,
-        seed_pool=list(disc.witnesses.values()),
+        train, h0, grid, seed_pool=list(disc.witnesses.values()),
     )
     exact = merge_profiles(disc, amb)
 

@@ -347,7 +347,7 @@ def _ambiguity(run: dict, budget) -> dict:
         run["grid"],
         budget=budget,
         gamma=run["config"].gamma,
-        baseline_certified=run["baseline"].certified,
+        lower_bound_hint=run["baseline"].lower_bound,
         seed_pool=seeds,
         node_log=_node_logger(run["node_log"], "flip"),
     )
@@ -412,7 +412,7 @@ def _export(run: dict, budget) -> dict:
                 f"--flip-index {index} is outside the {len(train.examples)} "
                 "training examples"
             )
-        model = build_flip_mip(train, run["h0"], index, gamma)
+        model = build_flip_mip(train, run["h0"], int(train.cells.index[index]), gamma)
     else:
         raise InputError(f"unknown formulation {formulation!r}")
     dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")
@@ -543,7 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--formulation", choices=["baseline", "disc", "flip"], default="baseline"
     )
     e.add_argument("--epsilon", help="level-set tolerance for disc")
-    e.add_argument("--flip-index", dest="flip_index", type=int)
+    e.add_argument(
+        "--flip-index", dest="flip_index", type=int,
+        help="training example whose feature vector the flip program flips",
+    )
 
     return parser
 

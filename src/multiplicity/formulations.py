@@ -27,7 +27,9 @@ row on mixed cells only, where both labels are present.  On a pure cell the
 cost of u_c = 1 already keeps the optimum exact, and a second row there
 only enlarges every node LP.  The objective is
 sum_c |P_c - N_c| u_c plus the integer ``objective_offset``
-sum_c min(P_c, N_c), the mistakes no classifier avoids.  The disc model
+sum_c min(P_c, N_c), the mistakes no classifier avoids.  The flip model
+adds one row that forces the classifier off h0's prediction on one cell,
+named by its index in ``Dataset.cells``.  The disc model
 takes s_c = -h0(x_c), so u_c is the agreement indicator; it pins every
 cell from both sides.  Objectives carry integer weights, so optimal values
 are exact weighted counts.
@@ -42,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .branch_bound import MipModel
-from .core import Dataset, LinearClassifier, predictions
+from .core import Dataset, LinearClassifier
 from .simplex import EQUAL, GREATER_EQUAL, LinearProgram
 
 DEFAULT_GAMMA = 1e-4
@@ -174,8 +176,7 @@ def build_disc_mip(
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
     cells = dataset.cells
-    base_preds = np.empty(len(cells.X), dtype=int)
-    base_preds[cells.index] = predictions(h0, dataset)
+    base_preds = _cell_predictions(h0, dataset)
     nc = dataset.d + 1
 
     # Level set:  sum_c g_c u_c >= sum_c g_c - n*eps
@@ -197,23 +198,24 @@ def build_disc_mip(
 def build_flip_mip(
     dataset: Dataset,
     h0: LinearClassifier,
-    index: int,
+    cell: int,
     gamma: float = DEFAULT_GAMMA,
 ) -> MipModel:
-    """Error-minimizing model forced to disagree with ``h0`` on example
-    ``index`` (and so on its whole cell)."""
-    n = len(dataset.examples)
-    if not 0 <= index < n:
-        raise IndexError(f"example index {index} out of range [0, {n})")
-    m = len(dataset.cells.X)
-    # Flip row:  -h0(x_i) sum_j w_j x_ij >= gamma
-    flip_coefs = -float(predictions(h0, dataset)[index]) * dataset.X[index]
+    """Error-minimizing model forced to disagree with ``h0`` on cell ``cell``
+    of ``dataset.cells`` (every example with that feature vector)."""
+    X = dataset.cells.X
+    m = len(X)
+    if not 0 <= cell < m:
+        raise IndexError(f"cell index {cell} out of range [0, {m})")
+    # Flip row:  -h0(x_c) sum_j w_j x_cj >= gamma
+    flip_coefs = -float(_cell_predictions(h0, dataset)[cell]) * X[cell]
     flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
-    return _mistake_model(
-        FLIP, dataset, gamma,
-        extra_rows=[(flip_row, gamma)],
-        flip_index=index,
-    )
+    return _mistake_model(FLIP, dataset, gamma, extra_rows=[(flip_row, gamma)])
+
+
+def _cell_predictions(h: LinearClassifier, dataset: Dataset) -> np.ndarray:
+    """h's +-1 prediction on every cell, with the tie rule of ``predictions``."""
+    return np.where(dataset.cells.X @ np.asarray(h.coefficients) > 0.0, 1, -1)
 
 
 # -- solution encoding / decoding ---------------------------------------

@@ -3,14 +3,17 @@
 Both measures are computed per level set, exactly when every solve
 certifies and as [lower, upper] intervals otherwise.  Ambiguity and group
 burden count cell weights in one per-cell flip table (``PathologicalPool``,
-one flip solve per distinct feature vector, solved one after another in
+one flip solve per cell of ``dataset.cells``, solved one after another in
 cell order).  All level-set membership tests compare integer mistake
-counts; floating rates never decide anything.
+counts; floating rates never decide anything.  Both paths solve every
+program through one step (``_solve``): warm start, solve, decode, and the
+margin audit of certified classifiers.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
-bound is valid at every smaller one, so raw per-epsilon intervals are
-tightened by a forward running max / backward running min before assembly.
+bound is valid at every smaller one, so raw per-epsilon discrepancy
+intervals are tightened by a forward running max / backward running min
+before assembly.
 Uncertified discrepancy uppers are additionally capped by the triangle-
 inequality bound 2 * baseline_risk + epsilon, which certified values must
 satisfy on their own (a violation is a solver bug and raises).
@@ -160,20 +163,19 @@ class MultiplicityProfile:
 class PathologicalPool:
     """The flip stage's per-cell table, in ``dataset.cells`` order: each
     cell's minimal-error flipped classifier (None where its solve found
-    none), the bounds on that classifier's mistake count, whether its solve
-    certified, and whether the classifier was checked to flip the cell."""
+    none), the bounds on that classifier's mistake count, and whether its
+    solve certified."""
 
     classifiers: tuple
     mistakes_lower: np.ndarray
     mistakes_upper: np.ndarray
     certified: np.ndarray
-    flip_verified: np.ndarray
     baseline_mistakes: int
     n: int
 
     def __post_init__(self):
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        for name in ("mistakes_lower", "mistakes_upper", "certified", "flip_verified"):
+        for name in ("mistakes_lower", "mistakes_upper", "certified"):
             v = np.array(getattr(self, name))
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -281,23 +283,24 @@ def discrepancy_path(
     index = 0
     while index is not None:
         eps = eps_values[index]
-        model = build_disc_mip(dataset, h0, eps, gamma)
         best = int(_best_left(found, raw_low)[index])
-        warm = _safe_warm(model, dataset, found[best] if best >= 0 else h0)
-        result = bnb.solve(model, budget=budget, warm_start=warm, node_log=node_log)
-        if result.status == bnb.STATUS_INFEASIBLE:
-            raise InternalConsistencyError(
-                "level-set model reported infeasible; the baseline itself should "
-                "be feasible whenever its scores clear the margin"
-            )
+        result, witness = _solve(
+            build_disc_mip(dataset, h0, eps, gamma), dataset, budget,
+            [found[best] if best >= 0 else h0], f"witness at eps={eps}",
+            node_log=node_log,
+        )
         solved[index] = result
         # MIP minimizes agreements: incumbent -> discrepancy lower bound,
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
         raw_low[index], raw_up[index] = n - up_cnt, n - low_cnt
-        if result.incumbent is not None:
-            witness = classifier_from_solution(model, result.incumbent)
-            _audit_witness(witness, dataset, gamma, base, eps, result.certified)
+        if witness is not None:
+            mistakes = empirical_risk(witness, dataset).mistakes
+            if result.certified and mistakes > base.mistakes + eps * n:
+                raise InternalConsistencyError(
+                    f"witness at eps={eps} lies outside its level set "
+                    f"({mistakes} vs {base.mistakes} + {eps} * {n})"
+                )
             found[index] = witness
         lows, ups = _nested_bounds(raw_low, raw_up)
         index = _next_solve(solved, lows, ups)
@@ -356,34 +359,42 @@ def _best_left(found, raw_low) -> np.ndarray:
     return np.where(best < 0, -1, best % size)
 
 
-def _safe_warm(model: MipModel, dataset: Dataset, h: Optional[LinearClassifier]):
-    if h is None:
-        return None
+def _safe_warm(model: MipModel, dataset: Dataset, h: LinearClassifier):
     candidate = assignment_from_classifier(model, dataset, h)
     ok, _ = bnb.check_feasible(model, candidate)
     return candidate if ok else None
 
 
-def _warn_margin(h: LinearClassifier, dataset: Dataset, gamma: float, what: str):
-    """Warn when a certified classifier scores a training point inside the
-    margin band, where the indicator semantics are not exact."""
-    min_margin, clear = margin_clearance(h, dataset, gamma)
-    if not clear:
-        warnings.warn(
-            f"{what} has margin {min_margin:.2e} below gamma={gamma:.2e}",
-            RuntimeWarning,
-        )
-
-
-def _audit_witness(witness, dataset, gamma, base, eps, certified):
-    if certified:
-        _warn_margin(witness, dataset, gamma, f"certified witness at eps={eps}")
-    risk = empirical_risk(witness, dataset)
-    if certified and risk.mistakes > base.mistakes + eps * dataset.n:
-        raise InternalConsistencyError(
-            f"witness at eps={eps} lies outside its level set "
-            f"({risk.mistakes} vs {base.mistakes} + {eps} * {dataset.n})"
-        )
+def _solve(model, dataset, budget, candidates, what, hint=None, node_log=None):
+    """Solve one path program, warm-started from the first of ``candidates``
+    that it accepts, with ``hint`` as its ``lower_bound_hint``.  No path
+    program is infeasible (h0 lies in every level set and its negation
+    flips every cell), so an infeasible one raises.  Warns when a certified
+    classifier scores a training point inside the margin band, where the
+    indicator semantics are not exact.  Returns (result, classifier or None).
+    """
+    warm = None
+    for g in candidates:
+        warm = _safe_warm(model, dataset, g)
+        if warm is not None:
+            break
+    result = bnb.solve(
+        model, budget=budget, warm_start=warm, lower_bound_hint=hint, node_log=node_log
+    )
+    if result.status == bnb.STATUS_INFEASIBLE:
+        raise InternalConsistencyError(f"the program of the {what} is infeasible")
+    if result.incumbent is None:
+        return result, None
+    h = classifier_from_solution(model, result.incumbent)
+    if result.certified:
+        gamma = model.metadata["gamma"]
+        min_margin, clear = margin_clearance(h, dataset, gamma)
+        if not clear:
+            warnings.warn(
+                f"certified {what} has margin {min_margin:.2e} below gamma={gamma:.2e}",
+                RuntimeWarning,
+            )
+    return result, h
 
 
 def ambiguity_path(
@@ -392,28 +403,28 @@ def ambiguity_path(
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
     gamma: float = DEFAULT_GAMMA,
-    baseline_certified: bool = True,
+    lower_bound_hint: Optional[float] = None,
     seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
 ):
     """Fit the minimal-error flipped classifier of each cell, then count the
     weight of the cells whose flip lies inside each level set.
 
-    A flip model depends on an example only through its feature vector (and
-    so its baseline prediction), so each cell of ``dataset.cells`` takes one
-    solve, built for its first example; the flip table is kept per cell.
-    The cells are solved one after another in ``dataset.cells`` order.  Each
+    A flip program depends on an example only through its feature vector,
+    so each cell of ``dataset.cells`` takes one solve (``build_flip_mip``
+    by cell index), in ``dataset.cells`` order, one after another.  Each
     solve warm-starts from the first feasible classifier of one bank, kept
     in mistake order with ties in insertion order: the negated baseline
     (which flips every point and is always feasible), then ``seed_pool``,
-    then every flip classifier found by an earlier solve.
+    then every flip classifier found by an earlier solve.  A certified flip
+    classifier that does not flip its cell is a solver bug and raises.
 
-    ``baseline_certified`` (default True) declares h0 an optimal baseline:
-    its mistake count becomes every flip solve's ``lower_bound_hint``, so a
-    flip solve reports at least that many mistakes and certifies once its
-    incumbent reaches it.  Pass False unless h0 is proven optimal; a
-    non-optimal h0 can otherwise get a flip certified at h0's count when a
-    flip with fewer mistakes exists.
+    ``lower_bound_hint`` is a proven lower bound on the baseline program's
+    optimum, such as the baseline solve's ``lower_bound``.  A flip program
+    is the baseline program plus one row, so it bounds every flip solve:
+    each reports at least that many mistakes and certifies once its
+    incumbent reaches it.  h0's own mistake count is such a bound only when
+    h0 is proven optimal.
 
     Returns (profile with the ambiguity side filled, PathologicalPool, results).
     """
@@ -421,63 +432,43 @@ def ambiguity_path(
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
-    hint = float(base.mistakes) if baseline_certified else None
 
     cells = dataset.cells
-    reps = [int(i) for i in np.unique(cells.index, return_index=True)[1]]
-
+    base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
     bank: list = []  # (mistakes, classifier), stable in mistake order
     for g in (h0.negated(), *seed_pool):
         _bank_add(bank, g, dataset)
 
     results, classifiers = [], []
-    for i in reps:
-        model = build_flip_mip(dataset, h0, i, gamma)
-        warm = None
-        for _, g in bank:
-            warm = _safe_warm(model, dataset, g)
-            if warm is not None:
-                break
-        result = bnb.solve(
-            model, budget=budget, warm_start=warm,
-            lower_bound_hint=hint, node_log=node_log,
+    for c in range(len(cells.X)):
+        result, g = _solve(
+            build_flip_mip(dataset, h0, c, gamma), dataset, budget,
+            (h for _, h in bank), f"flip classifier of cell {c}",
+            hint=lower_bound_hint, node_log=node_log,
         )
-        if result.status == bnb.STATUS_INFEASIBLE:
-            raise InternalConsistencyError(
-                f"flip model infeasible for example {i}; a unit-l1 classifier "
-                "aligned against the baseline sign always flips a nonzero point"
-            )
-        g = None
-        if result.incumbent is not None:
-            g = classifier_from_solution(model, result.incumbent)
-            if result.certified:
-                _warn_margin(
-                    g, dataset, gamma, f"certified flip classifier for example {i}"
+        if g is not None:
+            if result.certified and (cells.X[c] @ g.coefficients > 0.0) == base_side[c]:
+                raise InternalConsistencyError(
+                    f"certified flip classifier of cell {c} does not flip it"
                 )
             _bank_add(bank, g, dataset)
         results.append(result)
         classifiers.append(g)
 
     lower, upper = np.array([_int_bounds(r, n) for r in results], dtype=np.int64).T
-    base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
-    flip_verified = [
-        g is not None and (cells.X[c] @ g.coefficients > 0.0) != base_side[c]
-        for c, g in enumerate(classifiers)
-    ]
     pool_out = PathologicalPool(
         classifiers=classifiers,
         mistakes_lower=lower,
         mistakes_upper=upper,
         certified=[r.certified for r in results],
-        flip_verified=flip_verified,
         baseline_mistakes=base.mistakes,
         n=n,
     )
 
+    # Counts read at increasing thresholds are already monotone.
     thresholds = grid.thresholds(base.mistakes)
     low, up, total = _flippable(pool_out, cells.pos + cells.neg, thresholds)
-    certified = low == up
-    measures = _measures(*_tighten(low, up, certified), certified, total)
+    measures = _measures(low, up, low == up, total)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=None, ambiguity=m)
         for eps, m in zip(grid.values, measures)

@@ -133,7 +133,7 @@ class TestAcceptance:
                     continue
                 seen.add(ex.features)
                 res = solve(
-                    build_flip_mip(data, h0, i),
+                    build_flip_mip(data, h0, data.cells.index[i]),
                     lower_bound_hint=float(base.upper_bound),
                 )
                 assert res.status == "certified_optimal"
@@ -236,8 +236,7 @@ class TestAcceptance:
             adhoc = adhoc_measures(models, data, grid)
             disc, _ = discrepancy_path(data, h0, grid)
             amb, _, _ = ambiguity_path(
-                data, h0, grid, baseline_certified=False,
-                seed_pool=list(disc.witnesses.values()),
+                data, h0, grid, seed_pool=list(disc.witnesses.values()),
             )
             exact = merge_profiles(disc, amb)
             for got, truth in zip(adhoc.entries, exact.entries):

@@ -617,6 +617,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_certified_flip_that_keeps_its_cell_is_four(self, tmp_path):
+        # at this gamma the margin rows are below the LP's row tolerance, and
+        # the certified flip classifier of cell 0 predicts like h0 there
+        code = main(
+            ["ambiguity", "--dataset", "tyranny", "--epsilons", "0", "--gamma", "1e-9",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 4
+
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
 
@@ -783,6 +792,25 @@ class TestReadme:
             if args.command != "generate":
                 assert isinstance(_build_config(args), RunConfig)
 
+    def test_stage_table_matches_the_runner(self, monkeypatch):
+        import multiplicity.cli as cli_mod
+
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = text.split("| verb | stages |")[1].split("\n\n")[0]
+        table = {
+            verb: tuple(re.sub(r" \([^)]*\)", "", stages).split(", "))
+            for verb, stages in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", rows, re.M)
+        }
+        runs = []
+
+        def record(config, stages, **inputs):
+            runs.append(tuple(stages))
+            return {"manifest": {"stages": {"export": {"path": "model.mps"}}}}
+
+        monkeypatch.setattr(cli_mod, "run_stages", record)
+        run_export_mps(RunConfig(), "flip", None, 0)
+        assert table == {**cli_mod.VERB_STAGES, "export-mps": runs[0]}
+
     def test_config_example_parses(self, tmp_path):
         (block,) = _readme_blocks("ini")
         cfg = tmp_path / "run.cfg"
@@ -791,7 +819,57 @@ class TestReadme:
         assert RunConfig(**values).group_column == "race"
 
 
+# SHA-256 of the flip programs that ``--flip-index`` exports for the 20
+# compas_style training examples: letter k of FLIP_BY_EXAMPLE names the
+# digest of example k, so examples with one feature vector share a program.
+FLIP_MPS = {
+    "a": "b84265d622f670ecaa95c5971289a009c7c00c2142da3cdcf265037cf1328d88",
+    "b": "711cc369dd6a24f48287c7b329f5f25eeb43761cb920a05575dab2a1e4916cf3",
+    "c": "f8dd8675a81fe99bb480e3fb90f473878ab7e2b38136ded52705b2f1d2d12884",
+    "d": "2f4d08fbc1e6ba5bee26cdf4ddec46f367939fd23af144bc244994f5456fd1e7",
+    "e": "73d4040df21b59d6e2221ef4201d293f698ca528486360945204a95b7ab2180d",
+    "f": "d7a452d5d851a6e9afe2954adb3919b32d3293d1ea83e7e36d8c6ee5418043e1",
+}
+FLIP_BY_EXAMPLE = "abcdcdbedeffccbabaaf"
+
+
+class TestTracing:
+    def test_tracer_sees_every_layer(self, tmp_path, monkeypatch):
+        # perfbench's tracer rebinds module globals by name: an audit that
+        # bypasses one of them drops out of its per-layer metrics
+        import multiplicity.cli as cli_mod
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        from tracing import _SPANS, DETERMINISTIC_COUNTS, Tracer
+
+        config = RunConfig(
+            dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+            group_column="race", adhoc=True, pool_alphas=2, pool_lambdas=3,
+            outdir=str(tmp_path),
+        )
+        tracer = Tracer()
+        tracer.install()
+        try:
+            cli_mod.run_audit(config)
+        finally:
+            tracer.uninstall()
+        for layer in {layer for _, _, layer in _SPANS} | {"formulations.heuristic"}:
+            assert tracer.calls[layer] > 0, layer
+        assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 13
+        metrics = tracer.metrics()
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [76, 76, 360]
+
+
 class TestExportMps:
+    def test_flip_index_counts_training_examples(self, tmp_path):
+        config = RunConfig(
+            dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+            group_column="race", outdir=str(tmp_path),
+        )
+        for i, name in enumerate(FLIP_BY_EXAMPLE):
+            path = run_export_mps(config, "flip", None, i)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == FLIP_MPS[name], i
+
     def test_baseline_export(self, tmp_path):
         config = RunConfig(dataset="xor", outdir=str(tmp_path))
         path = run_export_mps(config, "baseline", None, None)

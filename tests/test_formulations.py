@@ -89,7 +89,7 @@ class TestBigM:
                 assert res.status == "certified_optimal"
                 assert data.n - res.upper_bound == oracle_disc(data, pattern, eps)
             for i in np.unique(scaled.cells.index, return_index=True)[1]:
-                res = solve(build_flip_mip(scaled, h0, int(i)))
+                res = solve(build_flip_mip(scaled, h0, scaled.cells.index[i]))
                 assert res.status == "certified_optimal"
                 assert res.upper_bound == oracle_flip(data, pattern, int(i))
             checked += 1
@@ -261,7 +261,7 @@ class TestFlipModel:
                 if ex.features in seen:
                     continue
                 seen.add(ex.features)
-                res = solve(build_flip_mip(data, h0, i))
+                res = solve(build_flip_mip(data, h0, data.cells.index[i]))
                 assert res.status == "certified_optimal"
                 assert res.upper_bound == oracle_flip(data, pattern, i)
 

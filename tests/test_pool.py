@@ -315,8 +315,7 @@ class TestAdhocMeasures:
             adhoc = adhoc_measures(models, data, grid)
             disc, _ = discrepancy_path(data, h0, grid)
             amb, _, _ = ambiguity_path(
-                data, h0, grid, baseline_certified=False,
-                seed_pool=list(disc.witnesses.values()),
+                data, h0, grid, seed_pool=list(disc.witnesses.values()),
             )
             exact = merge_profiles(disc, amb)
             for got, truth in zip(adhoc.entries, exact.entries):

@@ -222,14 +222,14 @@ class TestAmbiguityPath:
         entry = profile.entries[0].ambiguity
         assert entry.certified and entry.value == 1
         assert len(pool.classifiers) == len(xor.cells.X)
-        assert pool.flip_verified.all() and pool.certified.all()
+        sides = [x @ g.coefficients > 0.0 for x, g in zip(xor.cells.X, pool.classifiers)]
+        assert (np.array(sides) != (xor.cells.X @ h0.coefficients > 0.0)).all()
+        assert pool.certified.all()
         assert (pool.mistakes_lower == 25).all() and (pool.mistakes_upper == 25).all()
         assert not pool.mistakes_upper.flags.writeable
 
     def test_eps_one_is_total(self, xor):
-        profile, _, _ = ambiguity_path(
-            xor, H_A, EpsilonGrid((Fraction(1),), 100), baseline_certified=False
-        )
+        profile, _, _ = ambiguity_path(xor, H_A, EpsilonGrid((Fraction(1),), 100))
         assert profile.entries[0].ambiguity.value == 1
 
     def test_pool_lower_bound_respects_baseline(self, xor):
@@ -253,11 +253,28 @@ class TestAmbiguityPath:
                     data, pattern, entry.epsilon
                 )
 
+    @pytest.mark.parametrize("seed", [50, 55, 134])
+    def test_flip_intervals_hold_around_an_open_baseline(self, seed):
+        # a baseline stopped at its root leaves h0 one mistake above the
+        # optimum, so h0's count is no lower bound on a flip
+        data = random_binary_dataset(np.random.default_rng(seed))
+        model = build_baseline_mip(data)
+        base = solve(model, budget=SolveBudget(node_limit=1))
+        h0 = classifier_from_solution(model, base.incumbent)
+        assert base.lower_bound < empirical_risk(h0, data).mistakes
+        pattern = prediction_pattern(h0, data)
+        grid = EpsilonGrid((Fraction(0),), data.n)
+        for hint in (None, base.lower_bound):
+            _, pool, _ = ambiguity_path(data, h0, grid, lower_bound_hint=hint)
+            for i, cell in enumerate(data.cells.index):
+                truth = oracle_flip(data, pattern, i)
+                assert pool.mistakes_lower[cell] <= truth <= pool.mistakes_upper[cell]
+
     def test_pool_rejects_inconsistent_bounds(self):
         # a lower bound above the upper one, or an open certified cell
         table = dict(
             classifiers=(None, None), certified=[False, True],
-            flip_verified=[False, False], baseline_mistakes=0, n=4,
+            baseline_mistakes=0, n=4,
         )
         PathologicalPool(mistakes_lower=[1, 2], mistakes_upper=[3, 2], **table)
         for lower in ([4, 2], [1, 1]):
@@ -270,9 +287,9 @@ class TestAmbiguityPath:
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         budget = SolveBudget(deadline=time.monotonic() - 1)
-        for certified, floor in ((True, 25), (False, 0)):
+        for hint, floor in ((25.0, 25), (None, 0)):
             _, pool, results = ambiguity_path(
-                xor, h0, grid, budget=budget, baseline_certified=certified
+                xor, h0, grid, budget=budget, lower_bound_hint=hint
             )
             assert [r.nodes_explored for r in results] == [0] * len(results)
             assert not pool.certified.any()
