@@ -6,10 +6,12 @@ and it stays useful when a budget runs out.  Because every objective in this
 package is an integer mistake/agreement count, node bounds are ceiled to the
 next integer before pruning and a gap below 1 certifies optimality.
 
-Each node LP is solved from scratch at the root and re-optimized by dual
-simplex from its parent's final basis everywhere else, so a queued node
-keeps its LP values (to branch on) and that basis (to start its children),
-never a tableau.
+Every node LP below the root is re-optimized by dual simplex from its
+parent's final basis, so a queued node keeps its LP values (to branch on)
+and that basis (to start its children), never a tableau.  The root LP is
+solved cold, or warm from a ``root_start`` basis of a related program (the
+previous program of a path, or a program with one row fewer); the solve
+reports its root LP's final basis as ``root_basis`` for the next one.
 
 Search order is deterministic: best-first on the ceiled LP bound with FIFO
 tie-breaking, branching on the most fractional binary (lowest index on
@@ -29,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import InfeasibleWarmStartError, InternalConsistencyError
-from .simplex import LinearProgram, solve_lp_with_fixings, violated_rows
+from .simplex import Basis, LinearProgram, solve_lp_with_fixings, violated_rows
 
 INT_TOL = 1e-6
 CERT_GAP = 1.0 - 1e-6
@@ -87,6 +89,7 @@ class SolveResult:
     nodes_explored: int
     wall_time: float
     lower_bound_hint: Optional[float] = None
+    root_basis: Optional[Basis] = None  # None when no root LP ran or it was infeasible
 
     @property
     def certified(self) -> bool:
@@ -107,9 +110,10 @@ def check_feasible(model: MipModel, assignment) -> tuple:
             f"variable {j} = {values[j]:.6g} outside "
             f"[{lp.var_lo[j]:.6g}, {lp.var_hi[j]:.6g}]"
         )
-    for j in model.binary_vars:
-        if abs(values[j] - round(values[j])) > INT_TOL:
-            violations.append(f"binary variable {j} = {values[j]:.6g} not integral")
+    binaries = np.asarray(model.binary_vars, dtype=int)
+    fractional = np.abs(values[binaries] - np.round(values[binaries])) > INT_TOL
+    for j in binaries[fractional]:
+        violations.append(f"binary variable {j} = {values[j]:.6g} not integral")
     for k in violated_rows(lp, values, INT_TOL):
         violations.append(
             f"row {k} ({lp.row_relations[k]} {lp.row_rhs[k]:.6g}) violated: "
@@ -124,9 +128,11 @@ def solve(
     warm_start=None,
     lower_bound_hint: Optional[float] = None,
     node_log: Optional[Callable[[float, int, float, float], None]] = None,
+    root_start: Optional[Basis] = None,
 ) -> SolveResult:
     """Best-first branch-and-bound returning the (upper, lower, incumbent)
-    solver contract tuple."""
+    solver contract tuple.  ``root_start`` warm-starts the root LP (see
+    ``solve_lp_with_fixings``); without it the root is solved cold."""
     budget = budget or SolveBudget()
     binaries = np.array(model.binary_vars, dtype=int)
     offset = model.objective_offset
@@ -145,10 +151,12 @@ def solve(
         upper = count(incumbent)
 
     # (ceiled bound, fifo, fixings, lp values, lp basis); the root waits
-    # unsolved, so a solve that starts past its deadline solves no LP.
-    heap: list = [(-math.inf, 0, {}, None, None)]
+    # unsolved with its starting basis, so a solve that starts past its
+    # deadline solves no LP.
+    heap: list = [(-math.inf, 0, {}, None, root_start)]
     fifo = 1
     nodes = 0
+    root_basis = None
 
     def exhausted() -> bool:
         if budget.node_limit is not None and nodes >= budget.node_limit:
@@ -177,12 +185,13 @@ def solve(
     def evaluate(fixings: dict, floor_bound: float, start):
         """Solve a node LP, warm from the parent's basis ``start`` if given:
         offer an integral solution as an incumbent, or queue a fractional
-        one for branching unless its bound is pruned."""
-        nonlocal nodes
+        one for branching unless its bound is pruned.  Returns the LP's
+        final basis (None when it is infeasible)."""
+        nonlocal nodes, fifo
         nodes += 1
         sol = solve_lp_with_fixings(model.lp, fixings, start=start)
         if sol.status == "infeasible":
-            return
+            return None
         if sol.status != "optimal":
             raise InternalConsistencyError(f"node LP ended with {sol.status}")
         value = sol.objective_value + offset
@@ -191,13 +200,12 @@ def solve(
         if binaries.size == 0 or frac.max() <= INT_TOL:
             if upper is None or bound < upper:
                 offer_incumbent(sol.values, float(round(value)))
-            return
+            return sol.basis
         try_heuristic(sol.values)
-        if upper is not None and bound >= upper:
-            return
-        nonlocal fifo
-        heapq.heappush(heap, (bound, fifo, fixings, sol.values, sol.basis))
-        fifo += 1
+        if upper is None or bound < upper:
+            heapq.heappush(heap, (bound, fifo, fixings, sol.values, sol.basis))
+            fifo += 1
+        return sol.basis
 
     def current_lower() -> float:
         cands = []
@@ -221,8 +229,8 @@ def solve(
         bound, _, fixings, values, basis = heapq.heappop(heap)
         if upper is not None and bound >= upper:
             continue
-        if values is None:
-            evaluate(fixings, bound, None)
+        if values is None:  # the root, with its starting basis
+            root_basis = evaluate(fixings, bound, basis)
             continue
         frac_dist = np.abs(values[binaries] - 0.5)
         frac_dist[np.abs(values[binaries] - np.round(values[binaries])) <= INT_TOL] = np.inf
@@ -253,4 +261,5 @@ def solve(
         nodes_explored=nodes,
         wall_time=wall,
         lower_bound_hint=lower_bound_hint,
+        root_basis=root_basis,
     )

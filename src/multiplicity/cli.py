@@ -68,6 +68,11 @@ from .reports import (
     write_profile,
 )
 
+# The smallest margin a run accepts.  Node LPs accept a row within
+# 1e-6 * (1 + |rhs|) of its right-hand side, so a margin row of a smaller
+# gamma would not keep a score off zero.
+GAMMA_FLOOR = 1e-5
+
 # The RunConfig field that bounds the wall time of each solving stage.
 _STAGE_LIMITS = {
     "baseline": "time_limit_baseline",
@@ -108,8 +113,11 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise InputError("split fraction must lie in (0, 1)")
-        if not 0 < self.gamma < math.inf:
-            raise InputError("gamma must be positive and finite")
+        if not GAMMA_FLOOR <= self.gamma < math.inf:
+            raise InputError(
+                f"gamma must be finite and at least {GAMMA_FLOOR:g}: node LPs accept "
+                "a row within 1e-6*(1+|rhs|) of its rhs, so a smaller margin is no margin"
+            )
         for name in _STAGE_LIMITS.values():
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
@@ -350,6 +358,7 @@ def _ambiguity(run: dict, budget) -> dict:
         lower_bound_hint=run["baseline"].lower_bound,
         seed_pool=seeds,
         node_log=_node_logger(run["node_log"], "flip"),
+        baseline_root=run["baseline"].root_basis,
     )
     _update_profile(run)
     return {"solves": [solve_json(r) for r in results]}

@@ -202,7 +202,9 @@ def build_flip_mip(
     gamma: float = DEFAULT_GAMMA,
 ) -> MipModel:
     """Error-minimizing model forced to disagree with ``h0`` on cell ``cell``
-    of ``dataset.cells`` (every example with that feature vector)."""
+    of ``dataset.cells`` (every example with that feature vector): the
+    baseline program with the flip row inserted before its last row, the l1
+    row, at index ``metadata["flip_row"]``."""
     X = dataset.cells.X
     m = len(X)
     if not 0 <= cell < m:
@@ -210,7 +212,9 @@ def build_flip_mip(
     # Flip row:  -h0(x_c) sum_j w_j x_cj >= gamma
     flip_coefs = -float(_cell_predictions(h0, dataset)[cell]) * X[cell]
     flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
-    return _mistake_model(FLIP, dataset, gamma, extra_rows=[(flip_row, gamma)])
+    model = _mistake_model(FLIP, dataset, gamma, extra_rows=[(flip_row, gamma)])
+    model.metadata["flip_row"] = model.lp.n_rows - 2
+    return model
 
 
 def _cell_predictions(h: LinearClassifier, dataset: Dataset) -> np.ndarray:

@@ -7,7 +7,11 @@ one flip solve per cell of ``dataset.cells``, solved one after another in
 cell order).  All level-set membership tests compare integer mistake
 counts; floating rates never decide anything.  Both paths solve every
 program through one step (``_solve``): warm start, solve, decode, and the
-margin audit of certified classifiers.
+margin audit of certified classifiers.  The programs of one path are
+near-copies, so every root LP but the first starts from a related optimal
+basis: a disc program differs from the previous one only in the level
+row's right-hand side, and a flip program is the baseline program plus its
+flip row.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
@@ -55,6 +59,8 @@ from .formulations import (
     classifier_from_solution,
     margin_clearance,
 )
+from .simplex import basis_with_row
+
 
 @dataclass(frozen=True)
 class EpsilonGrid:
@@ -280,16 +286,16 @@ def discrepancy_path(
     raw_low, raw_up = np.zeros(size, dtype=np.int64), np.full(size, n, dtype=np.int64)
     solved = {}  # grid index -> SolveResult
     found = {}  # grid index -> witness of that solve
-    index = 0
+    index, root = 0, None
     while index is not None:
         eps = eps_values[index]
         best = int(_best_left(found, raw_low)[index])
         result, witness = _solve(
             build_disc_mip(dataset, h0, eps, gamma), dataset, budget,
             [found[best] if best >= 0 else h0], f"witness at eps={eps}",
-            node_log=node_log,
+            node_log=node_log, root_start=root,
         )
-        solved[index] = result
+        solved[index], root = result, result.root_basis
         # MIP minimizes agreements: incumbent -> discrepancy lower bound,
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
@@ -365,9 +371,12 @@ def _safe_warm(model: MipModel, dataset: Dataset, h: LinearClassifier):
     return candidate if ok else None
 
 
-def _solve(model, dataset, budget, candidates, what, hint=None, node_log=None):
+def _solve(
+    model, dataset, budget, candidates, what, hint=None, node_log=None, root_start=None
+):
     """Solve one path program, warm-started from the first of ``candidates``
-    that it accepts, with ``hint`` as its ``lower_bound_hint``.  No path
+    that it accepts, with ``hint`` as its ``lower_bound_hint`` and its root
+    LP started from ``root_start`` (cold when None).  No path
     program is infeasible (h0 lies in every level set and its negation
     flips every cell), so an infeasible one raises.  Warns when a certified
     classifier scores a training point inside the margin band, where the
@@ -379,7 +388,8 @@ def _solve(model, dataset, budget, candidates, what, hint=None, node_log=None):
         if warm is not None:
             break
     result = bnb.solve(
-        model, budget=budget, warm_start=warm, lower_bound_hint=hint, node_log=node_log
+        model, budget=budget, warm_start=warm, lower_bound_hint=hint,
+        node_log=node_log, root_start=root_start,
     )
     if result.status == bnb.STATUS_INFEASIBLE:
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
@@ -406,6 +416,7 @@ def ambiguity_path(
     lower_bound_hint: Optional[float] = None,
     seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
+    baseline_root=None,
 ):
     """Fit the minimal-error flipped classifier of each cell, then count the
     weight of the cells whose flip lies inside each level set.
@@ -426,6 +437,10 @@ def ambiguity_path(
     incumbent reaches it.  h0's own mistake count is such a bound only when
     h0 is proven optimal.
 
+    ``baseline_root`` is the final basis of the baseline solve's root LP
+    (its ``root_basis``).  That basis with the flip row's slack basic
+    (``basis_with_row``) starts every flip root LP.
+
     Returns (profile with the ambiguity side filled, PathologicalPool, results).
     """
     base = empirical_risk(h0, dataset)
@@ -439,12 +454,14 @@ def ambiguity_path(
     for g in (h0.negated(), *seed_pool):
         _bank_add(bank, g, dataset)
 
-    results, classifiers = [], []
+    results, classifiers, root = [], [], None
     for c in range(len(cells.X)):
+        model = build_flip_mip(dataset, h0, c, gamma)
+        if baseline_root is not None:
+            root = basis_with_row(baseline_root, model.metadata["flip_row"])
         result, g = _solve(
-            build_flip_mip(dataset, h0, c, gamma), dataset, budget,
-            (h for _, h in bank), f"flip classifier of cell {c}",
-            hint=lower_bound_hint, node_log=node_log,
+            model, dataset, budget, (h for _, h in bank), f"flip classifier of cell {c}",
+            hint=lower_bound_hint, node_log=node_log, root_start=root,
         )
         if g is not None:
             if result.certified and (cells.X[c] @ g.coefficients > 0.0) == base_side[c]:

@@ -5,9 +5,12 @@ built by this package lives in [0,1], [-1,0] or [-1,1]), which rules out
 unbounded problems and lets nonbasic variables sit at either bound.
 
 A program is solved either cold, by two-phase primal simplex, or warm, by
-dual simplex from the final basis of a program that fixed fewer variables
-(a branch-and-bound parent).  Fixings only shrink boxes, so that basis stays
-dual feasible and only its primal infeasibilities need repair.
+dual simplex from the final basis of a related program with the same
+objective: one that fixed fewer variables (a branch-and-bound parent), had
+other right-hand sides (the previous program of a path), or lacked a row
+(``basis_with_row`` extends its basis by that row's slack).  None of these
+changes moves a reduced cost, so the basis stays dual feasible and only its
+primal infeasibilities need repair.
 
 Implementation notes:
 
@@ -145,11 +148,14 @@ def solve_lp_with_fixings(
     a fixing outside the variable's bounds makes the program infeasible.
 
     Without ``start`` the program is solved cold by two-phase primal
-    simplex.  ``start`` is the ``basis`` of an optimal solution of ``lp``
-    under a subset of ``fixings``: the solve refactors from it and repairs
-    it by dual simplex, then confirms optimality with the primal pricing.
-    If the dual stops short of an answer (its iteration limit, or no pivot
-    and no proof of infeasibility), the program is solved cold after all.
+    simplex.  ``start`` is a nonsingular basis of ``lp``'s shape that is
+    dual feasible for it: the ``basis`` of an optimal solution of ``lp``
+    under a subset of ``fixings``, of a program that differs from ``lp``
+    only in its right-hand sides, or such a basis extended by
+    ``basis_with_row``.  The solve refactors from it and repairs it by dual
+    simplex, then confirms optimality with the primal pricing.  If the dual
+    stops short of an answer (its iteration limit, or no pivot and no proof
+    of infeasibility), the program is solved cold after all.
     """
     lo = lp.var_lo.copy()
     hi = lp.var_hi.copy()
@@ -213,6 +219,25 @@ def _optimal_solution(lp, state, lo, hi, pivots) -> LpSolution:
     basis.columns.flags.writeable = False
     basis.at_upper.flags.writeable = False
     return LpSolution("optimal", values, objective, pivots, basis)
+
+
+def basis_with_row(basis: Basis, row: int) -> Basis:
+    """``basis`` extended to the program with one more row inserted at
+    index ``row``, that row's slack basic and its artificial nonbasic.
+
+    Slack and artificial columns of the rows at and past ``row`` shift by
+    one.  The extended basis matrix is block triangular with a unit block
+    for the new slack, so it is nonsingular when ``basis`` is; the new row's
+    dual is 0, so every reduced cost, and dual feasibility, carries over.
+    """
+    m = basis.columns.size
+    n = basis.at_upper.size - 2 * m
+    old = np.arange(n + 2 * m)
+    moved = old + (old >= n + row) + (old >= n + m + row)
+    at_upper = np.zeros(n + 2 * (m + 1), dtype=bool)
+    at_upper[moved] = basis.at_upper
+    columns = np.insert(moved[basis.columns], row, n + row)
+    return Basis(columns, at_upper)
 
 
 def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:

@@ -23,6 +23,23 @@ def xor():
     return xor_dataset()
 
 
+@pytest.fixture
+def node_lps(monkeypatch):
+    """(fixings, start, solution) of every node LP that ``solve`` runs."""
+    from multiplicity import branch_bound
+
+    calls = []
+    solve_node = branch_bound.solve_lp_with_fixings
+
+    def spy(lp, fixings, start=None):
+        sol = solve_node(lp, fixings, start=start)
+        calls.append((dict(fixings), start, sol))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
+    return calls
+
+
 def random_binary_dataset(rng: np.random.Generator, max_weight: int = 3) -> Dataset:
     """Weighted dataset over binary feature cells, both classes present.
 

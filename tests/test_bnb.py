@@ -23,21 +23,6 @@ from conftest import random_binary_dataset, xor_dataset
 from oracles import oracle_baseline
 
 
-@pytest.fixture
-def node_lps(monkeypatch):
-    """(fixings, start, solution) of every node LP that ``solve`` runs."""
-    calls = []
-    solve_node = branch_bound.solve_lp_with_fixings
-
-    def spy(lp, fixings, start=None):
-        sol = solve_node(lp, fixings, start=start)
-        calls.append((dict(fixings), start, sol))
-        return sol
-
-    monkeypatch.setattr(branch_bound, "solve_lp_with_fixings", spy)
-    return calls
-
-
 def knapsack_model(values, weights, capacity):
     """max v.x s.t. w.x <= cap  ->  min -v.x, handy tiny MIP."""
     n = len(values)
@@ -121,6 +106,7 @@ class TestSolve:
         assert res.nodes_explored == 0
         assert res.status == "feasible_with_gap"
         assert res.upper_bound == 25.0
+        assert res.root_basis is None
 
     def test_node_limit_is_deterministic(self):
         models = [build_baseline_mip(xor_dataset())] + [
@@ -149,6 +135,21 @@ class TestSolve:
                 parent = {j: v for j, v in fixings.items() if j != list(fixings)[-1]}
                 assert start is bases[tuple(parent.items())]
             bases[tuple(fixings.items())] = sol.basis
+
+    def test_root_starts_from_root_start(self, node_lps):
+        # a new capacity moves only the rhs, so the first root's basis
+        # starts the second root, which ends where a cold solve does
+        first = solve(knapsack_model([6, 5, 4], [3, 2, 2], 4))
+        assert node_lps[0][1] is None
+        assert first.root_basis is node_lps[0][2].basis
+        del node_lps[:]
+        model = knapsack_model([6, 5, 4], [3, 2, 2], 5)
+        res = solve(model, root_start=first.root_basis)
+        fixings, start, root = node_lps[0]
+        assert fixings == {} and start is first.root_basis
+        assert res.root_basis is root.basis
+        assert root.objective_value == pytest.approx(solve_lp(model.lp).objective_value)
+        assert res.upper_bound == solve(model).upper_bound == -11.0  # items 1 and 2
 
     @pytest.mark.parametrize("source", ["compas_style", "tyranny"])
     def test_baseline_root_stays_cold(self, source, node_lps, tmp_path):
@@ -244,6 +245,27 @@ class TestCheckFeasible:
         ok, report = check_feasible(model, bad)
         assert not ok
         assert any("not integral" in line for line in report)
+
+    def test_integrality_report_matches_the_loop(self):
+        # the per-binary loop is the reference: same lines, same order,
+        # also within and just past INT_TOL of an integer
+        model = build_baseline_mip(random_binary_dataset(np.random.default_rng(4)))
+        binaries = list(model.binary_vars)
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            values = rng.uniform(model.lp.var_lo, model.lp.var_hi)
+            near = rng.integers(0, 2, len(binaries)) + rng.choice(
+                [0.0, 5e-7, -1e-6, 2e-6, 0.3], len(binaries)
+            )
+            take = rng.random(len(binaries)) < 0.7
+            values[binaries] = np.where(take, near, values[binaries])
+            expected = [
+                f"binary variable {j} = {values[j]:.6g} not integral"
+                for j in binaries
+                if abs(values[j] - round(values[j])) > branch_bound.INT_TOL
+            ]
+            _, report = check_feasible(model, values)
+            assert [line for line in report if "not integral" in line] == expected
 
     def test_big_m_violation_identified(self):
         data = xor_dataset()

@@ -14,13 +14,19 @@ from multiplicity.cli import (
     _build_config,
     _parse_config_file,
     build_parser,
+    load_dataset,
     main,
     run_audit,
     run_export_mps,
 )
 from multiplicity.profiles import MeasureValue
 from multiplicity.reports import exact_decimal
-from multiplicity.core import InternalConsistencyError
+from multiplicity.core import (
+    InternalConsistencyError,
+    LinearClassifier,
+    conflict_count,
+    empirical_risk,
+)
 from multiplicity.datasets import (
     InputError,
     generate_synthetic,
@@ -190,6 +196,30 @@ class TestAudit:
         assert payload["baseline"]["mistakes"] == 0
         entry = payload["entries"][0]
         assert entry["discrepancy"]["upper"] == 0.0
+
+    @pytest.mark.parametrize("source", ["tyranny", "compas_style"])
+    def test_witnesses_lie_in_their_level_sets(self, tmp_path, source):
+        # other optimal witnesses may be found, but each lies in its level
+        # set and conflicts with h0 on exactly n times its lower bound
+        config = RunConfig(dataset="tyranny", outdir=str(tmp_path))
+        if source == "compas_style":
+            config = RunConfig(
+                dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+                group_column="race", outdir=str(tmp_path),
+            )
+        run_audit(config)
+        train = load_dataset(config)[0]
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        baseline = json.loads((tmp_path / "baseline.json").read_text())
+        h0 = LinearClassifier(tuple(baseline["coefficients"]))
+        base, n = empirical_risk(h0, train).mistakes, train.n
+        assert len(profile["witnesses"]) == len(profile["entries"]) > 1
+        for entry in profile["entries"]:
+            eps = Fraction(entry["epsilon_exact"])
+            witness = LinearClassifier(tuple(profile["witnesses"][entry["epsilon_exact"]]))
+            assert empirical_risk(witness, train).mistakes <= base + eps * n
+            lower = Fraction(entry["discrepancy"]["lower_exact"])
+            assert conflict_count(witness, h0, train).mistakes == n * lower
 
     def test_node_limited_runs_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -583,6 +613,7 @@ class TestExitCodes:
             ["export-mps", "--formulation", "flip", "--flip-index", "99"],
             ["baseline", "--gamma", "0"],
             ["baseline", "--gamma", "inf"],
+            ["baseline", "--gamma", "1e-9"],
             ["discrepancy", "--time-limit-disc", "nan"],
             ["baseline", "--node-limit", "-1"],
             ["baseline", "--node-limit", "0"],
@@ -596,7 +627,8 @@ class TestExitCodes:
         ],
         ids=[
             "node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99",
-            "gamma-0", "gamma-inf", "time-limit-nan", "node-limit--1", "node-limit-0",
+            "gamma-0", "gamma-inf", "gamma-1e-9", "time-limit-nan", "node-limit--1",
+            "node-limit-0",
             "workers--3", "pool-alphas-0", "pool-lambdas-0", "dataset-scale-abc",
             "config-missing", "one-class-split", "one-class-adhoc",
         ],
@@ -616,15 +648,6 @@ class TestExitCodes:
             ["audit", "--dataset", "xor", "--epsilons", epsilons, "--outdir", str(tmp_path)]
         )
         assert code == 2
-
-    def test_certified_flip_that_keeps_its_cell_is_four(self, tmp_path):
-        # at this gamma the margin rows are below the LP's row tolerance, and
-        # the certified flip classifier of cell 0 predicts like h0 there
-        code = main(
-            ["ambiguity", "--dataset", "tyranny", "--epsilons", "0", "--gamma", "1e-9",
-             "--outdir", str(tmp_path)]
-        )
-        assert code == 4
 
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
@@ -857,7 +880,7 @@ class TestTracing:
             assert tracer.calls[layer] > 0, layer
         assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 13
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [76, 76, 360]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [82, 82, 147]
 
 
 class TestExportMps:

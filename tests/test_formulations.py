@@ -248,6 +248,19 @@ class TestFlipModel:
         with pytest.raises(IndexError):
             build_flip_mip(xor, H_A, 99)
 
+    def test_flip_row_is_the_one_row_added_to_the_baseline(self):
+        data = random_binary_dataset(np.random.default_rng(4))  # 2 of 6 cells mixed
+        base = build_baseline_mip(data).lp
+        h0 = LinearClassifier((-0.5, 0.5, 0.0, 0.0))
+        for c in range(len(data.cells.X)):
+            model = build_flip_mip(data, h0, c)
+            lp, at = model.lp, model.metadata["flip_row"]
+            assert at == base.n_rows - 1
+            keep = np.arange(lp.n_rows) != at
+            assert np.array_equal(lp.row_coefs[keep], base.row_coefs)
+            assert np.array_equal(lp.row_rhs[keep], base.row_rhs)
+            assert np.array(lp.row_relations)[keep].tolist() == list(base.row_relations)
+
     def test_random_optima_match_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

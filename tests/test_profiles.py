@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from multiplicity import branch_bound
+from multiplicity import branch_bound, cli
 from multiplicity.branch_bound import SolveBudget, check_feasible, solve
 from multiplicity.core import (
     Dataset,
@@ -43,6 +43,7 @@ from multiplicity.profiles import (
     merge_profiles,
 )
 from multiplicity.reports import write_burden, write_profile
+from multiplicity.simplex import basis_with_row
 from conftest import random_binary_dataset, xor_dataset
 from oracles import (
     oracle_ambiguity,
@@ -335,6 +336,51 @@ class TestAmbiguityPath:
             bank.append(pool.classifiers[c])
         assert len(solves) == len(data.cells.X)
         assert any(k >= 1 + len(seeds) for k in sources)  # an earlier flip
+
+    def test_certified_flip_that_keeps_its_cell_raises(self):
+        # at gamma 1e-9 the margin rows are below the LP's row tolerance,
+        # and the certified flip classifier of cell 0 predicts like h0 there
+        # (the CLI rejects such a gamma)
+        data = cli.load_dataset(cli.RunConfig(dataset="tyranny"))[0]
+        model = build_baseline_mip(data, 1e-9)
+        base = solve(model)
+        h0 = classifier_from_solution(model, base.incumbent)
+        with pytest.raises(InternalConsistencyError, match="cell 0 does not flip it"):
+            ambiguity_path(
+                data, h0, EpsilonGrid((Fraction(0),), data.n), gamma=1e-9,
+                lower_bound_hint=base.lower_bound, baseline_root=base.root_basis,
+            )
+
+
+class TestRootStarts:
+    def test_every_root_but_the_first_starts_warm(self, node_lps):
+        # tyranny: nine disc solves on its default grid, four flip solves
+        data = cli.load_dataset(cli.RunConfig(dataset="tyranny"))[0]
+        model = build_baseline_mip(data)
+        base = solve(model)
+        assert node_lps[0][1] is None and base.root_basis is node_lps[0][2].basis
+        h0 = classifier_from_solution(model, base.incumbent)
+        grid = EpsilonGrid.default(data.n, empirical_risk(h0, data).rate)
+
+        del node_lps[:]
+        _, solves = discrepancy_path(data, h0, grid)
+        roots = [(start, sol) for fixings, start, sol in node_lps if not fixings]
+        assert len(roots) == len(solves) > 2
+        assert roots[0][0] is None
+        for (_, previous), (start, _) in zip(roots, roots[1:]):
+            assert start is previous.basis
+
+        del node_lps[:]
+        _, _, results = ambiguity_path(
+            data, h0, grid, lower_bound_hint=base.lower_bound, baseline_root=base.root_basis
+        )
+        roots = [start for fixings, start, _ in node_lps if not fixings]
+        assert len(roots) == len(results) == len(data.cells.X)
+        # the flip row sits just before the l1 row, the baseline's last
+        grown = basis_with_row(base.root_basis, base.root_basis.columns.size - 1)
+        for start in roots:
+            assert np.array_equal(start.columns, grown.columns)
+            assert np.array_equal(start.at_upper, grown.at_upper)
 
 
 class TestMonotonicityAndBound:

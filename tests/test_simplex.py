@@ -6,6 +6,7 @@ from multiplicity.simplex import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     LinearProgram,
+    basis_with_row,
     solve_lp,
     solve_lp_with_fixings,
     violated_rows,
@@ -325,3 +326,73 @@ class TestWarmStart:
         other = box_lp([1.0], [[1.0]], [">="], [0.5], [0], [1])
         with pytest.raises(ValueError):
             solve_lp_with_fixings(lp, {0: 1.0}, start=solve_lp(other).basis)
+
+
+def _related_programs(rng, count):
+    """(program, optimal basis of a related program, kind) for ``count``
+    random LPs with an optimal cold solve: the same LP with new right-hand
+    sides (``rhs``), or with one random row inserted and the basis extended
+    by its slack (``row``)."""
+    out = []
+    while len(out) < count:
+        lp, _ = random_box_lp(rng)
+        parent = solve_lp(lp)
+        if parent.status != "optimal" or lp.n_rows == 0:
+            continue
+        kind = ("rhs", "row")[len(out) % 2]
+        A, rels, rhs = lp.row_coefs, list(lp.row_relations), lp.row_rhs
+        if kind == "rhs":
+            rhs = rhs + np.round(rng.normal(scale=0.5, size=rhs.size), 3)
+            start = parent.basis
+        else:
+            at = int(rng.integers(0, lp.n_rows + 1))
+            row = np.round(rng.uniform(-2.0, 2.0, size=lp.n_vars), 3)
+            rel = ("<=", "=", ">=")[int(rng.integers(0, 3))]
+            A = np.insert(A, at, row, axis=0)
+            rels.insert(at, rel)
+            rhs = np.insert(rhs, at, round(float(row @ parent.values) + rng.normal(), 3))
+            start = basis_with_row(parent.basis, at)
+        related = box_lp(lp.objective, A, rels, rhs, lp.var_lo, lp.var_hi)
+        out.append((related, start, kind))
+    return out
+
+
+class TestWarmRoot:
+    def test_basis_with_row_shifts_slacks_and_artificials(self):
+        # 2 structurals, 2 rows: columns [x0 x1 | s0 s1 | a0 a1]
+        basis = simplex.Basis(np.array([4, 1]), np.array([1, 0, 0, 1, 0, 0], dtype=bool))
+        grown = basis_with_row(basis, 1)
+        # [x0 x1 | s0 new s1 | a0 new a1]: a0 4 -> 5, s1 3 -> 4, new slack 3
+        assert grown.columns.tolist() == [5, 3, 1]
+        assert grown.at_upper.tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
+
+    def test_related_programs_match_cold_and_repeat(self):
+        seen = {"rhs": 0, "row": 0, "infeasible": 0}
+        for lp, start, kind in _related_programs(np.random.default_rng(47), 200):
+            warm = solve_lp_with_fixings(lp, {}, start=start)
+            cold = solve_lp(lp)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+                assert violated_rows(lp, warm.values, 1e-6).size == 0
+            again = solve_lp_with_fixings(lp, {}, start=start)
+            assert again.n_pivots == warm.n_pivots
+            if warm.status == "optimal":
+                assert np.array_equal(again.values, warm.values)
+                assert np.array_equal(again.basis.columns, warm.basis.columns)
+            seen[kind] += 1
+            seen["infeasible"] += warm.status == "infeasible"
+        assert min(seen.values()) >= 10, seen
+
+    def test_stalled_dual_falls_back_to_cold(self, monkeypatch, cold_solves):
+        monkeypatch.setattr(simplex, "DUAL_ITERATION_LIMIT", 1)
+        fallbacks = {"rhs": 0, "row": 0}
+        for lp, start, kind in _related_programs(np.random.default_rng(8), 100):
+            before = len(cold_solves)
+            warm = solve_lp_with_fixings(lp, {}, start=start)
+            fallbacks[kind] += len(cold_solves) > before
+            cold = solve_lp(lp)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+        assert min(fallbacks.values()) >= 5, fallbacks
