@@ -23,6 +23,7 @@ from .formulations import (
 )
 from .pool import PenaltyGrid, PoolModel, adhoc_measures, fit_pool
 from .profiles import (
+    ClassifierBank,
     EpsilonGrid,
     MeasureValue,
     MultiplicityProfile,
@@ -58,6 +59,7 @@ __all__ = [
     "build_flip_mip",
     "classifier_from_solution",
     "export_mps",
+    "ClassifierBank",
     "EpsilonGrid",
     "MeasureValue",
     "MultiplicityProfile",

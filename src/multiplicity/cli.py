@@ -52,6 +52,7 @@ from .formulations import (
 )
 from .pool import PenaltyGrid, adhoc_measures, fit_pool
 from .profiles import (
+    ClassifierBank,
     EpsilonGrid,
     ambiguity_path,
     check_discrepancy_bound,
@@ -326,6 +327,7 @@ def _baseline(run: dict, budget) -> dict:
         payload["test"] = risk_json(empirical_risk(h0, test))
     write_json(run["outdir"] / "baseline.json", payload)
     run["h0"], run["baseline"], run["base_risk"] = h0, result, base_risk
+    run["bank"] = ClassifierBank(train, h0, config.gamma)
     run["grid"] = resolve_grid(config, train, base_risk.rate)
     run["labels"] = epsilon_labels(run["grid"].values)
     return solve_json(result)
@@ -339,16 +341,16 @@ def _discrepancy(run: dict, budget) -> dict:
         budget=budget,
         gamma=run["config"].gamma,
         node_log=_node_logger(run["node_log"], "disc"),
+        bank=run["bank"],
     )
     _update_profile(run)
     return {"solves": [{"epsilon": str(eps), **solve_json(r)} for eps, r in results]}
 
 
 def _ambiguity(run: dict, budget) -> dict:
-    disc = run.get("disc_profile")
-    # Each witness once, in ascending epsilon: filled-in epsilons share the
-    # witness of a solved one.
-    seeds = list(dict.fromkeys(disc.witnesses.values())) if disc is not None else []
+    # The baseline stage's bank holds the negated baseline and every
+    # discrepancy witness; each flip solve warm-starts from the fewest-mistake
+    # one that flips its cell, and its own classifier joins the bank.
     run["amb_profile"], run["flip_pool"], results = ambiguity_path(
         run["train"],
         run["h0"],
@@ -356,9 +358,9 @@ def _ambiguity(run: dict, budget) -> dict:
         budget=budget,
         gamma=run["config"].gamma,
         lower_bound_hint=run["baseline"].lower_bound,
-        seed_pool=seeds,
         node_log=_node_logger(run["node_log"], "flip"),
         baseline_root=run["baseline"].root_basis,
+        bank=run["bank"],
     )
     _update_profile(run)
     return {"solves": [solve_json(r) for r in results]}

@@ -15,19 +15,22 @@ flip row.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
-bound is valid at every smaller one, so raw per-epsilon discrepancy
-intervals are tightened by a forward running max / backward running min
-before assembly.
+bound is valid at every smaller one.  Discrepancy lower bounds come from one
+classifier bank (``ClassifierBank``), which scores every classifier the
+audit finds once: a classifier that clears the margin lies in every level
+set whose threshold admits its mistakes, so its conflict count bounds
+discrepancy at all of them, whichever epsilon's solve found it.  Upper
+bounds are propagated by a backward running min.
 Uncertified discrepancy uppers are additionally capped by the triangle-
 inequality bound 2 * baseline_risk + epsilon, which certified values must
 satisfy on their own (a violation is a solver bug and raises).
 All of this runs on integer count arrays over the whole grid; a
 ``MeasureValue`` is built once per distinct reported value.
 
-The same propagation decides which discrepancy programs are solved at all:
+The same bounds decide which discrepancy programs are solved at all:
 discrepancy is a monotone step function of epsilon, so once the bounds of
-the solved points meet at an unsolved point, its value is proven without a
-solve (see ``discrepancy_path``).
+an unsolved point meet, its value is proven without a solve (see
+``discrepancy_path``).  The bank also supplies the flip solves' warm starts.
 """
 
 from __future__ import annotations
@@ -243,6 +246,84 @@ def _int_bounds(result: SolveResult, n: int):
     return max(0, min(lower, upper)), upper
 
 
+class ClassifierBank:
+    """Every classifier an audit finds, each scored once on ``dataset.cells``.
+
+    Row r holds ``classifiers[r]`` with its exact weighted ``mistakes``, its
+    ``conflicts`` with h0, whether it ``clears`` the margin
+    (``margin_clearance``), and the cells it puts on the other side of h0
+    with a score that a flip row accepts.  Rows keep insertion order: h0,
+    its negation, then each distinct classifier ``add`` is given.
+
+    A classifier that clears the margin and makes m mistakes lies in every
+    level set whose threshold is at least m, so its conflict count bounds
+    discrepancy there from below (``best_placed``), and it is a feasible
+    warm start of the flip program of every cell it flips (``flipping``).
+    A caller that runs both paths hands one bank to each.
+    """
+
+    def __init__(
+        self, dataset: Dataset, h0: LinearClassifier, gamma: float = DEFAULT_GAMMA
+    ):
+        cells = dataset.cells
+        self.dataset, self.gamma = dataset, gamma
+        self._weights = cells.pos + cells.neg
+        self._base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
+        # A flip row accepts a score within the node LPs' row tolerance of
+        # gamma, so this floor keeps every classifier it would accept.
+        self._flip_floor = gamma - bnb.INT_TOL * (1.0 + gamma)
+        self.classifiers, self.mistakes, self.conflicts, self.clears = [], [], [], []
+        self._flips, self._order, self._rows = [], [], {}
+        self.add(h0)
+        self.add(h0.negated())
+
+    def add(self, g: LinearClassifier) -> int:
+        """The row of g, scored and appended on first sight."""
+        row = self._rows.get(g.coefficients)
+        if row is not None:
+            return row
+        cells = self.dataset.cells
+        scores = cells.X @ np.asarray(g.coefficients)
+        side = scores > 0.0
+        row = self._rows[g.coefficients] = len(self.classifiers)
+        self.classifiers.append(g)
+        self.mistakes.append(int(cells.neg[side].sum() + cells.pos[~side].sum()))
+        self.conflicts.append(int(self._weights[side != self._base_side].sum()))
+        self.clears.append(margin_clearance(g, self.dataset, self.gamma)[1])
+        self._flips.append(np.where(self._base_side, -scores, scores) >= self._flip_floor)
+        bisect.insort(self._order, row, key=self.mistakes.__getitem__)
+        return row
+
+    def flipping(self, cell: int):
+        """The classifiers that flip ``cell`` with margin, fewest mistakes
+        first, ties in insertion order."""
+        return (self.classifiers[r] for r in self._order if self._flips[r][cell])
+
+    def best_placed(self, thresholds, pinned=()):
+        """At each of the increasing mistake ``thresholds``: the row with the
+        most conflicts among the classifiers placed at or before it, and that
+        count (-1 and 0 where none is).  A classifier that clears the margin
+        is placed at the first threshold its mistakes fit.  Each
+        ``(row, index, count)`` of ``pinned`` places a classifier that does
+        not clear it at grid index ``index`` with ``count`` conflicts.  Ties
+        go to the nearest placement, then to the latest row."""
+        size, total = len(thresholds), len(self.classifiers)
+        clear = np.flatnonzero(self.clears)
+        pinned = np.array(pinned, dtype=np.int64).reshape(-1, 3)
+        rows = np.concatenate([clear, pinned[:, 0]])
+        place = np.concatenate(
+            [np.searchsorted(thresholds, np.take(self.mistakes, clear)), pinned[:, 1]]
+        )
+        count = np.concatenate([np.take(self.conflicts, clear), pinned[:, 2]])
+        fits = place < size
+        key = np.full(size, -1, dtype=np.int64)
+        np.maximum.at(
+            key, place[fits], (count[fits] * size + place[fits]) * total + rows[fits]
+        )
+        key = np.maximum.accumulate(key)
+        return np.where(key < 0, -1, key % total), np.maximum(key, 0) // (size * total)
+
+
 def discrepancy_path(
     dataset: Dataset,
     h0: LinearClassifier,
@@ -250,27 +331,29 @@ def discrepancy_path(
     budget: Optional[SolveBudget] = None,
     gamma: float = DEFAULT_GAMMA,
     node_log=None,
+    bank: Optional[ClassifierBank] = None,
 ):
     """Discrepancy at every epsilon of ``grid``, solving the
     agreement-minimizing model only where the profile is still open.
 
     Solve order: the first grid point, then the last, then repeatedly the
     middle point of the first run of unsolved points whose bounds are still
-    open.  Bounds are propagated across nested level sets after each solve:
-    a lower bound holds at every larger epsilon, an upper bound at every
-    smaller one.  The cap min(1, 2 * risk + epsilon) of the reported uppers
-    plays no part: a lower bound carried to an unsolved point from a smaller
-    epsilon is at most the cap there, which is below the cap at the point
-    unless both are 1, so the cap never closes a point.
+    open.  Lower bounds come from the classifier bank (a new one around h0
+    unless ``bank`` is given; each solve's witness joins it): a classifier
+    that clears the margin counts at the first grid point whose threshold
+    base + n * eps admits its mistakes and at every point right of it,
+    wherever it was found; a witness that does not clear it counts at and
+    right of its own solve.  Each point's lower bound is the best count
+    placed at or left of it.  Upper bounds hold at every smaller epsilon
+    and are capped by the triangle inequality, min(1, 2 * risk + epsilon).
     The loop stops once every point is solved or closed, so certified
-    solves skip every point between two equal values, while solves that
-    stop at a budget leave their neighbours open and every point is solved.
+    solves skip every point whose bounds meet, while solves that stop at a
+    budget leave their neighbours open.
 
     An unsolved point whose bounds meet is reported certified at that value.
-    Each solve warm-starts from, and each unsolved point reports as its
-    witness, the best witness found at or left of it (the nearest one
-    whenever solves certify), or h0 as the warm start when there is none.
-    That witness lies in the point's level set because level sets nest.
+    Each solve warm-starts from, and each point reports as its witness, the
+    best classifier placed at or left of it, possibly found at a larger
+    epsilon, or h0 as the warm start when there is none.
 
     Returns (profile with the discrepancy side filled, list of
     (epsilon, SolveResult) pairs in ascending epsilon, one per solve).
@@ -279,36 +362,47 @@ def discrepancy_path(
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
+    bank = _bank_for(bank, dataset, h0, gamma)
 
     eps_values = grid.values
     size = len(eps_values)
-    # Discrepancy in counts of n; an unsolved point is bounded by [0, n].
-    raw_low, raw_up = np.zeros(size, dtype=np.int64), np.full(size, n, dtype=np.int64)
+    thresholds = grid.thresholds(base.mistakes)
+    caps = np.minimum(n, 2 * base.mistakes + grid.counts)
+    # Upper discrepancy counts of n; an unsolved point is bounded by n.
+    raw_up = np.full(size, n, dtype=np.int64)
     solved = {}  # grid index -> SolveResult
-    found = {}  # grid index -> witness of that solve
+    pinned = []  # (row, grid index, count) of witnesses that miss the margin
+    best, counts = bank.best_placed(thresholds)
     index, root = 0, None
     while index is not None:
         eps = eps_values[index]
-        best = int(_best_left(found, raw_low)[index])
         result, witness = _solve(
             build_disc_mip(dataset, h0, eps, gamma), dataset, budget,
-            [found[best] if best >= 0 else h0], f"witness at eps={eps}",
-            node_log=node_log, root_start=root,
+            [bank.classifiers[best[index]] if best[index] >= 0 else h0],
+            f"witness at eps={eps}", node_log=node_log, root_start=root,
         )
         solved[index], root = result, result.root_basis
         # MIP minimizes agreements: incumbent -> discrepancy lower bound,
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
-        raw_low[index], raw_up[index] = n - up_cnt, n - low_cnt
+        raw_up[index] = n - low_cnt
         if witness is not None:
-            mistakes = empirical_risk(witness, dataset).mistakes
-            if result.certified and mistakes > base.mistakes + eps * n:
+            row = bank.add(witness)
+            mistakes = bank.mistakes[row]
+            if result.certified and mistakes > thresholds[index]:
                 raise InternalConsistencyError(
                     f"witness at eps={eps} lies outside its level set "
                     f"({mistakes} vs {base.mistakes} + {eps} * {n})"
                 )
-            found[index] = witness
-        lows, ups = _nested_bounds(raw_low, raw_up)
+            if not bank.clears[row]:
+                pinned.append((row, index, n - up_cnt))
+        best, counts = bank.best_placed(thresholds, pinned)
+        if result.certified and counts[index] != n - up_cnt:
+            raise InternalConsistencyError(
+                f"banked classifiers bound discrepancy at eps={eps} by "
+                f"{counts[index]}, but its certified solve found {n - up_cnt}"
+            )
+        lows, ups = _nested_bounds(counts, np.minimum(raw_up, caps))
         index = _next_solve(solved, lows, ups)
 
     # An unsolved point is closed by the solved points around it, so it
@@ -317,10 +411,8 @@ def discrepancy_path(
     is_solved[list(solved)] = True
     certified = np.ones(size, dtype=bool)
     certified[list(solved)] = [r.certified for r in solved.values()]
-    caps = np.minimum(n, 2 * base.mistakes + grid.counts)
     tight_low, tight_up = _tighten(
-        np.where(is_solved, raw_low, lows), np.where(is_solved, raw_up, ups),
-        certified, caps,
+        lows, np.where(is_solved, raw_up, ups), certified, caps
     )
     measures = _measures(tight_low, tight_up, certified, n)
     entries = tuple(
@@ -328,12 +420,20 @@ def discrepancy_path(
         for eps, m in zip(eps_values, measures)
     )
     witnesses = {
-        eps: found[i]
-        for eps, i in zip(eps_values, _best_left(found, raw_low).tolist())
-        if i >= 0
+        eps: bank.classifiers[r] for eps, r in zip(eps_values, best.tolist()) if r >= 0
     }
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses=witnesses)
     return profile, [(eps_values[i], solved[i]) for i in sorted(solved)]
+
+
+def _bank_for(bank, dataset, h0, gamma) -> ClassifierBank:
+    """``bank``, or a new one when it is None; a bank scored for another
+    dataset, baseline or margin raises."""
+    if bank is None:
+        return ClassifierBank(dataset, h0, gamma)
+    if bank.dataset is not dataset or bank.classifiers[0] != h0 or bank.gamma != gamma:
+        raise ValueError("the classifier bank was scored for another dataset, h0 or gamma")
+    return bank
 
 
 def _next_solve(solved, lows, ups):
@@ -350,19 +450,6 @@ def _next_solve(solved, lows, ups):
     start = int(np.argmax(unsettled))
     stop = start + int(np.argmin(unsettled[start:]))  # the last point is settled
     return (start + stop) // 2
-
-
-def _best_left(found, raw_low) -> np.ndarray:
-    """For every grid point, the index of the best witness found at or left
-    of it (highest discrepancy lower bound, the nearest on ties, which is
-    the nearest one whenever its solves certify), or -1 where there is none.
-    It lies in the level set of the point because level sets nest."""
-    size = len(raw_low)
-    key = np.full(size, -1, dtype=np.int64)
-    at = np.fromiter(found, dtype=np.int64, count=len(found))
-    key[at] = raw_low[at] * size + at
-    best = np.maximum.accumulate(key)
-    return np.where(best < 0, -1, best % size)
 
 
 def _safe_warm(model: MipModel, dataset: Dataset, h: LinearClassifier):
@@ -417,6 +504,7 @@ def ambiguity_path(
     seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
     baseline_root=None,
+    bank: Optional[ClassifierBank] = None,
 ):
     """Fit the minimal-error flipped classifier of each cell, then count the
     weight of the cells whose flip lies inside each level set.
@@ -424,11 +512,14 @@ def ambiguity_path(
     A flip program depends on an example only through its feature vector,
     so each cell of ``dataset.cells`` takes one solve (``build_flip_mip``
     by cell index), in ``dataset.cells`` order, one after another.  Each
-    solve warm-starts from the first feasible classifier of one bank, kept
-    in mistake order with ties in insertion order: the negated baseline
-    (which flips every point and is always feasible), then ``seed_pool``,
-    then every flip classifier found by an earlier solve.  A certified flip
-    classifier that does not flip its cell is a solver bug and raises.
+    solve warm-starts from the first feasible classifier of the classifier
+    bank (a new one around h0 unless ``bank`` is given) that flips its cell
+    with margin, in mistake order with ties in insertion order: the negated
+    baseline (which flips every cell when h0 clears the margin), then the
+    bank's other classifiers (such as the discrepancy witnesses), then
+    ``seed_pool``, then every flip classifier found by an earlier solve,
+    which joins the bank.  A certified flip classifier that does not flip
+    its cell is a solver bug and raises.
 
     ``lower_bound_hint`` is a proven lower bound on the baseline program's
     optimum, such as the baseline solve's ``lower_bound``.  A flip program
@@ -447,20 +538,19 @@ def ambiguity_path(
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
+    bank = _bank_for(bank, dataset, h0, gamma)
+    for g in seed_pool:
+        bank.add(g)
 
     cells = dataset.cells
     base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
-    bank: list = []  # (mistakes, classifier), stable in mistake order
-    for g in (h0.negated(), *seed_pool):
-        _bank_add(bank, g, dataset)
-
     results, classifiers, root = [], [], None
     for c in range(len(cells.X)):
         model = build_flip_mip(dataset, h0, c, gamma)
         if baseline_root is not None:
             root = basis_with_row(baseline_root, model.metadata["flip_row"])
         result, g = _solve(
-            model, dataset, budget, (h for _, h in bank), f"flip classifier of cell {c}",
+            model, dataset, budget, bank.flipping(c), f"flip classifier of cell {c}",
             hint=lower_bound_hint, node_log=node_log, root_start=root,
         )
         if g is not None:
@@ -468,7 +558,7 @@ def ambiguity_path(
                 raise InternalConsistencyError(
                     f"certified flip classifier of cell {c} does not flip it"
                 )
-            _bank_add(bank, g, dataset)
+            bank.add(g)
         results.append(result)
         classifiers.append(g)
 
@@ -492,13 +582,6 @@ def ambiguity_path(
     )
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
     return profile, pool_out, results
-
-
-def _bank_add(bank: list, g: LinearClassifier, dataset: Dataset) -> None:
-    """Insert g into the warm-start bank after every entry with at most as
-    many mistakes."""
-    entry = (empirical_risk(g, dataset).mistakes, g)
-    bisect.insort(bank, entry, key=lambda t: t[0])
 
 
 def _flippable(pool: PathologicalPool, cell_weights, thresholds):

@@ -264,8 +264,9 @@ class TestAudit:
         assert burden == (DATA / "golden_burden.csv").read_text()
 
     def test_tyranny_matches_benchmark_reference(self, tmp_path):
-        # the default 121-point grid holds three distinct discrepancy values,
-        # so nine solves settle it and the other points are filled in
+        # the default 121-point grid holds three distinct discrepancy values;
+        # the negated baseline fits every level set from eps = 1/603 on,
+        # where it proves discrepancy 1, so two solves settle the rest
         code = main(["audit", "--dataset", "tyranny", "--outdir", str(tmp_path)])
         assert code == 0
         reference = DATA.parent.parent / "perfbench" / "reference" / "tyranny-grid"
@@ -273,10 +274,39 @@ class TestAudit:
             assert (tmp_path / name).read_bytes() == (reference / name).read_bytes()
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         solves = manifest["stages"]["discrepancy"]["solves"]
-        assert len(solves) == 9
+        assert len(solves) == 2
         assert [Fraction(s["epsilon"]) for s in solves] == sorted(
             Fraction(s["epsilon"]) for s in solves
         )
+
+    @pytest.mark.filterwarnings("ignore:certified:RuntimeWarning")
+    def test_witnesses_that_miss_the_margin_count_from_their_own_solve(
+        self, tmp_path, monkeypatch
+    ):
+        # with no classifier clearing the margin, no witness is placed left
+        # of its own solve: tyranny's default grid takes nine solves again
+        from multiplicity import profiles
+
+        monkeypatch.setattr(
+            profiles, "margin_clearance", lambda h, data, gamma: (0.0, False)
+        )
+        reference = DATA.parent.parent / "perfbench" / "reference" / "tyranny-grid"
+        code = main(["audit", "--dataset", "tyranny", "--outdir", str(tmp_path / "exact")])
+        assert code == 0
+        assert (tmp_path / "exact" / "profile.csv").read_bytes() == (
+            reference / "profile.csv"
+        ).read_bytes()
+        manifest = json.loads((tmp_path / "exact" / "run_manifest.json").read_text())
+        assert len(manifest["stages"]["discrepancy"]["solves"]) == 9
+        for rerun in ("a", "b"):
+            code = main([
+                "audit", "--dataset", "tyranny", "--node-limit", "1",
+                "--outdir", str(tmp_path / rerun),
+            ])
+            assert code == 0
+        for name in ("profile.csv", "profile.json"):
+            a, b = (tmp_path / rerun / name for rerun in ("a", "b"))
+            assert a.read_bytes() == b.read_bytes()
 
     def test_audit_with_adhoc_pool(self, tmp_path):
         config = RunConfig(
@@ -842,6 +872,15 @@ class TestReadme:
         assert RunConfig(**values).group_column == "race"
 
 
+    def test_library_example_runs(self):
+        (block,) = _readme_blocks("python")
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["result"].upper_bound == 25
+        assert [e.epsilon for e in namespace["amb_profile"].entries] == [
+            e.epsilon for e in namespace["disc_profile"].entries
+        ]
+
 # SHA-256 of the flip programs that ``--flip-index`` exports for the 20
 # compas_style training examples: letter k of FLIP_BY_EXAMPLE names the
 # digest of example k, so examples with one feature vector share a program.
@@ -878,9 +917,9 @@ class TestTracing:
             tracer.uninstall()
         for layer in {layer for _, _, layer in _SPANS} | {"formulations.heuristic"}:
             assert tracer.calls[layer] > 0, layer
-        assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 13
+        assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 12
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [82, 82, 147]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [83, 83, 147]
 
 
 class TestExportMps:

@@ -23,17 +23,20 @@ from multiplicity.core import (
 )
 from multiplicity.datasets import generate_synthetic
 from multiplicity.formulations import (
+    DEFAULT_GAMMA,
     assignment_from_classifier,
     build_baseline_mip,
+    build_flip_mip,
     classifier_from_solution,
+    margin_clearance,
 )
 from multiplicity.profiles import (
     EpsilonGrid,
     MeasureValue,
     MultiplicityProfile,
+    ClassifierBank,
     PathologicalPool,
     ProfileEntry,
-    _best_left,
     _flippable,
     _next_solve,
     ambiguity_path,
@@ -203,6 +206,39 @@ class TestDiscrepancyPath:
                 uncertified += not disc["certified"]
         assert uncertified > 0
 
+    @pytest.mark.parametrize("node_limit", [None, 1], ids=["certified", "node-limit-1"])
+    def test_banked_witnesses_prove_their_lower_bounds(self, tmp_path, node_limit):
+        # a banked classifier that clears the margin counts from the first
+        # epsilon whose level set admits it, wherever it was found: each
+        # reported witness must lie in its level set and conflict with h0 on
+        # exactly the lower bound, and node-limited reruns repeat byte for byte
+        rng = np.random.default_rng(79)
+        budget = None if node_limit is None else SolveBudget(node_limit=node_limit)
+        for k in range(6):
+            data = random_binary_dataset(rng)
+            h0, _ = fit_baseline(data)
+            base, n = empirical_risk(h0, data).mistakes, data.n
+            pattern = prediction_pattern(h0, data)
+            grid = EpsilonGrid(tuple(Fraction(j, n) for j in range(n + 1)), n)
+            runs = []
+            for rerun in range(2):
+                profile, _ = discrepancy_path(data, h0, grid, budget=budget)
+                outdir = tmp_path / f"{k}-{rerun}"
+                outdir.mkdir()
+                write_profile(outdir, profile)
+                runs.append((outdir / "profile.json").read_bytes())
+            assert runs[0] == runs[1]
+            payload = json.loads(runs[0])
+            for entry in payload["entries"]:
+                eps, disc = Fraction(entry["epsilon_exact"]), entry["discrepancy"]
+                coefficients = payload["witnesses"][entry["epsilon_exact"]]
+                witness = LinearClassifier(tuple(coefficients))
+                assert empirical_risk(witness, data).mistakes <= base + eps * n
+                lower = Fraction(disc["lower_exact"])
+                assert conflict_count(witness, h0, data).mistakes == n * lower
+                if disc["certified"]:
+                    assert lower == Fraction(oracle_disc(data, pattern, eps), n)
+
     def test_truncated_interval_contains_truth(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
@@ -213,6 +249,52 @@ class TestDiscrepancyPath:
         )
         entry = truncated.entries[0].discrepancy
         assert entry.lower <= truth <= entry.upper
+
+
+class TestClassifierBank:
+    def test_rows_match_the_core_counts_and_keep_every_feasible_flip(self):
+        # a classifier left out of a cell's candidates is one its flip
+        # program rejects, so the warm-start pick is that of a full scan
+        rng = np.random.default_rng(83)
+        feasible_pairs = 0
+        for _ in range(12):
+            data = random_binary_dataset(rng)
+            h0, _ = fit_baseline(data)
+            bank = ClassifierBank(data, h0)
+            for _ in range(20):
+                bank.add(LinearClassifier.from_raw(rng.normal(size=data.d + 1)))
+            # the flip incumbents sit on the margin of their flip rows
+            ambiguity_path(data, h0, EpsilonGrid((Fraction(0),), data.n), bank=bank)
+            assert bank.classifiers[:2] == [h0, h0.negated()]
+            for r, g in enumerate(bank.classifiers):
+                assert bank.mistakes[r] == empirical_risk(g, data).mistakes
+                assert bank.conflicts[r] == conflict_count(g, h0, data).mistakes
+                assert bank.clears[r] == margin_clearance(g, data, DEFAULT_GAMMA)[1]
+            ranked = sorted(range(len(bank.classifiers)), key=bank.mistakes.__getitem__)
+            for c in range(len(data.cells.X)):
+                model = build_flip_mip(data, h0, c)
+                candidates = list(bank.flipping(c))
+                for r in ranked:
+                    g = bank.classifiers[r]
+                    if check_feasible(model, assignment_from_classifier(model, data, g))[0]:
+                        assert g in candidates
+                        feasible_pairs += 1
+                in_order = [bank.classifiers[r] for r in ranked]
+                assert candidates == [g for g in in_order if g in candidates]
+        assert feasible_pairs > 0
+
+    def test_a_bank_for_another_run_is_refused(self, xor):
+        h0, _ = fit_baseline(xor)
+        grid = EpsilonGrid((Fraction(0),), 100)
+        others = (
+            ClassifierBank(xor, H_A), ClassifierBank(xor, h0, gamma=1e-3),
+            ClassifierBank(xor_dataset(), h0),
+        )
+        for bank in others:
+            with pytest.raises(ValueError, match="classifier bank"):
+                discrepancy_path(xor, h0, grid, bank=bank)
+            with pytest.raises(ValueError, match="classifier bank"):
+                ambiguity_path(xor, h0, grid, bank=bank)
 
 
 class TestAmbiguityPath:
@@ -354,7 +436,7 @@ class TestAmbiguityPath:
 
 class TestRootStarts:
     def test_every_root_but_the_first_starts_warm(self, node_lps):
-        # tyranny: nine disc solves on its default grid, four flip solves
+        # tyranny: two disc solves on its default grid, four flip solves
         data = cli.load_dataset(cli.RunConfig(dataset="tyranny"))[0]
         model = build_baseline_mip(data)
         base = solve(model)
@@ -365,7 +447,7 @@ class TestRootStarts:
         del node_lps[:]
         _, solves = discrepancy_path(data, h0, grid)
         roots = [(start, sol) for fixings, start, sol in node_lps if not fixings]
-        assert len(roots) == len(solves) > 2
+        assert len(roots) == len(solves) == 2
         assert roots[0][0] is None
         for (_, previous), (start, _) in zip(roots, roots[1:]):
             assert start is previous.basis
@@ -511,18 +593,33 @@ class TestCountBookkeeping:
                     assert (got_low, got_up) == (want_low, want_up)
         assert shared > 0
 
-    def test_best_left_and_next_solve_match_loops(self):
+    def test_best_placed_and_next_solve_match_loops(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             size = int(rng.integers(1, 15))
-            raw_low = rng.integers(0, 6, size)
             solved_at = rng.choice(size, int(rng.integers(0, size + 1)), replace=False)
-            found = {int(i): f"witness {i}" for i in solved_at if rng.random() < 0.8}
-            best = _best_left(found, raw_low)
+            thresholds = np.cumsum(rng.integers(1, 4, size)).tolist()
+            total = int(rng.integers(1, 8))
+            bank = SimpleNamespace(
+                classifiers=[f"classifier {r}" for r in range(total)],
+                mistakes=rng.integers(0, thresholds[-1] + 3, total).tolist(),
+                conflicts=rng.integers(0, 6, total).tolist(),
+                clears=(rng.random(total) < 0.7).tolist(),
+            )
+            pinned = [
+                (int(rng.integers(total)), int(rng.integers(size)), int(rng.integers(6)))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            places = [  # (count, grid index, row) of every placement
+                (bank.conflicts[r], next(i for i, t in enumerate(thresholds) if m <= t), r)
+                for r, m in enumerate(bank.mistakes)
+                if bank.clears[r] and m <= thresholds[-1]
+            ] + [(count, i, r) for r, i, count in pinned]
+            best, counts = ClassifierBank.best_placed(bank, thresholds, pinned)
             for index in range(size):
-                left = [i for i in found if i <= index]
-                want = max(left, key=lambda i: (raw_low[i], i)) if left else -1
-                assert best[index] == want
+                left = [p for p in places if p[1] <= index]
+                want = max(left) if left else (0, None, -1)
+                assert (counts[index], best[index]) == (want[0], want[2])
 
             lows = rng.integers(0, 4, size)
             ups = lows + (rng.random(size) < 0.5)
