@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from multiplicity import (
+    ClassifierBank,
     EpsilonGrid,
     PenaltyGrid,
     adhoc_measures,
@@ -41,10 +42,9 @@ def main(argv):
     grid = EpsilonGrid.snapped([0, 0.01, 0.02, 0.05], train.n)
 
     adhoc = adhoc_measures(models, train, grid)
-    disc, _ = discrepancy_path(train, h0, grid)
-    amb, _, _ = ambiguity_path(
-        train, h0, grid, seed_pool=list(disc.witnesses.values()),
-    )
+    bank = ClassifierBank(train, h0)  # the witnesses warm-start flip solves
+    disc, _ = discrepancy_path(bank, grid)
+    amb, _, _ = ambiguity_path(bank, grid)
     exact = merge_profiles(disc, amb)
 
     print(f"pool: {len(models)} models, baseline train risk "

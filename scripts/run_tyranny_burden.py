@@ -10,16 +10,16 @@ seeds to show the effect.
 from fractions import Fraction
 
 from multiplicity import (
+    ClassifierBank,
     EpsilonGrid,
     ambiguity_path,
     build_baseline_mip,
     classifier_from_solution,
-    empirical_risk,
-    group_burden,
     oversample_minority,
     solve,
 )
 from multiplicity.datasets import generate_synthetic
+from multiplicity.profiles import burden_path
 
 
 def main():
@@ -31,14 +31,15 @@ def main():
         model = build_baseline_mip(data)
         result = solve(model)
         h0 = classifier_from_solution(model, result.incumbent)
-        base = empirical_risk(h0, data)
+        bank = ClassifierBank(data, h0)
+        base = bank.risk
         grid = EpsilonGrid((Fraction(0), Fraction(4, data.n)), data.n)
-        _, pool, _ = ambiguity_path(data, h0, grid)
+        _, pool, _ = ambiguity_path(bank, grid, baseline=result)
         print(f"\nseed {seed}: baseline {base.mistakes}/{base.n}")
-        for eps in grid.values:
-            rates = group_burden(pool, data, eps)
+        burden = burden_path(pool, data, grid.thresholds(base.mistakes))
+        for k, eps in enumerate(grid.values):
             line = "  ".join(
-                f"{g}: {float(m.value):.3f}" for g, m in sorted(rates.items())
+                f"{g}: {float(m[k].value):.3f}" for g, m in sorted(burden.items())
             )
             print(f"  eps={str(eps):9} burden  {line}")
 

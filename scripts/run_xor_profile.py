@@ -8,13 +8,13 @@ eps = 0, all certified, with the bound 2*risk + eps met with zero slack.
 from fractions import Fraction
 
 from multiplicity import (
+    ClassifierBank,
     EpsilonGrid,
     ambiguity_path,
     build_baseline_mip,
     check_discrepancy_bound,
     classifier_from_solution,
     discrepancy_path,
-    empirical_risk,
     solve,
 )
 from multiplicity.datasets import generate_synthetic
@@ -26,16 +26,15 @@ def main():
     model = build_baseline_mip(data)
     result = solve(model)
     h0 = classifier_from_solution(model, result.incumbent)
-    base = empirical_risk(h0, data)
+    bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+    base = bank.risk
     print(f"baseline: {base.mistakes}/{base.n} mistakes "
           f"({result.status}, {result.nodes_explored} nodes)")
     print(f"coefficients: {tuple(round(c, 4) for c in h0.coefficients)}")
 
     grid = EpsilonGrid((Fraction(0), Fraction(5, 100), Fraction(10, 100)), data.n)
-    disc, _ = discrepancy_path(data, h0, grid)
-    amb, pool, _ = ambiguity_path(
-        data, h0, grid, seed_pool=list(disc.witnesses.values())
-    )
+    disc, _ = discrepancy_path(bank, grid)
+    amb, _, _ = ambiguity_path(bank, grid, baseline=result)
     profile = merge_profiles(disc, amb)
     print("\n eps      discrepancy  ambiguity")
     for entry in profile.entries:

@@ -31,7 +31,6 @@ from .profiles import (
     ambiguity_path,
     check_discrepancy_bound,
     discrepancy_path,
-    group_burden,
 )
 from .simplex import LinearProgram, LpSolution, solve_lp, solve_lp_with_fixings
 
@@ -67,7 +66,6 @@ __all__ = [
     "discrepancy_path",
     "ambiguity_path",
     "check_discrepancy_bound",
-    "group_burden",
     "PenaltyGrid",
     "PoolModel",
     "fit_pool",

@@ -88,7 +88,6 @@ class SolveResult:
     lower_bound: float
     nodes_explored: int
     wall_time: float
-    lower_bound_hint: Optional[float] = None
     root_basis: Optional[Basis] = None  # None when no root LP ran or it was infeasible
 
     @property
@@ -260,6 +259,5 @@ def solve(
         lower_bound=lower,
         nodes_explored=nodes,
         wall_time=wall,
-        lower_bound_hint=lower_bound_hint,
         root_basis=root_basis,
     )

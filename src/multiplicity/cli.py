@@ -315,7 +315,8 @@ def _baseline(run: dict, budget) -> dict:
     if result.incumbent is None:
         raise InternalConsistencyError("baseline training found no classifier")
     h0 = classifier_from_solution(model, result.incumbent)
-    base_risk = empirical_risk(h0, train)
+    run["bank"] = ClassifierBank(train, h0, config.gamma)
+    base_risk = run["bank"].risk
     min_margin, margin_ok = margin_clearance(h0, train, config.gamma)
     payload = {
         "coefficients": list(h0.coefficients),
@@ -327,7 +328,6 @@ def _baseline(run: dict, budget) -> dict:
         payload["test"] = risk_json(empirical_risk(h0, test))
     write_json(run["outdir"] / "baseline.json", payload)
     run["h0"], run["baseline"], run["base_risk"] = h0, result, base_risk
-    run["bank"] = ClassifierBank(train, h0, config.gamma)
     run["grid"] = resolve_grid(config, train, base_risk.rate)
     run["labels"] = epsilon_labels(run["grid"].values)
     return solve_json(result)
@@ -335,13 +335,8 @@ def _baseline(run: dict, budget) -> dict:
 
 def _discrepancy(run: dict, budget) -> dict:
     run["disc_profile"], results = discrepancy_path(
-        run["train"],
-        run["h0"],
-        run["grid"],
-        budget=budget,
-        gamma=run["config"].gamma,
+        run["bank"], run["grid"], budget=budget,
         node_log=_node_logger(run["node_log"], "disc"),
-        bank=run["bank"],
     )
     _update_profile(run)
     return {"solves": [{"epsilon": str(eps), **solve_json(r)} for eps, r in results]}
@@ -350,17 +345,11 @@ def _discrepancy(run: dict, budget) -> dict:
 def _ambiguity(run: dict, budget) -> dict:
     # The baseline stage's bank holds the negated baseline and every
     # discrepancy witness; each flip solve warm-starts from the fewest-mistake
-    # one that flips its cell, and its own classifier joins the bank.
+    # one that flips its cell, and its own classifier joins the bank.  The
+    # baseline solve bounds every flip solve and starts every flip root LP.
     run["amb_profile"], run["flip_pool"], results = ambiguity_path(
-        run["train"],
-        run["h0"],
-        run["grid"],
-        budget=budget,
-        gamma=run["config"].gamma,
-        lower_bound_hint=run["baseline"].lower_bound,
-        node_log=_node_logger(run["node_log"], "flip"),
-        baseline_root=run["baseline"].root_basis,
-        bank=run["bank"],
+        run["bank"], run["grid"], budget=budget,
+        node_log=_node_logger(run["node_log"], "flip"), baseline=run["baseline"],
     )
     _update_profile(run)
     return {"solves": [solve_json(r) for r in results]}

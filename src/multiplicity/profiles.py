@@ -1,26 +1,27 @@
 """Path algorithms: discrepancy and ambiguity across an epsilon grid.
 
-Both measures are computed per level set, exactly when every solve
-certifies and as [lower, upper] intervals otherwise.  Ambiguity and group
-burden count cell weights in one per-cell flip table (``PathologicalPool``,
-one flip solve per cell of ``dataset.cells``, solved one after another in
-cell order).  All level-set membership tests compare integer mistake
-counts; floating rates never decide anything.  Both paths solve every
-program through one step (``_solve``): warm start, solve, decode, and the
-margin audit of certified classifiers.  The programs of one path are
-near-copies, so every root LP but the first starts from a related optimal
-basis: a disc program differs from the previous one only in the level
-row's right-hand side, and a flip program is the baseline program plus its
-flip row.
+Both paths take one ``ClassifierBank`` as their context: the training set,
+the baseline h0 with its exact risk, and the margin gamma.  Both measures
+are computed per level set, exactly when every solve certifies and as
+[lower, upper] intervals otherwise.  Ambiguity and group burden count cell
+weights in one per-cell flip table (``PathologicalPool``, one flip solve
+per cell of ``dataset.cells``, solved one after another in cell order).
+All level-set membership tests compare integer mistake counts; floating
+rates never decide anything.  Both paths solve every program through one
+step (``_solve``): warm start, solve, decode, and the margin audit of
+certified classifiers.  The programs of one path are near-copies, so every
+root LP but the first starts from a related optimal basis: a disc program
+differs from the previous one only in the level row's right-hand side, and
+a flip program is the baseline program plus its flip row.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
-bound is valid at every smaller one.  Discrepancy lower bounds come from one
-classifier bank (``ClassifierBank``), which scores every classifier the
-audit finds once: a classifier that clears the margin lies in every level
-set whose threshold admits its mistakes, so its conflict count bounds
-discrepancy at all of them, whichever epsilon's solve found it.  Upper
-bounds are propagated by a backward running min.
+bound is valid at every smaller one.  Discrepancy lower bounds come from the
+bank, which scores every classifier the audit finds once: a classifier
+that clears the margin lies in every level set whose threshold admits its
+mistakes, so its conflict count bounds discrepancy at all of them,
+whichever epsilon's solve found it.  Upper bounds are propagated by a
+backward running min.
 Uncertified discrepancy uppers are additionally capped by the triangle-
 inequality bound 2 * baseline_risk + epsilon, which certified values must
 satisfy on their own (a violation is a solver bug and raises).
@@ -41,19 +42,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import branch_bound as bnb
 from .branch_bound import MipModel, SolveBudget, SolveResult
-from .core import (
-    Dataset,
-    InternalConsistencyError,
-    LinearClassifier,
-    RiskReport,
-    empirical_risk,
-)
+from .core import Dataset, InternalConsistencyError, LinearClassifier, RiskReport
 from .formulations import (
     DEFAULT_GAMMA,
     assignment_from_classifier,
@@ -180,7 +175,6 @@ class PathologicalPool:
     mistakes_upper: np.ndarray
     certified: np.ndarray
     baseline_mistakes: int
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
@@ -208,17 +202,6 @@ def _nested_bounds(lowers: np.ndarray, uppers: np.ndarray):
     """Bounds propagated across nested level sets: a lower bound holds at
     every larger epsilon, an upper bound at every smaller one."""
     return np.maximum.accumulate(lowers), np.minimum.accumulate(uppers[::-1])[::-1]
-
-
-def _tighten(lowers, uppers, certified, caps=None):
-    """Propagate count bounds across nested level sets after capping the
-    uppers; a certified value that moves is a solver bug and raises."""
-    if caps is not None:
-        uppers = np.minimum(uppers, caps)
-    lows, ups = _nested_bounds(lowers, uppers)
-    if np.any(certified & ((lows != lowers) | (ups != uppers))):
-        raise InternalConsistencyError("tightening moved a certified value")
-    return lows, ups
 
 
 def _measures(lowers, uppers, certified, total: int) -> list:
@@ -259,16 +242,18 @@ class ClassifierBank:
     level set whose threshold is at least m, so its conflict count bounds
     discrepancy there from below (``best_placed``), and it is a feasible
     warm start of the flip program of every cell it flips (``flipping``).
-    A caller that runs both paths hands one bank to each.
+    The bank is also the context of both paths: the training set, h0 and
+    its exact ``risk``, and the margin ``gamma``.  A caller that runs both
+    paths hands one bank to each.
     """
 
     def __init__(
         self, dataset: Dataset, h0: LinearClassifier, gamma: float = DEFAULT_GAMMA
     ):
         cells = dataset.cells
-        self.dataset, self.gamma = dataset, gamma
-        self._weights = cells.pos + cells.neg
-        self._base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
+        self.dataset, self.h0, self.gamma = dataset, h0, gamma
+        self.weights = cells.pos + cells.neg
+        self.base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
         # A flip row accepts a score within the node LPs' row tolerance of
         # gamma, so this floor keeps every classifier it would accept.
         self._flip_floor = gamma - bnb.INT_TOL * (1.0 + gamma)
@@ -276,6 +261,7 @@ class ClassifierBank:
         self._flips, self._order, self._rows = [], [], {}
         self.add(h0)
         self.add(h0.negated())
+        self.risk = RiskReport(self.mistakes[0], dataset.n)
 
     def add(self, g: LinearClassifier) -> int:
         """The row of g, scored and appended on first sight."""
@@ -288,9 +274,9 @@ class ClassifierBank:
         row = self._rows[g.coefficients] = len(self.classifiers)
         self.classifiers.append(g)
         self.mistakes.append(int(cells.neg[side].sum() + cells.pos[~side].sum()))
-        self.conflicts.append(int(self._weights[side != self._base_side].sum()))
+        self.conflicts.append(int(self.weights[side != self.base_side].sum()))
         self.clears.append(margin_clearance(g, self.dataset, self.gamma)[1])
-        self._flips.append(np.where(self._base_side, -scores, scores) >= self._flip_floor)
+        self._flips.append(np.where(self.base_side, -scores, scores) >= self._flip_floor)
         bisect.insort(self._order, row, key=self.mistakes.__getitem__)
         return row
 
@@ -325,30 +311,27 @@ class ClassifierBank:
 
 
 def discrepancy_path(
-    dataset: Dataset,
-    h0: LinearClassifier,
+    bank: ClassifierBank,
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
-    gamma: float = DEFAULT_GAMMA,
     node_log=None,
-    bank: Optional[ClassifierBank] = None,
 ):
-    """Discrepancy at every epsilon of ``grid``, solving the
-    agreement-minimizing model only where the profile is still open.
+    """Discrepancy at every epsilon of ``grid`` around the bank's h0, on its
+    dataset and margin, solving the agreement-minimizing model only where
+    the profile is still open.
 
     Solve order: the first grid point, then the last, then repeatedly the
     middle point of the first run of unsolved points whose bounds are still
-    open.  Lower bounds come from the classifier bank (a new one around h0
-    unless ``bank`` is given; each solve's witness joins it): a classifier
-    that clears the margin counts at the first grid point whose threshold
-    base + n * eps admits its mistakes and at every point right of it,
-    wherever it was found; a witness that does not clear it counts at and
-    right of its own solve.  Each point's lower bound is the best count
-    placed at or left of it.  Upper bounds hold at every smaller epsilon
-    and are capped by the triangle inequality, min(1, 2 * risk + epsilon).
-    The loop stops once every point is solved or closed, so certified
-    solves skip every point whose bounds meet, while solves that stop at a
-    budget leave their neighbours open.
+    open.  Lower bounds come from ``bank`` (each solve's witness joins it):
+    a classifier that clears the margin counts at the first grid point
+    whose threshold base + n * eps admits its mistakes and at every point
+    right of it, wherever it was found; a witness that does not clear it
+    counts at and right of its own solve.  Each point's lower bound is the
+    best count placed at or left of it.  Upper bounds hold at every smaller
+    epsilon and are capped by the triangle inequality,
+    min(1, 2 * risk + epsilon).  The loop stops once every point is solved
+    or closed, so certified solves skip every point whose bounds meet,
+    while solves that stop at a budget leave their neighbours open.
 
     An unsolved point whose bounds meet is reported certified at that value.
     Each solve warm-starts from, and each point reports as its witness, the
@@ -358,11 +341,10 @@ def discrepancy_path(
     Returns (profile with the discrepancy side filled, list of
     (epsilon, SolveResult) pairs in ascending epsilon, one per solve).
     """
-    base = empirical_risk(h0, dataset)
+    dataset, h0, base = bank.dataset, bank.h0, bank.risk
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
-    bank = _bank_for(bank, dataset, h0, gamma)
 
     eps_values = grid.values
     size = len(eps_values)
@@ -377,7 +359,7 @@ def discrepancy_path(
     while index is not None:
         eps = eps_values[index]
         result, witness = _solve(
-            build_disc_mip(dataset, h0, eps, gamma), dataset, budget,
+            build_disc_mip(dataset, h0, eps, bank.gamma), dataset, budget,
             [bank.classifiers[best[index]] if best[index] >= 0 else h0],
             f"witness at eps={eps}", node_log=node_log, root_start=root,
         )
@@ -406,15 +388,14 @@ def discrepancy_path(
         index = _next_solve(solved, lows, ups)
 
     # An unsolved point is closed by the solved points around it, so it
-    # reports its propagated value, certified.
-    is_solved = np.zeros(size, dtype=bool)
-    is_solved[list(solved)] = True
+    # reports its propagated value, certified.  A certified upper bound
+    # that a larger epsilon's bound tightens is a solver bug.
     certified = np.ones(size, dtype=bool)
     certified[list(solved)] = [r.certified for r in solved.values()]
-    tight_low, tight_up = _tighten(
-        lows, np.where(is_solved, raw_up, ups), certified, caps
-    )
-    measures = _measures(tight_low, tight_up, certified, n)
+    capped = np.minimum(raw_up, caps)
+    if any(r.certified and ups[i] != capped[i] for i, r in solved.items()):
+        raise InternalConsistencyError("tightening moved a certified value")
+    measures = _measures(lows, ups, certified, n)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=m, ambiguity=None)
         for eps, m in zip(eps_values, measures)
@@ -424,16 +405,6 @@ def discrepancy_path(
     }
     profile = MultiplicityProfile(baseline=base, entries=entries, witnesses=witnesses)
     return profile, [(eps_values[i], solved[i]) for i in sorted(solved)]
-
-
-def _bank_for(bank, dataset, h0, gamma) -> ClassifierBank:
-    """``bank``, or a new one when it is None; a bank scored for another
-    dataset, baseline or margin raises."""
-    if bank is None:
-        return ClassifierBank(dataset, h0, gamma)
-    if bank.dataset is not dataset or bank.classifiers[0] != h0 or bank.gamma != gamma:
-        raise ValueError("the classifier bank was scored for another dataset, h0 or gamma")
-    return bank
 
 
 def _next_solve(solved, lows, ups):
@@ -495,66 +466,57 @@ def _solve(
 
 
 def ambiguity_path(
-    dataset: Dataset,
-    h0: LinearClassifier,
+    bank: ClassifierBank,
     grid: EpsilonGrid,
     budget: Optional[SolveBudget] = None,
-    gamma: float = DEFAULT_GAMMA,
-    lower_bound_hint: Optional[float] = None,
-    seed_pool: Sequence[LinearClassifier] = (),
     node_log=None,
-    baseline_root=None,
-    bank: Optional[ClassifierBank] = None,
+    baseline: Optional[SolveResult] = None,
 ):
-    """Fit the minimal-error flipped classifier of each cell, then count the
-    weight of the cells whose flip lies inside each level set.
+    """Fit the minimal-error flipped classifier of each cell of the bank's
+    dataset around its h0, then count the weight of the cells whose flip
+    lies inside each level set.
 
     A flip program depends on an example only through its feature vector,
     so each cell of ``dataset.cells`` takes one solve (``build_flip_mip``
     by cell index), in ``dataset.cells`` order, one after another.  Each
-    solve warm-starts from the first feasible classifier of the classifier
-    bank (a new one around h0 unless ``bank`` is given) that flips its cell
-    with margin, in mistake order with ties in insertion order: the negated
-    baseline (which flips every cell when h0 clears the margin), then the
-    bank's other classifiers (such as the discrepancy witnesses), then
-    ``seed_pool``, then every flip classifier found by an earlier solve,
-    which joins the bank.  A certified flip classifier that does not flip
-    its cell is a solver bug and raises.
+    solve warm-starts from the first feasible classifier of ``bank`` that
+    flips its cell with margin, in mistake order with ties in insertion
+    order: the negated baseline (which flips every cell when h0 clears the
+    margin), then the bank's other classifiers (such as the discrepancy
+    witnesses), then every flip classifier found by an earlier solve, which
+    joins the bank.  A certified flip classifier that does not flip its
+    cell is a solver bug and raises.
 
-    ``lower_bound_hint`` is a proven lower bound on the baseline program's
-    optimum, such as the baseline solve's ``lower_bound``.  A flip program
-    is the baseline program plus one row, so it bounds every flip solve:
-    each reports at least that many mistakes and certifies once its
-    incumbent reaches it.  h0's own mistake count is such a bound only when
-    h0 is proven optimal.
-
-    ``baseline_root`` is the final basis of the baseline solve's root LP
-    (its ``root_basis``).  That basis with the flip row's slack basic
-    (``basis_with_row``) starts every flip root LP.
+    ``baseline`` is the result of the baseline program's solve.  A flip
+    program is the baseline program plus one row, so the baseline's proven
+    ``lower_bound`` bounds every flip solve: each reports at least that
+    many mistakes and certifies once its incumbent reaches it.  (h0's own
+    mistake count is such a bound only when h0 is proven optimal.)  The
+    final basis of the baseline's root LP (its ``root_basis``) with the
+    flip row's slack basic (``basis_with_row``) starts every flip root LP.
 
     Returns (profile with the ambiguity side filled, PathologicalPool, results).
     """
-    base = empirical_risk(h0, dataset)
+    dataset, h0, base = bank.dataset, bank.h0, bank.risk
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
-    bank = _bank_for(bank, dataset, h0, gamma)
-    for g in seed_pool:
-        bank.add(g)
+    hint = root = None
+    if baseline is not None:
+        hint, root = baseline.lower_bound, baseline.root_basis
 
     cells = dataset.cells
-    base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
-    results, classifiers, root = [], [], None
+    results, classifiers = [], []
     for c in range(len(cells.X)):
-        model = build_flip_mip(dataset, h0, c, gamma)
-        if baseline_root is not None:
-            root = basis_with_row(baseline_root, model.metadata["flip_row"])
+        model = build_flip_mip(dataset, h0, c, bank.gamma)
+        start = None if root is None else basis_with_row(root, model.metadata["flip_row"])
         result, g = _solve(
             model, dataset, budget, bank.flipping(c), f"flip classifier of cell {c}",
-            hint=lower_bound_hint, node_log=node_log, root_start=root,
+            hint=hint, node_log=node_log, root_start=start,
         )
         if g is not None:
-            if result.certified and (cells.X[c] @ g.coefficients > 0.0) == base_side[c]:
+            side = cells.X[c] @ g.coefficients > 0.0
+            if result.certified and side == bank.base_side[c]:
                 raise InternalConsistencyError(
                     f"certified flip classifier of cell {c} does not flip it"
                 )
@@ -569,12 +531,11 @@ def ambiguity_path(
         mistakes_upper=upper,
         certified=[r.certified for r in results],
         baseline_mistakes=base.mistakes,
-        n=n,
     )
 
     # Counts read at increasing thresholds are already monotone.
     thresholds = grid.thresholds(base.mistakes)
-    low, up, total = _flippable(pool_out, cells.pos + cells.neg, thresholds)
+    low, up, total = _flippable(pool_out, bank.weights, thresholds)
     measures = _measures(low, up, low == up, total)
     entries = tuple(
         ProfileEntry(epsilon=eps, discrepancy=None, ambiguity=m)
@@ -656,15 +617,10 @@ def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
     return BoundCheckReport(slacks=tuple(slacks))
 
 
-def group_burden(pool: PathologicalPool, dataset: Dataset, epsilon) -> dict:
-    """Ambiguity restricted to each group's weight in every cell."""
-    threshold = pool.baseline_mistakes + int(Fraction(epsilon) * pool.n)
-    return {group: m for group, (m,) in burden_path(pool, dataset, [threshold]).items()}
-
-
 def burden_path(pool: PathologicalPool, dataset: Dataset, thresholds) -> dict:
-    """``group_burden`` at every mistake threshold at once: each group's
-    list of measures, one per threshold, in the order of ``thresholds``."""
+    """Ambiguity restricted to each group's weight in every cell, at every
+    mistake threshold at once: each group's list of measures, one per
+    threshold, in the order of ``thresholds``."""
     burden = {}
     for group, cell_weights in dataset.group_weights.items():
         low, up, total = _flippable(pool, cell_weights, thresholds)

@@ -155,10 +155,8 @@ def profile_csv_lines(profile: MultiplicityProfile, labels) -> list:
     return lines
 
 
-def write_profile(outdir: Path, profile: MultiplicityProfile, labels=None) -> None:
-    """``labels``: the epsilon label of each entry, made here when omitted."""
-    if labels is None:
-        labels = epsilon_labels(e.epsilon for e in profile.entries)
+def write_profile(outdir: Path, profile: MultiplicityProfile, labels) -> None:
+    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
     write_json(outdir / "profile.json", profile_json(profile, labels))
     (outdir / "profile.csv").write_text(
         "\n".join(profile_csv_lines(profile, labels)) + "\n", encoding="utf-8"
@@ -195,10 +193,8 @@ def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile, labels)
     )
 
 
-def write_burden(outdir: Path, flip_pool, dataset, grid, labels=None) -> None:
-    """``labels``: the epsilon label of each grid value, made here when omitted."""
-    if labels is None:
-        labels = epsilon_labels(grid.values)
+def write_burden(outdir: Path, flip_pool, dataset, grid, labels) -> None:
+    """``labels``: the epsilon label of each grid value (``epsilon_labels``)."""
     thresholds = grid.thresholds(flip_pool.baseline_mistakes)
     burden = burden_path(flip_pool, dataset, thresholds)
     cells = _once_per_value(_measure_cells)

@@ -27,6 +27,7 @@ from multiplicity.formulations import (
 )
 from multiplicity.pool import PenaltyGrid, adhoc_measures, fit_pool, pool_baseline_index
 from multiplicity.profiles import (
+    ClassifierBank,
     EpsilonGrid,
     ambiguity_path,
     check_discrepancy_bound,
@@ -83,10 +84,9 @@ def random_profiles():
         h0 = classifier_from_solution(base_model, base.incumbent)
         ks = sorted({0, 1, 2, min(3, data.n)})
         grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in ks), data.n)
-        disc, disc_results = discrepancy_path(data, h0, grid)
-        amb, pool, _ = ambiguity_path(
-            data, h0, grid, seed_pool=list(disc.witnesses.values())
-        )
+        bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+        disc, disc_results = discrepancy_path(bank, grid)
+        amb, pool, _ = ambiguity_path(bank, grid, baseline=base)
         profiles.append(
             {
                 "data": data,
@@ -234,10 +234,9 @@ class TestAcceptance:
             h0 = models[pool_baseline_index(models)].classifier
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in (0, 1, 2)), data.n)
             adhoc = adhoc_measures(models, data, grid)
-            disc, _ = discrepancy_path(data, h0, grid)
-            amb, _, _ = ambiguity_path(
-                data, h0, grid, seed_pool=list(disc.witnesses.values()),
-            )
+            bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+            disc, _ = discrepancy_path(bank, grid)
+            amb, _, _ = ambiguity_path(bank, grid)
             exact = merge_profiles(disc, amb)
             for got, truth in zip(adhoc.entries, exact.entries):
                 if not (truth.discrepancy.certified and truth.ambiguity.certified):

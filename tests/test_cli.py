@@ -19,8 +19,8 @@ from multiplicity.cli import (
     run_audit,
     run_export_mps,
 )
-from multiplicity.profiles import MeasureValue
-from multiplicity.reports import exact_decimal
+from multiplicity.profiles import MeasureValue, merge_profiles
+from multiplicity.reports import epsilon_labels, exact_decimal, write_profile
 from multiplicity.core import (
     InternalConsistencyError,
     LinearClassifier,
@@ -880,6 +880,20 @@ class TestReadme:
         assert [e.epsilon for e in namespace["amb_profile"].entries] == [
             e.epsilon for e in namespace["disc_profile"].entries
         ]
+
+    def test_library_example_writes_the_audit_profile(self, tmp_path):
+        # one bank shared by both paths and the baseline solve handed to the
+        # flip stage: the sequence the audit runs
+        (block,) = _readme_blocks("python")
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        profile = merge_profiles(namespace["disc_profile"], namespace["amb_profile"])
+        write_profile(tmp_path, profile, epsilon_labels(namespace["grid"].values))
+        outdir = tmp_path / "audit"
+        argv = ["audit", "--dataset", "xor", "--epsilons", "0,0.01", "--outdir", str(outdir)]
+        assert main(argv) == 0
+        library = (tmp_path / "profile.json").read_bytes()
+        assert library == (outdir / "profile.json").read_bytes()
 
 # SHA-256 of the flip programs that ``--flip-index`` exports for the 20
 # compas_style training examples: letter k of FLIP_BY_EXAMPLE names the

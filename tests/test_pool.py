@@ -30,7 +30,12 @@ from multiplicity.pool import (
 from multiplicity.profiles import EpsilonGrid
 from multiplicity.branch_bound import solve
 from multiplicity.formulations import build_baseline_mip, classifier_from_solution
-from multiplicity.profiles import ambiguity_path, discrepancy_path, merge_profiles
+from multiplicity.profiles import (
+    ClassifierBank,
+    ambiguity_path,
+    discrepancy_path,
+    merge_profiles,
+)
 from conftest import random_binary_dataset
 
 
@@ -313,10 +318,9 @@ class TestAdhocMeasures:
                 tuple(Fraction(k, data.n) for k in (0, 1, 2)), data.n
             )
             adhoc = adhoc_measures(models, data, grid)
-            disc, _ = discrepancy_path(data, h0, grid)
-            amb, _, _ = ambiguity_path(
-                data, h0, grid, seed_pool=list(disc.witnesses.values()),
-            )
+            bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+            disc, _ = discrepancy_path(bank, grid)
+            amb, _, _ = ambiguity_path(bank, grid)
             exact = merge_profiles(disc, amb)
             for got, truth in zip(adhoc.entries, exact.entries):
                 assert truth.discrepancy.certified

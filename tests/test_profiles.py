@@ -40,12 +40,12 @@ from multiplicity.profiles import (
     _flippable,
     _next_solve,
     ambiguity_path,
+    burden_path,
     check_discrepancy_bound,
     discrepancy_path,
-    group_burden,
     merge_profiles,
 )
-from multiplicity.reports import write_burden, write_profile
+from multiplicity.reports import epsilon_labels, write_burden, write_profile
 from multiplicity.simplex import basis_with_row
 from conftest import random_binary_dataset, xor_dataset
 from oracles import (
@@ -112,20 +112,22 @@ class TestMeasureValue:
 class TestDiscrepancyPath:
     def test_xor_at_zero(self, xor):
         h0, _ = fit_baseline(xor)
-        profile, results = discrepancy_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
+        grid = EpsilonGrid((Fraction(0),), 100)
+        profile, results = discrepancy_path(ClassifierBank(xor, h0), grid)
         entry = profile.entries[0].discrepancy
         assert entry.certified
         assert entry.value == Fraction(1, 2)
         assert all(r.status == "certified_optimal" for _, r in results)
 
     def test_full_flip_at_eps_one(self, xor):
-        profile, _ = discrepancy_path(xor, H_A, EpsilonGrid((Fraction(1),), 100))
+        grid = EpsilonGrid((Fraction(1),), 100)
+        profile, _ = discrepancy_path(ClassifierBank(xor, H_A), grid)
         assert profile.entries[0].discrepancy.value == 1
 
     def test_witnesses_stay_in_level_set(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid(tuple(Fraction(k, 100) for k in (0, 5, 10)), 100)
-        profile, _ = discrepancy_path(xor, h0, grid)
+        profile, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
         base = profile.baseline.mistakes
         for eps, witness in profile.witnesses.items():
             assert empirical_risk(witness, xor).mistakes <= base + eps * 100
@@ -135,7 +137,7 @@ class TestDiscrepancyPath:
         data = random_binary_dataset(rng)
         h0, _ = fit_baseline(data)
         grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(4)), data.n)
-        _, results = discrepancy_path(data, h0, grid)
+        _, results = discrepancy_path(ClassifierBank(data, h0), grid)
         uppers = [r.upper_bound for _, r in sorted(results, key=lambda t: t[0])]
         assert uppers == sorted(uppers, reverse=True)
 
@@ -146,7 +148,7 @@ class TestDiscrepancyPath:
             h0, _ = fit_baseline(data)
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(3)), data.n)
-            profile, _ = discrepancy_path(data, h0, grid)
+            profile, _ = discrepancy_path(ClassifierBank(data, h0), grid)
             for entry in profile.entries:
                 expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
                 assert entry.discrepancy.certified
@@ -160,7 +162,7 @@ class TestDiscrepancyPath:
             h0, _ = fit_baseline(data)
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(8)), data.n)
-            profile, results = discrepancy_path(data, h0, grid)
+            profile, results = discrepancy_path(ClassifierBank(data, h0), grid)
             for entry in profile.entries:
                 expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
                 assert entry.discrepancy.certified
@@ -184,11 +186,11 @@ class TestDiscrepancyPath:
             runs = []
             for rerun in range(2):
                 profile, _ = discrepancy_path(
-                    data, h0, grid, budget=SolveBudget(node_limit=1)
+                    ClassifierBank(data, h0), grid, budget=SolveBudget(node_limit=1)
                 )
                 outdir = tmp_path / f"{k}-{rerun}"
                 outdir.mkdir()
-                write_profile(outdir, profile)
+                write_profile(outdir, profile, epsilon_labels(grid.values))
                 runs.append((outdir / "profile.json").read_bytes())
             assert runs[0] == runs[1]
             payload = json.loads(runs[0])
@@ -222,10 +224,10 @@ class TestDiscrepancyPath:
             grid = EpsilonGrid(tuple(Fraction(j, n) for j in range(n + 1)), n)
             runs = []
             for rerun in range(2):
-                profile, _ = discrepancy_path(data, h0, grid, budget=budget)
+                profile, _ = discrepancy_path(ClassifierBank(data, h0), grid, budget=budget)
                 outdir = tmp_path / f"{k}-{rerun}"
                 outdir.mkdir()
-                write_profile(outdir, profile)
+                write_profile(outdir, profile, epsilon_labels(grid.values))
                 runs.append((outdir / "profile.json").read_bytes())
             assert runs[0] == runs[1]
             payload = json.loads(runs[0])
@@ -242,10 +244,10 @@ class TestDiscrepancyPath:
     def test_truncated_interval_contains_truth(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
-        exact, _ = discrepancy_path(xor, h0, grid)
+        exact, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
         truth = exact.entries[0].discrepancy.value
         truncated, _ = discrepancy_path(
-            xor, h0, grid, budget=SolveBudget(node_limit=1)
+            ClassifierBank(xor, h0), grid, budget=SolveBudget(node_limit=1)
         )
         entry = truncated.entries[0].discrepancy
         assert entry.lower <= truth <= entry.upper
@@ -264,8 +266,9 @@ class TestClassifierBank:
             for _ in range(20):
                 bank.add(LinearClassifier.from_raw(rng.normal(size=data.d + 1)))
             # the flip incumbents sit on the margin of their flip rows
-            ambiguity_path(data, h0, EpsilonGrid((Fraction(0),), data.n), bank=bank)
+            ambiguity_path(bank, EpsilonGrid((Fraction(0),), data.n))
             assert bank.classifiers[:2] == [h0, h0.negated()]
+            assert bank.risk == empirical_risk(h0, data)
             for r, g in enumerate(bank.classifiers):
                 assert bank.mistakes[r] == empirical_risk(g, data).mistakes
                 assert bank.conflicts[r] == conflict_count(g, h0, data).mistakes
@@ -283,25 +286,12 @@ class TestClassifierBank:
                 assert candidates == [g for g in in_order if g in candidates]
         assert feasible_pairs > 0
 
-    def test_a_bank_for_another_run_is_refused(self, xor):
-        h0, _ = fit_baseline(xor)
-        grid = EpsilonGrid((Fraction(0),), 100)
-        others = (
-            ClassifierBank(xor, H_A), ClassifierBank(xor, h0, gamma=1e-3),
-            ClassifierBank(xor_dataset(), h0),
-        )
-        for bank in others:
-            with pytest.raises(ValueError, match="classifier bank"):
-                discrepancy_path(xor, h0, grid, bank=bank)
-            with pytest.raises(ValueError, match="classifier bank"):
-                ambiguity_path(xor, h0, grid, bank=bank)
-
 
 class TestAmbiguityPath:
     def test_xor_at_zero(self, xor):
         h0, res = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
-        profile, pool, results = ambiguity_path(xor, h0, grid)
+        profile, pool, results = ambiguity_path(ClassifierBank(xor, h0), grid)
         entry = profile.entries[0].ambiguity
         assert entry.certified and entry.value == 1
         assert len(pool.classifiers) == len(xor.cells.X)
@@ -312,12 +302,13 @@ class TestAmbiguityPath:
         assert not pool.mistakes_upper.flags.writeable
 
     def test_eps_one_is_total(self, xor):
-        profile, _, _ = ambiguity_path(xor, H_A, EpsilonGrid((Fraction(1),), 100))
+        grid = EpsilonGrid((Fraction(1),), 100)
+        profile, _, _ = ambiguity_path(ClassifierBank(xor, H_A), grid)
         assert profile.entries[0].ambiguity.value == 1
 
     def test_pool_lower_bound_respects_baseline(self, xor):
         h0, _ = fit_baseline(xor)
-        _, pool, _ = ambiguity_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
+        _, pool, _ = ambiguity_path(ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100))
         assert (pool.mistakes_lower >= pool.baseline_mistakes).all()
 
     def test_random_values_match_oracle(self):
@@ -327,7 +318,7 @@ class TestAmbiguityPath:
             h0, _ = fit_baseline(data)
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(3)), data.n)
-            profile, pool, _ = ambiguity_path(data, h0, grid)
+            profile, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
             for i, cell in enumerate(data.cells.index):
                 assert pool.mistakes_upper[cell] == oracle_flip(data, pattern, i)
             for entry in profile.entries:
@@ -347,8 +338,8 @@ class TestAmbiguityPath:
         assert base.lower_bound < empirical_risk(h0, data).mistakes
         pattern = prediction_pattern(h0, data)
         grid = EpsilonGrid((Fraction(0),), data.n)
-        for hint in (None, base.lower_bound):
-            _, pool, _ = ambiguity_path(data, h0, grid, lower_bound_hint=hint)
+        for baseline in (None, base):
+            _, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid, baseline=baseline)
             for i, cell in enumerate(data.cells.index):
                 truth = oracle_flip(data, pattern, i)
                 assert pool.mistakes_lower[cell] <= truth <= pool.mistakes_upper[cell]
@@ -356,8 +347,7 @@ class TestAmbiguityPath:
     def test_pool_rejects_inconsistent_bounds(self):
         # a lower bound above the upper one, or an open certified cell
         table = dict(
-            classifiers=(None, None), certified=[False, True],
-            baseline_mistakes=0, n=4,
+            classifiers=(None, None), certified=[False, True], baseline_mistakes=0,
         )
         PathologicalPool(mistakes_lower=[1, 2], mistakes_upper=[3, 2], **table)
         for lower in ([4, 2], [1, 1]):
@@ -367,12 +357,12 @@ class TestAmbiguityPath:
     def test_past_deadline_lower_bounds_follow_baseline_certification(self, xor):
         # every solve stops before its root LP, so its lower bound is the
         # baseline hint or nothing at all
-        h0, _ = fit_baseline(xor)
+        h0, res = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         budget = SolveBudget(deadline=time.monotonic() - 1)
-        for hint, floor in ((25.0, 25), (None, 0)):
+        for baseline, floor in ((res, 25), (None, 0)):
             _, pool, results = ambiguity_path(
-                xor, h0, grid, budget=budget, lower_bound_hint=hint
+                ClassifierBank(xor, h0), grid, budget=budget, baseline=baseline
             )
             assert [r.nodes_explored for r in results] == [0] * len(results)
             assert not pool.certified.any()
@@ -399,10 +389,11 @@ class TestAmbiguityPath:
         data = make_data()
         h0, _ = fit_baseline(data)
         seeds = [h0]  # ranks first but flips no cell, so it is never feasible
+        candidates = ClassifierBank(data, h0)
+        for g in seeds:
+            candidates.add(g)
         monkeypatch.setattr(branch_bound, "solve", spy)
-        _, pool, _ = ambiguity_path(
-            data, h0, EpsilonGrid((Fraction(0),), data.n), seed_pool=seeds
-        )
+        _, pool, _ = ambiguity_path(candidates, EpsilonGrid((Fraction(0),), data.n))
         # the bank: h0 negated, the seeds, then each flip in cell order;
         # a stable sort keeps ties in that order
         bank = [h0.negated(), *seeds]
@@ -429,8 +420,9 @@ class TestAmbiguityPath:
         h0 = classifier_from_solution(model, base.incumbent)
         with pytest.raises(InternalConsistencyError, match="cell 0 does not flip it"):
             ambiguity_path(
-                data, h0, EpsilonGrid((Fraction(0),), data.n), gamma=1e-9,
-                lower_bound_hint=base.lower_bound, baseline_root=base.root_basis,
+                ClassifierBank(data, h0, gamma=1e-9),
+                EpsilonGrid((Fraction(0),), data.n),
+                baseline=base,
             )
 
 
@@ -445,7 +437,7 @@ class TestRootStarts:
         grid = EpsilonGrid.default(data.n, empirical_risk(h0, data).rate)
 
         del node_lps[:]
-        _, solves = discrepancy_path(data, h0, grid)
+        _, solves = discrepancy_path(ClassifierBank(data, h0), grid)
         roots = [(start, sol) for fixings, start, sol in node_lps if not fixings]
         assert len(roots) == len(solves) == 2
         assert roots[0][0] is None
@@ -453,9 +445,7 @@ class TestRootStarts:
             assert start is previous.basis
 
         del node_lps[:]
-        _, _, results = ambiguity_path(
-            data, h0, grid, lower_bound_hint=base.lower_bound, baseline_root=base.root_basis
-        )
+        _, _, results = ambiguity_path(ClassifierBank(data, h0), grid, baseline=base)
         roots = [start for fixings, start, _ in node_lps if not fixings]
         assert len(roots) == len(results) == len(data.cells.X)
         # the flip row sits just before the l1 row, the baseline's last
@@ -474,10 +464,9 @@ class TestMonotonicityAndBound:
             grid = EpsilonGrid(
                 tuple(Fraction(k, data.n) for k in range(0, 5)), data.n
             )
-            disc, _ = discrepancy_path(data, h0, grid)
-            amb, _, _ = ambiguity_path(
-                data, h0, grid, seed_pool=list(disc.witnesses.values())
-            )
+            bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+            disc, _ = discrepancy_path(bank, grid)
+            amb, _, _ = ambiguity_path(bank, grid)
             profile = merge_profiles(disc, amb)
             values_d = [e.discrepancy.value for e in profile.entries]
             values_a = [e.ambiguity.value for e in profile.entries]
@@ -505,15 +494,15 @@ class TestMonotonicityAndBound:
     def test_merge_rejects_different_grids(self, xor):
         h0, _ = fit_baseline(xor)
         two = EpsilonGrid((Fraction(0), Fraction(1, 100)), 100)
-        disc, _ = discrepancy_path(xor, h0, two)
-        amb, _, _ = ambiguity_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
+        disc, _ = discrepancy_path(ClassifierBank(xor, h0), two)
+        amb, _, _ = ambiguity_path(ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100))
         with pytest.raises(ValueError):
             merge_profiles(disc, amb)
 
     def test_xor_bound_tight(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
-        disc, _ = discrepancy_path(xor, h0, grid)
+        disc, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
         report = check_discrepancy_bound(disc)
         assert report.slacks[0][1] == 0  # 0.5 == 2 * 0.25 + 0
 
@@ -526,7 +515,8 @@ class TestMonotonicityAndBound:
         )
         h0, res = fit_baseline(data)
         assert empirical_risk(h0, data).mistakes == 0
-        disc, _ = discrepancy_path(data, h0, EpsilonGrid((Fraction(0),), data.n))
+        grid = EpsilonGrid((Fraction(0),), data.n)
+        disc, _ = discrepancy_path(ClassifierBank(data, h0), grid)
         assert disc.entries[0].discrepancy.value == 0
 
     def test_witness_conflicts_are_ambiguous(self):
@@ -536,10 +526,9 @@ class TestMonotonicityAndBound:
             data = random_binary_dataset(rng)
             h0, _ = fit_baseline(data)
             grid = EpsilonGrid((Fraction(0), Fraction(1, data.n)), data.n)
-            disc, _ = discrepancy_path(data, h0, grid)
-            amb, pool, _ = ambiguity_path(
-                data, h0, grid, seed_pool=list(disc.witnesses.values())
-            )
+            bank = ClassifierBank(data, h0)  # the witnesses warm-start flip solves
+            disc, _ = discrepancy_path(bank, grid)
+            amb, pool, _ = ambiguity_path(bank, grid)
             profile = merge_profiles(disc, amb)
             base_preds = predictions(h0, data)
             for entry in profile.entries:
@@ -638,12 +627,18 @@ class TestCountBookkeeping:
             assert _next_solve(solved, lows, ups) == want
 
 
+def burden_at(pool, data, eps):
+    """Each group's burden at one epsilon: ``burden_path`` at one threshold."""
+    threshold = pool.baseline_mistakes + int(eps * data.n)
+    return {group: m for group, (m,) in burden_path(pool, data, [threshold]).items()}
+
+
 class TestGroupBurden:
     def test_missing_tags_rejected(self, xor):
         h0, _ = fit_baseline(xor)
-        _, pool, _ = ambiguity_path(xor, h0, EpsilonGrid((Fraction(0),), 100))
+        _, pool, _ = ambiguity_path(ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100))
         with pytest.raises(MissingGroupError):
-            group_burden(pool, xor, 0)
+            burden_at(pool, xor, 0)
 
     def test_single_group_equals_overall(self):
         examples = [
@@ -653,8 +648,8 @@ class TestGroupBurden:
         data = Dataset.build(examples)
         h0, _ = fit_baseline(data)
         grid = EpsilonGrid((Fraction(0),), data.n)
-        profile, pool, _ = ambiguity_path(data, h0, grid)
-        rates = group_burden(pool, data, 0)
+        profile, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
+        rates = burden_at(pool, data, 0)
         assert rates["only"].value == profile.entries[0].ambiguity.value
 
     def test_group_weighted_burden_sums_to_ambiguity(self):
@@ -671,9 +666,10 @@ class TestGroupBurden:
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(4)), data.n)
             groups = np.array(data.groups)
             for budget in (None, SolveBudget(node_limit=1)):
-                profile, pool, _ = ambiguity_path(data, h0, grid, budget=budget)
+                bank = ClassifierBank(data, h0)
+                profile, pool, _ = ambiguity_path(bank, grid, budget=budget)
                 for entry in profile.entries:
-                    burden = group_burden(pool, data, entry.epsilon)
+                    burden = burden_at(pool, data, entry.epsilon)
                     for side in ("lower", "upper"):
                         weighted = sum(
                             int(data.weights[groups == g].sum()) * getattr(m, side)
@@ -694,11 +690,11 @@ class TestGroupBurden:
         h0, res = fit_baseline(data)
         assert res.upper_bound == 2.0  # the conflicted cell costs 2 either way
         grid = EpsilonGrid((Fraction(0),), data.n)
-        _, pool, _ = ambiguity_path(data, h0, grid)
-        rates = group_burden(pool, data, 0)
+        _, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
+        rates = burden_at(pool, data, 0)
         assert rates[a].value == 1
         assert rates["B"].value == 0
-        write_burden(tmp_path, pool, data, grid)
+        write_burden(tmp_path, pool, data, grid, epsilon_labels(grid.values))
         with open(tmp_path / "burden.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[1:] == [
@@ -716,8 +712,8 @@ class TestGroupBurden:
         h0, res = fit_baseline(data)
         assert res.upper_bound == 602.0
         grid = EpsilonGrid((Fraction(0),), data.n)
-        _, pool, _ = ambiguity_path(data, h0, grid)
-        rates = group_burden(pool, data, 0)
+        _, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
+        rates = burden_at(pool, data, 0)
         assert rates["A"].value == Fraction(1, 2)
         assert rates["B"].value == Fraction(151, 301)
         assert rates["B"].value > rates["A"].value

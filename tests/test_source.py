@@ -1,0 +1,81 @@
+"""Source hygiene of the package, read with ``ast`` alone: every import is
+used and every module-level private name is referenced somewhere in the
+package, so code that a change leaves behind shows up here."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multiplicity"
+
+
+def _modules():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names and the entries of ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _defined_names(tree):
+    """Names bound by the module's top-level statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def test_modules_are_found():
+    assert {"__init__.py", "cli.py", "profiles.py"} <= set(_modules())
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{name}: {defined}"
+        for name, tree in modules.items()
+        for defined in _defined_names(tree)
+        if defined.startswith("_")
+        and not defined.startswith("__")
+        and defined not in referenced
+    ]
+    assert unreferenced == []
