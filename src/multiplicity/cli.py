@@ -47,7 +47,6 @@ from .formulations import (
     build_flip_mip,
     classifier_from_solution,
     export_mps,
-    margin_clearance,
     mps_filename,
 )
 from .pool import PenaltyGrid, adhoc_measures, fit_pool
@@ -233,7 +232,10 @@ def run_stages(config: RunConfig, stages, **inputs) -> dict:
     point.
     """
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use output directory {config.outdir!r}: {exc}") from None
     manifest = {
         "config": dataclasses.asdict(config),
         "versions": {
@@ -315,20 +317,20 @@ def _baseline(run: dict, budget) -> dict:
     if result.incumbent is None:
         raise InternalConsistencyError("baseline training found no classifier")
     h0 = classifier_from_solution(model, result.incumbent)
-    run["bank"] = ClassifierBank(train, h0, config.gamma)
-    base_risk = run["bank"].risk
-    min_margin, margin_ok = margin_clearance(h0, train, config.gamma)
+    bank = run["bank"] = ClassifierBank(train, h0, config.gamma)
     payload = {
         "coefficients": list(h0.coefficients),
-        "train": risk_json(base_risk),
+        "train": risk_json(bank.risk),
         "certified": result.certified,
-        "margin_clearance": {"min_abs_score": min_margin, "clears_gamma": margin_ok},
+        "margin_clearance": {
+            "min_abs_score": bank.margins[0], "clears_gamma": bank.clears[0]
+        },
     }
     if test is not None:
         payload["test"] = risk_json(empirical_risk(h0, test))
     write_json(run["outdir"] / "baseline.json", payload)
-    run["h0"], run["baseline"], run["base_risk"] = h0, result, base_risk
-    run["grid"] = resolve_grid(config, train, base_risk.rate)
+    run["baseline"] = result
+    run["grid"] = resolve_grid(config, train, bank.risk.rate)
     run["labels"] = epsilon_labels(run["grid"].values)
     return solve_json(result)
 
@@ -404,7 +406,7 @@ def _export(run: dict, budget) -> dict:
         eps = _epsilon_values(str(run["epsilon"] or 0))
         if len(eps) != 1:
             raise InputError(f"--epsilon takes one value, got {run['epsilon']!r}")
-        model = build_disc_mip(train, run["h0"], eps[0], gamma)
+        model = build_disc_mip(train, run["bank"].h0, eps[0], gamma)
     elif formulation == "flip":
         index = run["flip_index"] or 0
         if not 0 <= index < len(train.examples):
@@ -412,7 +414,7 @@ def _export(run: dict, budget) -> dict:
                 f"--flip-index {index} is outside the {len(train.examples)} "
                 "training examples"
             )
-        model = build_flip_mip(train, run["h0"], int(train.cells.index[index]), gamma)
+        model = build_flip_mip(train, run["bank"].h0, int(train.cells.index[index]), gamma)
     else:
         raise InputError(f"unknown formulation {formulation!r}")
     dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")
@@ -571,7 +573,7 @@ def main(argv=None) -> int:
         if args.command == "baseline":
             certified = run["baseline"].certified
             print(
-                f"baseline risk {float(run['base_risk'].rate):.4f} "
+                f"baseline risk {float(run['bank'].risk.rate):.4f} "
                 f"({'certified' if certified else 'not certified'})"
             )
         print(f"{args.command} complete; reports in {config.outdir}")

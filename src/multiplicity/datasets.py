@@ -1,14 +1,16 @@
 """Dataset ingestion and synthetic generators.
 
-CSV ingestion follows the measurement protocol: drop rows with missing or
-non-numeric cells, map 0/1 labels to -1/+1, prepend the intercept, shuffle
-with the split seed, cut an 80/20 train/test split, and oversample the
-minority class on the training split only.
+CSV ingestion follows the measurement protocol: drop rows with missing
+cells (a cell that is not a finite number counts as missing), map 0/1
+labels to -1/+1, prepend the intercept, shuffle with the split seed, cut an
+80/20 train/test split, and oversample the minority class on the training
+split only.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -123,10 +125,19 @@ def merge_duplicates(examples) -> list:
     ]
 
 
-def _parse_label(raw: str, row_no: int):
+def _number(text: str):
+    """The finite float that ``text`` spells, or None (empty or non-numeric
+    text, NaN and infinities alike)."""
     try:
-        value = float(raw)
+        value = float(text)
     except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _parse_label(raw: str, row_no: int):
+    value = _number(raw)
+    if value is None:
         return None
     if value in (-1.0, 1.0):
         return int(value)
@@ -170,24 +181,10 @@ def ingest_csv(
                 dropped.append(row_no)
                 continue
             label = _parse_label(row[label_idx].strip(), row_no)
-            if label is None:
-                dropped.append(row_no)
-                continue
-            feats = [1.0]
-            ok = True
-            for i, cell in enumerate(row):
-                if i in (label_idx, group_idx):
-                    continue
-                cell = cell.strip()
-                if not cell:
-                    ok = False
-                    break
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    ok = False
-                    break
-            if not ok:
+            feats = [1.0] + [
+                _number(cell) for i, cell in enumerate(row) if i not in (label_idx, group_idx)
+            ]
+            if label is None or None in feats:
                 dropped.append(row_no)
                 continue
             group = row[group_idx].strip() if group_idx is not None else None

@@ -74,7 +74,6 @@ def _cell_model(
     objective: np.ndarray,
     extra_rows=(),
     offset: int = 0,
-    **metadata,
 ) -> MipModel:
     """Assemble a cell program: the pinning rows of every cell (the second
     row where ``two_sided``), then ``extra_rows`` as (coefficients over all
@@ -118,7 +117,6 @@ def _cell_model(
             "gamma": gamma,
             "big_m": big_m,
             "reference": reference,
-            **metadata,
             "groups": {
                 "cell_indicators": tuple(range(m)),
                 "coef_pos": tuple(range(m, m + nc)),
@@ -129,7 +127,7 @@ def _cell_model(
     return _attach_rounding_heuristic(model, dataset)
 
 
-def _mistake_model(kind, dataset, gamma, extra_rows=(), **metadata) -> MipModel:
+def _mistake_model(kind, dataset, gamma, extra_rows=()) -> MipModel:
     """Error-minimizing cell program: majority reference labels (ties go
     to +1), cost |P_c - N_c| for a mistaken majority, sum_c min(P_c, N_c) as
     the objective offset."""
@@ -143,7 +141,6 @@ def _mistake_model(kind, dataset, gamma, extra_rows=(), **metadata) -> MipModel:
         objective=np.abs(cells.pos - cells.neg),
         extra_rows=extra_rows,
         offset=int(np.minimum(cells.pos, cells.neg).sum()),
-        **metadata,
     )
 
 
@@ -191,7 +188,6 @@ def build_disc_mip(
         two_sided=np.ones(len(cells.X), dtype=bool),
         objective=cells.pos + cells.neg,
         extra_rows=[(level_row, level_rhs)],
-        epsilon=eps,
     )
 
 

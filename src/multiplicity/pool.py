@@ -7,7 +7,8 @@ over the distinct feature cells.  The lambda path is walked in blocks of
 ``LAMBDA_BLOCK`` lambdas: one batch fits every (lambda in block, alpha,
 fold) problem, where a cross-validation fold is the full data with that
 fold's weights set to zero.  Picks a baseline by 5-fold cross-validated
-error, scored on the rows, and reads ambiguity and discrepancy off the pool.
+error and reads ambiguity and discrepancy off the pool, every count scored
+on the cells with their weights.
 Pool estimates are lower bounds by construction (the pool is a subset of
 the level set), so every emitted value is marked uncertified.
 """
@@ -225,8 +226,9 @@ def fit_pool(
     proximal-Newton batch fits the block's (lambda, alpha, fold) problems,
     lambda-major, each warm-started from its path's solution at the last
     lambda of the previous block (the null model for the first block).  A
-    model is converged when all of its fits are.  The lambdas, the
-    held-out and the training mistakes are computed on the rows.
+    model is converged when all of its fits are.  The lambdas are computed
+    on the rows; the held-out and the training mistakes on the cells, fold
+    r's held-out weight being the full weight less its fit's weight.
     Deterministic for a fixed seed: fold assignment, path order and the fit
     have no randomness.
     """
@@ -268,11 +270,12 @@ def fit_pool(
         converged[block] = done.reshape(size, len(w))
         w = coefs[block][-1]
     coefs = coefs.reshape(n_lambdas, n_alphas, len(held), -1)
-    errors = np.zeros((n_lambdas, n_alphas))
-    for r, rows in enumerate(held[1:], 1):  # the full-data fits hold nothing out
-        wrong = (coefs[:, :, r] @ X[rows].T > 0.0) != (y[rows] > 0)
-        errors += wrong @ weights[rows]
-    total = float((weights * held).sum())
+    # fold r's held-out weight per cell; the full-data fits hold nothing out
+    held_pos, held_neg = pos[0] - pos[1:], neg[0] - neg[1:]
+    fold_side = coefs[:, :, 1:] @ cells.X.T > 0.0  # the tie rule of ``predictions``
+    errors = np.einsum("lafc,fc->la", fold_side, held_neg)
+    errors += np.einsum("lafc,fc->la", ~fold_side, held_pos)
+    total = float(held_pos.sum() + held_neg.sum())
     cv_risks = (errors / total if total else np.full_like(errors, math.inf)).T.ravel()
     done = converged.reshape(coefs.shape[:3]).all(2).T.ravel()
     # models run alpha-major; each is the full-data fit of its alpha
@@ -284,7 +287,8 @@ def fit_pool(
         norms = norms + np.abs(column)
     units = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
     classifiers = [LinearClassifier(tuple(u)) for u in units.tolist()]
-    mistakes = ((units @ X.T > 0.0) != (y > 0)) @ dataset.weights
+    side = units @ cells.X.T > 0.0
+    mistakes = side @ cells.neg + ~side @ cells.pos
     alpha_of = np.repeat(grid.alphas, n_lambdas)
     return [
         PoolModel(
@@ -325,13 +329,15 @@ def adhoc_measures(
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
 
+    cells = dataset.cells
     units = np.array([m.classifier.coefficients for m in models])
-    positive = units @ dataset.X.T > 0.0  # the tie rule of ``predictions``
+    side = units @ cells.X.T > 0.0  # the tie rule of ``predictions``
     mistakes = np.array([m.train_risk.mistakes for m in models])
     order = np.argsort(mistakes, kind="stable")
-    conflicts = (positive != positive[base_idx])[order]
-    ambiguity = np.logical_or.accumulate(conflicts) @ dataset.weights
-    discrepancy = np.maximum.accumulate(conflicts @ dataset.weights)
+    conflicts = (side != side[base_idx])[order]
+    weights = cells.pos + cells.neg
+    ambiguity = np.logical_or.accumulate(conflicts) @ weights
+    discrepancy = np.maximum.accumulate(conflicts @ weights)
     # the baseline is in every level set, so no prefix is empty
     budgets = grid.thresholds(base.train_risk.mistakes)
     ends = np.searchsorted(mistakes[order], budgets, side="right") - 1

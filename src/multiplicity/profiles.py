@@ -8,11 +8,13 @@ weights in one per-cell flip table (``PathologicalPool``, one flip solve
 per cell of ``dataset.cells``, solved one after another in cell order).
 All level-set membership tests compare integer mistake counts; floating
 rates never decide anything.  Both paths solve every program through one
-step (``_solve``): warm start, solve, decode, and the margin audit of
-certified classifiers.  The programs of one path are near-copies, so every
-root LP but the first starts from a related optimal basis: a disc program
-differs from the previous one only in the level row's right-hand side, and
-a flip program is the baseline program plus its flip row.
+step (``_solve``): warm start, solve, decode, and add the classifier to
+the bank, the audit's one scorer of classifiers on the training cells
+(sides, mistakes, conflicts with h0, margin).  The programs of one path
+are near-copies, so every root LP but the first starts from a related
+optimal basis: a disc program differs from the previous one only in the
+level row's right-hand side, and a flip program is the baseline program
+plus its flip row.
 
 Interval bookkeeping exploits that level sets are nested: a valid lower
 bound at some epsilon is valid at every larger epsilon and a valid upper
@@ -47,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import branch_bound as bnb
-from .branch_bound import MipModel, SolveBudget, SolveResult
+from .branch_bound import SolveBudget, SolveResult
 from .core import Dataset, InternalConsistencyError, LinearClassifier, RiskReport
 from .formulations import (
     DEFAULT_GAMMA,
@@ -230,10 +232,13 @@ def _int_bounds(result: SolveResult, n: int):
 
 
 class ClassifierBank:
-    """Every classifier an audit finds, each scored once on ``dataset.cells``.
+    """Every classifier an audit finds, each scored once on ``dataset.cells``:
+    the audit's one scorer of classifiers on the training set.
 
-    Row r holds ``classifiers[r]`` with its exact weighted ``mistakes``, its
-    ``conflicts`` with h0, whether it ``clears`` the margin
+    Row r holds ``classifiers[r]`` with its ``sides`` (which cells it
+    predicts +1, the tie rule of ``predictions``), its exact weighted
+    ``mistakes``, its ``conflicts`` with h0, its smallest training |score|
+    (``margins``) and whether that ``clears`` the margin
     (``margin_clearance``), and the cells it puts on the other side of h0
     with a score that a flip row accepts.  Rows keep insertion order: h0,
     its negation, then each distinct classifier ``add`` is given.
@@ -257,7 +262,8 @@ class ClassifierBank:
         # A flip row accepts a score within the node LPs' row tolerance of
         # gamma, so this floor keeps every classifier it would accept.
         self._flip_floor = gamma - bnb.INT_TOL * (1.0 + gamma)
-        self.classifiers, self.mistakes, self.conflicts, self.clears = [], [], [], []
+        self.classifiers, self.sides, self.mistakes, self.conflicts = [], [], [], []
+        self.margins, self.clears = [], []
         self._flips, self._order, self._rows = [], [], {}
         self.add(h0)
         self.add(h0.negated())
@@ -273,9 +279,12 @@ class ClassifierBank:
         side = scores > 0.0
         row = self._rows[g.coefficients] = len(self.classifiers)
         self.classifiers.append(g)
+        self.sides.append(side)
         self.mistakes.append(int(cells.neg[side].sum() + cells.pos[~side].sum()))
         self.conflicts.append(int(self.weights[side != self.base_side].sum()))
-        self.clears.append(margin_clearance(g, self.dataset, self.gamma)[1])
+        margin, clears = margin_clearance(g, self.dataset, self.gamma)
+        self.margins.append(margin)
+        self.clears.append(clears)
         self._flips.append(np.where(self.base_side, -scores, scores) >= self._flip_floor)
         bisect.insort(self._order, row, key=self.mistakes.__getitem__)
         return row
@@ -358,8 +367,8 @@ def discrepancy_path(
     index, root = 0, None
     while index is not None:
         eps = eps_values[index]
-        result, witness = _solve(
-            build_disc_mip(dataset, h0, eps, bank.gamma), dataset, budget,
+        result, row = _solve(
+            bank, build_disc_mip(dataset, h0, eps, bank.gamma), budget,
             [bank.classifiers[best[index]] if best[index] >= 0 else h0],
             f"witness at eps={eps}", node_log=node_log, root_start=root,
         )
@@ -368,8 +377,7 @@ def discrepancy_path(
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
         raw_up[index] = n - low_cnt
-        if witness is not None:
-            row = bank.add(witness)
+        if row is not None:
             mistakes = bank.mistakes[row]
             if result.certified and mistakes > thresholds[index]:
                 raise InternalConsistencyError(
@@ -423,27 +431,23 @@ def _next_solve(solved, lows, ups):
     return (start + stop) // 2
 
 
-def _safe_warm(model: MipModel, dataset: Dataset, h: LinearClassifier):
-    candidate = assignment_from_classifier(model, dataset, h)
-    ok, _ = bnb.check_feasible(model, candidate)
-    return candidate if ok else None
-
-
 def _solve(
-    model, dataset, budget, candidates, what, hint=None, node_log=None, root_start=None
+    bank, model, budget, candidates, what, hint=None, node_log=None, root_start=None
 ):
     """Solve one path program, warm-started from the first of ``candidates``
     that it accepts, with ``hint`` as its ``lower_bound_hint`` and its root
     LP started from ``root_start`` (cold when None).  No path
     program is infeasible (h0 lies in every level set and its negation
-    flips every cell), so an infeasible one raises.  Warns when a certified
-    classifier scores a training point inside the margin band, where the
-    indicator semantics are not exact.  Returns (result, classifier or None).
+    flips every cell), so an infeasible one raises.  The decoded incumbent
+    joins ``bank``, which scores it; a certified one that scores a training
+    point inside the margin band, where the indicator semantics are not
+    exact, warns.  Returns (result, the incumbent's bank row or None).
     """
     warm = None
     for g in candidates:
-        warm = _safe_warm(model, dataset, g)
-        if warm is not None:
+        candidate = assignment_from_classifier(model, bank.dataset, g)
+        if bnb.check_feasible(model, candidate)[0]:
+            warm = candidate
             break
     result = bnb.solve(
         model, budget=budget, warm_start=warm, lower_bound_hint=hint,
@@ -453,16 +457,14 @@ def _solve(
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
     if result.incumbent is None:
         return result, None
-    h = classifier_from_solution(model, result.incumbent)
-    if result.certified:
-        gamma = model.metadata["gamma"]
-        min_margin, clear = margin_clearance(h, dataset, gamma)
-        if not clear:
-            warnings.warn(
-                f"certified {what} has margin {min_margin:.2e} below gamma={gamma:.2e}",
-                RuntimeWarning,
-            )
-    return result, h
+    row = bank.add(classifier_from_solution(model, result.incumbent))
+    if result.certified and not bank.clears[row]:
+        warnings.warn(
+            f"certified {what} has margin {bank.margins[row]:.2e} "
+            f"below gamma={bank.gamma:.2e}",
+            RuntimeWarning,
+        )
+    return result, row
 
 
 def ambiguity_path(
@@ -505,24 +507,20 @@ def ambiguity_path(
     if baseline is not None:
         hint, root = baseline.lower_bound, baseline.root_basis
 
-    cells = dataset.cells
     results, classifiers = [], []
-    for c in range(len(cells.X)):
+    for c in range(len(dataset.cells.X)):
         model = build_flip_mip(dataset, h0, c, bank.gamma)
         start = None if root is None else basis_with_row(root, model.metadata["flip_row"])
-        result, g = _solve(
-            model, dataset, budget, bank.flipping(c), f"flip classifier of cell {c}",
+        result, row = _solve(
+            bank, model, budget, bank.flipping(c), f"flip classifier of cell {c}",
             hint=hint, node_log=node_log, root_start=start,
         )
-        if g is not None:
-            side = cells.X[c] @ g.coefficients > 0.0
-            if result.certified and side == bank.base_side[c]:
-                raise InternalConsistencyError(
-                    f"certified flip classifier of cell {c} does not flip it"
-                )
-            bank.add(g)
+        if result.certified and bank.sides[row][c] == bank.base_side[c]:
+            raise InternalConsistencyError(
+                f"certified flip classifier of cell {c} does not flip it"
+            )
         results.append(result)
-        classifiers.append(g)
+        classifiers.append(None if row is None else bank.classifiers[row])
 
     lower, upper = np.array([_int_bounds(r, n) for r in results], dtype=np.int64).T
     pool_out = PathologicalPool(

@@ -416,17 +416,7 @@ class _Tableau:
             d = direction * self.T[:, enter]
             x_basic = x[self.basis]
             lb, ub = self.lo[self.basis], self.hi[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(
-                    d > PIVOT_TOL,
-                    (x_basic - lb) / np.where(d > PIVOT_TOL, d, 1.0),
-                    np.where(
-                        d < -PIVOT_TOL,
-                        (ub - x_basic) / np.where(d < -PIVOT_TOL, -d, 1.0),
-                        np.inf,
-                    ),
-                )
-            ratio = np.maximum(ratio, 0.0)
+            ratio = np.maximum(_primal_ratios(d, x_basic - lb, ub - x_basic), 0.0)
             t_flip = self.hi[enter] - self.lo[enter]
             min_ratio = float(ratio.min()) if ratio.size else np.inf
 
@@ -552,17 +542,22 @@ def _harris_row(d, x_basic, lb, ub, ratio, basis) -> int:
     a degenerate step on a pivot of 1e-5 left tableau entries near 1e5 and
     a vertex that violated a row by 2.6e-5.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relaxed = np.where(
-            d > PIVOT_TOL,
-            (x_basic - lb + FEASIBILITY_TOL) / np.where(d > PIVOT_TOL, d, 1.0),
-            np.where(
-                d < -PIVOT_TOL,
-                (ub - x_basic + FEASIBILITY_TOL) / np.where(d < -PIVOT_TOL, -d, 1.0),
-                np.inf,
-            ),
-        )
+    relaxed = _primal_ratios(
+        d, x_basic - lb + FEASIBILITY_TOL, ub - x_basic + FEASIBILITY_TOL
+    )
     return _largest_pivot(ratio, relaxed, np.abs(d), basis)
+
+
+def _primal_ratios(d, room_down, room_up):
+    """The step at which each basic variable, moving by -d per unit step,
+    uses up its room: ``room_down`` / d where d > PIVOT_TOL, ``room_up`` / -d
+    where d < -PIVOT_TOL, and inf where it does not move."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            d > PIVOT_TOL,
+            room_down / np.where(d > PIVOT_TOL, d, 1.0),
+            np.where(d < -PIVOT_TOL, room_up / np.where(d < -PIVOT_TOL, -d, 1.0), np.inf),
+        )
 
 
 def _largest_pivot(ratio, relaxed, size, labels) -> int:

@@ -89,6 +89,29 @@ class TestIngest:
         result = ingest_csv(path, "label", split_fraction=0.5, oversample=False)
         assert result.dropped.rows == (2,)
 
+    def test_non_finite_cells_count_as_missing(self, tmp_path):
+        # each bad row lands before a clean one, so the clean rows keep
+        # their order and the split seed shuffles them alike
+        clean = (DATA / "compas_style.csv").read_text().splitlines()
+        bad = ["nan,0,0,1,A", "0,NaN,1,0,B", "1,inf,0,1,C", "0,0,-inf,0,A", "1,0,0,nan,B"]
+        lines = clean[:1]
+        for k, row in enumerate(clean[1:]):
+            if k % 20 == 3 and bad:
+                lines.append(bad.pop(0))
+            lines.append(row)
+        assert not bad
+        dirty = self.write(tmp_path, "\n".join(lines) + "\n")
+        kwargs = dict(label_column="two_year_recid", group_column="race")
+        got = ingest_csv(dirty, **kwargs)
+        want = ingest_csv(DATA / "compas_style.csv", **kwargs)
+        assert got.dropped.rows == (4, 25, 46, 67, 88)
+        assert got.train == want.train and got.test == want.test
+        code = main([
+            "baseline", "--dataset", str(dirty), "--label-column", "two_year_recid",
+            "--group-column", "race", "--outdir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+
     def test_zero_one_labels_mapped_and_balanced(self, tmp_path):
         lines = ["f,label"]
         lines += [f"{i},1" for i in range(8)]
@@ -220,6 +243,30 @@ class TestAudit:
             assert empirical_risk(witness, train).mistakes <= base + eps * n
             lower = Fraction(entry["discrepancy"]["lower_exact"])
             assert conflict_count(witness, h0, train).mistakes == n * lower
+
+    @pytest.mark.parametrize("source, rows", [("tyranny", 6), ("compas_style", 11)])
+    def test_every_classifier_is_scored_once(self, tmp_path, monkeypatch, source, rows):
+        # the bank scores each classifier once, and no stage scores one again
+        from multiplicity import profiles
+        from multiplicity.cli import AUDIT_STAGES, run_stages
+
+        audited = []
+        clearance = profiles.margin_clearance
+
+        def counted(h, data, gamma):
+            audited.append(h)
+            return clearance(h, data, gamma)
+
+        monkeypatch.setattr(profiles, "margin_clearance", counted)
+        config = RunConfig(dataset="tyranny", outdir=str(tmp_path))
+        if source == "compas_style":
+            config = RunConfig(
+                dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+                group_column="race", outdir=str(tmp_path),
+            )
+        run = run_stages(config, AUDIT_STAGES)
+        assert len(run["bank"].classifiers) == rows
+        assert audited == run["bank"].classifiers
 
     def test_node_limited_runs_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -480,7 +527,7 @@ class TestAudit:
         )
         train, grid, flip_pool = run["train"], run["grid"], run["flip_pool"]
         assert len(grid.values) == 604
-        base, n = run["base_risk"], train.n
+        base, n = run["bank"].risk, train.n
         weights = [int(w) for w in train.weights]
         groups = train.groups
 
@@ -654,19 +701,22 @@ class TestExitCodes:
             ["baseline", "--config", "missing.cfg"],
             ["baseline", "--dataset", "one_class.csv"],
             ["audit", "--no-oversample", "--adhoc", "--dataset", "one_class.csv"],
+            ["baseline", "--outdir", "one_class.csv"],
+            ["baseline", "--outdir", "one_class.csv/out"],
         ],
         ids=[
             "node-log-dir", "epsilon-abc", "epsilon-1.5", "flip-index-99",
             "gamma-0", "gamma-inf", "gamma-1e-9", "time-limit-nan", "node-limit--1",
             "node-limit-0",
             "workers--3", "pool-alphas-0", "pool-lambdas-0", "dataset-scale-abc",
-            "config-missing", "one-class-split", "one-class-adhoc",
+            "config-missing", "one-class-split", "one-class-adhoc", "outdir-is-file",
+            "outdir-under-file",
         ],
     )
     def test_bad_cli_input_is_two(self, tmp_path, args):
         # five positive rows: the training split holds a single class
         (tmp_path / "one_class.csv").write_text("x1,label\n" + "0,1\n" * 5)
-        if args[-2] in ("--node-log", "--config") or args[-1].endswith(".csv"):
+        if args[-2] in ("--node-log", "--config", "--outdir") or args[-1].endswith(".csv"):
             args = args[:-1] + [str(tmp_path / args[-1])]
         verb, flags = args[0], args[1:]
         code = main([verb, "--dataset", "xor", "--outdir", str(tmp_path)] + flags)
