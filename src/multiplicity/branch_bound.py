@@ -6,6 +6,12 @@ and it stays useful when a budget runs out.  Because every objective in this
 package is an integer mistake/agreement count, node bounds are ceiled to the
 next integer before pruning and a gap below 1 certifies optimality.
 
+From a ``MipModel`` the engine reads its LP relaxation, its binary indices,
+its objective offset and, if present, ``metadata["incumbent_heuristic"]``:
+a callable that maps a fractional node LP solution to a candidate
+assignment (or None), kept only if ``check_feasible`` accepts it.  Every
+other metadata entry belongs to whoever built the model.
+
 Every node LP below the root is re-optimized by dual simplex from its
 parent's final basis, so a queued node keeps its LP values (to branch on)
 and that basis (to start its children), never a tableau.  The root LP is
@@ -62,13 +68,6 @@ class MipModel:
                 raise ValueError(f"binary index {j} out of range")
             if self.lp.var_lo[j] < -INT_TOL or self.lp.var_hi[j] > 1 + INT_TOL:
                 raise ValueError(f"binary variable {j} must have bounds [0, 1]")
-        groups = self.metadata.get("groups", {})
-        seen: set = set()
-        for name, idx in groups.items():
-            overlap = seen.intersection(idx)
-            if overlap:
-                raise ValueError(f"metadata group {name} overlaps {overlap}")
-            seen.update(idx)
 
 
 @dataclass(frozen=True)

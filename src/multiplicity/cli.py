@@ -60,6 +60,7 @@ from .profiles import (
 )
 from .reports import (
     epsilon_labels,
+    exact_decimal,
     risk_json,
     solve_json,
     write_burden,
@@ -400,6 +401,7 @@ def _burden(run: dict, budget) -> Optional[dict]:
 
 def _export(run: dict, budget) -> dict:
     train, gamma, formulation = run["train"], run["config"].gamma, run["formulation"]
+    label = ""  # tells apart the programs of one formulation in a file name
     if formulation == "baseline":
         model = build_baseline_mip(train, gamma)
     elif formulation == "disc":
@@ -407,6 +409,7 @@ def _export(run: dict, budget) -> dict:
         if len(eps) != 1:
             raise InputError(f"--epsilon takes one value, got {run['epsilon']!r}")
         model = build_disc_mip(train, run["bank"].h0, eps[0], gamma)
+        label = exact_decimal(eps[0])
     elif formulation == "flip":
         index = run["flip_index"] or 0
         if not 0 <= index < len(train.examples):
@@ -415,10 +418,11 @@ def _export(run: dict, budget) -> dict:
                 "training examples"
             )
         model = build_flip_mip(train, run["bank"].h0, int(train.cells.index[index]), gamma)
+        label = str(index)
     else:
         raise InputError(f"unknown formulation {formulation!r}")
     dataset_tag = Path(run["config"].dataset).stem.replace(":", "x")
-    path = run["outdir"] / mps_filename(dataset_tag, formulation, gamma)
+    path = run["outdir"] / mps_filename(dataset_tag, formulation + label, gamma)
     export_mps(model, path)
     return {"path": str(path)}
 
@@ -559,7 +563,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             dataset = generate_synthetic(args.name, args.scale)
-            write_csv(dataset, args.out)
+            try:
+                write_csv(dataset, args.out)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out!r}: {exc}") from None
             print(f"wrote {args.out} ({dataset.n} points)")
             return 0
         config = _build_config(args)

@@ -157,38 +157,40 @@ def ingest_csv(
     """Read a header CSV into train/test datasets per the audit protocol."""
     if not 0.0 < split_fraction < 1.0:
         raise InputError("split fraction must lie in (0, 1)")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("CSV file is empty") from None
-        if label_column not in header:
-            raise InputError(f"label column {label_column!r} not found in header")
-        if group_column is not None and group_column not in header:
-            raise InputError(f"group column {group_column!r} not found in header")
-        label_idx = header.index(label_column)
-        group_idx = header.index(group_column) if group_column else None
-        feature_names = tuple(
-            name
-            for i, name in enumerate(header)
-            if i not in (label_idx, group_idx)
-        )
-        examples = []
-        dropped = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                dropped.append(row_no)
-                continue
-            label = _parse_label(row[label_idx].strip(), row_no)
-            feats = [1.0] + [
-                _number(cell) for i, cell in enumerate(row) if i not in (label_idx, group_idx)
-            ]
-            if label is None or None in feats:
-                dropped.append(row_no)
-                continue
-            group = row[group_idx].strip() if group_idx is not None else None
-            examples.append(Example(tuple(feats), label, group=group))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read dataset {str(path)!r}: {exc}") from None
+    if not rows:
+        raise InputError("CSV file is empty")
+    header = rows[0]
+    if label_column not in header:
+        raise InputError(f"label column {label_column!r} not found in header")
+    if group_column is not None and group_column not in header:
+        raise InputError(f"group column {group_column!r} not found in header")
+    label_idx = header.index(label_column)
+    group_idx = header.index(group_column) if group_column else None
+    feature_names = tuple(
+        name
+        for i, name in enumerate(header)
+        if i not in (label_idx, group_idx)
+    )
+    examples = []
+    dropped = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            dropped.append(row_no)
+            continue
+        label = _parse_label(row[label_idx].strip(), row_no)
+        feats = [1.0] + [
+            _number(cell) for i, cell in enumerate(row) if i not in (label_idx, group_idx)
+        ]
+        if label is None or None in feats:
+            dropped.append(row_no)
+            continue
+        group = row[group_idx].strip() if group_idx is not None else None
+        examples.append(Example(tuple(feats), label, group=group))
     if not examples:
         raise InputError("no usable rows left after cleaning")
 

@@ -13,6 +13,12 @@ The effective coefficient w_j = w+_j + w-_j is substituted directly into
 every row rather than materialized, and the l1 normalization row fixes
 sum_j (w+_j - w-_j) = 1.
 
+A model does not store this layout: ``_layout`` derives m from its binaries
+and d+1 from its column count, which is all that decoding a solution and
+naming MPS columns need.  ``metadata`` keeps ``kind``, ``gamma`` and
+``reference`` (the labels s_c below), ``flip_row`` on flip programs, and
+the ``incumbent_heuristic`` that branch-and-bound offers node LP solutions.
+
 Each cell c has a reference label s_c, and u_c = 0 requires the classifier
 to predict s_c with margin gamma:
 
@@ -83,7 +89,6 @@ def _cell_model(
         raise ValueError("gamma must be positive and finite")
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
-    total = m + 2 * nc
     big_m = compute_big_m(dataset, gamma)
 
     signed = cells.X * reference[:, None]
@@ -112,19 +117,19 @@ def _cell_model(
         lp=lp,
         binary_vars=tuple(range(m)),
         objective_offset=offset,
-        metadata={
-            "kind": kind,
-            "gamma": gamma,
-            "big_m": big_m,
-            "reference": reference,
-            "groups": {
-                "cell_indicators": tuple(range(m)),
-                "coef_pos": tuple(range(m, m + nc)),
-                "coef_neg": tuple(range(m + nc, total)),
-            },
-        },
+        metadata={"kind": kind, "gamma": gamma, "reference": reference},
     )
-    return _attach_rounding_heuristic(model, dataset)
+
+    def heuristic(values):
+        # Decode a node LP's coefficient split and re-encode the indicator
+        # values it forces: a candidate incumbent whenever that assignment
+        # is feasible (for the level-set model it can fail, and is then
+        # simply discarded).
+        h = classifier_from_solution(model, values)
+        return assignment_from_classifier(model, dataset, h)
+
+    model.metadata["incumbent_heuristic"] = heuristic
+    return model
 
 
 def _mistake_model(kind, dataset, gamma, extra_rows=()) -> MipModel:
@@ -221,21 +226,10 @@ def _cell_predictions(h: LinearClassifier, dataset: Dataset) -> np.ndarray:
 # -- solution encoding / decoding ---------------------------------------
 
 
-def _attach_rounding_heuristic(model: MipModel, dataset: Dataset) -> MipModel:
-    """Register the decode/re-encode primal heuristic on the model.
-
-    Any node LP solution carries a coefficient split; decoding it to a
-    classifier and re-encoding the indicator values it forces yields a
-    candidate incumbent whenever that assignment is feasible (for the
-    level-set model it can fail, and is then simply discarded).
-    """
-
-    def heuristic(values):
-        h = classifier_from_solution(model, values)
-        return assignment_from_classifier(model, dataset, h)
-
-    model.metadata["incumbent_heuristic"] = heuristic
-    return model
+def _layout(model: MipModel) -> tuple:
+    """(m, nc): the cell and coefficient-slot counts of a cell program."""
+    m = len(model.binary_vars)
+    return m, (model.lp.n_vars - m) // 2
 
 
 def classifier_from_solution(model: MipModel, values) -> LinearClassifier:
@@ -247,9 +241,9 @@ def classifier_from_solution(model: MipModel, values) -> LinearClassifier:
     decode is replaced by the equivalent always-negative classifier (-1, 0,
     ..., 0).
     """
-    groups = model.metadata["groups"]
+    m, nc = _layout(model)
     values = np.asarray(values, dtype=float)
-    w = values[list(groups["coef_pos"])] + values[list(groups["coef_neg"])]
+    w = values[m : m + nc] + values[m + nc :]
     norm = float(np.abs(w).sum())
     if norm < 1e-9:
         coefs = np.zeros_like(w)
@@ -297,21 +291,14 @@ def margin_clearance(h: LinearClassifier, dataset: Dataset, gamma: float) -> tup
 
 
 def _column_names(model: MipModel) -> list:
-    groups = model.metadata.get("groups", {})
-    names = [""] * model.lp.n_vars
-    prefix_map = {
-        "cell_indicators": ("CELL", 4, 1),
-        "coef_pos": ("WP", 2, 0),
-        "coef_neg": ("WN", 2, 0),
-    }
-    for group, idx in groups.items():
-        prefix, width, base = prefix_map.get(group, ("X", 4, 0))
-        for k, j in enumerate(idx):
-            names[j] = f"{prefix}{k + base:0{width}d}"
-    for j, name in enumerate(names):
-        if not name:
-            names[j] = f"X{j:04d}"
-    return names
+    if model.metadata.get("kind") not in (BASELINE, DISC, FLIP):
+        return [f"X{j:04d}" for j in range(model.lp.n_vars)]
+    m, nc = _layout(model)
+    return (
+        [f"CELL{c + 1:04d}" for c in range(m)]
+        + [f"WP{j:02d}" for j in range(nc)]
+        + [f"WN{j:02d}" for j in range(nc)]
+    )
 
 
 def _fmt(value: float) -> str:

@@ -62,6 +62,21 @@ class TestSolve:
         assert res.status == "certified_optimal"
         assert res.upper_bound == -9.0  # items 2 and 3
 
+    def test_metadata_is_opaque_to_the_engine(self):
+        # the engine reads no layout: overlapping groups build and solve
+        plain = knapsack_model([6, 5, 4], [3, 2, 2], 4)
+        grouped = MipModel(
+            lp=plain.lp,
+            binary_vars=plain.binary_vars,
+            metadata={"groups": {"a": (0, 1), "b": (1, 2)}},
+        )
+        expected, res = solve(plain), solve(grouped)
+        assert (res.status, res.upper_bound, res.lower_bound) == (
+            expected.status, expected.upper_bound, expected.lower_bound
+        )
+        assert np.array_equal(res.incumbent, expected.incumbent)
+        assert res.nodes_explored == expected.nodes_explored
+
     def test_infeasible_root(self):
         lp = LinearProgram(
             objective=np.array([1.0]),

@@ -112,6 +112,32 @@ class TestIngest:
         ])
         assert code == 0
 
+    def test_unreadable_dataset_is_an_input_error(self, tmp_path):
+        # a directory, and Latin-1 text that is not UTF-8
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes("x1,label,group\n1,1,Andr\xe9\n0,0,B\n".encode("latin-1"))
+        for path in (folder, latin):
+            with pytest.raises(InputError, match=re.escape(repr(str(path)))):
+                ingest_csv(path, "label")
+            argv = ["baseline", "--dataset", str(path), "--outdir", str(tmp_path / "out")]
+            assert main(argv) == 2
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # the label as first column, so a kept BOM would hide its name
+        with open(DATA / "compas_style.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        text = "".join(f"{row[3]},{','.join(row[:3])},{row[4]}\n" for row in rows)
+        plain = self.write(tmp_path, text)
+        marked = tmp_path / "bom.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        kwargs = dict(label_column="two_year_recid", group_column="race")
+        got, want = ingest_csv(marked, **kwargs), ingest_csv(plain, **kwargs)
+        assert got.train == want.train and got.test == want.test
+        assert got.feature_names == want.feature_names
+
     def test_zero_one_labels_mapped_and_balanced(self, tmp_path):
         lines = ["f,label"]
         lines += [f"{i},1" for i in range(8)]
@@ -722,6 +748,11 @@ class TestExitCodes:
         code = main([verb, "--dataset", "xor", "--outdir", str(tmp_path)] + flags)
         assert code == 2
 
+    def test_generate_to_missing_directory_is_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["generate", "xor", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilons", ["1.5", "abc"])
     def test_bad_epsilons_is_two(self, tmp_path, epsilons):
         code = main(
@@ -1007,6 +1038,15 @@ class TestExportMps:
 
         res = solve(read_mps(path))
         assert res.upper_bound == 25.0
+
+    def test_programs_keep_their_own_files(self, tmp_path):
+        config = RunConfig(dataset="xor", outdir=str(tmp_path))
+        paths = [run_export_mps(config, "flip", None, i) for i in (0, 3)]
+        paths += [run_export_mps(config, "disc", eps, None) for eps in ("0", "0.01")]
+        names = sorted(path.name for path in tmp_path.glob("*.mps"))
+        assert names == sorted(path.name for path in paths)
+        prefixes = sorted(name.rsplit("_", 1)[0] for name in names)
+        assert prefixes == ["xor_disc0", "xor_disc0.01", "xor_flip0", "xor_flip3"]
 
     def test_cli_verb(self, tmp_path):
         code = main(

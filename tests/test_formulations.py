@@ -42,7 +42,7 @@ class TestBigM:
         data = Dataset.build([Example((1.0, 3.0), 1), Example((1.0, 0.0), -1)])
         assert np.allclose(compute_big_m(data, 1e-4), [3.0001, 1.0001])
         model = build_baseline_mip(data)
-        assert np.allclose(model.metadata["big_m"], [3.0001, 1.0001])
+        assert np.allclose(model.lp.row_coefs[:2, :2], np.diag([3.0001, 1.0001]))
 
     def test_holder_bound_over_random_classifiers(self):
         rng = np.random.default_rng(5)
@@ -133,7 +133,7 @@ class TestBaselineModel:
         assert model.metadata["gamma"] == 0.01
         m = len(xor.cells.X)
         assert np.all(model.lp.row_rhs[:m] == 0.01)
-        assert np.array_equal(model.metadata["big_m"], compute_big_m(xor, 0.01))
+        assert np.array_equal(model.lp.row_coefs[:m, :m], np.diag(compute_big_m(xor, 0.01)))
 
     def test_separable_optimum_zero(self):
         data = Dataset.build(

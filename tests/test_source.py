@@ -1,11 +1,17 @@
 """Source hygiene of the package, read with ``ast`` alone: every import is
-used and every module-level private name is referenced somewhere in the
-package, so code that a change leaves behind shows up here."""
+used, every module-level private name is referenced somewhere in the
+package, so code that a change leaves behind shows up here, and every
+module imports only the layers below it."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multiplicity"
+# Lowest layer first: a module may import only modules before it.
+LAYERS = (
+    "core", "datasets", "simplex", "branch_bound", "formulations",
+    "profiles", "pool", "reports", "cli",
+)
 
 
 def _modules():
@@ -39,6 +45,25 @@ def _defined_names(tree):
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
                         yield leaf.id
+
+
+def _imported_modules(tree):
+    """The package modules a module imports.  ``from . import name`` counts
+    only when ``name`` is a module, not a package-level name such as
+    ``__version__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (a.name for a in node.names if a.name in LAYERS)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").startswith("multiplicity."):
+                yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("multiplicity."):
+                    yield alias.name.split(".")[1]
 
 
 def test_modules_are_found():
@@ -79,3 +104,16 @@ def test_every_private_module_name_is_referenced():
         and defined not in referenced
     ]
     assert unreferenced == []
+
+
+def test_modules_import_only_lower_layers():
+    modules = _modules()
+    assert set(modules) == {f"{layer}.py" for layer in LAYERS} | {"__init__.py"}
+    upward = [
+        f"{name}: {imported}"
+        for name, tree in modules.items()
+        if name != "__init__.py"
+        for imported in _imported_modules(tree)
+        if LAYERS.index(imported) >= LAYERS.index(name[:-3])
+    ]
+    assert upward == []
