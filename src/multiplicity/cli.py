@@ -454,7 +454,7 @@ _BOOLS = {
 
 def _parse_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read config file {path!r}: {exc}") from None
     values = {}

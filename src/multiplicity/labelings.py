@@ -1,0 +1,451 @@
+"""Certificates for the path programs of data with at most three features,
+from the linear labelings of the cells.
+
+A path program depends on its classifier w only through the side of each
+cell, the sign of w.x_c.  A labeling L of the cells sets every indicator
+of a program: u(L)_c = 1 exactly when L_c differs from the program's
+reference label.  Under a flip program a labeling costs its weighted
+mistakes, and under a disc program its weighted agreements with h0.
+A feasible point of a disc or flip program scores every cell it pins at
+least gamma away from 0 on its pinned side.  Moving w slightly off the
+cells it scores 0 gives a strict labeling that costs no more and passes
+the program's filter: its mistakes fit the level set's threshold (disc),
+and the flip cell lies on the other side of h0 (flip).  So the cheapest
+strict labeling that passes the filter bounds the program from below.
+
+Few labelings are linear when d is small.  Take cells that span R^d.
+Every strict linear labeling is realized arbitrarily close to a
+hyperplane through d affinely independent cells, with those cells placed
+on either side.  In R^{d+1} the closure of the labeling's region of the
+cells' central arrangement is then a pointed cone, and each of its
+extreme rays lies on the planes of d independent cells (Cover, IEEE
+Trans. Electron. Comput. 1965; Johnson and Preparata, TCS 1978).
+``labeling_bounds`` therefore takes, for every d-subset of independent
+cells, the plane through them in both orientations.  Every cell on that
+plane takes both sides.  This gives a superset of the strict linear
+labelings: 2^(d+1) C(m, d) of them when no plane holds more than d cells.
+The pass streams the subsets in chunks and keeps, for each program, the
+CANDIDATES cheapest distinct labelings that pass the program's filter.
+It runs when d <= 3 and C(m, d) * m <= WORK_BUDGET.  It is skipped when
+the cells do not span R^d or some plane holds more than MAX_ON_PLANE
+cells.
+
+Signs are decided in floating point with a rounding-error bound.  A cell
+whose score v.x_c lies within the bound of 0 counts as on the plane.
+A subset whose plane normal v lies within its bound of 0 is tested in
+exact rational arithmetic, and dropped only when it is dependent.
+
+``certify`` checks one program's candidates in cost order.  A candidate
+verifies when a classifier puts every cell the program pins on the
+candidate's side with margin gamma.  The first such classifier is the
+caller's warm start, if its cost is the bound.  The next is the
+max-margin LP over the pinned cells, solved with ``solve_lp``.  The
+verified assignment passes ``check_feasible`` and costs the bound, so it
+is optimal.  A failed check raises the bound:
+
+* an exact program pins every cell by its two-sided rows or by the flip
+  row: every disc program, and a flip program whose other cells are all
+  mixed.  There every feasible point is a labeling that clears gamma, so
+  a cost whose labelings all fail is excluded, and the scan goes on to
+  the next cost;
+* an error-minimizing program may keep a pure cell it gets wrong inside
+  the margin band.  Such a point costs more than its own strict labeling,
+  so failed labelings of a higher cost exclude nothing.  The cheapest
+  cost b is different.  A point of cost b has a strict labeling of cost
+  b, since none is cheaper, and that labeling leaves exactly the point's
+  mistaken pure cells unpinned, so the point's w passes its check.  So
+  when every labeling of cost b fails, the bound becomes b + 1, the
+  labelings of cost b + 1 are checked, and the scan stops.
+
+A program the scan leaves open goes to branch-and-bound with the bound as
+its hint.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from fractions import Fraction
+from itertools import combinations, islice, permutations, product
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from . import branch_bound as bnb
+from .branch_bound import SolveResult
+from .core import Dataset, InternalConsistencyError, LinearClassifier
+from .formulations import assignment_from_classifier
+from .simplex import GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve_lp
+
+MAX_FEATURES = 3
+WORK_BUDGET = 20_000_000  # C(m, d) * m of the largest pass
+MAX_ON_PLANE = 12  # a plane holds at most this many cells, or the pass stops
+CANDIDATES = 16  # labelings kept, and checked at most, per program
+CHUNK_CELLS = 1 << 22  # labelings times cells per chunk, before deduplication
+
+
+class Candidates(NamedTuple):
+    """One program's cheapest distinct labelings that pass its filter, in
+    order of cost (then of their packed sides).
+
+    ``sides[i]`` is True where labeling i puts a cell on the +1 side, and
+    ``costs[i]`` is the program's objective under it.  Every labeling of
+    the superset that passes the filter and costs less than ``limit``
+    (inf when nothing was cut off) is among them.  ``pinned`` marks the
+    cells the program pins whatever their side; a cell on its reference
+    side is pinned as well.  A program that pins every cell is exact."""
+
+    sides: np.ndarray
+    costs: np.ndarray
+    limit: float
+    pinned: np.ndarray
+
+
+class LabelingBounds(NamedTuple):
+    """The pass's candidates for the flip program of every cell, in
+    ``dataset.cells`` order, and for the disc program at every mistake
+    threshold."""
+
+    flips: tuple
+    disc: tuple
+
+
+class _Degenerate(Exception):
+    """The cells do not span R^d, or a plane holds more than MAX_ON_PLANE
+    cells."""
+
+
+def labeling_bounds(
+    dataset: Dataset, base_side: np.ndarray, thresholds
+) -> Optional[LabelingBounds]:
+    """Run the pass over the cells of ``dataset`` around h0, whose side on
+    each cell is ``base_side``.  It keeps candidates for every flip program
+    and for the disc program at each mistake threshold of ``thresholds``.
+    Returns None where the pass does not apply."""
+    cells = dataset.cells
+    X, d = cells.X, dataset.d
+    m = len(X)
+    if d > MAX_FEATURES or m <= d or math.comb(m, d) * m > WORK_BUDGET:
+        return None
+    mixed = (cells.pos > 0) & (cells.neg > 0)
+    weights = cells.pos + cells.neg
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    # mistakes = pos total + sides . (neg - pos); agreements with h0 =
+    # weight h0 puts on -1 + sides . (+-weight, + where h0 puts +1)
+    offsets = int(cells.pos.sum()), int(weights[~base_side].sum())
+    slopes = cells.neg - cells.pos, np.where(base_side, weights, -weights)
+    flips = [_Store() for _ in range(m)]
+    # A labeling enters the disc programs at the first threshold its
+    # mistakes fit, its band, and every larger threshold only adds rivals:
+    # one that is not among the cheapest of its band is among the cheapest
+    # of no threshold.  So each band keeps its own cheapest, and each
+    # threshold's candidates are those of its band and all bands below.
+    bands = [_Store() for _ in thresholds]
+    try:
+        for sides in _labelings(X, d):
+            mistakes, agreements = (
+                b + np.einsum("ij,j->i", sides, a) for b, a in zip(offsets, slopes)
+            )
+            band = np.searchsorted(thresholds, mistakes)
+            band_limits = np.array([s.limit for s in bands] + [-math.inf])
+            live = (mistakes < max(s.limit for s in flips)) | (
+                agreements < band_limits[band]
+            )
+            if not live.any():
+                continue
+            _, first = np.unique(_keys(sides[live]), return_index=True)
+            rows = np.flatnonzero(live)[first]
+            sides, mistakes, agreements = sides[rows], mistakes[rows], agreements[rows]
+            band = band[rows]
+            flip_ok = (sides != base_side) & (
+                mistakes[:, None] < [s.limit for s in flips]
+            )
+            for f in np.flatnonzero(flip_ok.any(axis=0)):
+                flips[f].offer(sides, mistakes, flip_ok[:, f])
+            disc_ok = agreements < band_limits[band]
+            for b in sorted(set(band[disc_ok].tolist())):
+                bands[b].offer(sides, agreements, disc_ok & (band == b))
+    except _Degenerate:
+        return None
+    disc, below = [], _Store()
+    for store in bands:
+        if store.sides is not None:
+            below.offer(store.sides, store.costs, store.costs < below.limit)
+            below.limit = min(below.limit, store.limit)
+        disc.append(below.candidates(np.ones(m, dtype=bool)))
+    if any(c.sides is None for c in disc) or any(s.sides is None for s in flips):
+        return None  # no labeling passes a filter: leave it to branch-and-bound
+    cell = np.arange(m)
+    return LabelingBounds(
+        flips=tuple(s.candidates(mixed | (cell == f)) for f, s in enumerate(flips)),
+        disc=tuple(disc),
+    )
+
+
+class _Store:
+    """The cheapest distinct labelings offered so far, at most CANDIDATES,
+    holding every offered labeling that costs less than ``limit``."""
+
+    def __init__(self):
+        self.keys = self.sides = self.costs = None
+        self.limit = math.inf
+
+    def offer(self, sides, costs, rows) -> None:
+        """Take the labelings ``sides[rows]``, distinct and each cheaper
+        than ``limit``."""
+        rows = np.flatnonzero(rows)
+        if not rows.size:
+            return
+        costs = costs[rows]
+        if rows.size > CANDIDATES:
+            part = np.argpartition(costs, CANDIDATES - 1)[:CANDIDATES]
+            rows, costs = rows[part], costs[part]
+            self.limit = min(self.limit, int(costs.max()))
+        sides = sides[rows]
+        keys = _keys(sides)
+        if self.sides is not None:
+            keys = np.concatenate([self.keys, keys])
+            sides = np.concatenate([self.sides, sides])
+            costs = np.concatenate([self.costs, costs])
+        _, first = np.unique(keys, return_index=True)
+        order = first[np.argsort(costs[first], kind="stable")][:CANDIDATES]
+        if order.size == CANDIDATES:
+            self.limit = min(self.limit, int(costs[order[-1]]))
+        self.keys, self.sides, self.costs = keys[order], sides[order], costs[order]
+
+    def candidates(self, pinned) -> Candidates:
+        return Candidates(self.sides, self.costs, self.limit, pinned)
+
+
+def _keys(sides: np.ndarray) -> np.ndarray:
+    """One opaque, sortable key per row of ``sides``: its packed bits."""
+    packed = np.ascontiguousarray(np.packbits(sides, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _labelings(X: np.ndarray, d: int):
+    """The superset, in chunks: a boolean array per chunk, True where a
+    labeling puts a cell on the +1 side.  A chunk may repeat a labeling.
+
+    The cells span R^d exactly when some cell lies off the plane of some d
+    independent cells.  A score outside its rounding-error bound proves
+    both, so a pass that finds none raises ``_Degenerate`` at its end."""
+    m = len(X)
+    spans = False
+    subsets = combinations(range(m), d)
+    per_chunk = max(1, (CHUNK_CELLS >> (d + 1)) // m)
+    norms = np.abs(X).sum(axis=1)
+    while True:
+        chunk = np.array(list(islice(subsets, per_chunk)), dtype=np.int64)
+        if not chunk.size:
+            if not spans:
+                raise _Degenerate
+            return
+        normal = _normals(X[chunk])
+        # |computed - exact| <= _rounding(d) * the product of the rows'
+        # l1 norms, for a normal's coordinates and for a cell's score
+        scale = _rounding(d) * norms[chunk].prod(axis=1)
+        undecided = np.flatnonzero((np.abs(normal) <= scale[:, None]).all(axis=1))
+        dependent = [i for i in undecided if _dependent(X[chunk[i]])]
+        if dependent:
+            normal, scale = np.delete(normal, dependent, 0), np.delete(scale, dependent)
+        scores = normal @ X.T
+        signs = np.where(np.abs(scores) > scale[:, None] * norms, np.sign(scores), 0)
+        spans = spans or bool(signs.any())
+        if signs.size:
+            yield _expand(signs.astype(np.int8)) > 0
+
+
+def _normals(M: np.ndarray) -> np.ndarray:
+    """The normal of the plane through the d rows of each (d, d+1) block
+    of ``M``: v_j = (-1)^j times the minor without column j, so that v.x
+    is the determinant of x stacked on the block (Leibniz formula).  In
+    ``M``'s dtype, so an object array of ``Fraction`` gives exact normals."""
+    d = M.shape[1]
+    normal = np.zeros((len(M), d + 1), dtype=M.dtype)
+    for j in range(d + 1):
+        minor = np.delete(M, j, axis=2)
+        for sign, perm in _leibniz(d):
+            term = (-1) ** j * sign
+            for i, k in enumerate(perm):
+                term = term * minor[:, i, k]
+            normal[:, j] += term
+    return normal
+
+
+def _leibniz(d: int):
+    """(sign, permutation) of every term of a d x d determinant."""
+    out = []
+    for perm in permutations(range(d)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        out.append((-1 if inversions % 2 else 1, perm))
+    return out
+
+
+def _rounding(d: int) -> float:
+    """gamma_K = K u / (1 - K u) for K = (d+1)! + 2(d+1) roundings, more
+    than any term of a (d+1)-order Leibniz sum passes through."""
+    k = math.factorial(d + 1) + 2 * (d + 1)
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _dependent(rows: np.ndarray) -> bool:
+    """Whether the rows are linearly dependent, in exact arithmetic."""
+    exact = np.array([[[Fraction(v) for v in row] for row in rows]], dtype=object)
+    return not _normals(exact).any()
+
+
+def _expand(signs: np.ndarray) -> np.ndarray:
+    """Every labeling that agrees with a row of ``signs`` where it is
+    nonzero, in both orientations: a row with z zeros gives 2^(z+1)."""
+    rows = []
+    zeros = signs == 0
+    counts = zeros.sum(axis=1)
+    for z in sorted(set(counts.tolist())):
+        if z > MAX_ON_PLANE:
+            raise _Degenerate
+        block = signs[counts == z]
+        where = np.nonzero(zeros[counts == z])[1].reshape(len(block), z)
+        patterns = np.array(list(product((-1, 1), repeat=z)), dtype=np.int8)
+        out = np.repeat(block, len(patterns), axis=0)
+        at = np.repeat(where, len(patterns), axis=0)
+        np.put_along_axis(out, at, np.tile(patterns, (len(block), 1)), axis=1)
+        rows.append(out)
+    out = np.concatenate(rows)
+    return np.concatenate([out, -out])
+
+
+# -- certification ---------------------------------------------------------
+
+
+def certify(model, dataset: Dataset, candidates: Candidates, warm=None, checks=True):
+    """Check ``candidates``, the pass's labelings of ``model``, in cost
+    order, after trying the feasible assignment ``warm`` (or None); run
+    the LP checks only when ``checks`` is set.
+
+    Returns (a certified ``SolveResult`` with 0 nodes, or None, and the
+    proven lower bound on the program's objective)."""
+    started = time.monotonic()
+    reference = model.metadata["reference"] > 0
+    exact = candidates.pinned.all()
+    at_warm = None if warm is None else _count(model, warm)
+    costs = candidates.costs.tolist()
+    bound = costs[0]
+    for i, cost in enumerate(costs):
+        if cost > bound:
+            break
+        if at_warm is not None and at_warm <= bound:
+            return _certified(model, warm, at_warm, bound, started), bound
+        if not checks:
+            break
+        sides = candidates.sides[i]
+        pins = candidates.pinned | (sides == reference)
+        found = _check(model, dataset, sides, pins, cost)
+        if found is None:
+            break
+        if found is not False:
+            return _certified(model, found, cost, bound, started), bound
+        if (i + 1 < len(costs) and costs[i + 1] == cost) or cost >= candidates.limit:
+            continue  # the cost still has labelings to check, or unseen ones
+        # Every labeling that costs ``cost`` failed its check.
+        if exact:
+            bound = costs[i + 1] if i + 1 < len(costs) else cost + 1
+        elif cost == costs[0]:
+            bound = cost + 1
+    if at_warm is not None and at_warm <= bound:
+        return _certified(model, warm, at_warm, bound, started), bound
+    return None, bound
+
+
+def _certified(model, assignment, value, bound, started) -> SolveResult:
+    if value < bound:
+        raise InternalConsistencyError(
+            f"a feasible {model.metadata['kind']} assignment costs {value}, "
+            f"below its labeling bound {bound}"
+        )
+    return SolveResult(
+        status=bnb.STATUS_CERTIFIED,
+        incumbent=np.asarray(assignment, dtype=float),
+        upper_bound=float(value),
+        lower_bound=float(value),
+        nodes_explored=0,
+        wall_time=time.monotonic() - started,
+    )
+
+
+def _count(model, values) -> int:
+    return int(round(float(np.dot(model.lp.objective, values)) + model.objective_offset))
+
+
+def _check(model, dataset: Dataset, sides, pins, cost):
+    """Whether a classifier puts the cells of ``pins`` on their side of
+    ``sides`` with margin gamma: its feasible assignment of ``model``, which
+    costs ``cost``, or False when the max-margin LP stays below gamma.
+    None when the LP's classifier reaches gamma only within the node LPs'
+    tolerance, so that its assignment is infeasible or costs more: the
+    check decides nothing.  Every cell is pinned first, so that the
+    classifier clears the margin where it can."""
+    gamma = model.metadata["gamma"]
+    signed = np.where(sides, 1.0, -1.0)[:, None] * dataset.cells.X
+    for rows in (signed,) if pins.all() else (signed, signed[pins]):
+        h = _max_margin(rows, gamma)
+        if h is None:
+            continue
+        assignment = assignment_from_classifier(model, dataset, h)
+        if bnb.check_feasible(model, assignment)[0] and _count(model, assignment) == cost:
+            return assignment
+        return None
+    return False
+
+
+def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:
+    """A classifier with rows . w >= gamma within the node LPs' row
+    tolerance, or None when max t s.t. rows . w >= t, ||w||_1 <= 1 stays
+    below that.
+
+    The LP runs over a working set of rows: first the 2(d+1) rows that the
+    mean row scores lowest, then, each round, up to 2(d+1) more rows that
+    miss the margin, lowest score first.  A working set's optimum bounds
+    the full LP's from above, so a miss there is a miss, and a classifier
+    that clears every row settles it."""
+    floor = gamma - bnb.INT_TOL * (1 + gamma)
+    batch = 2 * rows.shape[1]
+    work = np.argsort(rows @ rows.mean(axis=0), kind="stable")[:batch]
+    while True:
+        w = _margin_lp(rows[work], floor)
+        if w is None:
+            return None
+        scores = rows @ w
+        missing = np.flatnonzero(scores < floor)
+        missing = missing[~np.isin(missing, work)]
+        if not missing.size:
+            return LinearClassifier.from_raw(w)
+        work = np.concatenate(
+            [work, missing[np.argsort(scores[missing], kind="stable")[:batch]]]
+        )
+
+
+def _margin_lp(rows: np.ndarray, floor: float) -> Optional[np.ndarray]:
+    """The w of max t s.t. rows . w >= t, ||w||_1 <= 1, or None when t stays
+    below ``floor``.  With w = w+ - w- and t at its lower bound, the
+    all-slack basis is feasible, so the cold solve needs no phase 1."""
+    k, nc = rows.shape
+    reach = float(np.abs(rows).max()) + abs(floor)
+    lp = LinearProgram(
+        objective=np.concatenate([np.zeros(2 * nc), [-1.0]]),
+        row_coefs=np.vstack(
+            [
+                np.hstack([rows, -rows, -np.ones((k, 1))]),
+                np.concatenate([np.ones(2 * nc), [0.0]]),
+            ]
+        ),
+        row_relations=(GREATER_EQUAL,) * k + (LESS_EQUAL,),
+        row_rhs=np.concatenate([np.zeros(k), [1.0]]),
+        var_lo=np.concatenate([np.zeros(2 * nc), [-reach]]),
+        var_hi=np.concatenate([np.ones(2 * nc), [reach]]),
+    )
+    sol = solve_lp(lp)
+    if sol.status != "optimal" or -sol.objective_value < floor:
+        return None
+    return sol.values[:nc] - sol.values[nc : 2 * nc]

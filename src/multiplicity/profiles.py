@@ -10,7 +10,13 @@ All level-set membership tests compare integer mistake counts; floating
 rates never decide anything.  Both paths solve every program through one
 step (``_solve``): warm start, solve, decode, and add the classifier to
 the bank, the audit's one scorer of classifiers on the training cells
-(sides, mistakes, conflicts with h0, margin).  The programs of one path
+(sides, mistakes, conflicts with h0, margin).  On data with at most three
+features the solve step first consults the labeling pass
+(``labelings``), which the bank runs once for both paths: a program
+whose cheapest labelings a classifier realizes with the margin is
+certified without branch-and-bound (0 nodes), and any other program is
+solved by branch-and-bound with the pass's lower bound as its hint.  The
+baseline is always solved by branch-and-bound.  The programs of one path
 are near-copies, so every root LP but the first starts from a related
 optimal basis: a disc program differs from the previous one only in the
 level row's right-hand side, and a flip program is the baseline program
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +66,7 @@ from .formulations import (
     classifier_from_solution,
     margin_clearance,
 )
+from .labelings import certify, labeling_bounds
 from .simplex import basis_with_row
 
 
@@ -265,6 +273,7 @@ class ClassifierBank:
         self.classifiers, self.sides, self.mistakes, self.conflicts = [], [], [], []
         self.margins, self.clears = [], []
         self._flips, self._order, self._rows = [], [], {}
+        self._labelings = None  # (thresholds, the pass's LabelingBounds or None)
         self.add(h0)
         self.add(h0.negated())
         self.risk = RiskReport(self.mistakes[0], dataset.n)
@@ -288,6 +297,16 @@ class ClassifierBank:
         self._flips.append(np.where(self.base_side, -scores, scores) >= self._flip_floor)
         bisect.insort(self._order, row, key=self.mistakes.__getitem__)
         return row
+
+    def labelings(self, thresholds):
+        """The labeling pass over the bank's cells (``labeling_bounds``):
+        candidates for every flip program and for the disc program at each
+        of the mistake ``thresholds``, or None where the pass does not
+        apply.  It runs once per bank and thresholds."""
+        key = tuple(thresholds)
+        if self._labelings is None or self._labelings[0] != key:
+            self._labelings = key, labeling_bounds(self.dataset, self.base_side, key)
+        return self._labelings[1]
 
     def flipping(self, cell: int):
         """The classifiers that flip ``cell`` with margin, fewest mistakes
@@ -364,6 +383,7 @@ def discrepancy_path(
     solved = {}  # grid index -> SolveResult
     pinned = []  # (row, grid index, count) of witnesses that miss the margin
     best, counts = bank.best_placed(thresholds)
+    labelings = bank.labelings(thresholds)
     index, root = 0, None
     while index is not None:
         eps = eps_values[index]
@@ -371,8 +391,10 @@ def discrepancy_path(
             bank, build_disc_mip(dataset, h0, eps, bank.gamma), budget,
             [bank.classifiers[best[index]] if best[index] >= 0 else h0],
             f"witness at eps={eps}", node_log=node_log, root_start=root,
+            labelings=None if labelings is None else labelings.disc[index],
         )
-        solved[index], root = result, result.root_basis
+        solved[index] = result
+        root = root if result.root_basis is None else result.root_basis
         # MIP minimizes agreements: incumbent -> discrepancy lower bound,
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
@@ -432,16 +454,24 @@ def _next_solve(solved, lows, ups):
 
 
 def _solve(
-    bank, model, budget, candidates, what, hint=None, node_log=None, root_start=None
+    bank, model, budget, candidates, what, hint=None, node_log=None, root_start=None,
+    labelings=None,
 ):
     """Solve one path program, warm-started from the first of ``candidates``
     that it accepts, with ``hint`` as its ``lower_bound_hint`` and its root
-    LP started from ``root_start`` (cold when None).  No path
-    program is infeasible (h0 lies in every level set and its negation
-    flips every cell), so an infeasible one raises.  The decoded incumbent
-    joins ``bank``, which scores it; a certified one that scores a training
-    point inside the margin band, where the indicator semantics are not
-    exact, warns.  Returns (result, the incumbent's bank row or None).
+    LP started from ``root_start`` (cold when None).
+
+    ``labelings`` are the labeling pass's candidates for the program, or
+    None.  ``certify`` checks them first: a verified one is the certified
+    result, with 0 nodes and no branch-and-bound.  Otherwise their proven
+    bound joins ``hint``.  Past the budget's deadline it runs no LP.
+
+    No path program is infeasible (h0 lies in every level set and its
+    negation flips every cell), so an infeasible one raises.  The decoded
+    incumbent joins ``bank``, which scores it; a certified one that scores
+    a training point inside the margin band, where the indicator semantics
+    are not exact, warns.  Returns (result, the incumbent's bank row or
+    None).
     """
     warm = None
     for g in candidates:
@@ -449,10 +479,17 @@ def _solve(
         if bnb.check_feasible(model, candidate)[0]:
             warm = candidate
             break
-    result = bnb.solve(
-        model, budget=budget, warm_start=warm, lower_bound_hint=hint,
-        node_log=node_log, root_start=root_start,
-    )
+    result = None
+    if labelings is not None:
+        deadline = None if budget is None else budget.deadline
+        checks = deadline is None or time.monotonic() <= deadline
+        result, bound = certify(model, bank.dataset, labelings, warm, checks)
+        hint = bound if hint is None else max(hint, bound)
+    if result is None:
+        result = bnb.solve(
+            model, budget=budget, warm_start=warm, lower_bound_hint=hint,
+            node_log=node_log, root_start=root_start,
+        )
     if result.status == bnb.STATUS_INFEASIBLE:
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
     if result.incumbent is None:
@@ -507,6 +544,8 @@ def ambiguity_path(
     if baseline is not None:
         hint, root = baseline.lower_bound, baseline.root_basis
 
+    thresholds = grid.thresholds(base.mistakes)
+    labelings = bank.labelings(thresholds)
     results, classifiers = [], []
     for c in range(len(dataset.cells.X)):
         model = build_flip_mip(dataset, h0, c, bank.gamma)
@@ -514,6 +553,7 @@ def ambiguity_path(
         result, row = _solve(
             bank, model, budget, bank.flipping(c), f"flip classifier of cell {c}",
             hint=hint, node_log=node_log, root_start=start,
+            labelings=None if labelings is None else labelings.flips[c],
         )
         if result.certified and bank.sides[row][c] == bank.base_side[c]:
             raise InternalConsistencyError(
@@ -532,7 +572,6 @@ def ambiguity_path(
     )
 
     # Counts read at increasing thresholds are already monotone.
-    thresholds = grid.thresholds(base.mistakes)
     low, up, total = _flippable(pool_out, bank.weights, thresholds)
     measures = _measures(low, up, low == up, total)
     entries = tuple(

@@ -1,4 +1,7 @@
+import csv
+import random
 from itertools import product
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -40,12 +43,16 @@ def node_lps(monkeypatch):
     return calls
 
 
-def random_binary_dataset(rng: np.random.Generator, max_weight: int = 3) -> Dataset:
+def random_binary_dataset(
+    rng: np.random.Generator, max_weight: int = 3, d: Optional[int] = None
+) -> Dataset:
     """Weighted dataset over binary feature cells, both classes present.
 
-    d <= 3 and total weight <= 24, the regime the arrangement oracle covers.
+    d <= 3 unless given and total weight <= 24, the regime the arrangement
+    oracle covers.
     """
-    d = int(rng.integers(1, 4))
+    if d is None:
+        d = int(rng.integers(1, 4))
     cells = list(product((0.0, 1.0), repeat=d))
     k = int(rng.integers(2, len(cells) + 1))
     chosen = [cells[i] for i in rng.choice(len(cells), size=k, replace=False)]
@@ -65,6 +72,37 @@ def random_binary_dataset(rng: np.random.Generator, max_weight: int = 3) -> Data
     if total < 8:  # keep epsilon grids k/n meaningful
         examples.append(Example((1.0,) + chosen[0], -1, weight=8 - total))
     return Dataset.build(examples)
+
+
+def write_ladder_csv(path, rows: int, seed: int) -> None:
+    """``rows`` noisy linearly-labelled points with three continuous
+    features on a 0.001 grid and two groups: every row its own cell."""
+    rng = random.Random(seed)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "label", "group"])
+        for _ in range(rows):
+            x = [round(rng.random(), 3) for _ in range(3)]
+            group = "A" if rng.random() < 0.5 else "B"
+            score = x[0] - 0.7 * x[1] + 0.4 * x[2] + (0.1 if group == "A" else -0.1)
+            label = 1 if score + rng.gauss(0.0, 0.3) > 0.25 else 0
+            writer.writerow([repr(v) for v in x] + [label, group])
+
+
+def write_binary_csv(path, rows: int, seed: int, features: int = 4) -> None:
+    """``rows`` noisy linearly-labelled points with binary features and two
+    groups.  With four features the labeling pass does not apply, so every
+    path program is solved by branch-and-bound."""
+    rng = random.Random(seed)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(features)] + ["label", "group"])
+        for _ in range(rows):
+            x = [int(rng.random() < 0.5) for _ in range(features)]
+            group = "A" if rng.random() < 0.5 else "B"
+            score = sum(x[j] * (-1) ** j / (j + 1) for j in range(features))
+            label = 1 if score + rng.gauss(0.0, 0.5) > 0.2 else 0
+            writer.writerow(x + [label, group])
 
 
 def random_box_lp(rng: np.random.Generator):

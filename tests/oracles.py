@@ -14,6 +14,12 @@ Nothing here touches the package's simplex or branch-and-bound code paths.
 * reference_simplex: a from-scratch textbook two-phase full-tableau simplex
   on an explicit standard-form transformation (shifted variables, explicit
   upper-bound rows, artificial basis, Bland's rule throughout).
+
+* Labeling enumeration: the optimum of every flip and disc program, for
+  binary or continuous features, from all 2^m labelings of the m cells.  A
+  labeling counts for a program when some w with ||w||_1 <= 1 scores each
+  cell the program pins at least gamma on the labeling's side, which
+  reference_simplex decides.
 """
 
 from fractions import Fraction
@@ -296,3 +302,86 @@ def reference_simplex(objective, row_coefs, row_relations, row_rhs, var_lo, var_
         if basis[k] < n:
             x[basis[k]] = lo[basis[k]] + T[k, -1]
     return "optimal", float(c @ x)
+
+
+# ---------------------------------------------------------------------------
+# path-program optima from every labeling of the cells
+# ---------------------------------------------------------------------------
+
+
+def margin_reachable(rows, gamma):
+    """Whether some w with ||w||_1 <= 1 has rows . w >= gamma, for rows that
+    are cells times their required sign: max t s.t. rows . (w+ - w-) >= t,
+    sum(w+ + w-) <= 1, by reference_simplex."""
+    rows = np.asarray(rows, float)
+    k, nc = rows.shape
+    reach = float(np.abs(rows).max()) + gamma
+    coefs = np.vstack(
+        [
+            np.hstack([rows, -rows, -np.ones((k, 1))]),
+            np.concatenate([np.ones(2 * nc), [0.0]]),
+        ]
+    )
+    status, value = reference_simplex(
+        np.concatenate([np.zeros(2 * nc), [-1.0]]),
+        coefs,
+        [">="] * k + ["<="],
+        np.concatenate([np.zeros(k), [1.0]]),
+        np.concatenate([np.zeros(2 * nc), [-reach]]),
+        np.concatenate([np.ones(2 * nc), [reach]]),
+    )
+    return status == "optimal" and -value >= gamma - 1e-9
+
+
+def labeling_optima(dataset, h0, thresholds, gamma):
+    """Exact optima of the path programs around ``h0``: the fewest mistakes
+    of a classifier that flips each cell (a dict keyed by the cell's
+    features), and the fewest agreements with h0 within each mistake
+    threshold (a list).
+
+    A labeling L of the cells costs mistakes sum_c (neg_c if L_c = +1 else
+    pos_c) and agreements sum of the weight of the cells where L_c is h0's
+    side.  A disc program pins every cell.  A flip program pins every mixed
+    cell, every cell that L puts on its majority side (ties go to +1) and
+    the flipped cell; a pure cell that L gets wrong counts as a mistake
+    wherever the classifier scores it.
+    """
+    counts = {}
+    for ex in dataset.examples:
+        pos, neg = counts.get(ex.features, (0, 0))
+        counts[ex.features] = (pos + ex.weight, neg) if ex.label == 1 else (pos, neg + ex.weight)
+    cells = list(counts)
+    X = np.array(cells, float)
+    pos = np.array([counts[c][0] for c in cells])
+    neg = np.array([counts[c][1] for c in cells])
+    base = np.where(X @ np.asarray(h0.coefficients) > 0.0, 1, -1)
+    majority = np.where(pos >= neg, 1, -1)
+    mixed = (pos > 0) & (neg > 0)
+    reachable = {}
+
+    def clears(labels, pins):
+        key = tuple(int(labels[c]) if pins[c] else 0 for c in range(len(cells)))
+        if key not in reachable:
+            rows = (labels[:, None] * X)[pins]
+            reachable[key] = margin_reachable(rows, gamma)
+        return reachable[key]
+
+    flips = {c: None for c in cells}
+    disc = [None] * len(thresholds)
+    for signs in product((-1, 1), repeat=len(cells)):
+        labels = np.array(signs)
+        mistakes = int(np.where(labels > 0, neg, pos).sum())
+        agreements = int((pos + neg)[labels == base].sum())
+        for k, t in enumerate(thresholds):
+            if mistakes <= t and (disc[k] is None or agreements < disc[k]):
+                if clears(labels, np.ones(len(cells), bool)):
+                    disc[k] = agreements
+        for f, cell in enumerate(cells):
+            best = flips[cell]
+            if labels[f] == base[f] or (best is not None and best <= mistakes):
+                continue
+            pins = mixed | (labels == majority)
+            pins[f] = True
+            if clears(labels, pins):
+                flips[cell] = mistakes
+    return flips, disc

@@ -36,6 +36,8 @@ from multiplicity.datasets import (
 )
 from fractions import Fraction
 
+from conftest import write_binary_csv
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -270,7 +272,9 @@ class TestAudit:
             lower = Fraction(entry["discrepancy"]["lower_exact"])
             assert conflict_count(witness, h0, train).mistakes == n * lower
 
-    @pytest.mark.parametrize("source, rows", [("tyranny", 6), ("compas_style", 11)])
+    # tyranny's path programs are certified by the labeling pass, those of
+    # four binary features by branch-and-bound
+    @pytest.mark.parametrize("source, rows", [("tyranny", 6), ("binary4", 22)])
     def test_every_classifier_is_scored_once(self, tmp_path, monkeypatch, source, rows):
         # the bank scores each classifier once, and no stage scores one again
         from multiplicity import profiles
@@ -285,10 +289,11 @@ class TestAudit:
 
         monkeypatch.setattr(profiles, "margin_clearance", counted)
         config = RunConfig(dataset="tyranny", outdir=str(tmp_path))
-        if source == "compas_style":
+        if source == "binary4":
+            write_binary_csv(tmp_path / "binary4.csv", 100, 3)
             config = RunConfig(
-                dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
-                group_column="race", outdir=str(tmp_path),
+                dataset=str(tmp_path / "binary4.csv"), group_column="group",
+                outdir=str(tmp_path),
             )
         run = run_stages(config, AUDIT_STAGES)
         assert len(run["bank"].classifiers) == rows
@@ -808,6 +813,16 @@ class TestConfigFile:
         cfg.write_text("node_limit = none\n")
         assert _build_config(parser.parse_args(["audit", "--config", str(cfg)])).node_limit is None
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfdataset = tyranny\nepsilons = 0\n")
+        from multiplicity.cli import _build_config
+
+        config = _build_config(build_parser().parse_args(["audit", "--config", str(cfg)]))
+        assert config.dataset == "tyranny"
+        code = main(["baseline", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
+        assert code == 0
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("speed = ludicrous\n")
@@ -999,10 +1014,11 @@ class TestTracing:
         monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
         from tracing import _SPANS, DETERMINISTIC_COUNTS, Tracer
 
+        # four binary features: every path program goes to branch-and-bound
+        write_binary_csv(tmp_path / "binary4.csv", 100, 3)
         config = RunConfig(
-            dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
-            group_column="race", adhoc=True, pool_alphas=2, pool_lambdas=3,
-            outdir=str(tmp_path),
+            dataset=str(tmp_path / "binary4.csv"), group_column="group", adhoc=True,
+            pool_alphas=2, pool_lambdas=3, outdir=str(tmp_path),
         )
         tracer = Tracer()
         tracer.install()
@@ -1012,9 +1028,9 @@ class TestTracing:
             tracer.uninstall()
         for layer in {layer for _, _, layer in _SPANS} | {"formulations.heuristic"}:
             assert tracer.calls[layer] > 0, layer
-        assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 12
+        assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 25
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [83, 83, 147]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [527, 527, 1790]
 
 
 class TestExportMps:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from multiplicity import branch_bound, cli
+from multiplicity import branch_bound
 from multiplicity.branch_bound import SolveBudget, check_feasible, solve
 from multiplicity.core import (
     Dataset,
@@ -354,27 +354,36 @@ class TestAmbiguityPath:
             with pytest.raises(InternalConsistencyError):
                 PathologicalPool(mistakes_lower=lower, mistakes_upper=[3, 2], **table)
 
-    def test_past_deadline_lower_bounds_follow_baseline_certification(self, xor):
+    def test_past_deadline_lower_bounds_follow_baseline_certification(self):
         # every solve stops before its root LP, so its lower bound is the
-        # baseline hint or nothing at all
-        h0, res = fit_baseline(xor)
-        grid = EpsilonGrid((Fraction(0),), 100)
+        # baseline hint or nothing at all (four features: no labeling pass)
+        data = random_binary_dataset(np.random.default_rng(0), d=4)
+        h0, res = fit_baseline(data)
+        grid = EpsilonGrid((Fraction(0),), data.n)
         budget = SolveBudget(deadline=time.monotonic() - 1)
-        for baseline, floor in ((res, 25), (None, 0)):
+        for baseline, floor in ((res, 6), (None, 0)):
             _, pool, results = ambiguity_path(
-                ClassifierBank(xor, h0), grid, budget=budget, baseline=baseline
+                ClassifierBank(data, h0), grid, budget=budget, baseline=baseline
             )
             assert [r.nodes_explored for r in results] == [0] * len(results)
             assert not pool.certified.any()
-            assert pool.baseline_mistakes == 25
+            assert pool.baseline_mistakes == 6
             assert (pool.mistakes_lower == floor).all()
 
-    # xor: the second cell's best warm start is the first cell's flip;
-    # seed 72: two feasible classifiers tie, so the tie order shows
+    # four features, so every flip program goes to branch-and-bound.  xor
+    # (with two zero features): the second cell's best warm start is the
+    # first cell's flip; seed 8: two feasible classifiers tie, so the tie
+    # order shows
     @pytest.mark.parametrize(
         "make_data",
-        [xor_dataset, lambda: random_binary_dataset(np.random.default_rng(72))],
-        ids=["xor", "random-72"],
+        [
+            lambda: Dataset.build(
+                Example(ex.features + (0.0, 0.0), ex.label, weight=ex.weight)
+                for ex in xor_dataset().examples
+            ),
+            lambda: random_binary_dataset(np.random.default_rng(8), d=4),
+        ],
+        ids=["xor", "random4-8"],
     )
     def test_each_flip_warm_starts_from_the_best_earlier_classifier(
         self, make_data, monkeypatch
@@ -413,8 +422,8 @@ class TestAmbiguityPath:
     def test_certified_flip_that_keeps_its_cell_raises(self):
         # at gamma 1e-9 the margin rows are below the LP's row tolerance,
         # and the certified flip classifier of cell 0 predicts like h0 there
-        # (the CLI rejects such a gamma)
-        data = cli.load_dataset(cli.RunConfig(dataset="tyranny"))[0]
+        # (the CLI rejects such a gamma); four features: branch-and-bound
+        data = random_binary_dataset(np.random.default_rng(0), d=4)
         model = build_baseline_mip(data, 1e-9)
         base = solve(model)
         h0 = classifier_from_solution(model, base.incumbent)
@@ -428,8 +437,9 @@ class TestAmbiguityPath:
 
 class TestRootStarts:
     def test_every_root_but_the_first_starts_warm(self, node_lps):
-        # tyranny: two disc solves on its default grid, four flip solves
-        data = cli.load_dataset(cli.RunConfig(dataset="tyranny"))[0]
+        # four features, so every path program goes to branch-and-bound:
+        # three disc solves on its default grid, eight flip solves
+        data = random_binary_dataset(np.random.default_rng(0), d=4)
         model = build_baseline_mip(data)
         base = solve(model)
         assert node_lps[0][1] is None and base.root_basis is node_lps[0][2].basis
@@ -439,7 +449,7 @@ class TestRootStarts:
         del node_lps[:]
         _, solves = discrepancy_path(ClassifierBank(data, h0), grid)
         roots = [(start, sol) for fixings, start, sol in node_lps if not fixings]
-        assert len(roots) == len(solves) == 2
+        assert len(roots) == len(solves) == 3
         assert roots[0][0] is None
         for (_, previous), (start, _) in zip(roots, roots[1:]):
             assert start is previous.basis

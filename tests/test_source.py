@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "multiplicity"
 # Lowest layer first: a module may import only modules before it.
 LAYERS = (
     "core", "datasets", "simplex", "branch_bound", "formulations",
-    "profiles", "pool", "reports", "cli",
+    "labelings", "profiles", "pool", "reports", "cli",
 )
 
 
