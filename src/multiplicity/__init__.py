@@ -21,7 +21,7 @@ from .formulations import (
     compute_big_m,
     export_mps,
 )
-from .pool import PenaltyGrid, PoolModel, adhoc_measures, fit_pool
+from .pool import PenaltyGrid, Pool, PoolModel, adhoc_measures, fit_pool
 from .profiles import (
     ClassifierBank,
     EpsilonGrid,
@@ -67,6 +67,7 @@ __all__ = [
     "ambiguity_path",
     "check_discrepancy_bound",
     "PenaltyGrid",
+    "Pool",
     "PoolModel",
     "fit_pool",
     "adhoc_measures",

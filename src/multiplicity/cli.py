@@ -315,6 +315,12 @@ def _baseline(run: dict, budget) -> dict:
     result = bnb.solve(
         model, budget=budget, node_log=_node_logger(run["node_log"], "baseline")
     )
+    if result.status == bnb.STATUS_INFEASIBLE:
+        # feature cells with both labels must be placed at margin gamma
+        raise InputError(
+            f"no classifier places every mixed feature cell at margin gamma="
+            f"{config.gamma}; use a smaller --gamma"
+        )
     if result.incumbent is None:
         raise InternalConsistencyError("baseline training found no classifier")
     h0 = classifier_from_solution(model, result.incumbent)

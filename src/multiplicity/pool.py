@@ -9,21 +9,26 @@ fold) problem, where a cross-validation fold is the full data with that
 fold's weights set to zero.  Picks a baseline by 5-fold cross-validated
 error and reads ambiguity and discrepancy off the pool, every count scored
 on the cells with their weights.
+The fitted pool is one ``Pool`` table of per-model arrays, from the fit
+through the measures to ``pool.json``; a ``PoolModel`` row is built only
+when someone reads one.
 Pool estimates are lower bounds by construction (the pool is a subset of
 the level set), so every emitted value is marked uncertified.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, LinearClassifier, RiskReport, SingleClassError
+from .core import L1_TOL, Dataset, LinearClassifier, RiskReport, SingleClassError
 from .profiles import EpsilonGrid, MeasureValue, MultiplicityProfile, ProfileEntry
 
 CD_TOL = 1e-7
@@ -45,10 +50,15 @@ class PenaltyGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if any(a < 0 or a > 1 for a in self.alphas):
+        if not all(0.0 <= a <= 1.0 for a in self.alphas):
             raise ValueError("alpha values must lie in [0, 1]")
         if self.lambdas_per_alpha < 1:
             raise ValueError("need at least one lambda per alpha")
+        # NaN fails both comparisons; a ratio above 1 would make the path rise
+        if not 0.0 < self.lambda_min_ratio <= 1.0:
+            raise ValueError(
+                f"lambda_min_ratio must lie in (0, 1], got {self.lambda_min_ratio!r}"
+            )
 
     @property
     def size(self) -> int:
@@ -65,6 +75,8 @@ class PenaltyGrid:
 
 @dataclass(frozen=True)
 class PoolModel:
+    """One model of a ``Pool``, as objects."""
+
     classifier: LinearClassifier
     raw_coefficients: tuple
     alpha: float
@@ -72,6 +84,86 @@ class PoolModel:
     train_risk: RiskReport
     cv_risk: float
     converged: bool
+
+
+def _l1_norms(rows: np.ndarray) -> np.ndarray:
+    """The l1 norm of each row, summed column by column in coefficient
+    order, so each one is bit-identical to ``LinearClassifier``'s."""
+    norms = np.zeros(len(rows))
+    for column in rows.T:
+        norms = norms + np.abs(column)
+    return norms
+
+
+# Pool's per-model columns and their dtypes.
+_COLUMNS = {
+    "alphas": float,
+    "lambdas": float,
+    "coefficients": float,
+    "raw_coefficients": float,
+    "mistakes": np.int64,
+    "cv_risks": float,
+    "converged": bool,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Pool(Sequence):
+    """A fitted pool as one table: row i of every column describes model i.
+
+    ``coefficients`` holds the unit-l1 rescaling of each row of
+    ``raw_coefficients`` (the zero vector stays zero), ``mistakes`` the
+    weighted training mistakes out of ``n``, and ``cv_risks`` the
+    cross-validated error (inf when no fold is usable).  The columns are
+    read-only copies.  The checks that ``LinearClassifier`` and
+    ``RiskReport`` make on one object run here once, over every row.
+
+    The pool is also a read-only sequence: an index gives a ``PoolModel``,
+    built when read, and a slice gives a ``Pool`` of those rows.
+    """
+
+    alphas: np.ndarray
+    lambdas: np.ndarray
+    coefficients: np.ndarray
+    raw_coefficients: np.ndarray
+    mistakes: np.ndarray
+    cv_risks: np.ndarray
+    converged: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({len(getattr(self, name)) for name in _COLUMNS}) != 1:
+            raise ValueError("every column needs one entry per model")
+        norms = _l1_norms(self.coefficients)
+        off = (norms != 0.0) & (np.abs(norms - 1.0) > L1_TOL)
+        if off.any():
+            raise ValueError(f"coefficients must have unit l1 norm, got {norms[off][0]}")
+        if (np.abs(self.coefficients) > 1.0 + L1_TOL).any():
+            raise ValueError("every coefficient must lie in [-1, 1]")
+        if self.n <= 0:
+            raise ValueError("n must be positive")
+        if ((self.mistakes < 0) | (self.mistakes > self.n)).any():
+            raise ValueError(f"mistakes must lie in [0, {self.n}]")
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return dataclasses.replace(self, **{c: getattr(self, c)[i] for c in _COLUMNS})
+        return PoolModel(
+            classifier=LinearClassifier(tuple(self.coefficients[i].tolist())),
+            raw_coefficients=tuple(self.raw_coefficients[i].tolist()),
+            alpha=float(self.alphas[i]),
+            lam=float(self.lambdas[i]),
+            train_risk=RiskReport(mistakes=int(self.mistakes[i]), n=self.n),
+            cv_risk=float(self.cv_risks[i]),
+            converged=bool(self.converged[i]),
+        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -215,7 +307,7 @@ def _fold_assignment(n_examples: int, seed: int) -> np.ndarray:
 
 def fit_pool(
     dataset: Dataset, grid: Optional[PenaltyGrid] = None, seed: int = 0
-) -> list:
+) -> Pool:
     """Fit the (alpha, lambda) grid and cross-validate every model.
 
     Per alpha the fits are the full data, then each usable fold (held-out
@@ -229,8 +321,9 @@ def fit_pool(
     model is converged when all of its fits are.  The lambdas are computed
     on the rows; the held-out and the training mistakes on the cells, fold
     r's held-out weight being the full weight less its fit's weight.
-    Deterministic for a fixed seed: fold assignment, path order and the fit
-    have no randomness.
+    Returns the pool alpha-major, each model being the full-data fit of
+    its (alpha, lambda).  Deterministic for a fixed seed: fold assignment,
+    path order and the fit have no randomness.
     """
     grid = grid or PenaltyGrid()
     X, y, cells, n = dataset.X, dataset.y, dataset.cells, dataset.n
@@ -280,38 +373,29 @@ def fit_pool(
     done = converged.reshape(coefs.shape[:3]).all(2).T.ravel()
     # models run alpha-major; each is the full-data fit of its alpha
     raw = coefs[:, :, 0].transpose(1, 0, 2).reshape(-1, X.shape[1])
-    # l1 norms summed column by column, in coefficient order, so each one is
-    # bit-identical to LinearClassifier.from_raw's; zero rows stay as they are
-    norms = np.abs(raw[:, 0])
-    for column in raw[:, 1:].T:
-        norms = norms + np.abs(column)
-    units = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
-    classifiers = [LinearClassifier(tuple(u)) for u in units.tolist()]
+    norms = _l1_norms(raw)
+    units = raw / np.where(norms == 0.0, 1.0, norms)[:, None]  # zero rows stay zero
     side = units @ cells.X.T > 0.0
-    mistakes = side @ cells.neg + ~side @ cells.pos
-    alpha_of = np.repeat(grid.alphas, n_lambdas)
-    return [
-        PoolModel(
-            classifier=clf, raw_coefficients=tuple(w.tolist()), alpha=float(alpha),
-            lam=float(lam), train_risk=RiskReport(mistakes=int(k), n=n),
-            cv_risk=float(cv), converged=bool(ok),
-        )
-        for clf, w, alpha, lam, k, cv, ok in zip(
-            classifiers, raw, alpha_of, lambdas.ravel(), mistakes, cv_risks, done
-        )
-    ]
-
-
-def pool_baseline_index(models: Sequence[PoolModel]) -> int:
-    """Minimum 5-fold CV error; ties go to larger lambda, then larger alpha."""
-    return min(
-        range(len(models)),
-        key=lambda i: (models[i].cv_risk, -models[i].lam, -models[i].alpha, i),
+    return Pool(
+        alphas=np.repeat(grid.alphas, n_lambdas),
+        lambdas=lambdas.ravel(),
+        coefficients=units,
+        raw_coefficients=raw,
+        mistakes=side @ cells.neg + ~side @ cells.pos,
+        cv_risks=cv_risks,
+        converged=done,
+        n=n,
     )
 
 
+def pool_baseline_index(pool: Pool) -> int:
+    """Minimum 5-fold CV error; ties go to larger lambda, then larger alpha,
+    then the earlier model."""
+    return int(np.lexsort((-pool.alphas, -pool.lambdas, pool.cv_risks))[0])
+
+
 def adhoc_measures(
-    models: Sequence[PoolModel], dataset: Dataset, grid: EpsilonGrid
+    pool: Pool, dataset: Dataset, grid: EpsilonGrid
 ) -> MultiplicityProfile:
     """Pool-based ambiguity and discrepancy around the pool's CV baseline.
 
@@ -321,26 +405,24 @@ def adhoc_measures(
     is marked uncertified: with only a pool in hand these are lower-bound
     estimates of the exact measures, not bracketing intervals.
     """
-    if not models:
+    if not pool:
         raise ValueError("pool must be nonempty")
-    base_idx = pool_baseline_index(models)
-    base = models[base_idx]
+    base_idx = pool_baseline_index(pool)
+    base_risk = pool[base_idx].train_risk
     n = dataset.n
     if grid.n != n:
         raise ValueError("grid denominator does not match dataset weight")
 
     cells = dataset.cells
-    units = np.array([m.classifier.coefficients for m in models])
-    side = units @ cells.X.T > 0.0  # the tie rule of ``predictions``
-    mistakes = np.array([m.train_risk.mistakes for m in models])
-    order = np.argsort(mistakes, kind="stable")
+    side = pool.coefficients @ cells.X.T > 0.0  # the tie rule of ``predictions``
+    order = np.argsort(pool.mistakes, kind="stable")
     conflicts = (side != side[base_idx])[order]
     weights = cells.pos + cells.neg
     ambiguity = np.logical_or.accumulate(conflicts) @ weights
     discrepancy = np.maximum.accumulate(conflicts @ weights)
     # the baseline is in every level set, so no prefix is empty
-    budgets = grid.thresholds(base.train_risk.mistakes)
-    ends = np.searchsorted(mistakes[order], budgets, side="right") - 1
+    budgets = grid.thresholds(base_risk.mistakes)
+    ends = np.searchsorted(pool.mistakes[order], budgets, side="right") - 1
 
     def uncertified(counts):
         values = (Fraction(int(c), n) for c in counts[ends])
@@ -348,4 +430,4 @@ def adhoc_measures(
 
     measures = zip(grid.values, uncertified(discrepancy), uncertified(ambiguity))
     entries = tuple(ProfileEntry(*m) for m in measures)
-    return MultiplicityProfile(baseline=base.train_risk, entries=entries, witnesses={})
+    return MultiplicityProfile(baseline=base_risk, entries=entries, witnesses={})

@@ -17,6 +17,13 @@ Each report is written once per run.  The epsilon column of
 value (``epsilon_labels``), made once and passed to every writer.  Entries
 of one step of a profile share their ``MeasureValue``, and each measure's
 fields are formatted once per report, however many entries repeat it.
+
+Every JSON file goes through ``write_json``, whose bytes are those of
+``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.  It
+hands runs of scalars to json's C encoder, a depth of the payload at a
+time, and encodes a container that repeats at one depth (a shared
+measure dict) once.  ``write_pool`` reads the columns of a ``pool.Pool``,
+not one object per model.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import csv
 import json
 import math
 from fractions import Fraction
+from itertools import chain, compress, groupby, islice, repeat
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Optional
 
@@ -77,8 +86,96 @@ def _once_per_value(fn):
     return get
 
 
+_CONTAINERS = (dict, list, tuple)
+# json's C encoder, one scalar per line: the text of a run of scalars is
+# ``encode(run)[1:-1].split("\n")``, exact because an encoded scalar is
+# ASCII and holds no raw newline.
+_encode_run = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
+
+
+def _run(scalars) -> list:
+    return _encode_run(scalars)[1:-1].split("\n") if scalars else []
+
+
+def _block(brackets: str, parts, depth: int) -> str:
+    """A container at ``depth`` from its items' texts, as json's
+    ``indent=2`` lays it out."""
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * depth + brackets[1]
+
+
+def _key_text(key) -> str:
+    """A dict key as json converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode_run([key])[1:-1]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _key_groups(dicts) -> dict:
+    """``dicts`` by their sorted keys, in first-seen order."""
+    groups = {}
+    for keys, run in groupby(dicts, dict.keys):
+        groups.setdefault(tuple(sorted(keys)), []).extend(run)
+    return groups
+
+
+def _values(items: list, depth: int) -> list:
+    """The text of each of ``items`` as a value at ``depth``.
+
+    The payload is encoded a depth at a time: the items of every list at
+    one depth and the values of every dict there go to one ``_values`` call
+    a depth down, so the scalars of each depth are one run, and the keys of
+    its dicts another.  A container that appears twice at one depth is
+    encoded once.
+    """
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        return _run(items)
+    nested = list(map(isinstance, items, repeat(_CONTAINERS)))
+    containers = list(compress(items, nested))
+    texts = _containers(dict(zip(map(id, containers), containers)), depth)
+    texts = map(texts.__getitem__, map(id, containers))
+    if len(containers) == len(items):
+        return list(texts)
+    scalars = iter(_run(list(compress(items, map(not_, nested)))))
+    return list(map(next, map((scalars, texts).__getitem__, nested)))
+
+
+def _containers(objs: dict, depth: int) -> dict:
+    """The text of each container of ``objs`` (by id) at ``depth``.  Dicts
+    that share a key set read their values a column at a time and fill one
+    template."""
+    arrays = [v for v in objs.values() if not isinstance(v, dict)]
+    groups = list(_key_groups([v for v in objs.values() if isinstance(v, dict)]).items())
+    column_values = (map(itemgetter(k), group) for keys, group in groups for k in keys)
+    texts = iter(_values(list(chain(*arrays, *column_values)), depth + 1))
+    names = iter(_run([_key_text(k) for keys, _ in groups for k in keys]))
+    done = {id(a): _block("[]", list(islice(texts, len(a))), depth) for a in arrays}
+    for keys, group in groups:
+        template = _block("{}", [next(names).replace("%", "%%") + ": %s" for _ in keys], depth)
+        columns = [list(islice(texts, len(group))) for _ in keys]
+        rows = zip(*columns) if keys else [()] * len(group)
+        done.update(zip(map(id, group), map(template.__mod__, rows)))
+    return done
+
+
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, byte for byte.
+
+    json encodes with ``indent`` in pure Python, one value at a time.  Here
+    every run of scalars goes through json's C encoder in one call
+    (``_values``): at least the values of a flat container, or a column of
+    dicts that share a key set.  A payload that json rejects raises json's
+    own error; one nested too deep for this encoder is written by json.
+    """
+    try:
+        text = _values([payload], 0)[0]
+    except (TypeError, ValueError, RecursionError):
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -167,27 +264,32 @@ def _finite(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None  # JSON has no inf or NaN
 
 
-def write_pool(outdir: Path, models, adhoc_profile: MultiplicityProfile, labels) -> None:
-    """``labels``: the epsilon label of each entry of ``adhoc_profile``."""
-    base_idx = pool_baseline_index(models)
+def write_pool(outdir: Path, pool, adhoc_profile: MultiplicityProfile, labels) -> None:
+    """``pool``: a ``pool.Pool``; ``labels``: the epsilon label of each
+    entry of ``adhoc_profile``."""
+    base_idx = pool_baseline_index(pool)
+    base = pool[base_idx]
+    columns = (pool.alphas, pool.lambdas, pool.mistakes, pool.cv_risks, pool.converged)
     write_json(
         outdir / "pool.json",
         {
-            "n_models": len(models),
+            "n_models": len(pool),
             "baseline_index": base_idx,
-            "baseline_alpha": models[base_idx].alpha,
-            "baseline_lambda": models[base_idx].lam,
-            "baseline_cv_risk": _finite(models[base_idx].cv_risk),
+            "baseline_alpha": base.alpha,
+            "baseline_lambda": base.lam,
+            "baseline_cv_risk": _finite(base.cv_risk),
             "profile": profile_json(adhoc_profile, labels),
             "models": [
                 {
-                    "alpha": m.alpha,
-                    "lambda": m.lam,
-                    "train_mistakes": m.train_risk.mistakes,
-                    "cv_risk": _finite(m.cv_risk),
-                    "converged": m.converged,
+                    "alpha": alpha,
+                    "lambda": lam,
+                    "train_mistakes": mistakes,
+                    "cv_risk": _finite(cv_risk),
+                    "converged": converged,
                 }
-                for m in models
+                for alpha, lam, mistakes, cv_risk, converged in zip(
+                    *(c.tolist() for c in columns)
+                )
             ],
         },
     )

@@ -426,6 +426,39 @@ class TestAudit:
         )
         assert json.loads(got)["n_models"] == 1100
 
+    # SHA-256 of each report of the default compas_style --adhoc audit
+    # (whose pool.json the test above pins) and of the default tyranny audit
+    PINNED_REPORTS = {
+        "compas_style-adhoc": {
+            "profile.json": "693cd45cc3a95afcd672e2188de4b21b6494fbd3b94ff7e9b58a4e4b1c4ee1d3",
+            "profile.csv": "daa6690d4a89468a75e0e94c9fde1357df9d6415b825849fa30c0bd3c374e767",
+            "baseline.json": "9c1d2d0e678a76f325d2fff1a078b0db86ab4353f3ea625401792b5c18068b34",
+            "burden.csv": "aee5cc440f24c1e24c1aa1951ecaddd34ca89a7a255fbf8eac76f98e42644513",
+        },
+        "tyranny": {
+            "profile.json": "82fddfc3daf470671391016a25e7cbb0608ac2ce669799e401cc1d6f11809633",
+            "profile.csv": "45c69dd055c612e081b5640c4ace0bd5c45b115db57f9a6ca1a1204a26b4a51f",
+            "baseline.json": "f276a2d70fff809798d9614e50c0611a25856e18c5cf18ca55b29c7d52fcd2cd",
+            "burden.csv": "ebafb2d7c541f4fb032c249b11c5d1567126a8185d0aac1a37556a7a398dd22c",
+        },
+    }
+
+    @pytest.mark.parametrize("source", sorted(PINNED_REPORTS))
+    def test_default_reports_are_pinned(self, tmp_path, source):
+        if source == "tyranny":
+            config = RunConfig(dataset="tyranny", outdir=str(tmp_path))
+        else:
+            config = RunConfig(
+                dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+                group_column="race", adhoc=True, outdir=str(tmp_path),
+            )
+        run_audit(config)
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.PINNED_REPORTS[source]
+        }
+        assert got == self.PINNED_REPORTS[source]
+
     def test_pool_json_is_strict_when_no_fold_is_usable(self, tmp_path):
         # two distinct training rows: every fold's training part has one
         # class, so no model has a CV risk and pool.json must say null
@@ -764,6 +797,26 @@ class TestExitCodes:
             ["audit", "--dataset", "xor", "--epsilons", epsilons, "--outdir", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("verb", ["audit", "baseline"])
+    def test_infeasible_baseline_program_is_two(self, tmp_path, capsys, verb):
+        # no unit-l1 classifier scores a binary cell above 1, so above
+        # gamma = 1 the compas cells that carry both labels cannot be placed
+        code = main(
+            [verb, "--dataset", str(DATA / "compas_style.csv"),
+             "--label-column", "two_year_recid", "--group-column", "race",
+             "--gamma", "1.0001",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "gamma=1.0001" in capsys.readouterr().err
+
+    def test_baseline_program_without_mixed_cells_takes_any_gamma(self, tmp_path):
+        # xor has no mixed cell, so its baseline program stays feasible
+        code = main(
+            ["baseline", "--dataset", "xor", "--gamma", "100", "--outdir", str(tmp_path)]
+        )
+        assert code == 0
 
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,7 @@ from multiplicity.core import (
     Dataset,
     Example,
     LinearClassifier,
+    RiskReport,
     conflict_count,
     empirical_risk,
     predictions,
@@ -20,7 +23,7 @@ from multiplicity.datasets import ingest_csv
 from multiplicity.pool import (
     N_FOLDS,
     PenaltyGrid,
-    PoolModel,
+    Pool,
     _fold_assignment,
     _lambda_max,
     adhoc_measures,
@@ -52,6 +55,22 @@ def blob_dataset(seed=0, n=40, spread=1.6):
             )
         )
     return Dataset.build(examples)
+
+
+def pool_of(classifiers, data, lambdas, alphas=None, cv_risks=None):
+    """A converged ``Pool`` of ``classifiers``, their raw coefficients their
+    unit ones, scored on ``data``; alpha 1 and CV risk 0.1 by default."""
+    coefficients = [h.coefficients for h in classifiers]
+    return Pool(
+        alphas=alphas if alphas is not None else [1.0] * len(classifiers),
+        lambdas=lambdas,
+        coefficients=coefficients,
+        raw_coefficients=coefficients,
+        mistakes=[empirical_risk(h, data).mistakes for h in classifiers],
+        cv_risks=cv_risks if cv_risks is not None else [0.1] * len(classifiers),
+        converged=[True] * len(classifiers),
+        n=data.n,
+    )
 
 
 def elastic_net_objective(w, X, targets, weights, alpha, lam):
@@ -123,6 +142,94 @@ class TestPenaltyGrid:
         assert path[-1] == pytest.approx(2.0e-4)
         ratios = path[1:] / path[:-1]
         assert np.allclose(ratios, ratios[0])
+
+
+    @pytest.mark.parametrize(
+        "ratio", [-1.0, 0.0, 2.0, 1.0 + 1e-12, math.nan, math.inf, -math.inf]
+    )
+    def test_lambda_min_ratio_outside_unit_interval_is_rejected(self, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lambda_min_ratio"):
+                PenaltyGrid(lambda_min_ratio=ratio)
+
+    def test_ratio_one_is_a_flat_path(self):
+        grid = PenaltyGrid(alphas=(1.0,), lambdas_per_alpha=3, lambda_min_ratio=1.0)
+        assert grid.lambda_path(2.0).tolist() == [2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("alpha", [math.nan, -0.1, 1.1])
+    def test_alpha_outside_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            PenaltyGrid(alphas=(0.5, alpha))
+
+
+class TestPoolTable:
+    def fitted(self):
+        data = blob_dataset(seed=3, n=30)
+        return fit_pool(data, PenaltyGrid(alphas=(0.0, 1.0), lambdas_per_alpha=4), seed=0), data
+
+    def test_rows_read_the_columns(self):
+        pool, data = self.fitted()
+        assert len(pool) == len(list(pool)) == 8
+        for i, m in enumerate(pool):
+            assert m.classifier.coefficients == tuple(pool.coefficients[i].tolist())
+            assert m.raw_coefficients == tuple(pool.raw_coefficients[i].tolist())
+            assert (m.alpha, m.lam, m.cv_risk, m.converged) == (
+                pool.alphas[i], pool.lambdas[i], pool.cv_risks[i], pool.converged[i]
+            )
+            assert m.train_risk == empirical_risk(m.classifier, data)
+            assert type(m.train_risk.mistakes) is int and type(m.converged) is bool
+        assert pool[-1] == pool[7]
+        with pytest.raises(IndexError):
+            pool[8]
+        head = pool[2:5]
+        assert isinstance(head, Pool) and list(head) == list(pool)[2:5]
+
+    def test_columns_are_read_only_copies(self):
+        pool, _ = self.fitted()
+        with pytest.raises(ValueError):
+            pool.mistakes[0] = 0
+        mistakes = pool.mistakes.copy()
+        copy = dataclasses.replace(pool, mistakes=mistakes)
+        mistakes[0] += 1
+        assert copy.mistakes[0] == pool.mistakes[0]
+
+    @pytest.mark.parametrize(
+        "change, build",
+        [
+            # the same conditions and messages as the objects' own checks
+            ({"coefficients": [[0.5, 0.6, 0.0]]}, lambda: LinearClassifier((0.5, 0.6, 0.0))),
+            ({"mistakes": [-1]}, lambda: RiskReport(mistakes=-1, n=30)),
+            ({"mistakes": [31]}, lambda: RiskReport(mistakes=31, n=30)),
+            ({"n": 0, "mistakes": [0]}, lambda: RiskReport(mistakes=0, n=0)),
+        ],
+    )
+    def test_checks_match_the_row_objects(self, change, build):
+        pool, _ = self.fitted()
+        with pytest.raises(ValueError) as expected:
+            build()
+        row = {**{c: getattr(pool, c)[:1] for c in pool_module._COLUMNS}, "n": 30}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            Pool(**{**row, **change})
+
+    def test_zero_coefficients_pass_and_ragged_columns_fail(self):
+        pool, _ = self.fitted()
+        zero = dataclasses.replace(pool, coefficients=np.zeros_like(pool.coefficients))
+        assert zero[0].classifier.coefficients == (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="one entry per model"):
+            dataclasses.replace(pool, cv_risks=pool.cv_risks[1:])
+
+    def test_baseline_index_matches_the_tuple_key(self):
+        rng = np.random.default_rng(4)
+        pool, _ = self.fitted()
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            cv = rng.choice([0.0, 0.25, 0.5, math.inf], size=k)
+            lam = rng.choice([0.1, 1.0, 2.0], size=k)
+            alpha = rng.choice([0.0, 0.5, 1.0], size=k)
+            tied = dataclasses.replace(pool[:k], cv_risks=cv, lambdas=lam, alphas=alpha)
+            expected = min(range(k), key=lambda i: (cv[i], -lam[i], -alpha[i], i))
+            assert pool_baseline_index(tied) == expected
 
 
 class TestFitPool:
@@ -263,26 +370,7 @@ class TestAdhocMeasures:
         base_model = build_baseline_mip(data)
         res = solve(base_model)
         h = classifier_from_solution(base_model, res.incumbent)
-        fake = [
-            PoolModel(
-                classifier=h,
-                raw_coefficients=h.coefficients,
-                alpha=1.0,
-                lam=1.0,
-                train_risk=empirical_risk(h, data),
-                cv_risk=0.1,
-                converged=True,
-            ),
-            PoolModel(
-                classifier=h.negated(),
-                raw_coefficients=h.negated().coefficients,
-                alpha=1.0,
-                lam=0.5,
-                train_risk=empirical_risk(h.negated(), data),
-                cv_risk=0.5,
-                converged=True,
-            ),
-        ]
+        fake = pool_of([h, h.negated()], data, lambdas=[1.0, 0.5], cv_risks=[0.1, 0.5])
         grid = EpsilonGrid((1,), data.n)
         profile = adhoc_measures(fake, data, grid)
         assert profile.entries[0].discrepancy.value == 1
@@ -292,11 +380,10 @@ class TestAdhocMeasures:
         h = classifier_from_solution(
             build_baseline_mip(data), solve(build_baseline_mip(data)).incumbent
         )
-        mk = lambda lam, alpha: PoolModel(
-            classifier=h, raw_coefficients=h.coefficients, alpha=alpha, lam=lam,
-            train_risk=empirical_risk(h, data), cv_risk=0.25, converged=True,
+        models = pool_of(
+            [h] * 3, data, lambdas=[0.1, 0.9, 0.9], alphas=[0.3, 0.1, 0.8],
+            cv_risks=[0.25] * 3,
         )
-        models = [mk(0.1, 0.3), mk(0.9, 0.1), mk(0.9, 0.8)]
         assert pool_baseline_index(models) == 2
 
     def test_pool_measures_never_exceed_exact(self):
@@ -612,17 +699,16 @@ class TestMatrixScoring:
     def test_adhoc_matches_per_epsilon_scan_with_tied_mistakes(self):
         rng = np.random.default_rng(6)
         data = blob_dataset(seed=16, n=14)
-        models = []
+        classifiers, cv_risks = [], []
         for k in range(40):
             # the zero classifier predicts -1 everywhere by the tie rule
-            clf = LinearClassifier.from_raw(rng.normal(size=3) if k else np.zeros(3))
-            models.append(
-                PoolModel(
-                    classifier=clf, raw_coefficients=clf.coefficients, alpha=1.0,
-                    lam=1.0 / (k + 1), train_risk=empirical_risk(clf, data),
-                    cv_risk=float(rng.integers(0, 3)) if k else 5.0, converged=True,
-                )
+            classifiers.append(
+                LinearClassifier.from_raw(rng.normal(size=3) if k else np.zeros(3))
             )
+            cv_risks.append(float(rng.integers(0, 3)) if k else 5.0)
+        models = pool_of(
+            classifiers, data, lambdas=[1.0 / (k + 1) for k in range(40)], cv_risks=cv_risks
+        )
         mistakes = [m.train_risk.mistakes for m in models]
         assert len(set(mistakes)) < len(mistakes)  # some level sets tie
         for pool in (models, models[:3]):  # the small pool does not saturate

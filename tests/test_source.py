@@ -117,3 +117,24 @@ def test_modules_import_only_lower_layers():
         if LAYERS.index(imported) >= LAYERS.index(name[:-3])
     ]
     assert upward == []
+
+
+def test_reports_is_the_one_json_writer():
+    # every report goes through ``reports.write_json``, which must stay
+    # byte-identical to json.dumps; a second encoder would drift from it
+    writers = []
+    for name, tree in _modules().items():
+        if name == "reports.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                writers += [f"{name}: from json import {a.name}" for a in node.names
+                            if a.name in ("dump", "dumps")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                writers.append(f"{name}: json.{node.attr}")
+    assert writers == []
