@@ -12,12 +12,15 @@ a callable that maps a fractional node LP solution to a candidate
 assignment (or None), kept only if ``check_feasible`` accepts it.  Every
 other metadata entry belongs to whoever built the model.
 
-Every node LP below the root is re-optimized by dual simplex from its
-parent's final basis, so a queued node keeps its LP values (to branch on)
-and that basis (to start its children), never a tableau.  The root LP is
-solved cold, or warm from a ``root_start`` basis of a related program (the
-previous program of a path, or a program with one row fewer); the solve
-reports its root LP's final basis as ``root_basis`` for the next one.
+Every node LP is solved by the kernel's dual simplex.  A node below the
+root starts from its parent's final basis, so a queued node keeps its LP
+values (to branch on) and that basis (to start its children), never a
+tableau.  The root LP starts from the slack basis, or from a ``root_start``
+basis of a related program (the previous program of a path, or a program
+with one row fewer); the solve reports its root LP's final basis as
+``root_basis`` for the next one.  A node LP the simplex cannot decide
+("stalled") raises ``InternalConsistencyError``: pruning it as infeasible
+could cut off the optimum.
 
 Search order is deterministic: best-first on the ceiled LP bound with FIFO
 tie-breaking, branching on the most fractional binary (lowest index on
@@ -130,7 +133,8 @@ def solve(
 ) -> SolveResult:
     """Best-first branch-and-bound returning the (upper, lower, incumbent)
     solver contract tuple.  ``root_start`` warm-starts the root LP (see
-    ``solve_lp_with_fixings``); without it the root is solved cold."""
+    ``solve_lp_with_fixings``); without it the root starts from the slack
+    basis."""
     budget = budget or SolveBudget()
     binaries = np.array(model.binary_vars, dtype=int)
     offset = model.objective_offset

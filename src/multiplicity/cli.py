@@ -321,6 +321,12 @@ def _baseline(run: dict, budget) -> dict:
             f"no classifier places every mixed feature cell at margin gamma="
             f"{config.gamma}; use a smaller --gamma"
         )
+    if result.certified and result.upper_bound == train.n:
+        # no cell placed at margin gamma: the decoded h0 would not make that count
+        raise InputError(
+            f"no classifier places any feature cell at margin gamma={config.gamma}; "
+            f"use a smaller --gamma"
+        )
     if result.incumbent is None:
         raise InternalConsistencyError("baseline training found no classifier")
     h0 = classifier_from_solution(model, result.incumbent)

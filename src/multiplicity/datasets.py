@@ -192,7 +192,19 @@ def ingest_csv(
         group = row[group_idx].strip() if group_idx is not None else None
         examples.append(Example(tuple(feats), label, group=group))
     if not examples:
-        raise InputError("no usable rows left after cleaning")
+        complete = [row for row in rows[1:] if len(row) == len(header)]
+        textual = [
+            repr(name)
+            for i, name in enumerate(header)
+            if complete and i not in (label_idx, group_idx)
+            and all(_number(row[i]) is None for row in complete)
+        ]
+        hint = (
+            f": feature column(s) {', '.join(textual)} hold no number in any row; "
+            f"pass a group column as --group-column"
+            if textual else ""
+        )
+        raise InputError("no usable rows left after cleaning" + hint)
 
     order = list(range(len(examples)))
     random.Random(split_seed).shuffle(order)

@@ -427,9 +427,8 @@ def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:
 
 
 def _margin_lp(rows: np.ndarray, floor: float) -> Optional[np.ndarray]:
-    """The w of max t s.t. rows . w >= t, ||w||_1 <= 1, or None when t stays
-    below ``floor``.  With w = w+ - w- and t at its lower bound, the
-    all-slack basis is feasible, so the cold solve needs no phase 1."""
+    """The w of max t s.t. rows . w >= t, ||w||_1 <= 1 (w = w+ - w-), or
+    None when t stays below ``floor``."""
     k, nc = rows.shape
     reach = float(np.abs(rows).max()) + abs(floor)
     lp = LinearProgram(

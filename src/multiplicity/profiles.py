@@ -459,7 +459,7 @@ def _solve(
 ):
     """Solve one path program, warm-started from the first of ``candidates``
     that it accepts, with ``hint`` as its ``lower_bound_hint`` and its root
-    LP started from ``root_start`` (cold when None).
+    LP started from ``root_start`` (the slack basis when None).
 
     ``labelings`` are the labeling pass's candidates for the program, or
     None.  ``certify`` checks them first: a verified one is the certified

@@ -115,12 +115,25 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _key_groups(dicts) -> dict:
-    """``dicts`` by their sorted keys, in first-seen order."""
+def _typed_keys(d: dict) -> tuple:
+    """The keys of ``d``, each with its type."""
+    return tuple(zip(d, map(type, d)))
+
+
+def _key_groups(dicts) -> list:
+    """(sorted keys, dicts) for each key set of ``dicts``, in first-seen
+    order."""
     groups = {}
     for keys, run in groupby(dicts, dict.keys):
-        groups.setdefault(tuple(sorted(keys)), []).extend(run)
-    return groups
+        if all(type(k) is str for k in keys):
+            keys = tuple(sorted(keys))
+            groups.setdefault(keys, (keys, []))[1].extend(run)
+            continue
+        # equal keys of other types, such as 0, 0.0 and False, are other json names
+        for typed, part in groupby(run, _typed_keys):
+            typed = tuple(sorted(typed, key=itemgetter(0)))
+            groups.setdefault(typed, (tuple(k for k, _ in typed), []))[1].extend(part)
+    return list(groups.values())
 
 
 def _values(items: list, depth: int) -> list:
@@ -149,7 +162,7 @@ def _containers(objs: dict, depth: int) -> dict:
     that share a key set read their values a column at a time and fill one
     template."""
     arrays = [v for v in objs.values() if not isinstance(v, dict)]
-    groups = list(_key_groups([v for v in objs.values() if isinstance(v, dict)]).items())
+    groups = _key_groups([v for v in objs.values() if isinstance(v, dict)])
     column_values = (map(itemgetter(k), group) for keys, group in groups for k in keys)
     texts = iter(_values(list(chain(*arrays, *column_values)), depth + 1))
     names = iter(_run([_key_text(k) for keys, _ in groups for k in keys]))

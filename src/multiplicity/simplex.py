@@ -4,34 +4,42 @@ All variables carry finite bounds (every variable in the integer programs
 built by this package lives in [0,1], [-1,0] or [-1,1]), which rules out
 unbounded problems and lets nonbasic variables sit at either bound.
 
-A program is solved either cold, by two-phase primal simplex, or warm, by
-dual simplex from the final basis of a related program with the same
-objective: one that fixed fewer variables (a branch-and-bound parent), had
-other right-hand sides (the previous program of a path), or lacked a row
-(``basis_with_row`` extends its basis by that row's slack).  None of these
-changes moves a reduced cost, so the basis stays dual feasible and only its
-primal infeasibilities need repair.
+Every program is solved the same way: bounded dual simplex from a dual
+feasible basis, then the primal pricing to confirm optimality.  Without a
+starting basis the solve starts from the slack basis with each structural
+at the bound its cost prefers (the upper bound when its cost is negative):
+its duals are 0, so every reduced cost is the variable's own cost and the
+basis is dual feasible for every program.  A warm start is the final basis
+of a related program with the same objective: one that fixed fewer
+variables (a branch-and-bound parent), had other right-hand sides (the
+previous program of a path), or lacked a row (``basis_with_row`` extends
+its basis by that row's slack).  None of these changes moves a reduced
+cost, so the basis stays dual feasible and only its primal
+infeasibilities need repair.
+
+A solve ends "optimal", "infeasible", or "stalled" when it cannot decide:
+its pivot limit ran out, or a violated row has no pivot above PIVOT_TOL and
+no proof of infeasibility.
 
 Implementation notes:
 
 * rows are turned into equalities with one slack per row whose bounds encode
   the relation; slack bounds are derived from the variable box, so they stay
   finite;
-* an artificial variable per row provides the cold identity starting basis;
-  rows whose slack already absorbs the residual start with the slack basic
-  instead, so phase 1 only runs when some residual is out of range;
+* the dual leaves on the row with the largest bound violation (lowest basic
+  index on ties) and enters the column with the smallest |z_j / alpha_rj|
+  (lowest index on ties); when that pivot is below SMALL_PIVOT it takes the
+  largest pivot among the columns within the optimality tolerance of that
+  ratio.  It proves infeasibility only from a row whose range over the
+  nonbasic boxes misses its bounds;
 * primal pricing is Dantzig's rule with a permanent switch to Bland's rule
   after 5*(rows+cols) degenerate steps, which guarantees termination;
 * the primal leaving row is the first to block (lowest basic index on
   ties), unless its pivot is below SMALL_PIVOT: then Harris's rule takes
   the largest pivot among the rows that block within the feasibility
   tolerance;
-* the dual leaves on the row with the largest bound violation (lowest basic
-  index on ties) and enters the column with the smallest |z_j / alpha_rj|
-  (lowest index on ties), with the same larger-pivot guard within the
-  optimality tolerance; it proves infeasibility only from a row whose range
-  over the nonbasic boxes misses its bounds, and a node it cannot finish
-  within DUAL_ITERATION_LIMIT pivots is solved cold instead;
+* the dual and the primal pricing share one limit of 200*(rows+cols) + 2000
+  pivots per solve, cols counting the slacks;
 * the tableau B^-1 A is updated by explicit pivots and refactorized from
   scratch every REFACTOR_INTERVAL pivots to keep drift in check.
 
@@ -41,7 +49,7 @@ identical pivot sequences and bit-identical solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,7 +62,6 @@ PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-3  # below this the ratio test switches to Harris's rule
 DEGENERATE_STEP = 1e-12
 REFACTOR_INTERVAL = 256
-DUAL_ITERATION_LIMIT = 1000
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -117,9 +124,9 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Basis:
-    """A simplex basis over the columns [structurals | slacks | artificials]:
-    the basic column of each row, and which nonbasic columns sit at their
-    upper bound (entries of basic columns are ignored)."""
+    """A simplex basis over the columns [structurals | slacks]: the basic
+    column of each row, and which nonbasic columns sit at their upper bound
+    (entries of basic columns are ignored)."""
 
     columns: np.ndarray
     at_upper: np.ndarray
@@ -127,10 +134,10 @@ class Basis:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | iteration_limit (every variable is boxed)
+    status: str  # optimal | infeasible | stalled (every variable is boxed)
     values: Optional[np.ndarray]
     objective_value: float
-    n_pivots: int = 0  # every pivot and bound flip, warm attempt included
+    n_pivots: int = 0  # every pivot and bound flip
     basis: Optional[Basis] = None  # final basis of an optimal solve
 
 
@@ -147,15 +154,13 @@ def solve_lp_with_fixings(
     The fixed variables' bounds collapse to their values in the tableau;
     a fixing outside the variable's bounds makes the program infeasible.
 
-    Without ``start`` the program is solved cold by two-phase primal
-    simplex.  ``start`` is a nonsingular basis of ``lp``'s shape that is
-    dual feasible for it: the ``basis`` of an optimal solution of ``lp``
-    under a subset of ``fixings``, of a program that differs from ``lp``
-    only in its right-hand sides, or such a basis extended by
-    ``basis_with_row``.  The solve refactors from it and repairs it by dual
-    simplex, then confirms optimality with the primal pricing.  If the dual
-    stops short of an answer (its iteration limit, or no pivot and no proof
-    of infeasibility), the program is solved cold after all.
+    The solve starts from ``start`` or, without it, from the slack basis.
+    ``start`` is a nonsingular basis of ``lp``'s shape that is dual
+    feasible for it: the ``basis`` of an optimal solution of ``lp`` under a
+    subset of ``fixings``, of a program that differs from ``lp`` only in
+    its right-hand sides, or such a basis extended by ``basis_with_row``.
+    The solve repairs it by dual simplex, then confirms optimality with the
+    primal pricing; a solve that cannot decide returns "stalled".
     """
     lo = lp.var_lo.copy()
     hi = lp.var_hi.copy()
@@ -166,42 +171,17 @@ def solve_lp_with_fixings(
     state = _Tableau(lp, lo, hi)
     if state.infeasible_by_bounds:
         return LpSolution("infeasible", None, float("nan"))
-    if start is None or not state.m:
-        return _solve_cold(lp, state, lo, hi)
-    if start.columns.shape != (state.m,) or start.at_upper.shape != (state.n_ext,):
+    if start is not None and (
+        start.columns.shape != (state.m,) or start.at_upper.shape != (state.n_ext,)
+    ):
         raise ValueError("starting basis does not match the program's shape")
-    status, warm_pivots = state.warm_optimize(start, DUAL_ITERATION_LIMIT)
-    if status == "infeasible":
-        return LpSolution("infeasible", None, float("nan"), warm_pivots)
-    if status == "optimal":
-        return _optimal_solution(lp, state, lo, hi, warm_pivots)
-    cold = _solve_cold(lp, _Tableau(lp, lo, hi), lo, hi)
-    return replace(cold, n_pivots=cold.n_pivots + warm_pivots)
+    status = state.solve(start)
+    if status != "optimal":
+        return LpSolution(status, None, float("nan"), state.pivots)
+    return _optimal_solution(lp, state, lo, hi)
 
 
-def _solve_cold(lp, state, lo, hi) -> LpSolution:
-    """Two-phase primal simplex from the identity starting basis."""
-    state.start_cold()
-    iteration_limit = state.iteration_limit
-    pivots = 0
-
-    if state.needs_phase1:
-        status, used = state.optimize(state.phase1_cost, iteration_limit, stop_at=1e-9)
-        pivots += used
-        if status == "iteration_limit":
-            return LpSolution("iteration_limit", None, float("nan"), pivots)
-        if state.current_objective(state.phase1_cost) > FEASIBILITY_TOL:
-            return LpSolution("infeasible", None, float("nan"), pivots)
-    state.fix_artificials()
-
-    status, used = state.optimize(state.phase2_cost, iteration_limit - pivots)
-    pivots += used
-    if status == "iteration_limit":
-        return LpSolution("iteration_limit", None, float("nan"), pivots)
-    return _optimal_solution(lp, state, lo, hi, pivots)
-
-
-def _optimal_solution(lp, state, lo, hi, pivots) -> LpSolution:
+def _optimal_solution(lp, state, lo, hi) -> LpSolution:
     """Check the final vertex against the bounds and rows, and package it."""
     values = state.structural_values()
     if np.any(values < lo - 1e-6) or np.any(values > hi + 1e-6):
@@ -218,23 +198,22 @@ def _optimal_solution(lp, state, lo, hi, pivots) -> LpSolution:
     basis = Basis(state.basis, state.at_upper)
     basis.columns.flags.writeable = False
     basis.at_upper.flags.writeable = False
-    return LpSolution("optimal", values, objective, pivots, basis)
+    return LpSolution("optimal", values, objective, state.pivots, basis)
 
 
 def basis_with_row(basis: Basis, row: int) -> Basis:
     """``basis`` extended to the program with one more row inserted at
-    index ``row``, that row's slack basic and its artificial nonbasic.
+    index ``row``, that row's slack basic.
 
-    Slack and artificial columns of the rows at and past ``row`` shift by
-    one.  The extended basis matrix is block triangular with a unit block
-    for the new slack, so it is nonsingular when ``basis`` is; the new row's
-    dual is 0, so every reduced cost, and dual feasibility, carries over.
+    Slack columns of the rows at and past ``row`` shift by one.  The
+    extended basis matrix is block triangular with a unit block for the new
+    slack, so it is nonsingular when ``basis`` is; the new row's dual is 0,
+    so every reduced cost, and dual feasibility, carries over.
     """
-    m = basis.columns.size
-    n = basis.at_upper.size - 2 * m
-    old = np.arange(n + 2 * m)
-    moved = old + (old >= n + row) + (old >= n + m + row)
-    at_upper = np.zeros(n + 2 * (m + 1), dtype=bool)
+    n = basis.at_upper.size - basis.columns.size
+    old = np.arange(basis.at_upper.size)
+    moved = old + (old >= n + row)
+    at_upper = np.zeros(old.size + 1, dtype=bool)
     at_upper[moved] = basis.at_upper
     columns = np.insert(moved[basis.columns], row, n + row)
     return Basis(columns, at_upper)
@@ -255,28 +234,21 @@ def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarr
 
 
 class _Tableau:
-    """Mutable simplex state over [structurals | slacks | artificials]."""
+    """Mutable simplex state over [structurals | slacks]."""
 
     def __init__(self, lp: LinearProgram, var_lo: np.ndarray, var_hi: np.ndarray):
         n, m = lp.n_vars, lp.n_rows
         self.m = m
-        self.n_struct = n
-        self.n_ext = n + 2 * m
+        self.n_ext = n + m
         self.iteration_limit = 200 * (m + self.n_ext) + 2000
         self.infeasible_by_bounds = False
 
-        lo = np.concatenate([var_lo, np.zeros(m), np.zeros(m)])
-        hi = np.concatenate([var_hi, np.zeros(m), np.zeros(m)])
-
-        A = np.zeros((m, self.n_ext))
-        if m:
-            A[:, :n] = lp.row_coefs
-            A[:, n : n + m] = np.eye(m)
-            A[:, n + m :] = np.eye(m)
+        lo = np.concatenate([var_lo, np.zeros(m)])
+        hi = np.concatenate([var_hi, np.zeros(m)])
 
         # Slack bounds from the relation and the reachable activity range.
-        pos = np.clip(lp.row_coefs, 0.0, None) if m else np.zeros((0, n))
-        neg = np.clip(lp.row_coefs, None, 0.0) if m else np.zeros((0, n))
+        pos = np.clip(lp.row_coefs, 0.0, None)
+        neg = np.clip(lp.row_coefs, None, 0.0)
         act_min = pos @ var_lo + neg @ var_hi
         act_max = pos @ var_hi + neg @ var_lo
         for k, rel in enumerate(lp.row_relations):
@@ -294,69 +266,29 @@ class _Tableau:
             lo[n + k] = s_lo
             hi[n + k] = max(s_hi, s_lo)
 
-        self.A = A
+        self.A = np.hstack([lp.row_coefs, np.eye(m)])
         self.lo = lo
         self.hi = hi
-        self.b = lp.row_rhs.astype(float).copy()
-        self.phase2_cost = np.concatenate([lp.objective, np.zeros(2 * m)])
+        self.b = lp.row_rhs
+        self.cost = np.concatenate([lp.objective, np.zeros(m)])
+        self.pivots = 0
         self._pivots_since_refactor = 0
         self._degenerate_steps = 0
         self._use_bland = False
 
-    def start_cold(self) -> None:
-        """Identity starting basis: slack where its bounds absorb the
-        residual, artificial otherwise, with the phase-1 costs that drive
-        the artificials to zero."""
-        n, m, lo, hi = self.n_struct, self.m, self.lo, self.hi
-        self.at_upper = np.zeros(self.n_ext, dtype=bool)
-        self.basis = np.empty(m, dtype=int)
-        self.phase1_cost = np.zeros(self.n_ext)
-        residual_target = self.b - self.A[:, :n] @ lo[:n]
-        self.needs_phase1 = False
-        for k in range(m):
-            t = residual_target[k]
-            s_lo, s_hi = lo[n + k], hi[n + k]
-            if s_lo - FEASIBILITY_TOL <= t <= s_hi + FEASIBILITY_TOL:
-                self.basis[k] = n + k
-            else:
-                s_at = s_lo if t < s_lo else s_hi
-                self.at_upper[n + k] = s_at == s_hi and s_hi > s_lo
-                r = t - s_at
-                a = n + m + k
-                self.basis[k] = a
-                lo[a], hi[a] = min(0.0, r), max(0.0, r)
-                self.phase1_cost[a] = 1.0 if r > 0 else -1.0
-                if abs(r) > FEASIBILITY_TOL:
-                    self.needs_phase1 = True
-        self.T = self.A.copy()  # B^-1 A with B = I initially
-        self.Tb = self.b.copy()
-
     # -- state helpers -------------------------------------------------
-
-    def fix_artificials(self) -> None:
-        art = slice(self.n_struct + self.m, self.n_ext)
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
-        self.at_upper[art] = False
 
     def _full_values(self) -> np.ndarray:
         x = np.where(self.at_upper, self.hi, self.lo)
-        if self.m:
-            xn = x.copy()
-            xn[self.basis] = 0.0
-            x_basic = self.Tb - self.T @ xn
-            x[self.basis] = x_basic
+        xn = x.copy()
+        xn[self.basis] = 0.0
+        x[self.basis] = self.Tb - self.T @ xn
         return x
 
     def structural_values(self) -> np.ndarray:
-        return self._full_values()[: self.n_struct]
-
-    def current_objective(self, cost: np.ndarray) -> float:
-        return float(np.dot(cost, self._full_values()))
+        return self._full_values()[: self.n_ext - self.m]
 
     def _refactor(self) -> None:
-        if self.m == 0:
-            return
         B = self.A[:, self.basis]
         self.T = np.linalg.solve(B, self.A)
         self.Tb = np.linalg.solve(B, self.b)
@@ -376,25 +308,33 @@ class _Tableau:
 
     # -- main loops -----------------------------------------------------
 
-    def optimize(self, cost, iteration_limit, stop_at=None):
-        """Run bounded-variable simplex iterations for the given objective.
+    def solve(self, start: Optional[Basis]) -> str:
+        """Dual simplex from ``start``, or from the slack basis with each
+        structural at the bound its cost prefers, then the primal pricing to
+        confirm optimality.  Returns "optimal", "infeasible" or "stalled"."""
+        if start is None:
+            n = self.n_ext - self.m
+            self.basis = np.arange(n, self.n_ext)
+            self.at_upper = np.concatenate([self.cost[:n] < 0, np.zeros(self.m, dtype=bool)])
+            self.T, self.Tb = self.A.copy(), self.b.copy()  # B = I: nothing to factor
+        else:
+            self.basis = start.columns.copy()
+            self.at_upper = start.at_upper.copy()
+            self._refactor()
+        status = self._dual()
+        return self._primal() if status == "optimal" else status
 
-        Returns ("optimal" | "iteration_limit", pivots_used).
+    def _primal(self) -> str:
+        """Bounded primal simplex iterations from a primal feasible basis.
+
+        Returns "optimal", or "stalled" when the pivot limit runs out.
         """
-        if self.m == 0:
-            # No rows: each variable sits at whichever bound its cost prefers.
-            take_upper = cost[: self.n_struct] < 0
-            self.at_upper[: self.n_struct] = take_upper
-            return "optimal", 0
-        pivots = 0
-        while pivots < iteration_limit:
+        cost = self.cost
+        while self.pivots < self.iteration_limit:
             if self._pivots_since_refactor >= REFACTOR_INTERVAL:
                 self._refactor()
 
             x = self._full_values()
-            if stop_at is not None and float(np.dot(cost, x)) <= stop_at:
-                return "optimal", pivots
-
             z = cost - cost[self.basis] @ self.T
             nonbasic = np.ones(self.n_ext, dtype=bool)
             nonbasic[self.basis] = False
@@ -404,7 +344,7 @@ class _Tableau:
                 | (self.at_upper & (z > OPTIMALITY_TOL))
             )
             if not eligible.any():
-                return "optimal", pivots
+                return "optimal"
 
             if self._use_bland:
                 enter = int(np.argmax(eligible))
@@ -420,7 +360,7 @@ class _Tableau:
             t_flip = self.hi[enter] - self.lo[enter]
             min_ratio = float(ratio.min()) if ratio.size else np.inf
 
-            pivots += 1
+            self.pivots += 1
             if t_flip <= min_ratio + 1e-12:
                 # Entering variable runs to its opposite bound; no basis change.
                 self.at_upper[enter] = not self.at_upper[enter]
@@ -442,34 +382,17 @@ class _Tableau:
                     self._use_bland = True
             else:
                 self._degenerate_steps = 0
-        return "iteration_limit", pivots
+        return "stalled"
 
-    def warm_optimize(self, start: Basis, dual_limit: int):
-        """Dual simplex from ``start``, then the primal pricing to confirm
-        optimality.
+    def _dual(self) -> str:
+        """Bounded dual simplex iterations from a dual feasible basis until
+        every basic variable lies within its bounds.
 
-        Returns ("optimal" | "infeasible" | "stalled", pivots_used); a
-        stalled solve has not been decided and belongs to the cold path.
+        Returns "optimal" (primal feasible), "infeasible", or "stalled"
+        when the pivot limit runs out or a violated row has no pivot and no
+        proof of infeasibility.
         """
-        # the artificials keep their initial bounds [0, 0]
-        self.basis = start.columns.copy()
-        self.at_upper = start.at_upper.copy()
-        self._refactor()
-        status, pivots = self.dual_optimize(dual_limit)
-        if status == "optimal":
-            status, used = self.optimize(self.phase2_cost, self.iteration_limit)
-            pivots += used
-        return (status if status in ("optimal", "infeasible") else "stalled"), pivots
-
-    def dual_optimize(self, iteration_limit):
-        """Run bounded dual simplex iterations from a dual feasible basis
-        until every basic variable lies within its bounds.
-
-        Returns ("optimal" | "infeasible" | "iteration_limit" | "stalled",
-        pivots_used).
-        """
-        cost = self.phase2_cost
-        pivots = 0
+        cost = self.cost
         while True:
             if self._pivots_since_refactor >= REFACTOR_INTERVAL:
                 self._refactor()
@@ -477,11 +400,11 @@ class _Tableau:
             x_basic = self._full_values()[self.basis]
             below = self.lo[self.basis] - x_basic
             violation = np.maximum(below, x_basic - self.hi[self.basis])
-            worst = float(violation.max())
+            worst = float(violation.max(initial=0.0))
             if worst <= FEASIBILITY_TOL:
-                return "optimal", pivots
-            if pivots >= iteration_limit:
-                return "iteration_limit", pivots
+                return "optimal"
+            if self.pivots >= self.iteration_limit:
+                return "stalled"
             rows = np.flatnonzero(violation == worst)
             row = int(rows[np.argmin(self.basis[rows])])
             rise = below[row] > 0
@@ -499,8 +422,8 @@ class _Tableau:
             )
             if not eligible.any():
                 if self._row_misses_bounds(row, nonbasic):
-                    return "infeasible", pivots
-                return "stalled", pivots
+                    return "infeasible"
+                return "stalled"
 
             z = cost - cost[self.basis] @ self.T
             dual_slack = np.maximum(np.where(self.at_upper, -z, z), 0.0)
@@ -513,7 +436,7 @@ class _Tableau:
 
             self.at_upper[self.basis[row]] = not rise
             self._pivot(row, enter)
-            pivots += 1
+            self.pivots += 1
 
     def _row_misses_bounds(self, row: int, nonbasic: np.ndarray) -> bool:
         """Whether the basic variable of ``row`` misses its bounds by more

@@ -12,7 +12,12 @@ from multiplicity.branch_bound import (
     check_feasible,
     solve,
 )
-from multiplicity.core import Dataset, Example, InfeasibleWarmStartError
+from multiplicity.core import (
+    Dataset,
+    Example,
+    InfeasibleWarmStartError,
+    InternalConsistencyError,
+)
 from multiplicity.formulations import (
     build_baseline_mip,
     classifier_from_solution,
@@ -88,6 +93,25 @@ class TestSolve:
         )
         res = solve(MipModel(lp=lp, binary_vars=(0,)))
         assert res.status == "infeasible"
+
+    def test_undecided_node_lp_raises(self, node_lps):
+        # min x0 s.t. x0 + 1e-10 y >= 0.5: the root LP ends at x0 = 0.5, and
+        # its floor child x0 = 0 is feasible only at y = 5e9, through an
+        # entry below the pivot tolerance.  That LP stalls, and the node
+        # must not be pruned as infeasible.
+        lp = LinearProgram(
+            objective=np.array([1.0, 0.0]),
+            row_coefs=np.array([[1.0, 1e-10]]),
+            row_relations=(">=",),
+            row_rhs=np.array([0.5]),
+            var_lo=np.zeros(2),
+            var_hi=np.array([1.0, 2e10]),
+        )
+        with pytest.raises(InternalConsistencyError, match="stalled"):
+            solve(MipModel(lp=lp, binary_vars=(0,)))
+        assert [(fixings, sol.status) for fixings, _, sol in node_lps] == [
+            ({}, "optimal"), ({0: 0.0}, "stalled")
+        ]
 
     def test_random_baselines_match_oracle(self):
         rng = np.random.default_rng(11)

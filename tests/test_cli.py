@@ -126,6 +126,23 @@ class TestIngest:
             argv = ["baseline", "--dataset", str(path), "--outdir", str(tmp_path / "out")]
             assert main(argv) == 2
 
+    def test_text_feature_column_is_named(self, tmp_path, capsys):
+        # without --group-column the race letters are read as a feature,
+        # and every row is dropped; the error names that column
+        argv = [
+            "baseline", "--dataset", str(DATA / "compas_style.csv"),
+            "--label-column", "two_year_recid", "--outdir", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'race'" in err and "--group-column" in err
+        assert "'age_lt_25'" not in err
+        # a column that holds a number in some row is not named
+        path = self.write(tmp_path, "x,y,label\nA,1,1\n2,B,0\n")
+        with pytest.raises(InputError, match="no usable rows") as caught:
+            ingest_csv(path, "label")
+        assert "column" not in str(caught.value)
+
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         # the label as first column, so a kept BOM would hide its name
         with open(DATA / "compas_style.csv", newline="") as fh:
@@ -274,7 +291,7 @@ class TestAudit:
 
     # tyranny's path programs are certified by the labeling pass, those of
     # four binary features by branch-and-bound
-    @pytest.mark.parametrize("source, rows", [("tyranny", 6), ("binary4", 22)])
+    @pytest.mark.parametrize("source, rows", [("tyranny", 6), ("binary4", 23)])
     def test_every_classifier_is_scored_once(self, tmp_path, monkeypatch, source, rows):
         # the bank scores each classifier once, and no stage scores one again
         from multiplicity import profiles
@@ -430,15 +447,15 @@ class TestAudit:
     # (whose pool.json the test above pins) and of the default tyranny audit
     PINNED_REPORTS = {
         "compas_style-adhoc": {
-            "profile.json": "693cd45cc3a95afcd672e2188de4b21b6494fbd3b94ff7e9b58a4e4b1c4ee1d3",
+            "profile.json": "bbda908a50e20da8a9ecbd63ab8443944fe36b0e110becbc2d73d66315f977b5",
             "profile.csv": "daa6690d4a89468a75e0e94c9fde1357df9d6415b825849fa30c0bd3c374e767",
-            "baseline.json": "9c1d2d0e678a76f325d2fff1a078b0db86ab4353f3ea625401792b5c18068b34",
+            "baseline.json": "316a2c9b60d10a3539074cd258ed503740c16821b92f7b53d213bc2da8896c17",
             "burden.csv": "aee5cc440f24c1e24c1aa1951ecaddd34ca89a7a255fbf8eac76f98e42644513",
         },
         "tyranny": {
-            "profile.json": "82fddfc3daf470671391016a25e7cbb0608ac2ce669799e401cc1d6f11809633",
+            "profile.json": "00c761b95cb285420fe443b63ce6f6bfacfbf8ac8f6cacf933bf25cbc92b207a",
             "profile.csv": "45c69dd055c612e081b5640c4ace0bd5c45b115db57f9a6ca1a1204a26b4a51f",
-            "baseline.json": "f276a2d70fff809798d9614e50c0611a25856e18c5cf18ca55b29c7d52fcd2cd",
+            "baseline.json": "dab179511a24e10b1e6b8acb75a696d9c1223af0d0043daada127954c3015726",
             "burden.csv": "ebafb2d7c541f4fb032c249b11c5d1567126a8185d0aac1a37556a7a398dd22c",
         },
     }
@@ -811,12 +828,17 @@ class TestExitCodes:
         assert code == 2
         assert "gamma=1.0001" in capsys.readouterr().err
 
-    def test_baseline_program_without_mixed_cells_takes_any_gamma(self, tmp_path):
-        # xor has no mixed cell, so its baseline program stays feasible
-        code = main(
-            ["baseline", "--dataset", "xor", "--gamma", "100", "--outdir", str(tmp_path)]
-        )
-        assert code == 0
+    def test_baseline_program_without_mixed_cells_takes_any_gamma(self, tmp_path, capsys):
+        # xor has no mixed cell, so its baseline program stays feasible at
+        # any gamma, but no unit-l1 classifier scores a binary cell above 1:
+        # at gamma = 100 it counts every cell a mistake, which no decoded h0
+        # reproduces, so that gamma is an input error too
+        for verb in ("audit", "baseline"):
+            code = main(
+                [verb, "--dataset", "xor", "--gamma", "100", "--outdir", str(tmp_path)]
+            )
+            assert code == 2
+            assert "gamma=100" in capsys.readouterr().err
 
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
@@ -1083,7 +1105,7 @@ class TestTracing:
             assert tracer.calls[layer] > 0, layer
         assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 25
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [527, 527, 1790]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [539, 539, 1688]
 
 
 class TestExportMps:

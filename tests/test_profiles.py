@@ -327,7 +327,7 @@ class TestAmbiguityPath:
                     data, pattern, entry.epsilon
                 )
 
-    @pytest.mark.parametrize("seed", [50, 55, 134])
+    @pytest.mark.parametrize("seed", [50, 134, 257])
     def test_flip_intervals_hold_around_an_open_baseline(self, seed):
         # a baseline stopped at its root leaves h0 one mistake above the
         # optimum, so h0's count is no lower bound on a flip

@@ -7,7 +7,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiplicity import reports
@@ -71,6 +71,8 @@ def _write(directory, payload):
 
 @settings(max_examples=300, deadline=None)
 @given(payload=PAYLOADS)
+# equal keys of other types name other members: "0", "0.0" and "false"
+@example(payload=[{0: 1}, {0.0: 1}, {False: 1}, {0: 1, 1.0: 2}, {1: 2, 0.0: 1}])
 def test_bytes_match_json_dumps(tmp_path_factory, payload):
     expected = (_reference(payload) + "\n").encode("ascii")
     assert _write(tmp_path_factory.getbasetemp(), payload) == expected

@@ -243,18 +243,35 @@ def _walk_chains(rng, count, check):
             parent = check(lp, fixings, parent, j in parent.basis.columns)
 
 
-@pytest.fixture
-def cold_solves(monkeypatch):
-    """One entry per cold simplex solve that runs."""
-    calls = []
-    solve_cold = simplex._solve_cold
+class _OnePivot(simplex._Tableau):
+    """A tableau whose solve may take one pivot."""
 
-    def counting(*args):
-        calls.append(1)
-        return solve_cold(*args)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iteration_limit = 1
 
-    monkeypatch.setattr(simplex, "_solve_cold", counting)
-    return calls
+
+def _solve_with_one_pivot(lp, fixings, start):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_Tableau", _OnePivot)
+        return solve_lp_with_fixings(lp, fixings, start=start)
+
+
+def _reference(lp, fixings):
+    """(status, objective) of ``lp`` under ``fixings`` by the tableau oracle."""
+    lo, hi = lp.var_lo.copy(), lp.var_hi.copy()
+    for j, value in fixings.items():
+        lo[j] = hi[j] = value
+    return reference_simplex(
+        lp.objective, lp.row_coefs, lp.row_relations, lp.row_rhs, lo, hi
+    )
+
+
+def _matches(sol, reference):
+    status, objective = reference
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective_value == pytest.approx(objective, abs=1e-6)
 
 
 class TestWarmStart:
@@ -265,6 +282,7 @@ class TestWarmStart:
             child = solve_lp_with_fixings(lp, fixings, start=parent.basis)
             cold = solve_lp_with_fixings(lp, fixings)
             assert child.status == cold.status
+            _matches(child, _reference(lp, fixings))
             if cold.status == "optimal":
                 assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
                 assert violated_rows(lp, child.values, 1e-6).size == 0
@@ -281,22 +299,20 @@ class TestWarmStart:
         _walk_chains(np.random.default_rng(31), 150, check)
         assert min(seen.values()) >= 10, seen
 
-    def test_dual_iteration_limit_falls_back_to_cold(self, monkeypatch, cold_solves):
-        monkeypatch.setattr(simplex, "DUAL_ITERATION_LIMIT", 1)
-        fallbacks = []
+    def test_spent_pivot_limit_is_stalled(self):
+        stalled = []
 
         def check(lp, fixings, parent, basic):
-            before = len(cold_solves)
-            child = solve_lp_with_fixings(lp, fixings, start=parent.basis)
-            fallbacks.append(len(cold_solves) > before)
-            cold = solve_lp_with_fixings(lp, fixings)
-            assert child.status == cold.status
-            if cold.status == "optimal":
-                assert child.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+            child = _solve_with_one_pivot(lp, fixings, parent.basis)
+            if child.status == "stalled":
+                stalled.append(1)
+                assert child.n_pivots == 1 and child.values is None
+            else:
+                _matches(child, _reference(lp, fixings))
             return child
 
         _walk_chains(np.random.default_rng(5), 150, check)
-        assert sum(fallbacks) >= 5, sum(fallbacks)
+        assert len(stalled) >= 5, len(stalled)
 
     def test_dual_ratio_test_prefers_the_larger_pivot(self):
         # Fixing x0 = 0 leaves the row short by 1.  Column 1 is free to
@@ -309,17 +325,15 @@ class TestWarmStart:
         assert warm.n_pivots == 1 and warm.basis.columns.tolist() == [2]
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
 
-    def test_unproven_infeasibility_goes_cold(self, cold_solves):
+    def test_unproven_infeasibility_is_stalled(self):
         # Fixing x0 = 0 leaves the row short by 1.  Its only other entry,
         # 1e-10, is below the pivot tolerance, yet over y's box of width
-        # 2e10 it could close the gap: the dual has neither a pivot nor a
-        # proof of infeasibility, so the node is solved cold.
+        # 2e10 it closes the gap at y = 1e10: the program is feasible, and
+        # the dual has neither a pivot nor a proof of infeasibility.
         lp = box_lp([-1.0, 0.0], [[1.0, 1e-10]], [">="], [1.0], [0, 0], [1, 2e10])
-        start = solve_lp(lp).basis
-        before = len(cold_solves)
-        warm = solve_lp_with_fixings(lp, {0: 0.0}, start=start)
-        assert len(cold_solves) == before + 1
-        assert warm.status == solve_lp_with_fixings(lp, {0: 0.0}).status
+        for start in (None, solve_lp(lp).basis):
+            sol = solve_lp_with_fixings(lp, {0: 0.0}, start=start)
+            assert sol.status == "stalled" and sol.values is None
 
     def test_mismatched_start_rejected(self):
         lp = box_lp([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0, 0], [1, 1])
@@ -358,13 +372,13 @@ def _related_programs(rng, count):
 
 
 class TestWarmRoot:
-    def test_basis_with_row_shifts_slacks_and_artificials(self):
-        # 2 structurals, 2 rows: columns [x0 x1 | s0 s1 | a0 a1]
-        basis = simplex.Basis(np.array([4, 1]), np.array([1, 0, 0, 1, 0, 0], dtype=bool))
+    def test_basis_with_row_shifts_slacks(self):
+        # 2 structurals, 2 rows: columns [x0 x1 | s0 s1]
+        basis = simplex.Basis(np.array([3, 1]), np.array([1, 0, 1, 0], dtype=bool))
         grown = basis_with_row(basis, 1)
-        # [x0 x1 | s0 new s1 | a0 new a1]: a0 4 -> 5, s1 3 -> 4, new slack 3
-        assert grown.columns.tolist() == [5, 3, 1]
-        assert grown.at_upper.tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
+        # [x0 x1 | s0 new s1]: s1 3 -> 4, new slack 3
+        assert grown.columns.tolist() == [4, 3, 1]
+        assert grown.at_upper.tolist() == [1, 0, 1, 0, 0]
 
     def test_related_programs_match_cold_and_repeat(self):
         seen = {"rhs": 0, "row": 0, "infeasible": 0}
@@ -372,6 +386,7 @@ class TestWarmRoot:
             warm = solve_lp_with_fixings(lp, {}, start=start)
             cold = solve_lp(lp)
             assert warm.status == cold.status
+            _matches(warm, _reference(lp, {}))
             if cold.status == "optimal":
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
                 assert violated_rows(lp, warm.values, 1e-6).size == 0
@@ -384,15 +399,13 @@ class TestWarmRoot:
             seen["infeasible"] += warm.status == "infeasible"
         assert min(seen.values()) >= 10, seen
 
-    def test_stalled_dual_falls_back_to_cold(self, monkeypatch, cold_solves):
-        monkeypatch.setattr(simplex, "DUAL_ITERATION_LIMIT", 1)
-        fallbacks = {"rhs": 0, "row": 0}
+    def test_spent_pivot_limit_on_a_related_program_is_stalled(self):
+        stalled = {"rhs": 0, "row": 0}
         for lp, start, kind in _related_programs(np.random.default_rng(8), 100):
-            before = len(cold_solves)
-            warm = solve_lp_with_fixings(lp, {}, start=start)
-            fallbacks[kind] += len(cold_solves) > before
-            cold = solve_lp(lp)
-            assert warm.status == cold.status
-            if cold.status == "optimal":
-                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
-        assert min(fallbacks.values()) >= 5, fallbacks
+            warm = _solve_with_one_pivot(lp, {}, start)
+            if warm.status == "stalled":
+                stalled[kind] += 1
+                assert warm.n_pivots == 1 and warm.values is None
+            else:
+                _matches(warm, _reference(lp, {}))
+        assert min(stalled.values()) >= 5, stalled

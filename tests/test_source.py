@@ -1,12 +1,15 @@
 """Source hygiene of the package, read with ``ast`` alone: every import is
 used, every module-level private name is referenced somewhere in the
-package, so code that a change leaves behind shows up here, and every
-module imports only the layers below it."""
+package, so code that a change leaves behind shows up here, every module
+imports only the layers below it, and every string compared with a
+solve's ``.status`` in the package and its tests is a status that a solve
+can report."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "multiplicity"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "multiplicity"
 # Lowest layer first: a module may import only modules before it.
 LAYERS = (
     "core", "datasets", "simplex", "branch_bound", "formulations",
@@ -138,3 +141,51 @@ def test_reports_is_the_one_json_writer():
             ):
                 writers.append(f"{name}: json.{node.attr}")
     assert writers == []
+
+
+def _solve_statuses():
+    """The statuses a solve can report: the string literals that
+    ``simplex`` returns or gives an ``LpSolution`` as its status, and the
+    values of ``branch_bound``'s ``STATUS_*`` constants."""
+    modules = _modules()
+    statuses = set()
+    for node in ast.walk(modules["simplex.py"]):
+        if isinstance(node, ast.Return):
+            value = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "LpSolution":
+            value = node.args[0] if node.args else None
+        else:
+            continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            statuses.add(value.value)
+    for node in modules["branch_bound.py"].body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Name) and target.id.startswith("STATUS_"):
+            statuses.add(node.value.value)
+    return statuses
+
+
+def test_status_compares_name_a_status():
+    # a literal compared with ``.status`` that no solve returns makes the
+    # compare dead, as a check for a retired status would be
+    statuses = _solve_statuses()
+    assert {"optimal", "infeasible", "stalled", "certified_optimal"} <= statuses
+    stale = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(isinstance(o, ast.Attribute) and o.attr == "status" for o in operands):
+                continue
+            for operand in operands:
+                many = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                leaves = operand.elts if many else [operand]
+                stale += [
+                    f"{path.name}:{node.lineno}: {leaf.value!r}"
+                    for leaf in leaves
+                    if isinstance(leaf, ast.Constant)
+                    and isinstance(leaf.value, str)
+                    and leaf.value not in statuses
+                ]
+    assert stale == []
