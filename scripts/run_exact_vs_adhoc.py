@@ -50,13 +50,16 @@ def main(argv):
     print(f"pool: {len(models)} models, baseline train risk "
           f"{float(adhoc.baseline.rate):.4f}")
     print("\n eps        exact disc  pool disc   exact amb   pool amb")
-    for got, truth in zip(adhoc.entries, exact.entries):
+    rows = zip(
+        grid.values, exact.discrepancy, adhoc.discrepancy, exact.ambiguity, adhoc.ambiguity
+    )
+    for eps, exact_disc, pool_disc, exact_amb, pool_amb in rows:
         print(
-            f" {str(truth.epsilon):9}  "
-            f"{float(truth.discrepancy.value):10.4f}  "
-            f"{float(got.discrepancy.value):9.4f}  "
-            f"{float(truth.ambiguity.value):10.4f}  "
-            f"{float(got.ambiguity.value):8.4f}"
+            f" {str(eps):9}  "
+            f"{float(exact_disc.value):10.4f}  "
+            f"{float(pool_disc.value):9.4f}  "
+            f"{float(exact_amb.value):10.4f}  "
+            f"{float(pool_amb.value):8.4f}"
         )
 
 

@@ -12,7 +12,6 @@ from multiplicity import (
     EpsilonGrid,
     ambiguity_path,
     build_baseline_mip,
-    check_discrepancy_bound,
     classifier_from_solution,
     discrepancy_path,
     solve,
@@ -37,11 +36,14 @@ def main():
     amb, _, _ = ambiguity_path(bank, grid, baseline=result)
     profile = merge_profiles(disc, amb)
     print("\n eps      discrepancy  ambiguity")
-    for entry in profile.entries:
-        print(f" {str(entry.epsilon):7}  {str(entry.discrepancy.value):11}  "
-              f"{str(entry.ambiguity.value)}")
-    slacks = check_discrepancy_bound(profile).slacks
-    print("\nbound slack per eps:", [(str(e), str(s)) for e, s in slacks])
+    for eps, disc, amb in zip(grid.values, profile.discrepancy, profile.ambiguity):
+        print(f" {str(eps):7}  {str(disc.value):11}  {str(amb.value)}")
+    # Proposition 1: discrepancy <= 2 * risk + eps
+    slacks = [
+        (str(eps), str(2 * profile.baseline.rate + eps - disc.upper))
+        for eps, disc in zip(grid.values, profile.discrepancy)
+    ]
+    print("\nbound slack per eps:", slacks)
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ from .pool import PenaltyGrid, Pool, PoolModel, adhoc_measures, fit_pool
 from .profiles import (
     ClassifierBank,
     EpsilonGrid,
+    Measures,
     MeasureValue,
     MultiplicityProfile,
     PathologicalPool,
     ambiguity_path,
-    check_discrepancy_bound,
     discrepancy_path,
 )
 from .simplex import LinearProgram, LpSolution, solve_lp, solve_lp_with_fixings
@@ -60,12 +60,12 @@ __all__ = [
     "export_mps",
     "ClassifierBank",
     "EpsilonGrid",
+    "Measures",
     "MeasureValue",
     "MultiplicityProfile",
     "PathologicalPool",
     "discrepancy_path",
     "ambiguity_path",
-    "check_discrepancy_bound",
     "PenaltyGrid",
     "Pool",
     "PoolModel",

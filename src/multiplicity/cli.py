@@ -54,7 +54,6 @@ from .profiles import (
     ClassifierBank,
     EpsilonGrid,
     ambiguity_path,
-    check_discrepancy_bound,
     discrepancy_path,
     merge_profiles,
 )
@@ -188,9 +187,7 @@ def resolve_grid(config: RunConfig, train: Dataset, baseline_rate) -> EpsilonGri
 # -- stage runner -------------------------------------------------------------
 
 # Every verb runs a subset of the audit's stages, in this order.
-AUDIT_STAGES = (
-    "ingest", "baseline", "discrepancy", "ambiguity", "adhoc", "bound_check", "burden",
-)
+AUDIT_STAGES = ("ingest", "baseline", "discrepancy", "ambiguity", "adhoc", "burden")
 VERB_STAGES = {
     "audit": AUDIT_STAGES,
     "baseline": ("ingest", "baseline"),
@@ -283,8 +280,7 @@ def _write_run_reports(run: dict) -> None:
 
 def run_audit(config: RunConfig) -> dict:
     """Full pipeline: baseline -> discrepancy path -> ambiguity path ->
-    optional ad-hoc pool -> bound check -> group burden. Returns the
-    manifest."""
+    optional ad-hoc pool -> group burden. Returns the manifest."""
     return run_stages(config, AUDIT_STAGES)["manifest"]
 
 
@@ -398,11 +394,6 @@ def _adhoc(run: dict, budget) -> Optional[dict]:
     return {"n_models": len(models)}
 
 
-def _bound_check(run: dict, budget) -> dict:
-    report = check_discrepancy_bound(run["profile"])
-    return {"min_slack": float(report.min_slack) if report.slacks else None}
-
-
 def _burden(run: dict, budget) -> Optional[dict]:
     train = run["train"]
     if any(ex.group is None for ex in train.examples):
@@ -448,7 +439,6 @@ _STAGES = {
     "discrepancy": _discrepancy,
     "ambiguity": _ambiguity,
     "adhoc": _adhoc,
-    "bound_check": _bound_check,
     "burden": _burden,
     "export": _export,
 }

@@ -39,9 +39,10 @@ exact rational arithmetic, and dropped only when it is dependent.
 verifies when a classifier puts every cell the program pins on the
 candidate's side with margin gamma.  The first such classifier is the
 caller's warm start, if its cost is the bound.  The next is the
-max-margin LP over the pinned cells, solved with ``solve_lp``.  The
-verified assignment passes ``check_feasible`` and costs the bound, so it
-is optimal.  A failed check raises the bound:
+max-margin LP over the pinned cells, solved with ``solve_lp``; w = 0 is
+feasible for it, so a solve that stalls raises, as a stalled node LP does
+in branch-and-bound.  The verified assignment passes ``check_feasible``
+and costs the bound, so it is optimal.  A failed check raises the bound:
 
 * an exact program pins every cell by its two-sided rows or by the flip
   row: every disc program, and a flip program whose other cells are all
@@ -428,7 +429,8 @@ def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:
 
 def _margin_lp(rows: np.ndarray, floor: float) -> Optional[np.ndarray]:
     """The w of max t s.t. rows . w >= t, ||w||_1 <= 1 (w = w+ - w-), or
-    None when t stays below ``floor``."""
+    None when t stays below ``floor``.  The LP is feasible (w = 0), so a
+    solve that ends other than optimal decides nothing and raises."""
     k, nc = rows.shape
     reach = float(np.abs(rows).max()) + abs(floor)
     lp = LinearProgram(
@@ -445,6 +447,8 @@ def _margin_lp(rows: np.ndarray, floor: float) -> Optional[np.ndarray]:
         var_hi=np.concatenate([np.ones(2 * nc), [reach]]),
     )
     sol = solve_lp(lp)
-    if sol.status != "optimal" or -sol.objective_value < floor:
+    if sol.status != "optimal":
+        raise InternalConsistencyError(f"max-margin check LP ended with {sol.status}")
+    if -sol.objective_value < floor:
         return None
     return sol.values[:nc] - sol.values[nc : 2 * nc]

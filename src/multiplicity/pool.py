@@ -23,13 +23,12 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import L1_TOL, Dataset, LinearClassifier, RiskReport, SingleClassError
-from .profiles import EpsilonGrid, MeasureValue, MultiplicityProfile, ProfileEntry
+from .profiles import EpsilonGrid, Measures, MultiplicityProfile
 
 CD_TOL = 1e-7
 MAX_ITER = 100  # Newton steps per fit, and coordinate sweeps per step
@@ -425,9 +424,8 @@ def adhoc_measures(
     ends = np.searchsorted(pool.mistakes[order], budgets, side="right") - 1
 
     def uncertified(counts):
-        values = (Fraction(int(c), n) for c in counts[ends])
-        return [MeasureValue(v, v, certified=False) for v in values]
+        return Measures(counts[ends], counts[ends], np.zeros(len(ends), dtype=bool), n)
 
-    measures = zip(grid.values, uncertified(discrepancy), uncertified(ambiguity))
-    entries = tuple(ProfileEntry(*m) for m in measures)
-    return MultiplicityProfile(baseline=base_risk, entries=entries, witnesses={})
+    return MultiplicityProfile(
+        base_risk, grid, uncertified(discrepancy), uncertified(ambiguity)
+    )

@@ -31,10 +31,14 @@ mistakes, so its conflict count bounds discrepancy at all of them,
 whichever epsilon's solve found it.  Upper bounds are propagated by a
 backward running min.
 Uncertified discrepancy uppers are additionally capped by the triangle-
-inequality bound 2 * baseline_risk + epsilon, which certified values must
-satisfy on their own (a violation is a solver bug and raises).
-All of this runs on integer count arrays over the whole grid; a
-``MeasureValue`` is built once per distinct reported value.
+inequality bound 2 * baseline_risk + epsilon (``EpsilonGrid.caps``), which
+certified values must satisfy on their own (a violation is a solver bug
+and raises).
+All of this runs on integer count arrays over the whole grid, and each
+measure stays one table of counts (``Measures``) from the path to the
+report: a ``MeasureValue`` of exact shares is built only when a row is
+read.  A ``MultiplicityProfile`` checks its tables once, in integers: each
+side is monotone in epsilon and discrepancy stays within the cap.
 
 The same bounds decide which discrepancy programs are solved at all:
 discrepancy is a monotone step function of epsilon, so once the bounds of
@@ -48,7 +52,8 @@ import bisect
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -115,6 +120,12 @@ class EpsilonGrid:
         """Integer mistake budgets base + n*eps for each grid value."""
         return (base_mistakes + self.counts).tolist()
 
+    def caps(self, base_mistakes: int) -> np.ndarray:
+        """The triangle-inequality cap on discrepancy (Proposition 1),
+        min(1, 2 * risk + eps), as counts min(n, 2 * base + n*eps) for each
+        grid value."""
+        return np.minimum(self.n, 2 * base_mistakes + self.counts)
+
 
 @dataclass(frozen=True)
 class MeasureValue:
@@ -141,36 +152,80 @@ class MeasureValue:
         return self.lower
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    epsilon: Fraction
-    discrepancy: Optional[MeasureValue]
-    ambiguity: Optional[MeasureValue]
+@dataclass(frozen=True, eq=False)
+class Measures(Sequence):
+    """One measure across a grid as integer counts out of ``total``: entry
+    i lies in [lower[i], upper[i]] / total, and ``certified[i]`` when its
+    solve closed the gap.  The columns are read-only copies, checked here
+    once over every entry as ``MeasureValue`` checks one.
 
+    The table is also a read-only sequence: an index gives the entry's
+    ``MeasureValue``, built when read.
+    """
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    """Per-epsilon multiplicity measures around a baseline classifier."""
-
-    baseline: RiskReport
-    entries: tuple
-    witnesses: dict
+    lower: np.ndarray
+    upper: np.ndarray
+    certified: np.ndarray
+    total: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        for name, dtype in (("lower", np.int64), ("upper", np.int64), ("certified", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        low, up = self.lower, self.upper
+        if not len(low) == len(up) == len(self.certified):
+            raise ValueError("every column needs one entry per grid value")
+        if np.any((low < 0) | (low > up) | (up > self.total)):
+            raise ValueError(f"bounds must satisfy 0 <= lower <= upper <= {self.total}")
+        if np.any(self.certified & (low != up)):
+            raise ValueError("certified values must have matching bounds")
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def __getitem__(self, i: int) -> MeasureValue:
+        return MeasureValue(
+            Fraction(int(self.lower[i]), self.total),
+            Fraction(int(self.upper[i]), self.total),
+            bool(self.certified[i]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class MultiplicityProfile:
+    """Per-epsilon multiplicity measures around a baseline classifier: one
+    ``Measures`` per side over ``grid`` (None when the side was not
+    measured), with counts out of the baseline's n, and the discrepancy
+    witness at each epsilon that has one.
+
+    Each side must be monotone in epsilon and the discrepancy upper bound
+    must stay within ``grid.caps``; a breach is a solver bug and raises.
+    """
+
+    baseline: RiskReport
+    grid: EpsilonGrid
+    discrepancy: Optional[Measures] = None
+    ambiguity: Optional[Measures] = None
+    witnesses: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = self.baseline.n
+        if self.grid.n != n:
+            raise ValueError("grid denominator does not match the baseline's n")
         for side in ("discrepancy", "ambiguity"):
-            seq = [getattr(e, side) for e in self.entries if getattr(e, side)]
-            pairs = zip(seq, seq[1:])  # entries of one step share their value
-            if any(
-                b is not a and (b.lower < a.lower or b.upper < a.upper) for a, b in pairs
-            ):
+            m = getattr(self, side)
+            if m is None:
+                continue
+            if m.total != n or len(m) != len(self.grid.values):
+                raise ValueError(f"{side} needs one count out of {n} per grid value")
+            if np.any(np.diff(m.lower) < 0) or np.any(np.diff(m.upper) < 0):
                 raise InternalConsistencyError(f"{side} is not monotone in epsilon")
-        mistakes, n = self.baseline.mistakes, self.baseline.n
-        for e in self.entries:
-            if e.discrepancy and _above_cap(e.discrepancy.upper, e.epsilon, mistakes, n):
-                raise InternalConsistencyError(
-                    f"discrepancy bound violated at eps={e.epsilon}"
-                )
+        if self.discrepancy is not None:
+            above = self.discrepancy.upper > self.grid.caps(self.baseline.mistakes)
+            if above.any():
+                eps = self.grid.values[np.argmax(above)]
+                raise InternalConsistencyError(f"discrepancy bound violated at eps={eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,37 +252,10 @@ class PathologicalPool:
             raise InternalConsistencyError("flip mistake bounds are inconsistent")
 
 
-def _above_cap(upper: Fraction, eps: Fraction, mistakes: int, n: int) -> bool:
-    """upper > min(1, 2 * mistakes / n + eps), decided in integers."""
-    return upper.numerator > upper.denominator or _cap_slack(upper, eps, mistakes, n)[0] < 0
-
-
-def _cap_slack(upper: Fraction, eps: Fraction, mistakes: int, n: int):
-    """2 * mistakes / n + eps - upper as an unreduced (numerator, denominator)."""
-    b, q = eps.denominator, upper.denominator
-    return (2 * mistakes * b + eps.numerator * n) * q - upper.numerator * n * b, n * b * q
-
-
 def _nested_bounds(lowers: np.ndarray, uppers: np.ndarray):
     """Bounds propagated across nested level sets: a lower bound holds at
     every larger epsilon, an upper bound at every smaller one."""
     return np.maximum.accumulate(lowers), np.minimum.accumulate(uppers[::-1])[::-1]
-
-
-def _measures(lowers, uppers, certified, total: int) -> list:
-    """A MeasureValue with shares lower/total and upper/total per entry;
-    entries with equal counts share one object, so each distinct value is
-    built and checked once."""
-    made = {}
-    out = []
-    for key in zip(lowers.tolist(), uppers.tolist(), certified.tolist()):
-        m = made.get(key)
-        if m is None:
-            m = made[key] = MeasureValue(
-                Fraction(key[0], total), Fraction(key[1], total), key[2]
-            )
-        out.append(m)
-    return out
 
 
 def _int_bounds(result: SolveResult, n: int):
@@ -377,7 +405,7 @@ def discrepancy_path(
     eps_values = grid.values
     size = len(eps_values)
     thresholds = grid.thresholds(base.mistakes)
-    caps = np.minimum(n, 2 * base.mistakes + grid.counts)
+    caps = grid.caps(base.mistakes)
     # Upper discrepancy counts of n; an unsolved point is bounded by n.
     raw_up = np.full(size, n, dtype=np.int64)
     solved = {}  # grid index -> SolveResult
@@ -425,15 +453,12 @@ def discrepancy_path(
     capped = np.minimum(raw_up, caps)
     if any(r.certified and ups[i] != capped[i] for i, r in solved.items()):
         raise InternalConsistencyError("tightening moved a certified value")
-    measures = _measures(lows, ups, certified, n)
-    entries = tuple(
-        ProfileEntry(epsilon=eps, discrepancy=m, ambiguity=None)
-        for eps, m in zip(eps_values, measures)
-    )
     witnesses = {
         eps: bank.classifiers[r] for eps, r in zip(eps_values, best.tolist()) if r >= 0
     }
-    profile = MultiplicityProfile(baseline=base, entries=entries, witnesses=witnesses)
+    profile = MultiplicityProfile(
+        base, grid, discrepancy=Measures(lows, ups, certified, n), witnesses=witnesses
+    )
     return profile, [(eps_values[i], solved[i]) for i in sorted(solved)]
 
 
@@ -572,13 +597,9 @@ def ambiguity_path(
     )
 
     # Counts read at increasing thresholds are already monotone.
-    low, up, total = _flippable(pool_out, bank.weights, thresholds)
-    measures = _measures(low, up, low == up, total)
-    entries = tuple(
-        ProfileEntry(epsilon=eps, discrepancy=None, ambiguity=m)
-        for eps, m in zip(grid.values, measures)
+    profile = MultiplicityProfile(
+        base, grid, ambiguity=_flippable(pool_out, bank.weights, thresholds)
     )
-    profile = MultiplicityProfile(baseline=base, entries=entries, witnesses={})
     return profile, pool_out, results
 
 
@@ -593,8 +614,8 @@ def _flippable(pool: PathologicalPool, cell_weights, thresholds):
     once over the cells and read off cumulative weights by binary search,
     so memory stays O(cells + thresholds).
 
-    Returns (lower counts, upper counts) as arrays over ``thresholds``,
-    and the total of ``cell_weights``.
+    Returns the ``Measures`` over ``thresholds`` out of the total of
+    ``cell_weights``, certified where the two counts meet.
     """
     at = np.asarray(thresholds)
     counts = []
@@ -602,64 +623,27 @@ def _flippable(pool: PathologicalPool, cell_weights, thresholds):
         order = np.argsort(bounds)
         cumulative = np.concatenate(([0], np.cumsum(cell_weights[order])))
         counts.append(cumulative[np.searchsorted(bounds[order], at, side="right")])
-    return counts[0], counts[1], int(cell_weights.sum())
+    low, up = counts
+    return Measures(low, up, low == up, int(cell_weights.sum()))
 
 
 def merge_profiles(
     disc_profile: MultiplicityProfile, amb_profile: MultiplicityProfile
 ) -> MultiplicityProfile:
-    """Both sides in one profile; entries pair by position on one grid."""
+    """The discrepancy side and witnesses of ``disc_profile`` with the
+    ambiguity side of ``amb_profile``, on their one grid."""
     if disc_profile.baseline != amb_profile.baseline:
         raise ValueError("profiles disagree on the baseline risk")
-    disc, amb = disc_profile.entries, amb_profile.entries
-    if [e.epsilon for e in disc] != [e.epsilon for e in amb]:
+    if disc_profile.grid != amb_profile.grid:
         raise ValueError("profiles were built on different epsilon grids")
-    entries = tuple(
-        ProfileEntry(epsilon=d.epsilon, discrepancy=d.discrepancy, ambiguity=a.ambiguity)
-        for d, a in zip(disc, amb)
-    )
-    return MultiplicityProfile(
-        baseline=disc_profile.baseline,
-        entries=entries,
-        witnesses=dict(disc_profile.witnesses),
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    slacks: tuple  # (epsilon, slack) pairs, slack = 2*risk + eps - upper
-
-    @property
-    def min_slack(self) -> Fraction:
-        return min(s for _, s in self.slacks)
-
-
-def check_discrepancy_bound(profile: MultiplicityProfile) -> BoundCheckReport:
-    """Triangle-inequality sanity bound: discrepancy <= 2 * risk + epsilon.
-
-    Any violation indicates a solver or decoding bug and raises.
-    """
-    mistakes, n = profile.baseline.mistakes, profile.baseline.n
-    slacks = []
-    for e in profile.entries:
-        if e.discrepancy is None:
-            continue
-        num, den = _cap_slack(e.discrepancy.upper, e.epsilon, mistakes, n)
-        if num < 0:
-            raise InternalConsistencyError(
-                f"discrepancy {e.discrepancy.upper} exceeds bound "
-                f"{2 * profile.baseline.rate + e.epsilon} at eps={e.epsilon}"
-            )
-        slacks.append((e.epsilon, Fraction(num, den)))
-    return BoundCheckReport(slacks=tuple(slacks))
+    return replace(disc_profile, ambiguity=amb_profile.ambiguity)
 
 
 def burden_path(pool: PathologicalPool, dataset: Dataset, thresholds) -> dict:
     """Ambiguity restricted to each group's weight in every cell, at every
-    mistake threshold at once: each group's list of measures, one per
+    mistake threshold at once: each group's ``Measures``, one entry per
     threshold, in the order of ``thresholds``."""
-    burden = {}
-    for group, cell_weights in dataset.group_weights.items():
-        low, up, total = _flippable(pool, cell_weights, thresholds)
-        burden[group] = _measures(low, up, low == up, total)
-    return burden
+    return {
+        group: _flippable(pool, cell_weights, thresholds)
+        for group, cell_weights in dataset.group_weights.items()
+    }

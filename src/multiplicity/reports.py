@@ -14,9 +14,10 @@ config produce byte-identical profile files.
 
 Each report is written once per run.  The epsilon column of
 ``profile.*``, ``pool.json`` and ``burden.csv`` takes one label per grid
-value (``epsilon_labels``), made once and passed to every writer.  Entries
-of one step of a profile share their ``MeasureValue``, and each measure's
-fields are formatted once per report, however many entries repeat it.
+value (``epsilon_labels``), made once and passed to every writer.  Each
+measure arrives as a ``profiles.Measures`` table of counts; a report
+formats each distinct (lower, upper, certified) row of it once, keyed by
+value, and the entries that repeat a row share its text or dict.
 
 Every JSON file goes through ``write_json``, whose bytes are those of
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.  It
@@ -67,23 +68,6 @@ def exact_decimal(value: Fraction) -> str:
 def epsilon_labels(values) -> list:
     """The ``exact_decimal`` label of each epsilon, in order."""
     return [exact_decimal(v) for v in values]
-
-
-def _once_per_value(fn):
-    """``fn`` over measures, evaluated once per distinct measure object.
-
-    Keys are object ids, so the cache must not outlive the measures: make
-    one per report.
-    """
-    done = {}
-
-    def get(m):
-        key = id(m)
-        if key not in done:
-            done[key] = fn(m)
-        return done[key]
-
-    return get
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -233,19 +217,40 @@ def _measure_cells(m) -> list:
     return [repr(float(m.lower)), repr(float(m.upper)), "true" if m.certified else "false"]
 
 
+def _formatted(measures, fmt, size: int) -> list:
+    """``fmt`` of each row of the ``Measures`` table ``measures``, or of
+    None ``size`` times when it is absent.  Each distinct (lower, upper,
+    certified) row is read and formatted once; its entries share the
+    result."""
+    if measures is None:
+        return [fmt(None)] * size
+    columns = (measures.lower, measures.upper, measures.certified)
+    keys = list(zip(*(c.tolist() for c in columns)))
+    # rows of one key are equal, so any of them formats it
+    done = {key: fmt(measures[i]) for key, i in dict(zip(keys, range(len(keys)))).items()}
+    return [done[key] for key in keys]
+
+
+def _sides(profile: MultiplicityProfile, fmt) -> list:
+    """``_formatted`` discrepancy and ambiguity rows of ``profile``."""
+    size = len(profile.grid.values)
+    return [_formatted(m, fmt, size) for m in (profile.discrepancy, profile.ambiguity)]
+
+
 def profile_json(profile: MultiplicityProfile, labels) -> dict:
-    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
-    measure = _once_per_value(_measure_json)
+    """``labels``: the epsilon label of each grid value (``epsilon_labels``)."""
     return {
         "baseline": risk_json(profile.baseline),
         "entries": [
             {
                 "epsilon": label,
-                "epsilon_exact": str(e.epsilon),
-                "discrepancy": measure(e.discrepancy),
-                "ambiguity": measure(e.ambiguity),
+                "epsilon_exact": str(eps),
+                "discrepancy": disc,
+                "ambiguity": amb,
             }
-            for e, label in zip(profile.entries, labels, strict=True)
+            for label, eps, disc, amb in zip(
+                labels, profile.grid.values, *_sides(profile, _measure_json), strict=True
+            )
         ],
         "witnesses": {
             str(eps): list(w.coefficients)
@@ -255,18 +260,17 @@ def profile_json(profile: MultiplicityProfile, labels) -> dict:
 
 
 def profile_csv_lines(profile: MultiplicityProfile, labels) -> list:
-    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
-    cells = _once_per_value(lambda m: ",".join(_measure_cells(m)))
+    """``labels``: the epsilon label of each grid value (``epsilon_labels``)."""
+    disc, amb = _sides(profile, lambda m: ",".join(_measure_cells(m)))
     lines = [
         "epsilon,disc_lower,disc_upper,disc_certified,amb_lower,amb_upper,amb_certified"
     ]
-    for e, label in zip(profile.entries, labels, strict=True):
-        lines.append(f"{label},{cells(e.discrepancy)},{cells(e.ambiguity)}")
+    lines += [f"{label},{d},{a}" for label, d, a in zip(labels, disc, amb, strict=True)]
     return lines
 
 
 def write_profile(outdir: Path, profile: MultiplicityProfile, labels) -> None:
-    """``labels``: the epsilon label of each entry (``epsilon_labels``)."""
+    """``labels``: the epsilon label of each grid value (``epsilon_labels``)."""
     write_json(outdir / "profile.json", profile_json(profile, labels))
     (outdir / "profile.csv").write_text(
         "\n".join(profile_csv_lines(profile, labels)) + "\n", encoding="utf-8"
@@ -279,7 +283,7 @@ def _finite(value: float) -> Optional[float]:
 
 def write_pool(outdir: Path, pool, adhoc_profile: MultiplicityProfile, labels) -> None:
     """``pool``: a ``pool.Pool``; ``labels``: the epsilon label of each
-    entry of ``adhoc_profile``."""
+    grid value of ``adhoc_profile``."""
     base_idx = pool_baseline_index(pool)
     base = pool[base_idx]
     columns = (pool.alphas, pool.lambdas, pool.mistakes, pool.cv_risks, pool.converged)
@@ -312,8 +316,7 @@ def write_burden(outdir: Path, flip_pool, dataset, grid, labels) -> None:
     """``labels``: the epsilon label of each grid value (``epsilon_labels``)."""
     thresholds = grid.thresholds(flip_pool.baseline_mistakes)
     burden = burden_path(flip_pool, dataset, thresholds)
-    cells = _once_per_value(_measure_cells)
-    columns = [[cells(m) for m in measures] for measures in burden.values()]
+    columns = [_formatted(m, _measure_cells, len(labels)) for m in burden.values()]
     rows = [["group", "epsilon", "amb_lower", "amb_upper", "certified"]]
     for label, row in zip(labels, zip(*columns), strict=True):
         rows.extend([group, label] + c for group, c in zip(burden, row))

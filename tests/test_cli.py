@@ -501,7 +501,7 @@ class TestAudit:
         config = RunConfig(dataset="xor", epsilons="0", outdir=str(tmp_path / "out"))
         manifest = run_audit(config)
         assert manifest["failure"] is None
-        for stage in ("ingest", "baseline", "discrepancy", "ambiguity", "bound_check"):
+        for stage in ("ingest", "baseline", "discrepancy", "ambiguity"):
             assert stage in manifest["stages"]
         assert "multiplicity" in manifest["versions"]
 
@@ -631,20 +631,19 @@ class TestAudit:
         }
         assert len(burden) == len(grid.values) * len(group_names)
         rows = iter(burden)
-        for entry in run["profile"].entries:
-            threshold = base.mistakes + int(entry.epsilon * n)
+        profile = run["profile"]
+        for eps, disc, amb in zip(grid.values, profile.discrepancy, profile.ambiguity):
+            threshold = base.mistakes + int(eps * n)
             low, up = recount(lambda i: True, threshold)
-            assert entry.ambiguity == MeasureValue(
-                Fraction(low, n), Fraction(up, n), certified=low == up
-            )
-            cap = min(Fraction(1), 2 * base.rate + entry.epsilon)
-            assert entry.discrepancy.upper <= cap
+            assert amb == MeasureValue(Fraction(low, n), Fraction(up, n), certified=low == up)
+            cap = min(Fraction(1), 2 * base.rate + eps)
+            assert disc.upper <= cap
             for g in group_names:
                 low, up = recount(lambda i: groups[i] == g, threshold)
                 total = totals[g]
                 assert next(rows) == [
                     g,
-                    exact_decimal(entry.epsilon),
+                    exact_decimal(eps),
                     repr(float(Fraction(low, total))),
                     repr(float(Fraction(up, total))),
                     "true" if low == up else "false",
@@ -843,10 +842,10 @@ class TestExitCodes:
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
 
-        def boom(profile):
+        def boom(*args, **kwargs):
             raise InternalConsistencyError("synthetic breach")
 
-        monkeypatch.setattr(cli_mod, "check_discrepancy_bound", boom)
+        monkeypatch.setattr(cli_mod, "discrepancy_path", boom)
         code = main(
             ["audit", "--dataset", "xor", "--epsilons", "0", "--outdir", str(tmp_path)]
         )
@@ -1048,9 +1047,7 @@ class TestReadme:
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
         assert namespace["result"].upper_bound == 25
-        assert [e.epsilon for e in namespace["amb_profile"].entries] == [
-            e.epsilon for e in namespace["disc_profile"].entries
-        ]
+        assert namespace["amb_profile"].grid.values == namespace["disc_profile"].grid.values
 
     def test_library_example_writes_the_audit_profile(self, tmp_path):
         # one bank shared by both paths and the baseline solve handed to the

@@ -3,6 +3,7 @@ certificates against the brute-force labeling oracle and branch-and-bound,
 and the ladder audit it settles without branch-and-bound."""
 
 import json
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from multiplicity.cli import RunConfig, run_audit
 from multiplicity.core import (
     Dataset,
     Example,
+    InternalConsistencyError,
     LinearClassifier,
     conflict_count,
     empirical_risk,
@@ -34,6 +36,7 @@ from multiplicity.profiles import (
     ambiguity_path,
     discrepancy_path,
 )
+from multiplicity.simplex import LpSolution
 from conftest import random_binary_dataset, write_ladder_csv, xor_dataset
 from oracles import labeling_optima, margin_reachable
 
@@ -210,6 +213,17 @@ class TestCertificates:
         assert (pool.mistakes_lower == 25).all() and not pool.certified.any()
         ambiguity_path(ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100))
         assert lps
+
+    def test_a_stalled_check_lp_raises(self, xor, monkeypatch):
+        # w = 0 is feasible for the max-margin LP, so a check LP that stops
+        # undecided is a solver failure; read as "no classifier clears
+        # gamma", it would raise the flip bounds above their optima
+        monkeypatch.setattr(
+            labelings, "solve_lp", lambda lp: LpSolution("stalled", None, math.nan)
+        )
+        h0, _ = fit_baseline(xor)
+        with pytest.raises(InternalConsistencyError, match="stalled"):
+            ambiguity_path(ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100))
 
 
 # Recorded once with branch-and-bound alone (every solve certified; about

@@ -360,10 +360,10 @@ class TestAdhocMeasures:
         models = fit_pool(data, PenaltyGrid(alphas=(0.5,), lambdas_per_alpha=1), seed=0)
         grid = EpsilonGrid.snapped([0, 0.1], data.n)
         profile = adhoc_measures(models, data, grid)
-        for entry in profile.entries:
-            assert entry.discrepancy.value == 0
-            assert entry.ambiguity.value == 0
-            assert not entry.discrepancy.certified
+        for disc, amb in zip(profile.discrepancy, profile.ambiguity):
+            assert disc.value == 0
+            assert amb.value == 0
+            assert not disc.certified
 
     def test_negated_pair_reaches_full_discrepancy(self):
         data = blob_dataset(seed=7, n=20)
@@ -373,7 +373,7 @@ class TestAdhocMeasures:
         fake = pool_of([h, h.negated()], data, lambdas=[1.0, 0.5], cv_risks=[0.1, 0.5])
         grid = EpsilonGrid((1,), data.n)
         profile = adhoc_measures(fake, data, grid)
-        assert profile.entries[0].discrepancy.value == 1
+        assert profile.discrepancy[0].value == 1
 
     def test_baseline_tie_break_prefers_larger_lambda(self):
         data = blob_dataset(seed=8, n=16)
@@ -409,11 +409,10 @@ class TestAdhocMeasures:
             disc, _ = discrepancy_path(bank, grid)
             amb, _, _ = ambiguity_path(bank, grid)
             exact = merge_profiles(disc, amb)
-            for got, truth in zip(adhoc.entries, exact.entries):
-                assert truth.discrepancy.certified
-                assert truth.ambiguity.certified
-                assert got.discrepancy.value <= truth.discrepancy.value
-                assert got.ambiguity.value <= truth.ambiguity.value
+            for side in ("discrepancy", "ambiguity"):
+                for got, truth in zip(getattr(adhoc, side), getattr(exact, side)):
+                    assert truth.certified
+                    assert got.value <= truth.value
 
 
 def row_objective(X, targets, weights, n_total, ridge, l1, w):
@@ -682,11 +681,9 @@ class TestMatrixScoring:
         profile = adhoc_measures(models, data, grid)
         assert profile.baseline == models[pool_baseline_index(models)].train_risk
         got = []
-        for entry in profile.entries:
-            assert not entry.discrepancy.certified and not entry.ambiguity.certified
-            got.append(
-                (entry.discrepancy.value * data.n, entry.ambiguity.value * data.n)
-            )
+        for disc, amb in zip(profile.discrepancy, profile.ambiguity):
+            assert not disc.certified and not amb.certified
+            got.append((disc.value * data.n, amb.value * data.n))
         assert got == reference_adhoc_counts(models, data, grid)
 
     def test_adhoc_matches_per_epsilon_scan_on_fitted_pools(self):
@@ -762,15 +759,15 @@ class TestMatrixScoring:
         grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(data.n + 1)), data.n)
         profile = adhoc_measures(models, data, grid)
         base = models[pool_baseline_index(models)]
-        for entry, threshold in zip(
-            profile.entries, grid.thresholds(base.train_risk.mistakes)
+        for disc, amb, threshold in zip(
+            profile.discrepancy, profile.ambiguity, grid.thresholds(base.train_risk.mistakes)
         ):
             in_set = [m for m in models if m.train_risk.mistakes <= threshold]
             conflicts = [conflict_count(m.classifier, base.classifier, data) for m in in_set]
-            assert entry.discrepancy.value == max(conflicts, key=lambda r: r.mistakes).rate
+            assert disc.value == max(conflicts, key=lambda r: r.mistakes).rate
             flipped = np.any(
                 [predictions(m.classifier, data) != predictions(base.classifier, data)
                  for m in in_set],
                 axis=0,
             )
-            assert entry.ambiguity.value == Fraction(int(data.weights[flipped].sum()), data.n)
+            assert amb.value == Fraction(int(data.weights[flipped].sum()), data.n)

@@ -35,13 +35,12 @@ from multiplicity.profiles import (
     MeasureValue,
     MultiplicityProfile,
     ClassifierBank,
+    Measures,
     PathologicalPool,
-    ProfileEntry,
     _flippable,
     _next_solve,
     ambiguity_path,
     burden_path,
-    check_discrepancy_bound,
     discrepancy_path,
     merge_profiles,
 )
@@ -109,12 +108,68 @@ class TestMeasureValue:
             MeasureValue(Fraction(1, 4), Fraction(1, 2), certified=True)
 
 
+class TestMeasures:
+    def test_rejects_bad_tables(self):
+        ok = dict(lower=[0, 1], upper=[1, 2], certified=[False, False], total=4)
+        Measures(**ok)
+        for bad in (
+            dict(lower=[0]),  # ragged
+            dict(lower=[-1, 1]),
+            dict(lower=[2, 1]),  # lower above upper
+            dict(upper=[1, 5]),  # upper above the total
+            dict(certified=[True, False]),  # certified with an open interval
+        ):
+            with pytest.raises(ValueError):
+                Measures(**{**ok, **bad})
+
+    def test_columns_are_read_only_copies(self):
+        lower = np.array([0, 1])
+        table = Measures(lower, [1, 1], [False, True], 3)
+        lower[0] = 1
+        assert table.lower.tolist() == [0, 1]
+        for column in (table.lower, table.upper, table.certified):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_rows_are_measure_values(self):
+        table = Measures([0, 2, 3], [1, 2, 6], [False, True, False], 6)
+        assert len(table) == 3
+        for i, row in enumerate(table):
+            assert row == MeasureValue(
+                Fraction(int(table.lower[i]), 6),
+                Fraction(int(table.upper[i]), 6),
+                bool(table.certified[i]),
+            )
+
+    def test_profile_raises_on_a_broken_invariant(self):
+        base = RiskReport(1, 10)
+        grid = EpsilonGrid((Fraction(0), Fraction(1, 10)), 10)
+        assert grid.caps(base.mistakes).tolist() == [2, 3]
+        open_ = np.zeros(2, dtype=bool)
+        MultiplicityProfile(base, grid, discrepancy=Measures([0, 0], [2, 3], open_, 10))
+        for side in ("discrepancy", "ambiguity"):
+            for lower, upper in (([1, 0], [2, 2]), ([0, 0], [2, 1])):
+                table = Measures(lower, upper, open_, 10)
+                with pytest.raises(InternalConsistencyError, match="not monotone"):
+                    MultiplicityProfile(base, grid, **{side: table})
+        with pytest.raises(InternalConsistencyError, match="bound violated at eps=1/10"):
+            MultiplicityProfile(base, grid, discrepancy=Measures([0, 0], [2, 4], open_, 10))
+        # the cap bounds discrepancy only
+        MultiplicityProfile(base, grid, ambiguity=Measures([0, 0], [9, 10], open_, 10))
+        # counts out of another total, one entry short, a grid of another n
+        for table in (Measures([0, 0], [2, 3], open_, 11), Measures([0], [2], [False], 10)):
+            with pytest.raises(ValueError):
+                MultiplicityProfile(base, grid, ambiguity=table)
+        with pytest.raises(ValueError):
+            MultiplicityProfile(base, EpsilonGrid((Fraction(0),), 20))
+
+
 class TestDiscrepancyPath:
     def test_xor_at_zero(self, xor):
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         profile, results = discrepancy_path(ClassifierBank(xor, h0), grid)
-        entry = profile.entries[0].discrepancy
+        entry = profile.discrepancy[0]
         assert entry.certified
         assert entry.value == Fraction(1, 2)
         assert all(r.status == "certified_optimal" for _, r in results)
@@ -122,7 +177,7 @@ class TestDiscrepancyPath:
     def test_full_flip_at_eps_one(self, xor):
         grid = EpsilonGrid((Fraction(1),), 100)
         profile, _ = discrepancy_path(ClassifierBank(xor, H_A), grid)
-        assert profile.entries[0].discrepancy.value == 1
+        assert profile.discrepancy[0].value == 1
 
     def test_witnesses_stay_in_level_set(self, xor):
         h0, _ = fit_baseline(xor)
@@ -149,10 +204,10 @@ class TestDiscrepancyPath:
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(3)), data.n)
             profile, _ = discrepancy_path(ClassifierBank(data, h0), grid)
-            for entry in profile.entries:
-                expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
-                assert entry.discrepancy.certified
-                assert entry.discrepancy.value == expect
+            for eps, disc in zip(profile.grid.values, profile.discrepancy):
+                expect = Fraction(oracle_disc(data, pattern, eps), data.n)
+                assert disc.certified
+                assert disc.value == expect
 
     def test_dense_grid_fills_points_between_equal_values(self):
         rng = np.random.default_rng(71)
@@ -163,11 +218,11 @@ class TestDiscrepancyPath:
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(8)), data.n)
             profile, results = discrepancy_path(ClassifierBank(data, h0), grid)
-            for entry in profile.entries:
-                expect = Fraction(oracle_disc(data, pattern, entry.epsilon), data.n)
-                assert entry.discrepancy.certified
-                assert entry.discrepancy.value == expect
-                witness = profile.witnesses[entry.epsilon]
+            for eps, disc in zip(profile.grid.values, profile.discrepancy):
+                expect = Fraction(oracle_disc(data, pattern, eps), data.n)
+                assert disc.certified
+                assert disc.value == expect
+                witness = profile.witnesses[eps]
                 disagree = conflict_count(witness, h0, data).mistakes
                 assert Fraction(disagree, data.n) == expect
             assert [eps for eps, _ in results] == sorted({eps for eps, _ in results})
@@ -245,11 +300,11 @@ class TestDiscrepancyPath:
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         exact, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
-        truth = exact.entries[0].discrepancy.value
+        truth = exact.discrepancy[0].value
         truncated, _ = discrepancy_path(
             ClassifierBank(xor, h0), grid, budget=SolveBudget(node_limit=1)
         )
-        entry = truncated.entries[0].discrepancy
+        entry = truncated.discrepancy[0]
         assert entry.lower <= truth <= entry.upper
 
 
@@ -292,7 +347,7 @@ class TestAmbiguityPath:
         h0, res = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         profile, pool, results = ambiguity_path(ClassifierBank(xor, h0), grid)
-        entry = profile.entries[0].ambiguity
+        entry = profile.ambiguity[0]
         assert entry.certified and entry.value == 1
         assert len(pool.classifiers) == len(xor.cells.X)
         sides = [x @ g.coefficients > 0.0 for x, g in zip(xor.cells.X, pool.classifiers)]
@@ -304,7 +359,7 @@ class TestAmbiguityPath:
     def test_eps_one_is_total(self, xor):
         grid = EpsilonGrid((Fraction(1),), 100)
         profile, _, _ = ambiguity_path(ClassifierBank(xor, H_A), grid)
-        assert profile.entries[0].ambiguity.value == 1
+        assert profile.ambiguity[0].value == 1
 
     def test_pool_lower_bound_respects_baseline(self, xor):
         h0, _ = fit_baseline(xor)
@@ -321,11 +376,9 @@ class TestAmbiguityPath:
             profile, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
             for i, cell in enumerate(data.cells.index):
                 assert pool.mistakes_upper[cell] == oracle_flip(data, pattern, i)
-            for entry in profile.entries:
-                assert entry.ambiguity.certified
-                assert entry.ambiguity.value == oracle_ambiguity(
-                    data, pattern, entry.epsilon
-                )
+            for eps, amb in zip(profile.grid.values, profile.ambiguity):
+                assert amb.certified
+                assert amb.value == oracle_ambiguity(data, pattern, eps)
 
     @pytest.mark.parametrize("seed", [50, 134, 257])
     def test_flip_intervals_hold_around_an_open_baseline(self, seed):
@@ -478,28 +531,42 @@ class TestMonotonicityAndBound:
             disc, _ = discrepancy_path(bank, grid)
             amb, _, _ = ambiguity_path(bank, grid)
             profile = merge_profiles(disc, amb)
-            values_d = [e.discrepancy.value for e in profile.entries]
-            values_a = [e.ambiguity.value for e in profile.entries]
+            values_d = [m.value for m in profile.discrepancy]
+            values_a = [m.value for m in profile.ambiguity]
             assert values_d == sorted(values_d)
             assert values_a == sorted(values_a)
-            report = check_discrepancy_bound(profile)
-            assert all(s >= 0 for _, s in report.slacks)
+            rate = profile.baseline.rate
+            slacks = [
+                2 * rate + eps - m.upper for eps, m in zip(grid.values, profile.discrepancy)
+            ]
+            assert all(s >= 0 for s in slacks)
 
     def test_integer_cap_checks_match_fraction_arithmetic(self):
+        # random n, baseline mistakes, grids and monotone discrepancy uppers:
+        # the profile's integer check against grid.caps raises exactly when
+        # some upper exceeds min(1, 2 * rate + eps) in Fractions
         rng = np.random.default_rng(17)
+        raised = 0
         for _ in range(300):
             n = int(rng.integers(1, 60))
             base = RiskReport(int(rng.integers(0, n + 1)), n)
-            eps = Fraction(int(rng.integers(0, n + 1)), n)
-            upper = Fraction(int(rng.integers(0, 3 * n)), int(rng.integers(1, 2 * n)))
-            entry = ProfileEntry(eps, MeasureValue(0, upper, certified=False), None)
-            if upper > min(1, 2 * base.rate + eps):
-                with pytest.raises(InternalConsistencyError):
-                    MultiplicityProfile(baseline=base, entries=(entry,), witnesses={})
+            ks = np.unique(rng.integers(0, n + 1, int(rng.integers(1, 6))))
+            grid = EpsilonGrid(tuple(Fraction(int(k), n) for k in ks), n)
+            uppers = np.sort(rng.integers(0, n + 1, len(ks)))
+            size = len(uppers)
+            disc = Measures(np.zeros(size), uppers, np.zeros(size, dtype=bool), n)
+            over = any(
+                Fraction(int(u), n) > min(1, 2 * base.rate + eps)
+                for u, eps in zip(uppers, grid.values)
+            )
+            if over:
+                raised += 1
+                with pytest.raises(InternalConsistencyError, match="bound violated"):
+                    MultiplicityProfile(base, grid, discrepancy=disc)
                 continue
-            profile = MultiplicityProfile(baseline=base, entries=(entry,), witnesses={})
-            report = check_discrepancy_bound(profile)
-            assert report.slacks == ((eps, 2 * base.rate + eps - upper),)
+            profile = MultiplicityProfile(base, grid, discrepancy=disc)
+            assert [m.upper * n for m in profile.discrepancy] == uppers.tolist()
+        assert 0 < raised < 300
 
     def test_merge_rejects_different_grids(self, xor):
         h0, _ = fit_baseline(xor)
@@ -513,8 +580,9 @@ class TestMonotonicityAndBound:
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         disc, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
-        report = check_discrepancy_bound(disc)
-        assert report.slacks[0][1] == 0  # 0.5 == 2 * 0.25 + 0
+        slack = 2 * disc.baseline.rate + grid.values[0] - disc.discrepancy[0].upper
+        assert slack == 0  # 0.5 == 2 * 0.25 + 0
+        assert disc.discrepancy.upper.tolist() == grid.caps(disc.baseline.mistakes).tolist()
 
     def test_zero_risk_baseline_pins_discrepancy(self):
         data = Dataset.build(
@@ -527,7 +595,7 @@ class TestMonotonicityAndBound:
         assert empirical_risk(h0, data).mistakes == 0
         grid = EpsilonGrid((Fraction(0),), data.n)
         disc, _ = discrepancy_path(ClassifierBank(data, h0), grid)
-        assert disc.entries[0].discrepancy.value == 0
+        assert disc.discrepancy[0].value == 0
 
     def test_witness_conflicts_are_ambiguous(self):
         # conditional cross-relation: alpha >= delta when the witness certifies
@@ -541,15 +609,15 @@ class TestMonotonicityAndBound:
             amb, pool, _ = ambiguity_path(bank, grid)
             profile = merge_profiles(disc, amb)
             base_preds = predictions(h0, data)
-            for entry in profile.entries:
-                if not entry.discrepancy.certified:
+            for eps, disc, amb in zip(
+                profile.grid.values, profile.discrepancy, profile.ambiguity
+            ):
+                if not disc.certified:
                     continue
-                assert entry.ambiguity.lower >= entry.discrepancy.value
-                witness = profile.witnesses[entry.epsilon]
+                assert amb.lower >= disc.value
+                witness = profile.witnesses[eps]
                 witness_preds = predictions(witness, data)
-                threshold = profile.baseline.mistakes + int(
-                    entry.epsilon * data.n
-                )
+                threshold = profile.baseline.mistakes + int(eps * data.n)
                 for i in np.flatnonzero(witness_preds != base_preds):
                     assert pool.mistakes_upper[data.cells.index[i]] <= threshold
 
@@ -582,9 +650,10 @@ class TestCountBookkeeping:
             weights = {None: data.cells.pos + data.cells.neg, **data.group_weights}
             for group, cell_weights in weights.items():
                 members = [i for i, g in enumerate(data.groups) if group in (None, g)]
-                low, up, total = _flippable(pool, cell_weights, thresholds)
-                assert total == sum(int(data.weights[i]) for i in members)
-                for t, got_low, got_up in zip(thresholds, low, up):
+                counts = _flippable(pool, cell_weights, thresholds)
+                assert counts.total == sum(int(data.weights[i]) for i in members)
+                assert list(counts.certified) == list(counts.lower == counts.upper)
+                for t, got_low, got_up in zip(thresholds, counts.lower, counts.upper):
                     want_low = want_up = 0
                     for i in members:
                         want_low += int(data.weights[i]) * (upper[cell[i]] <= t)
@@ -660,7 +729,7 @@ class TestGroupBurden:
         grid = EpsilonGrid((Fraction(0),), data.n)
         profile, pool, _ = ambiguity_path(ClassifierBank(data, h0), grid)
         rates = burden_at(pool, data, 0)
-        assert rates["only"].value == profile.entries[0].ambiguity.value
+        assert rates["only"].value == profile.ambiguity[0].value
 
     def test_group_weighted_burden_sums_to_ambiguity(self):
         # sum_g weight_g * burden_g = n * ambiguity, on both bounds, also
@@ -678,14 +747,14 @@ class TestGroupBurden:
             for budget in (None, SolveBudget(node_limit=1)):
                 bank = ClassifierBank(data, h0)
                 profile, pool, _ = ambiguity_path(bank, grid, budget=budget)
-                for entry in profile.entries:
-                    burden = burden_at(pool, data, entry.epsilon)
+                for eps, amb in zip(grid.values, profile.ambiguity):
+                    burden = burden_at(pool, data, eps)
                     for side in ("lower", "upper"):
                         weighted = sum(
                             int(data.weights[groups == g].sum()) * getattr(m, side)
                             for g, m in burden.items()
                         )
-                        assert weighted == data.n * getattr(entry.ambiguity, side)
+                        assert weighted == data.n * getattr(amb, side)
 
     def test_engineered_two_group_split(self, tmp_path):
         # only group A's cell admits a free flip at eps = 0; A's name holds

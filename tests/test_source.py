@@ -1,9 +1,9 @@
 """Source hygiene of the package, read with ``ast`` alone: every import is
 used, every module-level private name is referenced somewhere in the
-package, so code that a change leaves behind shows up here, every module
-imports only the layers below it, and every string compared with a
-solve's ``.status`` in the package and its tests is a status that a solve
-can report."""
+package, so code that a change leaves behind shows up here, every public
+export is bound, every module imports only the layers below it, and every
+string compared with a solve's ``.status`` in the package and its tests is
+a status that a solve can report."""
 
 import ast
 from pathlib import Path
@@ -24,16 +24,23 @@ def _modules():
     }
 
 
-def _read_names(tree):
-    """The names a module reads: loaded names and the entries of ``__all__``."""
+def _exports(tree):
+    """The entries of the module's ``__all__``."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names and the entries of ``__all__``."""
+    names = _exports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
     return names
 
 
@@ -86,6 +93,17 @@ def test_every_import_is_used():
                     if bound not in read:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def test_every_export_is_bound():
+    # a name left in ``__all__`` after its definition is gone counts as read
+    # above, yet breaks ``from multiplicity import *``
+    tree = _modules()["__init__.py"]
+    bound = set(_defined_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    assert _exports(tree) and sorted(_exports(tree) - bound) == []
 
 
 def test_every_private_module_name_is_referenced():
