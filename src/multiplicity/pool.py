@@ -2,13 +2,16 @@
 
 Fits a grid of elastic-net logistic models by proximal Newton (glmnet's
 IRLS, Friedman, Hastie & Tibshirani 2010; each quadratic subproblem solved
-exactly on its warm support, coordinate descent where the support changes)
-over the distinct feature cells.  The lambda path is walked in blocks of
-``LAMBDA_BLOCK`` lambdas: one batch fits every (lambda in block, alpha,
-fold) problem, where a cross-validation fold is the full data with that
-fold's weights set to zero.  Picks a baseline by 5-fold cross-validated
-error and reads ambiguity and discrepancy off the pool, every count scored
-on the cells with their weights.
+exactly on its warm support, coordinate descent where the support changes
+or the system there is singular) over the distinct feature cells.  The
+Newton kernel runs with the batch of fits on the last, contiguous axis of
+every array, and solves the support systems by elimination without
+pivoting, so one singular system fails only its own fit.  The lambda
+path is walked in blocks of ``LAMBDA_BLOCK`` lambdas: one batch fits every
+(lambda in block, alpha, fold) problem, where a cross-validation fold is
+the full data with that fold's weights set to zero.  Picks a baseline by
+5-fold cross-validated error and reads ambiguity and discrepancy off the
+pool, every count scored on the cells with their weights.
 The fitted pool is one ``Pool`` table of per-model arrays, from the fit
 through the measures to ``pool.json``; a ``PoolModel`` row is built only
 when someone reads one.
@@ -170,43 +173,65 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _objective(X, pos, weights, n_total, ridge, l1, w):
-    """Penalized weighted logistic loss of each row of ``w``: per cell, its
-    total weight times logaddexp(0, score) less its positive weight times
-    the score."""
-    scores, beta = w @ X.T, w[:, 1:]
-    loss = np.einsum("kc,kc->k", weights, np.logaddexp(0.0, scores))
-    loss -= np.einsum("kc,kc->k", pos, scores)
-    return loss / n_total + 0.5 * ridge * (beta**2).sum(1) + l1 * np.abs(beta).sum(1)
+    """Penalized weighted logistic loss of each column of ``w`` (p x k;
+    ``pos`` and ``weights`` are cells x k): per cell, its total weight
+    times logaddexp(0, score) less its positive weight times the score.
+    logaddexp(0, s) is taken as max(s, 0) + log1p(exp(-|s|))."""
+    scores, beta = X @ w, w[1:]
+    softplus = np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
+    loss = np.einsum("ck,ck->k", weights, softplus) - np.einsum("ck,ck->k", pos, scores)
+    return loss / n_total + 0.5 * ridge * (beta**2).sum(0) + l1 * np.abs(beta).sum(0)
 
 
 def _cd_sweep(beta, red_grad, red_hess, diag, ridge, l1):
-    """One coordinate-descent sweep over each row of ``beta``, in place, that
-    keeps ``red_grad`` (the gradient before ridge) current.  Returns the largest move."""
+    """One coordinate-descent sweep over each column of ``beta``, in place,
+    that keeps ``red_grad`` (the gradient before ridge) current.  Returns
+    each column's largest move."""
     before = beta.copy()
-    for j in range(beta.shape[1]):
-        raw = beta[:, j] - (red_grad[:, j] + ridge * beta[:, j]) / diag[:, j]
-        new = np.copysign(np.maximum(np.abs(raw) - l1 / diag[:, j], 0.0), raw)
-        red_grad += red_hess[:, :, j] * (new - beta[:, j])[:, None]
-        beta[:, j] = new
-    return np.abs(beta - before).max(initial=0.0)
+    for j in range(len(beta)):
+        raw = beta[j] - (red_grad[j] + ridge * beta[j]) / diag[j]
+        new = np.copysign(np.maximum(np.abs(raw) - l1 / diag[j], 0.0), raw)
+        red_grad += red_hess[:, j] * (new - beta[j])
+        beta[j] = new
+    return np.abs(beta - before).max(0, initial=0.0)
+
+
+def _spd_solve(matrix, rhs):
+    """Solve ``matrix[:, :, i] x = rhs[:, i]`` for every fit i by Gaussian
+    elimination without pivoting, overwriting both arguments.  Valid for
+    symmetric positive definite systems; a fit with a pivot that is not
+    positive, or a solution that is not finite, gets a NaN solution."""
+    n = len(rhs)
+    with np.errstate(all="ignore"):  # a zero or tiny pivot fails its fit below
+        for j in range(n - 1):
+            factor = matrix[j + 1 :, j] / matrix[j, j]
+            matrix[j + 1 :, j + 1 :] -= factor[:, None] * matrix[j, j + 1 :]
+            rhs[j + 1 :] -= factor * rhs[j]
+        for j in reversed(range(n)):
+            rhs[j] -= np.einsum("ik,ik->k", matrix[j, j + 1 :], rhs[j + 1 :])
+            rhs[j] /= matrix[j, j]
+    failed = (np.einsum("jjk->jk", matrix) <= 0.0).any(0) | ~np.isfinite(rhs).all(0)
+    rhs[:, failed] = np.nan
+    return rhs
 
 
 def _support_solve(system, rhs, l1, beta, inert):
     """Minimize each quadratic model, of gradient ``system @ b - rhs`` plus
     the l1 term, on the support S of ``beta`` (inert coordinates excluded)
     with its signs s: system_SS b_S = rhs_S - l1*s_S, and b = 0 off S.
-    Returns the solutions and which are minimizers: signs on S kept,
-    |gradient| <= l1 off S, and finite."""
+    Every argument has the fits on its last axis.  Returns the solutions
+    and which are minimizers: signs on S kept and |gradient| <= l1 off S.
+    The masked system, padded with the identity off S, is positive
+    semidefinite; a singular one fails only its own fit, whose NaN
+    solution keeps no sign."""
     sign = np.sign(beta)
     on = (sign != 0.0) & ~inert
-    matrix = np.where(on[:, :, None] & on[:, None, :], system, np.eye(beta.shape[1]))
-    try:
-        trial = np.linalg.solve(matrix, np.where(on, rhs - l1[:, None] * sign, 0.0)[..., None])
-    except np.linalg.LinAlgError:
-        return beta, np.zeros(len(beta), dtype=bool)
-    grad, trial = (system @ trial)[..., 0] - rhs, trial[..., 0]
-    kept = np.where(on, np.sign(trial) == sign, np.abs(grad) <= l1[:, None])
-    return trial, kept.all(1) & np.isfinite(trial).all(1)
+    eye = np.eye(len(beta))[:, :, None]
+    matrix = np.where(on[:, None] & on[None, :], system, eye)
+    trial = _spd_solve(matrix, np.where(on, rhs - l1 * sign, 0.0))
+    grad = np.einsum("ijk,jk->ik", system, trial) - rhs
+    kept = np.where(on, np.sign(trial) == sign, np.abs(grad) <= l1)
+    return trial, kept.all(0)
 
 
 def _cd_fit(X, pos, neg, ridge, l1, w_init):
@@ -216,63 +241,84 @@ def _cd_fit(X, pos, neg, ridge, l1, w_init):
     positive weight ``pos[i, c]`` and the negative weight ``neg[i, c]``
     (both k x cells), and has start ``w_init[i]`` (k x p) and penalties
     ``ridge[i]`` and ``l1[i]``; its loss is the sum over cells of
-    (pos + neg) * logaddexp(0, s) - pos * s at score s.  Each Newton step
-    eliminates the unpenalized intercept (column 0), which is strongly
-    correlated with binary features, from the quadratic model by its Schur
-    complement and solves the rest exactly on the current support (Lee, Sun
-    & Saunders 2014); a fit whose solution leaves that support runs one
-    coordinate-descent sweep and tries again, until a sweep moves no
+    (pos + neg) * logaddexp(0, s) - pos * s at score s.  Inside, the fits
+    run on the last, contiguous axis of every array (coefficients p x k,
+    cell weights cells x k, Hessians p x p x k), so each operation spans
+    the batch.  Each Newton step eliminates the unpenalized intercept
+    (column 0), which is strongly correlated with binary features, from the
+    quadratic model by its Schur complement and solves the rest exactly on
+    the current support (Lee, Sun & Saunders 2014); a fit whose solution
+    leaves that support, or whose system is singular there, runs one
+    coordinate-descent sweep and tries again, until its sweep moves no
     coordinate by ``CD_TOL``.  The intercept step follows in closed form.
     The step is halved until the penalized objective does not rise or it
     moves no coordinate by ``CD_TOL``; then the fit has converged and
-    leaves the batch.  Returns (coefficients, converged), one row per fit.
+    leaves the batch.  No fit's result depends on the others in its batch.
+    Returns (coefficients, converged), one row per fit.
     """
-    w = w_init.copy()
-    converged = np.zeros(len(w), dtype=bool)
-    live = np.arange(len(w))
-    weights = pos + neg
-    n_total = weights.sum(axis=1)
+    w = w_init.T.copy()
+    converged = np.zeros(len(w_init), dtype=bool)
+    live = np.arange(len(w_init))
+    # the live fits' columns, compacted whenever fits converge
+    wl, wp, wt = w, pos.T.copy(), (pos + neg).T.copy()
+    nt, lam2, lam1 = wt.sum(0), ridge, l1
     p = X.shape[1]
-    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)  # Hessian by one matmul
-    value = _objective(X, pos, weights, n_total, ridge, l1, w)
+    # the Hessian of every fit by one matmul: (p*p x cells) @ (cells x k)
+    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p).T.copy()
+    eye = np.eye(p - 1)[:, :, None]
+    value = _objective(X, wp, wt, nt, lam2, lam1, wl)
     for _ in range(MAX_ITER):
-        wl, wp, wt, nt, lam2, lam1 = (a[live] for a in (w, pos, weights, n_total, ridge, l1))
-        mu = _sigmoid(wl @ X.T)
-        grad = (wt * mu - wp) @ X / nt[:, None]
-        hess = ((wt * mu * (1.0 - mu) / nt[:, None]) @ outer).reshape(-1, p, p)
-        h00, h0r = hess[:, 0, 0], hess[:, 0, 1:]
-        red_hess = hess[:, 1:, 1:] - h0r[:, :, None] * h0r[:, None, :] / h00[:, None, None]
-        red_grad = grad[:, 1:] - h0r * (grad[:, :1] / h00[:, None])  # tracks beta
-        system = red_hess + lam2[:, None, None] * np.eye(p - 1)
-        inert = np.einsum("kjj->kj", system) <= 0.0  # no curvature and no ridge
-        diag = np.where(inert, np.inf, np.einsum("kjj->kj", system))
-        beta = wl[:, 1:].copy()
-        rhs = (red_hess @ beta[..., None])[..., 0] - red_grad
-        for _ in range(MAX_ITER):
-            trial, ok = _support_solve(system, rhs, lam1, beta, inert)
-            beta[ok] = trial[ok]
-            diag[ok] = np.inf  # a solved fit sits the sweeps out
-            if ok.all() or _cd_sweep(beta, red_grad, red_hess, diag, lam2, lam1) < CD_TOL:
+        mu = _sigmoid(X @ wl)
+        grad = X.T @ (wt * mu - wp) / nt
+        hess = (outer @ (wt * mu * (1.0 - mu) / nt)).reshape(p, p, -1)
+        h00, h0r = hess[0, 0], hess[0, 1:]
+        red_hess = hess[1:, 1:] - h0r[:, None] * h0r[None, :] / h00
+        red_grad = grad[1:] - h0r * (grad[0] / h00)  # tracks beta
+        system = red_hess + lam2 * eye
+        inert = np.einsum("jjk->jk", system) <= 0.0  # no curvature and no ridge
+        diag = np.where(inert, np.inf, np.einsum("jjk->jk", system))
+        beta = wl[1:].copy()
+        rhs = np.einsum("ijk,jk->ik", red_hess, beta) - red_grad
+        todo = np.arange(len(lam1))  # the fits still solving for their step
+        for tries in range(MAX_ITER):
+            cols = (..., todo if tries else slice(None))  # the first try takes views
+            trial, ok = _support_solve(*(a[cols] for a in (system, rhs, lam1, beta, inert)))
+            beta[:, todo[ok]] = trial[:, ok]
+            todo = todo[~ok]
+            if not len(todo):
                 break
-        beta -= wl[:, 1:]
-        step = np.column_stack([-(grad[:, 0] + np.einsum("kj,kj->k", h0r, beta)) / h00, beta])
+            cols = (..., todo)
+            part, part_grad = beta[cols], red_grad[cols]
+            moves = _cd_sweep(part, part_grad, red_hess[cols], diag[cols], lam2[todo], lam1[todo])
+            beta[cols], red_grad[cols] = part, part_grad
+            todo = todo[moves >= CD_TOL]
+            if not len(todo):
+                break
+        step = np.empty_like(wl)
+        step[1:] = beta - wl[1:]
+        step[0] = -(grad[0] + np.einsum("jk,jk->k", h0r, step[1:])) / h00
         args = (X, wp, wt, nt, lam2, lam1)
-        start, reach, size = value[live], np.abs(step).max(1), np.ones(len(live))
+        reach, size = np.abs(step).max(0), np.ones(len(lam1))
         while True:
-            trial_value = _objective(*args, wl + size[:, None] * step)
+            trial_value = _objective(*args, wl + size * step)
             # a step shorter than CD_TOL ends the fit anyway
-            rise = (trial_value > start) & (size * reach >= CD_TOL)
+            rise = (trial_value > value) & (size * reach >= CD_TOL)
             if not rise.any():
                 break
             size[rise] *= 0.5
-        w[live] = wl + size[:, None] * step
-        value[live] = trial_value
+        wl = wl + size * step
+        value = trial_value
         done = size * reach < CD_TOL
-        converged[live[done]] = True
-        live = live[~done]
-        if not len(live):
-            break
-    return w, converged
+        if done.any():
+            w[:, live] = wl
+            converged[live[done]] = True
+            keep = ~done
+            live, wl, wp, wt = live[keep], wl[:, keep], wp[:, keep], wt[:, keep]
+            nt, lam2, lam1, value = nt[keep], lam2[keep], lam1[keep], value[keep]
+            if not len(live):
+                break
+    w[:, live] = wl
+    return w.T.copy(), converged
 
 
 def _null_intercept(targets, weights) -> float:

@@ -415,6 +415,11 @@ class TestAdhocMeasures:
                     assert got.value <= truth.value
 
 
+def sigmoid(z):
+    """The logistic function, clipped as the pool's own (test-only oracle)."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+
+
 def row_objective(X, targets, weights, n_total, ridge, l1, w):
     """Penalized weighted logistic loss of each row of ``w`` over the rows
     of ``X`` (test-only oracle)."""
@@ -432,7 +437,7 @@ def reference_cd_fit(X, targets, weights, ridge, l1, w_init):
     n_total = weights.sum(axis=1)
     for _ in range(pool_module.MAX_ITER):
         wl, wt, nt, lam2, lam1 = (a[live] for a in (w, weights, n_total, ridge, l1))
-        mu = pool_module._sigmoid(wl @ X.T)
+        mu = sigmoid(wl @ X.T)
         grad = (wt * (mu - targets)) @ X / nt[:, None]
         hess = np.einsum("kn,ni,nj->kij", wt * mu * (1.0 - mu) / nt[:, None], X, X)
         h00, h0r = hess[:, 0, 0], hess[:, 0, 1:]
@@ -595,6 +600,100 @@ class TestSupportSolve:
                 assert len(supports) >= 3
                 assert (ours[1, 3], ref[1, 3]) == (0.0, 0.0)
         assert sweeps  # the coordinate-descent fallback ran
+
+
+class TestBatchKernel:
+    """The batch-last kernel: its elimination, and fits that do not depend
+    on the other fits in their batch."""
+
+    # five cells over three binary features; on the first two, features 1
+    # and 3 are equal and feature 2 is zero
+    CELLS = np.array(
+        [[1, 0, 0, 0], [1, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 0], [1, 0, 0, 1]], dtype=float
+    )
+
+    def batch(self):
+        """One lasso fit on the first two cells, whose support {1, 3} makes
+        an exactly singular reduced Hessian, then regular fits on all five
+        cells under ridge, elastic net and lasso, each from its own
+        optimum."""
+        rng = np.random.default_rng(5)
+        pos = rng.integers(1, 4, size=(7, 5)).astype(float)
+        neg = rng.integers(1, 4, size=(7, 5)).astype(float)
+        # the singular fit's optimum keeps features 1 and 3 in its support
+        pos[0], neg[0] = (1, 3, 0, 0, 0), (3, 1, 0, 0, 0)
+        alphas = np.array([1.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
+        lam = np.array([1e-3, 0.05, 0.01, 0.05, 0.01, 0.02, 0.005])
+        ridge, l1 = lam * (1.0 - alphas), lam * alphas
+        start = np.zeros((7, 4))
+        start[0] = (0.1, 0.5, 0.0, 0.25)
+        regular, ok = pool_module._cd_fit(
+            self.CELLS, pos[1:], neg[1:], ridge[1:], l1[1:], start[1:]
+        )
+        assert ok.all()
+        start[1:] = regular
+        return self.CELLS, pos, neg, ridge, l1, start
+
+    def test_singular_system_fails_only_its_fit(self, monkeypatch):
+        batch = self.batch()
+        first = []
+        support_solve = pool_module._support_solve
+
+        def recording_solve(*args):
+            trial, ok = support_solve(*args)
+            first.append(ok.copy())
+            return trial, ok
+
+        monkeypatch.setattr(pool_module, "_support_solve", recording_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coefs, converged = pool_module._cd_fit(*batch)
+        assert first[0].tolist() == [False] + [True] * 6
+        assert np.isfinite(coefs).all() and converged.all()
+        assert coefs[0, 2] == 0.0  # no curvature and no ridge: inert
+
+    def test_fits_do_not_depend_on_their_batch(self):
+        X, pos, neg, ridge, l1, start = self.batch()
+        # every fit from a fresh start too, so that supports change on the way
+        rows = np.r_[0:7, 0:7]
+        start = np.vstack([start, np.zeros((7, 4))])
+        args = (pos[rows], neg[rows], ridge[rows], l1[rows], start)
+        whole, whole_ok = pool_module._cd_fit(X, *args)
+        for part in (np.r_[0:5], np.r_[5:14], np.r_[0:14:2], np.r_[1:14:2]):
+            coefs, ok = pool_module._cd_fit(X, *(a[part] for a in args))
+            assert np.max(np.abs(coefs - whole[part])) <= 1e-12
+            assert (ok == whole_ok[part]).all()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_elimination_matches_lapack(self, size):
+        rng = np.random.default_rng(size)
+        k = 40
+        factor = rng.normal(size=(k, size, size))
+        matrix = factor @ factor.transpose(0, 2, 1) + 0.1 * np.eye(size)
+        # masked rows and columns padded with the identity, as the support
+        # solve builds them
+        on = rng.random((k, size)) < 0.7
+        matrix = np.where(on[:, :, None] & on[:, None, :], matrix, np.eye(size))
+        rhs = rng.normal(size=(k, size))
+        expected = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+        got = pool_module._spd_solve(matrix.transpose(1, 2, 0).copy(), rhs.T.copy()).T
+        error = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert error.max() <= 1e-10
+
+    @pytest.mark.parametrize("pivot", [0.0, -0.5])
+    def test_nonpositive_pivot_fails_its_fit(self, pivot):
+        # three fits of two coordinates; the second fit's second pivot is
+        # 1 - 1 + pivot after eliminating the first coordinate
+        system = np.array(
+            [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0 + pivot]], [[1.0, 0.0], [0.0, 3.0]]]
+        )
+        beta = np.array([[0.5, -1.0], [1.0, 2.0], [-2.0, 0.25]])
+        rhs = np.einsum("kij,kj->ki", system, beta)  # beta solves every system
+        batch_last = (system.transpose(1, 2, 0).copy(), rhs.T.copy(), np.zeros(3), beta.T.copy())
+        trial, ok = pool_module._support_solve(*batch_last, np.zeros((2, 3), dtype=bool))
+        assert ok.tolist() == [True, False, True]
+        assert not np.isfinite(trial[:, 1]).any()
+        assert np.allclose(trial[:, [0, 2]], beta.T[:, [0, 2]], rtol=1e-14)
 
 
 class TestBlockedPath:
