@@ -5,17 +5,23 @@ built by this package lives in [0,1], [-1,0] or [-1,1]), which rules out
 unbounded problems and lets nonbasic variables sit at either bound.
 
 Every program is solved the same way: bounded dual simplex from a dual
-feasible basis, then the primal pricing to confirm optimality.  Without a
-starting basis the solve starts from the slack basis with each structural
-at the bound its cost prefers (the upper bound when its cost is negative):
-its duals are 0, so every reduced cost is the variable's own cost and the
-basis is dual feasible for every program.  A warm start is the final basis
-of a related program with the same objective: one that fixed fewer
-variables (a branch-and-bound parent), had other right-hand sides (the
-previous program of a path), or lacked a row (``basis_with_row`` extends
-its basis by that row's slack).  None of these changes moves a reduced
-cost, so the basis stays dual feasible and only its primal
-infeasibilities need repair.
+feasible basis.  Without a starting basis the solve starts from the slack
+basis with each column at the bound its cost prefers (the upper bound when
+its cost is below -OPTIMALITY_TOL): its duals are 0, so every reduced cost
+is the column's own cost and the basis is dual feasible for every program.
+A warm start is the final basis of a related program with the same
+objective: one that fixed fewer variables (a branch-and-bound parent), had
+other right-hand sides (the previous program of a path), or lacked a row
+(``basis_with_row`` extends its basis by that row's slack).  None of these
+changes moves a reduced cost, so the basis stays dual feasible and only its
+primal infeasibilities need repair.
+
+Every variable is boxed, so any basis becomes dual feasible once each
+nonbasic column sits at the bound its reduced cost prefers.  When the dual
+reaches a primal feasible basis that is not dual feasible (a start that was
+not, or a reduced cost that drifted past the tolerance), every column on
+the wrong bound flips to its other bound and the dual runs again; the solve
+ends "optimal" once nothing flips.
 
 A solve ends "optimal", "infeasible", or "stalled" when it cannot decide:
 its pivot limit ran out, or a violated row has no pivot above PIVOT_TOL and
@@ -32,14 +38,9 @@ Implementation notes:
   largest pivot among the columns within the optimality tolerance of that
   ratio.  It proves infeasibility only from a row whose range over the
   nonbasic boxes misses its bounds;
-* primal pricing is Dantzig's rule with a permanent switch to Bland's rule
-  after 5*(rows+cols) degenerate steps, which guarantees termination;
-* the primal leaving row is the first to block (lowest basic index on
-  ties), unless its pivot is below SMALL_PIVOT: then Harris's rule takes
-  the largest pivot among the rows that block within the feasibility
-  tolerance;
-* the dual and the primal pricing share one limit of 200*(rows+cols) + 2000
-  pivots per solve, cols counting the slacks;
+* the limit of 200*(rows+cols) + 2000 pivots per solve, cols counting the
+  slacks, counts dual pivots and bound flips alike (the flips that place
+  the cold start's columns excepted);
 * the tableau B^-1 A is updated by explicit pivots and refactorized from
   scratch every REFACTOR_INTERVAL pivots to keep drift in check.
 
@@ -59,8 +60,7 @@ from .core import InternalConsistencyError
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
-SMALL_PIVOT = 1e-3  # below this the ratio test switches to Harris's rule
-DEGENERATE_STEP = 1e-12
+SMALL_PIVOT = 1e-3  # below this the dual ratio test takes the largest pivot
 REFACTOR_INTERVAL = 256
 
 LESS_EQUAL = "<="
@@ -159,8 +159,9 @@ def solve_lp_with_fixings(
     feasible for it: the ``basis`` of an optimal solution of ``lp`` under a
     subset of ``fixings``, of a program that differs from ``lp`` only in
     its right-hand sides, or such a basis extended by ``basis_with_row``.
-    The solve repairs it by dual simplex, then confirms optimality with the
-    primal pricing; a solve that cannot decide returns "stalled".
+    The solve repairs it by dual simplex and restores lost dual
+    feasibility by bound flips; a solve that cannot decide returns
+    "stalled".
     """
     lo = lp.var_lo.copy()
     hi = lp.var_hi.copy()
@@ -273,8 +274,6 @@ class _Tableau:
         self.cost = np.concatenate([lp.objective, np.zeros(m)])
         self.pivots = 0
         self._pivots_since_refactor = 0
-        self._degenerate_steps = 0
-        self._use_bland = False
 
     # -- state helpers -------------------------------------------------
 
@@ -310,83 +309,45 @@ class _Tableau:
 
     def solve(self, start: Optional[Basis]) -> str:
         """Dual simplex from ``start``, or from the slack basis with each
-        structural at the bound its cost prefers, then the primal pricing to
-        confirm optimality.  Returns "optimal", "infeasible" or "stalled"."""
+        column at the bound its cost prefers, repairing lost dual
+        feasibility by bound flips.  Returns "optimal", "infeasible" or
+        "stalled"."""
         if start is None:
-            n = self.n_ext - self.m
-            self.basis = np.arange(n, self.n_ext)
-            self.at_upper = np.concatenate([self.cost[:n] < 0, np.zeros(self.m, dtype=bool)])
+            self.basis = np.arange(self.n_ext - self.m, self.n_ext)
+            self.at_upper = np.zeros(self.n_ext, dtype=bool)
             self.T, self.Tb = self.A.copy(), self.b.copy()  # B = I: nothing to factor
+            self._flip_to_preferred_bounds()
         else:
             self.basis = start.columns.copy()
             self.at_upper = start.at_upper.copy()
             self._refactor()
-        status = self._dual()
-        return self._primal() if status == "optimal" else status
-
-    def _primal(self) -> str:
-        """Bounded primal simplex iterations from a primal feasible basis.
-
-        Returns "optimal", or "stalled" when the pivot limit runs out.
-        """
-        cost = self.cost
-        while self.pivots < self.iteration_limit:
-            if self._pivots_since_refactor >= REFACTOR_INTERVAL:
-                self._refactor()
-
-            x = self._full_values()
-            z = cost - cost[self.basis] @ self.T
-            nonbasic = np.ones(self.n_ext, dtype=bool)
-            nonbasic[self.basis] = False
-            free = nonbasic & (self.hi > self.lo)
-            eligible = free & (
-                (~self.at_upper & (z < -OPTIMALITY_TOL))
-                | (self.at_upper & (z > OPTIMALITY_TOL))
-            )
-            if not eligible.any():
+        while True:
+            status = self._dual()
+            if status != "optimal":
+                return status
+            flips = self._flip_to_preferred_bounds()
+            if not flips:
                 return "optimal"
+            self.pivots += flips
 
-            if self._use_bland:
-                enter = int(np.argmax(eligible))
-            else:
-                scores = np.where(eligible, np.abs(z), -1.0)
-                enter = int(np.argmax(scores))
-
-            direction = -1.0 if self.at_upper[enter] else 1.0
-            d = direction * self.T[:, enter]
-            x_basic = x[self.basis]
-            lb, ub = self.lo[self.basis], self.hi[self.basis]
-            ratio = np.maximum(_primal_ratios(d, x_basic - lb, ub - x_basic), 0.0)
-            t_flip = self.hi[enter] - self.lo[enter]
-            min_ratio = float(ratio.min()) if ratio.size else np.inf
-
-            self.pivots += 1
-            if t_flip <= min_ratio + 1e-12:
-                # Entering variable runs to its opposite bound; no basis change.
-                self.at_upper[enter] = not self.at_upper[enter]
-                step = t_flip
-            else:
-                candidates = np.flatnonzero(ratio <= min_ratio + 1e-9)
-                leave_row = int(candidates[np.argmin(self.basis[candidates])])
-                if abs(d[leave_row]) < SMALL_PIVOT:
-                    leave_row = _harris_row(d, x_basic, lb, ub, ratio, self.basis)
-                    min_ratio = float(ratio[leave_row])
-                leaving = int(self.basis[leave_row])
-                self.at_upper[leaving] = d[leave_row] < 0
-                self._pivot(leave_row, enter)
-                step = min_ratio
-
-            if step < DEGENERATE_STEP:
-                self._degenerate_steps += 1
-                if self._degenerate_steps > 5 * (self.m + self.n_ext):
-                    self._use_bland = True
-            else:
-                self._degenerate_steps = 0
-        return "stalled"
+    def _flip_to_preferred_bounds(self) -> int:
+        """Move every free nonbasic column whose reduced cost has the wrong
+        sign for its bound by more than OPTIMALITY_TOL to its other bound,
+        which makes the basis dual feasible.  Returns the number moved."""
+        z = self.cost - self.cost[self.basis] @ self.T
+        nonbasic = np.ones(self.n_ext, dtype=bool)
+        nonbasic[self.basis] = False
+        wrong = (
+            nonbasic
+            & (self.hi > self.lo)
+            & np.where(self.at_upper, z > OPTIMALITY_TOL, z < -OPTIMALITY_TOL)
+        )
+        self.at_upper[wrong] = ~self.at_upper[wrong]
+        return int(wrong.sum())
 
     def _dual(self) -> str:
-        """Bounded dual simplex iterations from a dual feasible basis until
-        every basic variable lies within its bounds.
+        """Bounded dual simplex iterations until every basic variable lies
+        within its bounds.
 
         Returns "optimal" (primal feasible), "infeasible", or "stalled"
         when the pivot limit runs out or a violated row has no pivot and no
@@ -451,35 +412,6 @@ class _Tableau:
         return (
             highest < self.lo[j] - FEASIBILITY_TOL
             or lowest > self.hi[j] + FEASIBILITY_TOL
-        )
-
-
-def _harris_row(d, x_basic, lb, ub, ratio, basis) -> int:
-    """Leaving row by Harris's ratio test: the largest pivot among the rows
-    that block no later than the longest step that keeps every basic
-    variable within FEASIBILITY_TOL of its bounds.
-
-    Used where the plain choice would pivot on an element below
-    SMALL_PIVOT.  Dividing by it scales the tableau's rounding errors, and
-    the step a basic variable takes within its tolerance, by its inverse:
-    a degenerate step on a pivot of 1e-5 left tableau entries near 1e5 and
-    a vertex that violated a row by 2.6e-5.
-    """
-    relaxed = _primal_ratios(
-        d, x_basic - lb + FEASIBILITY_TOL, ub - x_basic + FEASIBILITY_TOL
-    )
-    return _largest_pivot(ratio, relaxed, np.abs(d), basis)
-
-
-def _primal_ratios(d, room_down, room_up):
-    """The step at which each basic variable, moving by -d per unit step,
-    uses up its room: ``room_down`` / d where d > PIVOT_TOL, ``room_up`` / -d
-    where d < -PIVOT_TOL, and inf where it does not move."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            d > PIVOT_TOL,
-            room_down / np.where(d > PIVOT_TOL, d, 1.0),
-            np.where(d < -PIVOT_TOL, room_up / np.where(d < -PIVOT_TOL, -d, 1.0), np.inf),
         )
 
 

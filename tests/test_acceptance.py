@@ -356,28 +356,58 @@ class TestAcceptance:
         report(9, "MPS export/import preserves certified optima", ok, "20 models")
 
 
+try:  # scipy is optional: criterion 9 also runs with cbc or glpsol alone
+    from scipy.optimize import Bounds, LinearConstraint, milp
+except ImportError:
+    milp = None
+
 EXTERNAL_SOLVERS = [
     ("cbc", ["cbc", "{path}", "solve", "solu", "{sol}"]),
     ("glpsol", ["glpsol", "--freemps", "{path}", "-o", "{sol}"]),
 ]
 
 
+def _milp_objective(path) -> float:
+    """The optimum of the MPS file at ``path``, read back with
+    ``mps_reader`` and solved by scipy's ``milp``, offset included."""
+    model = read_mps(path)
+    lp = model.lp
+    rel = np.asarray(lp.row_relations)
+    integrality = np.zeros(lp.n_vars)
+    integrality[list(model.binary_vars)] = 1
+    result = milp(
+        lp.objective,
+        constraints=LinearConstraint(
+            lp.row_coefs,
+            np.where(rel == "<=", -np.inf, lp.row_rhs),
+            np.where(rel == ">=", np.inf, lp.row_rhs),
+        ),
+        integrality=integrality,
+        bounds=Bounds(lp.var_lo, lp.var_hi),
+    )
+    assert result.status == 0, result.message
+    return result.fun + model.objective_offset
+
+
 @pytest.mark.skipif(
-    not any(shutil.which(name) for name, _ in EXTERNAL_SOLVERS),
-    reason="no external MIP solver on PATH (optional, non-CI criterion)",
+    milp is None and not any(shutil.which(name) for name, _ in EXTERNAL_SOLVERS),
+    reason="no MIP solver: neither scipy.optimize.milp nor cbc or glpsol on PATH "
+    "(optional, non-CI criterion)",
 )
 def test_criterion_9_external_solver_cross_check(tmp_path):
-    """Optional: the exported XOR baseline model solves to 25 externally."""
+    """Optional: the exported XOR baseline model solves to 25 externally,
+    by scipy's ``milp`` and by the first of cbc and glpsol on PATH."""
     from conftest import xor_dataset
 
     model = build_baseline_mip(xor_dataset())
     path = tmp_path / "xor_baseline.mps"
     export_mps(model, path)
-    name, template = next(
-        (n, t) for n, t in EXTERNAL_SOLVERS if shutil.which(n)
-    )
-    sol_path = tmp_path / "external.sol"
-    cmd = [part.format(path=path, sol=sol_path) for part in template]
-    completed = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-    text = sol_path.read_text() if sol_path.exists() else completed.stdout
-    assert "25" in text
+    if milp is not None:
+        assert _milp_objective(path) == pytest.approx(25.0, abs=1e-6)
+    external = next((t for n, t in EXTERNAL_SOLVERS if shutil.which(n)), None)
+    if external is not None:
+        sol_path = tmp_path / "external.sol"
+        cmd = [part.format(path=path, sol=sol_path) for part in external]
+        completed = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        text = sol_path.read_text() if sol_path.exists() else completed.stdout
+        assert "25" in text

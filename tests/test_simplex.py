@@ -168,9 +168,10 @@ class TestAgainstOracle:
     def test_tiny_pivot_does_not_break_rows(self):
         # Cut down from a flip-model node LP on 125 rows of Gaussian
         # features with four decimals, by deleting rows and columns while
-        # the fault persisted.  A degenerate phase-1 step used to pivot on
-        # -1.08e-5 and the vertex returned violated row 5 by 2.6e-5, which
-        # raised "simplex solution violates row".
+        # the fault persisted.  A solve that pivoted on -1.08e-5 here
+        # returned a vertex that violated row 5 by 2.6e-5.  The cold dual
+        # solve must keep every row within FEASIBILITY_TOL and match the
+        # oracle's optimum.
         cells = np.diag([1.0001, 1.7353, 1.0001, 1.0657, 1.0001, 1.0001])
         weights = [
             (0, [-1.0, -0.4773, 0.1308, -0.9822]),
@@ -409,3 +410,94 @@ class TestWarmRoot:
             else:
                 _matches(warm, _reference(lp, {}))
         assert min(stalled.values()) >= 5, stalled
+
+
+class _CountingFlips(simplex._Tableau):
+    """A tableau that records the columns each bound-flip pass moves."""
+
+    moved = []
+
+    def _flip_to_preferred_bounds(self):
+        flips = super()._flip_to_preferred_bounds()
+        self.moved.append(flips)
+        return flips
+
+
+def _reduced_costs(lp, basis):
+    """Reduced costs over [structurals | slacks] of ``basis`` for ``lp``."""
+    A = np.hstack([lp.row_coefs, np.eye(lp.n_rows)])
+    cost = np.concatenate([lp.objective, np.zeros(lp.n_rows)])
+    duals = np.linalg.solve(A[:, basis.columns].T, cost[basis.columns])
+    return cost - A.T @ duals
+
+
+class TestBoundFlipRepair:
+    def test_start_off_its_preferred_bounds_recovers(self):
+        # Moving half of an optimal basis's free nonbasic structurals to
+        # their other bound leaves a start that is not dual feasible: the
+        # dual repairs its rows, then the flips restore its reduced costs.
+        rng = np.random.default_rng(61)
+        recovered = repaired = 0
+        while recovered < 150:
+            lp, _ = random_box_lp(rng)
+            cold = solve_lp(lp)
+            if cold.status != "optimal":
+                continue
+            free = np.setdiff1d(np.arange(lp.n_vars), cold.basis.columns)
+            off = rng.choice(free, size=(free.size + 1) // 2, replace=False)
+            at_upper = cold.basis.at_upper.copy()
+            at_upper[off] = ~at_upper[off]
+            start = simplex.Basis(cold.basis.columns, at_upper)
+            z = _reduced_costs(lp, start)[off]
+            if not np.any(np.where(at_upper[off], z > OPTIMALITY_TOL, z < -OPTIMALITY_TOL)):
+                continue  # every moved column was dual degenerate
+            _CountingFlips.moved = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simplex, "_Tableau", _CountingFlips)
+                warm = solve_lp_with_fixings(lp, {}, start=start)
+            assert warm.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+            assert violated_rows(lp, warm.values, FEASIBILITY_TOL).size == 0
+            assert _CountingFlips.moved[-1] == 0
+            recovered += 1
+            repaired += sum(_CountingFlips.moved) > 0
+        # the dual alone repairs the few starts whose wrong-bound columns
+        # all enter the basis
+        assert repaired >= 0.9 * recovered
+
+
+class TestRefactorization:
+    def test_refactorization_after_every_pivot(self):
+        # The dual refactorizes B^-1 A every REFACTOR_INTERVAL pivots, which
+        # small programs never reach; at an interval of 1 it refactorizes
+        # after every pivot.  A cold start factors nothing, so each of its
+        # refactorizations is one inside the dual loop.
+        refactors = []
+        original = simplex._Tableau._refactor
+
+        def counted(self):
+            refactors.append(1)
+            original(self)
+
+        def check(lp, fixings, parent, basic):
+            child = solve_lp_with_fixings(lp, fixings, start=parent.basis)
+            _matches(child, _reference(lp, fixings))
+            if child.status == "optimal":
+                assert violated_rows(lp, child.values, FEASIBILITY_TOL).size == 0
+            return child
+
+        optimal = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "REFACTOR_INTERVAL", 1)
+            patch.setattr(simplex._Tableau, "_refactor", counted)
+            rng = np.random.default_rng(62)
+            for _ in range(200):
+                lp, _ = random_box_lp(rng)
+                sol = solve_lp(lp)
+                _matches(sol, _reference(lp, {}))
+                if sol.status == "optimal":
+                    optimal += 1
+                    assert violated_rows(lp, sol.values, FEASIBILITY_TOL).size == 0
+            cold_refactors = len(refactors)
+            _walk_chains(np.random.default_rng(63), 100, check)
+        assert optimal >= 80 and cold_refactors >= 200

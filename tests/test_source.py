@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast`` alone: every import is
 used, every module-level private name is referenced somewhere in the
-package, so code that a change leaves behind shows up here, every public
+package and every module-level UPPER_CASE constant is read by one of its
+modules, so code that a change leaves behind shows up here, every public
 export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
 a status that a solve can report."""
@@ -106,7 +107,10 @@ def test_every_export_is_bound():
     assert _exports(tree) and sorted(_exports(tree) - bound) == []
 
 
-def test_every_private_module_name_is_referenced():
+def _unreferenced(keep):
+    """``module: name`` for each top-level name for which ``keep(name)``
+    holds and that no package module reads, reaches as an attribute or
+    imports."""
     modules = _modules()
     referenced = set()
     for tree in modules.values():
@@ -116,15 +120,22 @@ def test_every_private_module_name_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    unreferenced = [
+    return [
         f"{name}: {defined}"
         for name, tree in modules.items()
         for defined in _defined_names(tree)
-        if defined.startswith("_")
-        and not defined.startswith("__")
-        and defined not in referenced
+        if keep(defined) and defined not in referenced
     ]
-    assert unreferenced == []
+
+
+def test_every_private_module_name_is_referenced():
+    assert _unreferenced(lambda n: n.startswith("_") and not n.startswith("__")) == []
+
+
+def test_every_module_constant_is_read():
+    # a tolerance or limit that outlives the code that read it still looks
+    # like a setting of the solver; tests reading it do not count
+    assert _unreferenced(lambda n: n.isupper()) == []
 
 
 def test_modules_import_only_lower_layers():
