@@ -72,6 +72,11 @@ class MipModel:
             if self.lp.var_lo[j] < -INT_TOL or self.lp.var_hi[j] > 1 + INT_TOL:
                 raise ValueError(f"binary variable {j} must have bounds [0, 1]")
 
+    def count(self, values) -> int:
+        """The objective of an integral assignment, offset included, as the
+        integer it is."""
+        return int(round(float(np.dot(self.lp.objective, values)) + self.objective_offset))
+
 
 @dataclass(frozen=True)
 class SolveBudget:
@@ -140,9 +145,6 @@ def solve(
     offset = model.objective_offset
     start = time.monotonic()
 
-    def count(values) -> float:
-        return float(round(float(np.dot(model.lp.objective, values)) + offset))
-
     incumbent = None
     upper: Optional[float] = None
     if warm_start is not None:
@@ -150,7 +152,7 @@ def solve(
         if not ok:
             raise InfeasibleWarmStartError("; ".join(report))
         incumbent = np.asarray(warm_start, dtype=float).copy()
-        upper = count(incumbent)
+        upper = float(model.count(incumbent))
 
     # (ceiled bound, fifo, fixings, lp values, lp basis); the root waits
     # unsolved with its starting basis, so a solve that starts past its
@@ -182,7 +184,7 @@ def solve(
             return
         ok, _ = check_feasible(model, candidate)
         if ok:
-            offer_incumbent(candidate, count(candidate))
+            offer_incumbent(candidate, float(model.count(candidate)))
 
     def evaluate(fixings: dict, floor_bound: float, start):
         """Solve a node LP, warm from the parent's basis ``start`` if given:

@@ -42,6 +42,7 @@ from .core import (
 from .datasets import InputError, generate_synthetic, ingest_csv, write_csv
 from .formulations import (
     DEFAULT_GAMMA,
+    GAMMA_FLOOR,
     build_baseline_mip,
     build_disc_mip,
     build_flip_mip,
@@ -67,11 +68,6 @@ from .reports import (
     write_pool,
     write_profile,
 )
-
-# The smallest margin a run accepts.  Node LPs accept a row within
-# 1e-6 * (1 + |rhs|) of its right-hand side, so a margin row of a smaller
-# gamma would not keep a score off zero.
-GAMMA_FLOOR = 1e-5
 
 # The RunConfig field that bounds the wall time of each solving stage.
 _STAGE_LIMITS = {

@@ -16,8 +16,10 @@ sum_j (w+_j - w-_j) = 1.
 A model does not store this layout: ``_layout`` derives m from its binaries
 and d+1 from its column count, which is all that decoding a solution and
 naming MPS columns need.  ``metadata`` keeps ``kind``, ``gamma`` and
-``reference`` (the labels s_c below), ``flip_row`` on flip programs, and
-the ``incumbent_heuristic`` that branch-and-bound offers node LP solutions.
+``reference`` (the labels s_c below), ``pinned`` (the cells pinned
+whatever their side: those with the second row below, and a flip
+program's cell), ``flip_row`` on flip programs, and the
+``incumbent_heuristic`` that branch-and-bound offers node LP solutions.
 
 Each cell c has a reference label s_c, and u_c = 0 requires the classifier
 to predict s_c with margin gamma:
@@ -26,6 +28,11 @@ to predict s_c with margin gamma:
     -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
 
 with the cell's own Big-M, M_c = gamma + ||x_c||_inf (``compute_big_m``).
+A row with right-hand side gamma (the first pinning row, the flip row)
+accepts a signed score down to ``margin_floor(gamma)``, and every check of
+a score against the margin reads that floor.  No program is built with
+gamma below ``GAMMA_FLOOR``, where the floor's slack is a tenth of gamma or
+more.
 
 The error-minimizing models (baseline, flip) take the cell's majority label
 as s_c, so u_c marks the cell's majority as mistaken; they add the second
@@ -49,16 +56,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .branch_bound import MipModel
+from .branch_bound import INT_TOL, MipModel
 from .core import Dataset, LinearClassifier
 from .simplex import EQUAL, GREATER_EQUAL, LinearProgram
 
 DEFAULT_GAMMA = 1e-4
-MARGIN_AUDIT_SLACK = 1e-9
+GAMMA_FLOOR = 1e-5  # the smallest margin a program is built with
 
 BASELINE = "baseline"
 DISC = "disc"
 FLIP = "flip"
+
+
+def margin_floor(gamma: float) -> float:
+    """The smallest signed score that a margin row with right-hand side
+    ``gamma`` accepts: node LPs accept a row within INT_TOL (1 + |rhs|) of
+    its rhs."""
+    return gamma - INT_TOL * (1 + gamma)
 
 
 def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:
@@ -85,8 +99,8 @@ def _cell_model(
     row where ``two_sided``), then ``extra_rows`` as (coefficients over all
     variables, rhs) pairs of >= rows, then the l1 row.  The pinning rows'
     margin is ``gamma``; each cell's Big-M follows from it (``compute_big_m``)."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    if not GAMMA_FLOOR <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and at least {GAMMA_FLOOR:g}")
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
     big_m = compute_big_m(dataset, gamma)
@@ -117,7 +131,9 @@ def _cell_model(
         lp=lp,
         binary_vars=tuple(range(m)),
         objective_offset=offset,
-        metadata={"kind": kind, "gamma": gamma, "reference": reference},
+        metadata={
+            "kind": kind, "gamma": gamma, "reference": reference, "pinned": two_sided,
+        },
     )
 
     def heuristic(values):
@@ -215,6 +231,7 @@ def build_flip_mip(
     flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
     model = _mistake_model(FLIP, dataset, gamma, extra_rows=[(flip_row, gamma)])
     model.metadata["flip_row"] = model.lp.n_rows - 2
+    model.metadata["pinned"][cell] = True
     return model
 
 
@@ -257,26 +274,27 @@ def assignment_from_classifier(
 ) -> np.ndarray:
     """Build the minimal feasible-looking assignment that encodes ``h``.
 
-    Indicators are set to the values the Big-M rows force for h's scores;
-    the result still has to pass ``check_feasible`` (it can fail when a
-    score sits inside the margin band or, for disc models, when h lies
-    outside the level set).
+    Indicators are set to the values the Big-M rows force for h's scores
+    (``margin_floor``); the result still has to pass ``check_feasible`` (it
+    can fail when a score sits inside the margin band or, for disc models,
+    when h lies outside the level set).
     """
-    gamma = model.metadata["gamma"]
+    floor = margin_floor(model.metadata["gamma"])
     reference = model.metadata["reference"]
     w = np.asarray(h.coefficients, dtype=float)
     signed = reference * (dataset.cells.X @ w)
     if model.metadata["kind"] == DISC:
-        indicators = -signed >= gamma - 1e-12
+        indicators = -signed >= floor
     else:
-        indicators = signed < gamma - 1e-12
+        indicators = signed < floor
     return np.concatenate(
         [indicators.astype(float), np.maximum(w, 0.0), np.minimum(w, 0.0)]
     )
 
 
 def margin_clearance(h: LinearClassifier, dataset: Dataset, gamma: float) -> tuple:
-    """Smallest |w.x_i| over the dataset and whether it clears the margin.
+    """Smallest |w.x_i| over the dataset and whether it clears the margin
+    (``margin_floor``).
 
     Certified solutions are expected to keep every training score at
     distance >= gamma from zero; violations are reported as warnings by the
@@ -284,7 +302,7 @@ def margin_clearance(h: LinearClassifier, dataset: Dataset, gamma: float) -> tup
     """
     scores = dataset.X @ np.asarray(h.coefficients)
     min_abs = float(np.abs(scores).min())
-    return min_abs, min_abs >= gamma - MARGIN_AUDIT_SLACK
+    return min_abs, min_abs >= margin_floor(gamma)
 
 
 # -- MPS export ----------------------------------------------------------

@@ -25,8 +25,9 @@ cells, the plane through them in both orientations.  Every cell on that
 plane takes both sides.  This gives a superset of the strict linear
 labelings: 2^(d+1) C(m, d) of them when no plane holds more than d cells.
 The pass streams the subsets in chunks and keeps, for each program, the
-CANDIDATES cheapest distinct labelings that pass the program's filter.
-It runs when d <= 3 and C(m, d) * m <= WORK_BUDGET.  It is skipped when
+CANDIDATES cheapest distinct labelings that pass the program's filter,
+ties broken by their packed sides, however the subsets are chunked.  It
+runs when d <= 3 and C(m, d) * m <= WORK_BUDGET.  It is skipped when
 the cells do not span R^d or some plane holds more than MAX_ON_PLANE
 cells.
 
@@ -36,13 +37,15 @@ A subset whose plane normal v lies within its bound of 0 is tested in
 exact rational arithmetic, and dropped only when it is dependent.
 
 ``certify`` checks one program's candidates in cost order.  A candidate
-verifies when a classifier puts every cell the program pins on the
-candidate's side with margin gamma.  The first such classifier is the
-caller's warm start, if its cost is the bound.  The next is the
-max-margin LP over the pinned cells, solved with ``solve_lp``; w = 0 is
-feasible for it, so a solve that stalls raises, as a stalled node LP does
-in branch-and-bound.  The verified assignment passes ``check_feasible``
-and costs the bound, so it is optimal.  A failed check raises the bound:
+verifies when a classifier puts every cell the program pins (its
+``metadata["pinned"]`` and the cells the candidate puts on their reference
+side) on the candidate's side with margin gamma, that is, at
+``margin_floor``.  The first such classifier is the caller's warm start,
+if its cost is the bound.  The next is the max-margin LP over the pinned
+cells, solved with ``solve_lp``; w = 0 is feasible for it, so a solve
+that stalls raises, as a stalled node LP does in branch-and-bound.  The
+verified assignment passes ``check_feasible`` and costs the bound, so it
+is optimal.  A failed check raises the bound:
 
 * an exact program pins every cell by its two-sided rows or by the flip
   row: every disc program, and a flip program whose other cells are all
@@ -75,7 +78,7 @@ import numpy as np
 from . import branch_bound as bnb
 from .branch_bound import SolveResult
 from .core import Dataset, InternalConsistencyError, LinearClassifier
-from .formulations import assignment_from_classifier
+from .formulations import assignment_from_classifier, margin_floor
 from .simplex import GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve_lp
 
 MAX_FEATURES = 3
@@ -92,14 +95,11 @@ class Candidates(NamedTuple):
     ``sides[i]`` is True where labeling i puts a cell on the +1 side, and
     ``costs[i]`` is the program's objective under it.  Every labeling of
     the superset that passes the filter and costs less than ``limit``
-    (inf when nothing was cut off) is among them.  ``pinned`` marks the
-    cells the program pins whatever their side; a cell on its reference
-    side is pinned as well.  A program that pins every cell is exact."""
+    (inf when nothing was cut off) is among them."""
 
     sides: np.ndarray
     costs: np.ndarray
     limit: float
-    pinned: np.ndarray
 
 
 class LabelingBounds(NamedTuple):
@@ -128,7 +128,6 @@ def labeling_bounds(
     m = len(X)
     if d > MAX_FEATURES or m <= d or math.comb(m, d) * m > WORK_BUDGET:
         return None
-    mixed = (cells.pos > 0) & (cells.neg > 0)
     weights = cells.pos + cells.neg
     thresholds = np.asarray(thresholds, dtype=np.int64)
     # mistakes = pos total + sides . (neg - pos); agreements with h0 =
@@ -149,8 +148,8 @@ def labeling_bounds(
             )
             band = np.searchsorted(thresholds, mistakes)
             band_limits = np.array([s.limit for s in bands] + [-math.inf])
-            live = (mistakes < max(s.limit for s in flips)) | (
-                agreements < band_limits[band]
+            live = (mistakes <= max(s.limit for s in flips)) | (
+                agreements <= band_limits[band]
             )
             if not live.any():
                 continue
@@ -159,11 +158,11 @@ def labeling_bounds(
             sides, mistakes, agreements = sides[rows], mistakes[rows], agreements[rows]
             band = band[rows]
             flip_ok = (sides != base_side) & (
-                mistakes[:, None] < [s.limit for s in flips]
+                mistakes[:, None] <= [s.limit for s in flips]
             )
             for f in np.flatnonzero(flip_ok.any(axis=0)):
                 flips[f].offer(sides, mistakes, flip_ok[:, f])
-            disc_ok = agreements < band_limits[band]
+            disc_ok = agreements <= band_limits[band]
             for b in sorted(set(band[disc_ok].tolist())):
                 bands[b].offer(sides, agreements, disc_ok & (band == b))
     except _Degenerate:
@@ -171,37 +170,36 @@ def labeling_bounds(
     disc, below = [], _Store()
     for store in bands:
         if store.sides is not None:
-            below.offer(store.sides, store.costs, store.costs < below.limit)
+            below.offer(store.sides, store.costs, store.costs <= below.limit)
             below.limit = min(below.limit, store.limit)
-        disc.append(below.candidates(np.ones(m, dtype=bool)))
+        disc.append(below.candidates())
     if any(c.sides is None for c in disc) or any(s.sides is None for s in flips):
         return None  # no labeling passes a filter: leave it to branch-and-bound
-    cell = np.arange(m)
-    return LabelingBounds(
-        flips=tuple(s.candidates(mixed | (cell == f)) for f, s in enumerate(flips)),
-        disc=tuple(disc),
-    )
+    return LabelingBounds(flips=tuple(s.candidates() for s in flips), disc=tuple(disc))
 
 
 class _Store:
     """The cheapest distinct labelings offered so far, at most CANDIDATES,
-    holding every offered labeling that costs less than ``limit``."""
+    ties broken by packed sides, holding every offered labeling that costs
+    less than ``limit``.  Callers offer every labeling that costs at most
+    ``limit``, so the store ends the same in any order of offers."""
 
     def __init__(self):
         self.keys = self.sides = self.costs = None
         self.limit = math.inf
 
     def offer(self, sides, costs, rows) -> None:
-        """Take the labelings ``sides[rows]``, distinct and each cheaper
-        than ``limit``."""
+        """Take the labelings ``sides[rows]``, distinct and each at most
+        ``limit``: every one as cheap as the CANDIDATES-th cheapest, ties
+        included."""
         rows = np.flatnonzero(rows)
         if not rows.size:
             return
         costs = costs[rows]
         if rows.size > CANDIDATES:
-            part = np.argpartition(costs, CANDIDATES - 1)[:CANDIDATES]
-            rows, costs = rows[part], costs[part]
-            self.limit = min(self.limit, int(costs.max()))
+            kth = int(np.partition(costs, CANDIDATES - 1)[CANDIDATES - 1])
+            rows, costs = rows[costs <= kth], costs[costs <= kth]
+            self.limit = min(self.limit, kth)
         sides = sides[rows]
         keys = _keys(sides)
         if self.sides is not None:
@@ -214,8 +212,8 @@ class _Store:
             self.limit = min(self.limit, int(costs[order[-1]]))
         self.keys, self.sides, self.costs = keys[order], sides[order], costs[order]
 
-    def candidates(self, pinned) -> Candidates:
-        return Candidates(self.sides, self.costs, self.limit, pinned)
+    def candidates(self) -> Candidates:
+        return Candidates(self.sides, self.costs, self.limit)
 
 
 def _keys(sides: np.ndarray) -> np.ndarray:
@@ -329,8 +327,9 @@ def certify(model, dataset: Dataset, candidates: Candidates, warm=None, checks=T
     proven lower bound on the program's objective)."""
     started = time.monotonic()
     reference = model.metadata["reference"] > 0
-    exact = candidates.pinned.all()
-    at_warm = None if warm is None else _count(model, warm)
+    pinned = model.metadata["pinned"]
+    exact = pinned.all()
+    at_warm = None if warm is None else model.count(warm)
     costs = candidates.costs.tolist()
     bound = costs[0]
     for i, cost in enumerate(costs):
@@ -341,8 +340,7 @@ def certify(model, dataset: Dataset, candidates: Candidates, warm=None, checks=T
         if not checks:
             break
         sides = candidates.sides[i]
-        pins = candidates.pinned | (sides == reference)
-        found = _check(model, dataset, sides, pins, cost)
+        found = _check(model, dataset, sides, pinned | (sides == reference), cost)
         if found is None:
             break
         if found is not False:
@@ -375,10 +373,6 @@ def _certified(model, assignment, value, bound, started) -> SolveResult:
     )
 
 
-def _count(model, values) -> int:
-    return int(round(float(np.dot(model.lp.objective, values)) + model.objective_offset))
-
-
 def _check(model, dataset: Dataset, sides, pins, cost):
     """Whether a classifier puts the cells of ``pins`` on their side of
     ``sides`` with margin gamma: its feasible assignment of ``model``, which
@@ -394,23 +388,22 @@ def _check(model, dataset: Dataset, sides, pins, cost):
         if h is None:
             continue
         assignment = assignment_from_classifier(model, dataset, h)
-        if bnb.check_feasible(model, assignment)[0] and _count(model, assignment) == cost:
+        if bnb.check_feasible(model, assignment)[0] and model.count(assignment) == cost:
             return assignment
         return None
     return False
 
 
 def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:
-    """A classifier with rows . w >= gamma within the node LPs' row
-    tolerance, or None when max t s.t. rows . w >= t, ||w||_1 <= 1 stays
-    below that.
+    """A classifier with rows . w >= ``margin_floor(gamma)``, or None when
+    max t s.t. rows . w >= t, ||w||_1 <= 1 stays below that.
 
     The LP runs over a working set of rows: first the 2(d+1) rows that the
     mean row scores lowest, then, each round, up to 2(d+1) more rows that
     miss the margin, lowest score first.  A working set's optimum bounds
     the full LP's from above, so a miss there is a miss, and a classifier
     that clears every row settles it."""
-    floor = gamma - bnb.INT_TOL * (1 + gamma)
+    floor = margin_floor(gamma)
     batch = 2 * rows.shape[1]
     work = np.argsort(rows @ rows.mean(axis=0), kind="stable")[:batch]
     while True:

@@ -70,6 +70,7 @@ from .formulations import (
     build_flip_mip,
     classifier_from_solution,
     margin_clearance,
+    margin_floor,
 )
 from .labelings import certify, labeling_bounds
 from .simplex import basis_with_row
@@ -276,8 +277,9 @@ class ClassifierBank:
     ``mistakes``, its ``conflicts`` with h0, its smallest training |score|
     (``margins``) and whether that ``clears`` the margin
     (``margin_clearance``), and the cells it puts on the other side of h0
-    with a score that a flip row accepts.  Rows keep insertion order: h0,
-    its negation, then each distinct classifier ``add`` is given.
+    with a score that a flip row accepts (``margin_floor``).  Rows keep
+    insertion order: h0, its negation, then each distinct classifier
+    ``add`` is given.
 
     A classifier that clears the margin and makes m mistakes lies in every
     level set whose threshold is at least m, so its conflict count bounds
@@ -295,9 +297,6 @@ class ClassifierBank:
         self.dataset, self.h0, self.gamma = dataset, h0, gamma
         self.weights = cells.pos + cells.neg
         self.base_side = cells.X @ np.asarray(h0.coefficients) > 0.0
-        # A flip row accepts a score within the node LPs' row tolerance of
-        # gamma, so this floor keeps every classifier it would accept.
-        self._flip_floor = gamma - bnb.INT_TOL * (1.0 + gamma)
         self.classifiers, self.sides, self.mistakes, self.conflicts = [], [], [], []
         self.margins, self.clears = [], []
         self._flips, self._order, self._rows = [], [], {}
@@ -322,7 +321,9 @@ class ClassifierBank:
         margin, clears = margin_clearance(g, self.dataset, self.gamma)
         self.margins.append(margin)
         self.clears.append(clears)
-        self._flips.append(np.where(self.base_side, -scores, scores) >= self._flip_floor)
+        self._flips.append(
+            np.where(self.base_side, -scores, scores) >= margin_floor(self.gamma)
+        )
         bisect.insort(self._order, row, key=self.mistakes.__getitem__)
         return row
 

@@ -90,33 +90,16 @@ def _block(brackets: str, parts, depth: int) -> str:
     return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * depth + brackets[1]
 
 
-def _key_text(key) -> str:
-    """A dict key as json converts it to a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode_run([key])[1:-1]
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _typed_keys(d: dict) -> tuple:
-    """The keys of ``d``, each with its type."""
-    return tuple(zip(d, map(type, d)))
-
-
 def _key_groups(dicts) -> list:
     """(sorted keys, dicts) for each key set of ``dicts``, in first-seen
-    order."""
+    order.  A key that is not a str raises TypeError: no report has one,
+    and ``write_json`` leaves such a payload to json."""
     groups = {}
     for keys, run in groupby(dicts, dict.keys):
-        if all(type(k) is str for k in keys):
-            keys = tuple(sorted(keys))
-            groups.setdefault(keys, (keys, []))[1].extend(run)
-            continue
-        # equal keys of other types, such as 0, 0.0 and False, are other json names
-        for typed, part in groupby(run, _typed_keys):
-            typed = tuple(sorted(typed, key=itemgetter(0)))
-            groups.setdefault(typed, (tuple(k for k, _ in typed), []))[1].extend(part)
+        if not all(type(k) is str for k in keys):
+            raise TypeError("a dict key that is not a str")
+        keys = tuple(sorted(keys))
+        groups.setdefault(keys, (keys, []))[1].extend(run)
     return list(groups.values())
 
 
@@ -149,7 +132,7 @@ def _containers(objs: dict, depth: int) -> dict:
     groups = _key_groups([v for v in objs.values() if isinstance(v, dict)])
     column_values = (map(itemgetter(k), group) for keys, group in groups for k in keys)
     texts = iter(_values(list(chain(*arrays, *column_values)), depth + 1))
-    names = iter(_run([_key_text(k) for keys, _ in groups for k in keys]))
+    names = iter(_run([k for keys, _ in groups for k in keys]))
     done = {id(a): _block("[]", list(islice(texts, len(a))), depth) for a in arrays}
     for keys, group in groups:
         template = _block("{}", [next(names).replace("%", "%%") + ": %s" for _ in keys], depth)
@@ -167,7 +150,8 @@ def write_json(path: Path, payload) -> None:
     every run of scalars goes through json's C encoder in one call
     (``_values``): at least the values of a flat container, or a column of
     dicts that share a key set.  A payload that json rejects raises json's
-    own error; one nested too deep for this encoder is written by json.
+    own error; one nested too deep for this encoder, or with a dict key
+    that is not a str, is written by json.
     """
     try:
         text = _values([payload], 0)[0]

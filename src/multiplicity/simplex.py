@@ -393,7 +393,7 @@ class _Tableau:
             enter = int(np.argmin(ratio))
             if size[enter] < SMALL_PIVOT:
                 relaxed = np.where(eligible, (dual_slack + OPTIMALITY_TOL) / size, np.inf)
-                enter = _largest_pivot(ratio, relaxed, size, np.arange(self.n_ext))
+                enter = _largest_pivot(ratio, relaxed, size)
 
             self.at_upper[self.basis[row]] = not rise
             self._pivot(row, enter)
@@ -415,10 +415,8 @@ class _Tableau:
         )
 
 
-def _largest_pivot(ratio, relaxed, size, labels) -> int:
+def _largest_pivot(ratio, relaxed, size) -> int:
     """Among the entries whose ratio is at most the smallest relaxed ratio,
-    the one with the largest pivot ``size`` (lowest label on ties)."""
+    the one with the largest pivot ``size`` (lowest index on ties)."""
     candidates = np.flatnonzero(ratio <= max(float(relaxed.min()), 0.0))
-    size = size[candidates]
-    best = candidates[size == size.max()]
-    return int(best[np.argmin(labels[best])])
+    return int(candidates[np.argmax(size[candidates])])

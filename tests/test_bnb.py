@@ -269,6 +269,25 @@ class TestBounds:
 
 
 class TestCheckFeasible:
+    def test_assignment_of_another_length_is_refused(self):
+        model = knapsack_model([1, 2], [1, 1], 1)
+        assert check_feasible(model, np.zeros(3)) == (
+            False, ["assignment covers 3 of 2 variables"]
+        )
+
+    @pytest.mark.parametrize(
+        "binaries, var_hi, message",
+        [((2,), [1.0, 1.0], "index 2 out of range"), ((1,), [1.0, 2.0], "bounds \\[0, 1\\]")],
+        ids=["index", "bounds"],
+    )
+    def test_malformed_binaries_are_refused(self, binaries, var_hi, message):
+        lp = knapsack_model([1, 2], [1, 1], 1).lp
+        lp = LinearProgram(
+            lp.objective, lp.row_coefs, lp.row_relations, lp.row_rhs, lp.var_lo, var_hi
+        )
+        with pytest.raises(ValueError, match=message):
+            MipModel(lp=lp, binary_vars=binaries)
+
     def test_incumbent_round_trip(self):
         model = build_baseline_mip(xor_dataset())
         res = solve(model)

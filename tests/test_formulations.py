@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiplicity.branch_bound import solve
+from multiplicity import labelings
+from multiplicity.branch_bound import INT_TOL, check_feasible, solve
 from multiplicity.core import (
     Dataset,
     Example,
@@ -14,6 +15,8 @@ from multiplicity.core import (
 )
 from multiplicity.datasets import ingest_csv
 from multiplicity.formulations import (
+    DEFAULT_GAMMA,
+    GAMMA_FLOOR,
     assignment_from_classifier,
     build_baseline_mip,
     build_disc_mip,
@@ -22,7 +25,9 @@ from multiplicity.formulations import (
     compute_big_m,
     export_mps,
     margin_clearance,
+    margin_floor,
 )
+from multiplicity.profiles import ClassifierBank
 from multiplicity.simplex import LinearProgram, solve_lp
 from conftest import random_binary_dataset
 from mps_reader import read_mps
@@ -118,15 +123,20 @@ class TestBaselineModel:
         ):
             assert len(model.binary_vars) == len(train.cells.X)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1e-4, float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "gamma", [0.0, -1e-4, float("inf"), float("nan"), 1e-9, 9.9e-6]
+    )
     def test_gamma_must_be_positive_and_finite(self, xor, gamma):
+        # below GAMMA_FLOOR the node LPs' row tolerance is a tenth of the
+        # margin or more, so every builder refuses it
         for build in (
             lambda: build_baseline_mip(xor, gamma),
             lambda: build_disc_mip(xor, H_A, 0, gamma),
             lambda: build_flip_mip(xor, H_A, 0, gamma),
         ):
-            with pytest.raises(ValueError, match="positive and finite"):
+            with pytest.raises(ValueError, match="finite and at least 1e-05"):
                 build()
+        build_flip_mip(xor, H_A, 0, GAMMA_FLOOR)
 
     def test_gamma_sets_every_margin(self, xor):
         model = build_baseline_mip(xor, 0.01)
@@ -281,8 +291,6 @@ class TestFlipModel:
 
 class TestWarmStartEncoding:
     def test_round_trip_assignment_is_feasible(self, xor):
-        from multiplicity.branch_bound import check_feasible
-
         model = build_baseline_mip(xor)
         values = assignment_from_classifier(model, xor, H_A)
         ok, report = check_feasible(model, values)
@@ -290,13 +298,48 @@ class TestWarmStartEncoding:
         assert float(model.lp.objective @ values) == 25.0
 
     def test_disc_assignment_counts_agreements(self, xor):
-        from multiplicity.branch_bound import check_feasible
-
         model = build_disc_mip(xor, H_A, 0)
         values = assignment_from_classifier(model, xor, H_A)
         ok, report = check_feasible(model, values)
         assert ok, report
         assert float(model.lp.objective @ values) == 100.0
+
+
+class TestMarginFloor:
+    @pytest.mark.parametrize("gamma", [GAMMA_FLOOR, DEFAULT_GAMMA, 0.01])
+    @pytest.mark.parametrize("slack, accepted", [(0.5, True), (2.0, False)])
+    def test_every_check_reads_one_floor(self, gamma, slack, accepted):
+        # cell 0, (1, 0), sits on its reference side at gamma less ``slack``
+        # times the rows' tolerance; the other cells clear it by far
+        score = gamma - slack * INT_TOL * (1 + gamma)
+        assert (score >= margin_floor(gamma)) == accepted
+        data = Dataset.build(
+            [Example((1.0, 0.0), 1), Example((1.0, 1.0), 1), Example((1.0, -1.0), -1)]
+        )
+        h = LinearClassifier((score, 1.0 - score))
+        model = build_baseline_mip(data, gamma)
+        values = assignment_from_classifier(model, data, h)
+        assert (values[0] == 0.0) == accepted  # the encoder puts cell 0 on its side
+        values[0] = 0.0
+        assert check_feasible(model, values)[0] == accepted
+        assert margin_clearance(h, data, gamma) == (score, accepted)
+        bank = ClassifierBank(data, LinearClassifier((-1.0, 0.0)), gamma)
+        bank.add(h)
+        assert (h in bank.flipping(0)) == accepted
+        # the max-margin check LP of one row that reaches ``score`` at best
+        assert (labelings._max_margin(np.array([[score, 0.0]]), gamma) is not None) == accepted
+
+    def test_pinned_cells(self):
+        # 20 training rows on 6 cells, 5 of them mixed
+        train = ingest_csv(DATA / "compas_style.csv", "two_year_recid", "race").train
+        mixed = (train.cells.pos > 0) & (train.cells.neg > 0)
+        h0 = LinearClassifier((-0.5, 0.5, 0.0, 0.0))
+        assert mixed.any() and not mixed.all()
+        assert np.array_equal(build_baseline_mip(train).metadata["pinned"], mixed)
+        assert build_disc_mip(train, h0, 0).metadata["pinned"].all()
+        for c in range(len(mixed)):
+            pinned = build_flip_mip(train, h0, c).metadata["pinned"]
+            assert np.array_equal(pinned, mixed | (np.arange(len(mixed)) == c))
 
 
 class TestMpsExport:

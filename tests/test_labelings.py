@@ -7,6 +7,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from multiplicity import labelings
 from multiplicity.branch_bound import SolveBudget, solve
 from multiplicity.cli import RunConfig, run_audit
+from multiplicity.datasets import ingest_csv
 from multiplicity.core import (
     Dataset,
     Example,
@@ -24,6 +26,7 @@ from multiplicity.core import (
 )
 from multiplicity.formulations import (
     DEFAULT_GAMMA,
+    assignment_from_classifier,
     build_baseline_mip,
     build_disc_mip,
     build_flip_mip,
@@ -39,6 +42,8 @@ from multiplicity.profiles import (
 from multiplicity.simplex import LpSolution
 from conftest import random_binary_dataset, write_ladder_csv, xor_dataset
 from oracles import labeling_optima, margin_reachable
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_cell_dataset(rng, continuous):
@@ -127,6 +132,27 @@ class TestSuperset:
             labelings.WORK_BUDGET = saved
 
 
+    @pytest.mark.parametrize("chunk", [1 << 6, 1 << 8, 1 << 10])
+    def test_candidates_do_not_depend_on_the_chunk_size(self, chunk, monkeypatch):
+        # chunks of 1, 2 and 10 subsets against one chunk of all 20: the
+        # stores keep every tie at their CANDIDATES-th cost and break ties
+        # by packed sides, so each program gets the same candidates
+        train = ingest_csv(DATA / "compas_style.csv", "two_year_recid", "race").train
+        h0, _ = fit_baseline(train)
+        side = train.cells.X @ np.asarray(h0.coefficients) > 0
+        thresholds = [empirical_risk(h0, train).mistakes + k for k in range(0, 12, 3)]
+
+        def candidates():
+            bounds = labeling_bounds(train, side, thresholds)
+            programs = bounds.flips + bounds.disc
+            return [(c.sides.tolist(), c.costs.tolist(), c.limit) for c in programs]
+
+        whole = candidates()
+        assert max(len(costs) for _, costs, _ in whole) == labelings.CANDIDATES
+        monkeypatch.setattr(labelings, "CHUNK_CELLS", chunk)
+        assert candidates() == whole
+
+
 class TestCertificates:
     @pytest.mark.parametrize("continuous", [False, True], ids=["binary", "grid"])
     def test_certified_values_match_the_oracle_and_branch_and_bound(self, continuous):
@@ -194,6 +220,27 @@ class TestCertificates:
                 assert pool.classifiers[c] == g
                 passed += 1
         assert passed > 0
+
+    def test_a_bound_raised_past_the_last_candidate_certifies_the_warm_start(self):
+        # cells x = 0 (-), 1e-5 (+) and 1 (+); h0 splits at 0.5 and gets
+        # 1e-5 wrong.  The cheapest labeling of that cell's flip program,
+        # cost 0, separates the first two cells, which no classifier does
+        # with margin gamma.  Kept alone, with every cheaper labeling
+        # (limit 1), its failed check raises the bound to 1 after the loop,
+        # where the warm start w = (1, 0), which errs on x = 0, costs 1
+        data = Dataset.build(
+            [Example((1.0, 0.0), -1), Example((1.0, 1e-5), 1), Example((1.0, 1.0), 1)]
+        )
+        h0 = LinearClassifier((-0.5 / 1.5, 1 / 1.5))
+        full = ClassifierBank(data, h0).labelings([1]).flips[1]
+        assert full.costs[:2].tolist() == [0, 1]
+        model = build_flip_mip(data, h0, 1)
+        warm = assignment_from_classifier(model, data, LinearClassifier((1.0, 0.0)))
+        assert model.count(warm) == 1
+        one = labelings.Candidates(full.sides[:1], full.costs[:1], 1)
+        result, bound = certify(model, data, one, warm)
+        assert bound == 1 and result.certified and result.upper_bound == 1
+        assert np.array_equal(result.incumbent, warm)
 
     def test_past_the_deadline_no_lp_runs_and_the_bound_stays(self, xor, monkeypatch):
         # without the baseline's hint, every flip still reports the pass's

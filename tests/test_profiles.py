@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from multiplicity import branch_bound
+from multiplicity import branch_bound, profiles
 from multiplicity.branch_bound import SolveBudget, check_feasible, solve
 from multiplicity.core import (
     Dataset,
@@ -472,19 +472,19 @@ class TestAmbiguityPath:
         assert len(solves) == len(data.cells.X)
         assert any(k >= 1 + len(seeds) for k in sources)  # an earlier flip
 
-    def test_certified_flip_that_keeps_its_cell_raises(self):
-        # at gamma 1e-9 the margin rows are below the LP's row tolerance,
-        # and the certified flip classifier of cell 0 predicts like h0 there
-        # (the CLI rejects such a gamma); four features: branch-and-bound
+    def test_certified_flip_that_keeps_its_cell_raises(self, monkeypatch):
+        # a certified flip solve whose classifier predicts like h0 on its
+        # cell is a solver bug: here every flip incumbent decodes to h0
+        # (no program is built at a gamma small enough to let one through);
+        # four features: branch-and-bound
         data = random_binary_dataset(np.random.default_rng(0), d=4)
-        model = build_baseline_mip(data, 1e-9)
+        model = build_baseline_mip(data)
         base = solve(model)
         h0 = classifier_from_solution(model, base.incumbent)
+        monkeypatch.setattr(profiles, "classifier_from_solution", lambda model, values: h0)
         with pytest.raises(InternalConsistencyError, match="cell 0 does not flip it"):
             ambiguity_path(
-                ClassifierBank(data, h0, gamma=1e-9),
-                EpsilonGrid((Fraction(0),), data.n),
-                baseline=base,
+                ClassifierBank(data, h0), EpsilonGrid((Fraction(0),), data.n), baseline=base
             )
 
 

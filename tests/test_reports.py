@@ -1,9 +1,11 @@
 """``reports.write_json`` against the reference encoder it replaces:
-``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``."""
+``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``; and the
+manifest's summary of a solve."""
 
 import json
 import math
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiplicity import reports
-from multiplicity.reports import write_json
+from multiplicity.branch_bound import SolveBudget, solve
+from multiplicity.formulations import build_baseline_mip
+from multiplicity.reports import solve_json, write_json
+from conftest import xor_dataset
 
 # control characters, a line separator, non-ASCII and the formatting
 # character of the writer's row templates
@@ -60,11 +65,27 @@ def _refuse(*args, **kwargs):
     raise AssertionError("json.dumps called")
 
 
+def _string_keyed(payload) -> bool:
+    """Whether every dict key in ``payload`` is a str."""
+    if isinstance(payload, dict):
+        return all(type(k) is str for k in payload) and all(
+            map(_string_keyed, payload.values())
+        )
+    if isinstance(payload, (list, tuple)):
+        return all(map(_string_keyed, payload))
+    return True
+
+
 def _write(directory, payload):
-    """The bytes the writer's own encoder writes, not its fallback to json."""
+    """The bytes ``write_json`` writes: by its own encoder, not its fallback
+    to json, when every key is a str; a payload with another key is left to
+    json."""
     path = directory / "out.json"
     path.unlink(missing_ok=True)
-    with mock.patch.object(reports.json, "dumps", _refuse):
+    if _string_keyed(payload):
+        with mock.patch.object(reports.json, "dumps", _refuse):
+            write_json(path, payload)
+    else:
         write_json(path, payload)
     return path.read_bytes()
 
@@ -73,6 +94,7 @@ def _write(directory, payload):
 @given(payload=PAYLOADS)
 # equal keys of other types name other members: "0", "0.0" and "false"
 @example(payload=[{0: 1}, {0.0: 1}, {False: 1}, {0: 1, 1.0: 2}, {1: 2, 0.0: 1}])
+@example(payload=[{"a": 1}, {"a": [{"b": 2}, {3: 4}]}])
 def test_bytes_match_json_dumps(tmp_path_factory, payload):
     expected = (_reference(payload) + "\n").encode("ascii")
     assert _write(tmp_path_factory.getbasetemp(), payload) == expected
@@ -171,3 +193,14 @@ def test_too_deep_for_the_encoder_is_written_by_json(tmp_path):
         reports._values([payload], 0)
     write_json(tmp_path / "out.json", payload)
     assert (tmp_path / "out.json").read_text() == _reference(payload) + "\n"
+
+
+def test_a_solve_stopped_before_its_root_lp_has_no_lower_bound():
+    # past its deadline a solve runs no LP, so its bound is -inf: null
+    model = build_baseline_mip(xor_dataset())
+    result = solve(model, SolveBudget(deadline=time.monotonic() - 1))
+    assert result.nodes_explored == 0 and result.lower_bound == -math.inf
+    assert solve_json(result) == {
+        "status": "no_incumbent", "upper_bound": None, "lower_bound": None, "nodes": 0,
+        "wall_time": result.wall_time,
+    }

@@ -82,6 +82,33 @@ class TestBasics:
         assert violated_rows(lp, values, 1e-6).tolist() == [1, 3, 4]
 
 
+def _good_lp():
+    """Arguments of a valid program: 2 variables, 1 row."""
+    return dict(
+        objective=[1.0, 0.0], row_coefs=[[1.0, 1.0]], row_relations=(">=",),
+        row_rhs=[1.0], var_lo=[0.0, 0.0], var_hi=[1.0, 1.0],
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"row_coefs": [[1.0, 1.0, 1.0]]}, "width must match"),
+        ({"row_rhs": [1.0, 2.0]}, "row count mismatch"),
+        ({"row_relations": (">=", "<=")}, "row count mismatch"),
+        ({"var_hi": [1.0]}, "bound vectors"),
+        ({"row_relations": ("==",)}, "unknown relation '=='"),
+        ({"var_hi": [1.0, np.inf]}, "must be finite"),
+        ({"var_lo": [0.0, 2.0]}, "lo > hi"),
+    ],
+    ids=["width", "rhs", "relations", "bounds", "relation", "infinite", "crossed"],
+)
+def test_malformed_programs_are_refused(change, message):
+    LinearProgram(**_good_lp())
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(**{**_good_lp(), **change})
+
+
 class TestFixings:
     def test_fix_to_optimum_matches(self):
         lp = box_lp([-1.0], [[1.0]], ["<="], [0.5], [0.0], [1.0])

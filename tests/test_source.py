@@ -4,7 +4,8 @@ package and every module-level UPPER_CASE constant is read by one of its
 modules, so code that a change leaves behind shows up here, every public
 export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
-a status that a solve can report."""
+a status that a solve can report.  Only ``branch_bound`` and
+``formulations`` read the node LPs' row tolerance ``INT_TOL``."""
 
 import ast
 from pathlib import Path
@@ -149,6 +150,22 @@ def test_modules_import_only_lower_layers():
         if LAYERS.index(imported) >= LAYERS.index(name[:-3])
     ]
     assert upward == []
+
+
+def test_only_the_solver_and_the_formulations_read_int_tol():
+    # the node LPs' row tolerance decides what a margin row accepts; every
+    # other module reads that decision as ``formulations.margin_floor``
+    readers = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Name) and node.id == "INT_TOL"
+                or isinstance(node, ast.Attribute) and node.attr == "INT_TOL"
+                or isinstance(node, ast.ImportFrom)
+                and any(a.name == "INT_TOL" for a in node.names)
+            ):
+                readers.append(name)
+    assert readers and set(readers) <= {"branch_bound.py", "formulations.py"}
 
 
 def test_reports_is_the_one_json_writer():
