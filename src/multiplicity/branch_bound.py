@@ -4,7 +4,9 @@ The engine works the way the measurement algorithms need it to: it returns
 an incumbent (upper bound), a global lower bound, and a certification status,
 and it stays useful when a budget runs out.  Because every objective in this
 package is an integer mistake/agreement count, node bounds are ceiled to the
-next integer before pruning and a gap below 1 certifies optimality.
+next integer before pruning and a gap below 1 certifies optimality: the
+package's one certification rule.  A warm start that meets a proven
+``lower_bound_hint`` certifies with 0 nodes; an incumbent below it raises.
 
 From a ``MipModel`` the engine reads its LP relaxation, its binary indices,
 its objective offset and, if present, ``metadata["incumbent_heuristic"]``:
@@ -86,6 +88,11 @@ class SolveBudget:
     deadline: Optional[float] = None
     node_limit: Optional[int] = None
 
+    def expired(self) -> bool:
+        """Whether the deadline has passed: the one deadline rule of a solve
+        step, read by branch-and-bound and by the labeling pass."""
+        return self.deadline is not None and time.monotonic() > self.deadline
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -137,7 +144,8 @@ def solve(
     root_start: Optional[Basis] = None,
 ) -> SolveResult:
     """Best-first branch-and-bound returning the (upper, lower, incumbent)
-    solver contract tuple.  ``root_start`` warm-starts the root LP (see
+    solver contract tuple.  An incumbent below ``lower_bound_hint``, a proven
+    bound, raises.  ``root_start`` warm-starts the root LP (see
     ``solve_lp_with_fixings``); without it the root starts from the slack
     basis."""
     budget = budget or SolveBudget()
@@ -163,9 +171,8 @@ def solve(
     root_basis = None
 
     def exhausted() -> bool:
-        if budget.node_limit is not None and nodes >= budget.node_limit:
-            return True
-        return budget.deadline is not None and time.monotonic() > budget.deadline
+        limit = budget.node_limit
+        return (limit is not None and nodes >= limit) or budget.expired()
 
     heuristic = model.metadata.get("incumbent_heuristic")
 
@@ -231,8 +238,6 @@ def solve(
         if upper is not None and upper - lower < CERT_GAP:
             break
         bound, _, fixings, values, basis = heapq.heappop(heap)
-        if upper is not None and bound >= upper:
-            continue
         if values is None:  # the root, with its starting basis
             root_basis = evaluate(fixings, bound, basis)
             continue
@@ -245,6 +250,10 @@ def solve(
             evaluate(child, bound, basis)
 
     wall = time.monotonic() - start
+    if upper is not None and lower_bound_hint is not None and upper < lower_bound_hint:
+        raise InternalConsistencyError(
+            f"an incumbent costs {upper:g}, below its lower bound {lower_bound_hint:g}"
+        )
     lower = current_lower()
     if incumbent is not None:
         if upper - lower < CERT_GAP:

@@ -1,5 +1,5 @@
-"""Certificates for the path programs of data with at most three features,
-from the linear labelings of the cells.
+"""Lower bounds and proposed optima for the path programs of data with at
+most three features, from the linear labelings of the cells.
 
 A path program depends on its classifier w only through the side of each
 cell, the sign of w.x_c.  A labeling L of the cells sets every indicator
@@ -27,25 +27,28 @@ labelings: 2^(d+1) C(m, d) of them when no plane holds more than d cells.
 The pass streams the subsets in chunks and keeps, for each program, the
 CANDIDATES cheapest distinct labelings that pass the program's filter,
 ties broken by their packed sides, however the subsets are chunked.  It
-runs when d <= 3 and C(m, d) * m <= WORK_BUDGET.  It is skipped when
-the cells do not span R^d or some plane holds more than MAX_ON_PLANE
-cells.
+runs when d <= 3 and C(m, d) * m <= WORK_BUDGET.  It gives no bounds
+when the cells do not span R^d, when some plane holds more than
+MAX_ON_PLANE cells, or when the deadline passes before its last chunk.
 
 Signs are decided in floating point with a rounding-error bound.  A cell
 whose score v.x_c lies within the bound of 0 counts as on the plane.
 A subset whose plane normal v lies within its bound of 0 is tested in
 exact rational arithmetic, and dropped only when it is dependent.
 
-``certify`` checks one program's candidates in cost order.  A candidate
-verifies when a classifier puts every cell the program pins (its
-``metadata["pinned"]`` and the cells the candidate puts on their reference
-side) on the candidate's side with margin gamma, that is, at
-``margin_floor``.  The first such classifier is the caller's warm start,
-if its cost is the bound.  The next is the max-margin LP over the pinned
-cells, solved with ``solve_lp``; w = 0 is feasible for it, so a solve
-that stalls raises, as a stalled node LP does in branch-and-bound.  The
-verified assignment passes ``check_feasible`` and costs the bound, so it
-is optimal.  A failed check raises the bound:
+``certify`` checks one program's candidates in cost order.  It proves a
+lower bound and proposes a classifier; it certifies nothing, which is
+left to branch-and-bound's gap rule.  A candidate is realized when a
+classifier puts every cell the program pins (its ``metadata["pinned"]``
+and the cells the candidate puts on their reference side) on the
+candidate's side with margin gamma, that is, at ``margin_floor``.  The
+check is the max-margin LP over the pinned cells, solved with
+``solve_lp``; w = 0 is feasible for it, so a solve that stalls raises, as
+a stalled node LP does in branch-and-bound.  The first realizing
+classifier is proposed with the bound, which its candidate costs.  The
+scan stops early once the bound reaches the cost of the caller's warm
+start, and no check LP starts past the deadline.  A failed check raises
+the bound:
 
 * an exact program pins every cell by its two-sided rows or by the flip
   row: every disc program, and a flip program whose other cells are all
@@ -61,24 +64,22 @@ is optimal.  A failed check raises the bound:
   when every labeling of cost b fails, the bound becomes b + 1, the
   labelings of cost b + 1 are checked, and the scan stops.
 
-A program the scan leaves open goes to branch-and-bound with the bound as
-its hint.
+The caller hands the bound to branch-and-bound as its hint, with the
+proposed classifier's assignment as the warm start when the program
+accepts it; a warm start that meets the bound certifies with 0 nodes.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, count, islice, permutations, product
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import branch_bound as bnb
-from .branch_bound import SolveResult
 from .core import Dataset, InternalConsistencyError, LinearClassifier
-from .formulations import assignment_from_classifier, margin_floor
+from .formulations import margin_floor
 from .simplex import GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve_lp
 
 MAX_FEATURES = 3
@@ -111,18 +112,20 @@ class LabelingBounds(NamedTuple):
     disc: tuple
 
 
-class _Degenerate(Exception):
-    """The cells do not span R^d, or a plane holds more than MAX_ON_PLANE
-    cells."""
+class _NoBounds(Exception):
+    """The cells do not span R^d, a plane holds more than MAX_ON_PLANE
+    cells, or the deadline passed."""
 
 
 def labeling_bounds(
-    dataset: Dataset, base_side: np.ndarray, thresholds
+    dataset: Dataset, base_side: np.ndarray, thresholds, budget=None
 ) -> Optional[LabelingBounds]:
     """Run the pass over the cells of ``dataset`` around h0, whose side on
     each cell is ``base_side``.  It keeps candidates for every flip program
     and for the disc program at each mistake threshold of ``thresholds``.
-    Returns None where the pass does not apply."""
+    Returns None where the pass does not apply, or when it stops between
+    chunks because the ``budget`` (a ``SolveBudget``, or None) expired; the
+    first chunk always runs."""
     cells = dataset.cells
     X, d = cells.X, dataset.d
     m = len(X)
@@ -142,7 +145,7 @@ def labeling_bounds(
     # threshold's candidates are those of its band and all bands below.
     bands = [_Store() for _ in thresholds]
     try:
-        for sides in _labelings(X, d):
+        for sides in _labelings(X, d, budget):
             mistakes, agreements = (
                 b + np.einsum("ij,j->i", sides, a) for b, a in zip(offsets, slopes)
             )
@@ -165,7 +168,7 @@ def labeling_bounds(
             disc_ok = agreements <= band_limits[band]
             for b in sorted(set(band[disc_ok].tolist())):
                 bands[b].offer(sides, agreements, disc_ok & (band == b))
-    except _Degenerate:
+    except _NoBounds:
         return None
     disc, below = [], _Store()
     for store in bands:
@@ -222,24 +225,28 @@ def _keys(sides: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _labelings(X: np.ndarray, d: int):
+def _labelings(X: np.ndarray, d: int, budget=None):
     """The superset, in chunks: a boolean array per chunk, True where a
     labeling puts a cell on the +1 side.  A chunk may repeat a labeling.
+    Once the ``budget`` (a ``SolveBudget``, or None) has expired, it raises
+    ``_NoBounds`` instead of building any chunk after the first.
 
     The cells span R^d exactly when some cell lies off the plane of some d
     independent cells.  A score outside its rounding-error bound proves
-    both, so a pass that finds none raises ``_Degenerate`` at its end."""
+    both, so a pass that finds none raises ``_NoBounds`` at its end."""
     m = len(X)
     spans = False
     subsets = combinations(range(m), d)
     per_chunk = max(1, (CHUNK_CELLS >> (d + 1)) // m)
     norms = np.abs(X).sum(axis=1)
-    while True:
+    for k in count():
         chunk = np.array(list(islice(subsets, per_chunk)), dtype=np.int64)
         if not chunk.size:
             if not spans:
-                raise _Degenerate
+                raise _NoBounds
             return
+        if k and budget is not None and budget.expired():
+            raise _NoBounds
         normal = _normals(X[chunk])
         # |computed - exact| <= _rounding(d) * the product of the rows'
         # l1 norms, for a normal's coordinates and for a cell's score
@@ -303,7 +310,7 @@ def _expand(signs: np.ndarray) -> np.ndarray:
     counts = zeros.sum(axis=1)
     for z in sorted(set(counts.tolist())):
         if z > MAX_ON_PLANE:
-            raise _Degenerate
+            raise _NoBounds
         block = signs[counts == z]
         where = np.nonzero(zeros[counts == z])[1].reshape(len(block), z)
         patterns = np.array(list(product((-1, 1), repeat=z)), dtype=np.int8)
@@ -318,33 +325,29 @@ def _expand(signs: np.ndarray) -> np.ndarray:
 # -- certification ---------------------------------------------------------
 
 
-def certify(model, dataset: Dataset, candidates: Candidates, warm=None, checks=True):
+def certify(model, dataset: Dataset, candidates: Candidates, at_warm=None, budget=None):
     """Check ``candidates``, the pass's labelings of ``model``, in cost
-    order, after trying the feasible assignment ``warm`` (or None); run
-    the LP checks only when ``checks`` is set.
+    order until the bound reaches ``at_warm``, the cost of the caller's
+    warm start (None without one).  No check LP starts once the ``budget``
+    (a ``SolveBudget``, or None) has expired.
 
-    Returns (a certified ``SolveResult`` with 0 nodes, or None, and the
-    proven lower bound on the program's objective)."""
-    started = time.monotonic()
+    Returns (the proven lower bound on the program's objective, the first
+    classifier that realizes a candidate with the margin, or None).  That
+    candidate costs the bound."""
     reference = model.metadata["reference"] > 0
     pinned = model.metadata["pinned"]
     exact = pinned.all()
-    at_warm = None if warm is None else model.count(warm)
     costs = candidates.costs.tolist()
     bound = costs[0]
     for i, cost in enumerate(costs):
-        if cost > bound:
+        if cost > bound or (at_warm is not None and at_warm <= bound):
             break
-        if at_warm is not None and at_warm <= bound:
-            return _certified(model, warm, at_warm, bound, started), bound
-        if not checks:
+        if budget is not None and budget.expired():
             break
         sides = candidates.sides[i]
-        found = _check(model, dataset, sides, pinned | (sides == reference), cost)
-        if found is None:
-            break
-        if found is not False:
-            return _certified(model, found, cost, bound, started), bound
+        found = _realize(model, dataset, sides, pinned | (sides == reference))
+        if found is not None:
+            return bound, found
         if (i + 1 < len(costs) and costs[i + 1] == cost) or cost >= candidates.limit:
             continue  # the cost still has labelings to check, or unseen ones
         # Every labeling that costs ``cost`` failed its check.
@@ -352,46 +355,21 @@ def certify(model, dataset: Dataset, candidates: Candidates, warm=None, checks=T
             bound = costs[i + 1] if i + 1 < len(costs) else cost + 1
         elif cost == costs[0]:
             bound = cost + 1
-    if at_warm is not None and at_warm <= bound:
-        return _certified(model, warm, at_warm, bound, started), bound
-    return None, bound
+    return bound, None
 
 
-def _certified(model, assignment, value, bound, started) -> SolveResult:
-    if value < bound:
-        raise InternalConsistencyError(
-            f"a feasible {model.metadata['kind']} assignment costs {value}, "
-            f"below its labeling bound {bound}"
-        )
-    return SolveResult(
-        status=bnb.STATUS_CERTIFIED,
-        incumbent=np.asarray(assignment, dtype=float),
-        upper_bound=float(value),
-        lower_bound=float(value),
-        nodes_explored=0,
-        wall_time=time.monotonic() - started,
-    )
-
-
-def _check(model, dataset: Dataset, sides, pins, cost):
-    """Whether a classifier puts the cells of ``pins`` on their side of
-    ``sides`` with margin gamma: its feasible assignment of ``model``, which
-    costs ``cost``, or False when the max-margin LP stays below gamma.
-    None when the LP's classifier reaches gamma only within the node LPs'
-    tolerance, so that its assignment is infeasible or costs more: the
-    check decides nothing.  Every cell is pinned first, so that the
-    classifier clears the margin where it can."""
+def _realize(model, dataset: Dataset, sides, pins) -> Optional[LinearClassifier]:
+    """A classifier that puts the cells of ``pins`` on their side of
+    ``sides`` with margin gamma, or None when the max-margin LP stays below
+    gamma.  Every cell is pinned first, so that the classifier clears the
+    margin where it can."""
     gamma = model.metadata["gamma"]
     signed = np.where(sides, 1.0, -1.0)[:, None] * dataset.cells.X
     for rows in (signed,) if pins.all() else (signed, signed[pins]):
         h = _max_margin(rows, gamma)
-        if h is None:
-            continue
-        assignment = assignment_from_classifier(model, dataset, h)
-        if bnb.check_feasible(model, assignment)[0] and model.count(assignment) == cost:
-            return assignment
-        return None
-    return False
+        if h is not None:
+            return h
+    return None
 
 
 def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:

@@ -10,13 +10,12 @@ All level-set membership tests compare integer mistake counts; floating
 rates never decide anything.  Both paths solve every program through one
 step (``_solve``): warm start, solve, decode, and add the classifier to
 the bank, the audit's one scorer of classifiers on the training cells
-(sides, mistakes, conflicts with h0, margin).  On data with at most three
-features the solve step first consults the labeling pass
-(``labelings``), which the bank runs once for both paths: a program
-whose cheapest labelings a classifier realizes with the margin is
-certified without branch-and-bound (0 nodes), and any other program is
-solved by branch-and-bound with the pass's lower bound as its hint.  The
-baseline is always solved by branch-and-bound.  The programs of one path
+(sides, mistakes, conflicts with h0, margin).  Every step ends in
+branch-and-bound, the one certifier.  On data with at most three features
+the step first consults the labeling pass (``labelings``), which the bank
+runs once for both paths: its proven bound is the solve's hint, and the
+classifier it may propose is a warm start that meets the hint, so
+branch-and-bound certifies it with 0 nodes.  The programs of one path
 are near-copies, so every root LP but the first starts from a related
 optimal basis: a disc program differs from the previous one only in the
 level row's right-hand side, and a flip program is the baseline program
@@ -327,14 +326,18 @@ class ClassifierBank:
         bisect.insort(self._order, row, key=self.mistakes.__getitem__)
         return row
 
-    def labelings(self, thresholds):
+    def labelings(self, thresholds, budget: Optional[SolveBudget] = None):
         """The labeling pass over the bank's cells (``labeling_bounds``):
         candidates for every flip program and for the disc program at each
         of the mistake ``thresholds``, or None where the pass does not
-        apply.  It runs once per bank and thresholds."""
+        apply or stopped at the ``budget``'s deadline.  Only a pass that
+        the deadline did not cut short is kept, once per thresholds."""
         key = tuple(thresholds)
         if self._labelings is None or self._labelings[0] != key:
-            self._labelings = key, labeling_bounds(self.dataset, self.base_side, key)
+            bounds = labeling_bounds(self.dataset, self.base_side, key, budget)
+            if bounds is None and budget is not None and budget.expired():
+                return None
+            self._labelings = key, bounds
         return self._labelings[1]
 
     def flipping(self, cell: int):
@@ -412,7 +415,7 @@ def discrepancy_path(
     solved = {}  # grid index -> SolveResult
     pinned = []  # (row, grid index, count) of witnesses that miss the margin
     best, counts = bank.best_placed(thresholds)
-    labelings = bank.labelings(thresholds)
+    labelings = bank.labelings(thresholds, budget)
     index, root = 0, None
     while index is not None:
         eps = eps_values[index]
@@ -488,9 +491,10 @@ def _solve(
     LP started from ``root_start`` (the slack basis when None).
 
     ``labelings`` are the labeling pass's candidates for the program, or
-    None.  ``certify`` checks them first: a verified one is the certified
-    result, with 0 nodes and no branch-and-bound.  Otherwise their proven
-    bound joins ``hint``.  Past the budget's deadline it runs no LP.
+    None.  ``certify`` checks them first: its bound joins ``hint``, and the
+    classifier it proposes is the warm start when the program accepts it at
+    that cost, so that ``bnb.solve`` certifies it with 0 nodes.  The
+    result's ``wall_time`` covers the whole step, check LPs included.
 
     No path program is infeasible (h0 lies in every level set and its
     negation flips every cell), so an infeasible one raises.  The decoded
@@ -499,23 +503,20 @@ def _solve(
     are not exact, warns.  Returns (result, the incumbent's bank row or
     None).
     """
-    warm = None
-    for g in candidates:
-        candidate = assignment_from_classifier(model, bank.dataset, g)
-        if bnb.check_feasible(model, candidate)[0]:
-            warm = candidate
-            break
-    result = None
+    started = time.monotonic()
+    warm = _encode(model, bank.dataset, candidates)
     if labelings is not None:
-        deadline = None if budget is None else budget.deadline
-        checks = deadline is None or time.monotonic() <= deadline
-        result, bound = certify(model, bank.dataset, labelings, warm, checks)
+        at_warm = None if warm is None else model.count(warm)
+        bound, found = certify(model, bank.dataset, labelings, at_warm, budget)
         hint = bound if hint is None else max(hint, bound)
-    if result is None:
-        result = bnb.solve(
-            model, budget=budget, warm_start=warm, lower_bound_hint=hint,
-            node_log=node_log, root_start=root_start,
-        )
+        if found is not None:
+            realized = _encode(model, bank.dataset, [found], bound)
+            warm = warm if realized is None else realized
+    result = bnb.solve(
+        model, budget=budget, warm_start=warm, lower_bound_hint=hint,
+        node_log=node_log, root_start=root_start,
+    )
+    result = replace(result, wall_time=time.monotonic() - started)
     if result.status == bnb.STATUS_INFEASIBLE:
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
     if result.incumbent is None:
@@ -528,6 +529,17 @@ def _solve(
             RuntimeWarning,
         )
     return result, row
+
+
+def _encode(model, dataset, classifiers, cost=None):
+    """The assignment of the first of ``classifiers`` that ``model``
+    accepts (at objective ``cost``, when given), or None."""
+    for g in classifiers:
+        assignment = assignment_from_classifier(model, dataset, g)
+        feasible = bnb.check_feasible(model, assignment)[0]
+        if feasible and cost in (None, model.count(assignment)):
+            return assignment
+    return None
 
 
 def ambiguity_path(
@@ -571,7 +583,7 @@ def ambiguity_path(
         hint, root = baseline.lower_bound, baseline.root_basis
 
     thresholds = grid.thresholds(base.mistakes)
-    labelings = bank.labelings(thresholds)
+    labelings = bank.labelings(thresholds, budget)
     results, classifiers = [], []
     for c in range(len(dataset.cells.X)):
         model = build_flip_mip(dataset, h0, c, bank.gamma)

@@ -262,6 +262,20 @@ class TestBounds:
         assert res.status == "certified_optimal"
         assert res.nodes_explored <= 3
 
+    def test_an_incumbent_below_the_hint_raises(self):
+        # xor's baseline optimum is 25, so a hint of 30 is no lower bound:
+        # the warm start that costs 25, or the incumbent a search finds,
+        # contradicts it
+        data = xor_dataset()
+        model = build_baseline_mip(data)
+        from multiplicity.core import LinearClassifier
+
+        warm = assignment_from_classifier(model, data, LinearClassifier((-0.2, 0.4, 0.4)))
+        assert model.count(warm) == 25
+        for kwargs in ({"warm_start": warm}, {}):
+            with pytest.raises(InternalConsistencyError, match="below its lower bound"):
+                solve(model, lower_bound_hint=30.0, **kwargs)
+
     def test_integer_gap_certification(self):
         res = solve(build_baseline_mip(xor_dataset()))
         assert res.upper_bound - res.lower_bound < 1 - 1e-6

@@ -178,10 +178,12 @@ class TestCertificates:
             for model, truth, cands in zip(models, truths, candidates):
                 exact = solve(model)
                 assert exact.certified and exact.upper_bound == truth
-                result, bound = certify(model, data, cands)
+                bound, found = certify(model, data, cands)
                 assert bound <= truth
                 programs += 1
-                if result is not None:
+                if found is not None:
+                    warm = assignment_from_classifier(model, data, found)
+                    result = solve(model, warm_start=warm, lower_bound_hint=bound)
                     assert result.certified and result.nodes_explored == 0
                     assert result.upper_bound == result.lower_bound == truth
                     certified += 1
@@ -238,9 +240,81 @@ class TestCertificates:
         warm = assignment_from_classifier(model, data, LinearClassifier((1.0, 0.0)))
         assert model.count(warm) == 1
         one = labelings.Candidates(full.sides[:1], full.costs[:1], 1)
-        result, bound = certify(model, data, one, warm)
-        assert bound == 1 and result.certified and result.upper_bound == 1
-        assert np.array_equal(result.incumbent, warm)
+        bound, found = certify(model, data, one, model.count(warm))
+        assert bound == 1 and found is None
+        result = solve(model, warm_start=warm, lower_bound_hint=bound)
+        assert result.certified and result.upper_bound == 1
+        assert result.nodes_explored == 0 and np.array_equal(result.incumbent, warm)
+
+    def test_a_refused_proposal_leaves_the_program_to_branch_and_bound(
+        self, xor, monkeypatch
+    ):
+        # the realizer proposes h0, which keeps each flip cell on its side,
+        # so no flip program accepts it: a flip solve whose banked warm
+        # start misses the pass's bound searches from it with that bound as
+        # its hint, and reports the realizer's time with its own.  (Later
+        # cells start from an earlier flip at the bound and run no check.)
+        h0, _ = fit_baseline(xor)
+        grid = EpsilonGrid((Fraction(0),), 100)
+        bank = ClassifierBank(xor, h0)
+        bounds = bank.labelings(grid.thresholds(bank.risk.mistakes))
+
+        def propose_h0(*_):
+            time.sleep(0.01)
+            return h0
+
+        monkeypatch.setattr(labelings, "_realize", propose_h0)
+        _, _, results = ambiguity_path(bank, grid)
+        searched = [r for r in results if r.nodes_explored]
+        assert searched and all(r.wall_time >= 0.01 for r in searched)
+        for c, result in enumerate(results):
+            plain = solve(build_flip_mip(xor, h0, c))
+            assert (result.status, result.upper_bound, result.lower_bound) == (
+                plain.status, plain.upper_bound, plain.lower_bound
+            )
+            assert result.lower_bound >= bounds.flips[c].costs[0]
+
+    def test_a_settled_solve_reports_the_time_of_its_check_lps(self, xor, monkeypatch):
+        # a flip that branch-and-bound certifies at 0 nodes from the pass's
+        # proposal reports the time of the check LPs that found it
+        original, calls = labelings._max_margin, []
+
+        def slow(rows, gamma):
+            time.sleep(0.01)
+            calls.append(rows)
+            return original(rows, gamma)
+
+        monkeypatch.setattr(labelings, "_max_margin", slow)
+        h0, _ = fit_baseline(xor)
+        _, _, results = ambiguity_path(
+            ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100)
+        )
+        assert calls
+        assert all(r.certified and r.nodes_explored == 0 for r in results)
+        assert sum(r.wall_time for r in results) >= 0.01 * len(calls)
+
+    def test_the_pass_stops_after_its_first_chunk_past_the_deadline(self, monkeypatch):
+        # one subset per chunk: xor's C(4, 2) = 6 subsets make six chunks,
+        # and past the deadline only the first is built
+        data = xor_dataset()
+        side = data.cells.X @ np.array([-0.2, 0.4, 0.4]) > 0
+        monkeypatch.setattr(labelings, "CHUNK_CELLS", 1)
+        built = []
+        original = labelings._expand
+        monkeypatch.setattr(
+            labelings, "_expand", lambda signs: built.append(signs) or original(signs)
+        )
+        assert labeling_bounds(data, side, [50]) is not None
+        assert len(built) == 6
+        built.clear()
+        past = SolveBudget(deadline=time.monotonic() - 1)
+        assert labeling_bounds(data, side, [50], past) is None
+        assert len(built) == 1
+        # the bank keeps no pass that a deadline may have cut short
+        h0 = LinearClassifier((-0.2, 0.4, 0.4))
+        bank = ClassifierBank(data, h0)
+        assert bank.labelings([50], past) is None
+        assert bank.labelings([50]) is not None
 
     def test_past_the_deadline_no_lp_runs_and_the_bound_stays(self, xor, monkeypatch):
         # without the baseline's hint, every flip still reports the pass's

@@ -5,7 +5,8 @@ modules, so code that a change leaves behind shows up here, every public
 export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
 a status that a solve can report.  Only ``branch_bound`` and
-``formulations`` read the node LPs' row tolerance ``INT_TOL``."""
+``formulations`` read the node LPs' row tolerance ``INT_TOL``, and only
+``branch_bound`` builds a ``SolveResult``."""
 
 import ast
 from pathlib import Path
@@ -166,6 +167,22 @@ def test_only_the_solver_and_the_formulations_read_int_tol():
             ):
                 readers.append(name)
     assert readers and set(readers) <= {"branch_bound.py", "formulations.py"}
+
+
+def test_branch_and_bound_is_the_one_certifier():
+    # a solve's status is decided by branch-and-bound's gap rule alone: no
+    # other module builds a ``SolveResult``, and the labeling pass, which
+    # only bounds and proposes, does not reach the solver
+    builders = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        if name != "branch_bound.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SolveResult"
+    ]
+    assert builders == []
+    assert "branch_bound" not in set(_imported_modules(_modules()["labelings.py"]))
 
 
 def test_reports_is_the_one_json_writer():
