@@ -319,8 +319,12 @@ def _baseline(run: dict, budget) -> dict:
             f"no classifier places any feature cell at margin gamma={config.gamma}; "
             f"use a smaller --gamma"
         )
-    if result.incumbent is None:
-        raise InternalConsistencyError("baseline training found no classifier")
+    if result.incumbent is None:  # only a spent budget leaves no classifier
+        limit = (
+            f"--time-limit-baseline {config.time_limit_baseline:g} s"
+            if config.node_limit is None else f"--node-limit {config.node_limit}"
+        )
+        raise RuntimeError(f"baseline training found no classifier within {limit}")
     h0 = classifier_from_solution(model, result.incumbent)
     bank = run["bank"] = ClassifierBank(train, h0, config.gamma)
     payload = {

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -136,13 +137,18 @@ def _cell_model(
         },
     )
 
+    # The model holds the heuristic, so the heuristic holds the model
+    # weakly: a cycle would keep each program's rows alive until the next
+    # garbage collection, one program after another along a path.
+    model_ref = weakref.ref(model)
+
     def heuristic(values):
         # Decode a node LP's coefficient split and re-encode the indicator
         # values it forces: a candidate incumbent whenever that assignment
         # is feasible (for the level-set model it can fail, and is then
         # simply discarded).
-        h = classifier_from_solution(model, values)
-        return assignment_from_classifier(model, dataset, h)
+        h = classifier_from_solution(model_ref(), values)
+        return assignment_from_classifier(model_ref(), dataset, h)
 
     model.metadata["incumbent_heuristic"] = heuristic
     return model

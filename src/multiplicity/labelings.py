@@ -38,17 +38,27 @@ exact rational arithmetic, and dropped only when it is dependent.
 
 ``certify`` checks one program's candidates in cost order.  It proves a
 lower bound and proposes a classifier; it certifies nothing, which is
-left to branch-and-bound's gap rule.  A candidate is realized when a
-classifier puts every cell the program pins (its ``metadata["pinned"]``
-and the cells the candidate puts on their reference side) on the
-candidate's side with margin gamma, that is, at ``margin_floor``.  The
-check is the max-margin LP over the pinned cells, solved with
-``solve_lp``; w = 0 is feasible for it, so a solve that stalls raises, as
-a stalled node LP does in branch-and-bound.  The first realizing
-classifier is proposed with the bound, which its candidate costs.  The
-scan stops early once the bound reaches the cost of the caller's warm
-start, and no check LP starts past the deadline.  A failed check raises
-the bound:
+left to branch-and-bound's gap rule.  A candidate is checked on a leaf of
+the program: its LP with every indicator fixed to the candidate (u_c = 1
+where the candidate leaves the cell's reference label).  The leaf keeps
+the program's pinning, flip, level and l1 rows, and ``solve_lp_by_rows``
+solves it with the dual simplex of every node LP, over a working set of
+those rows that grows until the leaf's point meets them all, so a leaf
+of many cells is one small tableau.  It decides as a node LP does:
+a row is met within its tolerance, and a leaf is infeasible only when
+its rows, each widened by that tolerance, cannot all be met.  An
+infeasible leaf fails its candidate, and a leaf the simplex cannot
+decide raises, as a node LP does.  The first feasible leaf's classifier
+is proposed with the bound, which its candidate costs.
+Only a pure cell that the candidate gets wrong is left unpinned, and the
+leaf point may score it inside the margin band.  Then the same labeling's
+leaf of the bank's realizer, the disc program at epsilon = 1, which admits
+every classifier and pins every cell, gives the proposal when it is
+feasible, and otherwise the first later labeling of the same cost whose
+point clears the margin; the point inside the band is proposed only when
+none does.  The scan stops early once the bound reaches the cost of the
+caller's warm start, and no leaf LP starts past the deadline.  A failed
+check raises the bound:
 
 * an exact program pins every cell by its two-sided rows or by the flip
   row: every disc program, and a flip program whose other cells are all
@@ -60,7 +70,7 @@ the bound:
   so failed labelings of a higher cost exclude nothing.  The cheapest
   cost b is different.  A point of cost b has a strict labeling of cost
   b, since none is cheaper, and that labeling leaves exactly the point's
-  mistaken pure cells unpinned, so the point's w passes its check.  So
+  mistaken pure cells unpinned, so the point lies in its leaf.  So
   when every labeling of cost b fails, the bound becomes b + 1, the
   labelings of cost b + 1 are checked, and the scan stops.
 
@@ -79,8 +89,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Dataset, InternalConsistencyError, LinearClassifier
-from .formulations import margin_floor
-from .simplex import GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve_lp
+from .formulations import classifier_from_solution, margin_clearance
+from .simplex import solve_lp_by_rows
 
 MAX_FEATURES = 3
 WORK_BUDGET = 20_000_000  # C(m, d) * m of the largest pass
@@ -325,27 +335,33 @@ def _expand(signs: np.ndarray) -> np.ndarray:
 # -- certification ---------------------------------------------------------
 
 
-def certify(model, dataset: Dataset, candidates: Candidates, at_warm=None, budget=None):
+def certify(model, bank, candidates: Candidates, at_warm=None, budget=None):
     """Check ``candidates``, the pass's labelings of ``model``, in cost
-    order until the bound reaches ``at_warm``, the cost of the caller's
-    warm start (None without one).  No check LP starts once the ``budget``
-    (a ``SolveBudget``, or None) has expired.
+    order on leaves of ``model`` until the bound reaches ``at_warm``, the
+    cost of the caller's warm start (None without one).  ``bank`` is the
+    audit's ``ClassifierBank``: its training set, margin and realizer.  No
+    leaf LP starts once the ``budget`` (a ``SolveBudget``, or None) has
+    expired.
 
-    Returns (the proven lower bound on the program's objective, the first
-    classifier that realizes a candidate with the margin, or None).  That
-    candidate costs the bound."""
-    reference = model.metadata["reference"] > 0
-    pinned = model.metadata["pinned"]
-    exact = pinned.all()
+    Returns (the proven lower bound on the program's objective, the
+    classifier of a feasible leaf whose candidate costs the bound, or
+    None), preferring one that clears the margin (see the module's
+    docstring)."""
+    exact = model.metadata["pinned"].all()
     costs = candidates.costs.tolist()
-    bound = costs[0]
+    bound, banded = costs[0], None
     for i, cost in enumerate(costs):
         if cost > bound or (at_warm is not None and at_warm <= bound):
             break
         if budget is not None and budget.expired():
             break
         sides = candidates.sides[i]
-        found = _realize(model, dataset, sides, pinned | (sides == reference))
+        found = _leaf(model, sides)
+        if found is not None and not margin_clearance(found, bank.dataset, bank.gamma)[1]:
+            # only mistaken pure cells lie in the band, so the point costs
+            # more than the cheapest cost, which no bound rule below skips
+            banded = found if banded is None else banded
+            found = _leaf(bank.realizer, sides)
         if found is not None:
             return bound, found
         if (i + 1 < len(costs) and costs[i + 1] == cost) or cost >= candidates.limit:
@@ -355,71 +371,19 @@ def certify(model, dataset: Dataset, candidates: Candidates, at_warm=None, budge
             bound = costs[i + 1] if i + 1 < len(costs) else cost + 1
         elif cost == costs[0]:
             bound = cost + 1
-    return bound, None
+    return bound, banded
 
 
-def _realize(model, dataset: Dataset, sides, pins) -> Optional[LinearClassifier]:
-    """A classifier that puts the cells of ``pins`` on their side of
-    ``sides`` with margin gamma, or None when the max-margin LP stays below
-    gamma.  Every cell is pinned first, so that the classifier clears the
-    margin where it can."""
-    gamma = model.metadata["gamma"]
-    signed = np.where(sides, 1.0, -1.0)[:, None] * dataset.cells.X
-    for rows in (signed,) if pins.all() else (signed, signed[pins]):
-        h = _max_margin(rows, gamma)
-        if h is not None:
-            return h
-    return None
-
-
-def _max_margin(rows: np.ndarray, gamma: float) -> Optional[LinearClassifier]:
-    """A classifier with rows . w >= ``margin_floor(gamma)``, or None when
-    max t s.t. rows . w >= t, ||w||_1 <= 1 stays below that.
-
-    The LP runs over a working set of rows: first the 2(d+1) rows that the
-    mean row scores lowest, then, each round, up to 2(d+1) more rows that
-    miss the margin, lowest score first.  A working set's optimum bounds
-    the full LP's from above, so a miss there is a miss, and a classifier
-    that clears every row settles it."""
-    floor = margin_floor(gamma)
-    batch = 2 * rows.shape[1]
-    work = np.argsort(rows @ rows.mean(axis=0), kind="stable")[:batch]
-    while True:
-        w = _margin_lp(rows[work], floor)
-        if w is None:
-            return None
-        scores = rows @ w
-        missing = np.flatnonzero(scores < floor)
-        missing = missing[~np.isin(missing, work)]
-        if not missing.size:
-            return LinearClassifier.from_raw(w)
-        work = np.concatenate(
-            [work, missing[np.argsort(scores[missing], kind="stable")[:batch]]]
-        )
-
-
-def _margin_lp(rows: np.ndarray, floor: float) -> Optional[np.ndarray]:
-    """The w of max t s.t. rows . w >= t, ||w||_1 <= 1 (w = w+ - w-), or
-    None when t stays below ``floor``.  The LP is feasible (w = 0), so a
-    solve that ends other than optimal decides nothing and raises."""
-    k, nc = rows.shape
-    reach = float(np.abs(rows).max()) + abs(floor)
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(2 * nc), [-1.0]]),
-        row_coefs=np.vstack(
-            [
-                np.hstack([rows, -rows, -np.ones((k, 1))]),
-                np.concatenate([np.ones(2 * nc), [0.0]]),
-            ]
-        ),
-        row_relations=(GREATER_EQUAL,) * k + (LESS_EQUAL,),
-        row_rhs=np.concatenate([np.zeros(k), [1.0]]),
-        var_lo=np.concatenate([np.zeros(2 * nc), [-reach]]),
-        var_hi=np.concatenate([np.ones(2 * nc), [reach]]),
-    )
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise InternalConsistencyError(f"max-margin check LP ended with {sol.status}")
-    if -sol.objective_value < floor:
+def _leaf(model, sides) -> Optional[LinearClassifier]:
+    """The classifier of an optimal point of ``model``'s LP with every
+    indicator fixed to the labeling ``sides`` (u_c = 1 where it leaves the
+    cell's reference label), solved over a working set of its rows, or
+    None when that leaf is infeasible.  A leaf that the simplex cannot
+    decide raises, as a node LP does in branch-and-bound."""
+    indicators = sides != (model.metadata["reference"] > 0)
+    sol = solve_lp_by_rows(model.lp, dict(enumerate(indicators.astype(float))))
+    if sol.status == "infeasible":
         return None
-    return sol.values[:nc] - sol.values[nc : 2 * nc]
+    if sol.status != "optimal":
+        raise InternalConsistencyError(f"labeling leaf LP ended with {sol.status}")
+    return classifier_from_solution(model, sol.values)

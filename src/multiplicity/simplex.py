@@ -14,7 +14,9 @@ objective: one that fixed fewer variables (a branch-and-bound parent), had
 other right-hand sides (the previous program of a path), or lacked a row
 (``basis_with_row`` extends its basis by that row's slack).  None of these
 changes moves a reduced cost, so the basis stays dual feasible and only its
-primal infeasibilities need repair.
+primal infeasibilities need repair.  The same holds for rows appended to a
+solved tableau (``_Tableau.add_rows``), which is how ``solve_lp_by_rows``
+solves a program of many rows and few free variables over a working set.
 
 Every variable is boxed, so any basis becomes dual feasible once each
 nonbasic column sits at the bound its reduced cost prefers.  When the dual
@@ -36,8 +38,16 @@ Implementation notes:
   index on ties) and enters the column with the smallest |z_j / alpha_rj|
   (lowest index on ties); when that pivot is below SMALL_PIVOT it takes the
   largest pivot among the columns within the optimality tolerance of that
-  ratio.  It proves infeasibility only from a row whose range over the
-  nonbasic boxes misses its bounds;
+  ratio, or follows Bland's rule after DEGENERATE_PIVOTS zero-ratio
+  pivots in a row.  It proves infeasibility only from a row whose range
+  over the nonbasic boxes misses its bounds;
+* a row is met once its slack lies within FEASIBILITY_TOL (1 + |rhs|) of
+  its box.  A row of the tableau combines the program's rows, so a miss
+  that a proof finds there can grow from such a slip of theirs.  The
+  first proof therefore widens every slack's box by that tolerance
+  (``_relax_rows``) and is checked again, and the dual goes on in the
+  widened boxes when it fails: a program is infeasible only when its
+  rows cannot all be met within their tolerance;
 * the limit of 200*(rows+cols) + 2000 pivots per solve, cols counting the
   slacks, counts dual pivots and bound flips alike (the flips that place
   the cold start's columns excepted);
@@ -50,7 +60,7 @@ identical pivot sequences and bit-identical solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,6 +71,8 @@ FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-3  # below this the dual ratio test takes the largest pivot
+DEGENERATE_PIVOTS = 50  # zero-ratio pivots in a row before Bland's rule
+WHOLE_ROWS = 128  # solve_lp_by_rows solves a program of at most this many rows whole
 REFACTOR_INTERVAL = 256
 
 LESS_EQUAL = "<="
@@ -163,15 +175,11 @@ def solve_lp_with_fixings(
     feasibility by bound flips; a solve that cannot decide returns
     "stalled".
     """
-    lo = lp.var_lo.copy()
-    hi = lp.var_hi.copy()
-    for j, value in fixings.items():
-        if value < lp.var_lo[j] - 1e-9 or value > lp.var_hi[j] + 1e-9:
-            return LpSolution("infeasible", None, float("nan"))
-        lo[j] = hi[j] = float(value)
-    state = _Tableau(lp, lo, hi)
-    if state.infeasible_by_bounds:
+    boxes = _fixed_boxes(lp, fixings)
+    state = None if boxes is None else _Tableau(lp, *boxes)
+    if state is None or state.infeasible_by_bounds:
         return LpSolution("infeasible", None, float("nan"))
+    lo, hi = boxes
     if start is not None and (
         start.columns.shape != (state.m,) or start.at_upper.shape != (state.n_ext,)
     ):
@@ -180,6 +188,69 @@ def solve_lp_with_fixings(
     if status != "optimal":
         return LpSolution(status, None, float("nan"), state.pivots)
     return _optimal_solution(lp, state, lo, hi)
+
+
+def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
+    """Solve ``lp`` with some variables pinned to fixed values, as
+    ``solve_lp_with_fixings`` does, over a working set of its rows: for
+    fixings that leave few free variables to a program of many rows, such
+    as a branch-and-bound leaf.
+
+    The fixed variables leave the tableau: their part of each row's
+    activity becomes one column fixed at 1, so every row keeps its
+    right-hand side, and with it its tolerance.  The working set starts
+    empty.  Whenever the tableau solves it, the rows that its point misses
+    by more than FEASIBILITY_TOL (1 + |rhs|) join it (``add_rows``), most
+    missed first and at most one per free variable, and the dual goes on.
+    A restriction relaxes ``lp``, so its infeasibility is ``lp``'s, and a
+    point that meets every row solves ``lp``.  The solution has no basis.
+    A program of at most WHOLE_ROWS rows is solved whole, where one
+    tableau of every row costs less than the rounds.
+    """
+    if lp.n_rows <= WHOLE_ROWS:
+        return solve_lp_with_fixings(lp, fixings)
+    boxes = _fixed_boxes(lp, fixings)
+    if boxes is None:
+        return LpSolution("infeasible", None, float("nan"))
+    fixed = boxes[0] == boxes[1]
+    pinned, free = np.where(fixed, boxes[0], 0.0), np.flatnonzero(~fixed)
+    folded = LinearProgram(
+        np.append(lp.objective[free], lp.objective @ pinned),
+        np.column_stack([lp.row_coefs[:, free], lp.row_coefs @ pinned]),
+        lp.row_relations, lp.row_rhs,
+        np.append(lp.var_lo[free], 1.0), np.append(lp.var_hi[free], 1.0),
+    )
+    coefs, rel, rhs = folded.row_coefs, np.asarray(lp.row_relations), lp.row_rhs
+    state = _Tableau(replace(folded, row_coefs=coefs[:0], row_relations=(), row_rhs=rhs[:0]),
+                     folded.var_lo, folded.var_hi)
+    status, work = state.solve(None), np.zeros(lp.n_rows, dtype=bool)
+    while status == "optimal":
+        excess = _excess(rel, rhs, coefs @ state.structural_values(), FEASIBILITY_TOL)
+        missed = np.flatnonzero((excess > 0.0) & ~work)
+        if not missed.size:
+            sol = _optimal_solution(folded, state, folded.var_lo, folded.var_hi)
+            values = pinned.copy()
+            values[free] = sol.values[:-1]
+            values.flags.writeable = False
+            return LpSolution("optimal", values, sol.objective_value, sol.n_pivots)
+        missed = missed[np.argsort(-excess[missed], kind="stable")[: max(free.size, 1)]]
+        if not state.add_rows(coefs[missed], rel[missed], rhs[missed]):
+            return LpSolution("infeasible", None, float("nan"), state.pivots)
+        work[missed] = True
+        status = state.resume()
+    return LpSolution(status, None, float("nan"), state.pivots)
+
+
+def _fixed_boxes(lp: LinearProgram, fixings: dict):
+    """The variable boxes of ``lp`` with each fixed variable's collapsed to
+    its value, or None when a value lies outside its box."""
+    cols = np.fromiter(fixings, dtype=np.int64, count=len(fixings))
+    values = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
+    if np.any(values < lp.var_lo[cols] - 1e-9) or np.any(values > lp.var_hi[cols] + 1e-9):
+        return None
+    lo, hi = lp.var_lo.copy(), lp.var_hi.copy()
+    lo[cols] = hi[cols] = values
+    return lo, hi
 
 
 def _optimal_solution(lp, state, lo, hi) -> LpSolution:
@@ -223,15 +294,37 @@ def basis_with_row(basis: Basis, row: int) -> Basis:
 def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the rows of ``lp`` that ``values`` violates by more than
     ``tol * (1 + |rhs|)``."""
-    if lp.n_rows == 0:
-        return np.empty(0, dtype=int)
-    resid = lp.row_coefs @ values - lp.row_rhs
-    slack = tol * (1.0 + np.abs(lp.row_rhs))
     rel = np.asarray(lp.row_relations, dtype="<U2")
-    bad = ((resid > slack) & (rel != GREATER_EQUAL)) | (
-        (resid < -slack) & (rel != LESS_EQUAL)
+    return np.flatnonzero(_excess(rel, lp.row_rhs, lp.row_coefs @ values, tol) > 0.0)
+
+
+def _excess(rel, rhs, activity, tol: float) -> np.ndarray:
+    """How far the row ``activity`` of a point misses each row, of
+    relation ``rel`` and right-hand side ``rhs``, beyond ``tol * (1 +
+    |rhs|)``: positive exactly on the rows it violates by more."""
+    resid = activity - rhs
+    miss = np.where(
+        rel == GREATER_EQUAL, -resid, np.where(rel == LESS_EQUAL, resid, np.abs(resid))
     )
-    return np.flatnonzero(bad)
+    return miss - tol * (1.0 + np.abs(rhs))
+
+
+def _slack_boxes(coefs, rel, rhs, var_lo, var_hi, tol):
+    """The box of each row's slack (row . v + slack = rhs) from its
+    relation and its activity range over the variable boxes, or None when
+    some box is empty by more than its row's ``tol``; a box empty by less
+    is the point where it closes."""
+    pos = np.clip(coefs, 0.0, None)
+    neg = np.clip(coefs, None, 0.0)
+    rel = np.asarray(rel, dtype="<U2")
+    s_lo = rhs - (pos @ var_hi + neg @ var_lo)
+    s_hi = rhs - (pos @ var_lo + neg @ var_hi)
+    s_lo = np.where((rel == LESS_EQUAL) & (0.0 > s_lo), 0.0, s_lo)
+    s_hi = np.where((rel == GREATER_EQUAL) & (0.0 < s_hi), 0.0, s_hi)
+    s_lo[rel == EQUAL] = s_hi[rel == EQUAL] = 0.0
+    if np.any(s_lo > s_hi + tol):
+        return None
+    return s_lo, np.where(s_lo > s_hi, s_lo, s_hi)
 
 
 class _Tableau:
@@ -243,33 +336,18 @@ class _Tableau:
         self.n_ext = n + m
         self.iteration_limit = 200 * (m + self.n_ext) + 2000
         self.infeasible_by_bounds = False
+        self.relaxed = False
+        self.row_tol = FEASIBILITY_TOL * (1.0 + np.abs(lp.row_rhs))
 
-        lo = np.concatenate([var_lo, np.zeros(m)])
-        hi = np.concatenate([var_hi, np.zeros(m)])
-
-        # Slack bounds from the relation and the reachable activity range.
-        pos = np.clip(lp.row_coefs, 0.0, None)
-        neg = np.clip(lp.row_coefs, None, 0.0)
-        act_min = pos @ var_lo + neg @ var_hi
-        act_max = pos @ var_hi + neg @ var_lo
-        for k, rel in enumerate(lp.row_relations):
-            b = lp.row_rhs[k]
-            s_lo, s_hi = b - act_max[k], b - act_min[k]
-            if rel == LESS_EQUAL:
-                s_lo = max(s_lo, 0.0)
-            elif rel == GREATER_EQUAL:
-                s_hi = min(s_hi, 0.0)
-            else:
-                s_lo = s_hi = 0.0
-            if s_lo > s_hi + 1e-9:
-                self.infeasible_by_bounds = True
-                return
-            lo[n + k] = s_lo
-            hi[n + k] = max(s_hi, s_lo)
-
+        boxes = _slack_boxes(
+            lp.row_coefs, lp.row_relations, lp.row_rhs, var_lo, var_hi, self.row_tol
+        )
+        if boxes is None:
+            self.infeasible_by_bounds = True
+            return
         self.A = np.hstack([lp.row_coefs, np.eye(m)])
-        self.lo = lo
-        self.hi = hi
+        self.lo = np.concatenate([var_lo, boxes[0]])
+        self.hi = np.concatenate([var_hi, boxes[1]])
         self.b = lp.row_rhs
         self.cost = np.concatenate([lp.objective, np.zeros(m)])
         self.pivots = 0
@@ -321,6 +399,11 @@ class _Tableau:
             self.basis = start.columns.copy()
             self.at_upper = start.at_upper.copy()
             self._refactor()
+        return self.resume()
+
+    def resume(self) -> str:
+        """Dual simplex from the current dual feasible basis, repairing
+        lost dual feasibility by bound flips."""
         while True:
             status = self._dual()
             if status != "optimal":
@@ -329,6 +412,33 @@ class _Tableau:
             if not flips:
                 return "optimal"
             self.pivots += flips
+
+    def add_rows(self, coefs, relations, rhs) -> bool:
+        """Append rows, each with its slack basic, to a solved tableau.
+        Their duals are 0, so every reduced cost, and dual feasibility,
+        carries over (as in ``basis_with_row``).  Returns False when a
+        row's slack box is empty, which proves the program infeasible."""
+        n, k = self.n_ext - self.m, len(rhs)
+        tol = FEASIBILITY_TOL * (1.0 + np.abs(rhs))
+        boxes = _slack_boxes(coefs, relations, rhs, self.lo[:n], self.hi[:n], tol)
+        if boxes is None:
+            return False
+        wide = np.hstack([coefs, np.zeros((k, self.m))])
+        lift = wide[:, self.basis]
+        self.A = _bordered(self.A, wide)
+        self.T = _bordered(self.T, wide - lift @ self.T)
+        self.Tb = np.append(self.Tb, rhs - lift @ self.Tb)
+        self.b = np.append(self.b, rhs)
+        widen = tol if self.relaxed else 0.0
+        self.lo = np.append(self.lo, boxes[0] - widen)
+        self.hi = np.append(self.hi, boxes[1] + widen)
+        self.row_tol = np.append(self.row_tol, tol)
+        self.cost = np.append(self.cost, np.zeros(k))
+        self.at_upper = np.append(self.at_upper, np.zeros(k, dtype=bool))
+        self.basis = np.append(self.basis, np.arange(self.n_ext, self.n_ext + k))
+        self.m, self.n_ext = self.m + k, self.n_ext + k
+        self.iteration_limit = 200 * (self.m + self.n_ext) + 2000
+        return True
 
     def _flip_to_preferred_bounds(self) -> int:
         """Move every free nonbasic column whose reduced cost has the wrong
@@ -351,9 +461,16 @@ class _Tableau:
 
         Returns "optimal" (primal feasible), "infeasible", or "stalled"
         when the pivot limit runs out or a violated row has no pivot and no
-        proof of infeasibility.
+        proof of infeasibility.  A proof counts once the slack boxes are
+        widened (``_relax_rows``); the first widens them.
+
+        After DEGENERATE_PIVOTS zero-ratio pivots in a row it follows
+        Bland's rule, which cannot cycle, until a pivot moves the dual
+        objective: it leaves on the violated row with the lowest basic
+        index and enters the lowest column of smallest ratio.
         """
         cost = self.cost
+        degenerate = 0
         while True:
             if self._pivots_since_refactor >= REFACTOR_INTERVAL:
                 self._refactor()
@@ -366,7 +483,10 @@ class _Tableau:
                 return "optimal"
             if self.pivots >= self.iteration_limit:
                 return "stalled"
-            rows = np.flatnonzero(violation == worst)
+            bland = degenerate >= DEGENERATE_PIVOTS
+            rows = np.flatnonzero(
+                violation > FEASIBILITY_TOL if bland else violation == worst
+            )
             row = int(rows[np.argmin(self.basis[rows])])
             rise = below[row] > 0
 
@@ -382,27 +502,43 @@ class _Tableau:
                 & np.where(self.at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
             )
             if not eligible.any():
+                if not self._row_misses_bounds(row, nonbasic):
+                    return "stalled"
+                if self.relaxed:
+                    return "infeasible"
+                self._relax_rows()
                 if self._row_misses_bounds(row, nonbasic):
                     return "infeasible"
-                return "stalled"
+                continue
 
             z = cost - cost[self.basis] @ self.T
             dual_slack = np.maximum(np.where(self.at_upper, -z, z), 0.0)
             size = np.where(eligible, np.abs(alpha), 1.0)
             ratio = np.where(eligible, dual_slack / size, np.inf)
             enter = int(np.argmin(ratio))
-            if size[enter] < SMALL_PIVOT:
+            if size[enter] < SMALL_PIVOT and not bland:
                 relaxed = np.where(eligible, (dual_slack + OPTIMALITY_TOL) / size, np.inf)
                 enter = _largest_pivot(ratio, relaxed, size)
+            degenerate = degenerate + 1 if ratio[enter] == 0.0 else 0
 
             self.at_upper[self.basis[row]] = not rise
             self._pivot(row, enter)
             self.pivots += 1
 
+    def _relax_rows(self) -> None:
+        """Widen every slack's box by its row's tolerance, FEASIBILITY_TOL
+        (1 + |rhs|).  Reduced costs stay as they are, so the basis stays
+        dual feasible."""
+        n = self.n_ext - self.m
+        self.lo[n:] -= self.row_tol
+        self.hi[n:] += self.row_tol
+        self.relaxed = True
+
     def _row_misses_bounds(self, row: int, nonbasic: np.ndarray) -> bool:
         """Whether the basic variable of ``row`` misses its bounds by more
         than FEASIBILITY_TOL for every value of the nonbasic variables in
-        their boxes, which proves the program infeasible."""
+        their boxes, which proves the program infeasible in the current
+        slack boxes."""
         alpha = self.T[row, nonbasic]
         at_lo = alpha * self.lo[nonbasic]
         at_hi = alpha * self.hi[nonbasic]
@@ -413,6 +549,16 @@ class _Tableau:
             highest < self.lo[j] - FEASIBILITY_TOL
             or lowest > self.hi[j] + FEASIBILITY_TOL
         )
+
+
+def _bordered(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[[M, 0], [rows, I]]: ``M`` with ``rows`` below it and an identity
+    block for their slacks."""
+    (m, n), k = M.shape, len(rows)
+    out = np.zeros((m + k, n + k))
+    out[:m, :n], out[m:, :n] = M, rows
+    out[m:, n:] = np.eye(k)
+    return out
 
 
 def _largest_pivot(ratio, relaxed, size) -> int:

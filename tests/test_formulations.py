@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiplicity import labelings
 from multiplicity.branch_bound import INT_TOL, check_feasible, solve
 from multiplicity.core import (
     Dataset,
@@ -326,8 +325,6 @@ class TestMarginFloor:
         bank = ClassifierBank(data, LinearClassifier((-1.0, 0.0)), gamma)
         bank.add(h)
         assert (h in bank.flipping(0)) == accepted
-        # the max-margin check LP of one row that reaches ``score`` at best
-        assert (labelings._max_margin(np.array([[score, 0.0]]), gamma) is not None) == accepted
 
     def test_pinned_cells(self):
         # 20 training rows on 6 cells, 5 of them mixed

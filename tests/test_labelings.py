@@ -5,6 +5,7 @@ and the ladder audit it settles without branch-and-bound."""
 import json
 import math
 import time
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from multiplicity import labelings
 from multiplicity.branch_bound import SolveBudget, solve
-from multiplicity.cli import RunConfig, run_audit
+from multiplicity.cli import RunConfig, main, run_audit
 from multiplicity.datasets import ingest_csv
 from multiplicity.core import (
     Dataset,
@@ -31,6 +32,7 @@ from multiplicity.formulations import (
     build_disc_mip,
     build_flip_mip,
     classifier_from_solution,
+    margin_clearance,
 )
 from multiplicity.labelings import certify, labeling_bounds
 from multiplicity.profiles import (
@@ -178,7 +180,7 @@ class TestCertificates:
             for model, truth, cands in zip(models, truths, candidates):
                 exact = solve(model)
                 assert exact.certified and exact.upper_bound == truth
-                bound, found = certify(model, data, cands)
+                bound, found = certify(model, bank, cands)
                 assert bound <= truth
                 programs += 1
                 if found is not None:
@@ -234,26 +236,121 @@ class TestCertificates:
             [Example((1.0, 0.0), -1), Example((1.0, 1e-5), 1), Example((1.0, 1.0), 1)]
         )
         h0 = LinearClassifier((-0.5 / 1.5, 1 / 1.5))
-        full = ClassifierBank(data, h0).labelings([1]).flips[1]
+        bank = ClassifierBank(data, h0)
+        full = bank.labelings([1]).flips[1]
         assert full.costs[:2].tolist() == [0, 1]
         model = build_flip_mip(data, h0, 1)
         warm = assignment_from_classifier(model, data, LinearClassifier((1.0, 0.0)))
         assert model.count(warm) == 1
         one = labelings.Candidates(full.sides[:1], full.costs[:1], 1)
-        bound, found = certify(model, data, one, model.count(warm))
+        bound, found = certify(model, bank, one, model.count(warm))
         assert bound == 1 and found is None
         result = solve(model, warm_start=warm, lower_bound_hint=bound)
         assert result.certified and result.upper_bound == 1
         assert result.nodes_explored == 0 and np.array_equal(result.incumbent, warm)
 
+    def test_a_leaf_inside_the_margin_band_gives_way_to_the_realizer(self):
+        # cells x = 0 (+), 5e-5 (-), 1 (mixed), 2 (-) and 4 (+); h0 splits
+        # at 3.  Parting x = 0 (on +1) from 5e-5 with margin needs a slope
+        # past 1, so the flip of cell 0 costs 4: x = 5e-5 goes along, a
+        # pure cell its program leaves unpinned, and the program's leaf
+        # point scores it 5e-5.  The realizer's leaf pins it, so the
+        # proposal clears gamma and the solve that certifies it does not
+        # warn
+        data = Dataset.build(
+            [Example((1.0, 0.0), 1), Example((1.0, 5e-5), -1),
+             Example((1.0, 1.0), -1, weight=3), Example((1.0, 1.0), 1, weight=2),
+             Example((1.0, 2.0), -1, weight=2), Example((1.0, 4.0), 1)]
+        )
+        h0, base = fit_baseline(data)
+        bank = ClassifierBank(data, h0)
+        model = build_flip_mip(data, h0, 0)
+        candidates = bank.labelings([bank.risk.mistakes]).flips[0]
+        sides = candidates.sides[candidates.costs == 4][0]
+        assert sides.tolist() == [True, True, False, False, False]
+        leaf = labelings._leaf(model, sides)
+        assert not margin_clearance(leaf, data, DEFAULT_GAMMA)[1]
+        bound, found = certify(model, bank, candidates)
+        assert bound == 4 and found == labelings._leaf(bank.realizer, sides)
+        assert margin_clearance(found, data, DEFAULT_GAMMA)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, pool, results = ambiguity_path(
+                bank, EpsilonGrid((Fraction(0),), data.n), baseline=base
+            )
+        assert results[0].certified and results[0].nodes_explored == 0
+        assert results[0].upper_bound == 4 and pool.classifiers[0] == found
+
+    def test_a_band_the_realizer_cannot_clear_gives_way_to_a_labeling_of_the_same_cost(
+        self,
+    ):
+        # cells x = 0 (+, weight 2), 1.5e-4 (+), 3e-4 (-, weight 2), -2
+        # (mixed), -1 (-) and 1 (+).  No unit-l1 classifier that puts x = 0
+        # and 3e-4 on opposite sides with margin scores x = 1.5e-4 outside
+        # the band.  The flip of x = -2 costs 5, first by such a labeling:
+        # its leaf point leaves x = 1.5e-4 in the band and its realizer leaf
+        # is infeasible.  The next labeling of cost 5 puts every cell on +1
+        # with margin, so it is proposed, and no certified flip warns
+        data = Dataset.build(
+            [Example((1.0, 0.0), 1, weight=2), Example((1.0, 1.5e-4), 1),
+             Example((1.0, 3e-4), -1, weight=2), Example((1.0, -2.0), -1, weight=2),
+             Example((1.0, -2.0), 1), Example((1.0, -1.0), -1), Example((1.0, 1.0), 1)]
+        )
+        h0, base = fit_baseline(data)
+        bank = ClassifierBank(data, h0)
+        model = build_flip_mip(data, h0, 3)
+        candidates = bank.labelings([bank.risk.mistakes]).flips[3]
+        banded, cleared = candidates.sides[candidates.costs == 5][:2]
+        assert banded.tolist() == [True, False, False, True, True, False]
+        assert not margin_clearance(labelings._leaf(model, banded), data, DEFAULT_GAMMA)[1]
+        assert labelings._leaf(bank.realizer, banded) is None and cleared.all()
+        bound, found = certify(model, bank, candidates)
+        assert bound == 5 and found == labelings._leaf(model, cleared)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, results = ambiguity_path(
+                bank, EpsilonGrid((Fraction(0),), data.n), baseline=base
+            )
+        assert all(r.certified and r.nodes_explored == 0 for r in results)
+        assert [r.upper_bound for r in results] == [
+            solve(build_flip_mip(data, h0, c)).upper_bound for c in range(6)
+        ]
+
+    def test_a_labeling_within_the_rows_tolerance_of_gamma_is_realized(self):
+        # cells x = 0 (-), 2e-4 (+), 4e-4 (-, weight 2) and 2 (+, weight 2);
+        # h0 splits near x = 1.  A unit-l1 classifier that parts x = 0 from
+        # 2e-4 has a margin of at most 1/10001, 1e-8 short of gamma: within
+        # the rows' tolerance, and within ``margin_floor``.  That labeling,
+        # cost 2, is the cheapest flip of both x = 2e-4 and 4e-4.  Its leaves
+        # are feasible, and the path and plain branch-and-bound both find it
+        data = Dataset.build(
+            [Example((1.0, 0.0), -1), Example((1.0, 2e-4), 1),
+             Example((1.0, 4e-4), -1, weight=2), Example((1.0, 2.0), 1, weight=2)]
+        )
+        h0, base = fit_baseline(data)
+        parted = np.array([False, True, True, True])
+        for c in (1, 2):
+            leaf = labelings._leaf(build_flip_mip(data, h0, c), parted)
+            assert leaf is not None and margin_clearance(leaf, data, DEFAULT_GAMMA)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, results = ambiguity_path(
+                ClassifierBank(data, h0), EpsilonGrid((Fraction(0),), data.n),
+                baseline=base,
+            )
+        assert all(r.certified for r in results)
+        assert [r.upper_bound for r in results] == [
+            solve(build_flip_mip(data, h0, c)).upper_bound for c in range(4)
+        ] == [3, 2, 2, 3]
+
     def test_a_refused_proposal_leaves_the_program_to_branch_and_bound(
         self, xor, monkeypatch
     ):
-        # the realizer proposes h0, which keeps each flip cell on its side,
-        # so no flip program accepts it: a flip solve whose banked warm
-        # start misses the pass's bound searches from it with that bound as
-        # its hint, and reports the realizer's time with its own.  (Later
-        # cells start from an earlier flip at the bound and run no check.)
+        # every leaf proposes h0, which keeps each flip cell on its side, so
+        # no flip program accepts it: a flip solve whose banked warm start
+        # misses the pass's bound searches from it with that bound as its
+        # hint, and reports the leaf's time with its own.  (Later cells
+        # start from an earlier flip at the bound and run no check.)
         h0, _ = fit_baseline(xor)
         grid = EpsilonGrid((Fraction(0),), 100)
         bank = ClassifierBank(xor, h0)
@@ -263,7 +360,7 @@ class TestCertificates:
             time.sleep(0.01)
             return h0
 
-        monkeypatch.setattr(labelings, "_realize", propose_h0)
+        monkeypatch.setattr(labelings, "_leaf", propose_h0)
         _, _, results = ambiguity_path(bank, grid)
         searched = [r for r in results if r.nodes_explored]
         assert searched and all(r.wall_time >= 0.01 for r in searched)
@@ -276,15 +373,15 @@ class TestCertificates:
 
     def test_a_settled_solve_reports_the_time_of_its_check_lps(self, xor, monkeypatch):
         # a flip that branch-and-bound certifies at 0 nodes from the pass's
-        # proposal reports the time of the check LPs that found it
-        original, calls = labelings._max_margin, []
+        # proposal reports the time of the leaf LPs that found it
+        original, calls = labelings.solve_lp_by_rows, []
 
-        def slow(rows, gamma):
+        def slow(lp, fixings):
             time.sleep(0.01)
-            calls.append(rows)
-            return original(rows, gamma)
+            calls.append(fixings)
+            return original(lp, fixings)
 
-        monkeypatch.setattr(labelings, "_max_margin", slow)
+        monkeypatch.setattr(labelings, "solve_lp_by_rows", slow)
         h0, _ = fit_baseline(xor)
         _, _, results = ambiguity_path(
             ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100)
@@ -318,11 +415,12 @@ class TestCertificates:
 
     def test_past_the_deadline_no_lp_runs_and_the_bound_stays(self, xor, monkeypatch):
         # without the baseline's hint, every flip still reports the pass's
-        # bound, 25, and no check LP runs
+        # bound, 25, and no leaf LP runs
         lps = []
-        original = labelings.solve_lp
+        original = labelings.solve_lp_by_rows
         monkeypatch.setattr(
-            labelings, "solve_lp", lambda lp: lps.append(lp) or original(lp)
+            labelings, "solve_lp_by_rows",
+            lambda lp, fixings: lps.append(lp) or original(lp, fixings),
         )
         h0, _ = fit_baseline(xor)
         budget = SolveBudget(deadline=time.monotonic() - 1)
@@ -336,11 +434,12 @@ class TestCertificates:
         assert lps
 
     def test_a_stalled_check_lp_raises(self, xor, monkeypatch):
-        # w = 0 is feasible for the max-margin LP, so a check LP that stops
-        # undecided is a solver failure; read as "no classifier clears
-        # gamma", it would raise the flip bounds above their optima
+        # a leaf LP that stops undecided is a solver failure, as a node LP
+        # that does is; read as infeasible, it would raise the flip bounds
+        # above their optima
         monkeypatch.setattr(
-            labelings, "solve_lp", lambda lp: LpSolution("stalled", None, math.nan)
+            labelings, "solve_lp_by_rows",
+            lambda lp, fixings: LpSolution("stalled", None, math.nan),
         )
         h0, _ = fit_baseline(xor)
         with pytest.raises(InternalConsistencyError, match="stalled"):
@@ -378,3 +477,52 @@ def test_ladder_audit_is_settled_by_the_labeling_pass(tmp_path):
     assert baseline["train"]["mistakes"] == 8 and baseline["certified"]
     h0 = LinearClassifier(tuple(baseline["coefficients"]))
     assert h0.dim == 4
+
+
+def write_sweep_csv(path, rng) -> None:
+    """15 to 45 rows over 1 to 3 features, binary, on a 0.001 grid or
+    integers 0 to 70, with a noisy linear label and an A/B group."""
+    d, rows = int(rng.integers(1, 4)), int(rng.integers(15, 46))
+    X = (
+        rng.integers(0, 2, (rows, d)),
+        np.round(rng.random((rows, d)), 3),
+        rng.integers(0, 71, (rows, d)),
+    )[int(rng.integers(0, 3))]
+    group = rng.random(rows) < 0.5
+    score = (
+        X / X.max(initial=1) @ rng.normal(size=d)
+        + np.where(group, 0.1, -0.1)
+        + rng.normal(0.0, 0.3, rows)
+    )
+    label = (score > np.median(score)).astype(int)
+    label[0] = 1 - label[0] if label.min() == label.max() else label[0]
+    lines = [",".join([f"x{j + 1}" for j in range(d)] + ["label", "group"])]
+    for x, y, a in zip(X.tolist(), label.tolist(), group.tolist()):
+        lines.append(",".join([str(v) for v in x] + [str(y), "A" if a else "B"]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_random_small_audits_certify_or_stop_at_the_node_limit(tmp_path):
+    # audits of data with at most three features, where the labeling pass
+    # runs: each exits 0 without a margin warning, and every solve
+    # certifies or spends its node limit.  The 24th CSV of this seed has
+    # integer features, on which a check LP of the pass cycled before the
+    # dual simplex fell back on Bland's rule
+    rng = np.random.default_rng(3)
+    for k in range(24):
+        path, out = tmp_path / f"sweep{k}.csv", tmp_path / f"out{k}"
+        write_sweep_csv(path, rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["audit", "--dataset", str(path), "--group-column", "group",
+                 "--node-limit", "20", "--outdir", str(out)]
+            )
+        assert code == 0, path.read_text()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+        solves = [
+            stages["baseline"], *stages["discrepancy"]["solves"],
+            *stages["ambiguity"]["solves"],
+        ]
+        assert all(s["status"] == "certified_optimal" or s["nodes"] >= 20 for s in solves)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from multiplicity import simplex
+from multiplicity.formulations import margin_floor
 from multiplicity.simplex import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     LinearProgram,
     basis_with_row,
     solve_lp,
+    solve_lp_by_rows,
     solve_lp_with_fixings,
     violated_rows,
 )
@@ -246,6 +248,111 @@ class TestAgainstOracle:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
+    def test_dual_degenerate_cycle_is_broken_by_blands_rule(self):
+        # max t s.t. rows . (w+ - w-) >= t, sum(w+ + w-) <= 1, w+- in [0, 1],
+        # |t| <= 59 + margin_floor(1e-4): a max-margin LP over 8 cells of a
+        # 28-row CSV with integer features.  Without the anti-cycling rule
+        # the dual's basis repeats after 76 pivots, with period 54, until
+        # the pivot limit; the optimum is t = 25 at w = -e_2
+        rows = np.array(
+            [[-1, -55, -47, -6], [-1, -39, -52, -10], [-1, -40, -40, -6],
+             [-1, -6, -25, -39], [-1, -17, -25, -19], [-1, -2, -59, -34],
+             [-1, -20, -37, -6], [-1, -6, -42, -21]], dtype=float,
+        )
+        k, nc = rows.shape
+        reach = 59.0 + margin_floor(1e-4)
+        lp = box_lp(
+            np.concatenate([np.zeros(2 * nc), [-1.0]]),
+            np.vstack(
+                [np.hstack([rows, -rows, -np.ones((k, 1))]),
+                 np.concatenate([np.ones(2 * nc), [0.0]])]
+            ),
+            [">="] * k + ["<="],
+            np.concatenate([np.zeros(k), [1.0]]),
+            np.concatenate([np.zeros(2 * nc), [-reach]]),
+            np.concatenate([np.ones(2 * nc), [reach]]),
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(-25.0, abs=1e-9)
+        assert sol.n_pivots < 100
+
+    @pytest.mark.parametrize("g, status", [(1e-4, "optimal"), (1.002e-4, "infeasible")])
+    def test_a_miss_within_the_rows_tolerance_proves_nothing(self, g, status):
+        # p >= g, 2e-4 q - p >= g and p + q <= 1 over p, q in [0, 1]: the
+        # rows meet exactly only for g <= 1/10001, so at g = 1e-4 the l1
+        # row's tableau row misses by 1e-4.  Scaled by 1/1.0001 that point
+        # misses each margin row by 1e-8, within FEASIBILITY_TOL (1 + |rhs|),
+        # and within that tolerance of every row they meet up to g of about
+        # 1.0009e-4.  The unwidened proof read g = 1e-4 as infeasible
+        lp = box_lp([0.0, 0.0], [[1, 0], [-1, 2e-4], [1, 1]], [">=", ">=", "<="],
+                    [g, g, 1.0], [0, 0], [1, 1])
+        sol = solve_lp(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert violated_rows(lp, sol.values, 2 * FEASIBILITY_TOL).size == 0
+
+
+class TestByRows:
+    @pytest.fixture(autouse=True)
+    def _by_rows_always(self, monkeypatch):
+        monkeypatch.setattr(simplex, "WHOLE_ROWS", 0)
+
+    def test_random_fixings_match_the_whole_program(self):
+        rng = np.random.default_rng(11)
+        statuses = {"optimal": 0, "infeasible": 0}
+        for _ in range(120):
+            lp, _ = random_box_lp(rng)
+            fixings = {
+                int(j): float(lp.var_lo[j] + (lp.var_hi[j] - lp.var_lo[j]) * rng.random())
+                for j in np.flatnonzero(rng.random(lp.n_vars) < 0.3)
+            }
+            whole = solve_lp_with_fixings(lp, fixings)
+            rows = solve_lp_by_rows(lp, fixings)
+            assert rows.status == whole.status
+            statuses[whole.status] += 1
+            if whole.status == "optimal":
+                assert rows.objective_value == pytest.approx(whole.objective_value, abs=1e-6)
+                assert violated_rows(lp, rows.values, 1e-6).size == 0
+                assert all(rows.values[j] == v for j, v in fixings.items())
+        assert statuses["optimal"] > 40 and statuses["infeasible"] > 5
+
+    @pytest.mark.parametrize("g, status", [(1e-4, "optimal"), (1.002e-4, "infeasible")])
+    def test_rows_added_to_a_tableau_keep_their_tolerance(self, g, status):
+        # the program of test_a_miss_within_the_rows_tolerance_proves_nothing,
+        # its rows added to a solved tableau, decides alike
+        lp = box_lp([0.0, 0.0], [[1, 0], [-1, 2e-4], [1, 1]], [">=", ">=", "<="],
+                    [g, g, 1.0], [0, 0], [1, 1])
+        sol = solve_lp_by_rows(lp, {})
+        assert sol.status == status
+        if status == "optimal":
+            assert violated_rows(lp, sol.values, 2 * FEASIBILITY_TOL).size == 0
+
+    def test_a_leaf_of_many_rows_solves_a_few(self, monkeypatch):
+        # min x + 0.3 y over 400 tangents of the unit disc around (1, 1),
+        # each row also over a column of its own, fixed at 0: each round
+        # adds at most one row per free variable, and a few rounds settle it
+        angles = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        lp = box_lp(
+            np.concatenate([np.zeros(400), [1.0, 0.3]]),
+            np.hstack([np.eye(400), normals]),
+            [">="] * 400,
+            normals @ [1.0, 1.0] - 1.0,
+            np.zeros(402), np.concatenate([np.ones(400), [3.0, 3.0]]),
+        )
+        added, original = [], simplex._Tableau.add_rows
+
+        def spy(state, coefs, relations, rhs):
+            added.append(len(rhs))
+            return original(state, coefs, relations, rhs)
+
+        monkeypatch.setattr(simplex._Tableau, "add_rows", spy)
+        sol = solve_lp_by_rows(lp, {j: 0.0 for j in range(400)})
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(1.3 - 1.09**0.5, abs=1e-3)
+        assert violated_rows(lp, sol.values, FEASIBILITY_TOL).size == 0
+        assert len(added) > 2 and max(added) <= 2 and sum(added) <= 20
 
 
 def _walk_chains(rng, count, check):

@@ -5,8 +5,9 @@ modules, so code that a change leaves behind shows up here, every public
 export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
 a status that a solve can report.  Only ``branch_bound`` and
-``formulations`` read the node LPs' row tolerance ``INT_TOL``, and only
-``branch_bound`` builds a ``SolveResult``."""
+``formulations`` read the node LPs' row tolerance ``INT_TOL``, only
+``branch_bound`` builds a ``SolveResult``, and ``labelings`` builds no LP
+of its own."""
 
 import ast
 from pathlib import Path
@@ -183,6 +184,29 @@ def test_branch_and_bound_is_the_one_certifier():
     ]
     assert builders == []
     assert "branch_bound" not in set(_imported_modules(_modules()["labelings.py"]))
+
+
+def test_the_labeling_pass_builds_no_lp_of_its_own():
+    # the pass checks a labeling on a leaf of the program it bounds, which
+    # the simplex decides as it decides a node LP; an LP of its own would
+    # answer to its own rows and its own margin test
+    found = []
+    for node in ast.walk(_modules()["labelings.py"]):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "LinearProgram"
+        ):
+            found.append(f"{node.lineno}: builds a LinearProgram")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"{node.lineno}: imports {a.name}"
+                for a in node.names
+                if a.name in ("LinearProgram", "solve_lp")
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr == "solve_lp":
+            found.append(f"{node.lineno}: reads solve_lp")
+    assert found == []
 
 
 def test_reports_is_the_one_json_writer():
