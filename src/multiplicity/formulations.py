@@ -106,12 +106,21 @@ def _cell_model(
     m, nc = len(cells.X), dataset.d + 1
     big_m = compute_big_m(dataset, gamma)
 
-    signed = cells.X * reference[:, None]
-    pin = np.hstack([np.diag(big_m), signed, signed])
-    pin_rev = -pin[two_sided]
-    l1 = np.concatenate([np.zeros(m), np.ones(nc), -np.ones(nc)])
-    rows = [pin, pin_rev] + [row[None, :] for row, _ in extra_rows] + [l1[None, :]]
-    relations = [GREATER_EQUAL] * (m + len(pin_rev) + len(extra_rows)) + [EQUAL]
+    # Every row is written into one matrix: [pinning rows; second pinning
+    # rows; extra rows; l1 row].  The second pinning rows negate the first
+    # rows of their cells, zeros included (as -0.0).
+    twice = np.flatnonzero(two_sided)
+    k = m + twice.size
+    coefs = np.zeros((k + len(extra_rows) + 1, m + 2 * nc))
+    coefs[:m, m : m + nc] = coefs[:m, m + nc :] = cells.X * reference[:, None]
+    coefs[np.arange(m), np.arange(m)] = big_m
+    coefs[m:k, :m] = -0.0
+    coefs[np.arange(m, k), twice] = -big_m[twice]
+    coefs[m:k, m:] = -coefs[twice, m:]
+    for i, (row, _) in enumerate(extra_rows):
+        coefs[k + i] = row
+    coefs[-1, m : m + nc], coefs[-1, m + nc :] = 1.0, -1.0
+    relations = [GREATER_EQUAL] * (k + len(extra_rows)) + [EQUAL]
     rhs = np.concatenate(
         [
             np.full(m, gamma),
@@ -122,7 +131,7 @@ def _cell_model(
     )
     lp = LinearProgram(
         objective=np.concatenate([objective, np.zeros(2 * nc)]).astype(float),
-        row_coefs=np.vstack(rows),
+        row_coefs=coefs,
         row_relations=tuple(relations),
         row_rhs=rhs,
         var_lo=np.concatenate([np.zeros(m + nc), -np.ones(nc)]),
@@ -364,9 +373,8 @@ def export_mps(model: MipModel, path) -> None:
         entries = []
         if lp.objective[j] != 0.0:
             entries.append(("OBJ", lp.objective[j]))
-        for k in range(lp.n_rows):
-            if lp.row_coefs[k, j] != 0.0:
-                entries.append((row_names[k], lp.row_coefs[k, j]))
+        column = lp.row_coefs[:, j]
+        entries += [(row_names[k], column[k]) for k in np.flatnonzero(column)]
         if not entries:
             entries.append(("OBJ", 0.0))
         for a in range(0, len(entries), 2):

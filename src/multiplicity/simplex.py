@@ -12,11 +12,10 @@ is the column's own cost and the basis is dual feasible for every program.
 A warm start is the final basis of a related program with the same
 objective: one that fixed fewer variables (a branch-and-bound parent), had
 other right-hand sides (the previous program of a path), or lacked a row
-(``basis_with_row`` extends its basis by that row's slack).  None of these
-changes moves a reduced cost, so the basis stays dual feasible and only its
-primal infeasibilities need repair.  The same holds for rows appended to a
-solved tableau (``_Tableau.add_rows``), which is how ``solve_lp_by_rows``
-solves a program of many rows and few free variables over a working set.
+(``basis_with_row`` extends its basis by that row's slack; this is how
+``solve_lp_by_rows`` grows a working set of rows).  None of these changes
+moves a reduced cost, so the basis stays dual feasible and only its primal
+infeasibilities need repair.
 
 Every variable is boxed, so any basis becomes dual feasible once each
 nonbasic column sits at the bound its reduced cost prefers.  When the dual
@@ -60,7 +59,7 @@ identical pivot sequences and bit-identical solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -199,13 +198,15 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
     The fixed variables leave the tableau: their part of each row's
     activity becomes one column fixed at 1, so every row keeps its
     right-hand side, and with it its tolerance.  The working set starts
-    empty.  Whenever the tableau solves it, the rows that its point misses
-    by more than FEASIBILITY_TOL (1 + |rhs|) join it (``add_rows``), most
-    missed first and at most one per free variable, and the dual goes on.
-    A restriction relaxes ``lp``, so its infeasibility is ``lp``'s, and a
-    point that meets every row solves ``lp``.  The solution has no basis.
-    A program of at most WHOLE_ROWS rows is solved whole, where one
-    tableau of every row costs less than the rounds.
+    empty, and each round solves a tableau of its rows.  The rows that a
+    round's point misses by more than FEASIBILITY_TOL (1 + |rhs|) join the
+    set, most missed first and at most one per free variable, and the next
+    round starts from the last round's basis extended by their slacks
+    (``basis_with_row``).  A restriction relaxes ``lp``, so its
+    infeasibility is ``lp``'s, and a point that meets every row solves
+    ``lp``.  Pivots count over all rounds.  The solution has no basis.  A
+    program of at most WHOLE_ROWS rows is solved whole, where one tableau
+    of every row costs less than the rounds.
     """
     if lp.n_rows <= WHOLE_ROWS:
         return solve_lp_with_fixings(lp, fixings)
@@ -214,31 +215,34 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
         return LpSolution("infeasible", None, float("nan"))
     fixed = boxes[0] == boxes[1]
     pinned, free = np.where(fixed, boxes[0], 0.0), np.flatnonzero(~fixed)
-    folded = LinearProgram(
-        np.append(lp.objective[free], lp.objective @ pinned),
-        np.column_stack([lp.row_coefs[:, free], lp.row_coefs @ pinned]),
-        lp.row_relations, lp.row_rhs,
-        np.append(lp.var_lo[free], 1.0), np.append(lp.var_hi[free], 1.0),
-    )
-    coefs, rel, rhs = folded.row_coefs, np.asarray(lp.row_relations), lp.row_rhs
-    state = _Tableau(replace(folded, row_coefs=coefs[:0], row_relations=(), row_rhs=rhs[:0]),
-                     folded.var_lo, folded.var_hi)
-    status, work = state.solve(None), np.zeros(lp.n_rows, dtype=bool)
-    while status == "optimal":
+    objective = np.append(lp.objective[free], lp.objective @ pinned)
+    coefs = np.column_stack([lp.row_coefs[:, free], lp.row_coefs @ pinned])
+    lo, hi = np.append(lp.var_lo[free], 1.0), np.append(lp.var_hi[free], 1.0)
+    rel, rhs = np.asarray(lp.row_relations, dtype="<U2"), lp.row_rhs
+    work, start, pivots = np.zeros(0, dtype=np.int64), None, 0
+    while True:
+        program = LinearProgram(objective, coefs[work], rel[work].tolist(), rhs[work], lo, hi)
+        state = _Tableau(program, lo, hi)
+        if state.infeasible_by_bounds:
+            return LpSolution("infeasible", None, float("nan"), pivots)
+        state.pivots = pivots
+        status, pivots = state.solve(start), state.pivots
+        if status != "optimal":
+            return LpSolution(status, None, float("nan"), pivots)
         excess = _excess(rel, rhs, coefs @ state.structural_values(), FEASIBILITY_TOL)
-        missed = np.flatnonzero((excess > 0.0) & ~work)
-        if not missed.size:
-            sol = _optimal_solution(folded, state, folded.var_lo, folded.var_hi)
+        excess[work] = 0.0  # a row joins the set once
+        missed = np.flatnonzero(excess > 0.0)
+        if not missed.size:  # every row outside the set is met; the check covers the set
+            sol = _optimal_solution(program, state, lo, hi)
             values = pinned.copy()
             values[free] = sol.values[:-1]
             values.flags.writeable = False
-            return LpSolution("optimal", values, sol.objective_value, sol.n_pivots)
+            return LpSolution("optimal", values, sol.objective_value, pivots)
         missed = missed[np.argsort(-excess[missed], kind="stable")[: max(free.size, 1)]]
-        if not state.add_rows(coefs[missed], rel[missed], rhs[missed]):
-            return LpSolution("infeasible", None, float("nan"), state.pivots)
-        work[missed] = True
-        status = state.resume()
-    return LpSolution(status, None, float("nan"), state.pivots)
+        start = Basis(state.basis, state.at_upper)
+        for row in range(work.size, work.size + missed.size):
+            start = basis_with_row(start, row)
+        work = np.append(work, missed)
 
 
 def _fixed_boxes(lp: LinearProgram, fixings: dict):
@@ -280,15 +284,16 @@ def basis_with_row(basis: Basis, row: int) -> Basis:
     Slack columns of the rows at and past ``row`` shift by one.  The
     extended basis matrix is block triangular with a unit block for the new
     slack, so it is nonsingular when ``basis`` is; the new row's dual is 0,
-    so every reduced cost, and dual feasibility, carries over.
+    so every reduced cost, and dual feasibility, carries over.  It starts
+    each flip root from the baseline's basis, and each round of
+    ``solve_lp_by_rows`` from the last round's.
     """
-    n = basis.at_upper.size - basis.columns.size
-    old = np.arange(basis.at_upper.size)
-    moved = old + (old >= n + row)
-    at_upper = np.zeros(old.size + 1, dtype=bool)
-    at_upper[moved] = basis.at_upper
-    columns = np.insert(moved[basis.columns], row, n + row)
-    return Basis(columns, at_upper)
+    slack = basis.at_upper.size - basis.columns.size + row
+    columns = basis.columns + (basis.columns >= slack)
+    return Basis(
+        np.concatenate([columns[:row], [slack], columns[row:]]),
+        np.concatenate([basis.at_upper[:slack], [False], basis.at_upper[slack:]]),
+    )
 
 
 def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:
@@ -399,11 +404,6 @@ class _Tableau:
             self.basis = start.columns.copy()
             self.at_upper = start.at_upper.copy()
             self._refactor()
-        return self.resume()
-
-    def resume(self) -> str:
-        """Dual simplex from the current dual feasible basis, repairing
-        lost dual feasibility by bound flips."""
         while True:
             status = self._dual()
             if status != "optimal":
@@ -412,33 +412,6 @@ class _Tableau:
             if not flips:
                 return "optimal"
             self.pivots += flips
-
-    def add_rows(self, coefs, relations, rhs) -> bool:
-        """Append rows, each with its slack basic, to a solved tableau.
-        Their duals are 0, so every reduced cost, and dual feasibility,
-        carries over (as in ``basis_with_row``).  Returns False when a
-        row's slack box is empty, which proves the program infeasible."""
-        n, k = self.n_ext - self.m, len(rhs)
-        tol = FEASIBILITY_TOL * (1.0 + np.abs(rhs))
-        boxes = _slack_boxes(coefs, relations, rhs, self.lo[:n], self.hi[:n], tol)
-        if boxes is None:
-            return False
-        wide = np.hstack([coefs, np.zeros((k, self.m))])
-        lift = wide[:, self.basis]
-        self.A = _bordered(self.A, wide)
-        self.T = _bordered(self.T, wide - lift @ self.T)
-        self.Tb = np.append(self.Tb, rhs - lift @ self.Tb)
-        self.b = np.append(self.b, rhs)
-        widen = tol if self.relaxed else 0.0
-        self.lo = np.append(self.lo, boxes[0] - widen)
-        self.hi = np.append(self.hi, boxes[1] + widen)
-        self.row_tol = np.append(self.row_tol, tol)
-        self.cost = np.append(self.cost, np.zeros(k))
-        self.at_upper = np.append(self.at_upper, np.zeros(k, dtype=bool))
-        self.basis = np.append(self.basis, np.arange(self.n_ext, self.n_ext + k))
-        self.m, self.n_ext = self.m + k, self.n_ext + k
-        self.iteration_limit = 200 * (self.m + self.n_ext) + 2000
-        return True
 
     def _flip_to_preferred_bounds(self) -> int:
         """Move every free nonbasic column whose reduced cost has the wrong
@@ -549,16 +522,6 @@ class _Tableau:
             highest < self.lo[j] - FEASIBILITY_TOL
             or lowest > self.hi[j] + FEASIBILITY_TOL
         )
-
-
-def _bordered(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[[M, 0], [rows, I]]: ``M`` with ``rows`` below it and an identity
-    block for their slacks."""
-    (m, n), k = M.shape, len(rows)
-    out = np.zeros((m + k, n + k))
-    out[:m, :n], out[m:, :n] = M, rows
-    out[m:, n:] = np.eye(k)
-    return out
 
 
 def _largest_pivot(ratio, relaxed, size) -> int:

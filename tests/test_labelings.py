@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiplicity import labelings
+from multiplicity import labelings, simplex
 from multiplicity.branch_bound import SolveBudget, solve
 from multiplicity.cli import RunConfig, main, run_audit
 from multiplicity.datasets import ingest_csv
@@ -477,6 +477,49 @@ def test_ladder_audit_is_settled_by_the_labeling_pass(tmp_path):
     assert baseline["train"]["mistakes"] == 8 and baseline["certified"]
     h0 = LinearClassifier(tuple(baseline["coefficients"]))
     assert h0.dim == 4
+
+
+@pytest.mark.parametrize("source", ["xor", "tyranny", "compas_style"])
+def test_leaves_solved_over_working_sets_give_the_same_audit(tmp_path, monkeypatch, source):
+    # these programs' leaves are solved whole (at most WHOLE_ROWS rows);
+    # solved over working sets of their rows instead, every report and
+    # every solve reads the same
+    starts, built = [], simplex._Tableau.__init__
+
+    def spy(state, program, var_lo, var_hi):
+        starts.append(program.n_rows == 0)  # the first round of a working set
+        built(state, program, var_lo, var_hi)
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", spy)
+
+    def audit(out):
+        config = RunConfig(dataset=source, outdir=str(out))
+        if source == "compas_style":
+            config = RunConfig(
+                dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
+                group_column="race", outdir=str(out),
+            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stages = run_audit(config)["stages"]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        solves = [
+            stages["baseline"], *stages["discrepancy"]["solves"],
+            *stages["ambiguity"]["solves"],
+        ]
+        return [(s["status"], s["lower_bound"], s["upper_bound"], s["nodes"]) for s in solves]
+
+    whole = audit(tmp_path / "whole")
+    assert not any(starts)
+    monkeypatch.setattr(simplex, "WHOLE_ROWS", 0)
+    assert audit(tmp_path / "rounds") == whole and any(starts)
+    reports = [
+        name for name in ("profile.csv", "burden.csv", "baseline.json")
+        if (tmp_path / "whole" / name).exists()
+    ]
+    assert "profile.csv" in reports and (source == "xor") == ("burden.csv" not in reports)
+    for name in reports:
+        assert (tmp_path / "rounds" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 def write_sweep_csv(path, rng) -> None:

@@ -320,7 +320,7 @@ class TestByRows:
     @pytest.mark.parametrize("g, status", [(1e-4, "optimal"), (1.002e-4, "infeasible")])
     def test_rows_added_to_a_tableau_keep_their_tolerance(self, g, status):
         # the program of test_a_miss_within_the_rows_tolerance_proves_nothing,
-        # its rows added to a solved tableau, decides alike
+        # solved over a working set of its rows, decides alike
         lp = box_lp([0.0, 0.0], [[1, 0], [-1, 2e-4], [1, 1]], [">=", ">=", "<="],
                     [g, g, 1.0], [0, 0], [1, 1])
         sol = solve_lp_by_rows(lp, {})
@@ -331,7 +331,8 @@ class TestByRows:
     def test_a_leaf_of_many_rows_solves_a_few(self, monkeypatch):
         # min x + 0.3 y over 400 tangents of the unit disc around (1, 1),
         # each row also over a column of its own, fixed at 0: each round
-        # adds at most one row per free variable, and a few rounds settle it
+        # solves a tableau of the working set, at most one row per free
+        # variable joins it per round, and a few rounds settle it
         angles = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         lp = box_lp(
@@ -341,18 +342,20 @@ class TestByRows:
             normals @ [1.0, 1.0] - 1.0,
             np.zeros(402), np.concatenate([np.ones(400), [3.0, 3.0]]),
         )
-        added, original = [], simplex._Tableau.add_rows
+        sizes, original = [], simplex._Tableau.__init__
 
-        def spy(state, coefs, relations, rhs):
-            added.append(len(rhs))
-            return original(state, coefs, relations, rhs)
+        def spy(state, program, var_lo, var_hi):
+            sizes.append(program.n_rows)
+            original(state, program, var_lo, var_hi)
 
-        monkeypatch.setattr(simplex._Tableau, "add_rows", spy)
+        monkeypatch.setattr(simplex._Tableau, "__init__", spy)
         sol = solve_lp_by_rows(lp, {j: 0.0 for j in range(400)})
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.3 - 1.09**0.5, abs=1e-3)
         assert violated_rows(lp, sol.values, FEASIBILITY_TOL).size == 0
-        assert len(added) > 2 and max(added) <= 2 and sum(added) <= 20
+        added = np.diff(sizes)
+        assert sizes[0] == 0 and len(added) > 2
+        assert added.min() >= 1 and added.max() <= 2 and sizes[-1] <= 20
 
 
 def _walk_chains(rng, count, check):

@@ -6,8 +6,8 @@ export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
 a status that a solve can report.  Only ``branch_bound`` and
 ``formulations`` read the node LPs' row tolerance ``INT_TOL``, only
-``branch_bound`` builds a ``SolveResult``, and ``labelings`` builds no LP
-of its own."""
+``branch_bound`` builds a ``SolveResult``, ``labelings`` builds no LP of
+its own, and a simplex tableau keeps the program it was built over."""
 
 import ast
 from pathlib import Path
@@ -207,6 +207,38 @@ def test_the_labeling_pass_builds_no_lp_of_its_own():
         elif isinstance(node, ast.Attribute) and node.attr == "solve_lp":
             found.append(f"{node.lineno}: reads solve_lp")
     assert found == []
+
+
+def test_a_tableau_keeps_its_program():
+    # ``_Tableau`` sets its program (rows, costs, tolerances, pivot limit)
+    # in ``__init__`` alone: a working set of rows grows by a new tableau
+    # started from the last one's basis, never by reshaping a solved one
+    program = {"m", "n_ext", "A", "b", "cost", "row_tol", "iteration_limit"}
+    tableau = next(
+        node for node in _modules()["simplex.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_Tableau"
+    )
+    writes = []
+    for method in tableau.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            writes += [
+                f"{method.name}:{leaf.lineno}: self.{leaf.attr}"
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Attribute)
+                and isinstance(leaf.value, ast.Name)
+                and leaf.value.id == "self"
+                and leaf.attr in program
+            ]
+    assert writes == []
 
 
 def test_reports_is_the_one_json_writer():
