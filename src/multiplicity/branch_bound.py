@@ -11,8 +11,12 @@ package's one certification rule.  A warm start that meets a proven
 From a ``MipModel`` the engine reads its LP relaxation, its binary indices,
 its objective offset and, if present, ``metadata["incumbent_heuristic"]``:
 a callable that maps a fractional node LP solution to a candidate
-assignment (or None), kept only if ``check_feasible`` accepts it.  Every
-other metadata entry belongs to whoever built the model.
+assignment (or None), kept only if ``check_feasible`` accepts it, as is a
+node LP solution whose binaries are integral within INT_TOL, rounded: a
+binary just off integral can slip a Big-M row past its tolerance.  A node
+whose rounding fails is branched on, or keeps its bound when it fixes
+every binary.  Every other metadata entry belongs to whoever built the
+model.
 
 Every node LP is solved by the kernel's dual simplex.  A node below the
 root starts from its parent's final basis, so a queued node keeps its LP
@@ -25,10 +29,10 @@ with one row fewer); the solve reports its root LP's final basis as
 could cut off the optimum.
 
 Search order is deterministic: best-first on the ceiled LP bound with FIFO
-tie-breaking, branching on the most fractional binary (lowest index on
-ties), floor branch enqueued first.  Runs budgeted by node limit are
-therefore exactly reproducible; a time-limited run reproduces the status
-but not necessarily the node count.
+tie-breaking, branching on the most fractional binary that the node has
+not fixed (lowest index on ties), floor branch enqueued first.  Runs
+budgeted by node limit are therefore exactly reproducible; a time-limited
+run reproduces the status but not necessarily the node count.
 """
 
 from __future__ import annotations
@@ -68,11 +72,13 @@ class MipModel:
 
     def __post_init__(self):
         object.__setattr__(self, "binary_vars", tuple(self.binary_vars))
-        for j in self.binary_vars:
-            if not (0 <= j < self.lp.n_vars):
-                raise ValueError(f"binary index {j} out of range")
-            if self.lp.var_lo[j] < -INT_TOL or self.lp.var_hi[j] > 1 + INT_TOL:
-                raise ValueError(f"binary variable {j} must have bounds [0, 1]")
+        binaries = np.array(self.binary_vars, dtype=np.int64)
+        outside = (binaries < 0) | (binaries >= self.lp.n_vars)
+        if outside.any():
+            raise ValueError(f"binary index {binaries[outside][0]} out of range")
+        loose = (self.lp.var_lo[binaries] < -INT_TOL) | (self.lp.var_hi[binaries] > 1 + INT_TOL)
+        if loose.any():
+            raise ValueError(f"binary variable {binaries[loose][0]} must have bounds [0, 1]")
 
     def count(self, values) -> int:
         """The objective of an integral assignment, offset included, as the
@@ -127,10 +133,11 @@ def check_feasible(model: MipModel, assignment) -> tuple:
     fractional = np.abs(values[binaries] - np.round(values[binaries])) > INT_TOL
     for j in binaries[fractional]:
         violations.append(f"binary variable {j} = {values[j]:.6g} not integral")
+    activity = lp.activity(values)
     for k in violated_rows(lp, values, INT_TOL):
         violations.append(
             f"row {k} ({lp.row_relations[k]} {lp.row_rhs[k]:.6g}) violated: "
-            f"activity {lp.row_coefs[k] @ values:.6g}"
+            f"activity {activity[k]:.6g}"
         )
     return not violations, violations
 
@@ -169,6 +176,7 @@ def solve(
     fifo = 1
     nodes = 0
     root_basis = None
+    held = math.inf  # the least bound of a node left with no binary to branch on
 
     def exhausted() -> bool:
         limit = budget.node_limit
@@ -176,28 +184,25 @@ def solve(
 
     heuristic = model.metadata.get("incumbent_heuristic")
 
-    def offer_incumbent(values, obj: float) -> None:
+    def offer(candidate) -> bool:
+        """Take ``candidate`` as the incumbent if ``check_feasible`` accepts
+        it and it costs less; returns whether it is feasible."""
         nonlocal incumbent, upper
+        if candidate is None or not check_feasible(model, candidate)[0]:
+            return False
+        obj = float(model.count(candidate))
         if upper is None or obj < upper:
-            incumbent, upper = np.asarray(values, dtype=float).copy(), obj
+            incumbent, upper = np.asarray(candidate, dtype=float).copy(), obj
             if node_log is not None:
                 node_log(time.monotonic() - start, nodes, upper, current_lower())
-
-    def try_heuristic(lp_values) -> None:
-        if heuristic is None:
-            return
-        candidate = heuristic(lp_values)
-        if candidate is None:
-            return
-        ok, _ = check_feasible(model, candidate)
-        if ok:
-            offer_incumbent(candidate, float(model.count(candidate)))
+        return True
 
     def evaluate(fixings: dict, floor_bound: float, start):
         """Solve a node LP, warm from the parent's basis ``start`` if given:
-        offer an integral solution as an incumbent, or queue a fractional
-        one for branching unless its bound is pruned.  Returns the LP's
-        final basis (None when it is infeasible)."""
+        offer a solution whose binaries are integral within INT_TOL as an
+        incumbent, rounded, when ``check_feasible`` accepts it, or queue it
+        for branching unless its bound is pruned.  Returns the LP's final
+        basis (None when it is infeasible)."""
         nonlocal nodes, fifo
         nodes += 1
         sol = solve_lp_with_fixings(model.lp, fixings, start=start)
@@ -209,29 +214,25 @@ def solve(
         bound = max(math.ceil(value - INT_TOL), floor_bound)
         frac = np.abs(sol.values[binaries] - np.round(sol.values[binaries]))
         if binaries.size == 0 or frac.max() <= INT_TOL:
-            if upper is None or bound < upper:
-                offer_incumbent(sol.values, float(round(value)))
-            return sol.basis
-        try_heuristic(sol.values)
+            rounded = sol.values.copy()
+            rounded[binaries] = np.round(rounded[binaries])
+            if offer(rounded):
+                return sol.basis
+        if heuristic is not None:
+            offer(heuristic(sol.values))
         if upper is None or bound < upper:
             heapq.heappush(heap, (bound, fifo, fixings, sol.values, sol.basis))
             fifo += 1
         return sol.basis
 
     def current_lower() -> float:
-        cands = []
-        if heap:
-            cands.append(float(heap[0][0]))
-        if upper is not None:
-            cands.append(upper)
-        if not cands:
+        waiting = float(heap[0][0]) if heap else math.inf
+        lower = min(waiting, held, math.inf if upper is None else upper)
+        if lower == math.inf:
             return -math.inf
-        lower = min(cands)
         if lower_bound_hint is not None:
             lower = max(lower, lower_bound_hint)
-        if upper is not None:
-            lower = min(lower, upper)
-        return lower
+        return lower if upper is None else min(lower, upper)
 
     while heap and not exhausted():
         lower = current_lower()
@@ -242,7 +243,10 @@ def solve(
             root_basis = evaluate(fixings, bound, basis)
             continue
         frac_dist = np.abs(values[binaries] - 0.5)
-        frac_dist[np.abs(values[binaries] - np.round(values[binaries])) <= INT_TOL] = np.inf
+        frac_dist[np.isin(binaries, list(fixings))] = np.inf
+        if not np.isfinite(frac_dist).any():  # keeps its bound, yields no incumbent
+            held = min(held, float(bound))
+            continue
         branch_var = int(binaries[np.argmin(frac_dist)])
         for value in (0.0, 1.0):  # floor branch first
             child = dict(fixings)
@@ -261,7 +265,7 @@ def solve(
         else:
             status = STATUS_GAP
         result_upper = upper
-    elif not heap:
+    elif not heap and held == math.inf:
         # A completed search with no incumbent means no integral solution.
         status, result_upper, lower = STATUS_INFEASIBLE, None, math.inf
     else:

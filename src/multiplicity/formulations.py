@@ -28,10 +28,11 @@ to predict s_c with margin gamma:
     -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
 
 with the cell's own Big-M, M_c = gamma + ||x_c||_inf (``compute_big_m``).
-A row with right-hand side gamma (the first pinning row, the flip row)
-accepts a signed score down to ``margin_floor(gamma)``, and every check of
-a score against the margin reads that floor.  No program is built with
-gamma below ``GAMMA_FLOOR``, where the floor's slack is a tenth of gamma or
+The program keeps each such row as its 2(d+1) + 1 entries.  A row with
+right-hand side gamma (the first pinning row, the flip row) accepts a
+signed score down to ``margin_floor(gamma)``, and every check of a score
+against the margin reads that floor.  No program is built with gamma
+below ``GAMMA_FLOOR``, where the floor's slack is a tenth of gamma or
 more.
 
 The error-minimizing models (baseline, flip) take the cell's majority label
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -71,8 +71,11 @@ FLIP = "flip"
 
 def margin_floor(gamma: float) -> float:
     """The smallest signed score that a margin row with right-hand side
-    ``gamma`` accepts: node LPs accept a row within INT_TOL (1 + |rhs|) of
-    its rhs."""
+    ``gamma`` accepts: ``check_feasible`` accepts an incumbent or a warm
+    start whose row lies within INT_TOL (1 + |rhs|) of its rhs.  Node and
+    leaf LPs are stricter: they meet a row within FEASIBILITY_TOL (1 +
+    |rhs|), and prove infeasibility at that tolerance, so a score between
+    the two floors passes every check but may leave a leaf infeasible."""
     return gamma - INT_TOL * (1 + gamma)
 
 
@@ -106,32 +109,35 @@ def _cell_model(
     m, nc = len(cells.X), dataset.d + 1
     big_m = compute_big_m(dataset, gamma)
 
-    # Every row is written into one matrix: [pinning rows; second pinning
-    # rows; extra rows; l1 row].  The second pinning rows negate the first
-    # rows of their cells, zeros included (as -0.0).
+    # The rows as entries: a pinning row holds its cell's Big-M on u_c and
+    # its signed features on w+ and w-, a second row negates its cell's
+    # first, and the few other rows are read off their dense form.
     twice = np.flatnonzero(two_sided)
-    k = m + twice.size
-    coefs = np.zeros((k + len(extra_rows) + 1, m + 2 * nc))
-    coefs[:m, m : m + nc] = coefs[:m, m + nc :] = cells.X * reference[:, None]
-    coefs[np.arange(m), np.arange(m)] = big_m
-    coefs[m:k, :m] = -0.0
-    coefs[np.arange(m, k), twice] = -big_m[twice]
-    coefs[m:k, m:] = -coefs[twice, m:]
+    k, n = m + twice.size, m + 2 * nc
+    at = np.empty((2, k, 1 + 2 * nc), dtype=np.intp)  # the row and column of each entry
+    at[0] = np.arange(k)[:, None]
+    at[1, :m, 0], at[1, m:, 0], at[1, :, 1:] = np.arange(m), twice, np.arange(m, n)
+    pin = np.empty((k, 1 + 2 * nc))
+    pin[:m, 0], pin[m:, 0] = big_m, -big_m[twice]
+    pin[:m, 1 : 1 + nc] = pin[:m, 1 + nc :] = cells.X * reference[:, None]
+    pin[m:, 1:] = -pin[twice, 1:]
+    extra = np.zeros((len(extra_rows) + 1, n))
     for i, (row, _) in enumerate(extra_rows):
-        coefs[k + i] = row
-    coefs[-1, m : m + nc], coefs[-1, m + nc :] = 1.0, -1.0
+        extra[i] = row
+    extra[-1, m : m + nc], extra[-1, m + nc :] = 1.0, -1.0  # the l1 row
+    r, c = np.nonzero(extra)
+    entries = (
+        np.concatenate([at[0].ravel(), k + r]),
+        np.concatenate([at[1].ravel(), c]),
+        np.concatenate([pin.ravel(), extra[r, c]]),
+    )
     relations = [GREATER_EQUAL] * (k + len(extra_rows)) + [EQUAL]
     rhs = np.concatenate(
-        [
-            np.full(m, gamma),
-            gamma - big_m[two_sided],
-            [b for _, b in extra_rows],
-            [1.0],
-        ]
+        [np.full(m, gamma), gamma - big_m[two_sided], [b for _, b in extra_rows], [1.0]]
     )
-    lp = LinearProgram(
+    lp = LinearProgram.from_entries(
         objective=np.concatenate([objective, np.zeros(2 * nc)]).astype(float),
-        row_coefs=coefs,
+        entries=entries,
         row_relations=tuple(relations),
         row_rhs=rhs,
         var_lo=np.concatenate([np.zeros(m + nc), -np.ones(nc)]),
@@ -146,18 +152,13 @@ def _cell_model(
         },
     )
 
-    # The model holds the heuristic, so the heuristic holds the model
-    # weakly: a cycle would keep each program's rows alive until the next
-    # garbage collection, one program after another along a path.
-    model_ref = weakref.ref(model)
-
     def heuristic(values):
         # Decode a node LP's coefficient split and re-encode the indicator
         # values it forces: a candidate incumbent whenever that assignment
         # is feasible (for the level-set model it can fail, and is then
         # simply discarded).
-        h = classifier_from_solution(model_ref(), values)
-        return assignment_from_classifier(model_ref(), dataset, h)
+        h = classifier_from_solution(model, values)
+        return assignment_from_classifier(model, dataset, h)
 
     model.metadata["incumbent_heuristic"] = heuristic
     return model
@@ -346,54 +347,40 @@ def export_mps(model: MipModel, path) -> None:
     row_names = [f"R{k + 1:04d}" for k in range(lp.n_rows)]
     rel_tag = {"<=": "L", ">=": "G", "=": "E"}
     binaries = set(model.binary_vars)
+    marker = "    MARKER                 'MARKER'                 '{}'"
+    # the entries column by column, each column's in row order
+    at_row, at_col, value = lp.entries
+    by_column = np.argsort(at_col, kind="stable")
+    starts = np.searchsorted(at_col[by_column], np.arange(lp.n_vars + 1))
 
     def field_line(f1, f2, f3="", f4="", f5="", f6=""):
         line = f" {f1:<2} {f2:<8} {f3:<8} {f4:<12} {f5:<8} {f6:<12}"
         return line.rstrip()
 
-    lines = [f"NAME          {model.metadata.get('kind', 'MODEL').upper()}"]
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    for k, rel in enumerate(lp.row_relations):
-        lines.append(f" {rel_tag[rel]}  {row_names[k]}")
+    kind = model.metadata.get("kind", "MODEL").upper()
+    lines = [f"NAME          {kind}", "ROWS", " N  OBJ"]
+    lines += [f" {rel_tag[rel]}  {row_names[k]}" for k, rel in enumerate(lp.row_relations)]
     lines.append("COLUMNS")
-    marker_open = False
+    integral = False
     for j in range(lp.n_vars):
-        is_bin = j in binaries
-        if is_bin and not marker_open:
-            lines.append(
-                "    MARKER                 'MARKER'                 'INTORG'"
-            )
-            marker_open = True
-        if not is_bin and marker_open:
-            lines.append(
-                "    MARKER                 'MARKER'                 'INTEND'"
-            )
-            marker_open = False
-        entries = []
-        if lp.objective[j] != 0.0:
-            entries.append(("OBJ", lp.objective[j]))
-        column = lp.row_coefs[:, j]
-        entries += [(row_names[k], column[k]) for k in np.flatnonzero(column)]
-        if not entries:
-            entries.append(("OBJ", 0.0))
+        if (j in binaries) != integral:
+            integral = not integral
+            lines.append(marker.format("INTORG" if integral else "INTEND"))
+        column = by_column[starts[j] : starts[j + 1]]
+        entries = [("OBJ", lp.objective[j])] if lp.objective[j] != 0.0 else []
+        entries += [(row_names[k], v) for k, v in zip(at_row[column], value[column])]
+        entries = entries or [("OBJ", 0.0)]
         for a in range(0, len(entries), 2):
-            chunk = entries[a : a + 2]
-            if len(chunk) == 2:
-                (r1, v1), (r2, v2) = chunk
-                lines.append(field_line("", cols[j], r1, _fmt(v1), r2, _fmt(v2)))
-            else:
-                (r1, v1) = chunk[0]
-                lines.append(field_line("", cols[j], r1, _fmt(v1)))
-    if marker_open:
-        lines.append("    MARKER                 'MARKER'                 'INTEND'")
+            fields = [f for name, v in entries[a : a + 2] for f in (name, _fmt(v))]
+            lines.append(field_line("", cols[j], *fields))
+    if integral:
+        lines.append(marker.format("INTEND"))
     lines.append("RHS")
     if model.objective_offset:
         # MPS reads an objective-row RHS as minus the objective constant.
         lines.append(field_line("", "RHS", "OBJ", _fmt(-model.objective_offset)))
-    for k in range(lp.n_rows):
-        if lp.row_rhs[k] != 0.0:
-            lines.append(field_line("", "RHS", row_names[k], _fmt(lp.row_rhs[k])))
+    for k in np.flatnonzero(lp.row_rhs):
+        lines.append(field_line("", "RHS", row_names[k], _fmt(lp.row_rhs[k])))
     lines.append("BOUNDS")
     for j in range(lp.n_vars):
         lines.append(field_line("LO", "BND", cols[j], _fmt(lp.var_lo[j])))

@@ -52,11 +52,11 @@ decide raises, as a node LP does.  The first feasible leaf's classifier
 is proposed with the bound, which its candidate costs.
 Only a pure cell that the candidate gets wrong is left unpinned, and the
 leaf point may score it inside the margin band.  Then the same labeling's
-leaf of the bank's realizer, the disc program at epsilon = 1, which admits
-every classifier and pins every cell, gives the proposal when it is
-feasible, and otherwise the first later labeling of the same cost whose
-point clears the margin; the point inside the band is proposed only when
-none does.  The scan stops early once the bound reaches the cost of the
+leaf of the realizer, the disc program at epsilon = 1, which admits every
+classifier and pins every cell, gives the proposal when it is feasible,
+and otherwise the first later labeling of the same cost whose point
+clears the margin; the point inside the band is proposed only when none
+does.  The scan stops early once the bound reaches the cost of the
 caller's warm start, and no leaf LP starts past the deadline.  A failed
 check raises the bound:
 
@@ -89,7 +89,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Dataset, InternalConsistencyError, LinearClassifier
-from .formulations import classifier_from_solution, margin_clearance
+from .formulations import build_disc_mip, classifier_from_solution, margin_clearance
 from .simplex import solve_lp_by_rows
 
 MAX_FEATURES = 3
@@ -339,9 +339,9 @@ def certify(model, bank, candidates: Candidates, at_warm=None, budget=None):
     """Check ``candidates``, the pass's labelings of ``model``, in cost
     order on leaves of ``model`` until the bound reaches ``at_warm``, the
     cost of the caller's warm start (None without one).  ``bank`` is the
-    audit's ``ClassifierBank``: its training set, margin and realizer.  No
-    leaf LP starts once the ``budget`` (a ``SolveBudget``, or None) has
-    expired.
+    audit's ``ClassifierBank``: its training set, h0 and margin, from which
+    the realizer is built when a leaf point falls in the band.  No leaf LP
+    starts once the ``budget`` (a ``SolveBudget``, or None) has expired.
 
     Returns (the proven lower bound on the program's objective, the
     classifier of a feasible leaf whose candidate costs the bound, or
@@ -361,7 +361,7 @@ def certify(model, bank, candidates: Candidates, at_warm=None, budget=None):
             # only mistaken pure cells lie in the band, so the point costs
             # more than the cheapest cost, which no bound rule below skips
             banded = found if banded is None else banded
-            found = _leaf(bank.realizer, sides)
+            found = _leaf(build_disc_mip(bank.dataset, bank.h0, 1, bank.gamma), sides)
         if found is not None:
             return bound, found
         if (i + 1 < len(costs) and costs[i + 1] == cost) or cost >= candidates.limit:

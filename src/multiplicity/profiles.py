@@ -285,9 +285,8 @@ class ClassifierBank:
     discrepancy there from below (``best_placed``), and it is a feasible
     warm start of the flip program of every cell it flips (``flipping``).
     The bank is also the context of both paths: the training set, h0 and
-    its exact ``risk``, the margin ``gamma``, the labeling pass
-    (``labelings``) and the ``realizer`` that its checks fall back on.  A
-    caller that runs both paths hands one bank to each.
+    its exact ``risk``, the margin ``gamma`` and the labeling pass
+    (``labelings``).  A caller that runs both paths hands one bank to each.
     """
 
     def __init__(
@@ -340,14 +339,6 @@ class ClassifierBank:
                 return None
             self._labelings = key, bounds
         return self._labelings[1]
-
-    @cached_property
-    def realizer(self):
-        """The disc program at epsilon = 1, built on first use.  Its level
-        row admits every classifier and it pins every cell from both sides,
-        so its leaf of a labeling holds the classifiers that put every cell
-        on that labeling's side with margin gamma."""
-        return build_disc_mip(self.dataset, self.h0, 1, self.gamma)
 
     def flipping(self, cell: int):
         """The classifiers that flip ``cell`` with margin, fewest mistakes
@@ -501,9 +492,9 @@ def _solve(
 
     ``labelings`` are the labeling pass's candidates for the program, or
     None.  ``certify`` checks them first on leaves of ``model`` (and of the
-    bank's realizer): its bound joins ``hint``, and the classifier it
-    proposes is the warm start when the program accepts it at that cost,
-    so that ``bnb.solve`` certifies it with 0 nodes.  The result's
+    disc program at epsilon = 1): its bound joins ``hint``, and the
+    classifier it proposes is the warm start when the program accepts it at
+    that cost, so that ``bnb.solve`` certifies it with 0 nodes.  The result's
     ``wall_time`` covers the whole step, leaf LPs included.
 
     No path program is infeasible (h0 lies in every level set and its

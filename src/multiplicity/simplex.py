@@ -30,6 +30,8 @@ no proof of infeasibility.
 
 Implementation notes:
 
+* a program keeps the entries of its rows; a tableau is dense over the
+  rows it holds, and a check of a point reads row activities;
 * rows are turned into equalities with one slack per row whose bounds encode
   the relation; slack bounds are derived from the variable box, so they stay
   finite;
@@ -80,49 +82,53 @@ GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 
-@dataclass(frozen=True)
 class LinearProgram:
-    """min objective . v  subject to  row_coefs v (rel) row_rhs,  lo <= v <= hi."""
+    """min objective . v  subject to  A v (rel) row_rhs,  lo <= v <= hi.
 
-    objective: np.ndarray
-    row_coefs: np.ndarray
-    row_relations: tuple
-    row_rhs: np.ndarray
-    var_lo: np.ndarray
-    var_hi: np.ndarray
+    A is kept as the ``entries`` of its rows, built from the dense
+    ``row_coefs`` or by ``from_entries``: (row, column, value) arrays of its
+    nonzeros, in row order, read as ``dense`` rows or row ``activity``."""
 
-    def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=float)
-        coefs = np.asarray(self.row_coefs, dtype=float)
+    def __init__(self, objective, row_coefs, row_relations, row_rhs, var_lo, var_hi):
+        n = np.asarray(objective).size
+        coefs = np.asarray(row_coefs, dtype=float)
         if coefs.ndim != 2:
-            coefs = coefs.reshape(0, obj.size) if coefs.size == 0 else np.atleast_2d(coefs)
-        rhs = np.asarray(self.row_rhs, dtype=float)
-        lo = np.asarray(self.var_lo, dtype=float)
-        hi = np.asarray(self.var_hi, dtype=float)
-        n = obj.size
+            coefs = coefs.reshape(0, n) if coefs.size == 0 else np.atleast_2d(coefs)
         if coefs.shape[1] != n and coefs.shape[0] > 0:
             raise ValueError("row coefficient width must match variable count")
-        if coefs.shape[0] != rhs.size or coefs.shape[0] != len(self.row_relations):
+        rows, cols = np.nonzero(coefs)
+        entries = rows, cols, coefs[rows, cols]
+        self._set(objective, entries, row_relations, row_rhs, var_lo, var_hi, len(coefs))
+
+    @classmethod
+    def from_entries(cls, objective, entries, row_relations, row_rhs, var_lo, var_hi):
+        """The program whose rows have the (row, column, value) ``entries``."""
+        lp = cls.__new__(cls)
+        lp._set(objective, entries, row_relations, row_rhs, var_lo, var_hi)
+        return lp
+
+    def _set(self, objective, entries, relations, rhs, lo, hi, n_rows=None):
+        obj, rhs, lo, hi = (np.asarray(a, dtype=float) for a in (objective, rhs, lo, hi))
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in entries[:2])
+        vals = np.asarray(entries[2], dtype=float)
+        if len(relations) != rhs.size or n_rows not in (None, rhs.size):
             raise ValueError("row count mismatch between coefs, relations and rhs")
-        if lo.size != n or hi.size != n:
+        if (rows[1:] < rows[:-1]).any():
+            raise ValueError("entries must be in row order")
+        if lo.size != obj.size or hi.size != obj.size:
             raise ValueError("bound vectors must match variable count")
-        for rel in self.row_relations:
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        for rel in set(relations) - set(_RELATIONS):
+            raise ValueError(f"unknown relation {rel!r}")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("all variable bounds must be finite")
-        if np.any(lo > hi + 1e-12):
+        if (lo > hi + 1e-12).any():
             raise ValueError("found a variable with lo > hi")
-        for name, arr in (
-            ("objective", obj),
-            ("row_coefs", coefs),
-            ("row_rhs", rhs),
-            ("var_lo", lo),
-            ("var_hi", hi),
-        ):
+        nonzero = vals != 0.0
+        self.entries = rows[nonzero], cols[nonzero], vals[nonzero]
+        for arr in (obj, rhs, lo, hi) + self.entries:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "row_relations", tuple(self.row_relations))
+        self.objective, self.row_rhs, self.var_lo, self.var_hi = obj, rhs, lo, hi
+        self.row_relations = tuple(relations)
 
     @property
     def n_vars(self) -> int:
@@ -131,6 +137,24 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return self.row_rhs.size
+
+    @property
+    def row_coefs(self) -> np.ndarray:
+        return self.dense(np.arange(self.n_rows))
+
+    def dense(self, rows) -> np.ndarray:
+        """The dense form of the rows ``rows`` (distinct indices, any order)."""
+        r, c, v = self.entries
+        at = np.full(self.n_rows, len(rows))  # rows not asked for land past the end
+        at[rows] = np.arange(len(rows))
+        out = np.zeros((len(rows) + 1, self.n_vars))
+        out[at[r], c] = v
+        return out[:-1]
+
+    def activity(self, values) -> np.ndarray:
+        """The row activities A v of the point ``values``."""
+        r, c, v = self.entries
+        return np.bincount(r, weights=v * np.asarray(values)[c], minlength=self.n_rows)
 
 
 @dataclass(frozen=True)
@@ -198,15 +222,15 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
     The fixed variables leave the tableau: their part of each row's
     activity becomes one column fixed at 1, so every row keeps its
     right-hand side, and with it its tolerance.  The working set starts
-    empty, and each round solves a tableau of its rows.  The rows that a
-    round's point misses by more than FEASIBILITY_TOL (1 + |rhs|) join the
-    set, most missed first and at most one per free variable, and the next
-    round starts from the last round's basis extended by their slacks
-    (``basis_with_row``).  A restriction relaxes ``lp``, so its
-    infeasibility is ``lp``'s, and a point that meets every row solves
-    ``lp``.  Pivots count over all rounds.  The solution has no basis.  A
-    program of at most WHOLE_ROWS rows is solved whole, where one tableau
-    of every row costs less than the rounds.
+    empty, and each round solves a tableau of its rows, the only rows made
+    dense.  The rows that a round's point misses by more than
+    FEASIBILITY_TOL (1 + |rhs|) join the set, most missed first and at most
+    one per free variable, and the next round starts from the last round's
+    basis extended by their slacks (``basis_with_row``).  A restriction
+    relaxes ``lp``, so its infeasibility is ``lp``'s, and a point that meets
+    every row solves ``lp``.  Pivots count over all rounds.  The solution
+    has no basis.  A program of at most WHOLE_ROWS rows is solved whole,
+    where one tableau of every row costs less than the rounds.
     """
     if lp.n_rows <= WHOLE_ROWS:
         return solve_lp_with_fixings(lp, fixings)
@@ -216,12 +240,13 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
     fixed = boxes[0] == boxes[1]
     pinned, free = np.where(fixed, boxes[0], 0.0), np.flatnonzero(~fixed)
     objective = np.append(lp.objective[free], lp.objective @ pinned)
-    coefs = np.column_stack([lp.row_coefs[:, free], lp.row_coefs @ pinned])
+    folded = lp.activity(pinned)
     lo, hi = np.append(lp.var_lo[free], 1.0), np.append(lp.var_hi[free], 1.0)
     rel, rhs = np.asarray(lp.row_relations, dtype="<U2"), lp.row_rhs
     work, start, pivots = np.zeros(0, dtype=np.int64), None, 0
     while True:
-        program = LinearProgram(objective, coefs[work], rel[work].tolist(), rhs[work], lo, hi)
+        coefs = np.column_stack([lp.dense(work)[:, free], folded[work]])
+        program = LinearProgram(objective, coefs, rel[work].tolist(), rhs[work], lo, hi)
         state = _Tableau(program, lo, hi)
         if state.infeasible_by_bounds:
             return LpSolution("infeasible", None, float("nan"), pivots)
@@ -229,13 +254,13 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
         status, pivots = state.solve(start), state.pivots
         if status != "optimal":
             return LpSolution(status, None, float("nan"), pivots)
-        excess = _excess(rel, rhs, coefs @ state.structural_values(), FEASIBILITY_TOL)
+        values = pinned.copy()
+        values[free] = state.structural_values()[:-1]  # the folded column is at 1
+        excess = _excess(rel, rhs, lp.activity(values), FEASIBILITY_TOL)
         excess[work] = 0.0  # a row joins the set once
         missed = np.flatnonzero(excess > 0.0)
         if not missed.size:  # every row outside the set is met; the check covers the set
             sol = _optimal_solution(program, state, lo, hi)
-            values = pinned.copy()
-            values[free] = sol.values[:-1]
             values.flags.writeable = False
             return LpSolution("optimal", values, sol.objective_value, pivots)
         missed = missed[np.argsort(-excess[missed], kind="stable")[: max(free.size, 1)]]
@@ -265,10 +290,8 @@ def _optimal_solution(lp, state, lo, hi) -> LpSolution:
     bad = violated_rows(lp, values, 1e-6)
     if bad.size:
         k = bad[0]
-        raise InternalConsistencyError(
-            f"simplex solution violates row {k}: residual "
-            f"{lp.row_coefs[k] @ values - lp.row_rhs[k]:.3e}"
-        )
+        residual = lp.activity(values)[k] - lp.row_rhs[k]
+        raise InternalConsistencyError(f"simplex solution violates row {k} by {residual:.3e}")
     objective = float(np.dot(lp.objective, values))
     values.flags.writeable = False
     basis = Basis(state.basis, state.at_upper)
@@ -300,7 +323,7 @@ def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarr
     """Indices of the rows of ``lp`` that ``values`` violates by more than
     ``tol * (1 + |rhs|)``."""
     rel = np.asarray(lp.row_relations, dtype="<U2")
-    return np.flatnonzero(_excess(rel, lp.row_rhs, lp.row_coefs @ values, tol) > 0.0)
+    return np.flatnonzero(_excess(rel, lp.row_rhs, lp.activity(values), tol) > 0.0)
 
 
 def _excess(rel, rhs, activity, tol: float) -> np.ndarray:
@@ -344,13 +367,13 @@ class _Tableau:
         self.relaxed = False
         self.row_tol = FEASIBILITY_TOL * (1.0 + np.abs(lp.row_rhs))
 
+        self.A = np.hstack([lp.row_coefs, np.eye(m)])
         boxes = _slack_boxes(
-            lp.row_coefs, lp.row_relations, lp.row_rhs, var_lo, var_hi, self.row_tol
+            self.A[:, :n], lp.row_relations, lp.row_rhs, var_lo, var_hi, self.row_tol
         )
         if boxes is None:
             self.infeasible_by_bounds = True
             return
-        self.A = np.hstack([lp.row_coefs, np.eye(m)])
         self.lo = np.concatenate([var_lo, boxes[0]])
         self.hi = np.concatenate([var_hi, boxes[1]])
         self.b = lp.row_rhs

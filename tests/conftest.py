@@ -137,3 +137,23 @@ def random_box_lp(rng: np.random.Generator):
         var_hi=hi,
     )
     return lp, feasible_point
+
+
+def assert_one_program(dense, entries, fixings_list, points):
+    """``dense`` and ``entries``, one program built from its dense matrix and
+    from its entries, give the same rows, the same violated rows at each
+    of ``points``, and the same status, objective and pivot count under
+    each fixings of ``fixings_list``, solved whole and by rows."""
+    from multiplicity.simplex import solve_lp_by_rows, solve_lp_with_fixings, violated_rows
+
+    assert np.array_equal(dense.row_coefs, entries.row_coefs)
+    for point in points:
+        for tol in (0.0, 1e-7):
+            assert np.array_equal(
+                violated_rows(dense, point, tol), violated_rows(entries, point, tol)
+            )
+    for fixings in fixings_list:
+        for solver in (solve_lp_with_fixings, solve_lp_by_rows):
+            a, b = solver(dense, fixings), solver(entries, fixings)
+            assert (a.status, a.n_pivots) == (b.status, b.n_pivots)
+            assert np.array_equal(a.objective_value, b.objective_value, equal_nan=True)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import time
 from pathlib import Path
 
@@ -20,9 +21,11 @@ from multiplicity.core import (
 )
 from multiplicity.formulations import (
     build_baseline_mip,
+    build_flip_mip,
     classifier_from_solution,
     assignment_from_classifier,
 )
+from multiplicity.profiles import ClassifierBank, EpsilonGrid, ambiguity_path
 from multiplicity.simplex import LinearProgram, solve_lp
 from conftest import random_binary_dataset, xor_dataset
 from oracles import oracle_baseline
@@ -354,3 +357,44 @@ class TestCheckFeasible:
         ok, report = check_feasible(model, values)
         assert not ok
         assert any(f"row {target} " in line for line in report)
+
+
+def _on_a_line(xs, labels, weights):
+    return Dataset.build(
+        [Example((1.0, x), y, weight=w) for x, y, w in zip(xs, labels, weights)]
+    )
+
+
+class TestIncumbentGate:
+    # With a Big-M of 70, a binary 4.4e-7 off integral lets a pinning row
+    # slip by 3e-5: a node LP whose binaries are integral within INT_TOL
+    # gives an incumbent only when its rounded assignment is feasible.
+
+    def test_a_near_integral_node_whose_rounding_fails_is_branched_on(self):
+        # cells x = 70 (-), 70.012 (+), 0 (-, weight 2) and 140 (-, weight
+        # 2).  Taken as given, the node LP solutions of the flips of cells 1
+        # and 3 cost 2 and score x = 70 at -6.9e-5 on its pinned side
+        data = _on_a_line([70, 70.012, 0, 140], [-1, 1, -1, -1], [1, 1, 2, 2])
+        model = build_baseline_mip(data)
+        base = solve(model)
+        h0 = classifier_from_solution(model, base.incumbent)
+        flips = [build_flip_mip(data, h0, c) for c in range(4)]
+        results = [solve(flip) for flip in flips]
+        assert all(r.certified for r in results)
+        assert [r.upper_bound for r in results] == [3, 3, 3, 3]
+        assert all(check_feasible(f, r.incumbent)[0] for f, r in zip(flips, results))
+        _, _, paths = ambiguity_path(
+            ClassifierBank(data, h0), EpsilonGrid((Fraction(0),), data.n), baseline=base
+        )
+        assert [r.upper_bound for r in paths] == [3, 3, 3, 3]
+
+    def test_a_leaf_whose_rounding_fails_keeps_its_bound(self):
+        # cells x = 70 (-), 70.014 (+), 0 (-, weight 2) and 140 (+, weight
+        # 2): no unit-l1 classifier parts x = 70 from 70.014 with margin,
+        # but a leaf LP that fixes every binary returns one fixed at 0 as
+        # 4.05e-8, which meets the rows.  Rounded, it does not, so the leaf
+        # keeps its bound 0 and the baseline is no longer certified at 0
+        data = _on_a_line([70, 70.014, 0, 140], [-1, 1, -1, 1], [1, 1, 2, 2])
+        result = solve(build_baseline_mip(data))
+        assert result.status == "feasible_with_gap"
+        assert (result.lower_bound, result.upper_bound) == (0, 1)

@@ -12,7 +12,7 @@ from multiplicity.core import (
     conflict_count,
     empirical_risk,
 )
-from multiplicity.datasets import ingest_csv
+from multiplicity.datasets import generate_synthetic, ingest_csv
 from multiplicity.formulations import (
     DEFAULT_GAMMA,
     GAMMA_FLOOR,
@@ -28,7 +28,7 @@ from multiplicity.formulations import (
 )
 from multiplicity.profiles import ClassifierBank
 from multiplicity.simplex import LinearProgram, solve_lp
-from conftest import random_binary_dataset
+from conftest import assert_one_program, random_binary_dataset
 from mps_reader import read_mps
 from oracles import oracle_baseline, oracle_disc, oracle_flip, prediction_pattern
 
@@ -384,3 +384,68 @@ class TestMpsExport:
         res = solve(read_mps(path))
         assert res.status == "certified_optimal"
         assert res.upper_bound == 25.0
+
+
+def _cell_programs(data, h0, flips):
+    """The baseline program of ``data``, its disc program at epsilon =
+    1/n around ``h0`` and the flip program of each cell of ``flips``."""
+    return [build_baseline_mip(data), build_disc_mip(data, h0, Fraction(1, data.n))] + [
+        build_flip_mip(data, h0, c) for c in flips
+    ]
+
+
+def _line(m):
+    """``m`` cells on a line, in runs of seven of one label."""
+    return Dataset.build(
+        [Example((1.0, i / m), 1 if (i // 7) % 2 else -1) for i in range(m)]
+    )
+
+
+class TestEntries:
+    @pytest.mark.parametrize("source", ["xor", "tyranny", "compas_style", "line"])
+    def test_a_cell_program_is_the_program_of_its_dense_rows(self, source):
+        if source == "line":  # more rows than a leaf solves whole
+            data, h0 = _line(150), LinearClassifier((-0.5, 0.5))
+            models = _cell_programs(data, h0, [0, 75])
+        else:
+            if source == "compas_style":
+                data = ingest_csv(DATA / "compas_style.csv", "two_year_recid", "race").train
+            else:
+                data = generate_synthetic(source)
+            base = build_baseline_mip(data)
+            h0 = classifier_from_solution(base, solve(base).incumbent)
+            models = _cell_programs(data, h0, range(len(data.cells.X)))
+        rng = np.random.default_rng(5)
+        for model in models:
+            lp = model.lp
+            dense = LinearProgram(
+                lp.objective, lp.row_coefs, lp.row_relations, lp.row_rhs, lp.var_lo, lp.var_hi
+            )
+            m = len(model.binary_vars)
+            leaf = assignment_from_classifier(model, data, h0)[:m]
+            fixings = [{}, dict(enumerate(leaf)), dict(enumerate(1.0 - leaf))]
+            points = [assignment_from_classifier(model, data, h0)]
+            points += list(lp.var_lo + (lp.var_hi - lp.var_lo) * rng.random((3, lp.n_vars)))
+            assert_one_program(dense, lp, fixings, points)
+
+    def test_no_array_of_a_large_program_is_quadratic_in_its_cells(self):
+        # a pinning row holds 2(d+1) + 1 entries, so no array of a program
+        # grows with the square of its cells
+        data = _line(2000)
+        m = len(data.cells.X)
+        h0 = LinearClassifier((-0.5, 0.5))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        for model in (build_flip_mip(data, h0, 0), build_disc_mip(data, h0, 0)):
+            held = list(arrays([vars(model.lp), model.metadata]))
+            assert m == 2000 and len(held) >= 8
+            assert max(a.size for a in held) < m * m

@@ -254,9 +254,9 @@ class TestCertificates:
         # at 3.  Parting x = 0 (on +1) from 5e-5 with margin needs a slope
         # past 1, so the flip of cell 0 costs 4: x = 5e-5 goes along, a
         # pure cell its program leaves unpinned, and the program's leaf
-        # point scores it 5e-5.  The realizer's leaf pins it, so the
-        # proposal clears gamma and the solve that certifies it does not
-        # warn
+        # point scores it 5e-5.  The realizer's leaf (the disc program at
+        # epsilon = 1) pins it, so the proposal clears gamma and the solve
+        # that certifies it does not warn
         data = Dataset.build(
             [Example((1.0, 0.0), 1), Example((1.0, 5e-5), -1),
              Example((1.0, 1.0), -1, weight=3), Example((1.0, 1.0), 1, weight=2),
@@ -271,7 +271,8 @@ class TestCertificates:
         leaf = labelings._leaf(model, sides)
         assert not margin_clearance(leaf, data, DEFAULT_GAMMA)[1]
         bound, found = certify(model, bank, candidates)
-        assert bound == 4 and found == labelings._leaf(bank.realizer, sides)
+        realizer = build_disc_mip(data, h0, 1)
+        assert bound == 4 and found == labelings._leaf(realizer, sides)
         assert margin_clearance(found, data, DEFAULT_GAMMA)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -303,7 +304,8 @@ class TestCertificates:
         banded, cleared = candidates.sides[candidates.costs == 5][:2]
         assert banded.tolist() == [True, False, False, True, True, False]
         assert not margin_clearance(labelings._leaf(model, banded), data, DEFAULT_GAMMA)[1]
-        assert labelings._leaf(bank.realizer, banded) is None and cleared.all()
+        realizer = build_disc_mip(data, h0, 1)
+        assert labelings._leaf(realizer, banded) is None and cleared.all()
         bound, found = certify(model, bank, candidates)
         assert bound == 5 and found == labelings._leaf(model, cleared)
         with warnings.catch_warnings():

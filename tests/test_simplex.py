@@ -13,7 +13,7 @@ from multiplicity.simplex import (
     solve_lp_with_fixings,
     violated_rows,
 )
-from conftest import random_box_lp
+from conftest import assert_one_program, random_box_lp
 from oracles import reference_simplex
 
 
@@ -638,3 +638,40 @@ class TestRefactorization:
             cold_refactors = len(refactors)
             _walk_chains(np.random.default_rng(63), 100, check)
         assert optimal >= 80 and cold_refactors >= 200
+
+
+class TestEntries:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_program_built_from_its_entries_is_the_dense_one(self, seed):
+        # the entries are listed cell by cell, zeros included, which the
+        # program drops
+        rng = np.random.default_rng(seed)
+        dense, _ = random_box_lp(rng)
+        A = dense.row_coefs
+        rows, cols = np.indices(A.shape).reshape(2, -1)
+        entries = LinearProgram.from_entries(
+            dense.objective, (rows, cols, A.ravel()),
+            dense.row_relations, dense.row_rhs, dense.var_lo, dense.var_hi,
+        )
+        assert entries.entries[2].size == np.count_nonzero(A)
+        points = dense.var_lo + (dense.var_hi - dense.var_lo) * rng.random((5, dense.n_vars))
+        fixings = [{}, {0: float(dense.var_lo[0])}, {0: float(dense.var_hi[0])}]
+        assert_one_program(dense, entries, fixings, points)
+
+    def test_entries_out_of_row_order_are_refused(self):
+        args = ([1.0, 0.0], ((0, 1), (0, 1), (1.0, 1.0)), (">=", ">="), [1.0, 1.0],
+                [0.0, 0.0], [1.0, 1.0])
+        LinearProgram.from_entries(*args)
+        with pytest.raises(ValueError, match="in row order"):
+            LinearProgram.from_entries(args[0], ((1, 0), (0, 1), (1.0, 1.0)), *args[2:])
+
+    def test_dense_rows_and_activity_read_the_entries(self):
+        rng = np.random.default_rng(3)
+        lp, _ = random_box_lp(rng)
+        while lp.n_rows < 3:
+            lp, _ = random_box_lp(rng)
+        rows = [2, 0]
+        assert np.array_equal(lp.dense(rows), lp.row_coefs[rows])
+        assert lp.dense([]).shape == (0, lp.n_vars)
+        point = rng.random(lp.n_vars)
+        assert np.allclose(lp.activity(point), lp.row_coefs @ point, rtol=0, atol=1e-12)

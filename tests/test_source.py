@@ -7,7 +7,8 @@ string compared with a solve's ``.status`` in the package and its tests is
 a status that a solve can report.  Only ``branch_bound`` and
 ``formulations`` read the node LPs' row tolerance ``INT_TOL``, only
 ``branch_bound`` builds a ``SolveResult``, ``labelings`` builds no LP of
-its own, and a simplex tableau keeps the program it was built over."""
+its own, a simplex tableau keeps the program it was built over, and only
+``simplex`` reads a program's dense ``row_coefs``."""
 
 import ast
 from pathlib import Path
@@ -239,6 +240,20 @@ def test_a_tableau_keeps_its_program():
                 and leaf.attr in program
             ]
     assert writes == []
+
+
+def test_only_the_simplex_reads_dense_rows():
+    # a program keeps the entries of its rows, and ``row_coefs`` makes every
+    # row dense; a reader outside the simplex reads ``activity``, ``dense``
+    # of the rows it needs, or the ``entries``
+    readers = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        if name != "simplex.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "row_coefs"
+    ]
+    assert readers == []
 
 
 def test_reports_is_the_one_json_writer():
