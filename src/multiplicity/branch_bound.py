@@ -2,30 +2,36 @@
 
 The engine works the way the measurement algorithms need it to: it returns
 an incumbent (upper bound), a global lower bound, and a certification status,
-and it stays useful when a budget runs out.  Because every objective in this
-package is an integer mistake/agreement count, node bounds are ceiled to the
-next integer before pruning and a gap below 1 certifies optimality: the
+and it stays useful when a budget runs out.  A point is feasible when it
+meets every row within ``simplex.ROW_TOL`` and its variables lie in their
+boxes and its binaries on integers within INT_TOL (``is_feasible``).  A
+node's bound is the least objective of a point that meets its rows so
+(``LpSolution.least_objective``).  Every objective in this package is an
+integer mistake/agreement count, so node bounds are ceiled to the next
+integer before pruning and a gap below 1 certifies optimality: the
 package's one certification rule.  A warm start that meets a proven
 ``lower_bound_hint`` certifies with 0 nodes; an incumbent below it raises.
 
 From a ``MipModel`` the engine reads its LP relaxation, its binary indices,
 its objective offset and, if present, ``metadata["incumbent_heuristic"]``:
 a callable that maps a fractional node LP solution to a candidate
-assignment (or None), kept only if ``check_feasible`` accepts it, as is a
-node LP solution whose binaries are integral within INT_TOL, rounded: a
-binary just off integral can slip a Big-M row past its tolerance.  A node
-whose rounding fails is branched on, or keeps its bound when it fixes
-every binary.  Every other metadata entry belongs to whoever built the
-model.
+assignment (or None), kept only if it is feasible, as is a node LP
+solution whose binaries are integral within INT_TOL, rounded: a binary
+just off integral can slip a Big-M row past its tolerance, so a node whose
+rounding fails is branched on.  Every other metadata entry belongs to
+whoever built the model.
 
 Every node LP is solved by the kernel's dual simplex.  A node below the
 root starts from its parent's final basis, so a queued node keeps its LP
 values (to branch on) and that basis (to start its children), never a
-tableau.  The root LP starts from the slack basis, or from a ``root_start``
-basis of a related program (the previous program of a path, or a program
-with one row fewer); the solve reports its root LP's final basis as
-``root_basis`` for the next one.  A node LP the simplex cannot decide
-("stalled") raises ``InternalConsistencyError``: pruning it as infeasible
+tableau.  A leaf, a node that fixes every binary, starts from the slack
+basis instead, which keeps every fixed column nonbasic at its value: its
+binaries are exact, so its point is infeasible or feasible.  The root LP
+starts from the slack basis, or from a ``root_start`` basis of a related
+program (the previous program of a path, or a program with one row fewer);
+the solve reports its root LP's final basis as ``root_basis`` for the next
+one.  A node LP the simplex cannot decide ("stalled"), and a leaf point
+that is not feasible, raise ``InternalConsistencyError``: pruning either
 could cut off the optimum.
 
 Search order is deterministic: best-first on the ceiled LP bound with FIFO
@@ -115,30 +121,38 @@ class SolveResult:
         return self.status == STATUS_CERTIFIED
 
 
-def check_feasible(model: MipModel, assignment) -> tuple:
-    """Validate a full variable assignment; returns (ok, violation report)."""
-    values = np.asarray(assignment, dtype=float)
+def _violations(model: MipModel, values: np.ndarray) -> tuple:
+    """The variables of a full assignment outside their box and its
+    binaries off integral (by more than INT_TOL), and the rows it does
+    not meet, as index arrays."""
     lp = model.lp
-    violations = []
-    if values.size != lp.n_vars:
-        return False, [f"assignment covers {values.size} of {lp.n_vars} variables"]
-    low = values < lp.var_lo - INT_TOL
-    high = values > lp.var_hi + INT_TOL
-    for j in np.flatnonzero(low | high):
-        violations.append(
-            f"variable {j} = {values[j]:.6g} outside "
-            f"[{lp.var_lo[j]:.6g}, {lp.var_hi[j]:.6g}]"
-        )
+    outside = np.flatnonzero((values < lp.var_lo - INT_TOL) | (values > lp.var_hi + INT_TOL))
     binaries = np.asarray(model.binary_vars, dtype=int)
     fractional = np.abs(values[binaries] - np.round(values[binaries])) > INT_TOL
-    for j in binaries[fractional]:
-        violations.append(f"binary variable {j} = {values[j]:.6g} not integral")
+    return outside, binaries[fractional], violated_rows(lp, values)
+
+
+def is_feasible(model: MipModel, assignment) -> bool:
+    """Whether a full variable assignment is a feasible point of ``model``."""
+    values = np.asarray(assignment, dtype=float)
+    return values.size == model.lp.n_vars and not any(a.size for a in _violations(model, values))
+
+
+def check_feasible(model: MipModel, assignment) -> tuple:
+    """``is_feasible``, with a report line per violation."""
+    values = np.asarray(assignment, dtype=float)
+    lp = model.lp
+    if values.size != lp.n_vars:
+        return False, [f"assignment covers {values.size} of {lp.n_vars} variables"]
+    outside, fractional, rows = _violations(model, values)
     activity = lp.activity(values)
-    for k in violated_rows(lp, values, INT_TOL):
-        violations.append(
-            f"row {k} ({lp.row_relations[k]} {lp.row_rhs[k]:.6g}) violated: "
-            f"activity {activity[k]:.6g}"
-        )
+    violations = (
+        [f"variable {j} = {values[j]:.6g} outside [{lp.var_lo[j]:.6g}, {lp.var_hi[j]:.6g}]"
+         for j in outside]
+        + [f"binary variable {j} = {values[j]:.6g} not integral" for j in fractional]
+        + [f"row {k} ({lp.row_relations[k]} {lp.row_rhs[k]:.6g}) violated: "
+           f"activity {activity[k]:.6g}" for k in rows]
+    )
     return not violations, violations
 
 
@@ -176,7 +190,6 @@ def solve(
     fifo = 1
     nodes = 0
     root_basis = None
-    held = math.inf  # the least bound of a node left with no binary to branch on
 
     def exhausted() -> bool:
         limit = budget.node_limit
@@ -185,10 +198,10 @@ def solve(
     heuristic = model.metadata.get("incumbent_heuristic")
 
     def offer(candidate) -> bool:
-        """Take ``candidate`` as the incumbent if ``check_feasible`` accepts
-        it and it costs less; returns whether it is feasible."""
+        """Take ``candidate`` as the incumbent if it is feasible and costs
+        less; returns whether it is feasible."""
         nonlocal incumbent, upper
-        if candidate is None or not check_feasible(model, candidate)[0]:
+        if candidate is None or not is_feasible(model, candidate):
             return False
         obj = float(model.count(candidate))
         if upper is None or obj < upper:
@@ -198,26 +211,28 @@ def solve(
         return True
 
     def evaluate(fixings: dict, floor_bound: float, start):
-        """Solve a node LP, warm from the parent's basis ``start`` if given:
-        offer a solution whose binaries are integral within INT_TOL as an
-        incumbent, rounded, when ``check_feasible`` accepts it, or queue it
-        for branching unless its bound is pruned.  Returns the LP's final
+        """Solve a node LP, warm from the parent's basis ``start`` if given
+        and the node is not a leaf: offer a solution whose binaries are
+        integral within INT_TOL as an incumbent, rounded, or queue it for
+        branching unless its bound is pruned.  Returns the LP's final
         basis (None when it is infeasible)."""
         nonlocal nodes, fifo
         nodes += 1
-        sol = solve_lp_with_fixings(model.lp, fixings, start=start)
+        leaf = len(fixings) == binaries.size
+        sol = solve_lp_with_fixings(model.lp, fixings, start=None if leaf else start)
         if sol.status == "infeasible":
             return None
         if sol.status != "optimal":
             raise InternalConsistencyError(f"node LP ended with {sol.status}")
-        value = sol.objective_value + offset
-        bound = max(math.ceil(value - INT_TOL), floor_bound)
+        bound = max(math.ceil(sol.least_objective + offset - INT_TOL), floor_bound)
         frac = np.abs(sol.values[binaries] - np.round(sol.values[binaries]))
         if binaries.size == 0 or frac.max() <= INT_TOL:
             rounded = sol.values.copy()
             rounded[binaries] = np.round(rounded[binaries])
             if offer(rounded):
                 return sol.basis
+            if leaf:
+                raise InternalConsistencyError("the point of a leaf LP is not feasible")
         if heuristic is not None:
             offer(heuristic(sol.values))
         if upper is None or bound < upper:
@@ -227,7 +242,7 @@ def solve(
 
     def current_lower() -> float:
         waiting = float(heap[0][0]) if heap else math.inf
-        lower = min(waiting, held, math.inf if upper is None else upper)
+        lower = min(waiting, math.inf if upper is None else upper)
         if lower == math.inf:
             return -math.inf
         if lower_bound_hint is not None:
@@ -243,10 +258,7 @@ def solve(
             root_basis = evaluate(fixings, bound, basis)
             continue
         frac_dist = np.abs(values[binaries] - 0.5)
-        frac_dist[np.isin(binaries, list(fixings))] = np.inf
-        if not np.isfinite(frac_dist).any():  # keeps its bound, yields no incumbent
-            held = min(held, float(bound))
-            continue
+        frac_dist[np.isin(binaries, list(fixings))] = np.inf  # a queued node is no leaf
         branch_var = int(binaries[np.argmin(frac_dist)])
         for value in (0.0, 1.0):  # floor branch first
             child = dict(fixings)
@@ -265,7 +277,7 @@ def solve(
         else:
             status = STATUS_GAP
         result_upper = upper
-    elif not heap and held == math.inf:
+    elif not heap:
         # A completed search with no incumbent means no integral solution.
         status, result_upper, lower = STATUS_INFEASIBLE, None, math.inf
     else:

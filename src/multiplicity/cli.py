@@ -111,8 +111,8 @@ class RunConfig:
             raise InputError("split fraction must lie in (0, 1)")
         if not GAMMA_FLOOR <= self.gamma < math.inf:
             raise InputError(
-                f"gamma must be finite and at least {GAMMA_FLOOR:g}: node LPs accept "
-                "a row within 1e-6*(1+|rhs|) of its rhs, so a smaller margin is no margin"
+                f"gamma must be finite and at least {GAMMA_FLOOR:g}: a point meets "
+                "a row within 1e-6 of its rhs, so a smaller margin is no margin"
             )
         for name in _STAGE_LIMITS.values():
             if not getattr(self, name) > 0:

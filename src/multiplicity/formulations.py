@@ -28,12 +28,11 @@ to predict s_c with margin gamma:
     -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
 
 with the cell's own Big-M, M_c = gamma + ||x_c||_inf (``compute_big_m``).
-The program keeps each such row as its 2(d+1) + 1 entries.  A row with
-right-hand side gamma (the first pinning row, the flip row) accepts a
-signed score down to ``margin_floor(gamma)``, and every check of a score
-against the margin reads that floor.  No program is built with gamma
-below ``GAMMA_FLOOR``, where the floor's slack is a tenth of gamma or
-more.
+The program keeps each such row as its 2(d+1) + 1 entries.  Each margin
+row (either pinning row, the flip row) accepts a signed score down to
+``margin_floor(gamma)``, and every check of a score against the margin
+reads that floor.  No program is built with gamma below ``GAMMA_FLOOR``,
+where the floor's slack is a tenth of gamma or more.
 
 The error-minimizing models (baseline, flip) take the cell's majority label
 as s_c, so u_c marks the cell's majority as mistaken; they add the second
@@ -57,9 +56,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .branch_bound import INT_TOL, MipModel
+from .branch_bound import MipModel
 from .core import Dataset, LinearClassifier
-from .simplex import EQUAL, GREATER_EQUAL, LinearProgram
+from .simplex import EQUAL, GREATER_EQUAL, ROW_TOL, LinearProgram
 
 DEFAULT_GAMMA = 1e-4
 GAMMA_FLOOR = 1e-5  # the smallest margin a program is built with
@@ -70,13 +69,12 @@ FLIP = "flip"
 
 
 def margin_floor(gamma: float) -> float:
-    """The smallest signed score that a margin row with right-hand side
-    ``gamma`` accepts: ``check_feasible`` accepts an incumbent or a warm
-    start whose row lies within INT_TOL (1 + |rhs|) of its rhs.  Node and
-    leaf LPs are stricter: they meet a row within FEASIBILITY_TOL (1 +
-    |rhs|), and prove infeasibility at that tolerance, so a score between
-    the two floors passes every check but may leave a leaf infeasible."""
-    return gamma - INT_TOL * (1 + gamma)
+    """The smallest signed score that a margin row accepts: a point meets
+    a row within ROW_TOL of its right-hand side, whatever that is, so a
+    pinning row asks gamma less ROW_TOL of its cell's score on either
+    side, and so does the flip row.  Node LPs, leaf LPs, incumbents and
+    warm starts all decide a row by that rule."""
+    return gamma - ROW_TOL
 
 
 def compute_big_m(dataset: Dataset, gamma: float) -> np.ndarray:

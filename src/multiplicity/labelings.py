@@ -44,11 +44,13 @@ where the candidate leaves the cell's reference label).  The leaf keeps
 the program's pinning, flip, level and l1 rows, and ``solve_lp_by_rows``
 solves it with the dual simplex of every node LP, over a working set of
 those rows that grows until the leaf's point meets them all, so a leaf
-of many cells is one small tableau.  It decides as a node LP does:
-a row is met within its tolerance, and a leaf is infeasible only when
-its rows, each widened by that tolerance, cannot all be met.  An
-infeasible leaf fails its candidate, and a leaf the simplex cannot
-decide raises, as a node LP does.  The first feasible leaf's classifier
+of many cells is one small tableau.  It decides by the rule of every
+node LP and every incumbent: a row is met when a point misses its
+right-hand side by at most ``simplex.ROW_TOL``, and a leaf is infeasible
+only when its rows cannot all be met so (up to the dual's own precision,
+FEASIBILITY_TOL).  So a leaf point clears ``margin_floor`` on every cell
+that the leaf pins.  An infeasible leaf fails its candidate, and a leaf
+the simplex cannot decide raises, as a node LP does.  The first feasible leaf's classifier
 is proposed with the bound, which its candidate costs.
 Only a pure cell that the candidate gets wrong is left unpinned, and the
 leaf point may score it inside the margin band.  Then the same labeling's

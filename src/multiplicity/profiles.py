@@ -537,8 +537,7 @@ def _encode(model, dataset, classifiers, cost=None):
     accepts (at objective ``cost``, when given), or None."""
     for g in classifiers:
         assignment = assignment_from_classifier(model, dataset, g)
-        feasible = bnb.check_feasible(model, assignment)[0]
-        if feasible and cost in (None, model.count(assignment)):
+        if bnb.is_feasible(model, assignment) and cost in (None, model.count(assignment)):
             return assignment
     return None
 

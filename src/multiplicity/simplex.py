@@ -42,18 +42,24 @@ Implementation notes:
   ratio, or follows Bland's rule after DEGENERATE_PIVOTS zero-ratio
   pivots in a row.  It proves infeasibility only from a row whose range
   over the nonbasic boxes misses its bounds;
-* a row is met once its slack lies within FEASIBILITY_TOL (1 + |rhs|) of
-  its box.  A row of the tableau combines the program's rows, so a miss
-  that a proof finds there can grow from such a slip of theirs.  The
-  first proof therefore widens every slack's box by that tolerance
+* one rule decides when a point meets a row, in every LP and every check
+  of a point: it misses the row's right-hand side by at most ROW_TOL
+  (``violated_rows``).  The dual's stop test works to FEASIBILITY_TOL.
+  A row of the tableau combines the program's rows, so a miss that a
+  proof finds there can grow from their slips.  The first proof therefore
+  widens every slack's box by ROW_TOL less FEASIBILITY_TOL
   (``_relax_rows``) and is checked again, and the dual goes on in the
-  widened boxes when it fails: a program is infeasible only when its
-  rows cannot all be met within their tolerance;
+  widened boxes when it fails.  So a proof shows that the rows cannot all
+  be met within ROW_TOL less FEASIBILITY_TOL, and an optimal point meets
+  each within ROW_TOL.  The least objective of such a point is the
+  optimum less ROW_TOL times the summed sizes of the row duals, which the
+  tableau's slack columns give;
 * the limit of 200*(rows+cols) + 2000 pivots per solve, cols counting the
   slacks, counts dual pivots and bound flips alike (the flips that place
   the cold start's columns excepted);
 * the tableau B^-1 A is updated by explicit pivots and refactorized from
-  scratch every REFACTOR_INTERVAL pivots to keep drift in check.
+  scratch every REFACTOR_INTERVAL pivots, and when a point the dual would
+  end on misses its own rows by more than FEASIBILITY_TOL.
 
 Everything is deterministic: identical inputs (and starting bases) produce
 identical pivot sequences and bit-identical solutions.
@@ -68,6 +74,7 @@ import numpy as np
 
 from .core import InternalConsistencyError
 
+ROW_TOL = 1e-6  # a point meets a row that it misses by at most this much
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -174,6 +181,7 @@ class LpSolution:
     objective_value: float
     n_pivots: int = 0  # every pivot and bound flip
     basis: Optional[Basis] = None  # final basis of an optimal solve
+    least_objective: float = float("nan")  # of a point within ROW_TOL of the rows
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -220,11 +228,10 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
     as a branch-and-bound leaf.
 
     The fixed variables leave the tableau: their part of each row's
-    activity becomes one column fixed at 1, so every row keeps its
-    right-hand side, and with it its tolerance.  The working set starts
+    activity moves into its right-hand side.  The working set starts
     empty, and each round solves a tableau of its rows, the only rows made
     dense.  The rows that a round's point misses by more than
-    FEASIBILITY_TOL (1 + |rhs|) join the set, most missed first and at most
+    FEASIBILITY_TOL join the set, most missed first and at most
     one per free variable, and the next round starts from the last round's
     basis extended by their slacks (``basis_with_row``).  A restriction
     relaxes ``lp``, so its infeasibility is ``lp``'s, and a point that meets
@@ -239,14 +246,13 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
         return LpSolution("infeasible", None, float("nan"))
     fixed = boxes[0] == boxes[1]
     pinned, free = np.where(fixed, boxes[0], 0.0), np.flatnonzero(~fixed)
-    objective = np.append(lp.objective[free], lp.objective @ pinned)
-    folded = lp.activity(pinned)
-    lo, hi = np.append(lp.var_lo[free], 1.0), np.append(lp.var_hi[free], 1.0)
-    rel, rhs = np.asarray(lp.row_relations, dtype="<U2"), lp.row_rhs
+    constant, rhs = lp.objective @ pinned, lp.row_rhs - lp.activity(pinned)
+    lo, hi = lp.var_lo[free], lp.var_hi[free]
+    rel = np.asarray(lp.row_relations, dtype="<U2")
     work, start, pivots = np.zeros(0, dtype=np.int64), None, 0
     while True:
-        coefs = np.column_stack([lp.dense(work)[:, free], folded[work]])
-        program = LinearProgram(objective, coefs, rel[work].tolist(), rhs[work], lo, hi)
+        coefs = lp.dense(work)[:, free]
+        program = LinearProgram(lp.objective[free], coefs, rel[work].tolist(), rhs[work], lo, hi)
         state = _Tableau(program, lo, hi)
         if state.infeasible_by_bounds:
             return LpSolution("infeasible", None, float("nan"), pivots)
@@ -255,14 +261,15 @@ def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
         if status != "optimal":
             return LpSolution(status, None, float("nan"), pivots)
         values = pinned.copy()
-        values[free] = state.structural_values()[:-1]  # the folded column is at 1
-        excess = _excess(rel, rhs, lp.activity(values), FEASIBILITY_TOL)
+        values[free] = state.structural_values()
+        excess = _excess(rel, lp.row_rhs, lp.activity(values))
         excess[work] = 0.0  # a row joins the set once
-        missed = np.flatnonzero(excess > 0.0)
+        missed = np.flatnonzero(excess > FEASIBILITY_TOL)
         if not missed.size:  # every row outside the set is met; the check covers the set
             sol = _optimal_solution(program, state, lo, hi)
             values.flags.writeable = False
-            return LpSolution("optimal", values, sol.objective_value, pivots)
+            value, least = sol.objective_value + constant, sol.least_objective + constant
+            return LpSolution("optimal", values, value, pivots, None, least)
         missed = missed[np.argsort(-excess[missed], kind="stable")[: max(free.size, 1)]]
         start = Basis(state.basis, state.at_upper)
         for row in range(work.size, work.size + missed.size):
@@ -283,21 +290,25 @@ def _fixed_boxes(lp: LinearProgram, fixings: dict):
 
 
 def _optimal_solution(lp, state, lo, hi) -> LpSolution:
-    """Check the final vertex against the bounds and rows, and package it."""
+    """Check the final vertex against the bounds and rows (ROW_TOL), and
+    package it with its least objective within ROW_TOL of the rows."""
     values = state.structural_values()
-    if np.any(values < lo - 1e-6) or np.any(values > hi + 1e-6):
+    if np.any(values < lo - ROW_TOL) or np.any(values > hi + ROW_TOL):
         raise InternalConsistencyError("simplex returned out-of-bounds values")
-    bad = violated_rows(lp, values, 1e-6)
+    bad = violated_rows(lp, values)
     if bad.size:
         k = bad[0]
         residual = lp.activity(values)[k] - lp.row_rhs[k]
         raise InternalConsistencyError(f"simplex solution violates row {k} by {residual:.3e}")
     objective = float(np.dot(lp.objective, values))
+    # the row duals y = c_B B^-1, B^-1 being the slack columns of the tableau
+    duals = state.cost[state.basis] @ state.T[:, lp.n_vars :]
     values.flags.writeable = False
     basis = Basis(state.basis, state.at_upper)
     basis.columns.flags.writeable = False
     basis.at_upper.flags.writeable = False
-    return LpSolution("optimal", values, objective, state.pivots, basis)
+    least = objective - ROW_TOL * float(np.abs(duals).sum())
+    return LpSolution("optimal", values, objective, state.pivots, basis, least)
 
 
 def basis_with_row(basis: Basis, row: int) -> Basis:
@@ -319,29 +330,28 @@ def basis_with_row(basis: Basis, row: int) -> Basis:
     )
 
 
-def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the rows of ``lp`` that ``values`` violates by more than
-    ``tol * (1 + |rhs|)``."""
+def violated_rows(lp: LinearProgram, values: np.ndarray, tol: float = ROW_TOL) -> np.ndarray:
+    """Indices of the rows of ``lp`` that ``values`` misses by more than
+    ``tol``: by default, the rows it does not meet."""
     rel = np.asarray(lp.row_relations, dtype="<U2")
-    return np.flatnonzero(_excess(rel, lp.row_rhs, lp.activity(values), tol) > 0.0)
+    return np.flatnonzero(_excess(rel, lp.row_rhs, lp.activity(values)) > tol)
 
 
-def _excess(rel, rhs, activity, tol: float) -> np.ndarray:
+def _excess(rel, rhs, activity) -> np.ndarray:
     """How far the row ``activity`` of a point misses each row, of
-    relation ``rel`` and right-hand side ``rhs``, beyond ``tol * (1 +
-    |rhs|)``: positive exactly on the rows it violates by more."""
+    relation ``rel`` and right-hand side ``rhs``: positive exactly on the
+    rows it violates."""
     resid = activity - rhs
-    miss = np.where(
+    return np.where(
         rel == GREATER_EQUAL, -resid, np.where(rel == LESS_EQUAL, resid, np.abs(resid))
     )
-    return miss - tol * (1.0 + np.abs(rhs))
 
 
-def _slack_boxes(coefs, rel, rhs, var_lo, var_hi, tol):
+def _slack_boxes(coefs, rel, rhs, var_lo, var_hi):
     """The box of each row's slack (row . v + slack = rhs) from its
     relation and its activity range over the variable boxes, or None when
-    some box is empty by more than its row's ``tol``; a box empty by less
-    is the point where it closes."""
+    some box is empty by more than ROW_TOL less FEASIBILITY_TOL, the
+    widening of ``_relax_rows``."""
     pos = np.clip(coefs, 0.0, None)
     neg = np.clip(coefs, None, 0.0)
     rel = np.asarray(rel, dtype="<U2")
@@ -350,9 +360,9 @@ def _slack_boxes(coefs, rel, rhs, var_lo, var_hi, tol):
     s_lo = np.where((rel == LESS_EQUAL) & (0.0 > s_lo), 0.0, s_lo)
     s_hi = np.where((rel == GREATER_EQUAL) & (0.0 < s_hi), 0.0, s_hi)
     s_lo[rel == EQUAL] = s_hi[rel == EQUAL] = 0.0
-    if np.any(s_lo > s_hi + tol):
+    if np.any(s_lo > s_hi + ROW_TOL - FEASIBILITY_TOL):
         return None
-    return s_lo, np.where(s_lo > s_hi, s_lo, s_hi)
+    return s_lo, s_hi
 
 
 class _Tableau:
@@ -365,17 +375,16 @@ class _Tableau:
         self.iteration_limit = 200 * (m + self.n_ext) + 2000
         self.infeasible_by_bounds = False
         self.relaxed = False
-        self.row_tol = FEASIBILITY_TOL * (1.0 + np.abs(lp.row_rhs))
 
         self.A = np.hstack([lp.row_coefs, np.eye(m)])
-        boxes = _slack_boxes(
-            self.A[:, :n], lp.row_relations, lp.row_rhs, var_lo, var_hi, self.row_tol
-        )
+        boxes = _slack_boxes(self.A[:, :n], lp.row_relations, lp.row_rhs, var_lo, var_hi)
         if boxes is None:
             self.infeasible_by_bounds = True
             return
         self.lo = np.concatenate([var_lo, boxes[0]])
         self.hi = np.concatenate([var_hi, boxes[1]])
+        if (boxes[0] > boxes[1]).any():  # some row is met only within its tolerance
+            self._relax_rows()
         self.b = lp.row_rhs
         self.cost = np.concatenate([lp.objective, np.zeros(m)])
         self.pivots = 0
@@ -471,12 +480,18 @@ class _Tableau:
             if self._pivots_since_refactor >= REFACTOR_INTERVAL:
                 self._refactor()
 
-            x_basic = self._full_values()[self.basis]
+            x = self._full_values()
+            x_basic = x[self.basis]
             below = self.lo[self.basis] - x_basic
             violation = np.maximum(below, x_basic - self.hi[self.basis])
             worst = float(violation.max(initial=0.0))
             if worst <= FEASIBILITY_TOL:
-                return "optimal"
+                if not self._pivots_since_refactor or (
+                    np.abs(self.A @ x - self.b).max(initial=0.0) <= FEASIBILITY_TOL
+                ):
+                    return "optimal"
+                self._refactor()  # the pivots' rounding moved x off its rows
+                continue
             if self.pivots >= self.iteration_limit:
                 return "stalled"
             bland = degenerate >= DEGENERATE_PIVOTS
@@ -522,12 +537,12 @@ class _Tableau:
             self.pivots += 1
 
     def _relax_rows(self) -> None:
-        """Widen every slack's box by its row's tolerance, FEASIBILITY_TOL
-        (1 + |rhs|).  Reduced costs stay as they are, so the basis stays
-        dual feasible."""
+        """Widen every slack's box by ROW_TOL less FEASIBILITY_TOL, the
+        slip that the dual's stop test adds.  Reduced costs stay as they
+        are, so the basis stays dual feasible."""
         n = self.n_ext - self.m
-        self.lo[n:] -= self.row_tol
-        self.hi[n:] += self.row_tol
+        self.lo[n:] -= ROW_TOL - FEASIBILITY_TOL
+        self.hi[n:] += ROW_TOL - FEASIBILITY_TOL
         self.relaxed = True
 
     def _row_misses_bounds(self, row: int, nonbasic: np.ndarray) -> bool:

@@ -18,8 +18,8 @@ Nothing here touches the package's simplex or branch-and-bound code paths.
 * Labeling enumeration: the optimum of every flip and disc program, for
   binary or continuous features, from all 2^m labelings of the m cells.  A
   labeling counts for a program when some w with ||w||_1 <= 1 scores each
-  cell the program pins at least gamma on the labeling's side, which
-  reference_simplex decides.
+  cell the program pins at least ``formulations.margin_floor(gamma)`` on
+  the labeling's side, which reference_simplex decides.
 """
 
 from fractions import Fraction
@@ -28,6 +28,8 @@ from itertools import product
 from math import gcd
 
 import numpy as np
+
+from multiplicity.formulations import margin_floor
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +311,13 @@ def reference_simplex(objective, row_coefs, row_relations, row_rhs, var_lo, var_
 # ---------------------------------------------------------------------------
 
 
-def margin_reachable(rows, gamma):
-    """Whether some w with ||w||_1 <= 1 has rows . w >= gamma, for rows that
-    are cells times their required sign: max t s.t. rows . (w+ - w-) >= t,
-    sum(w+ + w-) <= 1, by reference_simplex."""
+def margin_reachable(rows, threshold):
+    """Whether some w with ||w||_1 <= 1 has rows . w >= threshold, for rows
+    that are cells times their required sign: max t s.t. rows . (w+ - w-)
+    >= t, sum(w+ + w-) <= 1, by reference_simplex."""
     rows = np.asarray(rows, float)
     k, nc = rows.shape
-    reach = float(np.abs(rows).max()) + gamma
+    reach = float(np.abs(rows).max()) + abs(threshold)
     coefs = np.vstack(
         [
             np.hstack([rows, -rows, -np.ones((k, 1))]),
@@ -330,7 +332,7 @@ def margin_reachable(rows, gamma):
         np.concatenate([np.zeros(2 * nc), [-reach]]),
         np.concatenate([np.ones(2 * nc), [reach]]),
     )
-    return status == "optimal" and -value >= gamma - 1e-9
+    return status == "optimal" and -value >= threshold
 
 
 def labeling_optima(dataset, h0, thresholds, gamma):
@@ -341,10 +343,12 @@ def labeling_optima(dataset, h0, thresholds, gamma):
 
     A labeling L of the cells costs mistakes sum_c (neg_c if L_c = +1 else
     pos_c) and agreements sum of the weight of the cells where L_c is h0's
-    side.  A disc program pins every cell.  A flip program pins every mixed
-    cell, every cell that L puts on its majority side (ties go to +1) and
-    the flipped cell; a pure cell that L gets wrong counts as a mistake
-    wherever the classifier scores it.
+    side.  A labeling is reachable when some classifier scores every cell
+    it pins at least ``margin_floor(gamma)`` on its side, the margin that
+    the programs accept.  A disc program pins every cell.  A flip program
+    pins every mixed cell, every cell that L puts on its majority side
+    (ties go to +1) and the flipped cell; a pure cell that L gets wrong
+    counts as a mistake wherever the classifier scores it.
     """
     counts = {}
     for ex in dataset.examples:
@@ -363,7 +367,7 @@ def labeling_optima(dataset, h0, thresholds, gamma):
         key = tuple(int(labels[c]) if pins[c] else 0 for c in range(len(cells)))
         if key not in reachable:
             rows = (labels[:, None] * X)[pins]
-            reachable[key] = margin_reachable(rows, gamma)
+            reachable[key] = margin_reachable(rows, margin_floor(gamma))
         return reachable[key]
 
     flips = {c: None for c in cells}

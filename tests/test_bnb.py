@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 import time
 from pathlib import Path
@@ -19,16 +20,20 @@ from multiplicity.core import (
     InfeasibleWarmStartError,
     InternalConsistencyError,
 )
+from multiplicity.core import LinearClassifier
 from multiplicity.formulations import (
+    DEFAULT_GAMMA,
     build_baseline_mip,
     build_flip_mip,
     classifier_from_solution,
     assignment_from_classifier,
+    margin_clearance,
+    margin_floor,
 )
 from multiplicity.profiles import ClassifierBank, EpsilonGrid, ambiguity_path
 from multiplicity.simplex import LinearProgram, solve_lp
 from conftest import random_binary_dataset, xor_dataset
-from oracles import oracle_baseline
+from oracles import labeling_optima, oracle_baseline
 
 
 def knapsack_model(values, weights, capacity):
@@ -168,12 +173,16 @@ class TestSolve:
                     assert np.array_equal(a.incumbent, b.incumbent)
 
     def test_children_start_from_the_parent_basis(self, node_lps):
-        res = solve(build_baseline_mip(xor_dataset()))
+        # a leaf, which fixes every binary, starts from the slack basis
+        model = build_baseline_mip(xor_dataset())
+        res = solve(model)
         assert res.upper_bound == 25.0
         assert node_lps[0][1] is None and len(node_lps) > 1
         bases = {}
         for fixings, start, sol in node_lps:
-            if fixings:
+            if len(fixings) == len(model.binary_vars):
+                assert start is None
+            elif fixings:
                 parent = {j: v for j, v in fixings.items() if j != list(fixings)[-1]}
                 assert start is bases[tuple(parent.items())]
             bases[tuple(fixings.items())] = sol.basis
@@ -388,13 +397,129 @@ class TestIncumbentGate:
         )
         assert [r.upper_bound for r in paths] == [3, 3, 3, 3]
 
-    def test_a_leaf_whose_rounding_fails_keeps_its_bound(self):
+    def test_a_leaf_starts_cold_and_its_binaries_are_exact(self, node_lps):
         # cells x = 70 (-), 70.014 (+), 0 (-, weight 2) and 140 (+, weight
-        # 2): no unit-l1 classifier parts x = 70 from 70.014 with margin,
-        # but a leaf LP that fixes every binary returns one fixed at 0 as
-        # 4.05e-8, which meets the rows.  Rounded, it does not, so the leaf
-        # keeps its bound 0 and the baseline is no longer certified at 0
+        # 2): no unit-l1 classifier parts x = 70 from 70.014 with margin.
+        # Started from its parent's basis, a leaf LP that fixes every binary
+        # kept one fixed at 0 basic, at 4.05e-8: a point that meets the rows
+        # only unrounded.  Started cold, every fixed binary stays nonbasic
+        # at its value, so a leaf's point is infeasible or feasible, and the
+        # baseline certifies its optimum 1
         data = _on_a_line([70, 70.014, 0, 140], [-1, 1, -1, 1], [1, 1, 2, 2])
-        result = solve(build_baseline_mip(data))
-        assert result.status == "feasible_with_gap"
-        assert (result.lower_bound, result.upper_bound) == (0, 1)
+        model = build_baseline_mip(data)
+        result = solve(model)
+        assert result.certified and result.upper_bound == 1
+        binaries = list(model.binary_vars)
+        leaves = [
+            sol for fixings, start, sol in node_lps
+            if len(fixings) == len(binaries) and start is None
+        ]
+        assert leaves and len(leaves) == sum(len(f) == len(binaries) for f, _, _ in node_lps)
+        for sol in leaves:
+            if sol.status == "optimal":
+                assert check_feasible(model, sol.values)[0]
+                assert np.array_equal(sol.values[binaries], np.round(sol.values[binaries]))
+
+
+def _three_flips(data):
+    """The fewest mistakes of a classifier that flips each cell around the
+    baseline's h0, from plain ``solve``, from ``ambiguity_path`` and from
+    the labeling oracle at ``margin_floor``."""
+    model = build_baseline_mip(data)
+    base = solve(model)
+    h0 = classifier_from_solution(model, base.incumbent)
+    cells = range(len(data.cells.X))
+    plain = [solve(build_flip_mip(data, h0, c)).upper_bound for c in cells]
+    _, _, paths = ambiguity_path(
+        ClassifierBank(data, h0), EpsilonGrid((Fraction(0),), data.n), baseline=base
+    )
+    flips, _ = labeling_optima(data, h0, [], DEFAULT_GAMMA)
+    oracle = [flips[tuple(x)] for x in data.cells.X.tolist()]
+    return plain, [r.upper_bound for r in paths], oracle
+
+
+def _near_the_floor(xs, gamma=DEFAULT_GAMMA):
+    """Whether two points of ``xs`` on a line are parted by a best margin
+    within 2e-7 of ``margin_floor``, the LP's own precision: a unit-l1
+    (b, a) parts x < y by at most (y - x) / (2 (1 + |x + y| / 2)), and a
+    labeling of points on a line is decided by its two pinned points
+    nearest its threshold."""
+    return any(
+        abs((y - x) / (2 * (1 + abs(x + y) / 2)) - margin_floor(gamma)) <= 2e-7
+        for i, x in enumerate(xs)
+        for y in xs[i + 1 :]
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOneRowRule:
+    # A point meets a row when it misses its rhs by at most ROW_TOL: node
+    # LPs, leaf LPs of the labeling pass, incumbents and the oracle decide
+    # alike, so plain flip solves and ``ambiguity_path`` certify the same
+    # flips.  Each line below once made them differ, or made the path raise
+
+    @pytest.mark.parametrize(
+        "xs, labels, weights, flips",
+        [
+            ([0.5, 0.500299411, 0.500598822], [1, 1, -1], [2, 1, 3], [3, 1, 3]),
+            (
+                [0, 0.000398832, 0.000598248, 0.000797664],
+                [1, 1, 1, -1], [1, 2, 1, 2], [3, 3, 1, 2],
+            ),
+            (
+                [0.5, 0.500299349, 0.500898046, 0.501197395],
+                [-1, -1, 1, 1], [1, 2, 2, 1], [3, 2, 2, 3],
+            ),
+            # cells 1 and 2 part from x = 0 with a margin about 1e-7 short
+            # of gamma, within ROW_TOL
+            ([0, 1.998e-4, 3.996e-4, 2], [-1, 1, -1, 1], [1, 1, 2, 2], [3, 2, 2, 3]),
+            ([0, 1.995e-4, 3.99e-4, 2], [-1, 1, -1, 1], [1, 1, 2, 2], [3, 2, 2, 3]),
+            # a node LP of the flip of cell 2 ends on a point whose pivots'
+            # rounding moved it 3e-5 off a Big-M row: refactored, it meets it
+            (
+                [70.0, 70.01415483271654, 70.02830966543307, 70.04246449814961,
+                 70.05661933086616],
+                [-1, 1, -1, -1, 1], [2, 2, 2, 1, 1], [3, 3, 3, 3, 3],
+            ),
+        ],
+        ids=["three", "four", "plain-differed", "delta-1.998e-4", "delta-1.995e-4", "drift"],
+    )
+    def test_the_certifiers_agree(self, xs, labels, weights, flips):
+        plain, path, oracle = _three_flips(_on_a_line(xs, labels, weights))
+        assert plain == path == oracle == flips
+
+    def test_a_mixed_cell_inside_the_margin_is_no_mistake_of_its_majority(self):
+        # the mixed cell x = 70 scored -5e-5, inside the margin on its
+        # minority side: the second pinning row, rhs gamma - M_c with M_c
+        # about 70, once accepted u_c = 1 there within 1e-6 (1 + |rhs|)
+        data = _on_a_line([0, 70, 70, 140], [-1, 1, -1, 1], [1, 1, 1, 1])
+        a = (1 - 5e-5) / 71
+        h = LinearClassifier((a - 1, a))
+        model = build_baseline_mip(data)
+        values = assignment_from_classifier(model, data, h)
+        assert values[list(data.cells.X[:, 1]).index(70)] == 1.0
+        assert not check_feasible(model, values)[0]
+        assert margin_clearance(h, data, DEFAULT_GAMMA)[1] is False
+
+    def test_a_seeded_sweep_of_near_margin_lines(self):
+        # 3-6 points base + i delta k on a line, most spaced so that
+        # neighbours part with a margin near gamma: plain solves, the path
+        # and the oracle agree, and nothing raises, except on a line where
+        # two points part within the LP's precision of the floor
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(100):
+            n, k, base = rng.randint(3, 6), rng.choice([1, 1, 2]), rng.choice([0, 0.5, 3, 70])
+            if rng.random() < 0.7:
+                delta = rng.uniform(1.9e-4, 2.1e-4) * (1 + base)
+            else:
+                delta = rng.uniform(1e-4, 0.1)
+            xs = [base + i * delta * k for i in range(n)]
+            labels = [rng.choice([-1, 1]) for _ in range(n)]
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            if _near_the_floor(xs):
+                continue
+            plain, path, oracle = _three_flips(_on_a_line(xs, labels, weights))
+            assert plain == path == oracle, (xs, labels, weights)
+            checked += 1
+        assert checked >= 95

@@ -1114,7 +1114,7 @@ class TestTracing:
             assert tracer.calls[layer] > 0, layer
         assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 25
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [539, 539, 1688]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [539, 539, 1700]
 
 
 class TestExportMps:

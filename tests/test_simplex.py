@@ -6,6 +6,7 @@ from multiplicity.formulations import margin_floor
 from multiplicity.simplex import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
+    ROW_TOL,
     LinearProgram,
     basis_with_row,
     solve_lp,
@@ -59,6 +60,16 @@ class TestBasics:
         )
         assert solve_lp(lp).status == "infeasible"
 
+    @pytest.mark.parametrize("gap, status", [(5e-7, "optimal"), (2e-6, "infeasible")])
+    def test_a_row_out_of_reach_by_less_than_the_rule_is_met(self, gap, status):
+        # x + y >= 2 + gap over x, y in [0, 1]: the row's slack box is empty
+        # by gap, so x = y = 1 is the best a point can do
+        lp = box_lp([1.0, -1.0], [[1, 1]], [">="], [2 + gap], [0, 0], [1, 1])
+        sol = solve_lp(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert violated_rows(lp, sol.values).size == 0
+
     def test_equality_row(self):
         lp = box_lp([1.0, 0.0], [[1.0, 1.0]], ["="], [1.2], [0, 0], [1, 1])
         sol = solve_lp(lp)
@@ -66,22 +77,25 @@ class TestBasics:
         assert sol.objective_value == pytest.approx(0.2, abs=1e-9)
 
     def test_tolerances_exposed(self):
+        assert ROW_TOL == 1e-6
         assert FEASIBILITY_TOL == 1e-7
         assert OPTIMALITY_TOL == 1e-7
 
     def test_violated_rows_per_relation(self):
         lp = box_lp(
             [0.0, 0.0],
-            [[1, 0], [1, 0], [1, 0], [0, 1], [1, 0]],
-            ["<=", "<=", ">=", "=", ">="],
-            [0.5, 0.499998, 0.5, 0.0, 0.6],
+            [[1, 0], [1, 0], [1, 0], [0, 1], [1, 0], [100, 0]],
+            ["<=", "<=", ">=", "=", ">=", "<="],
+            [0.5, 0.499998, 0.5, 0.0, 0.6, 50.0],
             [-1, -1],
             [1, 1],
         )
-        # row 0 exceeds its rhs by 1e-6, inside tol * (1 + |rhs|) = 1.5e-6;
-        # row 1 exceeds its rhs by 3e-6
-        values = np.array([0.5 + 1e-6, 1e-3])
-        assert violated_rows(lp, values, 1e-6).tolist() == [1, 3, 4]
+        # row 0 exceeds its rhs by 5e-7, within ROW_TOL; row 1 exceeds its
+        # rhs by 2.5e-6, and row 5 by 5e-5: the tolerance is absolute,
+        # whatever the rhs
+        values = np.array([0.5 + 5e-7, 1e-3])
+        assert violated_rows(lp, values).tolist() == [1, 3, 4, 5]
+        assert violated_rows(lp, values, 1e-4).tolist() == [3, 4]
 
 
 def _good_lp():
@@ -279,18 +293,61 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("g, status", [(1e-4, "optimal"), (1.002e-4, "infeasible")])
     def test_a_miss_within_the_rows_tolerance_proves_nothing(self, g, status):
-        # p >= g, 2e-4 q - p >= g and p + q <= 1 over p, q in [0, 1]: the
-        # rows meet exactly only for g <= 1/10001, so at g = 1e-4 the l1
-        # row's tableau row misses by 1e-4.  Scaled by 1/1.0001 that point
-        # misses each margin row by 1e-8, within FEASIBILITY_TOL (1 + |rhs|),
-        # and within that tolerance of every row they meet up to g of about
-        # 1.0009e-4.  The unwidened proof read g = 1e-4 as infeasible
-        lp = box_lp([0.0, 0.0], [[1, 0], [-1, 2e-4], [1, 1]], [">=", ">=", "<="],
-                    [g, g, 1.0], [0, 0], [1, 1])
+        # 10 p >= 10 g, 10 (2e-4 q - p) >= 10 g and 10 (p + q) <= 10 over p,
+        # q in [0, 1]: the rows meet exactly only for g <= 1/10001, so at
+        # g = 1e-4 the l1 row's tableau row misses by 1e-3.  Scaled by
+        # 1/1.0001 that point misses each row by 1e-7, within ROW_TOL.  Past
+        # g = 1/10001 the least miss grows ten times as fast as g, so at
+        # g = 1.002e-4 it is 2.1e-6, past ROW_TOL.  The unwidened proof read
+        # g = 1e-4 as infeasible
+        lp = _margin_lp(g)
         sol = solve_lp(lp)
         assert sol.status == status
         if status == "optimal":
-            assert violated_rows(lp, sol.values, 2 * FEASIBILITY_TOL).size == 0
+            assert violated_rows(lp, sol.values).size == 0
+
+
+def _margin_lp(g):
+    """The program of test_a_miss_within_the_rows_tolerance_proves_nothing."""
+    return box_lp([0.0, 0.0], [[10, 0], [-10, 2e-3], [10, 10]], [">=", ">=", "<="],
+                  [10 * g, 10 * g, 10.0], [0, 0], [1, 1])
+
+
+class TestLeastObjective:
+    def test_a_row_that_binds_lowers_it_by_its_dual(self):
+        # min 2x s.t. x >= 0.5: the row's dual is 2, and x = 0.5 - 1e-6
+        # meets the row within ROW_TOL
+        sol = solve_lp(box_lp([2.0], [[1.0]], [">="], [0.5], [0], [1]))
+        assert sol.objective_value == 1.0
+        assert sol.least_objective == pytest.approx(1.0 - 2 * ROW_TOL, abs=1e-15)
+
+    def test_it_bounds_the_program_with_every_row_widened(self):
+        # the optimum is convex in the rhs and the row duals y are a
+        # subgradient, so widening every row by w lowers it by at most
+        # w * sum|y| for every w: here 0.1, solved by the reference
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            lp, _ = random_box_lp(rng)
+            sol = solve_lp(lp)
+            if sol.status != "optimal":
+                continue
+            size = (sol.objective_value - sol.least_objective) / ROW_TOL
+            coefs, rels, rhs = [], [], []
+            for row, rel, b in zip(lp.row_coefs, lp.row_relations, lp.row_rhs):
+                for side, shift in (("<=", 0.1), (">=", -0.1)):
+                    if rel in (side, "="):
+                        coefs.append(row)
+                        rels.append(side)
+                        rhs.append(b + shift)
+            status, value = reference_simplex(
+                lp.objective, np.reshape(coefs, (-1, lp.n_vars)), rels, rhs,
+                lp.var_lo, lp.var_hi,
+            )
+            assert status == "optimal"
+            assert value >= sol.objective_value - 0.1 * size - 1e-6
+            checked += size > 0
+        assert checked > 50
 
 
 class TestByRows:
@@ -321,12 +378,11 @@ class TestByRows:
     def test_rows_added_to_a_tableau_keep_their_tolerance(self, g, status):
         # the program of test_a_miss_within_the_rows_tolerance_proves_nothing,
         # solved over a working set of its rows, decides alike
-        lp = box_lp([0.0, 0.0], [[1, 0], [-1, 2e-4], [1, 1]], [">=", ">=", "<="],
-                    [g, g, 1.0], [0, 0], [1, 1])
+        lp = _margin_lp(g)
         sol = solve_lp_by_rows(lp, {})
         assert sol.status == status
         if status == "optimal":
-            assert violated_rows(lp, sol.values, 2 * FEASIBILITY_TOL).size == 0
+            assert violated_rows(lp, sol.values).size == 0
 
     def test_a_leaf_of_many_rows_solves_a_few(self, monkeypatch):
         # min x + 0.3 y over 400 tangents of the unit disc around (1, 1),

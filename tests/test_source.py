@@ -4,8 +4,9 @@ package and every module-level UPPER_CASE constant is read by one of its
 modules, so code that a change leaves behind shows up here, every public
 export is bound, every module imports only the layers below it, and every
 string compared with a solve's ``.status`` in the package and its tests is
-a status that a solve can report.  Only ``branch_bound`` and
-``formulations`` read the node LPs' row tolerance ``INT_TOL``, only
+a status that a solve can report.  The one rule for a point meeting a
+row, ``simplex.ROW_TOL``, is defined in ``simplex`` alone and read
+outside it only by ``branch_bound`` and ``formulations.margin_floor``, only
 ``branch_bound`` builds a ``SolveResult``, ``labelings`` builds no LP of
 its own, a simplex tableau keeps the program it was built over, and only
 ``simplex`` reads a program's dense ``row_coefs``."""
@@ -155,20 +156,26 @@ def test_modules_import_only_lower_layers():
     assert upward == []
 
 
-def test_only_the_solver_and_the_formulations_read_int_tol():
-    # the node LPs' row tolerance decides what a margin row accepts; every
-    # other module reads that decision as ``formulations.margin_floor``
-    readers = []
+def test_one_module_owns_the_row_tolerance():
+    # ``simplex.ROW_TOL`` decides when a point meets a row, for every LP,
+    # incumbent and warm start; every other module reads that decision
+    # through ``branch_bound`` or as ``formulations.margin_floor``
+    definers, readers = [], []
     for name, tree in _modules().items():
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Name) and node.id == "INT_TOL"
-                or isinstance(node, ast.Attribute) and node.attr == "INT_TOL"
-                or isinstance(node, ast.ImportFrom)
-                and any(a.name == "INT_TOL" for a in node.names)
-            ):
-                readers.append(name)
-    assert readers and set(readers) <= {"branch_bound.py", "formulations.py"}
+        definers += [f"{name}:{t}" for t in _defined_names(tree) if t == "ROW_TOL"]
+        if name == "simplex.py":
+            continue
+        for scope in tree.body:
+            owner = getattr(scope, "name", None)
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Name) and node.id == "ROW_TOL"
+                    or isinstance(node, ast.Attribute) and node.attr == "ROW_TOL"
+                ):
+                    readers.append(name if name == "branch_bound.py" else f"{name}:{owner}")
+    assert definers == ["simplex.py:ROW_TOL"]
+    assert "formulations.py:margin_floor" in readers
+    assert set(readers) <= {"branch_bound.py", "formulations.py:margin_floor"}
 
 
 def test_branch_and_bound_is_the_one_certifier():
@@ -214,7 +221,7 @@ def test_a_tableau_keeps_its_program():
     # ``_Tableau`` sets its program (rows, costs, tolerances, pivot limit)
     # in ``__init__`` alone: a working set of rows grows by a new tableau
     # started from the last one's basis, never by reshaping a solved one
-    program = {"m", "n_ext", "A", "b", "cost", "row_tol", "iteration_limit"}
+    program = {"m", "n_ext", "A", "b", "cost", "iteration_limit"}
     tableau = next(
         node for node in _modules()["simplex.py"].body
         if isinstance(node, ast.ClassDef) and node.name == "_Tableau"
