@@ -78,12 +78,12 @@ class MipModel:
 
     def __post_init__(self):
         object.__setattr__(self, "binary_vars", tuple(self.binary_vars))
-        binaries = np.array(self.binary_vars, dtype=np.int64)
-        outside = (binaries < 0) | (binaries >= self.lp.n_vars)
-        if outside.any():
+        binaries = np.array(self.binary_vars, dtype=np.intp)
+        outside = binaries.view(np.uintp) >= self.lp.n_vars  # a negative index reads as huge
+        if np.count_nonzero(outside):
             raise ValueError(f"binary index {binaries[outside][0]} out of range")
         loose = (self.lp.var_lo[binaries] < -INT_TOL) | (self.lp.var_hi[binaries] > 1 + INT_TOL)
-        if loose.any():
+        if np.count_nonzero(loose):
             raise ValueError(f"binary variable {binaries[loose][0]} must have bounds [0, 1]")
 
     def count(self, values) -> int:

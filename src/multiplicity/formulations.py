@@ -50,7 +50,6 @@ are exact weighted counts.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -105,41 +104,42 @@ def _cell_model(
         raise ValueError(f"gamma must be finite and at least {GAMMA_FLOOR:g}")
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
+    n, width = m + 2 * nc, 1 + 2 * nc
     big_m = compute_big_m(dataset, gamma)
+    twice = two_sided.nonzero()[0]
+    k = m + twice.size
 
     # The rows as entries: a pinning row holds its cell's Big-M on u_c and
     # its signed features on w+ and w-, a second row negates its cell's
     # first, and the few other rows are read off their dense form.
-    twice = np.flatnonzero(two_sided)
-    k, n = m + twice.size, m + 2 * nc
-    at = np.empty((2, k, 1 + 2 * nc), dtype=np.intp)  # the row and column of each entry
-    at[0] = np.arange(k)[:, None]
-    at[1, :m, 0], at[1, m:, 0], at[1, :, 1:] = np.arange(m), twice, np.arange(m, n)
-    pin = np.empty((k, 1 + 2 * nc))
-    pin[:m, 0], pin[m:, 0] = big_m, -big_m[twice]
+    pin = np.empty((k, width))
+    pin[:m, 0] = big_m
     pin[:m, 1 : 1 + nc] = pin[:m, 1 + nc :] = cells.X * reference[:, None]
-    pin[m:, 1:] = -pin[twice, 1:]
+    pin[m:] = -pin[twice]
+    cols = np.empty((k, width), dtype=np.intp)
+    cols[:m, 0], cols[m:, 0], cols[:, 1:] = np.arange(m), twice, np.arange(m, n)
     extra = np.zeros((len(extra_rows) + 1, n))
     for i, (row, _) in enumerate(extra_rows):
         extra[i] = row
     extra[-1, m : m + nc], extra[-1, m + nc :] = 1.0, -1.0  # the l1 row
     r, c = np.nonzero(extra)
     entries = (
-        np.concatenate([at[0].ravel(), k + r]),
-        np.concatenate([at[1].ravel(), c]),
+        np.concatenate([np.arange(k).repeat(width), k + r]),
+        np.concatenate([cols.ravel(), c]),
         np.concatenate([pin.ravel(), extra[r, c]]),
     )
-    relations = [GREATER_EQUAL] * (k + len(extra_rows)) + [EQUAL]
-    rhs = np.concatenate(
-        [np.full(m, gamma), gamma - big_m[two_sided], [b for _, b in extra_rows], [1.0]]
-    )
+    rhs = np.full(k + len(extra), gamma)
+    rhs[m:k] -= big_m[twice]
+    rhs[k:] = [b for _, b in extra_rows] + [1.0]
+    costs, lo, hi = np.zeros((3, n))
+    costs[:m], lo[m + nc :], hi[: m + nc] = objective, -1.0, 1.0
     lp = LinearProgram.from_entries(
-        objective=np.concatenate([objective, np.zeros(2 * nc)]).astype(float),
+        objective=costs,
         entries=entries,
-        row_relations=tuple(relations),
+        row_relations=(GREATER_EQUAL,) * (k + len(extra_rows)) + (EQUAL,),
         row_rhs=rhs,
-        var_lo=np.concatenate([np.zeros(m + nc), -np.ones(nc)]),
-        var_hi=np.concatenate([np.ones(m + nc), np.zeros(nc)]),
+        var_lo=lo,
+        var_hi=hi,
     )
     model = MipModel(
         lp=lp,
@@ -167,15 +167,16 @@ def _mistake_model(kind, dataset, gamma, extra_rows=()) -> MipModel:
     to +1), cost |P_c - N_c| for a mistaken majority, sum_c min(P_c, N_c) as
     the objective offset."""
     cells = dataset.cells
+    surplus, minority = cells.pos - cells.neg, np.minimum(cells.pos, cells.neg)
     return _cell_model(
         kind,
         dataset,
         gamma,
-        reference=np.where(cells.pos >= cells.neg, 1, -1),
-        two_sided=(cells.pos > 0) & (cells.neg > 0),
-        objective=np.abs(cells.pos - cells.neg),
+        reference=np.where(surplus >= 0, 1, -1),
+        two_sided=minority > 0,
+        objective=np.abs(surplus),
         extra_rows=extra_rows,
-        offset=int(np.minimum(cells.pos, cells.neg).sum()),
+        offset=int(minority.sum()),
     )
 
 
@@ -389,5 +390,7 @@ def export_mps(model: MipModel, path) -> None:
 
 
 def mps_filename(dataset_name: str, formulation: str, gamma: float = DEFAULT_GAMMA) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL into the process
+
     digest = hashlib.sha256(f"{gamma}".encode()).hexdigest()[:8]
     return f"{dataset_name}_{formulation}_{digest}.mps"

@@ -120,20 +120,20 @@ class LinearProgram:
         vals = np.asarray(entries[2], dtype=float)
         if len(relations) != rhs.size or n_rows not in (None, rhs.size):
             raise ValueError("row count mismatch between coefs, relations and rhs")
-        if (rows[1:] < rows[:-1]).any():
+        if np.count_nonzero(rows[1:] < rows[:-1]):
             raise ValueError("entries must be in row order")
         if lo.size != obj.size or hi.size != obj.size:
             raise ValueError("bound vectors must match variable count")
         for rel in set(relations) - set(_RELATIONS):
             raise ValueError(f"unknown relation {rel!r}")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        if np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)) < lo.size:
             raise ValueError("all variable bounds must be finite")
-        if (lo > hi + 1e-12).any():
+        if np.count_nonzero(lo > hi + 1e-12):
             raise ValueError("found a variable with lo > hi")
         nonzero = vals != 0.0
         self.entries = rows[nonzero], cols[nonzero], vals[nonzero]
         for arr in (obj, rhs, lo, hi) + self.entries:
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         self.objective, self.row_rhs, self.var_lo, self.var_hi = obj, rhs, lo, hi
         self.row_relations = tuple(relations)
 

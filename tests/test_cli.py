@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1118,6 +1121,30 @@ class TestTracing:
 
 
 class TestExportMps:
+    def test_only_an_mps_name_loads_hashlib(self, tmp_path):
+        # hashlib maps OpenSSL into the process: about 3.7 MB of an audit's
+        # peak RSS, for the digest of an MPS file name alone
+        script = f"""
+import sys
+from multiplicity.cli import RunConfig, run_audit, run_export_mps
+out = {str(tmp_path)!r}
+run_audit(RunConfig(dataset="tyranny", outdir=out + "/tyranny"))
+run_audit(RunConfig(
+    dataset={str(DATA / "compas_style.csv")!r}, label_column="two_year_recid",
+    group_column="race", adhoc=True, pool_alphas=2, pool_lambdas=3,
+    outdir=out + "/compas",
+))
+print([name for name in ("hashlib", "_hashlib", "_blake2") if name in sys.modules])
+print(run_export_mps(RunConfig(dataset="xor", outdir=out), "disc", "0.01", None).name)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\nxor_disc0.01_e539aeba.mps\n"
+
     def test_flip_index_counts_training_examples(self, tmp_path):
         config = RunConfig(
             dataset=str(DATA / "compas_style.csv"), label_column="two_year_recid",
