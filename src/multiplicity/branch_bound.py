@@ -24,11 +24,11 @@ whoever built the model.
 Every node LP is solved by the kernel's dual simplex.  A node below the
 root starts from its parent's final basis, so a queued node keeps its LP
 values (to branch on) and that basis (to start its children), never a
-tableau.  A leaf, a node that fixes every binary, starts from the slack
-basis instead, which keeps every fixed column nonbasic at its value: its
-binaries are exact, so its point is infeasible or feasible.  The root LP
-starts from the slack basis, or from a ``root_start`` basis of a related
-program (the previous program of a path, or a program with one row fewer);
+tableau.  A leaf, a node that fixes every binary, is solved without a
+start, so its fixed columns leave the tableau: its binaries are exact,
+and its point is infeasible or feasible.  The root LP starts from the
+slack basis, or from a ``root_start`` basis of a related program (the
+previous program of a path, or a program with one row fewer);
 the solve reports its root LP's final basis as ``root_basis`` for the next
 one.  A node LP the simplex cannot decide ("stalled"), and a leaf point
 that is not feasible, raise ``InternalConsistencyError``: pruning either

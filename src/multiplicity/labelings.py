@@ -41,15 +41,14 @@ lower bound and proposes a classifier; it certifies nothing, which is
 left to branch-and-bound's gap rule.  A candidate is checked on a leaf of
 the program: its LP with every indicator fixed to the candidate (u_c = 1
 where the candidate leaves the cell's reference label).  The leaf keeps
-the program's pinning, flip, level and l1 rows, and ``solve_lp_by_rows``
-solves it with the dual simplex of every node LP, over a working set of
-those rows that grows until the leaf's point meets them all, so a leaf
-of many cells is one small tableau.  It decides by the rule of every
-node LP and every incumbent: a row is met when a point misses its
-right-hand side by at most ``simplex.ROW_TOL``, and a leaf is infeasible
-only when its rows cannot all be met so (up to the dual's own precision,
-FEASIBILITY_TOL).  So a leaf point clears ``margin_floor`` on every cell
-that the leaf pins.  An infeasible leaf fails its candidate, and a leaf
+the program's pinning, flip, level and l1 rows, and
+``solve_lp_with_fixings`` solves it as it solves a branch-and-bound leaf,
+over a working set of those rows, so a leaf of many cells is one small
+tableau.  It decides by the rule of every node LP and every incumbent: a
+row is met when a point misses its right-hand side by at most
+``simplex.ROW_TOL``, and a leaf is infeasible only when its rows cannot
+all be met so (up to the dual's own precision, FEASIBILITY_TOL).  So a
+leaf point clears ``margin_floor`` on every cell that the leaf pins.  An infeasible leaf fails its candidate, and a leaf
 the simplex cannot decide raises, as a node LP does.  The first feasible leaf's classifier
 is proposed with the bound, which its candidate costs.
 Only a pure cell that the candidate gets wrong is left unpinned, and the
@@ -92,7 +91,7 @@ import numpy as np
 
 from .core import Dataset, InternalConsistencyError, LinearClassifier
 from .formulations import build_disc_mip, classifier_from_solution, margin_clearance
-from .simplex import solve_lp_by_rows
+from .simplex import solve_lp_with_fixings
 
 MAX_FEATURES = 3
 WORK_BUDGET = 20_000_000  # C(m, d) * m of the largest pass
@@ -379,11 +378,11 @@ def certify(model, bank, candidates: Candidates, at_warm=None, budget=None):
 def _leaf(model, sides) -> Optional[LinearClassifier]:
     """The classifier of an optimal point of ``model``'s LP with every
     indicator fixed to the labeling ``sides`` (u_c = 1 where it leaves the
-    cell's reference label), solved over a working set of its rows, or
-    None when that leaf is infeasible.  A leaf that the simplex cannot
-    decide raises, as a node LP does in branch-and-bound."""
+    cell's reference label), or None when that leaf is infeasible.  A leaf
+    that the simplex cannot decide raises, as a node LP does in
+    branch-and-bound."""
     indicators = sides != (model.metadata["reference"] > 0)
-    sol = solve_lp_by_rows(model.lp, dict(enumerate(indicators.astype(float))))
+    sol = solve_lp_with_fixings(model.lp, dict(enumerate(indicators.astype(float))))
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":

@@ -62,6 +62,7 @@ import numpy as np
 from . import branch_bound as bnb
 from .branch_bound import SolveBudget, SolveResult
 from .core import Dataset, InternalConsistencyError, LinearClassifier, RiskReport
+from .datasets import InputError
 from .formulations import (
     DEFAULT_GAMMA,
     assignment_from_classifier,
@@ -497,8 +498,10 @@ def _solve(
     that cost, so that ``bnb.solve`` certifies it with 0 nodes.  The result's
     ``wall_time`` covers the whole step, leaf LPs included.
 
-    No path program is infeasible (h0 lies in every level set and its
-    negation flips every cell), so an infeasible one raises.  The decoded
+    No path program is infeasible when h0 clears the margin (h0 lies in
+    every level set and its negation flips every cell), so an infeasible
+    one raises.  When h0 does not, no program may represent it, and an
+    infeasible one is an input error: gamma is too large.  The decoded
     incumbent joins ``bank``, which scores it; a certified one that scores
     a training point inside the margin band, where the indicator semantics
     are not exact, warns.  Returns (result, the incumbent's bank row or
@@ -519,6 +522,12 @@ def _solve(
     )
     result = replace(result, wall_time=time.monotonic() - started)
     if result.status == bnb.STATUS_INFEASIBLE:
+        if not bank.clears[0]:
+            raise InputError(
+                f"the program of the {what} is infeasible: h0's smallest training "
+                f"|score|, {bank.margins[0]:.2g}, lies inside the margin "
+                f"gamma={bank.gamma:g}; use a smaller --gamma"
+            )
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
     if result.incumbent is None:
         return result, None

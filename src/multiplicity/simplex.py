@@ -12,9 +12,9 @@ is the column's own cost and the basis is dual feasible for every program.
 A warm start is the final basis of a related program with the same
 objective: one that fixed fewer variables (a branch-and-bound parent), had
 other right-hand sides (the previous program of a path), or lacked a row
-(``basis_with_row`` extends its basis by that row's slack; this is how
-``solve_lp_by_rows`` grows a working set of rows).  None of these changes
-moves a reduced cost, so the basis stays dual feasible and only its primal
+(``basis_with_row`` extends its basis by that row's slack; this is how a
+leaf's working set of rows grows).  None of these changes moves a reduced
+cost, so the basis stays dual feasible and only its primal
 infeasibilities need repair.
 
 Every variable is boxed, so any basis becomes dual feasible once each
@@ -80,7 +80,7 @@ OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-3  # below this the dual ratio test takes the largest pivot
 DEGENERATE_PIVOTS = 50  # zero-ratio pivots in a row before Bland's rule
-WHOLE_ROWS = 128  # solve_lp_by_rows solves a program of at most this many rows whole
+WHOLE_ROWS = 128  # a leaf of at most this many rows starts with all of them
 REFACTOR_INTERVAL = 256
 
 LESS_EQUAL = "<="
@@ -192,89 +192,66 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 def solve_lp_with_fixings(
     lp: LinearProgram, fixings: dict, start: Optional[Basis] = None
 ) -> LpSolution:
-    """Solve ``lp`` with some variables pinned to fixed values.
+    """Solve ``lp`` with some variables pinned to fixed values; a fixing
+    outside its variable's bounds makes the program infeasible.
 
-    The fixed variables' bounds collapse to their values in the tableau;
-    a fixing outside the variable's bounds makes the program infeasible.
+    With a ``start`` or no fixings, one tableau holds every row and column,
+    the fixed columns' bounds collapsed, and the solution carries its final
+    basis.  ``start`` is a nonsingular, dual feasible basis of ``lp``'s
+    shape: the ``basis`` of an optimal solution of ``lp`` under a subset of
+    ``fixings`` or of a program with other right-hand sides, or such a
+    basis extended by ``basis_with_row``.
 
-    The solve starts from ``start`` or, without it, from the slack basis.
-    ``start`` is a nonsingular basis of ``lp``'s shape that is dual
-    feasible for it: the ``basis`` of an optimal solution of ``lp`` under a
-    subset of ``fixings``, of a program that differs from ``lp`` only in
-    its right-hand sides, or such a basis extended by ``basis_with_row``.
-    The solve repairs it by dual simplex and restores lost dual
-    feasibility by bound flips; a solve that cannot decide returns
-    "stalled".
+    Fixings without a start make a leaf: its fixed columns leave the
+    tableau for the right-hand sides, so its point holds them exactly, and
+    its solution has no basis.  Its working set of rows starts with every
+    row when it has at most WHOLE_ROWS, and empty otherwise.  The rows that
+    a round's point misses by more than FEASIBILITY_TOL join it, most
+    missed first and at most one per free variable, and the next round
+    starts from the last round's basis with their slacks basic.  A
+    restriction relaxes the leaf, so its infeasibility is the leaf's.
+    Pivots count over all rounds; a solve that cannot decide is "stalled".
     """
-    boxes = _fixed_boxes(lp, fixings)
-    state = None if boxes is None else _Tableau(lp, *boxes)
-    if state is None or state.infeasible_by_bounds:
-        return LpSolution("infeasible", None, float("nan"))
-    lo, hi = boxes
-    if start is not None and (
-        start.columns.shape != (state.m,) or start.at_upper.shape != (state.n_ext,)
-    ):
-        raise ValueError("starting basis does not match the program's shape")
-    status = state.solve(start)
-    if status != "optimal":
-        return LpSolution(status, None, float("nan"), state.pivots)
-    return _optimal_solution(lp, state, lo, hi)
-
-
-def solve_lp_by_rows(lp: LinearProgram, fixings: dict) -> LpSolution:
-    """Solve ``lp`` with some variables pinned to fixed values, as
-    ``solve_lp_with_fixings`` does, over a working set of its rows: for
-    fixings that leave few free variables to a program of many rows, such
-    as a branch-and-bound leaf.
-
-    The fixed variables leave the tableau: their part of each row's
-    activity moves into its right-hand side.  The working set starts
-    empty, and each round solves a tableau of its rows, the only rows made
-    dense.  The rows that a round's point misses by more than
-    FEASIBILITY_TOL join the set, most missed first and at most
-    one per free variable, and the next round starts from the last round's
-    basis extended by their slacks (``basis_with_row``).  A restriction
-    relaxes ``lp``, so its infeasibility is ``lp``'s, and a point that meets
-    every row solves ``lp``.  Pivots count over all rounds.  The solution
-    has no basis.  A program of at most WHOLE_ROWS rows is solved whole,
-    where one tableau of every row costs less than the rounds.
-    """
-    if lp.n_rows <= WHOLE_ROWS:
-        return solve_lp_with_fixings(lp, fixings)
     boxes = _fixed_boxes(lp, fixings)
     if boxes is None:
         return LpSolution("infeasible", None, float("nan"))
-    fixed = boxes[0] == boxes[1]
-    pinned, free = np.where(fixed, boxes[0], 0.0), np.flatnonzero(~fixed)
-    constant, rhs = lp.objective @ pinned, lp.row_rhs - lp.activity(pinned)
-    lo, hi = lp.var_lo[free], lp.var_hi[free]
-    rel = np.asarray(lp.row_relations, dtype="<U2")
-    work, start, pivots = np.zeros(0, dtype=np.int64), None, 0
+    lo, hi = boxes
+    if start is not None and (
+        start.columns.shape != (lp.n_rows,) or start.at_upper.shape != (lp.n_vars + lp.n_rows,)
+    ):
+        raise ValueError("starting basis does not match the program's shape")
+    leaf = start is None and bool(fixings)
+    rhs, rel = lp.row_rhs, np.asarray(lp.row_relations, dtype="<U2")
+    if leaf:
+        values, free = np.where(lo == hi, lo, 0.0), np.flatnonzero(lo != hi)
+        rhs = rhs - lp.activity(values)
+    else:
+        values, free = np.zeros(lp.n_vars), slice(None)
+    work = np.arange(0 if leaf and lp.n_rows > WHOLE_ROWS else lp.n_rows)
+    pivots = 0
     while True:
         coefs = lp.dense(work)[:, free]
-        program = LinearProgram(lp.objective[free], coefs, rel[work].tolist(), rhs[work], lo, hi)
-        state = _Tableau(program, lo, hi)
+        state = _Tableau(lp.objective[free], coefs, rel[work], rhs[work], lo[free], hi[free])
         if state.infeasible_by_bounds:
             return LpSolution("infeasible", None, float("nan"), pivots)
         state.pivots = pivots
         status, pivots = state.solve(start), state.pivots
         if status != "optimal":
             return LpSolution(status, None, float("nan"), pivots)
-        values = pinned.copy()
         values[free] = state.structural_values()
+        if work.size == lp.n_rows:
+            break
         excess = _excess(rel, lp.row_rhs, lp.activity(values))
         excess[work] = 0.0  # a row joins the set once
         missed = np.flatnonzero(excess > FEASIBILITY_TOL)
-        if not missed.size:  # every row outside the set is met; the check covers the set
-            sol = _optimal_solution(program, state, lo, hi)
-            values.flags.writeable = False
-            value, least = sol.objective_value + constant, sol.least_objective + constant
-            return LpSolution("optimal", values, value, pivots, None, least)
+        if not missed.size:
+            break
         missed = missed[np.argsort(-excess[missed], kind="stable")[: max(free.size, 1)]]
         start = Basis(state.basis, state.at_upper)
         for row in range(work.size, work.size + missed.size):
             start = basis_with_row(start, row)
         work = np.append(work, missed)
+    return _optimal_solution(lp, state, values, lo, hi, not leaf)
 
 
 def _fixed_boxes(lp: LinearProgram, fixings: dict):
@@ -282,18 +259,18 @@ def _fixed_boxes(lp: LinearProgram, fixings: dict):
     its value, or None when a value lies outside its box."""
     cols = np.fromiter(fixings, dtype=np.int64, count=len(fixings))
     values = np.fromiter(fixings.values(), dtype=float, count=len(fixings))
-    if np.any(values < lp.var_lo[cols] - 1e-9) or np.any(values > lp.var_hi[cols] + 1e-9):
+    if np.count_nonzero((values < lp.var_lo[cols] - 1e-9) | (values > lp.var_hi[cols] + 1e-9)):
         return None
     lo, hi = lp.var_lo.copy(), lp.var_hi.copy()
     lo[cols] = hi[cols] = values
     return lo, hi
 
 
-def _optimal_solution(lp, state, lo, hi) -> LpSolution:
-    """Check the final vertex against the bounds and rows (ROW_TOL), and
-    package it with its least objective within ROW_TOL of the rows."""
-    values = state.structural_values()
-    if np.any(values < lo - ROW_TOL) or np.any(values > hi + ROW_TOL):
+def _optimal_solution(lp, state, values, lo, hi, with_basis) -> LpSolution:
+    """Check the final point ``values`` against the bounds and rows of
+    ``lp`` (ROW_TOL), and package it with its least objective within
+    ROW_TOL of the rows and, ``with_basis``, the tableau's final basis."""
+    if np.count_nonzero(values < lo - ROW_TOL) or np.count_nonzero(values > hi + ROW_TOL):
         raise InternalConsistencyError("simplex returned out-of-bounds values")
     bad = violated_rows(lp, values)
     if bad.size:
@@ -302,11 +279,10 @@ def _optimal_solution(lp, state, lo, hi) -> LpSolution:
         raise InternalConsistencyError(f"simplex solution violates row {k} by {residual:.3e}")
     objective = float(np.dot(lp.objective, values))
     # the row duals y = c_B B^-1, B^-1 being the slack columns of the tableau
-    duals = state.cost[state.basis] @ state.T[:, lp.n_vars :]
-    values.flags.writeable = False
-    basis = Basis(state.basis, state.at_upper)
-    basis.columns.flags.writeable = False
-    basis.at_upper.flags.writeable = False
+    duals = state.cost[state.basis] @ state.T[:, state.n_ext - state.m :]
+    for arr in (values, state.basis, state.at_upper):
+        arr.flags.writeable = False
+    basis = Basis(state.basis, state.at_upper) if with_basis else None
     least = objective - ROW_TOL * float(np.abs(duals).sum())
     return LpSolution("optimal", values, objective, state.pivots, basis, least)
 
@@ -319,8 +295,8 @@ def basis_with_row(basis: Basis, row: int) -> Basis:
     extended basis matrix is block triangular with a unit block for the new
     slack, so it is nonsingular when ``basis`` is; the new row's dual is 0,
     so every reduced cost, and dual feasibility, carries over.  It starts
-    each flip root from the baseline's basis, and each round of
-    ``solve_lp_by_rows`` from the last round's.
+    each flip root from the baseline's basis, and each round of a leaf's
+    working set from the last round's.
     """
     slack = basis.at_upper.size - basis.columns.size + row
     columns = basis.columns + (basis.columns >= slack)
@@ -352,15 +328,15 @@ def _slack_boxes(coefs, rel, rhs, var_lo, var_hi):
     relation and its activity range over the variable boxes, or None when
     some box is empty by more than ROW_TOL less FEASIBILITY_TOL, the
     widening of ``_relax_rows``."""
-    pos = np.clip(coefs, 0.0, None)
-    neg = np.clip(coefs, None, 0.0)
+    pos = np.maximum(coefs, 0.0)
+    neg = np.minimum(coefs, 0.0)
     rel = np.asarray(rel, dtype="<U2")
     s_lo = rhs - (pos @ var_hi + neg @ var_lo)
     s_hi = rhs - (pos @ var_lo + neg @ var_hi)
     s_lo = np.where((rel == LESS_EQUAL) & (0.0 > s_lo), 0.0, s_lo)
     s_hi = np.where((rel == GREATER_EQUAL) & (0.0 < s_hi), 0.0, s_hi)
     s_lo[rel == EQUAL] = s_hi[rel == EQUAL] = 0.0
-    if np.any(s_lo > s_hi + ROW_TOL - FEASIBILITY_TOL):
+    if np.count_nonzero(s_lo > s_hi + ROW_TOL - FEASIBILITY_TOL):
         return None
     return s_lo, s_hi
 
@@ -368,16 +344,16 @@ def _slack_boxes(coefs, rel, rhs, var_lo, var_hi):
 class _Tableau:
     """Mutable simplex state over [structurals | slacks]."""
 
-    def __init__(self, lp: LinearProgram, var_lo: np.ndarray, var_hi: np.ndarray):
-        n, m = lp.n_vars, lp.n_rows
+    def __init__(self, cost, coefs, rel, rhs, var_lo, var_hi):
+        m, n = coefs.shape
         self.m = m
         self.n_ext = n + m
         self.iteration_limit = 200 * (m + self.n_ext) + 2000
         self.infeasible_by_bounds = False
         self.relaxed = False
 
-        self.A = np.hstack([lp.row_coefs, np.eye(m)])
-        boxes = _slack_boxes(self.A[:, :n], lp.row_relations, lp.row_rhs, var_lo, var_hi)
+        self.A = np.hstack([coefs, np.eye(m)])
+        boxes = _slack_boxes(coefs, rel, rhs, var_lo, var_hi)
         if boxes is None:
             self.infeasible_by_bounds = True
             return
@@ -385,8 +361,8 @@ class _Tableau:
         self.hi = np.concatenate([var_hi, boxes[1]])
         if (boxes[0] > boxes[1]).any():  # some row is met only within its tolerance
             self._relax_rows()
-        self.b = lp.row_rhs
-        self.cost = np.concatenate([lp.objective, np.zeros(m)])
+        self.b = rhs
+        self.cost = np.concatenate([cost, np.zeros(m)])
         self.pivots = 0
         self._pivots_since_refactor = 0
 

@@ -143,8 +143,10 @@ def assert_one_program(dense, entries, fixings_list, points):
     """``dense`` and ``entries``, one program built from its dense matrix and
     from its entries, give the same rows, the same violated rows at each
     of ``points``, and the same status, objective and pivot count under
-    each fixings of ``fixings_list``, solved whole and by rows."""
-    from multiplicity.simplex import solve_lp_by_rows, solve_lp_with_fixings, violated_rows
+    each fixings of ``fixings_list``, a leaf solved in one tableau (at the
+    default WHOLE_ROWS) and over a working set of its rows (at 0)."""
+    from multiplicity import simplex
+    from multiplicity.simplex import solve_lp_with_fixings, violated_rows
 
     assert np.array_equal(dense.row_coefs, entries.row_coefs)
     for point in points:
@@ -153,7 +155,9 @@ def assert_one_program(dense, entries, fixings_list, points):
                 violated_rows(dense, point, tol), violated_rows(entries, point, tol)
             )
     for fixings in fixings_list:
-        for solver in (solve_lp_with_fixings, solve_lp_by_rows):
-            a, b = solver(dense, fixings), solver(entries, fixings)
+        for whole_rows in (simplex.WHOLE_ROWS, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simplex, "WHOLE_ROWS", whole_rows)
+                a, b = (solve_lp_with_fixings(lp, fixings) for lp in (dense, entries))
             assert (a.status, a.n_pivots) == (b.status, b.n_pivots)
             assert np.array_equal(a.objective_value, b.objective_value, equal_nan=True)

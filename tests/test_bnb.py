@@ -402,8 +402,8 @@ class TestIncumbentGate:
         # 2): no unit-l1 classifier parts x = 70 from 70.014 with margin.
         # Started from its parent's basis, a leaf LP that fixes every binary
         # kept one fixed at 0 basic, at 4.05e-8: a point that meets the rows
-        # only unrounded.  Started cold, every fixed binary stays nonbasic
-        # at its value, so a leaf's point is infeasible or feasible, and the
+        # only unrounded.  Solved without a start, a leaf's fixed binaries
+        # leave the tableau, so its point is infeasible or feasible, and the
         # baseline certifies its optimum 1
         data = _on_a_line([70, 70.014, 0, 140], [-1, 1, -1, 1], [1, 1, 2, 2])
         model = build_baseline_mip(data)

@@ -452,13 +452,13 @@ class TestAudit:
     # point a leaf LP of the labeling pass returns; the counts do not.
     PINNED_REPORTS = {
         "compas_style-adhoc": {
-            "profile.json": "43766cc33be11f6693060e208a00a7081d5688e0809ab8380025836680b537c5",
+            "profile.json": "f036f3afea2b9df218319f1b56f6cf4bd03359c3e2cd2abbe8dbc2f2671c6e79",
             "profile.csv": "daa6690d4a89468a75e0e94c9fde1357df9d6415b825849fa30c0bd3c374e767",
             "baseline.json": "316a2c9b60d10a3539074cd258ed503740c16821b92f7b53d213bc2da8896c17",
             "burden.csv": "aee5cc440f24c1e24c1aa1951ecaddd34ca89a7a255fbf8eac76f98e42644513",
         },
         "tyranny": {
-            "profile.json": "1531d0b626e59fa5980404c528e11718579ebcb7f7a1a6f5fff1d67ca3dd32e8",
+            "profile.json": "a962bf3df090b0a397de26c3e5b61315a4c9b0cb2aad2e92802492b3ab30cd88",
             "profile.csv": "45c69dd055c612e081b5640c4ace0bd5c45b115db57f9a6ca1a1204a26b4a51f",
             "baseline.json": "dab179511a24e10b1e6b8acb75a696d9c1223af0d0043daada127954c3015726",
             "burden.csv": "ebafb2d7c541f4fb032c249b11c5d1567126a8185d0aac1a37556a7a398dd22c",
@@ -854,6 +854,24 @@ class TestExitCodes:
             assert code == 2
             assert "gamma=100" in capsys.readouterr().err
 
+    def test_a_path_program_that_h0_misses_is_two(self, tmp_path, capsys):
+        # at gamma = 0.05 the certified h0 scores a training point at 0.0038,
+        # inside the margin, and the witness program at eps = 0, which no
+        # classifier that clears the margin represents, is infeasible: too
+        # large a gamma, not a solver fault.  At gamma = 0.02 the audit runs
+        rows = [
+            "0.559,0,B", "0.846,0,A", "0.49,0,B", "0.402,0,A", "0.558,0,A",
+            "0.337,1,A", "0.408,1,A", "0.093,0,B", "0.075,0,B",
+        ]
+        (tmp_path / "band.csv").write_text("x0,label,group\n" + "\n".join(rows) + "\n")
+        args = ["audit", "--dataset", str(tmp_path / "band.csv"), "--group-column", "group"]
+        assert main(args + ["--gamma", "0.05", "--outdir", str(tmp_path / "wide")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma=0.05" in err and "smaller --gamma" in err
+        baseline = json.loads((tmp_path / "wide" / "baseline.json").read_text())
+        assert baseline["certified"] and not baseline["margin_clearance"]["clears_gamma"]
+        assert main(args + ["--gamma", "0.02", "--outdir", str(tmp_path / "narrow")]) == 0
+
     def test_invariant_violation_is_four(self, tmp_path, monkeypatch):
         import multiplicity.cli as cli_mod
 
@@ -1117,7 +1135,7 @@ class TestTracing:
             assert tracer.calls[layer] > 0, layer
         assert tracer.calls["formulations.build"] == tracer.calls["branch_bound.solve"] == 25
         metrics = tracer.metrics()
-        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [539, 539, 1700]
+        assert [metrics[key] for key in DETERMINISTIC_COUNTS] == [539, 539, 1701]
 
 
 class TestExportMps:

@@ -376,14 +376,14 @@ class TestCertificates:
     def test_a_settled_solve_reports_the_time_of_its_check_lps(self, xor, monkeypatch):
         # a flip that branch-and-bound certifies at 0 nodes from the pass's
         # proposal reports the time of the leaf LPs that found it
-        original, calls = labelings.solve_lp_by_rows, []
+        original, calls = labelings.solve_lp_with_fixings, []
 
         def slow(lp, fixings):
             time.sleep(0.01)
             calls.append(fixings)
             return original(lp, fixings)
 
-        monkeypatch.setattr(labelings, "solve_lp_by_rows", slow)
+        monkeypatch.setattr(labelings, "solve_lp_with_fixings", slow)
         h0, _ = fit_baseline(xor)
         _, _, results = ambiguity_path(
             ClassifierBank(xor, h0), EpsilonGrid((Fraction(0),), 100)
@@ -419,9 +419,9 @@ class TestCertificates:
         # without the baseline's hint, every flip still reports the pass's
         # bound, 25, and no leaf LP runs
         lps = []
-        original = labelings.solve_lp_by_rows
+        original = labelings.solve_lp_with_fixings
         monkeypatch.setattr(
-            labelings, "solve_lp_by_rows",
+            labelings, "solve_lp_with_fixings",
             lambda lp, fixings: lps.append(lp) or original(lp, fixings),
         )
         h0, _ = fit_baseline(xor)
@@ -440,7 +440,7 @@ class TestCertificates:
         # that does is; read as infeasible, it would raise the flip bounds
         # above their optima
         monkeypatch.setattr(
-            labelings, "solve_lp_by_rows",
+            labelings, "solve_lp_with_fixings",
             lambda lp, fixings: LpSolution("stalled", None, math.nan),
         )
         h0, _ = fit_baseline(xor)
@@ -488,9 +488,9 @@ def test_leaves_solved_over_working_sets_give_the_same_audit(tmp_path, monkeypat
     # every solve reads the same
     starts, built = [], simplex._Tableau.__init__
 
-    def spy(state, program, var_lo, var_hi):
-        starts.append(program.n_rows == 0)  # the first round of a working set
-        built(state, program, var_lo, var_hi)
+    def spy(state, cost, coefs, *rest):
+        starts.append(coefs.shape[0] == 0)  # the first round of a working set
+        built(state, cost, coefs, *rest)
 
     monkeypatch.setattr(simplex._Tableau, "__init__", spy)
 

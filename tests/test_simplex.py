@@ -10,7 +10,6 @@ from multiplicity.simplex import (
     LinearProgram,
     basis_with_row,
     solve_lp,
-    solve_lp_by_rows,
     solve_lp_with_fixings,
     violated_rows,
 )
@@ -364,22 +363,25 @@ class TestByRows:
                 int(j): float(lp.var_lo[j] + (lp.var_hi[j] - lp.var_lo[j]) * rng.random())
                 for j in np.flatnonzero(rng.random(lp.n_vars) < 0.3)
             }
-            whole = solve_lp_with_fixings(lp, fixings)
-            rows = solve_lp_by_rows(lp, fixings)
-            assert rows.status == whole.status
-            statuses[whole.status] += 1
-            if whole.status == "optimal":
-                assert rows.objective_value == pytest.approx(whole.objective_value, abs=1e-6)
+            rows = solve_lp_with_fixings(lp, fixings)
+            _matches(rows, _reference(lp, fixings))
+            statuses[rows.status] += 1
+            if rows.status == "optimal":
                 assert violated_rows(lp, rows.values, 1e-6).size == 0
                 assert all(rows.values[j] == v for j, v in fixings.items())
         assert statuses["optimal"] > 40 and statuses["infeasible"] > 5
 
     @pytest.mark.parametrize("g, status", [(1e-4, "optimal"), (1.002e-4, "infeasible")])
     def test_rows_added_to_a_tableau_keep_their_tolerance(self, g, status):
-        # the program of test_a_miss_within_the_rows_tolerance_proves_nothing,
-        # solved over a working set of its rows, decides alike
-        lp = _margin_lp(g)
-        sol = solve_lp_by_rows(lp, {})
+        # the program of test_a_miss_within_the_rows_tolerance_proves_nothing
+        # with a third column in every row, fixed at 0: the leaf, solved
+        # over a working set of its rows, decides alike
+        margin = _margin_lp(g)
+        lp = box_lp(
+            [0.0, 0.0, 0.0], np.hstack([margin.row_coefs, np.ones((3, 1))]),
+            margin.row_relations, margin.row_rhs, [0, 0, 0], [1, 1, 1],
+        )
+        sol = solve_lp_with_fixings(lp, {2: 0.0})
         assert sol.status == status
         if status == "optimal":
             assert violated_rows(lp, sol.values).size == 0
@@ -400,12 +402,12 @@ class TestByRows:
         )
         sizes, original = [], simplex._Tableau.__init__
 
-        def spy(state, program, var_lo, var_hi):
-            sizes.append(program.n_rows)
-            original(state, program, var_lo, var_hi)
+        def spy(state, cost, coefs, *rest):
+            sizes.append(coefs.shape[0])
+            original(state, cost, coefs, *rest)
 
         monkeypatch.setattr(simplex._Tableau, "__init__", spy)
-        sol = solve_lp_by_rows(lp, {j: 0.0 for j in range(400)})
+        sol = solve_lp_with_fixings(lp, {j: 0.0 for j in range(400)})
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.3 - 1.09**0.5, abs=1e-3)
         assert violated_rows(lp, sol.values, FEASIBILITY_TOL).size == 0

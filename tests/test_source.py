@@ -8,8 +8,9 @@ a status that a solve can report.  The one rule for a point meeting a
 row, ``simplex.ROW_TOL``, is defined in ``simplex`` alone and read
 outside it only by ``branch_bound`` and ``formulations.margin_floor``, only
 ``branch_bound`` builds a ``SolveResult``, ``labelings`` builds no LP of
-its own, a simplex tableau keeps the program it was built over, and only
-``simplex`` reads a program's dense ``row_coefs``."""
+its own, a simplex tableau keeps the program it was built over, only
+``simplex`` reads a program's dense ``row_coefs``, and ``simplex`` has one
+LP entry point."""
 
 import ast
 from pathlib import Path
@@ -247,6 +248,26 @@ def test_a_tableau_keeps_its_program():
                 and leaf.attr in program
             ]
     assert writes == []
+
+
+def test_the_simplex_has_one_lp_entry_point():
+    # every LP, node or leaf, is solved by ``solve_lp_with_fixings``, and
+    # ``solve_lp`` is its case without fixings: a second public solver would
+    # be a second path with rules of its own
+    solvers = sorted(
+        node.name
+        for node in _modules()["simplex.py"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and (
+            "LpSolution" in ast.unparse(node.returns or ast.Constant(None))
+            or any(
+                isinstance(leaf, ast.Return) and isinstance(leaf.value, ast.Call)
+                and getattr(leaf.value.func, "id", None) == "LpSolution"
+                for leaf in ast.walk(node)
+            )
+        )
+    )
+    assert solvers == ["solve_lp", "solve_lp_with_fixings"]
 
 
 def test_only_the_simplex_reads_dense_rows():
