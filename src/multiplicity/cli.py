@@ -50,7 +50,7 @@ from .formulations import (
     export_mps,
     mps_filename,
 )
-from .pool import PenaltyGrid, adhoc_measures, fit_pool
+from .pool import PenaltyGrid, adhoc_measures, fit_pool, pool_baseline_index
 from .profiles import (
     ClassifierBank,
     EpsilonGrid,
@@ -388,9 +388,9 @@ def _adhoc(run: dict, budget) -> Optional[dict]:
         models = fit_pool(train, penalty_grid, seed=config.seed)
     except SingleClassError as exc:
         raise InputError(f"training split: {exc}") from None
-    write_pool(
-        run["outdir"], models, adhoc_measures(models, train, run["grid"]), run["labels"]
-    )
+    base_idx = pool_baseline_index(models)
+    adhoc_profile = adhoc_measures(models, train, run["grid"], base_idx)
+    write_pool(run["outdir"], models, adhoc_profile, run["labels"], base_idx)
     return {"n_models": len(models)}
 
 

@@ -211,7 +211,8 @@ def _spd_solve(matrix, rhs):
             rhs[j] -= np.einsum("ik,ik->k", matrix[j, j + 1 :], rhs[j + 1 :])
             rhs[j] /= matrix[j, j]
     failed = (np.einsum("jjk->jk", matrix) <= 0.0).any(0) | ~np.isfinite(rhs).all(0)
-    rhs[:, failed] = np.nan
+    if failed.any():
+        rhs[:, failed] = np.nan
     return rhs
 
 
@@ -226,6 +227,9 @@ def _support_solve(system, rhs, l1, beta, inert):
     solution keeps no sign."""
     sign = np.sign(beta)
     on = (sign != 0.0) & ~inert
+    if on.all():  # nothing to mask, and no coordinate off S to check
+        trial = _spd_solve(system.copy(), rhs - l1 * sign)
+        return trial, (np.sign(trial) == sign).all(0)
     eye = np.eye(len(beta))[:, :, None]
     matrix = np.where(on[:, None] & on[None, :], system, eye)
     trial = _spd_solve(matrix, np.where(on, rhs - l1 * sign, 0.0))
@@ -253,43 +257,52 @@ def _cd_fit(X, pos, neg, ridge, l1, w_init):
     coordinate by ``CD_TOL``.  The intercept step follows in closed form.
     The step is halved until the penalized objective does not rise or it
     moves no coordinate by ``CD_TOL``; then the fit has converged and
-    leaves the batch.  No fit's result depends on the others in its batch.
+    leaves the batch.  A lone fit runs as two copies of itself, because a
+    matrix product of one column rounds differently from one of several:
+    so no fit's result depends on the others in its batch, bit for bit.
     Returns (coefficients, converged), one row per fit.
     """
-    w = w_init.T.copy()
-    converged = np.zeros(len(w_init), dtype=bool)
-    live = np.arange(len(w_init))
-    # the live fits' columns, compacted whenever fits converge
-    wl, wp, wt = w, pos.T.copy(), (pos + neg).T.copy()
-    nt, lam2, lam1 = wt.sum(0), ridge, l1
-    p = X.shape[1]
+    if len(w_init) == 1:
+        coefs, converged = _cd_fit(X, *(a.repeat(2, 0) for a in (pos, neg, ridge, l1, w_init)))
+        return coefs[:1], converged[:1]
+    cells, p = X.shape
+    w, converged = w_init.copy(), np.zeros(len(w_init), dtype=bool)
+    # the live fits' columns, compacted by ``take`` whenever fits converge (a
+    # fancy index would leave them strided); ``fits`` stacks weights and penalties
+    live, wl, fits = np.arange(len(w)), w.T.copy(), np.vstack([pos.T, (pos + neg).T, ridge, l1])
+    wp, wt, lam2, lam1 = fits[:cells], fits[cells:-2], fits[-2], fits[-1]
+    nt = wt.sum(0)
     # the Hessian of every fit by one matmul: (p*p x cells) @ (cells x k)
-    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p).T.copy()
-    eye = np.eye(p - 1)[:, :, None]
+    outer = (X[:, :, None] * X[:, None, :]).reshape(cells, p * p).T.copy()
     value = _objective(X, wp, wt, nt, lam2, lam1, wl)
     for _ in range(MAX_ITER):
         mu = _sigmoid(X @ wl)
-        grad = X.T @ (wt * mu - wp) / nt
-        hess = (outer @ (wt * mu * (1.0 - mu) / nt)).reshape(p, p, -1)
+        wt_mu = wt * mu
+        grad = X.T @ (wt_mu - wp) / nt
+        hess = (outer @ (wt_mu * (1.0 - mu) / nt)).reshape(p, p, -1)
         h00, h0r = hess[0, 0], hess[0, 1:]
         red_hess = hess[1:, 1:] - h0r[:, None] * h0r[None, :] / h00
         red_grad = grad[1:] - h0r * (grad[0] / h00)  # tracks beta
-        system = red_hess + lam2 * eye
-        inert = np.einsum("jjk->jk", system) <= 0.0  # no curvature and no ridge
-        diag = np.where(inert, np.inf, np.einsum("jjk->jk", system))
+        system = red_hess + 0.0  # red_hess + lam2 * I: off the diagonal that adds 0.0
+        diag = np.einsum("jjk->jk", system)
+        diag += lam2
+        inert = diag <= 0.0  # no curvature and no ridge
         beta = wl[1:].copy()
         rhs = np.einsum("ijk,jk->ik", red_hess, beta) - red_grad
         todo = np.arange(len(lam1))  # the fits still solving for their step
         for tries in range(MAX_ITER):
             cols = (..., todo if tries else slice(None))  # the first try takes views
             trial, ok = _support_solve(*(a[cols] for a in (system, rhs, lam1, beta, inert)))
-            beta[:, todo[ok]] = trial[:, ok]
+            if tries:
+                beta[:, todo[ok]] = trial[:, ok]
+            else:  # a masked copy costs a fraction of that scatter
+                np.copyto(beta, trial, where=ok)
             todo = todo[~ok]
             if not len(todo):
                 break
             cols = (..., todo)
-            part, part_grad = beta[cols], red_grad[cols]
-            moves = _cd_sweep(part, part_grad, red_hess[cols], diag[cols], lam2[todo], lam1[todo])
+            part, part_grad, curv = beta[cols], red_grad[cols], np.where(inert, np.inf, diag)[cols]
+            moves = _cd_sweep(part, part_grad, red_hess[cols], curv, lam2[todo], lam1[todo])
             beta[cols], red_grad[cols] = part, part_grad
             todo = todo[moves >= CD_TOL]
             if not len(todo):
@@ -298,27 +311,27 @@ def _cd_fit(X, pos, neg, ridge, l1, w_init):
         step[1:] = beta - wl[1:]
         step[0] = -(grad[0] + np.einsum("jk,jk->k", h0r, step[1:])) / h00
         args = (X, wp, wt, nt, lam2, lam1)
-        reach, size = np.abs(step).max(0), np.ones(len(lam1))
+        reach, size, trial_w = np.abs(step).max(0), np.ones(len(lam1)), wl + step
         while True:
-            trial_value = _objective(*args, wl + size * step)
+            trial_value = _objective(*args, trial_w)
             # a step shorter than CD_TOL ends the fit anyway
             rise = (trial_value > value) & (size * reach >= CD_TOL)
             if not rise.any():
                 break
             size[rise] *= 0.5
-        wl = wl + size * step
-        value = trial_value
-        done = size * reach < CD_TOL
+            trial_w = wl + size * step
+        wl, value, done = trial_w, trial_value, size * reach < CD_TOL
         if done.any():
-            w[:, live] = wl
-            converged[live[done]] = True
-            keep = ~done
-            live, wl, wp, wt = live[keep], wl[:, keep], wp[:, keep], wt[:, keep]
-            nt, lam2, lam1, value = nt[keep], lam2[keep], lam1[keep], value[keep]
+            w[live[done]], converged[live[done]] = wl.T[done], True
+            keep = np.flatnonzero(~done)
+            keep = keep.repeat(2 if len(keep) == 1 else 1)  # see above
+            live, wl, value, nt = live[keep], wl.take(keep, 1), value[keep], nt[keep]
+            fits = fits.take(keep, 1)
+            wp, wt, lam2, lam1 = fits[:cells], fits[cells:-2], fits[-2], fits[-1]
             if not len(live):
                 break
-    w[:, live] = wl
-    return w.T.copy(), converged
+    w[live] = wl.T
+    return w, converged
 
 
 def _null_intercept(targets, weights) -> float:
@@ -396,12 +409,14 @@ def fit_pool(
     alphas = np.repeat(grid.alphas, len(held))
     coefs = np.empty((n_lambdas, len(w), X.shape[1]))
     converged = np.empty((n_lambdas, len(w)), dtype=bool)
+    # a full block's cell weights, fit by fit; a shorter block takes a prefix
+    block_pos, block_neg = (np.tile(a, (LAMBDA_BLOCK * n_alphas, 1)) for a in (pos, neg))
     for first in range(0, n_lambdas, LAMBDA_BLOCK):
         block = slice(first, first + LAMBDA_BLOCK)
         lam = np.repeat(lambdas[:, block].T, len(held), axis=1)  # lambda x fit
         size = len(lam)
         fit, done = _cd_fit(
-            cells.X, np.tile(pos, (size * n_alphas, 1)), np.tile(neg, (size * n_alphas, 1)),
+            cells.X, block_pos[: lam.size], block_neg[: lam.size],
             (lam * (1.0 - alphas)).ravel(), (lam * alphas).ravel(), np.tile(w, (size, 1)),
         )
         coefs[block] = fit.reshape(size, *w.shape)
@@ -440,9 +455,10 @@ def pool_baseline_index(pool: Pool) -> int:
 
 
 def adhoc_measures(
-    pool: Pool, dataset: Dataset, grid: EpsilonGrid
+    pool: Pool, dataset: Dataset, grid: EpsilonGrid, base_idx: Optional[int] = None
 ) -> MultiplicityProfile:
-    """Pool-based ambiguity and discrepancy around the pool's CV baseline.
+    """Pool-based ambiguity and discrepancy around the pool's CV baseline,
+    model ``base_idx`` (``pool_baseline_index`` when not given).
 
     Level sets use exact mistake counts, so each is a prefix of the models
     sorted by them: ambiguity is the weight of a prefix OR of conflicts with
@@ -452,7 +468,8 @@ def adhoc_measures(
     """
     if not pool:
         raise ValueError("pool must be nonempty")
-    base_idx = pool_baseline_index(pool)
+    if base_idx is None:
+        base_idx = pool_baseline_index(pool)
     base_risk = pool[base_idx].train_risk
     n = dataset.n
     if grid.n != n:

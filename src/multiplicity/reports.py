@@ -23,7 +23,8 @@ Every JSON file goes through ``write_json``, whose bytes are those of
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.  It
 hands runs of scalars to json's C encoder, a depth of the payload at a
 time, and encodes a container that repeats at one depth (a shared
-measure dict) once.  ``write_pool`` reads the columns of a ``pool.Pool``,
+measure dict) once.  ``write_pool`` writes the same bytes with the same
+encoder, but reads its models table off the columns of a ``pool.Pool``,
 not one object per model.
 """
 
@@ -38,7 +39,6 @@ from operator import itemgetter, not_
 from pathlib import Path
 from typing import Optional
 
-from .pool import pool_baseline_index
 from .profiles import MultiplicityProfile, burden_path
 
 
@@ -265,35 +265,33 @@ def _finite(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None  # JSON has no inf or NaN
 
 
-def write_pool(outdir: Path, pool, adhoc_profile: MultiplicityProfile, labels) -> None:
-    """``pool``: a ``pool.Pool``; ``labels``: the epsilon label of each
-    grid value of ``adhoc_profile``."""
-    base_idx = pool_baseline_index(pool)
+def write_pool(
+    outdir: Path, pool, adhoc_profile: MultiplicityProfile, labels, base_idx: int
+) -> None:
+    """``pool``: a ``pool.Pool`` whose baseline is model ``base_idx``;
+    ``labels``: the epsilon label of each grid value of ``adhoc_profile``.
+    The bytes are ``write_json``'s, but the models table is read off the
+    pool's five columns: their values, column after column, go through
+    json's C encoder in one call, and each model's texts fill one template."""
     base = pool[base_idx]
-    columns = (pool.alphas, pool.lambdas, pool.mistakes, pool.cv_risks, pool.converged)
-    write_json(
-        outdir / "pool.json",
-        {
-            "n_models": len(pool),
-            "baseline_index": base_idx,
-            "baseline_alpha": base.alpha,
-            "baseline_lambda": base.lam,
-            "baseline_cv_risk": _finite(base.cv_risk),
-            "profile": profile_json(adhoc_profile, labels),
-            "models": [
-                {
-                    "alpha": alpha,
-                    "lambda": lam,
-                    "train_mistakes": mistakes,
-                    "cv_risk": _finite(cv_risk),
-                    "converged": converged,
-                }
-                for alpha, lam, mistakes, cv_risk, converged in zip(
-                    *(c.tolist() for c in columns)
-                )
-            ],
-        },
-    )
+    fields = {
+        "n_models": len(pool),
+        "baseline_index": base_idx,
+        "baseline_alpha": base.alpha,
+        "baseline_lambda": base.lam,
+        "baseline_cv_risk": _finite(base.cv_risk),
+        "profile": profile_json(adhoc_profile, labels),
+    }
+    texts = dict(zip(fields, _values(list(fields.values()), 1)))
+    cv_risks = [_finite(c) for c in pool.cv_risks.tolist()]
+    columns = (pool.alphas, pool.converged, cv_risks, pool.lambdas, pool.mistakes)
+    values = iter(_run(list(chain(*(c if c is cv_risks else c.tolist() for c in columns)))))
+    keys = ("alpha", "converged", "cv_risk", "lambda", "train_mistakes")  # the columns' keys
+    template = _block("{}", [f'"{key}": %s' for key in keys], 2)
+    rows = zip(*(list(islice(values, len(pool))) for _ in keys))
+    texts["models"] = _block("[]", list(map(template.__mod__, rows)), 1)
+    text = _block("{}", [f'"{key}": {texts[key]}' for key in sorted(texts)], 0)
+    (outdir / "pool.json").write_text(text + "\n", encoding="utf-8")
 
 
 def write_burden(outdir: Path, flip_pool, dataset, grid, labels) -> None:

@@ -659,9 +659,13 @@ class TestBatchKernel:
         start = np.vstack([start, np.zeros((7, 4))])
         args = (pos[rows], neg[rows], ridge[rows], l1[rows], start)
         whole, whole_ok = pool_module._cd_fit(X, *args)
-        for part in (np.r_[0:5], np.r_[5:14], np.r_[0:14:2], np.r_[1:14:2]):
+        # bit for bit, also for a fit alone and for one left alone when the
+        # others of its batch converge first
+        parts = [np.r_[0:5], np.r_[5:14], np.r_[0:14:2], np.r_[1:14:2]]
+        parts += [np.r_[i] for i in range(14)] + [np.r_[0, 7], np.r_[3, 12]]
+        for part in parts:
             coefs, ok = pool_module._cd_fit(X, *(a[part] for a in args))
-            assert np.max(np.abs(coefs - whole[part])) <= 1e-12
+            assert np.array_equal(coefs.view(np.int64), whole[part].view(np.int64))
             assert (ok == whole_ok[part]).all()
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
