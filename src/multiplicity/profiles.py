@@ -52,7 +52,7 @@ import math
 import time
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -87,12 +87,14 @@ class EpsilonGrid:
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         if not vals:
             raise ValueError("epsilon grid must be nonempty")
-        if any(v.numerator < 0 or v.numerator > v.denominator for v in vals):
+        # every check runs on the integers of each value p/q, in lowest terms
+        nums, dens = [v.numerator for v in vals], [v.denominator for v in vals]
+        if any(p < 0 or p > q for p, q in zip(nums, dens)):
             raise ValueError("epsilon values must lie in [0, 1]")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if any(r * q <= p * s for p, q, r, s in zip(nums, dens, nums[1:], dens[1:])):
             raise ValueError("epsilon values must be strictly increasing")
-        for v in vals:
-            if self.n % v.denominator:
+        for v, q in zip(vals, dens):
+            if self.n % q:
                 raise ValueError(f"epsilon {v} is not a multiple of 1/{self.n}")
         object.__setattr__(self, "values", vals)
 
@@ -197,8 +199,9 @@ class Measures(Sequence):
 class MultiplicityProfile:
     """Per-epsilon multiplicity measures around a baseline classifier: one
     ``Measures`` per side over ``grid`` (None when the side was not
-    measured), with counts out of the baseline's n, and the discrepancy
-    witness at each epsilon that has one.
+    measured), with counts out of the baseline's n, and ``witnesses``: the
+    discrepancy witness at each grid value, None where there is none (empty
+    when no side has witnesses).
 
     Each side must be monotone in epsilon and the discrepancy upper bound
     must stay within ``grid.caps``; a breach is a solver bug and raises.
@@ -208,12 +211,15 @@ class MultiplicityProfile:
     grid: EpsilonGrid
     discrepancy: Optional[Measures] = None
     ambiguity: Optional[Measures] = None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: tuple = ()
 
     def __post_init__(self):
         n = self.baseline.n
         if self.grid.n != n:
             raise ValueError("grid denominator does not match the baseline's n")
+        object.__setattr__(self, "witnesses", tuple(self.witnesses))
+        if self.witnesses and len(self.witnesses) != len(self.grid.values):
+            raise ValueError("witnesses need one entry per grid value")
         for side in ("discrepancy", "ambiguity"):
             m = getattr(self, side)
             if m is None:
@@ -458,9 +464,7 @@ def discrepancy_path(
     capped = np.minimum(raw_up, caps)
     if any(r.certified and ups[i] != capped[i] for i, r in solved.items()):
         raise InternalConsistencyError("tightening moved a certified value")
-    witnesses = {
-        eps: bank.classifiers[r] for eps, r in zip(eps_values, best.tolist()) if r >= 0
-    }
+    witnesses = tuple(bank.classifiers[r] if r >= 0 else None for r in best.tolist())
     profile = MultiplicityProfile(
         base, grid, discrepancy=Measures(lows, ups, certified, n), witnesses=witnesses
     )

@@ -20,6 +20,10 @@ Nothing here touches the package's simplex or branch-and-bound code paths.
   labeling counts for a program when some w with ||w||_1 <= 1 scores each
   cell the program pins at least ``formulations.margin_floor(gamma)`` on
   the labeling's side, which reference_simplex decides.
+
+* Report references: the profile reports as nested dicts and rows built
+  one grid point at a time from each entry's ``MeasureValue`` of exact
+  fractions, for ``json.dumps`` and ``csv.writer`` to encode.
 """
 
 from fractions import Fraction
@@ -389,3 +393,141 @@ def labeling_optima(dataset, h0, thresholds, gamma):
             if clears(labels, pins):
                 flips[cell] = mistakes
     return flips, disc
+
+
+# ---------------------------------------------------------------------------
+# report references: one MeasureValue per grid point, encoded by json / csv
+# ---------------------------------------------------------------------------
+
+
+def reference_decimal(value):
+    """Shortest exact decimal when the denominator is 2^a 5^b, float repr
+    otherwise, by Fraction arithmetic."""
+    frac = Fraction(value)
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    d = frac.denominator
+    while d % 2 == 0:
+        d //= 2
+    while d % 5 == 0:
+        d //= 5
+    if d != 1:
+        return repr(float(frac))
+    shift = 0
+    scaled = frac
+    while scaled.denominator != 1:
+        scaled *= 10
+        shift += 1
+    digits = str(abs(scaled.numerator)).rjust(shift + 1, "0")
+    sign = "-" if frac < 0 else ""
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def risk_dict(risk):
+    return {
+        "mistakes": risk.mistakes,
+        "n": risk.n,
+        "rate": float(risk.rate),
+        "rate_exact": str(risk.rate),
+    }
+
+
+def measure_dict(m):
+    if m is None:
+        return None
+    return {
+        "lower": float(m.lower),
+        "upper": float(m.upper),
+        "lower_exact": str(m.lower),
+        "upper_exact": str(m.upper),
+        "certified": m.certified,
+    }
+
+
+def measure_cells(m):
+    """CSV cells lower, upper, certified; empty when the measure is absent."""
+    if m is None:
+        return ["", "", ""]
+    return [repr(float(m.lower)), repr(float(m.upper)), "true" if m.certified else "false"]
+
+
+def _entries(measures, size):
+    """Each grid point's ``MeasureValue`` of a table, or None ``size`` times."""
+    return [None] * size if measures is None else [measures[i] for i in range(size)]
+
+
+def profile_json(profile):
+    """``profile.json``'s payload, one dict per grid point."""
+    values = profile.grid.values
+    size = len(values)
+    disc, amb = (_entries(m, size) for m in (profile.discrepancy, profile.ambiguity))
+    return {
+        "baseline": risk_dict(profile.baseline),
+        "entries": [
+            {
+                "epsilon": reference_decimal(eps),
+                "epsilon_exact": str(eps),
+                "discrepancy": measure_dict(d),
+                "ambiguity": measure_dict(a),
+            }
+            for eps, d, a in zip(values, disc, amb)
+        ],
+        "witnesses": {
+            str(eps): list(w.coefficients)
+            for eps, w in zip(values, profile.witnesses)
+            if w is not None
+        },
+    }
+
+
+def profile_csv_rows(profile):
+    """``profile.csv``'s rows, header first."""
+    values = profile.grid.values
+    size = len(values)
+    disc, amb = (_entries(m, size) for m in (profile.discrepancy, profile.ambiguity))
+    rows = [["epsilon", "disc_lower", "disc_upper", "disc_certified",
+             "amb_lower", "amb_upper", "amb_certified"]]
+    rows += [
+        [reference_decimal(eps)] + measure_cells(d) + measure_cells(a)
+        for eps, d, a in zip(values, disc, amb)
+    ]
+    return rows
+
+
+def burden_rows(burden, grid):
+    """``burden.csv``'s rows, header first, from each group's ``Measures``
+    over ``grid``."""
+    rows = [["group", "epsilon", "amb_lower", "amb_upper", "certified"]]
+    for i, eps in enumerate(grid.values):
+        rows += [
+            [group, reference_decimal(eps)] + measure_cells(m[i])
+            for group, m in burden.items()
+        ]
+    return rows
+
+
+def pool_json(pool, profile, base_idx):
+    """``pool.json``'s payload, one dict per model."""
+    def finite(value):
+        return value if np.isfinite(value) else None
+
+    models = [pool[i] for i in range(len(pool))]
+    base = models[base_idx]
+    return {
+        "n_models": len(models),
+        "baseline_index": base_idx,
+        "baseline_alpha": base.alpha,
+        "baseline_lambda": base.lam,
+        "baseline_cv_risk": finite(base.cv_risk),
+        "models": [
+            {
+                "alpha": m.alpha,
+                "lambda": m.lam,
+                "train_mistakes": m.train_risk.mistakes,
+                "cv_risk": finite(m.cv_risk),
+                "converged": m.converged,
+            }
+            for m in models
+        ],
+        "profile": profile_json(profile),
+    }

@@ -1,11 +1,14 @@
 import csv
 import json
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiplicity import branch_bound, profiles
 from multiplicity.branch_bound import SolveBudget, check_feasible, solve
@@ -92,6 +95,31 @@ class TestEpsilonGrid:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             EpsilonGrid(values=(Fraction(0), value), n=100)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.fractions(min_value=-1, max_value=2, max_denominator=12), max_size=6
+        ),
+        n=st.integers(1, 24),
+    )
+    def test_errors_match_fraction_comparisons(self, values, n):
+        # the checks run on integers; each error and its message is the one
+        # that comparing the Fractions in turn gives
+        if not values:
+            expected = "epsilon grid must be nonempty"
+        elif any(v < 0 or v > 1 for v in values):
+            expected = "epsilon values must lie in [0, 1]"
+        elif any(b <= a for a, b in zip(values, values[1:])):
+            expected = "epsilon values must be strictly increasing"
+        else:
+            bad = [v for v in values if n % v.denominator]
+            expected = f"epsilon {bad[0]} is not a multiple of 1/{n}" if bad else None
+        if expected is None:
+            assert EpsilonGrid(values=tuple(values), n=n).values == tuple(values)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                EpsilonGrid(values=tuple(values), n=n)
+
     def test_counts_and_thresholds(self):
         grid = EpsilonGrid(values=(Fraction(0), Fraction(1, 20), Fraction(1, 4)), n=40)
         assert grid.counts.tolist() == [0, 2, 10]
@@ -162,6 +190,9 @@ class TestMeasures:
                 MultiplicityProfile(base, grid, ambiguity=table)
         with pytest.raises(ValueError):
             MultiplicityProfile(base, EpsilonGrid((Fraction(0),), 20))
+        # a witness column one entry short
+        with pytest.raises(ValueError, match="one entry per grid value"):
+            MultiplicityProfile(base, grid, witnesses=[None])
 
 
 class TestDiscrepancyPath:
@@ -184,7 +215,7 @@ class TestDiscrepancyPath:
         grid = EpsilonGrid(tuple(Fraction(k, 100) for k in (0, 5, 10)), 100)
         profile, _ = discrepancy_path(ClassifierBank(xor, h0), grid)
         base = profile.baseline.mistakes
-        for eps, witness in profile.witnesses.items():
+        for eps, witness in zip(grid.values, profile.witnesses, strict=True):
             assert empirical_risk(witness, xor).mistakes <= base + eps * 100
 
     def test_objective_sequence_non_increasing(self):
@@ -218,11 +249,12 @@ class TestDiscrepancyPath:
             pattern = prediction_pattern(h0, data)
             grid = EpsilonGrid(tuple(Fraction(k, data.n) for k in range(8)), data.n)
             profile, results = discrepancy_path(ClassifierBank(data, h0), grid)
-            for eps, disc in zip(profile.grid.values, profile.discrepancy):
+            for eps, disc, witness in zip(
+                profile.grid.values, profile.discrepancy, profile.witnesses
+            ):
                 expect = Fraction(oracle_disc(data, pattern, eps), data.n)
                 assert disc.certified
                 assert disc.value == expect
-                witness = profile.witnesses[eps]
                 disagree = conflict_count(witness, h0, data).mistakes
                 assert Fraction(disagree, data.n) == expect
             assert [eps for eps, _ in results] == sorted({eps for eps, _ in results})
@@ -609,13 +641,13 @@ class TestMonotonicityAndBound:
             amb, pool, _ = ambiguity_path(bank, grid)
             profile = merge_profiles(disc, amb)
             base_preds = predictions(h0, data)
-            for eps, disc, amb in zip(
-                profile.grid.values, profile.discrepancy, profile.ambiguity
+            for eps, disc, amb, witness in zip(
+                profile.grid.values, profile.discrepancy, profile.ambiguity,
+                profile.witnesses,
             ):
                 if not disc.certified:
                     continue
                 assert amb.lower >= disc.value
-                witness = profile.witnesses[eps]
                 witness_preds = predictions(witness, data)
                 threshold = profile.baseline.mistakes + int(eps * data.n)
                 for i in np.flatnonzero(witness_preds != base_preds):

@@ -285,8 +285,8 @@ def test_only_the_simplex_reads_dense_rows():
 
 
 def test_reports_is_the_one_json_writer():
-    # every report goes through ``reports.write_json``, which must stay
-    # byte-identical to json.dumps; a second encoder would drift from it
+    # every JSON report is written by ``reports``, whose writers must stay
+    # byte-identical to json.dumps; a second encoder would drift from them
     writers = []
     for name, tree in _modules().items():
         if name == "reports.py":
