@@ -308,16 +308,10 @@ def _baseline(run: dict, budget) -> dict:
         model, budget=budget, node_log=_node_logger(run["node_log"], "baseline")
     )
     if result.status == bnb.STATUS_INFEASIBLE:
-        # feature cells with both labels must be placed at margin gamma
+        # the program pins every feature cell at margin gamma, on one side
         raise InputError(
-            f"no classifier places every mixed feature cell at margin gamma="
+            f"no classifier places every feature cell at margin gamma="
             f"{config.gamma}; use a smaller --gamma"
-        )
-    if result.certified and result.upper_bound == train.n:
-        # no cell placed at margin gamma: the decoded h0 would not make that count
-        raise InputError(
-            f"no classifier places any feature cell at margin gamma={config.gamma}; "
-            f"use a smaller --gamma"
         )
     if result.incumbent is None:  # only a spent budget leaves no classifier
         limit = (

@@ -16,13 +16,12 @@ sum_j (w+_j - w-_j) = 1.
 A model does not store this layout: ``_layout`` derives m from its binaries
 and d+1 from its column count, which is all that decoding a solution and
 naming MPS columns need.  ``metadata`` keeps ``kind``, ``gamma`` and
-``reference`` (the labels s_c below), ``pinned`` (the cells pinned
-whatever their side: those with the second row below, and a flip
-program's cell), ``flip_row`` on flip programs, and the
-``incumbent_heuristic`` that branch-and-bound offers node LP solutions.
+``reference`` (the labels s_c below), ``flip_row`` on flip programs, and
+the ``incumbent_heuristic`` that branch-and-bound offers node LP solutions.
 
-Each cell c has a reference label s_c, and u_c = 0 requires the classifier
-to predict s_c with margin gamma:
+Each cell c has a reference label s_c, and every program pins every cell
+from both sides: u_c = 0 requires the classifier to predict s_c with
+margin gamma, and u_c = 1 to predict -s_c with margin gamma:
 
     M_c u_c + s_c w.x_c >= gamma
     -s_c w.x_c - M_c u_c >= gamma - M_c     (u_c = 1 needs a clear -s_c)
@@ -31,21 +30,19 @@ with the cell's own Big-M, M_c = gamma + ||x_c||_inf (``compute_big_m``).
 The program keeps each such row as its 2(d+1) + 1 entries.  Each margin
 row (either pinning row, the flip row) accepts a signed score down to
 ``margin_floor(gamma)``, and every check of a score against the margin
-reads that floor.  No program is built with gamma below ``GAMMA_FLOOR``,
+reads that floor.  So every feasible point of every program, and every
+classifier decoded from one, scores every training point at least that
+far from 0.  No program is built with gamma below ``GAMMA_FLOOR``,
 where the floor's slack is a tenth of gamma or more.
 
 The error-minimizing models (baseline, flip) take the cell's majority label
-as s_c, so u_c marks the cell's majority as mistaken; they add the second
-row on mixed cells only, where both labels are present.  On a pure cell the
-cost of u_c = 1 already keeps the optimum exact, and a second row there
-only enlarges every node LP.  The objective is
+as s_c, so u_c marks the cell's majority as mistaken.  The objective is
 sum_c |P_c - N_c| u_c plus the integer ``objective_offset``
 sum_c min(P_c, N_c), the mistakes no classifier avoids.  The flip model
 adds one row that forces the classifier off h0's prediction on one cell,
-named by its index in ``Dataset.cells``.  The disc model
-takes s_c = -h0(x_c), so u_c is the agreement indicator; it pins every
-cell from both sides.  Objectives carry integer weights, so optimal values
-are exact weighted counts.
+named by its index in ``Dataset.cells``.  The disc model takes
+s_c = -h0(x_c), so u_c is the agreement indicator.  Objectives carry
+integer weights, so optimal values are exact weighted counts.
 """
 
 from __future__ import annotations
@@ -91,33 +88,30 @@ def _cell_model(
     dataset: Dataset,
     gamma: float,
     reference: np.ndarray,
-    two_sided: np.ndarray,
     objective: np.ndarray,
     extra_rows=(),
     offset: int = 0,
 ) -> MipModel:
-    """Assemble a cell program: the pinning rows of every cell (the second
-    row where ``two_sided``), then ``extra_rows`` as (coefficients over all
-    variables, rhs) pairs of >= rows, then the l1 row.  The pinning rows'
-    margin is ``gamma``; each cell's Big-M follows from it (``compute_big_m``)."""
+    """Assemble a cell program: the two pinning rows of every cell, then
+    ``extra_rows`` as (coefficients over all variables, rhs) pairs of >=
+    rows, then the l1 row.  The pinning rows' margin is ``gamma``; each
+    cell's Big-M follows from it (``compute_big_m``)."""
     if not GAMMA_FLOOR <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and at least {GAMMA_FLOOR:g}")
     cells = dataset.cells
     m, nc = len(cells.X), dataset.d + 1
-    n, width = m + 2 * nc, 1 + 2 * nc
+    n, width, k = m + 2 * nc, 1 + 2 * nc, 2 * m
     big_m = compute_big_m(dataset, gamma)
-    twice = two_sided.nonzero()[0]
-    k = m + twice.size
 
-    # The rows as entries: a pinning row holds its cell's Big-M on u_c and
-    # its signed features on w+ and w-, a second row negates its cell's
-    # first, and the few other rows are read off their dense form.
+    # The rows as entries: a first pinning row holds its cell's Big-M on
+    # u_c and its signed features on w+ and w-, a second row negates its
+    # cell's first, and the few other rows are read off their dense form.
     pin = np.empty((k, width))
     pin[:m, 0] = big_m
     pin[:m, 1 : 1 + nc] = pin[:m, 1 + nc :] = cells.X * reference[:, None]
-    pin[m:] = -pin[twice]
+    pin[m:] = -pin[:m]
     cols = np.empty((k, width), dtype=np.intp)
-    cols[:m, 0], cols[m:, 0], cols[:, 1:] = np.arange(m), twice, np.arange(m, n)
+    cols[:, 0], cols[:, 1:] = np.tile(np.arange(m), 2), np.arange(m, n)
     extra = np.zeros((len(extra_rows) + 1, n))
     for i, (row, _) in enumerate(extra_rows):
         extra[i] = row
@@ -129,7 +123,7 @@ def _cell_model(
         np.concatenate([pin.ravel(), extra[r, c]]),
     )
     rhs = np.full(k + len(extra), gamma)
-    rhs[m:k] -= big_m[twice]
+    rhs[m:k] -= big_m
     rhs[k:] = [b for _, b in extra_rows] + [1.0]
     costs, lo, hi = np.zeros((3, n))
     costs[:m], lo[m + nc :], hi[: m + nc] = objective, -1.0, 1.0
@@ -145,9 +139,7 @@ def _cell_model(
         lp=lp,
         binary_vars=tuple(range(m)),
         objective_offset=offset,
-        metadata={
-            "kind": kind, "gamma": gamma, "reference": reference, "pinned": two_sided,
-        },
+        metadata={"kind": kind, "gamma": gamma, "reference": reference},
     )
 
     def heuristic(values):
@@ -167,16 +159,15 @@ def _mistake_model(kind, dataset, gamma, extra_rows=()) -> MipModel:
     to +1), cost |P_c - N_c| for a mistaken majority, sum_c min(P_c, N_c) as
     the objective offset."""
     cells = dataset.cells
-    surplus, minority = cells.pos - cells.neg, np.minimum(cells.pos, cells.neg)
+    surplus = cells.pos - cells.neg
     return _cell_model(
         kind,
         dataset,
         gamma,
         reference=np.where(surplus >= 0, 1, -1),
-        two_sided=minority > 0,
         objective=np.abs(surplus),
         extra_rows=extra_rows,
-        offset=int(minority.sum()),
+        offset=int(np.minimum(cells.pos, cells.neg).sum()),
     )
 
 
@@ -193,8 +184,9 @@ def build_disc_mip(
 ) -> MipModel:
     """Agreement-minimizing model over the epsilon-level set around ``h0``.
 
-    The agreement indicators are pinned from both sides so that u_c equals
-    1[h(x_c) = h0(x_c)] exactly for every feasible assignment:
+    As in every program, the indicators are pinned from both sides, so
+    that u_c equals 1[h(x_c) = h0(x_c)] exactly for every feasible
+    assignment:
 
         M_c u_c - h0(x_c) w.x_c >= gamma        (u_c = 0 needs a clear flip)
         h0(x_c) w.x_c - M_c u_c >= gamma - M_c  (u_c = 1 needs clear agreement)
@@ -221,7 +213,6 @@ def build_disc_mip(
         dataset,
         gamma,
         reference=-base_preds,
-        two_sided=np.ones(len(cells.X), dtype=bool),
         objective=cells.pos + cells.neg,
         extra_rows=[(level_row, level_rhs)],
     )
@@ -246,7 +237,6 @@ def build_flip_mip(
     flip_row = np.concatenate([np.zeros(m), flip_coefs, flip_coefs])
     model = _mistake_model(FLIP, dataset, gamma, extra_rows=[(flip_row, gamma)])
     model.metadata["flip_row"] = model.lp.n_rows - 2
-    model.metadata["pinned"][cell] = True
     return model
 
 
@@ -311,9 +301,9 @@ def margin_clearance(h: LinearClassifier, dataset: Dataset, gamma: float) -> tup
     """Smallest |w.x_i| over the dataset and whether it clears the margin
     (``margin_floor``).
 
-    Certified solutions are expected to keep every training score at
-    distance >= gamma from zero; violations are reported as warnings by the
-    callers because the indicator semantics are only exact outside the band.
+    Every classifier decoded from a feasible point of a program clears it;
+    one given from outside, such as a pool model taken as h0, may not, and
+    then lies in no level set.
     """
     scores = dataset.X @ np.asarray(h.coefficients)
     min_abs = float(np.abs(scores).min())

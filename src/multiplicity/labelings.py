@@ -6,12 +6,13 @@ cell, the sign of w.x_c.  A labeling L of the cells sets every indicator
 of a program: u(L)_c = 1 exactly when L_c differs from the program's
 reference label.  Under a flip program a labeling costs its weighted
 mistakes, and under a disc program its weighted agreements with h0.
-A feasible point of a disc or flip program scores every cell it pins at
-least gamma away from 0 on its pinned side.  Moving w slightly off the
-cells it scores 0 gives a strict labeling that costs no more and passes
-the program's filter: its mistakes fit the level set's threshold (disc),
-and the flip cell lies on the other side of h0 (flip).  So the cheapest
-strict labeling that passes the filter bounds the program from below.
+Every program pins every cell from both sides, so a feasible point
+scores every cell at least gamma away from 0 on the side its labeling
+gives it.  Moving w slightly off the cells it scores 0 gives a strict
+labeling that costs no more and passes the program's filter: its mistakes
+fit the level set's threshold (disc), and the flip cell lies on the other
+side of h0 (flip).  So the cheapest strict labeling that passes the filter
+bounds the program from below.
 
 Few labelings are linear when d is small.  Take cells that span R^d.
 Every strict linear labeling is realized arbitrarily close to a
@@ -48,32 +49,14 @@ tableau.  It decides by the rule of every node LP and every incumbent: a
 row is met when a point misses its right-hand side by at most
 ``simplex.ROW_TOL``, and a leaf is infeasible only when its rows cannot
 all be met so (up to the dual's own precision, FEASIBILITY_TOL).  So a
-leaf point clears ``margin_floor`` on every cell that the leaf pins.  An infeasible leaf fails its candidate, and a leaf
-the simplex cannot decide raises, as a node LP does.  The first feasible leaf's classifier
-is proposed with the bound, which its candidate costs.
-Only a pure cell that the candidate gets wrong is left unpinned, and the
-leaf point may score it inside the margin band.  Then the same labeling's
-leaf of the realizer, the disc program at epsilon = 1, which admits every
-classifier and pins every cell, gives the proposal when it is feasible,
-and otherwise the first later labeling of the same cost whose point
-clears the margin; the point inside the band is proposed only when none
-does.  The scan stops early once the bound reaches the cost of the
-caller's warm start, and no leaf LP starts past the deadline.  A failed
-check raises the bound:
-
-* an exact program pins every cell by its two-sided rows or by the flip
-  row: every disc program, and a flip program whose other cells are all
-  mixed.  There every feasible point is a labeling that clears gamma, so
-  a cost whose labelings all fail is excluded, and the scan goes on to
-  the next cost;
-* an error-minimizing program may keep a pure cell it gets wrong inside
-  the margin band.  Such a point costs more than its own strict labeling,
-  so failed labelings of a higher cost exclude nothing.  The cheapest
-  cost b is different.  A point of cost b has a strict labeling of cost
-  b, since none is cheaper, and that labeling leaves exactly the point's
-  mistaken pure cells unpinned, so the point lies in its leaf.  So
-  when every labeling of cost b fails, the bound becomes b + 1, the
-  labelings of cost b + 1 are checked, and the scan stops.
+leaf point clears ``margin_floor`` on every cell.  An infeasible leaf
+fails its candidate, and a leaf the simplex cannot decide raises, as a
+node LP does.  The first feasible leaf's classifier is proposed with the
+bound, which its candidate costs.  Every feasible point of the program
+lies in the leaf of its own labeling, so a cost whose labelings all fail
+is excluded, and the bound moves on to the next cost.  The scan stops
+early once the bound reaches the cost of the caller's warm start, and no
+leaf LP starts past the deadline.
 
 The caller hands the bound to branch-and-bound as its hint, with the
 proposed classifier's assignment as the warm start when the program
@@ -90,7 +73,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Dataset, InternalConsistencyError, LinearClassifier
-from .formulations import build_disc_mip, classifier_from_solution, margin_clearance
+from .formulations import classifier_from_solution
 from .simplex import solve_lp_with_fixings
 
 MAX_FEATURES = 3
@@ -336,43 +319,30 @@ def _expand(signs: np.ndarray) -> np.ndarray:
 # -- certification ---------------------------------------------------------
 
 
-def certify(model, bank, candidates: Candidates, at_warm=None, budget=None):
+def certify(model, candidates: Candidates, at_warm=None, budget=None):
     """Check ``candidates``, the pass's labelings of ``model``, in cost
     order on leaves of ``model`` until the bound reaches ``at_warm``, the
-    cost of the caller's warm start (None without one).  ``bank`` is the
-    audit's ``ClassifierBank``: its training set, h0 and margin, from which
-    the realizer is built when a leaf point falls in the band.  No leaf LP
-    starts once the ``budget`` (a ``SolveBudget``, or None) has expired.
+    cost of the caller's warm start (None without one).  No leaf LP starts
+    once the ``budget`` (a ``SolveBudget``, or None) has expired.
 
     Returns (the proven lower bound on the program's objective, the
     classifier of a feasible leaf whose candidate costs the bound, or
-    None), preferring one that clears the margin (see the module's
-    docstring)."""
-    exact = model.metadata["pinned"].all()
+    None)."""
     costs = candidates.costs.tolist()
-    bound, banded = costs[0], None
+    bound = costs[0]
     for i, cost in enumerate(costs):
         if cost > bound or (at_warm is not None and at_warm <= bound):
             break
         if budget is not None and budget.expired():
             break
-        sides = candidates.sides[i]
-        found = _leaf(model, sides)
-        if found is not None and not margin_clearance(found, bank.dataset, bank.gamma)[1]:
-            # only mistaken pure cells lie in the band, so the point costs
-            # more than the cheapest cost, which no bound rule below skips
-            banded = found if banded is None else banded
-            found = _leaf(build_disc_mip(bank.dataset, bank.h0, 1, bank.gamma), sides)
+        found = _leaf(model, candidates.sides[i])
         if found is not None:
             return bound, found
         if (i + 1 < len(costs) and costs[i + 1] == cost) or cost >= candidates.limit:
             continue  # the cost still has labelings to check, or unseen ones
         # Every labeling that costs ``cost`` failed its check.
-        if exact:
-            bound = costs[i + 1] if i + 1 < len(costs) else cost + 1
-        elif cost == costs[0]:
-            bound = cost + 1
-    return bound, banded
+        bound = costs[i + 1] if i + 1 < len(costs) else cost + 1
+    return bound, None
 
 
 def _leaf(model, sides) -> Optional[LinearClassifier]:

@@ -50,7 +50,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -352,22 +351,16 @@ class ClassifierBank:
         first, ties in insertion order."""
         return (self.classifiers[r] for r in self._order if self._flips[r][cell])
 
-    def best_placed(self, thresholds, pinned=()):
+    def best_placed(self, thresholds):
         """At each of the increasing mistake ``thresholds``: the row with the
         most conflicts among the classifiers placed at or before it, and that
         count (-1 and 0 where none is).  A classifier that clears the margin
-        is placed at the first threshold its mistakes fit.  Each
-        ``(row, index, count)`` of ``pinned`` places a classifier that does
-        not clear it at grid index ``index`` with ``count`` conflicts.  Ties
-        go to the nearest placement, then to the latest row."""
+        is placed at the first threshold its mistakes fit.  Ties go to the
+        nearest placement, then to the latest row."""
         size, total = len(thresholds), len(self.classifiers)
-        clear = np.flatnonzero(self.clears)
-        pinned = np.array(pinned, dtype=np.int64).reshape(-1, 3)
-        rows = np.concatenate([clear, pinned[:, 0]])
-        place = np.concatenate(
-            [np.searchsorted(thresholds, np.take(self.mistakes, clear)), pinned[:, 1]]
-        )
-        count = np.concatenate([np.take(self.conflicts, clear), pinned[:, 2]])
+        rows = np.flatnonzero(self.clears)
+        place = np.searchsorted(thresholds, np.take(self.mistakes, rows))
+        count = np.take(self.conflicts, rows)
         fits = place < size
         key = np.full(size, -1, dtype=np.int64)
         np.maximum.at(
@@ -390,11 +383,10 @@ def discrepancy_path(
     Solve order: the first grid point, then the last, then repeatedly the
     middle point of the first run of unsolved points whose bounds are still
     open.  Lower bounds come from ``bank`` (each solve's witness joins it):
-    a classifier that clears the margin counts at the first grid point
-    whose threshold base + n * eps admits its mistakes and at every point
-    right of it, wherever it was found; a witness that does not clear it
-    counts at and right of its own solve.  Each point's lower bound is the
-    best count placed at or left of it.  Upper bounds hold at every smaller
+    a classifier that clears the margin, as every witness does, counts at
+    the first grid point whose threshold base + n * eps admits its mistakes
+    and at every point right of it, wherever it was found.  Each point's
+    lower bound is the best count placed at or left of it.  Upper bounds hold at every smaller
     epsilon and are capped by the triangle inequality,
     min(1, 2 * risk + epsilon).  The loop stops once every point is solved
     or closed, so certified solves skip every point whose bounds meet,
@@ -420,7 +412,6 @@ def discrepancy_path(
     # Upper discrepancy counts of n; an unsolved point is bounded by n.
     raw_up = np.full(size, n, dtype=np.int64)
     solved = {}  # grid index -> SolveResult
-    pinned = []  # (row, grid index, count) of witnesses that miss the margin
     best, counts = bank.best_placed(thresholds)
     labelings = bank.labelings(thresholds, budget)
     index, root = 0, None
@@ -438,16 +429,12 @@ def discrepancy_path(
         # global bound -> discrepancy upper bound.
         low_cnt, up_cnt = _int_bounds(result, n)
         raw_up[index] = n - low_cnt
-        if row is not None:
-            mistakes = bank.mistakes[row]
-            if result.certified and mistakes > thresholds[index]:
-                raise InternalConsistencyError(
-                    f"witness at eps={eps} lies outside its level set "
-                    f"({mistakes} vs {base.mistakes} + {eps} * {n})"
-                )
-            if not bank.clears[row]:
-                pinned.append((row, index, n - up_cnt))
-        best, counts = bank.best_placed(thresholds, pinned)
+        if row is not None and result.certified and bank.mistakes[row] > thresholds[index]:
+            raise InternalConsistencyError(
+                f"witness at eps={eps} lies outside its level set "
+                f"({bank.mistakes[row]} vs {base.mistakes} + {eps} * {n})"
+            )
+        best, counts = bank.best_placed(thresholds)
         if result.certified and counts[index] != n - up_cnt:
             raise InternalConsistencyError(
                 f"banked classifiers bound discrepancy at eps={eps} by "
@@ -496,30 +483,28 @@ def _solve(
     LP started from ``root_start`` (the slack basis when None).
 
     ``labelings`` are the labeling pass's candidates for the program, or
-    None.  ``certify`` checks them first on leaves of ``model`` (and of the
-    disc program at epsilon = 1): its bound joins ``hint``, and the
-    classifier it proposes is the warm start when the program accepts it at
-    that cost, so that ``bnb.solve`` certifies it with 0 nodes.  The result's
-    ``wall_time`` covers the whole step, leaf LPs included.
+    None.  ``certify`` checks them first on leaves of ``model``: its bound
+    joins ``hint``, and the classifier it proposes is the warm start when
+    the program accepts it at that cost, so that ``bnb.solve`` certifies it
+    with 0 nodes.  The result's ``wall_time`` covers the whole step, leaf
+    LPs included.
 
     No path program is infeasible when h0 clears the margin (h0 lies in
     every level set and its negation flips every cell), so an infeasible
-    one raises.  When h0 does not, no program may represent it, and an
-    infeasible one is an input error: gamma is too large.  The decoded
-    incumbent joins ``bank``, which scores it; a certified one that scores
-    a training point inside the margin band, where the indicator semantics
-    are not exact, warns.  Returns (result, the incumbent's bank row or
-    None).
+    one raises.  An h0 decoded from the baseline program clears it; one
+    given from outside may not, and then an infeasible program is an input
+    error: gamma is too large.  The decoded incumbent joins ``bank``, which
+    scores it.  Returns (result, the incumbent's bank row or None).
     """
     started = time.monotonic()
     warm = _encode(model, bank.dataset, candidates)
     if labelings is not None:
         at_warm = None if warm is None else model.count(warm)
-        bound, found = certify(model, bank, labelings, at_warm, budget)
+        bound, found = certify(model, labelings, at_warm, budget)
         hint = bound if hint is None else max(hint, bound)
         if found is not None:
-            realized = _encode(model, bank.dataset, [found], bound)
-            warm = warm if realized is None else realized
+            proposed = _encode(model, bank.dataset, [found], bound)
+            warm = warm if proposed is None else proposed
     result = bnb.solve(
         model, budget=budget, warm_start=warm, lower_bound_hint=hint,
         node_log=node_log, root_start=root_start,
@@ -535,14 +520,7 @@ def _solve(
         raise InternalConsistencyError(f"the program of the {what} is infeasible")
     if result.incumbent is None:
         return result, None
-    row = bank.add(classifier_from_solution(model, result.incumbent))
-    if result.certified and not bank.clears[row]:
-        warnings.warn(
-            f"certified {what} has margin {bank.margins[row]:.2e} "
-            f"below gamma={bank.gamma:.2e}",
-            RuntimeWarning,
-        )
-    return result, row
+    return result, bank.add(classifier_from_solution(model, result.incumbent))
 
 
 def _encode(model, dataset, classifiers, cost=None):

@@ -348,11 +348,8 @@ def labeling_optima(dataset, h0, thresholds, gamma):
     A labeling L of the cells costs mistakes sum_c (neg_c if L_c = +1 else
     pos_c) and agreements sum of the weight of the cells where L_c is h0's
     side.  A labeling is reachable when some classifier scores every cell
-    it pins at least ``margin_floor(gamma)`` on its side, the margin that
-    the programs accept.  A disc program pins every cell.  A flip program
-    pins every mixed cell, every cell that L puts on its majority side
-    (ties go to +1) and the flipped cell; a pure cell that L gets wrong
-    counts as a mistake wherever the classifier scores it.
+    at least ``margin_floor(gamma)`` on its side, the margin that the
+    programs accept: every program pins every cell.
     """
     counts = {}
     for ex in dataset.examples:
@@ -363,15 +360,12 @@ def labeling_optima(dataset, h0, thresholds, gamma):
     pos = np.array([counts[c][0] for c in cells])
     neg = np.array([counts[c][1] for c in cells])
     base = np.where(X @ np.asarray(h0.coefficients) > 0.0, 1, -1)
-    majority = np.where(pos >= neg, 1, -1)
-    mixed = (pos > 0) & (neg > 0)
     reachable = {}
 
-    def clears(labels, pins):
-        key = tuple(int(labels[c]) if pins[c] else 0 for c in range(len(cells)))
+    def clears(labels):
+        key = tuple(labels.tolist())
         if key not in reachable:
-            rows = (labels[:, None] * X)[pins]
-            reachable[key] = margin_reachable(rows, margin_floor(gamma))
+            reachable[key] = margin_reachable(labels[:, None] * X, margin_floor(gamma))
         return reachable[key]
 
     flips = {c: None for c in cells}
@@ -382,15 +376,13 @@ def labeling_optima(dataset, h0, thresholds, gamma):
         agreements = int((pos + neg)[labels == base].sum())
         for k, t in enumerate(thresholds):
             if mistakes <= t and (disc[k] is None or agreements < disc[k]):
-                if clears(labels, np.ones(len(cells), bool)):
+                if clears(labels):
                     disc[k] = agreements
         for f, cell in enumerate(cells):
             best = flips[cell]
             if labels[f] == base[f] or (best is not None and best <= mistakes):
                 continue
-            pins = mixed | (labels == majority)
-            pins[f] = True
-            if clears(labels, pins):
+            if clears(labels):
                 flips[cell] = mistakes
     return flips, disc
 

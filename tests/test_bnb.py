@@ -451,7 +451,6 @@ def _near_the_floor(xs, gamma=DEFAULT_GAMMA):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOneRowRule:
     # A point meets a row when it misses its rhs by at most ROW_TOL: node
     # LPs, leaf LPs of the labeling pass, incumbents and the oracle decide
@@ -500,6 +499,20 @@ class TestOneRowRule:
         assert values[list(data.cells.X[:, 1]).index(70)] == 1.0
         assert not check_feasible(model, values)[0]
         assert margin_clearance(h, data, DEFAULT_GAMMA)[1] is False
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a leaf LP and a node LP part on a margin within FEASIBILITY_TOL "
+        "of the floor, where an infeasibility proof is not exact",
+    )
+    def test_a_line_whose_points_part_within_the_lp_precision_of_the_floor(self):
+        # x = 3 + 7.92993e-4 i parts its neighbours within 2e-7 of
+        # ``margin_floor``: plain solves certify flips [2, 3, 2, 3] and the
+        # path [2, 4, 4, 4].  Exact infeasibility proofs would settle it
+        xs = [3 + 7.92993e-4 * i for i in range(4)]
+        plain, path, oracle = _three_flips(_on_a_line(xs, [-1, 1, -1, 1], [1, 3, 1, 1]))
+        assert plain == path == oracle
 
     def test_a_seeded_sweep_of_near_margin_lines(self):
         # 3-6 points base + i delta k on a line, most spaced so that

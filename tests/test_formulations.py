@@ -326,17 +326,41 @@ class TestMarginFloor:
         bank.add(h)
         assert (h in bank.flipping(0)) == accepted
 
-    def test_pinned_cells(self):
-        # 20 training rows on 6 cells, 5 of them mixed
-        train = ingest_csv(DATA / "compas_style.csv", "two_year_recid", "race").train
-        mixed = (train.cells.pos > 0) & (train.cells.neg > 0)
-        h0 = LinearClassifier((-0.5, 0.5, 0.0, 0.0))
-        assert mixed.any() and not mixed.all()
-        assert np.array_equal(build_baseline_mip(train).metadata["pinned"], mixed)
-        assert build_disc_mip(train, h0, 0).metadata["pinned"].all()
-        for c in range(len(mixed)):
-            pinned = build_flip_mip(train, h0, c).metadata["pinned"]
-            assert np.array_equal(pinned, mixed | (np.arange(len(mixed)) == c))
+    @pytest.mark.parametrize("source", ["compas_style", "random"])
+    def test_every_program_pins_every_cell_from_both_sides(self, source):
+        # 2m pinning rows in every program, pure cells as mixed ones: row c
+        # holds M_c on u_c and s_c x_c on w+ and w- with rhs gamma, and row
+        # m + c negates it with rhs gamma - M_c
+        rng = np.random.default_rng(43)
+        if source == "compas_style":
+            # 20 training rows on 6 cells, 5 of them mixed
+            path = DATA / "compas_style.csv"
+            datasets = [ingest_csv(path, "two_year_recid", "race").train]
+        else:
+            datasets = [random_binary_dataset(rng) for _ in range(12)]
+        pure = mixed = 0
+        for train in datasets:
+            cells, m = train.cells, len(train.cells.X)
+            both = (cells.pos > 0) & (cells.neg > 0)
+            pure, mixed = pure + int((~both).sum()), mixed + int(both.sum())
+            h0 = LinearClassifier.from_raw(rng.uniform(-1, 1, train.d + 1))
+            big_m = compute_big_m(train, DEFAULT_GAMMA)
+            models = [build_baseline_mip(train), build_disc_mip(train, h0, 0)]
+            models += [build_disc_mip(train, h0, Fraction(1, train.n))]
+            models += [build_flip_mip(train, h0, c) for c in range(m)]
+            for model in models:
+                lp, reference = model.lp, model.metadata["reference"]
+                extra = 1 if model.metadata["kind"] == "baseline" else 2
+                assert lp.n_rows == 2 * m + extra
+                rows = lp.dense(np.arange(2 * m))
+                signed = cells.X * reference[:, None]
+                assert np.array_equal(rows[:m, :m], np.diag(big_m))
+                assert np.array_equal(rows[:m, m:], np.hstack([signed, signed]))
+                assert np.array_equal(rows[m:], -rows[:m])
+                assert np.array_equal(lp.row_rhs[:m], np.full(m, DEFAULT_GAMMA))
+                assert np.array_equal(lp.row_rhs[m : 2 * m], DEFAULT_GAMMA - big_m)
+                assert set(lp.row_relations[: 2 * m]) == {">="}
+        assert pure and mixed
 
 
 class TestMpsExport:

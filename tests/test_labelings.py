@@ -180,7 +180,7 @@ class TestCertificates:
             for model, truth, cands in zip(models, truths, candidates):
                 exact = solve(model)
                 assert exact.certified and exact.upper_bound == truth
-                bound, found = certify(model, bank, cands)
+                bound, found = certify(model, cands)
                 assert bound <= truth
                 programs += 1
                 if found is not None:
@@ -243,80 +243,11 @@ class TestCertificates:
         warm = assignment_from_classifier(model, data, LinearClassifier((1.0, 0.0)))
         assert model.count(warm) == 1
         one = labelings.Candidates(full.sides[:1], full.costs[:1], 1)
-        bound, found = certify(model, bank, one, model.count(warm))
+        bound, found = certify(model, one, model.count(warm))
         assert bound == 1 and found is None
         result = solve(model, warm_start=warm, lower_bound_hint=bound)
         assert result.certified and result.upper_bound == 1
         assert result.nodes_explored == 0 and np.array_equal(result.incumbent, warm)
-
-    def test_a_leaf_inside_the_margin_band_gives_way_to_the_realizer(self):
-        # cells x = 0 (+), 5e-5 (-), 1 (mixed), 2 (-) and 4 (+); h0 splits
-        # at 3.  Parting x = 0 (on +1) from 5e-5 with margin needs a slope
-        # past 1, so the flip of cell 0 costs 4: x = 5e-5 goes along, a
-        # pure cell its program leaves unpinned, and the program's leaf
-        # point scores it 5e-5.  The realizer's leaf (the disc program at
-        # epsilon = 1) pins it, so the proposal clears gamma and the solve
-        # that certifies it does not warn
-        data = Dataset.build(
-            [Example((1.0, 0.0), 1), Example((1.0, 5e-5), -1),
-             Example((1.0, 1.0), -1, weight=3), Example((1.0, 1.0), 1, weight=2),
-             Example((1.0, 2.0), -1, weight=2), Example((1.0, 4.0), 1)]
-        )
-        h0, base = fit_baseline(data)
-        bank = ClassifierBank(data, h0)
-        model = build_flip_mip(data, h0, 0)
-        candidates = bank.labelings([bank.risk.mistakes]).flips[0]
-        sides = candidates.sides[candidates.costs == 4][0]
-        assert sides.tolist() == [True, True, False, False, False]
-        leaf = labelings._leaf(model, sides)
-        assert not margin_clearance(leaf, data, DEFAULT_GAMMA)[1]
-        bound, found = certify(model, bank, candidates)
-        realizer = build_disc_mip(data, h0, 1)
-        assert bound == 4 and found == labelings._leaf(realizer, sides)
-        assert margin_clearance(found, data, DEFAULT_GAMMA)[1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            _, pool, results = ambiguity_path(
-                bank, EpsilonGrid((Fraction(0),), data.n), baseline=base
-            )
-        assert results[0].certified and results[0].nodes_explored == 0
-        assert results[0].upper_bound == 4 and pool.classifiers[0] == found
-
-    def test_a_band_the_realizer_cannot_clear_gives_way_to_a_labeling_of_the_same_cost(
-        self,
-    ):
-        # cells x = 0 (+, weight 2), 1.5e-4 (+), 3e-4 (-, weight 2), -2
-        # (mixed), -1 (-) and 1 (+).  No unit-l1 classifier that puts x = 0
-        # and 3e-4 on opposite sides with margin scores x = 1.5e-4 outside
-        # the band.  The flip of x = -2 costs 5, first by such a labeling:
-        # its leaf point leaves x = 1.5e-4 in the band and its realizer leaf
-        # is infeasible.  The next labeling of cost 5 puts every cell on +1
-        # with margin, so it is proposed, and no certified flip warns
-        data = Dataset.build(
-            [Example((1.0, 0.0), 1, weight=2), Example((1.0, 1.5e-4), 1),
-             Example((1.0, 3e-4), -1, weight=2), Example((1.0, -2.0), -1, weight=2),
-             Example((1.0, -2.0), 1), Example((1.0, -1.0), -1), Example((1.0, 1.0), 1)]
-        )
-        h0, base = fit_baseline(data)
-        bank = ClassifierBank(data, h0)
-        model = build_flip_mip(data, h0, 3)
-        candidates = bank.labelings([bank.risk.mistakes]).flips[3]
-        banded, cleared = candidates.sides[candidates.costs == 5][:2]
-        assert banded.tolist() == [True, False, False, True, True, False]
-        assert not margin_clearance(labelings._leaf(model, banded), data, DEFAULT_GAMMA)[1]
-        realizer = build_disc_mip(data, h0, 1)
-        assert labelings._leaf(realizer, banded) is None and cleared.all()
-        bound, found = certify(model, bank, candidates)
-        assert bound == 5 and found == labelings._leaf(model, cleared)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            _, _, results = ambiguity_path(
-                bank, EpsilonGrid((Fraction(0),), data.n), baseline=base
-            )
-        assert all(r.certified and r.nodes_explored == 0 for r in results)
-        assert [r.upper_bound for r in results] == [
-            solve(build_flip_mip(data, h0, c)).upper_bound for c in range(6)
-        ]
 
     def test_a_labeling_within_the_rows_tolerance_of_gamma_is_realized(self):
         # cells x = 0 (-), 2e-4 (+), 4e-4 (-, weight 2) and 2 (+, weight 2);

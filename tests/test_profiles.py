@@ -706,16 +706,12 @@ class TestCountBookkeeping:
                 conflicts=rng.integers(0, 6, total).tolist(),
                 clears=(rng.random(total) < 0.7).tolist(),
             )
-            pinned = [
-                (int(rng.integers(total)), int(rng.integers(size)), int(rng.integers(6)))
-                for _ in range(int(rng.integers(0, 3)))
-            ]
             places = [  # (count, grid index, row) of every placement
                 (bank.conflicts[r], next(i for i, t in enumerate(thresholds) if m <= t), r)
                 for r, m in enumerate(bank.mistakes)
                 if bank.clears[r] and m <= thresholds[-1]
-            ] + [(count, i, r) for r, i, count in pinned]
-            best, counts = ClassifierBank.best_placed(bank, thresholds, pinned)
+            ]
+            best, counts = ClassifierBank.best_placed(bank, thresholds)
             for index in range(size):
                 left = [p for p in places if p[1] <= index]
                 want = max(left) if left else (0, None, -1)
